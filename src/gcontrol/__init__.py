@@ -47,7 +47,7 @@ from .experiments import (
     run_document,
     validate_document,
 )
-from .jumps import JumpPath, MarkSpace, sample_poisson
+from .jumps import Drivers, MarkSpace, sample_drivers
 from .models import MODEL_BUILDERS, MODEL_PARAM_DOCS, ModelSpec, build_model
 from .scenarios import (
     ScenarioFamily,
@@ -59,7 +59,7 @@ from .scenarios import (
     generator_G,
     upper_expectation,
 )
-from .sde import StateEnsemble, simulate, sup_distance
+from .sde import StateEnsemble, simulate, simulate_batch, sup_distance
 from .variational import (
     DerivativeReport,
     FundamentalPair,
@@ -76,8 +76,8 @@ __all__ = [
     "ChatteringReport",
     "CostReport",
     "DerivativeReport",
+    "Drivers",
     "FundamentalPair",
-    "JumpPath",
     "MarkSpace",
     "ModelSpec",
     "MODEL_BUILDERS",
@@ -114,8 +114,9 @@ __all__ = [
     "mp_check_relaxed",
     "mp_check_strict",
     "run_document",
-    "sample_poisson",
+    "sample_drivers",
     "simulate",
+    "simulate_batch",
     "solve_adjoint",
     "solve_fundamental",
     "solve_variational",

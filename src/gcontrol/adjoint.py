@@ -32,12 +32,12 @@ from .controls import (
     embed_strict,
     spike,
 )
-from .costs import evaluate_cost
-from .jumps import MarkSpace
+from .costs import evaluate_costs
+from .jumps import Drivers, MarkSpace, sample_drivers
 from .models import ModelSpec, ensure_validated
 from .rng import PROBES, substream
 from .scenarios import ScenarioFamily, TimeGrid, generator_G, upper_expectation
-from .sde import StateEnsemble, simulate
+from .sde import StateEnsemble, simulate, simulate_with
 from .variational import _avg, _weights_and_actions, solve_fundamental
 
 _DEGENERATE_STD = 1e-12
@@ -528,6 +528,7 @@ def mp_check_relaxed(
     slack_mult: float = 3.0,
     extra_slack: float = 0.0,
     basis_degree: int = 2,
+    drivers: Drivers | None = None,
 ) -> MPCheckReport:
     """Stationarity table for a relaxed control.
 
@@ -536,13 +537,17 @@ def mp_check_relaxed(
     volatility-channel term, averaged per scenario and maximized across
     scenarios. An entry passes when its estimate is at least minus
     ``slack_mult`` standard errors minus ``extra_slack``. Entries at a
-    Dirac mixture's own atom are exactly zero by construction.
+    Dirac mixture's own atom are exactly zero by construction. A caller
+    that already sampled this seed passes its ``drivers``.
     """
     ensure_validated(model)
     n_steps = grid.n_steps
     if n_blocks < 1 or n_steps % n_blocks != 0:
         raise ValueError(f"n_blocks must divide the step count, got {n_blocks} for {n_steps}")
-    ens = simulate(model, mu, family, grid, marks, n_paths, seed, x0)
+    if drivers is None:
+        ens = simulate(model, mu, family, grid, marks, n_paths, seed, x0)
+    else:
+        ens = simulate_with(model, mu, family, grid, marks, drivers, x0)
     core = _adjoint_core(ens, basis_degree)
 
     psi_steps = core.psi[:, :, :n_steps]
@@ -669,33 +674,6 @@ def mp_check_strict(
     )
 
 
-def measure_ekeland_epsilon(
-    model: ModelSpec,
-    u_n: StrictControl,
-    candidates: Sequence[StrictControl],
-    family: ScenarioFamily,
-    grid: TimeGrid,
-    marks: MarkSpace,
-    n_paths: int,
-    seed: int,
-    x0: float,
-) -> float:
-    """Worst cost-improvement rate of ``u_n`` over the candidate list.
-
-    Zero when no candidate beats ``u_n``; candidates at distance zero
-    are skipped.
-    """
-    j_n = evaluate_cost(model, u_n, family, grid, marks, n_paths, seed, x0).upper_value
-    eps = 0.0
-    for cand in candidates:
-        d = ekeland_distance(u_n, cand, grid)
-        if d <= 0.0:
-            continue
-        j_c = evaluate_cost(model, cand, family, grid, marks, n_paths, seed, x0).upper_value
-        eps = max(eps, max(0.0, j_n - j_c) / d)
-    return float(eps)
-
-
 def mp_check_near(
     model: ModelSpec,
     u_n: StrictControl,
@@ -742,22 +720,31 @@ def mp_check_near(
                 spec = SpikeSpec(base=u_n, action_index=ai, t0=t0, width=grid.dt)
                 cands.append(spike(spec, grid))
 
+    if epsilon_n is not None and epsilon_n < 0.0:
+        raise ValueError(f"epsilon_n must be nonnegative, got {epsilon_n}")
+
+    # u_n and every candidate in one batch; the batch is gone before the adjoint
+    drivers = sample_drivers(family, grid, marks, n_paths, seed)
+    reports = evaluate_costs(model, [u_n] + cands, family, grid, marks, drivers, x0)
+    j_n = reports[0].upper_value
+    scored = [
+        (ekeland_distance(u_n, cand, grid), rep.upper_value)
+        for cand, rep in zip(cands, reports[1:])
+    ]
+    del reports
+
     if epsilon_n is None:
-        eps = measure_ekeland_epsilon(
-            model, u_n, cands, family, grid, marks, n_paths, seed, x0
-        )
+        # worst cost-improvement rate of u_n; candidates at distance zero are skipped
+        eps = 0.0
+        for d, j_c in scored:
+            if d > 0.0:
+                eps = max(eps, max(0.0, j_n - j_c) / d)
     else:
-        if epsilon_n < 0.0:
-            raise ValueError(f"epsilon_n must be nonnegative, got {epsilon_n}")
         eps = float(epsilon_n)
 
-    j_n = evaluate_cost(model, u_n, family, grid, marks, n_paths, seed, x0).upper_value
-    jepsilon_ok = True
-    for cand in cands:
-        d = ekeland_distance(u_n, cand, grid)
-        j_c = evaluate_cost(model, cand, family, grid, marks, n_paths, seed, x0).upper_value
-        if j_n > j_c + eps * d + 1e-9 * (1.0 + abs(j_n)):
-            jepsilon_ok = False
+    jepsilon_ok = all(
+        not j_n > j_c + eps * d + 1e-9 * (1.0 + abs(j_n)) for d, j_c in scored
+    )
 
     mp = mp_check_relaxed(
         model,
@@ -772,6 +759,7 @@ def mp_check_near(
         slack_mult=slack_mult,
         extra_slack=C * eps,
         basis_degree=basis_degree,
+        drivers=drivers,
     )
 
     need = 0.0
@@ -820,13 +808,17 @@ def bsde_stability_report(
     dt = grid.dt
     nus = marks.intensities
 
-    ens_mu = simulate(model, mu, family, grid, marks, n_paths, seed, x0)
+    # one set of drivers for every rung; the rungs are simulated one at a
+    # time, right before their adjoint solve, because the adjoint sets the
+    # peak memory and a batch would hold every rung's states at once
+    drivers = sample_drivers(family, grid, marks, n_paths, seed)
+    ens_mu = simulate_with(model, mu, family, grid, marks, drivers, x0)
     triple_mu, _ = solve_adjoint(ens_mu, basis_degree)
 
     rows: list[StabilityRow] = []
     for n in n_list:
         u_n = chattering(mu, n)
-        ens_n = simulate(model, u_n, family, grid, marks, n_paths, seed, x0)
+        ens_n = simulate_with(model, u_n, family, grid, marks, drivers, x0)
         triple_n, _ = solve_adjoint(ens_n, basis_degree)
 
         p_dev = np.abs(triple_n.p - triple_mu.p).max(axis=2) ** 2

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controls import RelaxedControl, StrictControl, chattering
-from .jumps import MarkSpace
+from .jumps import Drivers, MarkSpace, sample_drivers
 from .models import ModelSpec
 from .scenarios import ScenarioFamily, TimeGrid, upper_expectation
-from .sde import StateEnsemble, simulate, sup_distance
+from .sde import StateEnsemble, simulate, simulate_batch
 
 Control = StrictControl | RelaxedControl
 
@@ -49,23 +49,21 @@ class ValueSearchResult:
     reports: tuple  # CostReport per candidate
 
 
-def path_costs(ensemble: StateEnsemble) -> np.ndarray:
-    """Per-(scenario, path) cost: left-endpoint running cost plus terminal.
+def _path_costs(
+    model: ModelSpec, control: Control, grid: TimeGrid, states: np.ndarray
+) -> np.ndarray:
+    """Per-(scenario, path) cost of time-major states, shape (n_steps + 1, S, P).
 
-    For a relaxed control the running cost at each step is the weighted
-    average of h over the action grid.
+    Left-endpoint running cost plus terminal cost. For a relaxed control
+    the running cost at each step is the weighted average of h over the
+    action grid.
     """
-    model = ensemble.model
-    grid = ensemble.grid
-    control = ensemble.control
-    states = ensemble.states
-    S, P, _ = states.shape
     dt = grid.dt
-    running = np.zeros((S, P))
+    running = np.zeros(states.shape[1:])
     if isinstance(control, RelaxedControl):
         actions = control.grid.actions
         for k in range(grid.n_steps):
-            xk = states[:, :, k]
+            xk = states[k]
             t = float(grid.times[k])
             hk = np.zeros_like(xk)
             for a_i, a in enumerate(actions):
@@ -76,17 +74,23 @@ def path_costs(ensemble: StateEnsemble) -> np.ndarray:
     else:
         values = control.values
         for k in range(grid.n_steps):
-            xk = states[:, :, k]
+            xk = states[k]
             t = float(grid.times[k])
             running += np.asarray(model.h(t, xk, float(values[k]))) * dt
-    total = running + np.asarray(model.g(states[:, :, -1]))
+    total = running + np.asarray(model.g(states[-1]))
     if not np.all(np.isfinite(total)):
         raise FloatingPointError("cost evaluation produced non-finite values")
     return total
 
 
-def cost_from_ensemble(ensemble: StateEnsemble) -> CostReport:
-    costs = path_costs(ensemble)
+def path_costs(ensemble: StateEnsemble) -> np.ndarray:
+    """Per-(scenario, path) cost of an ensemble, shape (S, P)."""
+    return _path_costs(
+        ensemble.model, ensemble.control, ensemble.grid, np.moveaxis(ensemble.states, -1, 0)
+    )
+
+
+def _cost_report(costs: np.ndarray, seed: int) -> CostReport:
     upper = upper_expectation(list(costs))
     means = costs.mean(axis=1)
     P = costs.shape[1]
@@ -97,9 +101,61 @@ def cost_from_ensemble(ensemble: StateEnsemble) -> CostReport:
         upper_value=upper.value,
         argmax_scenario=upper.scenario_id,
         n_paths=P,
-        seed=ensemble.seed,
+        seed=seed,
         per_path=costs,
     )
+
+
+def cost_from_ensemble(ensemble: StateEnsemble) -> CostReport:
+    return _cost_report(path_costs(ensemble), ensemble.seed)
+
+
+def batch_costs(
+    model: ModelSpec, controls: list[Control], grid: TimeGrid, states: np.ndarray, seed: int
+) -> list[CostReport]:
+    """CostReport per control from a :func:`simulate_batch` result."""
+    return [
+        _cost_report(_path_costs(model, u, grid, states[:, c]), seed)
+        for c, u in enumerate(controls)
+    ]
+
+
+def _serial_map(fn, items):
+    return [fn(item) for item in items]
+
+
+def evaluate_costs(
+    model: ModelSpec,
+    controls: list[Control],
+    family: ScenarioFamily,
+    grid: TimeGrid,
+    marks: MarkSpace,
+    drivers: Drivers,
+    x0: float,
+    map_ordered=_serial_map,
+) -> list[CostReport]:
+    """CostReport per control, in order, from one shared set of drivers.
+
+    The strict controls run as one batch and the relaxed ones as another;
+    ``map_ordered(fn, batches)`` runs the batches and returns their
+    results in order, so a caller may run them on threads.
+    """
+    batches = [
+        [i for i, u in enumerate(controls) if isinstance(u, kind)]
+        for kind in (StrictControl, RelaxedControl)
+    ]
+    batches = [b for b in batches if b]
+
+    def run(batch: list[int]) -> list[CostReport]:
+        group = [controls[i] for i in batch]
+        states = simulate_batch(model, group, family, grid, marks, drivers, x0)
+        return batch_costs(model, group, grid, states, drivers.seed)
+
+    reports: list = [None] * len(controls)
+    for batch, batch_reports in zip(batches, map_ordered(run, batches)):
+        for i, rep in zip(batch, batch_reports):
+            reports[i] = rep
+    return reports
 
 
 def evaluate_cost(
@@ -133,9 +189,8 @@ def value_bruteforce(
     """
     if not candidates:
         raise ValueError("value search needs at least one candidate control")
-    reports = [
-        evaluate_cost(model, u, family, grid, marks, n_paths, seed, x0) for u in candidates
-    ]
+    drivers = sample_drivers(family, grid, marks, n_paths, seed)
+    reports = evaluate_costs(model, list(candidates), family, grid, marks, drivers, x0)
     values = [r.upper_value for r in reports]
     best = int(np.argmin(values))
     return ValueSearchResult(
@@ -191,16 +246,16 @@ def chattering_report(
     """
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("block counts must be strictly ascending")
-    base = simulate(model, mu, family, grid, marks, n_paths, seed, x0)
-    base_report = cost_from_ensemble(base)
+    ladder = [chattering(mu, n) for n in n_list]
+    drivers = sample_drivers(family, grid, marks, n_paths, seed)
+    base = simulate_batch(model, [mu], family, grid, marks, drivers, x0)[:, 0]
+    (base_report,) = batch_costs(model, [mu], grid, base[:, None], seed)
+    states = simulate_batch(model, ladder, family, grid, marks, drivers, x0)
+    reports = batch_costs(model, ladder, grid, states, seed)
     rows = []
-    strict_values = []
-    for n in n_list:
-        u_n = chattering(mu, n)
-        ens = simulate(model, u_n, family, grid, marks, n_paths, seed, x0)
-        rep = cost_from_ensemble(ens)
-        strict_values.append(rep.upper_value)
-        msq = float(np.max(sup_distance(base, ens).mean_square))
+    for c, (n, rep) in enumerate(zip(n_list, reports)):
+        sup = np.abs(base - states[:, c]).max(axis=0)
+        msq = float(np.max((sup**2).mean(axis=1)))
         gap = abs(rep.upper_value - base_report.upper_value)
         s_star = base_report.argmax_scenario
         diff = rep.per_path[s_star] - base_report.per_path[s_star]
@@ -218,7 +273,7 @@ def chattering_report(
         fitted_C=fitted_C,
         j_relaxed=base_report.upper_value,
         j_relaxed_stderr=float(base_report.scenario_stderrs[base_report.argmax_scenario]),
-        min_chattering_j=float(min(strict_values)),
+        min_chattering_j=float(min(r.upper_value for r in reports)),
     )
 
 

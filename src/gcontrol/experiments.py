@@ -41,15 +41,22 @@ from .controls import (
     constant_strict,
     uniform_relaxed,
 )
-from .costs import chattering_csv, chattering_report, cost_report_csv, evaluate_cost
-from .jumps import MarkSpace
+from .costs import (
+    chattering_csv,
+    chattering_report,
+    cost_report_csv,
+    evaluate_cost,
+    evaluate_costs,
+)
+from .jumps import MarkSpace, sample_drivers
 from .models import MODEL_BUILDERS, build_model
 from .scenarios import TimeGrid, VolatilityBounds, build_scenario_family
-from .sde import simulate
+from .sde import ensemble_from_batch, simulate, simulate_batch
 from .variational import (
     derivative_report_csv,
     difference_quotient_gap,
     gateaux_derivative,
+    spike_controls,
 )
 
 SCHEMA: dict = json.loads(
@@ -150,8 +157,11 @@ def _check_control(spec, path, n_steps, n_actions, out, *, allow_bruteforce):
                     if abs(sum(row) - 1.0) > 1e-9:
                         out.append(f"{path}.weights: row {i} sums to {sum(row)}, not 1")
                         break
-    if ctype == "chattering" and "n" not in spec:
-        out.append(f"{path}: control type 'chattering' requires 'n'")
+    if ctype == "chattering":
+        if "n" not in spec:
+            out.append(f"{path}: control type 'chattering' requires 'n'")
+        elif n_steps % spec["n"] != 0:
+            out.append(f"{path}.n: {spec['n']} blocks do not divide n_steps {n_steps}")
     if ctype == "bruteforce":
         if not allow_bruteforce:
             out.append(f"{path}: 'bruteforce' control is only available for kind 'cost'")
@@ -209,12 +219,23 @@ def _option_violations(doc: Mapping) -> list[str]:
         elif any(b <= a for a, b in zip(v, v[1:])):
             out.append(f"$.options.{key}: entries must be strictly increasing, got {v}")
 
+    n_steps = doc["grid"]["n_steps"]
+
+    def _divides(n, where):
+        if isinstance(n, int) and not isinstance(n, bool) and n >= 1 and n_steps % n:
+            out.append(f"$.options.{where}: {n} blocks do not divide n_steps {n_steps}")
+
     if kind in ("chattering", "bsde-stability"):
         _int_list("n_list")
+        v = opts.get("n_list")
+        if isinstance(v, list):
+            for j, n in enumerate(v):
+                _divides(n, f"n_list[{j}]")
     if kind in ("mp-strict", "mp-relaxed", "mp-near", "bsde-stability"):
         _int("basis_degree")
     if kind in ("mp-strict", "mp-relaxed", "mp-near"):
         _int("n_blocks")
+        _divides(opts.get("n_blocks"), "n_blocks")
         _num("slack_mult", minimum=0.0)
     if kind == "mp-near":
         _num("C", minimum=0.0)
@@ -260,6 +281,38 @@ def _option_violations(doc: Mapping) -> list[str]:
                 out.append(
                     f"$.options.h_list: widths must be strictly descending, got {h_list}"
                 )
+        out.extend(_spike_grid_violations(doc["grid"], opts))
+    return out
+
+
+def _on_grid(value: float, dt: float) -> int | None:
+    """``value / dt`` when it is an integer (the tolerance of spike_steps), else None."""
+    steps = value / dt
+    return round(steps) if abs(steps - round(steps)) <= 1e-9 else None
+
+
+def _spike_grid_violations(grid: Mapping, opts: Mapping) -> list[str]:
+    """Spike windows [t0, t0 + h) must start and end on grid times inside [0, T]."""
+    t0, h_list = opts.get("t0"), opts.get("h_list")
+    number = (int, float)
+    if not isinstance(t0, number) or isinstance(t0, bool) or t0 < 0:
+        return []
+    n_steps = grid["n_steps"]
+    dt = grid["T"] / n_steps
+    k0 = _on_grid(t0, dt)
+    if k0 is None:
+        return [f"$.options.t0: {t0} is not a multiple of dt = {dt!r}"]
+    if k0 >= n_steps:
+        return [f"$.options.t0: {t0} leaves no step before T = {grid['T']}"]
+    out = []
+    for j, h in enumerate(h_list if isinstance(h_list, list) else []):
+        if not isinstance(h, number) or isinstance(h, bool) or h <= 0:
+            continue
+        span = _on_grid(h, dt)
+        if span is None:
+            out.append(f"$.options.h_list[{j}]: {h} is not a multiple of dt = {dt!r}")
+        elif k0 + span > n_steps:
+            out.append(f"$.options.h_list[{j}]: window [t0, t0 + {h}) ends after T")
     return out
 
 
@@ -282,6 +335,10 @@ def _semantic_violations(doc: Mapping) -> list[str]:
     scen = doc.get("scenarios", {})
     if scen.get("strategy") == "random" and "count" not in scen:
         out.append("$.scenarios.count: required when strategy is 'random'")
+    if doc["n_paths"] < 2:
+        out.append(
+            f"$.n_paths: {doc['n_paths']} path gives no standard error; at least 2 are needed"
+        )
 
     kind = doc["kind"]
     ctl = doc["control"]
@@ -478,11 +535,10 @@ def _run_simulate(cfg: ExperimentConfig, threads: int):
 
 def _run_cost(cfg: ExperimentConfig, threads: int):
     if cfg.candidates is not None:
-        reports = _map_ordered(
-            lambda c: evaluate_cost(cfg.model, c, cfg.family, cfg.grid, cfg.marks,
-                                    cfg.n_paths, cfg.seed, cfg.x0),
-            cfg.candidates,
-            threads,
+        drivers = sample_drivers(cfg.family, cfg.grid, cfg.marks, cfg.n_paths, cfg.seed)
+        reports = evaluate_costs(
+            cfg.model, list(cfg.candidates), cfg.family, cfg.grid, cfg.marks, drivers,
+            cfg.x0, map_ordered=lambda fn, batches: _map_ordered(fn, batches, threads),
         )
         values = np.array([r.upper_value for r in reports])
         best = int(np.argmin(values))
@@ -537,13 +593,19 @@ def _run_chattering(cfg: ExperimentConfig, threads: int):
 
 
 def _run_variational(cfg: ExperimentConfig, threads: int):
-    ens = simulate(cfg.model, cfg.control, cfg.family, cfg.grid, cfg.marks,
-                   cfg.n_paths, cfg.seed, cfg.x0)
     ai = int(cfg.options["action_index"])
     t0 = float(cfg.options["t0"])
     h_list = [float(h) for h in cfg.options["h_list"]]
-    der = gateaux_derivative(ens, ai, t0, h_list)
-    rows = difference_quotient_gap(ens, ai, t0, h_list)
+    # the base control and every spiked control in one batch
+    drivers = sample_drivers(cfg.family, cfg.grid, cfg.marks, cfg.n_paths, cfg.seed)
+    controls = [cfg.control] + spike_controls(cfg.control, cfg.grid, ai, t0, h_list)
+    states = simulate_batch(cfg.model, controls, cfg.family, cfg.grid, cfg.marks,
+                            drivers, cfg.x0)
+    ens = ensemble_from_batch(cfg.model, cfg.control, cfg.family, cfg.grid, cfg.marks,
+                              drivers, cfg.x0, states[:, 0])
+    spiked = states[:, 1:]
+    der = gateaux_derivative(ens, ai, t0, h_list, spiked=spiked)
+    rows = difference_quotient_gap(ens, ai, t0, h_list, spiked=spiked)
     qlines = ["h,gap,stderr,scenario_id"]
     for row in rows:
         qlines.append(f"{_fmt(row[0])},{_fmt(row[1])},{_fmt(row[2])},{int(row[3])}")
@@ -666,9 +728,9 @@ def run_document(doc: Mapping, *, output_dir: str | Path | None = None,
     """Validate, execute, and persist one experiment.
 
     Emission is single-threaded and ordered; ``threads`` only fans out
-    independent sub-evaluations (brute-force candidate costs), whose
-    results are collected in submission order, so the artifacts do not
-    depend on it.
+    the strict and the relaxed batch of brute-force candidate costs,
+    whose results are collected in submission order, so the artifacts do
+    not depend on it.
     """
     eff = dict(doc)
     if seed_override is not None:

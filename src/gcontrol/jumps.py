@@ -1,14 +1,17 @@
-"""Poisson random measures on a finite mark set, plain and action-tagged.
+"""Poisson random measures on a finite mark set, and the per-seed driver bundle.
 
 Jumps are simulated as a compound Poisson process: the path's event count
 is Poisson with rate ``total_intensity * T``, event times are uniform on
 (0, T], and marks are drawn i.i.d. with weights ``nu_i / nu(Gamma)``.
-The relaxed variant keeps the same base events and attaches to each one
-an independent action tag drawn from the relaxed control's weights at
-the event's grid step (a thinning construction, which reproduces the
-product compensator exactly). Tags come from a separate substream, so a
-strict run and a relaxed run with the same seed share identical base
-events.
+A relaxed control tags each event with an action drawn from its weights
+at the event's grid step (a thinning construction, which reproduces the
+product compensator exactly). The tag uniforms come from a separate
+substream and are drawn once per event, so every control, strict or
+relaxed, sees the same base events.
+
+:func:`sample_drivers` samples all of this, plus the Brownian increments,
+once per (family, grid, marks, n_paths, seed); every scenario and every
+control of a run then share one :class:`Drivers` (common random numbers).
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from . import scenarios as scen_mod
 from .controls import RelaxedControl
-from .scenarios import TimeGrid
+from .scenarios import NoiseBundle, ScenarioFamily, TimeGrid
 
 
 @dataclass(frozen=True)
@@ -60,37 +64,6 @@ class MarkSpace:
         return float(self.intensities.sum())
 
 
-@dataclass(frozen=True)
-class JumpPath:
-    """Time-ordered events of one path: (time, mark index[, action tag])."""
-
-    times: np.ndarray
-    mark_idx: np.ndarray
-    tags: np.ndarray | None = None
-
-    def __post_init__(self):
-        times = np.atleast_1d(np.asarray(self.times, dtype=float))
-        mark_idx = np.atleast_1d(np.asarray(self.mark_idx, dtype=np.int64))
-        if times.shape != mark_idx.shape:
-            raise ValueError("times and mark indices must align")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("event times must be strictly increasing")
-        times.setflags(write=False)
-        mark_idx.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "mark_idx", mark_idx)
-        if self.tags is not None:
-            tags = np.atleast_1d(np.asarray(self.tags, dtype=np.int64))
-            if tags.shape != times.shape:
-                raise ValueError("tags must align with event times")
-            tags.setflags(write=False)
-            object.__setattr__(self, "tags", tags)
-
-    @property
-    def n_events(self) -> int:
-        return self.times.size
-
-
 def _step_of(times: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Grid step containing each event time in (0, T]."""
     k = np.floor(times / grid.dt).astype(np.int64)
@@ -108,131 +81,89 @@ def _index_from_uniform(u: np.ndarray, cum_weights: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cum_weights.shape[1] - 1)
 
 
-def sample_poisson(marks: MarkSpace, grid: TimeGrid, n_paths: int, seed: int) -> list[JumpPath]:
-    """Sample base jump paths.
+
+
+@dataclass(frozen=True)
+class Drivers:
+    """The randomness of one (family, grid, marks, n_paths, seed).
+
+    ``noise`` holds the Brownian increments of every scenario. Jump
+    events are flat arrays sorted by (path, time): ``path``, ``times``,
+    ``mark_idx`` and ``step`` (the grid step holding the event), plus one
+    TAGS-substream uniform ``tag_u`` per event that :meth:`tags` maps to
+    a relaxed control's action tags. ``counts`` holds the events per
+    (path, step, mark).
+    """
+
+    noise: NoiseBundle
+    path: np.ndarray
+    times: np.ndarray
+    mark_idx: np.ndarray
+    step: np.ndarray
+    tag_u: np.ndarray
+    counts: np.ndarray
+
+    @property
+    def seed(self) -> int:
+        return self.noise.seed
+
+    @property
+    def n_paths(self) -> int:
+        return self.noise.n_paths
+
+    @property
+    def n_events(self) -> int:
+        return self.times.size
+
+    def tags(self, mu: RelaxedControl) -> np.ndarray:
+        """Action tag of every event under ``mu``, drawn from the step's weights."""
+        if mu.n_steps != self.counts.shape[1]:
+            raise ValueError("relaxed control and drivers disagree on n_steps")
+        cumw = np.cumsum(mu.weights, axis=1)
+        return _index_from_uniform(self.tag_u, cumw[self.step])
+
+    def tagged_counts(self, mu: RelaxedControl) -> np.ndarray:
+        """Events per (path, step, mark, action tag) under ``mu``."""
+        P, K, m = self.counts.shape
+        out = np.zeros((P, K, m, mu.grid.n_actions), dtype=np.int32)
+        np.add.at(out, (self.path, self.step, self.mark_idx, self.tags(mu)), 1)
+        return out
+
+
+def sample_drivers(
+    family: ScenarioFamily, grid: TimeGrid, marks: MarkSpace, n_paths: int, seed: int
+) -> Drivers:
+    """Sample the Brownian increments, jump events and tag uniforms of a seed.
 
     Event counts, times and marks are drawn in three vectorized calls on
-    the jump substream, so the result depends only on (marks, T, n_paths,
-    seed); in particular it is unchanged under grid refinement.
+    the jump substream, so the events depend only on (marks, T, n_paths,
+    seed); in particular they are unchanged under grid refinement.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
+    noise = scen_mod.sample_brownian(family, grid, n_paths, seed)
     gen = rng.substream(seed, rng.JUMPS)
     nu_bar = marks.total_intensity
     if not np.isfinite(nu_bar * grid.T):
         raise ValueError("total intensity times horizon must be finite")
     if nu_bar == 0.0:
-        return [JumpPath(np.empty(0), np.empty(0, dtype=np.int64)) for _ in range(n_paths)]
-    counts = gen.poisson(nu_bar * grid.T, size=n_paths)
-    total = int(counts.sum())
-    # uniform(0, T) covers [0, T); reflecting it puts times in (0, T]
-    times_flat = grid.T - gen.uniform(0.0, grid.T, size=total)
-    u_marks = gen.uniform(size=total)
-    cum = np.cumsum(marks.intensities / nu_bar)[None, :]
-    idx_flat = _index_from_uniform(u_marks, np.broadcast_to(cum, (total, marks.n_marks)))
-    paths = []
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    for p in range(n_paths):
-        t = times_flat[offsets[p] : offsets[p + 1]]
-        i = idx_flat[offsets[p] : offsets[p + 1]]
-        order = np.argsort(t, kind="stable")
-        paths.append(JumpPath(t[order], i[order]))
-    return paths
-
-
-def sample_relaxed_poisson(
-    mu: RelaxedControl, marks: MarkSpace, grid: TimeGrid, n_paths: int, seed: int
-) -> list[JumpPath]:
-    """Sample action-tagged jump paths under a relaxed control.
-
-    Base events are exactly those of :func:`sample_poisson` with the same
-    seed; each event at time t additionally carries an i.i.d. tag drawn
-    from the control's weights on t's grid step. The tagged count over an
-    action set times a mark set is then compensated by the product rate.
-    """
-    if mu.n_steps != grid.n_steps:
-        raise ValueError("relaxed control and grid disagree on n_steps")
-    base = sample_poisson(marks, grid, n_paths, seed)
-    total = sum(p.n_events for p in base)
-    gen = rng.substream(seed, rng.TAGS)
-    u = gen.uniform(size=total)
-    cumw = np.cumsum(mu.weights, axis=1)
-    tagged = []
-    pos = 0
-    for path in base:
-        n = path.n_events
-        if n == 0:
-            tagged.append(JumpPath(path.times, path.mark_idx, np.empty(0, dtype=np.int64)))
-            continue
-        steps = _step_of(path.times, grid)
-        tags = _index_from_uniform(u[pos : pos + n], cumw[steps])
-        pos += n
-        tagged.append(JumpPath(path.times, path.mark_idx, tags))
-    return tagged
-
-
-def integrate_compensated(
-    phi,
-    path: JumpPath,
-    marks: MarkSpace,
-    grid: TimeGrid,
-    x_path: np.ndarray | None = None,
-) -> np.ndarray:
-    """Cumulative compensated integral of ``phi`` along one jump path.
-
-    ``phi(t, x, theta)`` is evaluated at event times for the jump part
-    and at left grid endpoints for the compensator quadrature; ``x`` is
-    taken from ``x_path`` (per-step left states) when given, else None.
-    Returns the cumulative value at every grid time, length n_steps + 1.
-    """
-    K = grid.n_steps
-    dt = grid.dt
-    times = grid.times
-
-    def state_at(k: int):
-        return None if x_path is None else x_path[k]
-
-    jump_inc = np.zeros(K)
-    if path.n_events:
-        steps = _step_of(path.times, grid)
-        for t_j, i_j, k in zip(path.times, path.mark_idx, steps):
-            val = float(phi(t_j, state_at(k), marks.marks[i_j]))
-            if not np.isfinite(val):
-                raise ValueError(f"phi evaluated non-finite at t={t_j}")
-            jump_inc[k] += val
-    comp_inc = np.zeros(K)
-    for k in range(K):
-        rate = 0.0
-        for i in range(marks.n_marks):
-            val = float(phi(times[k], state_at(k), marks.marks[i]))
-            if not np.isfinite(val):
-                raise ValueError(f"phi evaluated non-finite at t={times[k]}")
-            rate += val * marks.intensities[i]
-        comp_inc[k] = rate * dt
-    return np.concatenate([[0.0], np.cumsum(jump_inc - comp_inc)])
-
-
-def dense_counts(paths: list[JumpPath], grid: TimeGrid, n_marks: int) -> np.ndarray:
-    """Event counts per (path, step, mark), shape (P, K, m)."""
-    out = np.zeros((len(paths), grid.n_steps, n_marks), dtype=np.int32)
-    for p, path in enumerate(paths):
-        if path.n_events == 0:
-            continue
-        steps = _step_of(path.times, grid)
-        np.add.at(out, (p, steps, path.mark_idx), 1)
-    return out
-
-
-def dense_tagged_counts(
-    paths: list[JumpPath], grid: TimeGrid, n_marks: int, n_actions: int
-) -> np.ndarray:
-    """Event counts per (path, step, mark, tag), shape (P, K, m, A)."""
-    out = np.zeros((len(paths), grid.n_steps, n_marks, n_actions), dtype=np.int32)
-    for p, path in enumerate(paths):
-        if path.n_events == 0:
-            continue
-        if path.tags is None:
-            raise ValueError("tagged counts need action-tagged jump paths")
-        steps = _step_of(path.times, grid)
-        np.add.at(out, (p, steps, path.mark_idx, path.tags), 1)
-    return out
+        per_path = np.zeros(n_paths, dtype=np.int64)
+        times = np.empty(0)
+        mark_idx = np.empty(0, dtype=np.int64)
+    else:
+        per_path = gen.poisson(nu_bar * grid.T, size=n_paths)
+        total = int(per_path.sum())
+        # uniform(0, T) covers [0, T); reflecting it puts times in (0, T]
+        times = grid.T - gen.uniform(0.0, grid.T, size=total)
+        cum = np.cumsum(marks.intensities / nu_bar)[None, :]
+        mark_idx = _index_from_uniform(
+            gen.uniform(size=total), np.broadcast_to(cum, (total, marks.n_marks))
+        )
+    path = np.repeat(np.arange(n_paths), per_path)
+    order = np.lexsort((times, path))
+    path, times, mark_idx = path[order], times[order], mark_idx[order]
+    step = _step_of(times, grid)
+    tag_u = rng.substream(seed, rng.TAGS).uniform(size=times.size)
+    counts = np.zeros((n_paths, grid.n_steps, marks.n_marks), dtype=np.int32)
+    np.add.at(counts, (path, step, mark_idx), 1)
+    for arr in (path, times, mark_idx, step, tag_u, counts):
+        arr.setflags(write=False)
+    return Drivers(noise, path, times, mark_idx, step, tag_u, counts)

@@ -17,9 +17,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .controls import RelaxedControl, SpikeSpec, StrictControl, spike, spike_steps
-from .costs import cost_from_ensemble
-from .scenarios import upper_expectation
-from .sde import StateEnsemble, simulate
+from .costs import batch_costs, cost_from_ensemble
+from .scenarios import TimeGrid, upper_expectation
+from .sde import StateEnsemble, simulate_batch
 
 _JUMP_GUARD = 1e-6
 
@@ -257,18 +257,50 @@ def solve_fundamental(
     return FundamentalPair(phi=phi, psi=psi, eta=eta, k0=k0)
 
 
+def spike_controls(
+    u_star: StrictControl, grid: TimeGrid, action_index: int, t0: float, h_list: list[float]
+) -> list[StrictControl]:
+    """``u_star`` spiked to ``action_index`` on [t0, t0 + h), for every h."""
+    if not isinstance(u_star, StrictControl):
+        raise ValueError("spike variations act on strict controls")
+    return [
+        spike(SpikeSpec(base=u_star, action_index=action_index, t0=t0, width=float(h)), grid)
+        for h in h_list
+    ]
+
+
+def simulate_spikes(
+    ensemble: StateEnsemble, action_index: int, t0: float, h_list: list[float]
+) -> np.ndarray:
+    """Every spiked control as one batch on the ensemble's drivers.
+
+    Returns time-major states, shape (n_steps + 1, len(h_list), S, P).
+    """
+    return simulate_batch(
+        ensemble.model,
+        spike_controls(ensemble.control, ensemble.grid, action_index, t0, h_list),
+        ensemble.family,
+        ensemble.grid,
+        ensemble.marks,
+        ensemble.drivers,
+        ensemble.x0,
+    )
+
+
 def difference_quotient_gap(
     ensemble: StateEnsemble,
     action_index: int,
     t0: float,
     h_list: list[float],
+    spiked: np.ndarray | None = None,
 ) -> tuple[QuotientRow, ...]:
     """Worst-scenario mean of sup_t |(x^h - x*)/h - z|^2 per spike width.
 
     The sup runs over grid times from the end of the spike window to T;
     inside the window the quotient has not yet absorbed the full kick,
     so including it would measure the window itself, not convergence.
-    Widths must be given in descending order.
+    Widths must be given in descending order. ``spiked`` takes the
+    :func:`simulate_spikes` result when the caller already has it.
     """
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise ValueError("spike widths must be strictly descending")
@@ -276,25 +308,17 @@ def difference_quotient_gap(
     u_star = ensemble.control
     if not isinstance(u_star, StrictControl):
         raise ValueError("difference quotients are defined along strict controls")
+    if spiked is None:
+        spiked = simulate_spikes(ensemble, action_index, t0, h_list)
     rows = []
     z_path = None
-    for h in h_list:
+    for j, h in enumerate(h_list):
         spec = SpikeSpec(base=u_star, action_index=action_index, t0=t0, width=float(h))
         k0, span = spike_steps(spec, grid)
         if z_path is None:
             z_path = solve_variational(ensemble, spec)
-        u_h = spike(spec, grid)
-        pert = simulate(
-            ensemble.model,
-            u_h,
-            ensemble.family,
-            grid,
-            ensemble.marks,
-            ensemble.states.shape[1],
-            ensemble.seed,
-            ensemble.x0,
-        )
-        y = (pert.states - ensemble.states) / float(h) - z_path.z
+        pert = np.ascontiguousarray(np.moveaxis(spiked[:, j], 0, -1))
+        y = (pert - ensemble.states) / float(h) - z_path.z
         sup_sq = np.max(y[:, :, k0 + span :] ** 2, axis=2)
         um = upper_expectation(list(sup_sq))
         rows.append(QuotientRow(float(h), um.value, um.stderr, um.scenario_id))
@@ -306,13 +330,16 @@ def gateaux_derivative(
     action_index: int,
     t0: float,
     h_list: list[float],
+    spiked: np.ndarray | None = None,
 ) -> DerivativeReport:
     """Finite-difference cost slopes against the first-order formula.
 
     The FD column divides coupled per-path cost differences by the spike
     width, evaluated in the scenario that attains the base upper cost.
     The formula column is the worst-scenario mean of
-    g_x(x*_T) z_T + sum_k h_x(t_k, x*_k, u*_k) z_k dt.
+    g_x(x*_T) z_T + sum_k h_x(t_k, x*_k, u*_k) z_k dt. ``spiked``
+    takes the :func:`simulate_spikes` result when the caller already has
+    it.
     """
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise ValueError("spike widths must be strictly descending")
@@ -339,15 +366,13 @@ def gateaux_derivative(
         formula_paths = formula_paths + hx * z[:, :, k] * dt
     um = upper_expectation(list(formula_paths))
 
+    if spiked is None:
+        spiked = simulate_spikes(ensemble, action_index, t0, h_list)
+    controls = spike_controls(u_star, grid, action_index, t0, h_list)
+    reports = batch_costs(model, controls, grid, spiked, ensemble.seed)
     rows = []
     P = ensemble.states.shape[1]
-    for h in h_list:
-        spec = SpikeSpec(base=u_star, action_index=action_index, t0=t0, width=float(h))
-        u_h = spike(spec, grid)
-        pert = simulate(
-            model, u_h, ensemble.family, grid, ensemble.marks, P, ensemble.seed, ensemble.x0
-        )
-        pert_report = cost_from_ensemble(pert)
+    for h, pert_report in zip(h_list, reports):
         diff = (pert_report.per_path[s_star] - base_report.per_path[s_star]) / float(h)
         rows.append((float(h), float(diff.mean()), float(diff.std(ddof=1) / np.sqrt(P))))
     return DerivativeReport(

@@ -10,6 +10,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from gcontrol.cli import main
 from gcontrol.models import MODEL_BUILDERS
 
@@ -128,7 +130,18 @@ def test_non_object_config_returns_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
 def test_module_error_surfaces_as_error_line(tmp_path, capsys):
+    # a valid config whose scheme diverges: the kernel's FloatingPointError
+    doc = _doc(model={"name": "bilinear", "params": {"th1": 1e160}})
+    path = _write(tmp_path, doc)
+    assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "non-finite state after step 1 under scenario 0 of control 0" in err
+
+
+def test_misaligned_spike_is_a_violation_not_a_module_error(tmp_path, capsys):
     doc = _doc(
         kind="variational",
         model={"name": "linear_jump_lq"},
@@ -137,8 +150,7 @@ def test_module_error_surfaces_as_error_line(tmp_path, capsys):
     path = _write(tmp_path, doc)
     assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "multiple of dt" in err
+    assert err == "$.options.h_list[1]: 0.07 is not a multiple of dt = 0.0625\n"
 
 
 def test_seed_override_reaches_the_summary(tmp_path, capsys):

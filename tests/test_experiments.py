@@ -221,15 +221,12 @@ def test_mp_strict_run_reports_pass(tmp_path):
     assert "hypothesis" in res.summary["metrics"]
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
 def test_module_errors_surface_from_run_document(tmp_path):
-    # spike width 0.07 does not sit on the dt = 1/16 lattice
-    doc = _base_doc(
-        kind="variational",
-        model={"name": "linear_jump_lq"},
-        options={"action_index": 1, "t0": 0.25, "h_list": [0.125, 0.07]},
-    )
+    # a valid config whose Euler scheme diverges under action -1
+    doc = _base_doc(model={"name": "bilinear", "params": {"th1": 1e160}})
     assert validate_document(doc) == []
-    with pytest.raises(ValueError, match="multiple of dt"):
+    with pytest.raises(FloatingPointError, match="after step 1 under scenario 0 of control 0"):
         run_document(doc, output_dir=tmp_path)
 
 
@@ -243,3 +240,161 @@ def test_manifest_matches_files_on_disk(tmp_path):
     for name, digest in manifest["files"].items():
         data = (tmp_path / name).read_text().encode()
         assert hashlib.sha256(data).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# validation of run preconditions
+# ---------------------------------------------------------------------------
+
+
+def _lq(**over):
+    return _base_doc(model={"name": "linear_jump_lq"}, actions=[-1.0, 0.0, 1.0], **over)
+
+
+_VARIATIONAL = {"action_index": 2, "t0": 0.25, "h_list": [0.125, 0.0625]}
+
+# (config validate must reject, its violation, an aligned config that must run)
+_PRECONDITION_PROBES = [
+    (_lq(seed=-1), "$.seed: -1 is less than the minimum of 0", _lq(seed=0)),
+    (_lq(seed=2**64),
+     "$.seed: 18446744073709551616 is greater than the maximum of 18446744073709551615",
+     _lq(seed=2**64 - 1)),
+    (_lq(scenarios={"strategy": "random", "count": 2, "seed": -3}),
+     "$.scenarios.seed: -3 is less than the minimum of 0",
+     _lq(scenarios={"strategy": "random", "count": 2, "seed": 3})),
+    (_lq(n_paths=1), "$.n_paths: 1 path gives no standard error; at least 2 are needed",
+     _lq(n_paths=2)),
+    (_lq(kind="chattering", control={"type": "uniform"}, options={"n_list": [4, 5]}),
+     "$.options.n_list[1]: 5 blocks do not divide n_steps 16",
+     _lq(kind="chattering", control={"type": "uniform"}, options={"n_list": [4, 8]})),
+    (_lq(kind="bsde-stability", control={"type": "uniform"}, options={"n_list": [3]}),
+     "$.options.n_list[0]: 3 blocks do not divide n_steps 16",
+     _lq(kind="bsde-stability", control={"type": "uniform"}, options={"n_list": [4]})),
+    (_lq(kind="mp-strict", options={"n_blocks": 3}),
+     "$.options.n_blocks: 3 blocks do not divide n_steps 16",
+     _lq(kind="mp-strict", options={"n_blocks": 8})),
+    (_lq(kind="mp-relaxed", control={"type": "uniform"}, options={"n_blocks": 5}),
+     "$.options.n_blocks: 5 blocks do not divide n_steps 16",
+     _lq(kind="mp-relaxed", control={"type": "uniform"}, options={"n_blocks": 2})),
+    (_lq(kind="mp-near", options={"n_blocks": 6, "C": 1.0}),
+     "$.options.n_blocks: 6 blocks do not divide n_steps 16",
+     _lq(kind="mp-near", options={"n_blocks": 4, "C": 1.0})),
+    (_lq(kind="cost", control={"type": "chattering", "n": 5}),
+     "$.control.n: 5 blocks do not divide n_steps 16",
+     _lq(kind="cost", control={"type": "chattering", "n": 4})),
+    (_lq(kind="variational", options={**_VARIATIONAL, "t0": 0.3}),
+     "$.options.t0: 0.3 is not a multiple of dt = 0.0625",
+     _lq(kind="variational", options={**_VARIATIONAL, "t0": 0.3125})),
+    (_lq(kind="variational", options={**_VARIATIONAL, "h_list": [0.125, 0.07]}),
+     "$.options.h_list[1]: 0.07 is not a multiple of dt = 0.0625",
+     _lq(kind="variational", options=_VARIATIONAL)),
+    (_lq(kind="variational", options={**_VARIATIONAL, "t0": 0.875, "h_list": [0.25]}),
+     "$.options.h_list[0]: window [t0, t0 + 0.25) ends after T",
+     _lq(kind="variational", options={**_VARIATIONAL, "t0": 0.75, "h_list": [0.25]})),
+    (_lq(kind="variational", options={**_VARIATIONAL, "t0": 1.0}),
+     "$.options.t0: 1.0 leaves no step before T = 1.0",
+     _lq(kind="variational", options={**_VARIATIONAL, "t0": 0.9375, "h_list": [0.0625]})),
+]
+
+
+@pytest.mark.parametrize("bad, violation, good", _PRECONDITION_PROBES,
+                         ids=[p[1].split(":")[0] for p in _PRECONDITION_PROBES])
+def test_run_preconditions_are_violations(bad, violation, good, tmp_path):
+    assert validate_document(bad) == [violation]
+    with pytest.raises(ValueError, match="invalid configuration"):
+        run_document(bad, output_dir=tmp_path / "bad")
+    assert validate_document(good) == []
+    run_document(good, output_dir=tmp_path / "good")
+
+
+# ---------------------------------------------------------------------------
+# artifacts frozen across changes
+# ---------------------------------------------------------------------------
+
+_FROZEN_BASE = {
+    "model": {"name": "linear_jump_lq", "params": {"f2": 0.1}},
+    "grid": {"T": 1.0, "n_steps": 16},
+    "bounds": {"sigma_low": 1.0, "sigma_high": 4.0},
+    "scenarios": {"strategy": "corners", "blocks": 2},
+    "marks": {"values": [-0.4, 0.6], "intensities": [0.7, 0.3]},
+    "actions": [-1.0, 0.0, 1.0],
+    "n_paths": 64,
+    "seed": 7,
+    "x0": 1.0,
+}
+
+_FROZEN = {
+    "simulate": (
+        {"kind": "simulate", "control": {"type": "indices", "indices": [0, 2, 1, 1] * 4}},
+        {
+            "plot_state_mean_s0.csv":
+                "7406318b634420ef63be1a5a86d505b60f860d25be7c0b3c958620fc29f9dc52",
+            "plot_state_mean_s1.csv":
+                "cb4e5dd80726a09e98202e0f1e1f1e51cf2ac3334ee57c0b769f4d88cec287d5",
+            "plot_state_mean_s2.csv":
+                "9c0ce62fc02eddb28eea8f7a47f4dbd4cd710cecdf56848064108cbf641e8c64",
+            "plot_state_mean_s3.csv":
+                "e43aac15c3e3fb3ad1a5a2d71fbeaf391215ac85abd2ad3e4b17e0001e224f95",
+            "states.csv":
+                "81f3a7849d11da8690b4965655e8a83ecc9c8f95d599fdc478c97c67f7cddea2",
+            "summary.json":
+                "c1fed622e3e5c8d4b3f405b8f057fe7ae6e4a10b8e0841dab4201c4b34a40e54",
+        },
+    ),
+    "cost": (
+        {"kind": "cost", "control": {"type": "bruteforce", "candidates": [
+            {"type": "constant", "index": 0}, {"type": "constant", "index": 2},
+            {"type": "uniform"}]}},
+        {
+            "candidates.csv":
+                "fbea4e586f3a0f64b7122a5edc3039495390775caf7d5dd804e1a7c95dd3c163",
+            "cost.csv":
+                "27f418f53f74b299f2352df14d5808e2e9214586461c3593f88c4fe110a9c86d",
+            "plot_candidate_values.csv":
+                "522b8fd77c946c2ab41a25fecabf317fc5677e4a898d67a9f06e4d785ae9a00a",
+            "summary.json":
+                "414df770055fc4d2ae9988bd56f7202af8fed03a5aad2960f03168683896b74c",
+        },
+    ),
+    "chattering": (
+        {"kind": "chattering", "control": {"type": "uniform"},
+         "options": {"n_list": [2, 4, 8]}},
+        {
+            "chattering.csv":
+                "42da4f7e1cac3ed87604708675904db866aa02678c2e6f2177569ab23b98247d",
+            "plot_cost_gap.csv":
+                "003ed4c33e8a09c45043f893c0ad5b49828da37aa7860fe1ec0d9605534e7232",
+            "plot_msq_gap.csv":
+                "19ddfe11f7b3cfabdf51672da78b7b84baa563489883d1b2838037111f85f121",
+            "summary.json":
+                "32395bf1afeac34b5c9f1937c72a0e14f291b36430ce2f051cb12aa19424858c",
+        },
+    ),
+    "variational": (
+        {"kind": "variational", "control": {"type": "constant", "index": 1},
+         "options": {"action_index": 2, "t0": 0.25, "h_list": [0.25, 0.125, 0.0625]}},
+        {
+            "derivative.csv":
+                "df011ebf8393356d20ab06318ab4d81a6329dae5027d1515c922b188869b83da",
+            "plot_fd_slope.csv":
+                "cd195e1092d1a1f6ab50b1d2ff952655be64313812fe16e356ef5d0609303587",
+            "plot_quotient_gap.csv":
+                "7578958b95593afad645598a0423f57923a4e6f8e415fcd5ee65d3a4f49be0d8",
+            "quotient_gaps.csv":
+                "c1604c21e18f8708769f7bbaddf292822a30f1be1f3e717296622fa0a6f3a552",
+            "summary.json":
+                "534d43fa568e7df3d1f975b3a79a06981a947ba2e81bb4be4c1a2fdcfdeb6839",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FROZEN))
+@pytest.mark.parametrize("threads", [1, 3])
+def test_artifact_digests_are_frozen(kind, threads, tmp_path):
+    # sha256 of every artifact, recorded before the drivers were shared
+    # across controls; the least-squares kinds are left out so the pins
+    # do not depend on the BLAS build
+    extra, digests = _FROZEN[kind]
+    res = run_document({**_FROZEN_BASE, **extra}, output_dir=tmp_path, threads=threads)
+    assert dict(res.manifest.files) == digests

@@ -1,12 +1,25 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from gcontrol import jumps as jp
 from gcontrol.controls import ActionGrid, RelaxedControl, StrictControl, embed_strict
-from gcontrol.scenarios import TimeGrid
+from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 
 
 MARKS = jp.MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([0.7, 0.3]))
+
+
+def _drivers(marks, grid, n_paths, seed):
+    fam = build_scenario_family(VolatilityBounds(1.0, 1.0), grid, "corners", blocks=1)
+    return jp.sample_drivers(fam, grid, marks, n_paths, seed)
+
+
+def _per_path(d, mask=None):
+    """Event count of every path, optionally of the events in ``mask`` only."""
+    path = d.path if mask is None else d.path[mask]
+    return np.bincount(path, minlength=d.n_paths).astype(float)
 
 
 def test_mark_space_validation():
@@ -22,91 +35,96 @@ def test_mark_space_validation():
 def test_zero_intensity_gives_no_events():
     quiet = jp.MarkSpace(marks=np.array([1.0]), intensities=np.array([0.0]))
     grid = TimeGrid(T=1.0, n_steps=16)
-    paths = jp.sample_poisson(quiet, grid, 64, seed=9)
-    assert all(p.times.size == 0 for p in paths)
+    d = _drivers(quiet, grid, 64, seed=9)
+    assert d.n_events == 0 and d.path.size == 0 and d.tag_u.size == 0
+    assert d.counts.shape == (64, 16, 1) and not d.counts.any()
 
 
 def test_poisson_rate():
     grid = TimeGrid(T=1.0, n_steps=16)
     P = 10_000
-    paths = jp.sample_poisson(MARKS, grid, P, seed=21)
-    counts = np.array([p.times.size for p in paths], dtype=float)
+    d = _drivers(MARKS, grid, P, seed=21)
+    counts = _per_path(d)
     se = counts.std(ddof=1) / np.sqrt(P)
     assert abs(counts.mean() - 1.0) <= 3 * se
     # mark frequencies follow the normalized intensities
-    all_marks = np.concatenate([p.mark_idx for p in paths])
-    frac = (all_marks == 0).mean()
-    se_frac = np.sqrt(0.7 * 0.3 / all_marks.size)
+    frac = (d.mark_idx == 0).mean()
+    se_frac = np.sqrt(0.7 * 0.3 / d.n_events)
     assert abs(frac - 0.7) <= 3 * se_frac
 
 
 def test_poisson_determinism_and_time_range():
     grid = TimeGrid(T=2.0, n_steps=10)
-    a = jp.sample_poisson(MARKS, grid, 200, seed=4)
-    b = jp.sample_poisson(MARKS, grid, 200, seed=4)
-    for pa, pb in zip(a, b):
-        assert np.array_equal(pa.times, pb.times)
-        assert np.array_equal(pa.mark_idx, pb.mark_idx)
-    for p in a:
-        if p.times.size:
-            assert p.times[0] > 0.0 and p.times[-1] <= 2.0
-            assert np.all(np.diff(p.times) > 0)
+    a = _drivers(MARKS, grid, 200, seed=4)
+    b = _drivers(MARKS, grid, 200, seed=4)
+    for name in ("path", "times", "mark_idx", "step", "tag_u", "counts"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert a.times.min() > 0.0 and a.times.max() <= 2.0
+    # sorted by (path, time), strictly increasing within a path
+    same_path = np.diff(a.path) == 0
+    assert np.all(np.diff(a.path) >= 0)
+    assert np.all(np.diff(a.times)[same_path] > 0)
 
 
 def test_poisson_independent_of_grid_resolution():
     # event times live in continuous time; refining the grid must not move them
     coarse = TimeGrid(T=1.0, n_steps=8)
     fine = TimeGrid(T=1.0, n_steps=512)
-    a = jp.sample_poisson(MARKS, coarse, 50, seed=33)
-    b = jp.sample_poisson(MARKS, fine, 50, seed=33)
-    for pa, pb in zip(a, b):
-        assert np.array_equal(pa.times, pb.times)
-        assert np.array_equal(pa.mark_idx, pb.mark_idx)
+    a = _drivers(MARKS, coarse, 50, seed=33)
+    b = _drivers(MARKS, fine, 50, seed=33)
+    assert np.array_equal(a.path, b.path)
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.mark_idx, b.mark_idx)
 
 
-def test_integrate_compensated_zero_integrand():
-    grid = TimeGrid(T=1.0, n_steps=8)
-    paths = jp.sample_poisson(MARKS, grid, 10, seed=1)
-    for p in paths:
-        out = jp.integrate_compensated(lambda t, x, th: 0.0 * th, p, MARKS, grid)
-        assert np.all(out == 0.0)
-
-
-def test_integrate_compensated_counting_case():
-    # integrand identically one: result is N_t - total_intensity * t
-    grid = TimeGrid(T=1.0, n_steps=4)
-    path = jp.JumpPath(times=np.array([0.1, 0.3, 0.9]), mark_idx=np.array([0, 1, 0]))
-    out = jp.integrate_compensated(lambda t, x, th: np.ones_like(th), path, MARKS, grid)
-    assert out[-1] == pytest.approx(3.0 - 1.0)
-    assert out[1] == pytest.approx(1.0 - 0.25)  # one jump by t=0.25
-
-
-def test_integrate_compensated_is_centered():
+def test_compensated_counts_are_centered():
+    # N_T(theta_i) - nu_i T has mean zero for every mark, and so does the total
     grid = TimeGrid(T=1.0, n_steps=8)
     P = 20_000
-    paths = jp.sample_poisson(MARKS, grid, P, seed=17)
-    finals = np.array(
-        [jp.integrate_compensated(lambda t, x, th: np.ones_like(th), p, MARKS, grid)[-1] for p in paths]
+    d = _drivers(MARKS, grid, P, seed=17)
+    per_mark = d.counts.sum(axis=1)
+    for i, nu in enumerate(MARKS.intensities):
+        centered = per_mark[:, i] - nu * grid.T
+        assert abs(centered.mean()) <= 3 * centered.std(ddof=1) / np.sqrt(P)
+    total = per_mark.sum(axis=1) - MARKS.total_intensity * grid.T
+    assert abs(total.mean()) <= 3 * total.std(ddof=1) / np.sqrt(P)
+
+
+def test_flat_sampler_reproduces_frozen_events():
+    # digests of the events, tags and counts that the per-path sampler drew
+    # for this seed before the flat bundle replaced it
+    grid = TimeGrid(T=1.0, n_steps=8)
+    actions = ActionGrid(np.array([0.0, 1.0, 2.0]))
+    w = np.tile(np.array([0.2, 0.5, 0.3]), (8, 1))
+    w[3] = [1.0, 0.0, 0.0]
+    w[5] = [0.0, 0.25, 0.75]
+    mu = RelaxedControl(actions, w)
+    d = _drivers(MARKS, grid, 40, seed=12)
+
+    def digest(a):
+        return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+    assert _per_path(d).astype(int).tolist() == [
+        0, 1, 1, 1, 1, 0, 1, 1, 0, 2, 1, 1, 1, 2, 4, 2, 0, 2, 1, 1,
+        1, 1, 0, 1, 0, 4, 2, 1, 2, 0, 0, 0, 1, 1, 1, 1, 1, 0, 0, 1,
+    ]
+    assert d.times[:3].tolist() == [0.8485475188313507, 0.97797191193911, 0.9709532354521084]
+    assert digest(d.times) == "9c59f73edd48d03d9bd1aec2538ef912296ad613c9e376b608450b809bb3dd4c"
+    assert digest(d.mark_idx) == "fcb249f2159f927554adaf6165782dcddd3adbc868e4eaa6748bf1ae0b55dad1"
+    assert digest(d.tags(mu)) == "34a38d619af407ae353b75315a9c09128c93b1b5f21c19a6c97674d552851cbc"
+    assert digest(d.counts) == "e943de2053b91d6f0607c58bb9de80d16f5d610e4da19791e3a501b6c7429c44"
+    assert digest(d.tagged_counts(mu)) == (
+        "7e9188803c2025882adf7f2b1075378183fb16cc3b94770bc44882ec5ea47dab"
     )
-    se = finals.std(ddof=1) / np.sqrt(P)
-    assert abs(finals.mean()) <= 3 * se
-
-
-@pytest.mark.filterwarnings("ignore:divide by zero")
-def test_integrate_compensated_rejects_nonfinite():
-    grid = TimeGrid(T=1.0, n_steps=4)
-    path = jp.JumpPath(times=np.array([0.5]), mark_idx=np.array([0]))
-    with pytest.raises(ValueError):
-        jp.integrate_compensated(lambda t, x, th: th / 0.0, path, MARKS, grid)
 
 
 def test_relaxed_tags_dirac_reduction():
     grid = TimeGrid(T=1.0, n_steps=8)
     actions = ActionGrid(np.array([-1.0, 0.5, 2.0]))
     mu = embed_strict(StrictControl(actions, np.full(8, 2)))
-    paths = jp.sample_relaxed_poisson(mu, MARKS, grid, 100, seed=5)
-    for p in paths:
-        assert np.all(p.tags == 2)
+    d = _drivers(MARKS, grid, 100, seed=5)
+    assert d.n_events > 0
+    assert np.all(d.tags(mu) == 2)
 
 
 def test_relaxed_tags_track_time_varying_strict_control():
@@ -114,20 +132,18 @@ def test_relaxed_tags_track_time_varying_strict_control():
     actions = ActionGrid(np.array([0.0, 1.0]))
     idx = np.array([0, 1, 0, 1, 0, 1, 0, 1])
     mu = embed_strict(StrictControl(actions, idx))
-    paths = jp.sample_relaxed_poisson(mu, MARKS, grid, 200, seed=6)
+    d = _drivers(MARKS, grid, 200, seed=6)
     dt = grid.dt
-    for p in paths:
-        for t, tag in zip(p.times, p.tags):
-            k = min(int(t / dt), 7)
-            assert tag == idx[k]
+    for t, tag in zip(d.times, d.tags(mu)):
+        k = min(int(t / dt), 7)
+        assert tag == idx[k]
 
 
 def test_relaxed_tag_frequencies():
     grid = TimeGrid(T=1.0, n_steps=4)
     actions = ActionGrid(np.array([0.0, 1.0]))
     mu = RelaxedControl(actions, np.full((4, 2), 0.5))
-    paths = jp.sample_relaxed_poisson(mu, MARKS, grid, 20_000, seed=7)
-    tags = np.concatenate([p.tags for p in paths])
+    tags = _drivers(MARKS, grid, 20_000, seed=7).tags(mu)
     assert tags.size > 10_000
     frac = (tags == 1).mean()
     se = np.sqrt(0.25 / tags.size)
@@ -139,11 +155,13 @@ def test_relaxed_base_events_shared_with_strict():
     grid = TimeGrid(T=1.0, n_steps=4)
     actions = ActionGrid(np.array([0.0, 1.0]))
     mu = RelaxedControl(actions, np.full((4, 2), 0.5))
-    plain = jp.sample_poisson(MARKS, grid, 100, seed=8)
-    tagged = jp.sample_relaxed_poisson(mu, MARKS, grid, 100, seed=8)
-    for p, q in zip(plain, tagged):
-        assert np.array_equal(p.times, q.times)
-        assert np.array_equal(p.mark_idx, q.mark_idx)
+    plain = _drivers(MARKS, grid, 100, seed=8)
+    tagged = _drivers(MARKS, grid, 100, seed=8)
+    tags = tagged.tags(mu)
+    assert tags.shape == tagged.times.shape
+    assert np.array_equal(plain.times, tagged.times)
+    assert np.array_equal(plain.mark_idx, tagged.mark_idx)
+    assert np.array_equal(tagged.tagged_counts(mu).sum(axis=3), plain.counts)
 
 
 def test_relaxed_compensator_identity():
@@ -152,10 +170,8 @@ def test_relaxed_compensator_identity():
     actions = ActionGrid(np.array([0.0, 1.0]))
     mu = RelaxedControl(actions, np.tile(np.array([0.3, 0.7]), (4, 1)))
     P = 20_000
-    paths = jp.sample_relaxed_poisson(mu, MARKS, grid, P, seed=9)
-    hits = np.array(
-        [np.sum((p.mark_idx == 0) & (p.tags == 0)) for p in paths], dtype=float
-    )
+    d = _drivers(MARKS, grid, P, seed=9)
+    hits = _per_path(d, (d.mark_idx == 0) & (d.tags(mu) == 0))
     se = hits.std(ddof=1) / np.sqrt(P)
     assert abs(hits.mean() - 0.3 * 0.7 * 1.0) <= 3 * se
 
@@ -166,9 +182,10 @@ def test_relaxed_orthogonality_of_disjoint_boxes():
     actions = ActionGrid(np.array([0.0, 1.0]))
     mu = RelaxedControl(actions, np.full((4, 2), 0.5))
     P = 20_000
-    paths = jp.sample_relaxed_poisson(mu, MARKS, grid, P, seed=10)
-    n_a = np.array([np.sum((p.mark_idx == 0) & (p.tags == 0)) for p in paths], dtype=float)
-    n_b = np.array([np.sum((p.mark_idx == 1) & (p.tags == 1)) for p in paths], dtype=float)
+    d = _drivers(MARKS, grid, P, seed=10)
+    tags = d.tags(mu)
+    n_a = _per_path(d, (d.mark_idx == 0) & (tags == 0))
+    n_b = _per_path(d, (d.mark_idx == 1) & (tags == 1))
     ca = n_a - 0.5 * 0.7
     cb = n_b - 0.5 * 0.3
     prod = ca * cb
@@ -178,27 +195,24 @@ def test_relaxed_orthogonality_of_disjoint_boxes():
 
 def test_dense_counts_match_event_lists():
     grid = TimeGrid(T=1.0, n_steps=8)
-    paths = jp.sample_poisson(MARKS, grid, 100, seed=12)
-    dense = jp.dense_counts(paths, grid, 2)
+    d = _drivers(MARKS, grid, 100, seed=12)
+    dense = d.counts
     assert dense.shape == (100, 8, 2)
-    for p_i, p in enumerate(paths):
-        assert dense[p_i].sum() == p.times.size
-        for i in range(2):
-            assert dense[p_i, :, i].sum() == np.sum(p.mark_idx == i)
+    assert np.array_equal(dense.sum(axis=(1, 2)), _per_path(d))
+    for i in range(2):
+        assert np.array_equal(dense[:, :, i].sum(axis=1), _per_path(d, d.mark_idx == i))
     # occupation step recomputed from raw times
     dt = grid.dt
-    for p_i, p in enumerate(paths[:10]):
-        for t, i in zip(p.times, p.mark_idx):
-            k = min(int(np.floor(t / dt)), 7)
-            assert dense[p_i, k, i] >= 1
+    for p, t, i in zip(d.path, d.times, d.mark_idx):
+        k = min(int(np.floor(t / dt)), 7)
+        assert dense[p, k, i] >= 1
 
 
 def test_dense_tagged_counts_split_by_action():
     grid = TimeGrid(T=1.0, n_steps=4)
     actions = ActionGrid(np.array([0.0, 1.0]))
     mu = RelaxedControl(actions, np.full((4, 2), 0.5))
-    paths = jp.sample_relaxed_poisson(mu, MARKS, grid, 200, seed=13)
-    tagged = jp.dense_tagged_counts(paths, grid, 2, 2)
-    plain = jp.dense_counts(paths, grid, 2)
+    d = _drivers(MARKS, grid, 200, seed=13)
+    tagged = d.tagged_counts(mu)
     assert tagged.shape == (200, 4, 2, 2)
-    assert np.array_equal(tagged.sum(axis=3), plain)
+    assert np.array_equal(tagged.sum(axis=3), d.counts)

@@ -7,12 +7,14 @@ from gcontrol.controls import (
     ActionGrid,
     RelaxedControl,
     StrictControl,
+    SpikeSpec,
     chattering,
     constant_strict,
     embed_strict,
+    spike,
 )
-from gcontrol.jumps import MarkSpace, sample_poisson, sample_relaxed_poisson
-from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family, sample_brownian
+from gcontrol.jumps import MarkSpace, sample_drivers
+from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 
 
 MARKS = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([0.7, 0.3]))
@@ -164,18 +166,168 @@ def test_nonfinite_state_aborts_with_step_info():
 
 
 def test_explicit_noise_and_jump_reuse():
-    # the low-level entry points accept pre-sampled randomness
+    # the batch kernel accepts pre-sampled randomness
     grid = TimeGrid(T=1.0, n_steps=16)
     fam = _family(1.0, 4.0, grid)
     model = md.build_model("linear_jump_lq", {})
     u = constant_strict(ACTIONS, 16, 1)
-    noise = sample_brownian(fam, grid, 30, seed=22)
-    paths = sample_poisson(MARKS, grid, 30, seed=22)
-    e1 = sde.simulate_strict(model, u, fam, grid, MARKS, noise, paths, x0=1.0)
+    drivers = sample_drivers(fam, grid, MARKS, 30, seed=22)
+    x1 = sde.simulate_batch(model, [u], fam, grid, MARKS, drivers, x0=1.0)
     e2 = sde.simulate(model, u, fam, grid, MARKS, n_paths=30, seed=22, x0=1.0)
-    assert e1.states.tobytes() == e2.states.tobytes()
+    assert np.moveaxis(x1[:, 0], 0, -1).tobytes() == e2.states.tobytes()
 
     mu = embed_strict(u)
-    tagged = sample_relaxed_poisson(mu, MARKS, grid, 30, seed=22)
-    e3 = sde.simulate_relaxed(model, mu, fam, grid, MARKS, noise, tagged, x0=1.0)
-    assert e3.states.tobytes() == e1.states.tobytes()
+    x3 = sde.simulate_batch(model, [mu], fam, grid, MARKS, drivers, x0=1.0)
+    assert x3.tobytes() == x1.tobytes()
+
+
+LQ = dict(b1=0.2, b2=0.5, s0=0.3, s1=0.1, c1=0.1, c2=0.3, f1=0.1, f2=0.1, h1=0.5, h2=0.5, gq=0.5)
+
+
+def _alone(model, controls, fam, grid, marks, n_paths, seed, x0):
+    """Each control's states from its own run, time-major like a batch."""
+    return np.stack(
+        [np.moveaxis(sde.simulate(model, c, fam, grid, marks, n_paths, seed, x0).states, -1, 0)
+         for c in controls],
+        axis=1,
+    )
+
+
+def _reference_loop(model, control, fam, grid, marks, drivers, x0):
+    """Scenario-by-scenario Euler loop, one control, as the kernel was first written.
+
+    Kept as the arithmetic reference for the batched kernel: same
+    operations in the same order, so results must agree bit for bit.
+    """
+    dB = drivers.noise.scalar_dB()
+    a_vals = fam.scalar_values()
+    S, P, K = dB.shape
+    relaxed = isinstance(control, RelaxedControl)
+    counts = drivers.tagged_counts(control) if relaxed else drivers.counts
+    actions = control.grid.actions
+    dt = grid.dt
+    x = np.empty((S, P, K + 1))
+    x[:, :, 0] = x0
+    for s in range(S):
+        for k in range(K):
+            t = grid.times[k]
+            a = float(a_vals[s, k])
+            xk = x[s, :, k]
+            if relaxed:
+                w = control.weights
+                b_bar = g_bar = 0.0
+                for al in range(actions.size):
+                    b_bar = b_bar + w[k, al] * model.b(t, xk, float(actions[al]))
+                    g_bar = g_bar + w[k, al] * model.gamma(t, xk, float(actions[al]))
+            else:
+                uk = float(control.values[k])
+                b_bar, g_bar = model.b(t, xk, uk), model.gamma(t, xk, uk)
+            incr = b_bar * dt
+            incr = incr + model.sigma(t, xk) * dB[s, :, k]
+            incr = incr + g_bar * (a * dt)
+            jump_sum = comp_rate = 0.0
+            for i in range(marks.n_marks):
+                th = float(marks.marks[i])
+                if relaxed:
+                    jump_i = f_bar = 0.0
+                    for al in range(actions.size):
+                        f_ia = model.f(t, xk, th, float(actions[al]))
+                        jump_i = jump_i + f_ia * counts[:, k, i, al]
+                        f_bar = f_bar + control.weights[k, al] * f_ia
+                else:
+                    f_bar = model.f(t, xk, th, uk)
+                    jump_i = f_bar * counts[:, k, i]
+                jump_sum = jump_sum + jump_i
+                comp_rate = comp_rate + f_bar * marks.intensities[i]
+            x[s, :, k + 1] = xk + (incr + (jump_sum - comp_rate * dt))
+    return np.moveaxis(x, -1, 0)
+
+
+def test_batch_matches_reference_loop():
+    grid = TimeGrid(T=1.0, n_steps=32)
+    fam = _family(1.0, 4.0, grid, blocks=2)
+    model = md.build_model("linear_jump_lq", LQ)
+    drivers = sample_drivers(fam, grid, MARKS, 40, seed=28)
+    mu = RelaxedControl(ACTIONS, np.tile(np.array([0.2, 0.5, 0.3]), (32, 1)))
+    for batch in ([constant_strict(ACTIONS, 32, 1), chattering(mu, 8)],
+                  [mu, embed_strict(chattering(mu, 4))]):
+        states = sde.simulate_batch(model, batch, fam, grid, MARKS, drivers, x0=0.7)
+        for c, control in enumerate(batch):
+            ref = _reference_loop(model, control, fam, grid, MARKS, drivers, 0.7)
+            assert states[:, c].tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+def test_strict_batch_rows_equal_single_runs():
+    grid = TimeGrid(T=1.0, n_steps=32)
+    fam = _family(1.0, 4.0, grid, blocks=2)
+    model = md.build_model("linear_jump_lq", LQ)
+    controls = [constant_strict(ACTIONS, 32, i) for i in range(3)]
+    drivers = sample_drivers(fam, grid, MARKS, 40, seed=23)
+    batch = sde.simulate_batch(model, controls, fam, grid, MARKS, drivers, x0=1.0)
+    assert batch.shape == (33, 3, 4, 40)
+    alone = _alone(model, controls, fam, grid, MARKS, 40, 23, 1.0)
+    assert batch.tobytes() == alone.tobytes()
+
+
+def test_batch_of_time_varying_controls():
+    # chattering ladders and spikes change action mid-run, per control
+    grid = TimeGrid(T=1.0, n_steps=32)
+    fam = _family(1.0, 4.0, grid, blocks=2)
+    model = md.build_model("linear_jump_lq", LQ)
+    mu = RelaxedControl(ACTIONS, np.tile(np.array([0.2, 0.5, 0.3]), (32, 1)))
+    base = StrictControl(ACTIONS, np.tile(np.array([0, 2, 1, 1]), 8))
+    controls = [chattering(mu, 4), chattering(mu, 16), base,
+                spike(SpikeSpec(base, 2, 0.25, 0.125), grid),
+                spike(SpikeSpec(base, 0, 0.5, 1 / 32), grid)]
+    drivers = sample_drivers(fam, grid, MARKS, 40, seed=24)
+    batch = sde.simulate_batch(model, controls, fam, grid, MARKS, drivers, x0=0.5)
+    alone = _alone(model, controls, fam, grid, MARKS, 40, 24, 0.5)
+    assert batch.tobytes() == alone.tobytes()
+    # relaxed rows likewise match their own runs
+    relaxed = [mu, RelaxedControl(ACTIONS, np.full((32, 3), 1 / 3))]
+    rbatch = sde.simulate_batch(model, relaxed, fam, grid, MARKS, drivers, x0=0.5)
+    assert rbatch.tobytes() == _alone(model, relaxed, fam, grid, MARKS, 40, 24, 0.5).tobytes()
+    assert not np.array_equal(rbatch[:, 0], rbatch[:, 1])
+
+
+def test_dirac_embedded_relaxed_batch_equals_strict_batch():
+    grid = TimeGrid(T=1.0, n_steps=32)
+    fam = _family(1.0, 4.0, grid, blocks=2)
+    model = md.build_model("linear_jump_lq", LQ)
+    strict = [StrictControl(ACTIONS, np.tile(np.array([0, 2, 1, 1]), 8)),
+              constant_strict(ACTIONS, 32, 2),
+              StrictControl(ACTIONS, np.repeat(np.array([2, 0, 1, 0]), 8))]
+    drivers = sample_drivers(fam, grid, MARKS, 50, seed=25)
+    x_strict = sde.simulate_batch(model, strict, fam, grid, MARKS, drivers, x0=1.0)
+    x_relaxed = sde.simulate_batch(model, [embed_strict(u) for u in strict], fam, grid,
+                                   MARKS, drivers, x0=1.0)
+    assert x_strict.tobytes() == x_relaxed.tobytes()
+
+
+def test_batch_rejects_mixed_kinds_and_foreign_drivers():
+    grid = TimeGrid(T=1.0, n_steps=8)
+    fam = _family(1.0, 4.0, grid)
+    model = md.build_model("linear_jump_lq", {})
+    u = constant_strict(ACTIONS, 8, 0)
+    drivers = sample_drivers(fam, grid, MARKS, 5, seed=26)
+    with pytest.raises(ValueError, match="strict or relaxed"):
+        sde.simulate_batch(model, [u, embed_strict(u)], fam, grid, MARKS, drivers, x0=0.0)
+    other = TimeGrid(T=1.0, n_steps=16)
+    with pytest.raises(ValueError, match="drivers"):
+        sde.simulate_batch(model, [constant_strict(ACTIONS, 16, 0)], _family(1.0, 4.0, other),
+                           other, MARKS, drivers, x0=0.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_diverging_batch_names_step_scenario_and_control():
+    grid = TimeGrid(T=1.0, n_steps=8)
+    fam = _family(1.0, 1.0, grid)
+    # b = (th0 + th1 u) x: finite under u = 0, blows up under u = 1 at step 1
+    model = md.build_model("bilinear", {"th0": 0.0, "th1": 1e160, "s1": 0.0, "gl": 1.0})
+    actions = ActionGrid(np.array([0.0, 1.0]))
+    controls = [constant_strict(actions, 8, 0), constant_strict(actions, 8, 1)]
+    drivers = sample_drivers(fam, grid, QUIET, 3, seed=27)
+    with pytest.raises(FloatingPointError,
+                       match="after step 1 under scenario 0 of control 1 on 3 paths"):
+        sde.simulate_batch(model, controls, fam, grid, QUIET, drivers, x0=1.0)
