@@ -1,17 +1,30 @@
 """Backward representation of the cost gradient and stationarity checks.
 
 The costate is recovered along simulated paths by least-squares Monte
-Carlo: the terminal gradient is transported with the linearized flow,
-conditional means are fitted per scenario with a polynomial basis in the
-state, and the martingale loadings (Brownian, compensated jumps, and the
-second-order volatility channel) come from per-step cross-path
-regressions of the fitted martingale increments.
+Carlo (the per-step regression scheme of Gobet, Lemor and Warin): the
+terminal gradient is transported with the linearized flow, conditional
+means are fitted with a polynomial basis in the state, and the
+martingale loadings (Brownian, compensated jumps, and the second-order
+volatility channel) come from cross-path regressions of the fitted
+martingale increments.
+
+The layer works time-major. :func:`_adjoint_core` takes the fundamental
+flow as (K+1, S, P) buffers and walks the grid once forward; at each
+step it solves the state regression of every scenario as one stacked
+SVD and the increment regression as another (scenarios that drop the
+dB column form a second stack). Each SVD yields the min-norm
+coefficients, the condition numbers and the residuals together.
+:func:`solve_adjoint` builds the fitted triple from it;
+:func:`mp_check_relaxed` reads the raw (unfitted) backward variable and
+builds its triple only at report-block starts, with one backward pass
+for the volatility-channel weights of every block.
 
 On top of the triple the module builds stationarity tables for strict,
-near-optimal, and relaxed controls, one-step driver residuals, stability
-gaps under chattering approximations, and a Lipschitz audit of the
-driver. Verdicts are statistical: an entry passes when its estimate
-clears minus the stated slack.
+near-optimal, and relaxed controls (each with deterministic estimator
+health numbers), one-step driver residuals, stability gaps under
+chattering approximations, and a Lipschitz audit of the driver.
+Verdicts are statistical: an entry passes when its estimate clears
+minus the stated slack.
 """
 
 from __future__ import annotations
@@ -19,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,12 +45,12 @@ from .controls import (
     embed_strict,
     spike,
 )
-from .costs import evaluate_costs
-from .jumps import Drivers, MarkSpace, sample_drivers
+from .costs import batch_costs
+from .jumps import MarkSpace, sample_drivers
 from .models import ModelSpec, ensure_validated
 from .rng import PROBES, substream
-from .scenarios import ScenarioFamily, TimeGrid, generator_G, upper_expectation
-from .sde import StateEnsemble, simulate, simulate_with
+from .scenarios import ScenarioFamily, TimeGrid, upper_expectation
+from .sde import StateEnsemble, ensemble_from_batch, simulate, simulate_batch, simulate_with
 from .variational import _avg, _weights_and_actions, solve_fundamental
 
 _DEGENERATE_STD = 1e-12
@@ -53,7 +66,8 @@ class AdjointTriple:
 
     The orthogonal remainder ``k`` is identically zero under the finite
     scenario family used here; the column is kept so reports can show
-    it.
+    it. :func:`solve_adjoint` returns views of time-major buffers, so
+    ``p[:, :, k]`` and ``q[:, :, k]`` are contiguous.
     """
 
     p: np.ndarray  # (S, P, K+1)
@@ -84,17 +98,16 @@ class AdjointTriple:
 class BSDERepresentation:
     """Diagnostics of the regression-backed martingale representation.
 
-    ``targets`` holds the raw backward variable (terminal gradient times
-    the forward flow plus the remaining running-cost integral), ``y`` its
-    fitted conditional means. ``Q``/``R`` are per-step cross-path
-    loadings, ``intercept`` the leftover drift, and ``S_t`` the
-    second-order loading recovered from that drift. Condition numbers
-    are reported, never raised on.
+    ``X`` is the raw backward variable at time zero (terminal gradient
+    times the forward flow plus the running-cost integral), ``y`` the
+    fitted conditional means of that variable along the grid. ``Q``/``R``
+    are per-step cross-path loadings, ``intercept`` the leftover drift,
+    and ``S_t`` the second-order loading recovered from that drift.
+    Condition numbers are reported, never raised on.
     """
 
     X: np.ndarray  # (S, P) terminal functional
     y: np.ndarray  # (S, P, K+1)
-    targets: np.ndarray  # (S, P, K+1)
     Q: np.ndarray  # (S, K)
     R: np.ndarray  # (S, K, m)
     S_t: np.ndarray  # (S, K)
@@ -128,6 +141,7 @@ class MPCheckReport:
     extra_slack: float
     n_paths: int
     seed: int
+    health: Mapping[str, float]
 
     def summary(self) -> dict:
         worst = min(self.entries, key=lambda e: e.estimate + e.slack)
@@ -200,115 +214,193 @@ def hamiltonian(model: ModelSpec, marks: MarkSpace, t, x, a, p, q, r):
     return val
 
 
+def tail_weights(
+    phi: np.ndarray,
+    psi: np.ndarray,
+    y: np.ndarray,
+    Q: np.ndarray,
+    sx: np.ndarray,
+    a_tab: np.ndarray,
+    s_table: np.ndarray,
+    bounds,
+    dt: float,
+    starts: Sequence[int],
+) -> np.ndarray:
+    """Downstream volatility-channel weight of a spike opened at each start step.
+
+    For a start ``k0`` the weight is
+
+        sum_{k >= k0} phi_k (q_k sx_k a_k + S_k a_k - 2 G(S_k)) dt
+
+    with ``q_k = psi_k (Q_k - y_k sx_k)`` and the closed-form scalar
+    generator ``G(S) = max(lo S, hi S) / 2``. One backward pass serves
+    every start. ``phi``, ``psi`` and ``y`` are time-major (K+1, S, P),
+    ``sx`` is (K, S, P), ``Q``, ``a_tab`` and ``s_table`` are (S, K).
+    Returns shape (len(starts), S, P).
+    """
+    lo = float(bounds.sigma_low[0, 0])
+    hi = float(bounds.sigma_high[0, 0])
+    # S a - 2 G(S), with 2 G(S) = max(lo S, hi S)
+    s_net = s_table * a_tab - np.maximum(lo * s_table, hi * s_table)
+    out = np.empty((len(starts),) + phi.shape[1:])
+    acc = np.zeros(phi.shape[1:])
+    slot = {int(k0): j for j, k0 in enumerate(starts)}
+    for k in range(sx.shape[0] - 1, min(starts) - 1, -1):
+        q_k = psi[k] * (Q[:, k][:, None] - y[k] * sx[k])
+        acc += phi[k] * (q_k * sx[k] * a_tab[:, k][:, None] + s_net[:, k][:, None])
+        if k in slot:
+            out[slot[k]] = acc * dt
+    return out
+
+
 def f_term(
-    ensemble: StateEnsemble,
-    k0: int,
     impulse: np.ndarray,
     dgamma: np.ndarray,
     p_at: np.ndarray,
-    q_path: np.ndarray,
-    sigma_x_path: np.ndarray,
-    phi: np.ndarray,
-    psi: np.ndarray,
-    s_table: np.ndarray,
+    a_at: np.ndarray,
+    psi_at: np.ndarray,
+    weight: np.ndarray,
 ) -> np.ndarray:
-    """Volatility-channel contribution of a spike opened at step ``k0``.
+    """Volatility-channel contribution of a spike opened at a block start.
 
     The instantaneous part couples the gamma response to the scenario
-    quadratic variation at ``k0``; the downstream part weights the
-    variational flow ``ztilde = phi * (psi_k0 * impulse)`` with the
-    diffusion loading and the second-order loading, net of twice the
-    generator. With a single constant scenario the ``S``-weighted terms
-    cancel exactly, because the generator maximum is attained at that
-    scenario.
+    quadratic variation ``a_at`` at the start; the downstream part is the
+    variational flow's starting value ``psi_at * impulse`` times the
+    block's :func:`tail_weights` entry. With a single constant scenario
+    the ``S``-weighted terms of that weight cancel exactly, because the
+    generator maximum is attained at that scenario.
     """
-    grid = ensemble.grid
-    dt = grid.dt
-    n_steps = grid.n_steps
-    a_tab = ensemble.family.scalar_values()
-    bounds = ensemble.family.bounds
-    n_scen = a_tab.shape[0]
+    return p_at * dgamma * a_at + psi_at * impulse * weight
 
-    z0 = psi[:, :, k0] * impulse  # (S, P)
-    ztilde = phi[:, :, k0:n_steps] * z0[:, :, None]
 
-    g_tab = np.empty((n_scen, n_steps - k0))
-    for s in range(n_scen):
-        for j, k in enumerate(range(k0, n_steps)):
-            g_tab[s, j] = generator_G(s_table[s, k], bounds)
-    s_net = s_table[:, k0:n_steps] * a_tab[:, k0:n_steps] - 2.0 * g_tab
+def _vander(z: np.ndarray, degree: int) -> np.ndarray:
+    """Increasing powers of z along a new last axis, as repeated products like np.vander."""
+    out = np.empty(z.shape + (degree + 1,))
+    out[..., 0] = 1.0
+    for j in range(1, degree + 1):
+        out[..., j] = z if j == 1 else out[..., j - 1] * z
+    return out
 
-    q_part = (
-        q_path[:, :, k0:n_steps]
-        * sigma_x_path[:, :, k0:n_steps]
-        * ztilde
-        * a_tab[:, None, k0:n_steps]
-    )
-    tail = (q_part + ztilde * s_net[:, None, :]).sum(axis=2) * dt
-    return p_at * dgamma * a_tab[:, k0][:, None] + tail
+
+def _svd_lstsq(design: np.ndarray, target: np.ndarray):
+    """Min-norm least squares on a stack of designs from one SVD.
+
+    ``design`` is (B, P, n) and ``target`` (B, P). Singular values at or
+    below ``eps * max(P, n)`` times the largest are cut, the default
+    ``rcond`` of ``np.linalg.lstsq``. Returns the coefficients (B, n),
+    the fitted values (B, P) and the 2-norm condition numbers (B,), the
+    latter as ``np.linalg.cond`` reports them (inf when singular).
+    """
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(design.shape[-2:]) * s[:, :1]
+    uty = np.where(keep, (target[:, None, :] @ u)[:, 0, :], 0.0)
+    fitted = (u @ uty[:, :, None])[:, :, 0]
+    coef = (np.swapaxes(vt, 1, 2) @ (uty / np.where(keep, s, 1.0))[:, :, None])[:, :, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = s[:, 0] / s[:, -1]
+    cond[np.isnan(cond)] = np.inf
+    return coef, fitted, cond
 
 
 def _regress_state(x: np.ndarray, target: np.ndarray, degree: int):
-    """Fit target on a standardized polynomial basis in the state.
+    """Fit each scenario's target on a standardized polynomial basis in its state.
 
-    A degenerate state column (deterministic time, single path) falls
-    back to the plain mean, which is the exact conditional expectation
-    there.
+    ``x`` and ``target`` are one step's (S, P) slices; every scenario
+    with a spread-out state goes into one stacked SVD. A degenerate
+    state row (deterministic time, single path) falls back to the plain
+    mean, which is the exact conditional expectation there, with
+    condition number 1. Returns the fit (S, P), the condition numbers
+    (S,) and the residual sums of squares (S,).
     """
-    sd = float(x.std())
-    if sd < _DEGENERATE_STD:
-        pred = np.full(x.shape, float(target.mean()))
-        return pred, 1.0, float(((target - pred) ** 2).sum())
-    z = (x - x.mean()) / sd
-    design = np.vander(z, degree + 1, increasing=True)
-    coef, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-    pred = design @ coef
-    with np.errstate(divide="ignore", over="ignore"):
-        cond = float(np.linalg.cond(design))
-    return pred, cond, float(((target - pred) ** 2).sum())
+    sd = x.std(axis=1)
+    pred = np.empty_like(target)
+    cond = np.ones(x.shape[0])
+    flat = sd < _DEGENERATE_STD
+    if flat.any():
+        pred[flat] = target[flat].mean(axis=1)[:, None]
+    live = ~flat
+    if live.any():
+        xl = x[live]
+        z = (xl - xl.mean(axis=1)[:, None]) / sd[live][:, None]
+        _, pred[live], cond[live] = _svd_lstsq(_vander(z, degree), target[live])
+    return pred, cond, ((target - pred) ** 2).sum(axis=1)
 
 
 def _regress_increment(dm: np.ndarray, db: np.ndarray, dn: np.ndarray):
-    """Project a martingale increment on [dB, compensated marks, 1].
+    """Project each scenario's martingale increment on [dB, compensated marks, 1].
 
-    Constant columns (no Brownian variance, no events at this step) are
-    dropped instead of letting the normal equations go singular; their
-    loadings are reported as zero.
+    ``dm`` and ``db`` are one step's (S, P) slices, ``dn`` the (P, m)
+    compensated counts every scenario shares. Constant columns (no
+    Brownian variance, no events at this step) are dropped instead of
+    letting the design go singular; their loadings are reported as zero.
+    Scenarios that keep the dB column and those that drop it are solved
+    as two stacks. Returns q (S,), r (S, m), the intercepts (S,), the
+    condition numbers (S,) and the dropped-column counts (S,).
     """
+    n_scen, n_paths = dm.shape
     n_marks = dn.shape[1]
-    keep_b = float(db.std()) > _DEGENERATE_STD
     keep_n = [i for i in range(n_marks) if float(dn[:, i].std()) > _DEGENERATE_STD]
-    cols = ([db] if keep_b else []) + [dn[:, i] for i in keep_n] + [np.ones_like(dm)]
-    design = np.column_stack(cols)
-    coef, _, _, _ = np.linalg.lstsq(design, dm, rcond=None)
-    q_k = float(coef[0]) if keep_b else 0.0
-    r_k = np.zeros(n_marks)
-    offset = 1 if keep_b else 0
-    for j, i in enumerate(keep_n):
-        r_k[i] = float(coef[offset + j])
-    with np.errstate(divide="ignore", over="ignore"):
-        cond = float(np.linalg.cond(design))
-    return q_k, r_k, float(coef[-1]), cond
+    keep_b = db.std(axis=1) > _DEGENERATE_STD
+    shared = [dn[:, i] for i in keep_n] + [np.ones(n_paths)]
+    q_k = np.zeros(n_scen)
+    r_k = np.zeros((n_scen, n_marks))
+    c_k = np.empty(n_scen)
+    cond = np.empty(n_scen)
+    for with_b in (True, False):
+        sel = np.flatnonzero(keep_b == with_b)
+        if sel.size == 0:
+            continue
+        cols = [np.broadcast_to(col, (sel.size, n_paths)) for col in shared]
+        if with_b:
+            cols.insert(0, db[sel])
+        coef, _, cond[sel] = _svd_lstsq(np.stack(cols, axis=-1), dm[sel])
+        offset = int(with_b)
+        if with_b:
+            q_k[sel] = coef[:, 0]
+        r_k[np.ix_(sel, keep_n)] = coef[:, offset:offset + len(keep_n)]
+        c_k[sel] = coef[:, -1]
+    dropped = (n_marks - len(keep_n)) + (~keep_b).astype(int)
+    return q_k, r_k, c_k, cond, dropped
 
 
-def _invert_step_drift(c: float, a: float, lo: float, hi: float, dt: float) -> float:
-    """Second-order loading consistent with a fitted per-step drift.
+def _invert_step_drift(c: np.ndarray, a: np.ndarray, lo: float, hi: float, dt: float):
+    """Second-order loadings consistent with fitted per-step drifts.
 
     A representable drift is ``S (a - argmax probe) dt``, which is never
     positive, so positive intercepts are noise and map to zero; so does
     a singleton volatility band, where the drift carries no information
-    about ``S``.
+    about ``S``. ``c`` and ``a`` are (S, K); returns S of that shape.
     """
-    if hi - lo <= 1e-12 or c >= 0.0:
-        return 0.0
-    if a < hi - 1e-12:
-        return float(c / ((a - hi) * dt))
-    if a > lo + 1e-12:
-        return float(c / ((a - lo) * dt))
-    return 0.0
+    out = np.zeros(np.shape(c))
+    if hi - lo <= 1e-12:
+        return out
+    neg = ~(c >= 0.0)
+    below_hi = neg & (a < hi - 1e-12)
+    above_lo = neg & ~below_hi & (a > lo + 1e-12)
+    out[below_hi] = c[below_hi] / ((a[below_hi] - hi) * dt)
+    out[above_lo] = c[above_lo] / ((a[above_lo] - lo) * dt)
+    return out
 
 
-def _adjoint_core(ensemble: StateEnsemble, basis_degree: int) -> SimpleNamespace:
+def _jump_inverse(model: ModelSpec, marks: MarkSpace, t: float, x, w_k, actions) -> np.ndarray:
+    """``1 / (1 + f_x)`` per mark under the step's weights, shape (S, P, m)."""
+    fxb = np.stack(
+        [_avg(model.f_x, t, x, w_k, actions, theta=float(th)) for th in marks.marks], axis=-1
+    )
+    return 1.0 / (1.0 + fxb)
+
+
+def _adjoint_core(
+    ensemble: StateEnsemble, basis_degree: int, *, keep_fit: bool = False
+) -> SimpleNamespace:
+    """Raw backward variable, per-step regressions and loadings, time-major.
+
+    One forward pass over the steps regresses the raw backward variable
+    on the state (one stacked SVD per step across scenarios) and the
+    martingale increment of the fitted variable on the step's noise
+    (another). Every (K+1, S, P) array in the result is time-major; the
+    fitted variable is kept only when ``keep_fit``.
+    """
     model = ensemble.model
     grid = ensemble.grid
     marks = ensemble.marks
@@ -316,96 +408,75 @@ def _adjoint_core(ensemble: StateEnsemble, basis_degree: int) -> SimpleNamespace
     n_steps = grid.n_steps
     n_scen, n_paths = ensemble.states.shape[:2]
     n_marks = marks.n_marks
-    nus = marks.intensities
-
-    pair = solve_fundamental(ensemble)
-    phi, psi = pair.phi, pair.psi
     w, actions = _weights_and_actions(ensemble.control)
 
-    sx = np.empty((n_scen, n_paths, n_steps))
-    hx = np.empty((n_scen, n_paths, n_steps))
-    fxb = np.empty((n_scen, n_paths, n_steps, n_marks))
+    pair = solve_fundamental(ensemble)
+    phi = np.moveaxis(pair.phi, -1, 0)
+    psi = np.moveaxis(pair.psi, -1, 0)
+    x = np.ascontiguousarray(np.moveaxis(ensemble.states, -1, 0))
+    dB = np.moveaxis(ensemble.noise.scalar_dB(), -1, 0)
+    times = grid.times
+
+    def running(k):
+        hx = _avg(model.h_x, float(times[k]), x[k], w[k], actions)
+        return hx * phi[k] * dt
+
+    sx = np.empty((n_steps, n_scen, n_paths))
     for k in range(n_steps):
-        t = float(grid.times[k])
-        x = ensemble.states[:, :, k]
-        sx[:, :, k] = np.asarray(model.sigma_x(t, x), dtype=float) + np.zeros_like(x)
-        hx[:, :, k] = _avg(model.h_x, t, x, w[k], actions)
-        for i in range(n_marks):
-            fxb[:, :, k, i] = _avg(model.f_x, t, x, w[k], actions, theta=float(marks.marks[i]))
-
-    x_term = ensemble.states[:, :, n_steps]
-    gx_term = np.asarray(model.g_x(x_term), dtype=float) + np.zeros_like(x_term)
-
-    targets = np.empty((n_scen, n_paths, n_steps + 1))
-    targets[:, :, n_steps] = gx_term * phi[:, :, n_steps]
+        sx[k] = np.asarray(model.sigma_x(float(times[k]), x[k]), dtype=float) + np.zeros_like(x[k])
+    gx_term = np.asarray(model.g_x(x[n_steps]), dtype=float) + np.zeros_like(x[n_steps])
+    targets = np.empty((n_steps + 1, n_scen, n_paths))
+    targets[n_steps] = gx_term * phi[n_steps]
     for k in range(n_steps - 1, -1, -1):
-        targets[:, :, k] = targets[:, :, k + 1] + hx[:, :, k] * phi[:, :, k] * dt
+        targets[k] = targets[k + 1] + running(k)
 
-    past = np.zeros((n_scen, n_paths, n_steps + 1))
-    for k in range(n_steps):
-        past[:, :, k + 1] = past[:, :, k] + hx[:, :, k] * phi[:, :, k] * dt
-
-    yhat = np.empty_like(targets)
-    yhat[:, :, n_steps] = targets[:, :, n_steps]
+    yhat = np.empty_like(targets) if keep_fit else None
     cond_y = np.ones((n_scen, n_steps))
+    cond_inc = np.ones((n_scen, n_steps))
     sq_resid = np.zeros(n_scen)
-    for s in range(n_scen):
-        for k in range(n_steps):
-            pred, cond, rss = _regress_state(
-                ensemble.states[s, :, k], targets[s, :, k], basis_degree
-            )
-            yhat[s, :, k] = pred
-            cond_y[s, k] = cond
-            sq_resid[s] += rss
-    y_residual = np.sqrt(sq_resid / (n_steps * n_paths))
-
-    mhat = yhat + past
-    dB = ensemble.noise.scalar_dB()
-    counts = ensemble.counts
-    comp = nus[None, :] * dt
     q_load = np.zeros((n_scen, n_steps))
     r_load = np.zeros((n_scen, n_steps, n_marks))
     intercept = np.zeros((n_scen, n_steps))
-    cond_inc = np.ones((n_scen, n_steps))
-    for s in range(n_scen):
-        for k in range(n_steps):
-            dm = mhat[s, :, k + 1] - mhat[s, :, k]
-            dn = counts[:, k, :] - comp
-            q_k, r_k, c_k, cond = _regress_increment(dm, dB[s, :, k], dn)
-            q_load[s, k] = q_k
-            r_load[s, k] = r_k
-            intercept[s, k] = c_k
-            cond_inc[s, k] = cond
+    dropped = 0
+    comp = marks.intensities[None, :] * dt
+    counts = ensemble.counts
+    past = np.zeros((n_scen, n_paths))
+    m_prev = None
+    for k in range(n_steps + 1):
+        if k < n_steps:
+            fit, cond_y[:, k], rss = _regress_state(x[k], targets[k], basis_degree)
+            sq_resid += rss
+        else:
+            fit = targets[n_steps]
+        if keep_fit:
+            yhat[k] = fit
+        m_k = fit + past
+        if k > 0:
+            j = k - 1
+            q_load[:, j], r_load[:, j], intercept[:, j], cond_inc[:, j], drop = (
+                _regress_increment(m_k - m_prev, dB[j], counts[:, j, :] - comp)
+            )
+            dropped += int(drop.sum())
+        if k < n_steps:
+            past = past + running(k)
+        m_prev = m_k
+    y_residual = np.sqrt(sq_resid / (n_steps * n_paths))
 
     a_tab = ensemble.family.scalar_values()
     lo = float(ensemble.family.bounds.sigma_low[0, 0])
     hi = float(ensemble.family.bounds.sigma_high[0, 0])
-    s_table = np.zeros((n_scen, n_steps))
-    for s in range(n_scen):
-        for k in range(n_steps):
-            s_table[s, k] = _invert_step_drift(
-                float(intercept[s, k]), float(a_tab[s, k]), lo, hi, dt
-            )
-
-    p = yhat * psi
-    q = psi[:, :, :n_steps] * (q_load[:, None, :] - yhat[:, :, :n_steps] * sx)
-    inv = 1.0 / (1.0 + fxb)
-    r = (
-        r_load[:, None, :, :] * psi[:, :, :n_steps, None] * inv
-        + p[:, :, :n_steps, None] * (inv - 1.0)
-    )
-    p[:, :, n_steps] = gx_term
+    s_table = _invert_step_drift(intercept, a_tab, lo, hi, dt)
+    clamped = int(np.count_nonzero(intercept > 0.0)) if hi - lo > 1e-12 else 0
 
     return SimpleNamespace(
         phi=phi,
         psi=psi,
+        x=x,
         sx=sx,
-        hx=hx,
-        fxb=fxb,
+        gx_term=gx_term,
         targets=targets,
-        past=past,
         yhat=yhat,
-        X=targets[:, :, 0],
+        X=targets[0].copy(),
         Q=q_load,
         R=r_load,
         S_t=s_table,
@@ -413,9 +484,8 @@ def _adjoint_core(ensemble: StateEnsemble, basis_degree: int) -> SimpleNamespace
         cond_y=cond_y,
         cond_increment=cond_inc,
         y_residual=y_residual,
-        p=p,
-        q=q,
-        r=r,
+        dropped_columns=dropped,
+        clamped_intercepts=clamped,
         basis_degree=basis_degree,
     )
 
@@ -425,17 +495,31 @@ def solve_adjoint(
 ) -> tuple[AdjointTriple, BSDERepresentation]:
     """Recover the adjoint triple along an ensemble's paths.
 
-    The terminal value of ``p`` is the exact terminal gradient, set
-    directly rather than through the fitted product. Degenerate
+    ``p`` is the fitted backward variable times ``psi``; ``q`` and ``r``
+    transport the regression loadings with ``psi`` and the jump
+    inverse. The terminal value of ``p`` is the exact terminal gradient,
+    set directly rather than through the fitted product. Degenerate
     regressions fall back to means and dropped columns; condition
     numbers land in the representation for inspection.
     """
-    core = _adjoint_core(ensemble, basis_degree)
-    triple = AdjointTriple(p=core.p, q=core.q, r=core.r, k=np.zeros_like(core.q))
+    core = _adjoint_core(ensemble, basis_degree, keep_fit=True)
+    grid = ensemble.grid
+    n_steps = grid.n_steps
+    w, actions = _weights_and_actions(ensemble.control)
+    psi, yhat = core.psi, core.yhat
+    p = yhat * psi
+    q = psi[:n_steps] * (core.Q.T[:, :, None] - yhat[:n_steps] * core.sx)
+    r = np.empty(q.shape + (ensemble.marks.n_marks,))
+    for k in range(n_steps):
+        inv = _jump_inverse(ensemble.model, ensemble.marks, float(grid.times[k]), core.x[k],
+                            w[k], actions)
+        r[k] = core.R[:, k][:, None, :] * psi[k][:, :, None] * inv + p[k][:, :, None] * (inv - 1.0)
+    p[n_steps] = core.gx_term
+    p, q, r = np.moveaxis(p, 0, -1), np.moveaxis(q, 0, -1), np.moveaxis(r, 0, 2)
+    triple = AdjointTriple(p=p, q=q, r=r, k=np.zeros_like(q))
     rep = BSDERepresentation(
         X=core.X,
-        y=core.yhat,
-        targets=core.targets,
+        y=np.moveaxis(yhat, 0, -1),
         Q=core.Q,
         R=core.R,
         S_t=core.S_t,
@@ -514,6 +598,25 @@ def _hypothesis_label(model: ModelSpec, grid: TimeGrid, actions: np.ndarray) -> 
     return "nonzero b or h: outside the stationarity guarantee, verdict is informational"
 
 
+def _estimator_health(core: SimpleNamespace) -> dict:
+    """Deterministic health numbers of the adjoint regressions behind a table.
+
+    Condition numbers of the state and increment regressions (max and
+    median over scenarios and steps), the largest rms state-fit residual,
+    the regression columns dropped as constant, and the positive
+    per-step drifts that :func:`_invert_step_drift` maps to zero.
+    """
+    return {
+        "cond_y_max": float(np.max(core.cond_y)),
+        "cond_y_median": float(np.median(core.cond_y)),
+        "cond_increment_max": float(np.max(core.cond_increment)),
+        "cond_increment_median": float(np.median(core.cond_increment)),
+        "y_residual_max": float(np.max(core.y_residual)),
+        "dropped_columns": int(core.dropped_columns),
+        "clamped_intercepts": int(core.clamped_intercepts),
+    }
+
+
 def mp_check_relaxed(
     model: ModelSpec,
     mu: RelaxedControl,
@@ -528,7 +631,7 @@ def mp_check_relaxed(
     slack_mult: float = 3.0,
     extra_slack: float = 0.0,
     basis_degree: int = 2,
-    drivers: Drivers | None = None,
+    ensemble: StateEnsemble | None = None,
 ) -> MPCheckReport:
     """Stationarity table for a relaxed control.
 
@@ -537,43 +640,42 @@ def mp_check_relaxed(
     volatility-channel term, averaged per scenario and maximized across
     scenarios. An entry passes when its estimate is at least minus
     ``slack_mult`` standard errors minus ``extra_slack``. Entries at a
-    Dirac mixture's own atom are exactly zero by construction. A caller
-    that already sampled this seed passes its ``drivers``.
+    Dirac mixture's own atom are exactly zero by construction. The
+    triple is built from the raw (unfitted) backward variable, and only
+    at block starts. A caller that already simulated ``mu`` on this seed
+    passes that ``ensemble``.
     """
     ensure_validated(model)
     n_steps = grid.n_steps
     if n_blocks < 1 or n_steps % n_blocks != 0:
         raise ValueError(f"n_blocks must divide the step count, got {n_blocks} for {n_steps}")
-    if drivers is None:
+    if ensemble is None:
         ens = simulate(model, mu, family, grid, marks, n_paths, seed, x0)
+    elif ensemble.seed != seed or ensemble.n_paths != n_paths or ensemble.control is not mu:
+        raise ValueError("the ensemble was not simulated for this control, seed and n_paths")
     else:
-        ens = simulate_with(model, mu, family, grid, marks, drivers, x0)
+        ens = ensemble
     core = _adjoint_core(ens, basis_degree)
-
-    psi_steps = core.psi[:, :, :n_steps]
-    p_raw = core.targets * core.psi
-    q_raw = psi_steps * (core.Q[:, None, :] - core.targets[:, :, :n_steps] * core.sx)
-    inv = 1.0 / (1.0 + core.fxb)
-    r_raw = (
-        core.R[:, None, :, :] * psi_steps[:, :, :, None] * inv
-        + p_raw[:, :, :n_steps, None] * (inv - 1.0)
-    )
 
     w, actions = _weights_and_actions(mu)
     a_tab = family.scalar_values()
     nus = marks.intensities
     n_scen = a_tab.shape[0]
     block_len = n_steps // n_blocks
+    starts = [b * block_len for b in range(n_blocks)]
+    weights = tail_weights(core.phi, core.psi, core.targets, core.Q, core.sx, a_tab,
+                           core.S_t, family.bounds, grid.dt, starts)
 
     entries: list[MPEntry] = []
-    for b in range(n_blocks):
-        k0 = b * block_len
+    for b, k0 in enumerate(starts):
         t0 = float(grid.times[k0])
-        x = ens.states[:, :, k0]
+        x = core.x[k0]
         a0 = a_tab[:, k0][:, None]
-        p0 = p_raw[:, :, k0]
-        q0 = q_raw[:, :, k0]
-        r0 = r_raw[:, :, k0]
+        psi0 = core.psi[k0]
+        p0 = core.targets[k0] * psi0
+        q0 = psi0 * (core.Q[:, k0][:, None] - core.targets[k0] * core.sx[k0])
+        inv = _jump_inverse(model, marks, t0, x, w[k0], actions)
+        r0 = core.R[:, k0][:, None, :] * psi0[:, :, None] * inv + p0[:, :, None] * (inv - 1.0)
 
         h_vals, b_vals, g_vals, f_vals = [], [], [], []
         for a in actions:
@@ -609,10 +711,7 @@ def mp_check_relaxed(
             impulse = (b_vals[ai] - base_b) + dgamma * a0
             for i in range(marks.n_marks):
                 impulse = impulse - (f_vals[ai][i] - base_f[i]) * float(nus[i])
-            f_part = f_term(
-                ens, k0, impulse, dgamma, p0, q_raw, core.sx, core.phi, core.psi, core.S_t
-            )
-            vals = d_h + f_part
+            vals = d_h + f_term(impulse, dgamma, p0, a0, psi0, weights[b])
             um = upper_expectation([vals[s] for s in range(n_scen)])
             slack = slack_mult * um.stderr + extra_slack
             entries.append(
@@ -637,6 +736,7 @@ def mp_check_relaxed(
         extra_slack=extra_slack,
         n_paths=n_paths,
         seed=seed,
+        health=_estimator_health(core),
     )
 
 
@@ -723,9 +823,15 @@ def mp_check_near(
     if epsilon_n is not None and epsilon_n < 0.0:
         raise ValueError(f"epsilon_n must be nonnegative, got {epsilon_n}")
 
-    # u_n and every candidate in one batch; the batch is gone before the adjoint
+    # u_n and every candidate in one strict batch; u_n's row, wrapped as its
+    # Dirac embedding, feeds the table, and the batch is gone before the adjoint
     drivers = sample_drivers(family, grid, marks, n_paths, seed)
-    reports = evaluate_costs(model, [u_n] + cands, family, grid, marks, drivers, x0)
+    controls = [u_n] + cands
+    states = simulate_batch(model, controls, family, grid, marks, drivers, x0)
+    reports = batch_costs(model, controls, grid, states, drivers.seed)
+    mu_n = embed_strict(u_n)
+    ens = ensemble_from_batch(model, mu_n, family, grid, marks, drivers, x0, states[:, 0])
+    del states
     j_n = reports[0].upper_value
     scored = [
         (ekeland_distance(u_n, cand, grid), rep.upper_value)
@@ -748,7 +854,7 @@ def mp_check_near(
 
     mp = mp_check_relaxed(
         model,
-        embed_strict(u_n),
+        mu_n,
         family,
         grid,
         marks,
@@ -759,7 +865,7 @@ def mp_check_near(
         slack_mult=slack_mult,
         extra_slack=C * eps,
         basis_degree=basis_degree,
-        drivers=drivers,
+        ensemble=ens,
     )
 
     need = 0.0

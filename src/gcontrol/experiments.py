@@ -48,8 +48,8 @@ from .costs import (
     evaluate_cost,
     evaluate_costs,
 )
-from .jumps import MarkSpace, sample_drivers
-from .models import MODEL_BUILDERS, build_model
+from .jumps import POISSON_MEAN_MAX, MarkSpace, sample_drivers
+from .models import MODEL_BUILDERS, MODEL_DEFAULTS, build_model
 from .scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from .sde import ensemble_from_batch, simulate, simulate_batch
 from .variational import (
@@ -321,6 +321,12 @@ def _semantic_violations(doc: Mapping) -> list[str]:
     name = doc["model"]["name"]
     if name not in MODEL_BUILDERS:
         out.append(f"$.model.name: unknown model {name!r}; known: {sorted(MODEL_BUILDERS)}")
+    else:
+        known = sorted(MODEL_DEFAULTS[name])
+        for key in sorted(doc["model"].get("params", {})):
+            if key not in MODEL_DEFAULTS[name]:
+                out.append(f"$.model.params.{key}: not a parameter of model {name!r}"
+                           f" (known: {known})")
     lo = doc["bounds"]["sigma_low"]
     hi = doc["bounds"]["sigma_high"]
     if hi < lo:
@@ -329,12 +335,18 @@ def _semantic_violations(doc: Mapping) -> list[str]:
     n_intens = len(doc["marks"]["intensities"])
     if n_values != n_intens:
         out.append(f"$.marks.intensities: {n_intens} entries for {n_values} mark values")
+    mean_events = float(sum(doc["marks"]["intensities"])) * doc["grid"]["T"]
+    if not mean_events <= POISSON_MEAN_MAX:
+        out.append(f"$.marks.intensities: total intensity times T is {mean_events!r},"
+                   f" above the largest Poisson mean {POISSON_MEAN_MAX!r}")
     actions = doc["actions"]
     if len(set(actions)) != len(actions):
         out.append("$.actions: values must be distinct")
     scen = doc.get("scenarios", {})
     if scen.get("strategy") == "random" and "count" not in scen:
         out.append("$.scenarios.count: required when strategy is 'random'")
+    if scen.get("strategy") == "random" and "seed" not in scen:
+        out.append("$.scenarios: 'seed' is a required property when strategy is 'random'")
     if doc["n_paths"] < 2:
         out.append(
             f"$.n_paths: {doc['n_paths']} path gives no standard error; at least 2 are needed"
@@ -637,13 +649,20 @@ def _mp_files(rep) -> dict[str, str]:
 
 
 def _mp_metrics(rep) -> dict[str, Any]:
+    """Worst entry, hypothesis, and the estimator health of the table's regressions.
+
+    A singular regression has an infinite condition number, written as null.
+    """
     out = rep.summary()
-    return {
+    metrics = {
         "worst_entry": float(out["worst_entry"]),
         "worst_block": int(out["worst_block"]),
         "worst_action": float(out["worst_action"]),
         "hypothesis": rep.hypothesis,
     }
+    for key, value in rep.health.items():
+        metrics[key] = None if isinstance(value, float) and not math.isfinite(value) else value
+    return metrics
 
 
 def _run_mp_strict(cfg: ExperimentConfig, threads: int):

@@ -64,6 +64,11 @@ class MarkSpace:
         return float(self.intensities.sum())
 
 
+# The largest Poisson mean numpy's sampler accepts; above it the sampler
+# raises "lam value too large".
+POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+
+
 def _step_of(times: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Grid step containing each event time in (0, T]."""
     k = np.floor(times / grid.dt).astype(np.int64)
@@ -79,8 +84,6 @@ def _index_from_uniform(u: np.ndarray, cum_weights: np.ndarray) -> np.ndarray:
     """
     idx = (u[:, None] >= cum_weights).sum(axis=1)
     return np.minimum(idx, cum_weights.shape[1] - 1)
-
-
 
 
 @dataclass(frozen=True)
@@ -142,8 +145,11 @@ def sample_drivers(
     noise = scen_mod.sample_brownian(family, grid, n_paths, seed)
     gen = rng.substream(seed, rng.JUMPS)
     nu_bar = marks.total_intensity
-    if not np.isfinite(nu_bar * grid.T):
-        raise ValueError("total intensity times horizon must be finite")
+    if not nu_bar * grid.T <= POISSON_MEAN_MAX:
+        raise ValueError(
+            f"total intensity times horizon {nu_bar * grid.T!r} exceeds the largest"
+            f" Poisson mean {POISSON_MEAN_MAX!r}"
+        )
     if nu_bar == 0.0:
         per_path = np.zeros(n_paths, dtype=np.int64)
         times = np.empty(0)

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import rng
 from .jumps import MarkSpace
@@ -185,13 +184,14 @@ def make_zero(params: Mapping[str, Any] | None = None) -> ModelSpec:
     )
 
 
+_CONSTANT_DRIFT_DEFAULTS = {"mu": 1.0, "sigma0": 0.0}
+
+
 def make_constant_drift(params: Mapping[str, Any] | None = None) -> ModelSpec:
     """dx = mu dt + sigma0 dB, terminal cost g(x) = x."""
-    params = dict(params or {})
-    mu = float(params.get("mu", 1.0))
-    sigma0 = float(params.get("sigma0", 0.0))
-    params.setdefault("mu", mu)
-    params.setdefault("sigma0", sigma0)
+    params = {**_CONSTANT_DRIFT_DEFAULTS, **(params or {})}
+    mu = float(params["mu"])
+    sigma0 = float(params["sigma0"])
     zero3 = lambda t, x, a: 0.0 * x
     zero4 = lambda t, x, th, a: 0.0 * x
     bounds = _boxes(params)
@@ -331,6 +331,16 @@ MODEL_BUILDERS: dict[str, Callable[[Mapping[str, Any] | None], ModelSpec]] = {
     "bilinear": make_bilinear,
 }
 
+# Every parameter a config may set, with its default. The builders also
+# accept probe boxes (state_box, action_box, theta_box), which are
+# library-only because a config parameter is a single number.
+MODEL_DEFAULTS: dict[str, Mapping[str, float]] = {
+    "zero": {},
+    "constant_drift": _CONSTANT_DRIFT_DEFAULTS,
+    "linear_jump_lq": _LQ_DEFAULTS,
+    "bilinear": _BILINEAR_DEFAULTS,
+}
+
 MODEL_PARAM_DOCS: dict[str, str] = {
     "zero": "no parameters; x stays at x0, cost is x0",
     "constant_drift": "mu, sigma0; dx = mu dt + sigma0 dB, cost E[x_T]",
@@ -381,6 +391,8 @@ def lq_cost_continuous(
     ``u_mean`` and ``u_sq`` are the per-step first and second moments of
     the action; a strict control passes (u, u**2).
     """
+    from scipy.linalg import expm  # only this oracle needs scipy; keep it off the import path
+
     p = {k: float(v) for k, v in params.items() if isinstance(v, (int, float))}
     _, nu2 = _mark_moments(marks)
     f1, f2 = p["f1"], p["f2"]

@@ -7,6 +7,13 @@ and the two-sided check of the cost derivative (finite differences vs.
 the first-order formula). Reusing the ensemble's noise and jumps is not
 an optimization but a requirement; the quantities being compared are
 pathwise, and independent randomness would swamp them.
+
+The flow runs time-major: states and increments are transposed once to
+(K+1, S, P), every step forms its growth factors on contiguous slices,
+and the jump multiplier ``(1 + f_x)^count`` is applied only on the paths
+that have events in that step (found from the drivers' flat event
+arrays). A path without events would be multiplied by exactly one, so
+the result is bit for bit that of the dense product.
 """
 
 from __future__ import annotations
@@ -95,69 +102,114 @@ def _avg(fun, t, x, w_k, actions, theta=None):
     return out
 
 
-def _jump_multiplier(ensemble, k, t, x, w_k, actions, inverse: bool) -> np.ndarray:
-    """Product of (1 + f_x)^(+-count) over the step's jump events.
+def _events_by_step(ensemble) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per step: the paths with at least one event, and their counts.
 
-    The linearization must stay invertible: |1 + f_x| is checked against
-    a hard threshold at every mark and action, whether or not an event
-    landed there.
+    The counts are the rows of the dense (path, step, mark) counts, or of
+    the tagged (path, step, mark, action) counts of a relaxed ensemble,
+    restricted to those paths.
     """
-    model = ensemble.model
-    marks = ensemble.marks
-    mult = np.ones_like(x)
-    tagged = ensemble.tagged_counts
-    if tagged is None:
-        counts = ensemble.counts
-        for i, th in enumerate(marks.marks):
-            fx = _avg(model.f_x, t, x, w_k, actions, theta=float(th))
-            if np.min(np.abs(1.0 + fx)) < _JUMP_GUARD:
-                raise ValueError(f"jump linearization nearly singular at step {k}, mark {i}")
-            c = counts[:, k, i]
-            if not c.any():
-                continue
-            expo = -c if inverse else c
-            mult = mult * (1.0 + fx) ** expo[None, :]
-    else:
-        for i, th in enumerate(marks.marks):
-            for a_i, a in enumerate(actions):
-                fx = np.asarray(model.f_x(t, x, float(th), float(a))) + np.zeros_like(x)
+    drivers = ensemble.drivers
+    n_steps = ensemble.grid.n_steps
+    per_path = ensemble.counts if ensemble.tagged_counts is None else ensemble.tagged_counts
+    order = np.argsort(drivers.step, kind="stable")
+    cuts = np.searchsorted(drivers.step[order], np.arange(n_steps + 1))
+    out = []
+    for k in range(n_steps):
+        paths = np.unique(drivers.path[order[cuts[k]:cuts[k + 1]]])
+        out.append((paths, per_path[paths, k]))
+    return out
+
+
+class _FlowSteps:
+    """Multiplicative Euler factors of the linearized flow, step by step.
+
+    The states and the Brownian increments are transposed once into
+    contiguous (K+1, S, P) and (K, S, P) arrays. A jump multiplier
+    ``prod (1 + f_x)^(+-count)`` is formed only on the paths that have
+    events in the step; every other path would be multiplied by
+    ``pow(., 0) = 1``, so skipping it leaves the bits unchanged.
+    """
+
+    def __init__(self, ensemble: StateEnsemble):
+        self.model = ensemble.model
+        self.marks = ensemble.marks
+        self.grid = ensemble.grid
+        self.x = np.ascontiguousarray(np.moveaxis(ensemble.states, -1, 0))
+        self.dB = np.ascontiguousarray(np.moveaxis(ensemble.noise.scalar_dB(), -1, 0))
+        self.a = ensemble.family.scalar_values()
+        self.w, self.actions = _weights_and_actions(ensemble.control)
+        self.tagged = ensemble.tagged_counts is not None
+        self.events = _events_by_step(ensemble)
+
+    def _jump_bases(self, k, t, x):
+        """``1 + f_x`` per (mark[, action]) with its event counts on the step's paths.
+
+        The linearization must stay invertible: |1 + f_x| is checked
+        against a hard threshold at every mark and action, whether or not
+        an event landed there.
+        """
+        model = self.model
+        paths, counts = self.events[k]
+        w_k = self.w[k]
+        out = []
+        for i, th in enumerate(self.marks.marks):
+            if self.tagged:
+                fxs = [np.asarray(model.f_x(t, x, float(th), float(a))) + np.zeros_like(x)
+                       for a in self.actions]
+                cols = [counts[:, i, a_i] for a_i in range(self.actions.size)]
+            else:
+                fxs = [_avg(model.f_x, t, x, w_k, self.actions, theta=float(th))]
+                cols = [counts[:, i]]
+            for fx, c in zip(fxs, cols):
                 if np.min(np.abs(1.0 + fx)) < _JUMP_GUARD:
-                    raise ValueError(
-                        f"jump linearization nearly singular at step {k}, mark {i}"
-                    )
-                c = tagged[:, k, i, a_i]
-                if not c.any():
-                    continue
-                expo = -c if inverse else c
-                mult = mult * (1.0 + fx) ** expo[None, :]
-    return mult
+                    raise ValueError(f"jump linearization nearly singular at step {k}, mark {i}")
+                if c.any():
+                    out.append(((1.0 + fx)[:, paths], np.ascontiguousarray(c)))
+        return paths, out
+
+    def factors(self, k: int, *, need_inverse: bool):
+        """growth, inverse growth (or None), event paths, and their jump multipliers.
+
+        The multipliers have shape (S, len(paths)); the inverse one is
+        None unless ``need_inverse``.
+        """
+        model = self.model
+        dt = self.grid.dt
+        t = float(self.grid.times[k])
+        x = self.x[k]
+        a_k = self.a[:, k][:, None]
+        dB = self.dB[k]
+        w_k = self.w[k]
+        actions = self.actions
+        bx = _avg(model.b_x, t, x, w_k, actions)
+        sx = np.asarray(model.sigma_x(t, x)) + np.zeros_like(x)
+        gx = _avg(model.gamma_x, t, x, w_k, actions)
+        comp = np.zeros_like(x)
+        for i, th in enumerate(self.marks.marks):
+            nu_i = float(self.marks.intensities[i])
+            if nu_i > 0.0:
+                comp = comp + _avg(model.f_x, t, x, w_k, actions, theta=float(th)) * nu_i
+        growth = 1.0 + bx * dt + gx * a_k * dt - comp * dt + sx * dB
+        igrowth = None
+        if need_inverse:
+            igrowth = 1.0 - bx * dt - gx * a_k * dt + comp * dt + sx * sx * a_k * dt - sx * dB
+        paths, bases = self._jump_bases(k, t, x)
+        jmult = ijmult = None
+        for base, c in bases:
+            term = base ** c[None, :]
+            jmult = term if jmult is None else jmult * term
+            if need_inverse:
+                iterm = base ** (-c)[None, :]
+                ijmult = iterm if ijmult is None else ijmult * iterm
+        return growth, igrowth, paths, jmult, ijmult
 
 
-def _flow_factors(ensemble, k, w, actions, *, need_inverse: bool):
-    """Multiplicative Euler factors of the linearized flow at step k."""
-    model = ensemble.model
-    grid = ensemble.grid
-    dt = grid.dt
-    t = float(grid.times[k])
-    x = ensemble.states[:, :, k]
-    a_k = ensemble.family.scalar_values()[:, k][:, None]
-    dB = ensemble.noise.scalar_dB()[:, :, k]
-    w_k = w[k]
-    bx = _avg(model.b_x, t, x, w_k, actions)
-    sx = np.asarray(model.sigma_x(t, x)) + np.zeros_like(x)
-    gx = _avg(model.gamma_x, t, x, w_k, actions)
-    comp = np.zeros_like(x)
-    for i, th in enumerate(ensemble.marks.marks):
-        nu_i = float(ensemble.marks.intensities[i])
-        if nu_i > 0.0:
-            comp = comp + _avg(model.f_x, t, x, w_k, actions, theta=float(th)) * nu_i
-    growth = 1.0 + bx * dt + gx * a_k * dt - comp * dt + sx * dB
-    jmult = _jump_multiplier(ensemble, k, t, x, w_k, actions, inverse=False)
-    if not need_inverse:
-        return growth, jmult, None, None
-    igrowth = 1.0 - bx * dt - gx * a_k * dt + comp * dt + sx * sx * a_k * dt - sx * dB
-    ijmult = _jump_multiplier(ensemble, k, t, x, w_k, actions, inverse=True)
-    return growth, jmult, igrowth, ijmult
+def _advance(out: np.ndarray, prev: np.ndarray, growth: np.ndarray, paths, jmult) -> None:
+    """``out = prev * growth * jump multiplier``, the multiplier on event paths only."""
+    np.multiply(prev, growth, out=out)
+    if jmult is not None:
+        out[:, paths] = out[:, paths] * jmult
 
 
 def _spike_impulse(ensemble, spec: SpikeSpec, k0: int) -> np.ndarray:
@@ -214,13 +266,13 @@ def solve_variational(ensemble: StateEnsemble, spec: SpikeSpec) -> VariationalPa
     grid = ensemble.grid
     k0, _ = spike_steps(spec, grid)
     S, P, _ = ensemble.states.shape
-    w, actions = _weights_and_actions(ensemble.control)
-    z = np.zeros((S, P, grid.n_steps + 1))
-    z[:, :, k0] = _spike_impulse(ensemble, spec, k0)
+    steps = _FlowSteps(ensemble)
+    z = np.zeros((grid.n_steps + 1, S, P))
+    z[k0] = _spike_impulse(ensemble, spec, k0)
     for k in range(k0, grid.n_steps):
-        growth, jmult, _, _ = _flow_factors(ensemble, k, w, actions, need_inverse=False)
-        z[:, :, k + 1] = z[:, :, k] * growth * jmult
-    return VariationalPath(z=z, k0=k0)
+        growth, _, paths, jmult, _ = steps.factors(k, need_inverse=False)
+        _advance(z[k + 1], z[k], growth, paths, jmult)
+    return VariationalPath(z=np.ascontiguousarray(np.moveaxis(z, 0, -1)), k0=k0)
 
 
 def solve_fundamental(
@@ -229,31 +281,36 @@ def solve_fundamental(
     """Forward and inverse fundamental solutions, plus eta for a spike.
 
     phi and psi start at one and evolve by reciprocal Euler factors, so
-    phi * psi drifts from one only at the scheme's order. eta is zero
-    until the spike opens and constant afterwards: psi at the spike step
-    times the impulse.
+    phi * psi drifts from one only at the scheme's order. They are built
+    time-major: ``phi`` and ``psi`` have shape (S, P, K+1) but are views
+    of contiguous (K+1, S, P) buffers, so ``phi[:, :, k]`` is contiguous
+    and ``np.moveaxis(phi, -1, 0)`` gives the buffer back without a copy.
+    eta is zero until the spike opens and constant afterwards: psi at the
+    spike step times the impulse.
     """
     grid = ensemble.grid
     S, P, _ = ensemble.states.shape
-    w, actions = _weights_and_actions(ensemble.control)
-    phi = np.ones((S, P, grid.n_steps + 1))
-    psi = np.ones((S, P, grid.n_steps + 1))
-    eta = np.zeros((S, P, grid.n_steps + 1))
     k0 = None
     if spec is not None:
         _require_same_base(ensemble, spec)
         k0, _ = spike_steps(spec, grid)
+    steps = _FlowSteps(ensemble)
+    phi = np.empty((grid.n_steps + 1, S, P))
+    psi = np.empty((grid.n_steps + 1, S, P))
+    phi[0] = 1.0
+    psi[0] = 1.0
     for k in range(grid.n_steps):
-        growth, jmult, igrowth, ijmult = _flow_factors(
-            ensemble, k, w, actions, need_inverse=True
-        )
-        phi[:, :, k + 1] = phi[:, :, k] * growth * jmult
-        psi[:, :, k + 1] = psi[:, :, k] * igrowth * ijmult
+        growth, igrowth, paths, jmult, ijmult = steps.factors(k, need_inverse=True)
+        _advance(phi[k + 1], phi[k], growth, paths, jmult)
+        _advance(psi[k + 1], psi[k], igrowth, paths, ijmult)
+    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))):
+        raise FloatingPointError("fundamental solutions are not finite")
+    phi = np.moveaxis(phi, 0, -1)
+    psi = np.moveaxis(psi, 0, -1)
+    eta = np.zeros((S, P, grid.n_steps + 1))
     if k0 is not None:
         impulse = _spike_impulse(ensemble, spec, k0)
         eta[:, :, k0:] = (psi[:, :, k0] * impulse)[:, :, None]
-    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))):
-        raise FloatingPointError("fundamental solutions are not finite")
     return FundamentalPair(phi=phi, psi=psi, eta=eta, k0=k0)
 
 

@@ -18,6 +18,7 @@ from gcontrol.adjoint import (
     mp_report_csv,
     solve_adjoint,
     stability_csv,
+    tail_weights,
 )
 from gcontrol.controls import (
     ActionGrid,
@@ -31,7 +32,7 @@ from gcontrol.costs import evaluate_cost, value_bruteforce
 from gcontrol.jumps import MarkSpace
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from gcontrol.sde import simulate
-from gcontrol.variational import solve_fundamental
+from gcontrol.variational import _avg, _weights_and_actions, solve_fundamental
 
 MARKS = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([0.7, 0.3]))
 QUIET = MarkSpace(marks=np.array([1.0]), intensities=np.array([0.0]))
@@ -89,16 +90,25 @@ def test_hamiltonian_zero_for_trivial_model():
     assert np.all(val == 0.0)
 
 
+def _tail_weight(grid, fam, k0, *, y, Q):
+    # time-major flow of ones, unit diffusion loading, S_t = 0.7 everywhere
+    K = grid.n_steps
+    ones_t = np.ones((K + 1, 1, 5))
+    return tail_weights(ones_t, ones_t, np.full((K + 1, 1, 5), y), np.full((1, K), Q),
+                        np.ones((K, 1, 5)), fam.scalar_values(), np.full((1, K), 0.7),
+                        fam.bounds, grid.dt, [k0])[0]
+
+
 def test_f_term_vanishes_without_impulse():
     grid = TimeGrid(T=1.0, n_steps=8)
-    model = _gamma_control_model()
-    ens = simulate(model, constant_strict(PM1, 8, 0), _fam(1.0, 1.0, grid),
-                   grid, MARKS, 5, 2, 0.5)
+    fam = _fam(1.0, 1.0, grid)
     shape = (1, 5)
     zeros = np.zeros(shape)
-    ones3 = np.ones((1, 5, 9))
-    out = f_term(ens, 2, zeros, zeros, np.ones(shape), np.ones((1, 5, 8)),
-                 np.ones((1, 5, 8)), ones3, ones3, np.full((1, 8), 0.7))
+    # raw variable 0 and loading 1 give a diffusion loading q = 1 on the tail
+    weight = _tail_weight(grid, fam, 2, y=0.0, Q=1.0)
+    assert weight.shape == shape and np.all(weight != 0.0)
+    out = f_term(zeros, zeros, np.ones(shape), fam.scalar_values()[:, 2][:, None],
+                 np.ones(shape), weight)
     assert out.shape == shape
     assert np.all(out == 0.0)
 
@@ -111,19 +121,18 @@ def test_f_term_single_scenario_cancellation():
     contribute.
     """
     grid = TimeGrid(T=1.0, n_steps=8)
-    model = _gamma_control_model()
-    ens = simulate(model, constant_strict(PM1, 8, 0), _fam(1.0, 1.0, grid),
-                   grid, MARKS, 5, 2, 0.5)
+    fam = _fam(1.0, 1.0, grid)
     shape = (1, 5)
-    ones3 = np.ones((1, 5, 9))
-    s_tab = np.full((1, 8), 0.7)
-    # nonzero impulse, zero gamma response, zero diffusion loading
-    out = f_term(ens, 2, np.ones(shape), np.zeros(shape), np.ones(shape),
-                 np.zeros((1, 5, 8)), np.ones((1, 5, 8)), ones3, ones3, s_tab)
+    a0 = fam.scalar_values()[:, 2][:, None]
+    # zero diffusion loading: q = psi (Q - y sx) = 0
+    weight = _tail_weight(grid, fam, 2, y=0.0, Q=0.0)
+    assert np.all(weight == 0.0)
+    # nonzero impulse, zero gamma response
+    out = f_term(np.ones(shape), np.zeros(shape), np.ones(shape), a0, np.ones(shape), weight)
     assert np.all(out == 0.0)
     # gamma response alone reproduces the instantaneous term p * dgamma * a
-    out2 = f_term(ens, 2, np.zeros(shape), np.full(shape, 0.25), np.full(shape, 2.0),
-                  np.zeros((1, 5, 8)), np.ones((1, 5, 8)), ones3, ones3, s_tab)
+    out2 = f_term(np.zeros(shape), np.full(shape, 0.25), np.full(shape, 2.0), a0,
+                  np.ones(shape), weight)
     assert np.allclose(out2, 0.5)
 
 
@@ -228,6 +237,223 @@ def test_triple_shape_and_flag_validation():
 
 
 # ---------------------------------------------------------------------------
+# agreement with the per-(scenario, step) reference scheme
+# ---------------------------------------------------------------------------
+
+
+def _reference_flow(ens):
+    """Dense fundamental flow: every path gets (1 + f_x)^count at every step."""
+    model, grid, marks = ens.model, ens.grid, ens.marks
+    dt = grid.dt
+    S, P, K1 = ens.states.shape
+    w, actions = _weights_and_actions(ens.control)
+    a_tab = ens.family.scalar_values()
+    dB = ens.noise.scalar_dB()
+    phi = np.ones((S, P, K1))
+    psi = np.ones((S, P, K1))
+    for k in range(K1 - 1):
+        t = float(grid.times[k])
+        x = ens.states[:, :, k]
+        a_k = a_tab[:, k][:, None]
+        bx = _avg(model.b_x, t, x, w[k], actions)
+        sx = np.asarray(model.sigma_x(t, x)) + np.zeros_like(x)
+        gx = _avg(model.gamma_x, t, x, w[k], actions)
+        comp = np.zeros_like(x)
+        for i, th in enumerate(marks.marks):
+            if marks.intensities[i] > 0.0:
+                comp = comp + _avg(model.f_x, t, x, w[k], actions, theta=float(th)) * float(
+                    marks.intensities[i])
+        growth = 1.0 + bx * dt + gx * a_k * dt - comp * dt + sx * dB[:, :, k]
+        igrowth = 1.0 - bx * dt - gx * a_k * dt + comp * dt + sx * sx * a_k * dt - sx * dB[:, :, k]
+        mult = np.ones_like(x)
+        imult = np.ones_like(x)
+        for i, th in enumerate(marks.marks):
+            if ens.tagged_counts is None:
+                pairs = [(_avg(model.f_x, t, x, w[k], actions, theta=float(th)),
+                          ens.counts[:, k, i])]
+            else:
+                pairs = [(np.asarray(model.f_x(t, x, float(th), float(a))) + np.zeros_like(x),
+                          ens.tagged_counts[:, k, i, a_i]) for a_i, a in enumerate(actions)]
+            for fx, c in pairs:
+                if c.any():
+                    mult = mult * (1.0 + fx) ** c[None, :]
+                    imult = imult * (1.0 + fx) ** (-c)[None, :]
+        phi[:, :, k + 1] = phi[:, :, k] * growth * mult
+        psi[:, :, k + 1] = psi[:, :, k] * igrowth * imult
+    return phi, psi
+
+
+def _reference_adjoint(ens, degree=2):
+    """One lstsq plus one cond per (scenario, step), on full (S, P, K) arrays."""
+    model, grid, marks = ens.model, ens.grid, ens.marks
+    dt, K = grid.dt, grid.n_steps
+    S, P = ens.states.shape[:2]
+    m = marks.n_marks
+    phi, psi = _reference_flow(ens)
+    w, actions = _weights_and_actions(ens.control)
+    x = ens.states
+    sx = np.empty((S, P, K))
+    hx = np.empty((S, P, K))
+    fxb = np.empty((S, P, K, m))
+    for k in range(K):
+        t = float(grid.times[k])
+        sx[:, :, k] = np.asarray(model.sigma_x(t, x[:, :, k])) + np.zeros_like(x[:, :, k])
+        hx[:, :, k] = _avg(model.h_x, t, x[:, :, k], w[k], actions)
+        for i in range(m):
+            fxb[:, :, k, i] = _avg(model.f_x, t, x[:, :, k], w[k], actions,
+                                   theta=float(marks.marks[i]))
+    gx_term = np.asarray(model.g_x(x[:, :, K])) + np.zeros_like(x[:, :, K])
+    targets = np.empty((S, P, K + 1))
+    targets[:, :, K] = gx_term * phi[:, :, K]
+    past = np.zeros((S, P, K + 1))
+    for k in range(K - 1, -1, -1):
+        targets[:, :, k] = targets[:, :, k + 1] + hx[:, :, k] * phi[:, :, k] * dt
+    for k in range(K):
+        past[:, :, k + 1] = past[:, :, k] + hx[:, :, k] * phi[:, :, k] * dt
+
+    yhat = targets.copy()
+    cond_y = np.ones((S, K))
+    sq = np.zeros(S)
+    for s in range(S):
+        for k in range(K):
+            xs, ys = x[s, :, k], targets[s, :, k]
+            sd = float(xs.std())
+            if sd < 1e-12:
+                pred = np.full(P, float(ys.mean()))
+            else:
+                design = np.vander((xs - xs.mean()) / sd, degree + 1, increasing=True)
+                coef = np.linalg.lstsq(design, ys, rcond=None)[0]
+                pred = design @ coef
+                cond_y[s, k] = np.linalg.cond(design)
+            yhat[s, :, k] = pred
+            sq[s] += ((ys - pred) ** 2).sum()
+
+    mhat = yhat + past
+    dB = ens.noise.scalar_dB()
+    Q = np.zeros((S, K))
+    R = np.zeros((S, K, m))
+    c = np.zeros((S, K))
+    cond_inc = np.ones((S, K))
+    for s in range(S):
+        for k in range(K):
+            dn = ens.counts[:, k, :] - marks.intensities[None, :] * dt
+            keep_b = float(dB[s, :, k].std()) > 1e-12
+            keep_n = [i for i in range(m) if float(dn[:, i].std()) > 1e-12]
+            cols = ([dB[s, :, k]] if keep_b else []) + [dn[:, i] for i in keep_n]
+            design = np.column_stack(cols + [np.ones(P)])
+            coef = np.linalg.lstsq(design, mhat[s, :, k + 1] - mhat[s, :, k], rcond=None)[0]
+            Q[s, k] = coef[0] if keep_b else 0.0
+            R[s, k, keep_n] = coef[int(keep_b):-1]
+            c[s, k] = coef[-1]
+            cond_inc[s, k] = np.linalg.cond(design)
+
+    a_tab = ens.family.scalar_values()
+    lo = float(ens.family.bounds.sigma_low[0, 0])
+    hi = float(ens.family.bounds.sigma_high[0, 0])
+    S_t = np.zeros((S, K))
+    for s in range(S):
+        for k in range(K):
+            a = a_tab[s, k]
+            if hi - lo <= 1e-12 or c[s, k] >= 0.0:
+                continue
+            if a < hi - 1e-12:
+                S_t[s, k] = c[s, k] / ((a - hi) * dt)
+            elif a > lo + 1e-12:
+                S_t[s, k] = c[s, k] / ((a - lo) * dt)
+
+    p = yhat * psi
+    q = psi[:, :, :K] * (Q[:, None, :] - yhat[:, :, :K] * sx)
+    inv = 1.0 / (1.0 + fxb)
+    r = R[:, None, :, :] * psi[:, :, :K, None] * inv + p[:, :, :K, None] * (inv - 1.0)
+    p[:, :, K] = gx_term
+    return {"p": p, "q": q, "r": r, "Q": Q, "R": R, "S_t": S_t, "cond_y": cond_y,
+            "cond_increment": cond_inc, "y_residual": np.sqrt(sq / (K * P)),
+            "X": targets[:, :, 0], "intercept": c}
+
+
+def _assert_agrees(new, ref, name):
+    scale = float(np.max(np.abs(ref)))
+    np.testing.assert_allclose(new, ref, rtol=1e-10, atol=1e-10 * scale, err_msg=name)
+
+
+def _ensembles():
+    grid = TimeGrid(T=1.0, n_steps=24)
+    fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
+    acts = ActionGrid(np.array([-1.0, 0.0, 1.0]))
+    marks = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([2.0, 1.5]))
+    model = _lq(c2=0.3, f2=0.05, h2=0.1)
+    lone = dataclasses.replace(fam, scenarios=fam.scenarios[:1])
+    # sigma_low = 0: some scenarios have no Brownian increment on some steps
+    flat = build_scenario_family(VolatilityBounds(0.0, 4.0), grid, "corners", blocks=2)
+    return {
+        "strict": simulate(model, constant_strict(acts, 24, 2), fam, grid, marks, 300, 5, 1.0),
+        "relaxed": simulate(model, uniform_relaxed(acts, 24), fam, grid, marks, 300, 5, 1.0),
+        "lone-quiet": simulate(model, constant_strict(acts, 24, 0), lone, grid, QUIET,
+                               40, 8, 1.0),
+        "zero-vol": simulate(model, constant_strict(acts, 24, 1), flat, grid, marks,
+                             300, 6, 1.0),
+    }
+
+
+@pytest.mark.parametrize("case", ["strict", "relaxed", "lone-quiet", "zero-vol"])
+def test_stacked_regressions_agree_with_reference(case):
+    ens = _ensembles()[case]
+    ref = _reference_adjoint(ens)
+    triple, rep = solve_adjoint(ens)
+    for name in ("p", "q", "r"):
+        _assert_agrees(getattr(triple, name), ref[name], name)
+    for name in ("Q", "R", "S_t", "cond_y", "cond_increment", "y_residual", "X", "intercept"):
+        _assert_agrees(getattr(rep, name), ref[name], name)
+    if case == "lone-quiet":
+        # the never-firing mark is dropped at every step; its loading is exactly zero
+        assert np.all(rep.R == 0.0)
+    if case == "zero-vol":
+        # scenarios without a Brownian increment drop the dB column on those steps
+        assert np.any(rep.Q == 0.0) and np.any(rep.Q != 0.0)
+
+
+@pytest.mark.parametrize("case", ["strict", "relaxed", "lone-quiet"])
+def test_event_sparse_flow_matches_dense_reference_bitwise(case):
+    ens = _ensembles()[case]
+    phi, psi = _reference_flow(ens)
+    pair = solve_fundamental(ens)
+    assert np.array_equal(pair.phi, phi)
+    assert np.array_equal(pair.psi, psi)
+
+
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_jump_guard_raises_on_a_step_without_events(relaxed):
+    # f_x = f1 theta = -1 at the silent mark: 1 + f_x vanishes although nothing fires
+    grid = TimeGrid(T=1.0, n_steps=8)
+    silent = MarkSpace(marks=np.array([-1.0]), intensities=np.array([0.0]))
+    model = _lq(f1=1.0)
+    control = uniform_relaxed(PM1, 8) if relaxed else constant_strict(PM1, 8, 0)
+    ens = simulate(model, control, _fam(1.0, 4.0, grid), grid, silent, 20, 3, 0.5)
+    assert ens.drivers.n_events == 0
+    with pytest.raises(ValueError, match="nearly singular at step 0, mark 0"):
+        solve_fundamental(ens)
+
+
+def test_table_health_reports_the_regressions():
+    grid = TimeGrid(T=1.0, n_steps=32)
+    model = _gamma_control_model()
+    fam = _fam(1.0, 4.0, grid)
+    u = constant_strict(PM1, 32, 0)
+    rep = mp_check_strict(model, u, fam, grid, QUIET, 200, 11, 2.5, n_blocks=2)
+    _, bsde = solve_adjoint(simulate(model, u, fam, grid, QUIET, 200, 11, 2.5))
+    health = rep.health
+    assert health["cond_y_max"] == float(bsde.cond_y.max())
+    assert health["cond_y_median"] == float(np.median(bsde.cond_y))
+    assert health["cond_increment_max"] == float(bsde.cond_increment.max())
+    assert health["cond_increment_median"] == float(np.median(bsde.cond_increment))
+    assert health["y_residual_max"] == float(bsde.y_residual.max())
+    assert health["clamped_intercepts"] == int(np.count_nonzero(bsde.intercept > 0.0))
+    # the silent mark's column is dropped at every (scenario, step)
+    assert health["dropped_columns"] == fam.n_scenarios * 32
+    assert health["cond_y_max"] >= health["cond_y_median"] >= 1.0
+
+
+# ---------------------------------------------------------------------------
 # stationarity tables
 # ---------------------------------------------------------------------------
 
@@ -318,6 +544,23 @@ def test_near_check_zero_epsilon_matches_strict():
     assert near.mp.extra_slack == 0.0
     assert near.C_min == 0.0
     assert near.n_candidates == 0
+
+
+def test_near_table_equals_a_resimulated_table():
+    # the table rides u_n's row of the strict cost batch; simulating the
+    # Dirac embedding afresh on the same seed gives the same entries
+    grid = TimeGrid(T=1.0, n_steps=32)
+    model = _gamma_control_model()
+    marks = MarkSpace(marks=np.array([-0.5, 0.6]), intensities=np.array([0.8, 0.4]))
+    fam = _fam(1.0, 4.0, grid)
+    u = constant_strict(PM1, 32, 1)
+    near = mp_check_near(model, u, [constant_strict(PM1, 32, 0)], 1.0, fam, grid, marks,
+                         300, 21, 2.5, n_blocks=4)
+    assert near.mp.extra_slack > 0.0
+    fresh = mp_check_relaxed(model, embed_strict(u), fam, grid, marks, 300, 21, 2.5,
+                             n_blocks=4, extra_slack=near.mp.extra_slack)
+    assert near.mp.entries == fresh.entries
+    assert near.mp.health == fresh.health
 
 
 def test_near_check_allowance_rescues_chattering():

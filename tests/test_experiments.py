@@ -294,6 +294,17 @@ _PRECONDITION_PROBES = [
     (_lq(kind="variational", options={**_VARIATIONAL, "t0": 1.0}),
      "$.options.t0: 1.0 leaves no step before T = 1.0",
      _lq(kind="variational", options={**_VARIATIONAL, "t0": 0.9375, "h_list": [0.0625]})),
+    (_lq(scenarios={"strategy": "random", "count": 2}),
+     "$.scenarios: 'seed' is a required property when strategy is 'random'",
+     _lq(scenarios={"strategy": "random", "count": 2, "seed": 3})),
+    (_lq(marks={"values": [-0.4, 0.6], "intensities": [1e300, 0.3]}),
+     "$.marks.intensities: total intensity times T is 1e+300,"
+     " above the largest Poisson mean 9.223372006484771e+18",
+     _lq(marks={"values": [-0.4, 0.6], "intensities": [3.0, 0.3]})),
+    (_base_doc(model={"name": "linear_jump_lq", "params": {"b_1": 0.2}}),
+     "$.model.params.b_1: not a parameter of model 'linear_jump_lq' (known: ['b1', 'b2',"
+     " 'c1', 'c2', 'f1', 'f2', 'gq', 'h1', 'h2', 's0', 's1'])",
+     _base_doc(model={"name": "linear_jump_lq", "params": {"b1": 0.2}})),
 ]
 
 

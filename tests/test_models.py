@@ -5,6 +5,9 @@ moment solver in `gcontrol.models` and cross-checked against plain Monte
 Carlo at 10^4 paths before being pinned.
 """
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,14 @@ LQ_PARAMS = {
     "h1": 0.5, "h2": 0.5, "gq": 0.5,
 }
 MARKS = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([0.7, 0.3]))
+
+
+def test_import_leaves_scipy_unloaded():
+    # only the continuous-time oracle needs scipy, and it imports it itself
+    code = "import sys, gcontrol; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_registry_contents():
