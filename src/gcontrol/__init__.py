@@ -54,7 +54,6 @@ from .scenarios import (
     TimeGrid,
     UpperMean,
     VolatilityBounds,
-    VolatilityScenario,
     build_scenario_family,
     generator_G,
     upper_expectation,
@@ -93,7 +92,6 @@ __all__ = [
     "TimeGrid",
     "UpperMean",
     "VolatilityBounds",
-    "VolatilityScenario",
     "bsde_stability_report",
     "build_experiment",
     "build_model",

@@ -49,7 +49,7 @@ from .costs import batch_costs
 from .jumps import MarkSpace, sample_drivers
 from .models import ModelSpec, ensure_validated
 from .rng import PROBES, substream
-from .scenarios import ScenarioFamily, TimeGrid, upper_expectation
+from .scenarios import ScenarioFamily, TimeGrid, generator_G, upper_expectation
 from .sde import StateEnsemble, ensemble_from_batch, simulate, simulate_batch, simulate_with
 from .variational import _avg, _weights_and_actions, solve_fundamental
 
@@ -232,16 +232,13 @@ def tail_weights(
 
         sum_{k >= k0} phi_k (q_k sx_k a_k + S_k a_k - 2 G(S_k)) dt
 
-    with ``q_k = psi_k (Q_k - y_k sx_k)`` and the closed-form scalar
-    generator ``G(S) = max(lo S, hi S) / 2``. One backward pass serves
+    with ``q_k = psi_k (Q_k - y_k sx_k)`` and ``G`` the scalar generator
+    :func:`~gcontrol.scenarios.generator_G`. One backward pass serves
     every start. ``phi``, ``psi`` and ``y`` are time-major (K+1, S, P),
     ``sx`` is (K, S, P), ``Q``, ``a_tab`` and ``s_table`` are (S, K).
     Returns shape (len(starts), S, P).
     """
-    lo = float(bounds.sigma_low[0, 0])
-    hi = float(bounds.sigma_high[0, 0])
-    # S a - 2 G(S), with 2 G(S) = max(lo S, hi S)
-    s_net = s_table * a_tab - np.maximum(lo * s_table, hi * s_table)
+    s_net = s_table * a_tab - 2.0 * generator_G(s_table, bounds)
     out = np.empty((len(starts),) + phi.shape[1:])
     acc = np.zeros(phi.shape[1:])
     slot = {int(k0): j for j, k0 in enumerate(starts)}
@@ -414,7 +411,7 @@ def _adjoint_core(
     phi = np.moveaxis(pair.phi, -1, 0)
     psi = np.moveaxis(pair.psi, -1, 0)
     x = np.ascontiguousarray(np.moveaxis(ensemble.states, -1, 0))
-    dB = np.moveaxis(ensemble.noise.scalar_dB(), -1, 0)
+    dB = ensemble.drivers.dB
     times = grid.times
 
     def running(k):
@@ -462,9 +459,9 @@ def _adjoint_core(
         m_prev = m_k
     y_residual = np.sqrt(sq_resid / (n_steps * n_paths))
 
-    a_tab = ensemble.family.scalar_values()
-    lo = float(ensemble.family.bounds.sigma_low[0, 0])
-    hi = float(ensemble.family.bounds.sigma_high[0, 0])
+    a_tab = ensemble.family.values
+    lo = ensemble.family.bounds.sigma_low
+    hi = ensemble.family.bounds.sigma_high
     s_table = _invert_step_drift(intercept, a_tab, lo, hi, dt)
     clamped = int(np.count_nonzero(intercept > 0.0)) if hi - lo > 1e-12 else 0
 
@@ -552,8 +549,8 @@ def bsde_residual(ensemble: StateEnsemble, triple: AdjointTriple) -> np.ndarray:
     n_steps = grid.n_steps
     n_scen, n_paths = ensemble.states.shape[:2]
     w, actions = _weights_and_actions(ensemble.control)
-    a_tab = ensemble.family.scalar_values()
-    dB = ensemble.noise.scalar_dB()
+    a_tab = ensemble.family.values
+    dB = ensemble.drivers.dB
     counts = ensemble.counts
     nus = marks.intensities
 
@@ -574,7 +571,7 @@ def bsde_residual(ensemble: StateEnsemble, triple: AdjointTriple) -> np.ndarray:
             triple.p[:, :, k + 1]
             - triple.p[:, :, k]
             + drv * dt
-            - triple.q[:, :, k] * dB[:, :, k]
+            - triple.q[:, :, k] * dB[k]
         )
         for i in range(marks.n_marks):
             dn_i = counts[:, k, i] - float(nus[i]) * dt
@@ -658,7 +655,7 @@ def mp_check_relaxed(
     core = _adjoint_core(ens, basis_degree)
 
     w, actions = _weights_and_actions(mu)
-    a_tab = family.scalar_values()
+    a_tab = family.values
     nus = marks.intensities
     n_scen = a_tab.shape[0]
     block_len = n_steps // n_blocks
@@ -979,8 +976,8 @@ def driver_lipschitz_audit(
         raise ValueError(f"n_probes must be positive, got {n_probes}")
     lo_x, hi_x = model.bounds["state_box"]
     lo_a, hi_a = model.bounds["action_box"]
-    pi_lo = float(family.bounds.sigma_low[0, 0])
-    pi_hi = float(family.bounds.sigma_high[0, 0])
+    pi_lo = family.bounds.sigma_low
+    pi_hi = family.bounds.sigma_high
     c0 = max(
         model.bounds["b_x"] + pi_hi * model.bounds["gamma_x"],
         pi_hi * model.bounds["sigma_x"],

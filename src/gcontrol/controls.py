@@ -11,7 +11,6 @@ matches the averaged weights up to one grid step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -183,33 +182,6 @@ def ekeland_distance(u: StrictControl, v: StrictControl, grid: TimeGrid) -> floa
     if u.n_steps != v.n_steps or u.n_steps != grid.n_steps:
         raise ValueError("controls must share the grid")
     return float(grid.dt * np.count_nonzero(u.values != v.values))
-
-
-def stable_convergence_gap(
-    mu: RelaxedControl,
-    u: StrictControl,
-    test_functions: Sequence[Callable[[float, float], float]],
-    grid: TimeGrid,
-) -> float:
-    """Largest paired-integral gap over the test functions.
-
-    Both integrals are left-endpoint quadratures on the grid: the relaxed
-    side weighs phi(t_k, a) by the step's weights, the strict side plugs
-    in the chosen action.
-    """
-    if mu.n_steps != grid.n_steps or u.n_steps != grid.n_steps:
-        raise ValueError("controls must live on the grid")
-    if not np.array_equal(mu.grid.actions, u.grid.actions):
-        raise ValueError("controls must share the action grid")
-    times = grid.times[:-1]
-    actions = mu.grid.actions
-    worst = 0.0
-    for phi in test_functions:
-        vals = np.array([[float(phi(t, a)) for a in actions] for t in times])
-        relaxed = float((mu.weights * vals).sum() * grid.dt)
-        strict = float(vals[np.arange(grid.n_steps), u.indices].sum() * grid.dt)
-        worst = max(worst, abs(relaxed - strict))
-    return worst
 
 
 def uniform_relaxed(grid_actions: ActionGrid, n_steps: int) -> RelaxedControl:

@@ -9,7 +9,6 @@ path by path rather than being differences of independent estimates.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,20 +210,6 @@ class ChatteringReport:
     j_relaxed: float
     j_relaxed_stderr: float
     min_chattering_j: float
-
-    def summary(self) -> str:
-        out = io.StringIO()
-        out.write(f"relaxed cost {self.j_relaxed:.6g} (se {self.j_relaxed_stderr:.2g})\n")
-        for n, msq, gap, gap_se in self.rows:
-            out.write(
-                f"  n={n:<5d} msq_gap={msq:.6g}  cost_gap={gap:.6g} (se {gap_se:.2g})\n"
-            )
-        out.write(
-            f"msq non-increasing: {self.msq_nonincreasing}; "
-            f"cost gap non-increasing: {self.cost_nonincreasing}; "
-            f"fitted C (gap ~ C/n): {self.fitted_C:.6g}\n"
-        )
-        return out.getvalue()
 
 
 def chattering_report(

@@ -178,11 +178,13 @@ def _check_control(spec, path, n_steps, n_actions, out, *, allow_bruteforce):
 
 
 def _option_violations(doc: Mapping) -> list[str]:
+    """Check the options a run would use: the kind's defaults overlaid by the document's."""
     out: list[str] = []
     kind = doc["kind"]
-    opts = doc.get("options", {})
+    given = doc.get("options", {})
+    opts = {**_OPTION_DEFAULTS[kind], **given}
     allowed = _ALLOWED_OPTIONS[kind]
-    for key in sorted(opts):
+    for key in sorted(given):
         if key not in allowed:
             out.append(
                 f"$.options.{key}: not an option of kind {kind!r}"
@@ -221,21 +223,22 @@ def _option_violations(doc: Mapping) -> list[str]:
 
     n_steps = doc["grid"]["n_steps"]
 
-    def _divides(n, where):
+    def _divides(n, key, where):
         if isinstance(n, int) and not isinstance(n, bool) and n >= 1 and n_steps % n:
-            out.append(f"$.options.{where}: {n} blocks do not divide n_steps {n_steps}")
+            default = "" if key in given else "the default "
+            out.append(f"$.options.{where}: {default}{n} blocks do not divide n_steps {n_steps}")
 
     if kind in ("chattering", "bsde-stability"):
         _int_list("n_list")
         v = opts.get("n_list")
         if isinstance(v, list):
             for j, n in enumerate(v):
-                _divides(n, f"n_list[{j}]")
+                _divides(n, "n_list", f"n_list[{j}]")
     if kind in ("mp-strict", "mp-relaxed", "mp-near", "bsde-stability"):
         _int("basis_degree")
     if kind in ("mp-strict", "mp-relaxed", "mp-near"):
         _int("n_blocks")
-        _divides(opts.get("n_blocks"), "n_blocks")
+        _divides(opts.get("n_blocks"), "n_blocks", "n_blocks")
         _num("slack_mult", minimum=0.0)
     if kind == "mp-near":
         _num("C", minimum=0.0)

@@ -23,7 +23,7 @@ import numpy as np
 from . import rng
 from . import scenarios as scen_mod
 from .controls import RelaxedControl
-from .scenarios import NoiseBundle, ScenarioFamily, TimeGrid
+from .scenarios import ScenarioFamily, TimeGrid
 
 
 @dataclass(frozen=True)
@@ -90,15 +90,16 @@ def _index_from_uniform(u: np.ndarray, cum_weights: np.ndarray) -> np.ndarray:
 class Drivers:
     """The randomness of one (family, grid, marks, n_paths, seed).
 
-    ``noise`` holds the Brownian increments of every scenario. Jump
-    events are flat arrays sorted by (path, time): ``path``, ``times``,
-    ``mark_idx`` and ``step`` (the grid step holding the event), plus one
-    TAGS-substream uniform ``tag_u`` per event that :meth:`tags` maps to
-    a relaxed control's action tags. ``counts`` holds the events per
-    (path, step, mark).
+    ``dB`` holds the Brownian increments of every scenario, time-major
+    (n_steps, n_scenarios, n_paths). Jump events are flat arrays sorted
+    by (path, time): ``path``, ``times``, ``mark_idx`` and ``step`` (the
+    grid step holding the event), plus one TAGS-substream uniform
+    ``tag_u`` per event that :meth:`tags` maps to a relaxed control's
+    action tags. ``counts`` holds the events per (path, step, mark).
     """
 
-    noise: NoiseBundle
+    seed: int
+    dB: np.ndarray
     path: np.ndarray
     times: np.ndarray
     mark_idx: np.ndarray
@@ -107,12 +108,8 @@ class Drivers:
     counts: np.ndarray
 
     @property
-    def seed(self) -> int:
-        return self.noise.seed
-
-    @property
     def n_paths(self) -> int:
-        return self.noise.n_paths
+        return self.dB.shape[2]
 
     @property
     def n_events(self) -> int:
@@ -142,7 +139,7 @@ def sample_drivers(
     the jump substream, so the events depend only on (marks, T, n_paths,
     seed); in particular they are unchanged under grid refinement.
     """
-    noise = scen_mod.sample_brownian(family, grid, n_paths, seed)
+    dB = scen_mod.sample_brownian(family, grid, n_paths, seed)
     gen = rng.substream(seed, rng.JUMPS)
     nu_bar = marks.total_intensity
     if not nu_bar * grid.T <= POISSON_MEAN_MAX:
@@ -172,4 +169,4 @@ def sample_drivers(
     np.add.at(counts, (path, step, mark_idx), 1)
     for arr in (path, times, mark_idx, step, tag_u, counts):
         arr.setflags(write=False)
-    return Drivers(noise, path, times, mark_idx, step, tag_u, counts)
+    return Drivers(int(seed), dB, path, times, mark_idx, step, tag_u, counts)

@@ -1,11 +1,13 @@
 """Coefficient bundles and the built-in model registry.
 
 A model packs the scalar-state dynamics coefficients b, sigma, gamma and
-f, the costs h and g, their first derivatives, and bound declarations
-used by validation and audits. Every evaluator is vectorized over the
-state argument. The registry models carry closed-form reference
-quantities (moment recursions) that the tests and the acceptance suite
-compare against.
+f, the costs h and g, their first derivatives in the state, and bound
+declarations used by validation and audits. The state, the noise and the
+action are all one-dimensional, and controls range over a finite action
+grid, so no derivative in the action is needed. Every evaluator is
+vectorized over the state argument. The registry models carry
+closed-form reference quantities (moment recursions) that the tests and
+the acceptance suite compare against.
 
 Dynamics convention, per scenario with volatility rate a_t:
 
@@ -33,7 +35,7 @@ Coeff = Callable[..., Any]
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """Scalar-state coefficient bundle with first derivatives and bounds.
+    """Scalar-state coefficient bundle with first state derivatives and bounds.
 
     ``bounds`` declares probe boxes (state_box, action_box, theta_box)
     plus sup bounds for b_x, gamma_x, sigma_x and f over those boxes;
@@ -53,15 +55,8 @@ class ModelSpec:
     f_x: Coeff
     h_x: Coeff
     g_x: Coeff
-    b_u: Coeff
-    gamma_u: Coeff
-    f_u: Coeff
-    h_u: Coeff
     bounds: Mapping[str, Any]
     params: Mapping[str, float] = field(default_factory=dict)
-    state_dim: int = 1
-    noise_dim: int = 1
-    action_dim: int = 1
 
 
 _VALIDATED: "weakref.WeakSet[ModelSpec]" = weakref.WeakSet()
@@ -92,33 +87,23 @@ def check_derivatives(model: ModelSpec, seed: int = 0, n_probes: int = 32) -> li
         return (float(fun(*up)) - float(fun(*dn))) / (2 * eps)
 
     checks = [
-        ("b_x", model.b, model.b_x, "x"),
-        ("sigma_x", lambda t, x, a: model.sigma(t, x), lambda t, x, a: model.sigma_x(t, x), "x"),
-        ("gamma_x", model.gamma, model.gamma_x, "x"),
-        ("h_x", model.h, model.h_x, "x"),
-        ("b_u", model.b, model.b_u, "a"),
-        ("gamma_u", model.gamma, model.gamma_u, "a"),
-        ("h_u", model.h, model.h_u, "a"),
+        ("b_x", model.b, model.b_x),
+        ("sigma_x", lambda t, x, a: model.sigma(t, x), lambda t, x, a: model.sigma_x(t, x)),
+        ("gamma_x", model.gamma, model.gamma_x),
+        ("h_x", model.h, model.h_x),
     ]
     violations = []
     for j in range(n_probes):
         t, x, a, th = float(t_pts[j]), float(x_pts[j]), float(a_pts[j]), float(th_pts[j])
-        for name, fun, dfun, wrt in checks:
-            at = (t, x, a)
-            idx = 1 if wrt == "x" else 2
-            approx = fd(fun, at, idx)
+        for name, fun, dfun in checks:
+            approx = fd(fun, (t, x, a), 1)
             exact = float(dfun(t, x, a))
             if abs(approx - exact) > max(1e-4, 1e-2 * abs(exact)):
                 violations.append(f"{name} mismatch at (t={t:.3g}, x={x:.3g}, a={a:.3g}): fd {approx:.6g} vs {exact:.6g}")
-        for name, fun, dfun, idx in (
-            ("f_x", model.f, model.f_x, 1),
-            ("f_u", model.f, model.f_u, 3),
-        ):
-            at = (t, x, th, a)
-            approx = fd(fun, at, idx)
-            exact = float(dfun(t, x, th, a))
-            if abs(approx - exact) > max(1e-4, 1e-2 * abs(exact)):
-                violations.append(f"{name} mismatch at (t={t:.3g}, x={x:.3g}, theta={th:.3g}, a={a:.3g}): fd {approx:.6g} vs {exact:.6g}")
+        approx = fd(model.f, (t, x, th, a), 1)
+        exact = float(model.f_x(t, x, th, a))
+        if abs(approx - exact) > max(1e-4, 1e-2 * abs(exact)):
+            violations.append(f"f_x mismatch at (t={t:.3g}, x={x:.3g}, theta={th:.3g}, a={a:.3g}): fd {approx:.6g} vs {exact:.6g}")
         eps = 1e-6 * max(1.0, abs(x))
         approx = (float(model.g(x + eps)) - float(model.g(x - eps))) / (2 * eps)
         exact = float(model.g_x(x))
@@ -175,10 +160,6 @@ def make_zero(params: Mapping[str, Any] | None = None) -> ModelSpec:
         f_x=zero4,
         h_x=zero3,
         g_x=lambda x: 1.0 + 0.0 * x,
-        b_u=zero3,
-        gamma_u=zero3,
-        f_u=zero4,
-        h_u=zero3,
         bounds=bounds,
         params=params,
     )
@@ -210,10 +191,6 @@ def make_constant_drift(params: Mapping[str, Any] | None = None) -> ModelSpec:
         f_x=zero4,
         h_x=zero3,
         g_x=lambda x: 1.0 + 0.0 * x,
-        b_u=zero3,
-        gamma_u=zero3,
-        f_u=zero4,
-        h_u=zero3,
         bounds=bounds,
         params=params,
     )
@@ -277,10 +254,6 @@ def make_linear_jump_lq(params: Mapping[str, Any] | None = None) -> ModelSpec:
         f_x=lambda t, x, th, a: f1 * th + 0.0 * x,
         h_x=lambda t, x, a: 2.0 * h1 * x,
         g_x=lambda x: 2.0 * gq * x,
-        b_u=lambda t, x, a: b2 + 0.0 * x,
-        gamma_u=lambda t, x, a: c2 + 0.0 * x,
-        f_u=lambda t, x, th, a: f2 * th + 0.0 * x,
-        h_u=lambda t, x, a: 2.0 * h2 * a + 0.0 * x,
         bounds=bounds,
         params=p,
     )
@@ -315,10 +288,6 @@ def make_bilinear(params: Mapping[str, Any] | None = None) -> ModelSpec:
         f_x=zero4,
         h_x=lambda t, x, a: 0.0 * x,
         g_x=lambda x: gl + 0.0 * x,
-        b_u=lambda t, x, a: th1 * x,
-        gamma_u=lambda t, x, a: 0.0 * x,
-        f_u=zero4,
-        h_u=lambda t, x, a: 0.0 * x,
         bounds=bounds,
         params=p,
     )

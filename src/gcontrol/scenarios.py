@@ -1,58 +1,26 @@
 """Volatility-scenario families and the sublinear expectation they induce.
 
-The ambiguity set is a finite family of deterministic piecewise-constant
-volatility paths ``a_t`` squeezed between two matrix bounds in the
-positive-semidefinite order. Under a fixed scenario the driving noise is
-a classical Brownian motion whose step-``k`` increment has covariance
-``a_k * dt``; the upper expectation of a payoff is the maximum of its
-per-scenario means. Noise is generated once per seed and shared across
-scenarios (common random numbers), so scenario comparisons difference
-out the Monte Carlo noise.
+The driving noise is one-dimensional. The ambiguity set is a finite
+family of deterministic piecewise-constant volatility paths ``a_t``
+between two scalar bounds, held as one ``(n_scenarios, n_steps)`` array.
+Under a fixed scenario the driving noise is a classical Brownian motion
+whose step-``k`` increment has variance ``a_k * dt``; the upper
+expectation of a payoff is the maximum of its per-scenario means. Noise
+is generated once per seed and shared across scenarios (common random
+numbers), so scenario comparisons difference out the Monte Carlo noise.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import rng
 
-_SYM_TOL = 1e-12
 _ORDER_TOL = 1e-10
-
-
-def _as_matrix(value) -> np.ndarray:
-    """Coerce a scalar or array-like to a square float matrix."""
-    arr = np.atleast_2d(np.asarray(value, dtype=float))
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    return arr
-
-
-def _check_symmetric(mat: np.ndarray, name: str, tol: float = _SYM_TOL) -> None:
-    if not np.all(np.abs(mat - mat.T) <= tol):
-        raise ValueError(f"{name} is not symmetric within {tol}")
-
-
-def _min_eig(mat: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(mat).min())
-
-
-def psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a positive-semidefinite matrix.
-
-    Eigenvalues in ``[-1e-12, 0)`` are treated as rounding noise and
-    clamped to zero; anything more negative is an error.
-    """
-    mat = _as_matrix(mat)
-    w, v = np.linalg.eigh(mat)
-    if np.any(w < -1e-12):
-        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {w.min()}")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.T
 
 
 # ---------------------------------------------------------------------------
@@ -87,165 +55,76 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class VolatilityBounds:
-    """Matrix interval [sigma_low, sigma_high] for the step volatility."""
+    """Interval [sigma_low, sigma_high] for the step volatility rate."""
 
-    sigma_low: np.ndarray
-    sigma_high: np.ndarray
+    sigma_low: float
+    sigma_high: float
 
     def __post_init__(self):
-        low = _as_matrix(self.sigma_low)
-        high = _as_matrix(self.sigma_high)
-        if low.shape != high.shape:
-            raise ValueError("sigma_low and sigma_high must have the same shape")
-        _check_symmetric(low, "sigma_low")
-        _check_symmetric(high, "sigma_high")
-        if _min_eig(low) < -_ORDER_TOL:
-            raise ValueError("sigma_low must be positive semidefinite")
-        if _min_eig(high) <= 0:
-            raise ValueError("sigma_high must be positive definite")
-        if _min_eig(high - low) < -_ORDER_TOL:
-            raise ValueError("sigma_high - sigma_low must be positive semidefinite")
-        low.setflags(write=False)
-        high.setflags(write=False)
+        low = float(self.sigma_low)
+        high = float(self.sigma_high)
+        if not low >= -_ORDER_TOL:
+            raise ValueError(f"sigma_low must be nonnegative, got {low}")
+        if not high > 0:
+            raise ValueError(f"sigma_high must be positive, got {high}")
+        if not high - low >= -_ORDER_TOL:
+            raise ValueError(f"sigma_high {high} is below sigma_low {low}")
         object.__setattr__(self, "sigma_low", low)
         object.__setattr__(self, "sigma_high", high)
 
     @property
     def dim(self) -> int:
-        return self.sigma_low.shape[0]
+        """Dimension of the driving noise; the model is scalar."""
+        return 1
 
     @property
     def ellipticity_beta(self) -> float:
-        """Half the smallest eigenvalue of the lower bound."""
-        return max(0.0, _min_eig(self.sigma_low)) / 2.0
-
-
-@dataclass(frozen=True)
-class VolatilityScenario:
-    """One deterministic piecewise-constant volatility path.
-
-    ``values`` has shape (n_steps, d, d); each slice is the covariance
-    rate ``a_k`` in force on step ``k``.
-    """
-
-    id: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None, None]
-        if vals.ndim != 3 or vals.shape[1] != vals.shape[2]:
-            raise ValueError(f"scenario values must have shape (n_steps, d, d), got {vals.shape}")
-        if not np.all(np.abs(vals - np.swapaxes(vals, 1, 2)) <= _SYM_TOL):
-            raise ValueError("scenario values must be symmetric at every step")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "id", int(self.id))
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-
-def scenario_within_bounds(scenario: VolatilityScenario, bounds: VolatilityBounds) -> bool:
-    """True when sigma_low <= a_k <= sigma_high in the matrix order at every step."""
-    lo = scenario.values - bounds.sigma_low[None]
-    hi = bounds.sigma_high[None] - scenario.values
-    eig_lo = np.linalg.eigvalsh(lo).min()
-    eig_hi = np.linalg.eigvalsh(hi).min()
-    return bool(eig_lo >= -_ORDER_TOL and eig_hi >= -_ORDER_TOL)
+        """Half the lower bound."""
+        return max(0.0, self.sigma_low) / 2.0
 
 
 @dataclass(frozen=True)
 class ScenarioFamily:
-    """Finite, ordered stand-in for the ambiguity set of laws."""
+    """Finite, ordered stand-in for the ambiguity set of laws.
 
-    bounds: VolatilityBounds
-    scenarios: tuple[VolatilityScenario, ...]
-
-    def __post_init__(self):
-        scen = tuple(self.scenarios)
-        if not scen:
-            raise ValueError("scenario family must be nonempty")
-        ids = [s.id for s in scen]
-        if ids != list(range(len(scen))):
-            raise ValueError(f"scenario ids must be dense 0..m-1 in order, got {ids}")
-        steps = {s.n_steps for s in scen}
-        if len(steps) != 1:
-            raise ValueError("all scenarios must live on the same grid")
-        for s in scen:
-            if not scenario_within_bounds(s, self.bounds):
-                raise ValueError(f"scenario {s.id} leaves the volatility bounds")
-        object.__setattr__(self, "scenarios", scen)
-
-    @property
-    def n_scenarios(self) -> int:
-        return len(self.scenarios)
-
-    @property
-    def n_steps(self) -> int:
-        return self.scenarios[0].n_steps
-
-    @property
-    def dim(self) -> int:
-        return self.bounds.dim
-
-    def values_array(self) -> np.ndarray:
-        """Stack of scenario values, shape (m, n_steps, d, d)."""
-        return np.stack([s.values for s in self.scenarios])
-
-    def scalar_values(self) -> np.ndarray:
-        """Scenario values as scalars, shape (m, n_steps). Requires d = 1."""
-        if self.dim != 1:
-            raise ValueError("scalar_values requires a one-dimensional noise")
-        return self.values_array()[:, :, 0, 0]
-
-
-@dataclass(frozen=True)
-class NoiseBundle:
-    """Brownian increments per (scenario, path, step) plus the raw draws.
-
-    ``xi`` holds the standard-normal draws shared by every scenario;
-    ``dB[s, p, k] = sqrt(a_k^(s)) @ xi[p, k] * sqrt(dt)``.
+    ``values[s, k]`` is the volatility rate ``a_k`` of scenario ``s`` on
+    step ``k``; every entry lies within the bounds.
     """
 
-    seed: int
-    xi: np.ndarray
-    dB: np.ndarray
+    bounds: VolatilityBounds
+    values: np.ndarray
+
+    def __post_init__(self):
+        vals = np.array(self.values, dtype=float)
+        if vals.ndim != 2 or vals.shape[1] < 1:
+            raise ValueError(f"scenario values must have shape (m, n_steps), got {vals.shape}")
+        if vals.shape[0] == 0:
+            raise ValueError("scenario family must be nonempty")
+        inside = ((vals - self.bounds.sigma_low >= -_ORDER_TOL)
+                  & (self.bounds.sigma_high - vals >= -_ORDER_TOL))
+        outside = np.flatnonzero(~inside.all(axis=1))
+        if outside.size:
+            raise ValueError(f"scenario {outside[0]} leaves the volatility bounds")
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
 
     @property
     def n_scenarios(self) -> int:
-        return self.dB.shape[0]
-
-    @property
-    def n_paths(self) -> int:
-        return self.dB.shape[1]
+        return self.values.shape[0]
 
     @property
     def n_steps(self) -> int:
-        return self.dB.shape[2]
+        return self.values.shape[1]
 
-    def scalar_dB(self) -> np.ndarray:
-        """Increments as scalars, shape (m, n_paths, n_steps). Requires d = 1."""
-        if self.dB.shape[-1] != 1:
-            raise ValueError("scalar_dB requires a one-dimensional noise")
-        return self.dB[..., 0]
+    def scalar_values(self) -> np.ndarray:
+        """Scenario values, shape (m, n_steps)."""
+        return self.values
 
 
 class UpperMean(NamedTuple):
     value: float
     scenario_id: int
     stderr: float
-
-
-class QVPath(NamedTuple):
-    increments: np.ndarray  # (n_steps, d, d)
-    cumulative: np.ndarray  # (n_steps + 1, d, d)
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +146,18 @@ def build_scenario_family(
     ``corners`` enumerates every piecewise-constant path taking the value
     sigma_low or sigma_high on each of ``blocks`` coarse blocks (duplicates
     collapse, so a degenerate interval yields a single scenario).
-    ``random`` draws ``count`` paths uniformly on the order interval.
+    ``random`` draws ``count`` paths uniformly on the interval.
     """
     K = grid.n_steps
-    paths: list[np.ndarray] = []
     if strategy == "corners":
         if blocks < 1:
             raise ValueError("corner strategy needs at least one block")
         chunks = np.array_split(np.arange(K), min(blocks, K))
         corners = (bounds.sigma_low, bounds.sigma_high)
+        paths: list[np.ndarray] = []
         seen = set()
         for combo in itertools.product(range(2), repeat=len(chunks)):
-            vals = np.empty((K, bounds.dim, bounds.dim))
+            vals = np.empty(K)
             for chunk, which in zip(chunks, combo):
                 vals[chunk] = corners[which]
             key = vals.tobytes()
@@ -286,24 +165,20 @@ def build_scenario_family(
                 continue
             seen.add(key)
             paths.append(vals)
+        values = np.stack(paths)
     elif strategy == "random":
         if count is None or count < 1:
             raise ValueError("random strategy needs count >= 1")
         if seed is None:
             raise ValueError("random strategy needs a seed")
-        gen = rng.substream(seed, rng.SCENARIOS)
-        u = gen.uniform(size=(count, K))
-        span = bounds.sigma_high - bounds.sigma_low
-        for i in range(count):
-            vals = bounds.sigma_low[None] + u[i][:, None, None] * span[None]
-            paths.append(vals)
+        u = rng.substream(seed, rng.SCENARIOS).uniform(size=(count, K))
+        values = bounds.sigma_low + u * (bounds.sigma_high - bounds.sigma_low)
     else:
         raise ValueError(f"unknown scenario strategy {strategy!r}")
-    scenarios = tuple(VolatilityScenario(i, v) for i, v in enumerate(paths))
-    return ScenarioFamily(bounds=bounds, scenarios=scenarios)
+    return ScenarioFamily(bounds=bounds, values=values)
 
 
-def sample_brownian(family: ScenarioFamily, grid: TimeGrid, n_paths: int, seed: int) -> NoiseBundle:
+def sample_brownian(family: ScenarioFamily, grid: TimeGrid, n_paths: int, seed: int) -> np.ndarray:
     """Sample Brownian increments for every scenario under common random numbers.
 
     Parameters
@@ -314,39 +189,26 @@ def sample_brownian(family: ScenarioFamily, grid: TimeGrid, n_paths: int, seed: 
         Number of Monte Carlo paths; the standard-normal draws ``xi`` are
         generated once and reused by every scenario.
     seed
-        Substream seed; identical seeds give bit-identical bundles.
+        Substream seed; identical seeds give bit-identical increments.
 
     Returns
     -------
-    NoiseBundle
-        ``dB[s, p, k] = sqrt(a_k^(s)) xi[p, k] sqrt(dt)`` so that the
-        step covariance under scenario ``s`` is ``a_k dt``.
+    np.ndarray
+        Read-only, time-major, shape (n_steps, n_scenarios, n_paths):
+        ``dB[k, s, p] = sqrt(a_k^(s)) xi[p, k] sqrt(dt)``, so that the step
+        variance under scenario ``s`` is ``a_k dt``.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     if family.n_steps != grid.n_steps:
         raise ValueError("family and grid disagree on n_steps")
-    d = family.dim
-    K = grid.n_steps
-    xi = rng.substream(seed, rng.BROWNIAN).standard_normal((n_paths, K, d))
-    vals = family.values_array()
-    roots = np.empty_like(vals)
-    for s in range(family.n_scenarios):
-        for k in range(K):
-            roots[s, k] = psd_sqrt(vals[s, k])
-    dB = np.sqrt(grid.dt) * np.einsum("skij,pkj->spki", roots, xi)
-    xi.setflags(write=False)
+    xi = rng.substream(seed, rng.BROWNIAN).standard_normal((n_paths, grid.n_steps))
+    # both factors are transposed views; order="C" lays the product out
+    # time-major in memory, so every consumer's dB[k] is a contiguous slice
+    scaled = np.multiply(np.sqrt(family.values).T[:, :, None], xi.T[:, None, :], order="C")
+    dB = np.sqrt(grid.dt) * scaled
     dB.setflags(write=False)
-    return NoiseBundle(seed=int(seed), xi=xi, dB=dB)
-
-
-def quadratic_variation(scenario: VolatilityScenario, grid: TimeGrid) -> QVPath:
-    """Per-step quadratic-variation increments ``a_k dt`` and their cumulative sums."""
-    if scenario.n_steps != grid.n_steps:
-        raise ValueError("scenario and grid disagree on n_steps")
-    inc = scenario.values * grid.dt
-    cum = np.concatenate([np.zeros((1,) + inc.shape[1:]), np.cumsum(inc, axis=0)])
-    return QVPath(increments=inc, cumulative=cum)
+    return dB
 
 
 def upper_expectation(per_scenario_samples: Sequence[np.ndarray]) -> UpperMean:
@@ -369,48 +231,11 @@ def upper_expectation(per_scenario_samples: Sequence[np.ndarray]) -> UpperMean:
     return UpperMean(value=means[best], scenario_id=best, stderr=errs[best])
 
 
-def generator_G(
-    S,
-    bounds: VolatilityBounds,
-    probes: Iterable[np.ndarray] | None = None,
-) -> float:
-    """Evaluate the volatility-ambiguity generator ``G(S) = max_a tr[aS] / 2``.
+def generator_G(S, bounds: VolatilityBounds):
+    """The volatility-ambiguity generator ``G(S) = max(lo S, hi S) / 2``, elementwise.
 
-    The probe set defaults to the two bound corners; callers may append
-    scenario values. For symmetric ``A >= Abar`` in the matrix order this
-    G satisfies ``G(A) - G(Abar) >= beta tr[A - Abar]`` with
-    ``beta = lambda_min(sigma_low) / 2``, because every probe dominates
-    sigma_low.
+    For ``A >= Abar`` it satisfies ``G(A) - G(Abar) >= beta (A - Abar)``
+    with ``beta = sigma_low / 2``, because both corners dominate sigma_low.
     """
-    S = _as_matrix(S)
-    if not np.all(np.abs(S - S.T) <= _ORDER_TOL):
-        raise ValueError("generator_G needs a symmetric argument")
-    probe_list = [bounds.sigma_low, bounds.sigma_high]
-    if probes is not None:
-        probe_list.extend(_as_matrix(p) for p in probes)
-    traces = [float(np.trace(a @ S)) for a in probe_list]
-    return 0.5 * max(traces)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def family_to_dict(family: ScenarioFamily, grid: TimeGrid) -> dict:
-    return {
-        "dim": family.dim,
-        "sigma_low": family.bounds.sigma_low.tolist(),
-        "sigma_high": family.bounds.sigma_high.tolist(),
-        "grid": {"T": grid.T, "n_steps": grid.n_steps},
-        "scenarios": [{"id": s.id, "values": s.values.tolist()} for s in family.scenarios],
-    }
-
-
-def family_from_dict(doc: dict) -> tuple[ScenarioFamily, TimeGrid]:
-    bounds = VolatilityBounds(np.asarray(doc["sigma_low"]), np.asarray(doc["sigma_high"]))
-    grid = TimeGrid(T=doc["grid"]["T"], n_steps=doc["grid"]["n_steps"])
-    scenarios = tuple(
-        VolatilityScenario(entry["id"], np.asarray(entry["values"])) for entry in doc["scenarios"]
-    )
-    return ScenarioFamily(bounds=bounds, scenarios=scenarios), grid
+    S = np.asarray(S, dtype=float)
+    return 0.5 * np.maximum(bounds.sigma_low * S, bounds.sigma_high * S)

@@ -19,7 +19,7 @@ import numpy as np
 from .controls import RelaxedControl, StrictControl
 from .jumps import Drivers, MarkSpace, sample_drivers
 from .models import ModelSpec, ensure_validated
-from .scenarios import NoiseBundle, ScenarioFamily, TimeGrid
+from .scenarios import ScenarioFamily, TimeGrid
 
 Control = Union[StrictControl, RelaxedControl]
 
@@ -45,10 +45,6 @@ class StateEnsemble:
     x0: float
 
     @property
-    def noise(self) -> NoiseBundle:
-        return self.drivers.noise
-
-    @property
     def counts(self) -> np.ndarray:
         return self.drivers.counts
 
@@ -67,10 +63,6 @@ class StateEnsemble:
     @property
     def n_steps(self) -> int:
         return self.states.shape[2] - 1
-
-    @property
-    def is_relaxed(self) -> bool:
-        return isinstance(self.control, RelaxedControl)
 
 
 class DistanceReport(NamedTuple):
@@ -113,7 +105,7 @@ def _strict_steps(model, controls, a_vals, grid, marks, dB, counts, X) -> None:
         xk = X[k]
         ck = np.ascontiguousarray(counts[:, k].T)
         incr = model.b(t, xk, uk) * dt
-        incr = incr + model.sigma(t, xk) * np.ascontiguousarray(dB[k])
+        incr = incr + model.sigma(t, xk) * dB[k]
         incr = incr + model.gamma(t, xk, uk) * a_dt
         jump_sum = 0.0
         comp_rate = 0.0
@@ -150,7 +142,7 @@ def _relaxed_steps(model, controls, a_vals, grid, marks, dB, tagged, X) -> None:
             b_bar = b_bar + wk[:, al] * model.b(t, xk, av)
             g_bar = g_bar + wk[:, al] * model.gamma(t, xk, av)
         incr = b_bar * dt
-        incr = incr + model.sigma(t, xk) * np.ascontiguousarray(dB[k])
+        incr = incr + model.sigma(t, xk) * dB[k]
         incr = incr + g_bar * a_dt
         jump_sum = 0.0
         comp_rate = 0.0
@@ -190,14 +182,13 @@ def simulate_batch(
     K = grid.n_steps
     if family.n_steps != K or any(c.n_steps != K for c in controls):
         raise ValueError("controls, family and grid must agree on n_steps")
-    noise = drivers.noise
-    if noise.n_steps != K or noise.n_scenarios != family.n_scenarios:
+    dB = drivers.dB
+    if dB.shape[:2] != (K, family.n_scenarios):
         raise ValueError("drivers were sampled for a different grid or family")
     if drivers.counts.shape[2] != marks.n_marks:
         raise ValueError("drivers were sampled for a different mark space")
-    S, P = noise.n_scenarios, noise.n_paths
-    dB = np.moveaxis(noise.scalar_dB(), 2, 0)
-    a_vals = family.scalar_values()
+    S, P = dB.shape[1:]
+    a_vals = family.values
     X = np.empty((K + 1, len(controls), S, P))
     X[0] = x0
     if all(isinstance(c, StrictControl) for c in controls):

@@ -8,11 +8,11 @@ the first-order formula). Reusing the ensemble's noise and jumps is not
 an optimization but a requirement; the quantities being compared are
 pathwise, and independent randomness would swamp them.
 
-The flow runs time-major: states and increments are transposed once to
-(K+1, S, P), every step forms its growth factors on contiguous slices,
-and the jump multiplier ``(1 + f_x)^count`` is applied only on the paths
-that have events in that step (found from the drivers' flat event
-arrays). A path without events would be multiplied by exactly one, so
+The flow runs time-major: states are transposed once to (K+1, S, P) and
+the drivers' increments are already (K, S, P), so every step forms its
+growth factors on contiguous slices, and the jump multiplier
+``(1 + f_x)^count`` is applied only on the paths that have events in
+that step (found from the drivers' flat event arrays). A path without events would be multiplied by exactly one, so
 the result is bit for bit that of the dense product.
 """
 
@@ -124,8 +124,9 @@ def _events_by_step(ensemble) -> list[tuple[np.ndarray, np.ndarray]]:
 class _FlowSteps:
     """Multiplicative Euler factors of the linearized flow, step by step.
 
-    The states and the Brownian increments are transposed once into
-    contiguous (K+1, S, P) and (K, S, P) arrays. A jump multiplier
+    The states are transposed once into a contiguous (K+1, S, P) array;
+    the Brownian increments are read from the drivers' time-major
+    (K, S, P) array. A jump multiplier
     ``prod (1 + f_x)^(+-count)`` is formed only on the paths that have
     events in the step; every other path would be multiplied by
     ``pow(., 0) = 1``, so skipping it leaves the bits unchanged.
@@ -136,8 +137,8 @@ class _FlowSteps:
         self.marks = ensemble.marks
         self.grid = ensemble.grid
         self.x = np.ascontiguousarray(np.moveaxis(ensemble.states, -1, 0))
-        self.dB = np.ascontiguousarray(np.moveaxis(ensemble.noise.scalar_dB(), -1, 0))
-        self.a = ensemble.family.scalar_values()
+        self.dB = ensemble.drivers.dB
+        self.a = ensemble.family.values
         self.w, self.actions = _weights_and_actions(ensemble.control)
         self.tagged = ensemble.tagged_counts is not None
         self.events = _events_by_step(ensemble)
@@ -228,7 +229,7 @@ def _spike_impulse(ensemble, spec: SpikeSpec, k0: int) -> np.ndarray:
         raise ValueError("spike variations act on strict controls")
     u_val = float(base.values[k0])
     nu_val = float(base.grid.actions[spec.action_index])
-    a_k = ensemble.family.scalar_values()[:, k0][:, None]
+    a_k = ensemble.family.values[:, k0][:, None]
     db = np.asarray(model.b(t, x, nu_val)) - np.asarray(model.b(t, x, u_val))
     dg = np.asarray(model.gamma(t, x, nu_val)) - np.asarray(model.gamma(t, x, u_val))
     out = db + dg * a_k

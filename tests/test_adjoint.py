@@ -248,7 +248,7 @@ def _reference_flow(ens):
     S, P, K1 = ens.states.shape
     w, actions = _weights_and_actions(ens.control)
     a_tab = ens.family.scalar_values()
-    dB = ens.noise.scalar_dB()
+    dB = np.moveaxis(ens.drivers.dB, 0, -1)
     phi = np.ones((S, P, K1))
     psi = np.ones((S, P, K1))
     for k in range(K1 - 1):
@@ -329,7 +329,7 @@ def _reference_adjoint(ens, degree=2):
             sq[s] += ((ys - pred) ** 2).sum()
 
     mhat = yhat + past
-    dB = ens.noise.scalar_dB()
+    dB = np.moveaxis(ens.drivers.dB, 0, -1)
     Q = np.zeros((S, K))
     R = np.zeros((S, K, m))
     c = np.zeros((S, K))
@@ -348,8 +348,8 @@ def _reference_adjoint(ens, degree=2):
             cond_inc[s, k] = np.linalg.cond(design)
 
     a_tab = ens.family.scalar_values()
-    lo = float(ens.family.bounds.sigma_low[0, 0])
-    hi = float(ens.family.bounds.sigma_high[0, 0])
+    lo = ens.family.bounds.sigma_low
+    hi = ens.family.bounds.sigma_high
     S_t = np.zeros((S, K))
     for s in range(S):
         for k in range(K):
@@ -382,7 +382,7 @@ def _ensembles():
     acts = ActionGrid(np.array([-1.0, 0.0, 1.0]))
     marks = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([2.0, 1.5]))
     model = _lq(c2=0.3, f2=0.05, h2=0.1)
-    lone = dataclasses.replace(fam, scenarios=fam.scenarios[:1])
+    lone = dataclasses.replace(fam, values=fam.values[:1])
     # sigma_low = 0: some scenarios have no Brownian increment on some steps
     flat = build_scenario_family(VolatilityBounds(0.0, 4.0), grid, "corners", blocks=2)
     return {

@@ -85,41 +85,6 @@ def test_chattering_requires_divisor():
         ct.chattering(mu, 3)
 
 
-def test_gap_vanishes_for_dirac():
-    grid = TimeGrid(T=1.0, n_steps=16)
-    u = ct.constant_strict(ACTIONS, 16, 2)
-    mu = ct.embed_strict(u)
-    gap = ct.stable_convergence_gap(mu, u, [lambda t, a: t * a], grid)
-    assert gap == pytest.approx(0.0, abs=1e-14)
-
-
-def test_gap_vanishes_for_constant_test_function():
-    grid = TimeGrid(T=1.0, n_steps=16)
-    mu = ct.uniform_relaxed(ACTIONS, 16)
-    v = ct.chattering(mu, 4)
-    gap = ct.stable_convergence_gap(mu, v, [lambda t, a: np.ones_like(a)], grid)
-    assert gap <= 1e-12
-
-
-def test_gap_decreases_with_block_refinement():
-    grid = TimeGrid(T=1.0, n_steps=256)
-    grid2 = ct.ActionGrid(np.array([-1.0, 1.0]))
-    mu = ct.RelaxedControl(grid2, np.full((256, 2), 0.5))
-    fns = [lambda t, a: t * a, lambda t, a: a**2 * (1 - t)]
-    gaps = [ct.stable_convergence_gap(mu, ct.chattering(mu, n), fns, grid) for n in (4, 16, 64)]
-    assert gaps[0] >= gaps[1] >= gaps[2]
-
-
-def test_gap_linear_bound():
-    K = 4096
-    grid = TimeGrid(T=1.0, n_steps=K)
-    grid2 = ct.ActionGrid(np.array([-1.0, 1.0]))
-    mu = ct.RelaxedControl(grid2, np.full((K, 2), 0.5))
-    v = ct.chattering(mu, 64)
-    gap = ct.stable_convergence_gap(mu, v, [lambda t, a: a], grid)
-    assert gap <= 1.0 * 1.0 * 2.0 / 64
-
-
 def test_spike_construction():
     grid = TimeGrid(T=1.0, n_steps=8)
     base = ct.constant_strict(ACTIONS, 8, 1)

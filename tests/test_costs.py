@@ -178,5 +178,3 @@ def test_chattering_csv_and_summary():
     csv = co.chattering_csv(rep)
     assert csv.splitlines()[0] == "n,msq_gap,cost_gap,cost_gap_stderr"
     assert len(csv.splitlines()) == 3
-    text = rep.summary()
-    assert "n=4" in text and "fitted C" in text

@@ -308,8 +308,35 @@ _PRECONDITION_PROBES = [
 ]
 
 
-@pytest.mark.parametrize("bad, violation, good", _PRECONDITION_PROBES,
-                         ids=[p[1].split(":")[0] for p in _PRECONDITION_PROBES])
+def _steps(n_steps, **over):
+    return _lq(grid={"T": 1.0, "n_steps": n_steps}, **over)
+
+
+# options a document leaves out take their kind's defaults (n_list [4, 16, 64],
+# n_blocks 4), which validate checks too
+_DEFAULT_OPTION_PROBES = {
+    "chattering-defaults": (
+        _steps(32, kind="chattering", control={"type": "uniform"}),
+        "$.options.n_list[2]: the default 64 blocks do not divide n_steps 32",
+        _steps(32, kind="chattering", control={"type": "uniform"},
+               options={"n_list": [4, 16, 32]})),
+    "mp-strict-defaults": (
+        _steps(10, kind="mp-strict"),
+        "$.options.n_blocks: the default 4 blocks do not divide n_steps 10",
+        _steps(10, kind="mp-strict", options={"n_blocks": 5})),
+    "bsde-stability-defaults": (
+        _steps(32, kind="bsde-stability", control={"type": "uniform"}),
+        "$.options.n_list[2]: the default 64 blocks do not divide n_steps 32",
+        _steps(32, kind="bsde-stability", control={"type": "uniform"},
+               options={"n_list": [4, 16, 32]})),
+}
+
+
+@pytest.mark.parametrize(
+    "bad, violation, good",
+    _PRECONDITION_PROBES + list(_DEFAULT_OPTION_PROBES.values()),
+    ids=[p[1].split(":")[0] for p in _PRECONDITION_PROBES] + list(_DEFAULT_OPTION_PROBES),
+)
 def test_run_preconditions_are_violations(bad, violation, good, tmp_path):
     assert validate_document(bad) == [violation]
     with pytest.raises(ValueError, match="invalid configuration"):

@@ -199,7 +199,7 @@ def _reference_loop(model, control, fam, grid, marks, drivers, x0):
     Kept as the arithmetic reference for the batched kernel: same
     operations in the same order, so results must agree bit for bit.
     """
-    dB = drivers.noise.scalar_dB()
+    dB = np.moveaxis(drivers.dB, 0, -1)
     a_vals = fam.scalar_values()
     S, P, K = dB.shape
     relaxed = isinstance(control, RelaxedControl)
