@@ -8,16 +8,19 @@ martingale loadings (Brownian, compensated jumps, and the second-order
 volatility channel) come from cross-path regressions of the fitted
 martingale increments.
 
-The layer works time-major. :func:`_adjoint_core` takes the fundamental
-flow as (K+1, S, P) buffers and walks the grid once forward; at each
-step it solves the state regression of every scenario as one stacked
-SVD and the increment regression as another (scenarios that drop the
-dB column form a second stack). Each SVD yields the min-norm
-coefficients, the condition numbers and the residuals together.
-:func:`solve_adjoint` builds the fitted triple from it;
-:func:`mp_check_relaxed` reads the raw (unfitted) backward variable and
-builds its triple only at report-block starts, with one backward pass
-for the volatility-channel weights of every block.
+The layer works time-major, as does every array it takes or returns:
+states and flow (K+1, S, P), counts (K, m, P), and the triple's ``p``
+(K+1, S, P), ``q`` (K, S, P) and ``r`` (K, S, P, m), all C-ordered.
+:func:`_adjoint_core` walks the grid once forward; at each step it
+solves the state regression of every scenario as one stacked SVD and
+the increment regression as another (scenarios that drop the dB column
+form a second stack). Each SVD yields the min-norm coefficients, the
+condition numbers and the residuals together. One formula,
+:func:`_triple_at`, turns a backward variable into ``(p, q, r)`` at a
+step: :func:`solve_adjoint` feeds it the fitted variable at every step,
+:func:`mp_check_relaxed` the raw (unfitted) one at report-block starts
+only, with one backward pass for the volatility-channel weights of
+every block.
 
 On top of the triple the module builds stationarity tables for strict,
 near-optimal, and relaxed controls (each with deterministic estimator
@@ -66,20 +69,20 @@ class AdjointTriple:
 
     The orthogonal remainder ``k`` is identically zero under the finite
     scenario family used here; the column is kept so reports can show
-    it. :func:`solve_adjoint` returns views of time-major buffers, so
-    ``p[:, :, k]`` and ``q[:, :, k]`` are contiguous.
+    it. Every component is time-major, so ``p[k]`` and ``q[k]`` are
+    contiguous (S, P) steps.
     """
 
-    p: np.ndarray  # (S, P, K+1)
-    q: np.ndarray  # (S, P, K)
-    r: np.ndarray  # (S, P, K, m)
-    k: np.ndarray  # (S, P, K), all zeros
+    p: np.ndarray  # (K+1, S, P)
+    q: np.ndarray  # (K, S, P)
+    r: np.ndarray  # (K, S, P, m)
+    k: np.ndarray  # (K, S, P), all zeros
 
     def __post_init__(self):
-        s, p_, kk = self.q.shape
-        if self.p.shape != (s, p_, kk + 1):
+        kk, s, p_ = self.q.shape
+        if self.p.shape != (kk + 1, s, p_):
             raise ValueError("p must have one more time index than q")
-        if self.r.shape[:3] != (s, p_, kk) or self.r.ndim != 4:
+        if self.r.shape[:3] != (kk, s, p_) or self.r.ndim != 4:
             raise ValueError("r must align with q and carry a mark axis")
         if self.k.shape != self.q.shape:
             raise ValueError("k must have the shape of q")
@@ -107,7 +110,7 @@ class BSDERepresentation:
     """
 
     X: np.ndarray  # (S, P) terminal functional
-    y: np.ndarray  # (S, P, K+1)
+    y: np.ndarray  # (K+1, S, P)
     Q: np.ndarray  # (S, K)
     R: np.ndarray  # (S, K, m)
     S_t: np.ndarray  # (S, K)
@@ -326,7 +329,7 @@ def _regress_state(x: np.ndarray, target: np.ndarray, degree: int):
 def _regress_increment(dm: np.ndarray, db: np.ndarray, dn: np.ndarray):
     """Project each scenario's martingale increment on [dB, compensated marks, 1].
 
-    ``dm`` and ``db`` are one step's (S, P) slices, ``dn`` the (P, m)
+    ``dm`` and ``db`` are one step's (S, P) slices, ``dn`` the (m, P)
     compensated counts every scenario shares. Constant columns (no
     Brownian variance, no events at this step) are dropped instead of
     letting the design go singular; their loadings are reported as zero.
@@ -335,10 +338,10 @@ def _regress_increment(dm: np.ndarray, db: np.ndarray, dn: np.ndarray):
     condition numbers (S,) and the dropped-column counts (S,).
     """
     n_scen, n_paths = dm.shape
-    n_marks = dn.shape[1]
-    keep_n = [i for i in range(n_marks) if float(dn[:, i].std()) > _DEGENERATE_STD]
+    n_marks = dn.shape[0]
+    keep_n = [i for i in range(n_marks) if float(dn[i].std()) > _DEGENERATE_STD]
     keep_b = db.std(axis=1) > _DEGENERATE_STD
-    shared = [dn[:, i] for i in keep_n] + [np.ones(n_paths)]
+    shared = [dn[i] for i in keep_n] + [np.ones(n_paths)]
     q_k = np.zeros(n_scen)
     r_k = np.zeros((n_scen, n_marks))
     c_k = np.empty(n_scen)
@@ -403,14 +406,13 @@ def _adjoint_core(
     marks = ensemble.marks
     dt = grid.dt
     n_steps = grid.n_steps
-    n_scen, n_paths = ensemble.states.shape[:2]
+    _, n_scen, n_paths = ensemble.states.shape
     n_marks = marks.n_marks
     w, actions = _weights_and_actions(ensemble.control)
 
     pair = solve_fundamental(ensemble)
-    phi = np.moveaxis(pair.phi, -1, 0)
-    psi = np.moveaxis(pair.psi, -1, 0)
-    x = np.ascontiguousarray(np.moveaxis(ensemble.states, -1, 0))
+    phi, psi = pair.phi, pair.psi
+    x = ensemble.states
     dB = ensemble.drivers.dB
     times = grid.times
 
@@ -435,7 +437,7 @@ def _adjoint_core(
     r_load = np.zeros((n_scen, n_steps, n_marks))
     intercept = np.zeros((n_scen, n_steps))
     dropped = 0
-    comp = marks.intensities[None, :] * dt
+    comp = marks.intensities[:, None] * dt
     counts = ensemble.counts
     past = np.zeros((n_scen, n_paths))
     m_prev = None
@@ -451,7 +453,7 @@ def _adjoint_core(
         if k > 0:
             j = k - 1
             q_load[:, j], r_load[:, j], intercept[:, j], cond_inc[:, j], drop = (
-                _regress_increment(m_k - m_prev, dB[j], counts[:, j, :] - comp)
+                _regress_increment(m_k - m_prev, dB[j], counts[j] - comp)
             )
             dropped += int(drop.sum())
         if k < n_steps:
@@ -469,6 +471,8 @@ def _adjoint_core(
         phi=phi,
         psi=psi,
         x=x,
+        w=w,
+        actions=actions,
         sx=sx,
         gx_term=gx_term,
         targets=targets,
@@ -487,6 +491,22 @@ def _adjoint_core(
     )
 
 
+def _triple_at(ensemble: StateEnsemble, core: SimpleNamespace, k: int, y_k: np.ndarray):
+    """``(p, q, r)`` at step k from a backward variable ``y_k``, shape (S, P).
+
+    ``p = y psi``, ``q = psi (Q - y sigma_x)`` and
+    ``r = R psi / (1 + f_x) + p (1 / (1 + f_x) - 1)`` per mark, with the
+    step's loadings ``Q``/``R`` from ``core``; ``r`` has shape (S, P, m).
+    """
+    psi = core.psi[k]
+    inv = _jump_inverse(ensemble.model, ensemble.marks, float(ensemble.grid.times[k]),
+                        core.x[k], core.w[k], core.actions)
+    p = y_k * psi
+    q = psi * (core.Q[:, k][:, None] - y_k * core.sx[k])
+    r = core.R[:, k][:, None, :] * psi[:, :, None] * inv + p[:, :, None] * (inv - 1.0)
+    return p, q, r
+
+
 def solve_adjoint(
     ensemble: StateEnsemble, basis_degree: int = 2
 ) -> tuple[AdjointTriple, BSDERepresentation]:
@@ -500,23 +520,17 @@ def solve_adjoint(
     numbers land in the representation for inspection.
     """
     core = _adjoint_core(ensemble, basis_degree, keep_fit=True)
-    grid = ensemble.grid
-    n_steps = grid.n_steps
-    w, actions = _weights_and_actions(ensemble.control)
-    psi, yhat = core.psi, core.yhat
-    p = yhat * psi
-    q = psi[:n_steps] * (core.Q.T[:, :, None] - yhat[:n_steps] * core.sx)
+    n_steps = ensemble.grid.n_steps
+    p = np.empty(ensemble.states.shape)
+    q = np.empty(p[:n_steps].shape)
     r = np.empty(q.shape + (ensemble.marks.n_marks,))
     for k in range(n_steps):
-        inv = _jump_inverse(ensemble.model, ensemble.marks, float(grid.times[k]), core.x[k],
-                            w[k], actions)
-        r[k] = core.R[:, k][:, None, :] * psi[k][:, :, None] * inv + p[k][:, :, None] * (inv - 1.0)
+        p[k], q[k], r[k] = _triple_at(ensemble, core, k, core.yhat[k])
     p[n_steps] = core.gx_term
-    p, q, r = np.moveaxis(p, 0, -1), np.moveaxis(q, 0, -1), np.moveaxis(r, 0, 2)
     triple = AdjointTriple(p=p, q=q, r=r, k=np.zeros_like(q))
     rep = BSDERepresentation(
         X=core.X,
-        y=np.moveaxis(yhat, 0, -1),
+        y=core.yhat,
         Q=core.Q,
         R=core.R,
         S_t=core.S_t,
@@ -547,35 +561,31 @@ def bsde_residual(ensemble: StateEnsemble, triple: AdjointTriple) -> np.ndarray:
     marks = ensemble.marks
     dt = grid.dt
     n_steps = grid.n_steps
-    n_scen, n_paths = ensemble.states.shape[:2]
+    _, n_scen, n_paths = ensemble.states.shape
     w, actions = _weights_and_actions(ensemble.control)
     a_tab = ensemble.family.values
     dB = ensemble.drivers.dB
     counts = ensemble.counts
     nus = marks.intensities
+    p = triple.p
 
     total = np.zeros(n_scen)
     for k in range(n_steps):
         t = float(grid.times[k])
-        x = ensemble.states[:, :, k]
+        x = ensemble.states[k]
         pi = a_tab[:, k][:, None]
         bx = _avg(model.b_x, t, x, w[k], actions)
         gx = _avg(model.gamma_x, t, x, w[k], actions)
         hxk = _avg(model.h_x, t, x, w[k], actions)
         sxk = np.asarray(model.sigma_x(t, x), dtype=float) + np.zeros_like(x)
-        drv = -hxk + triple.p[:, :, k] * (bx - pi * gx) - pi * triple.q[:, :, k] * sxk
+        q, r = triple.q[k], triple.r[k]
+        drv = -hxk + p[k] * (bx - pi * gx) - pi * q * sxk
         for i in range(marks.n_marks):
             f_i = _avg(model.f, t, x, w[k], actions, theta=float(marks.marks[i]))
-            drv = drv + triple.r[:, :, k, i] * f_i * float(nus[i])
-        resid = (
-            triple.p[:, :, k + 1]
-            - triple.p[:, :, k]
-            + drv * dt
-            - triple.q[:, :, k] * dB[k]
-        )
+            drv = drv + r[:, :, i] * f_i * float(nus[i])
+        resid = p[k + 1] - p[k] + drv * dt - q * dB[k]
         for i in range(marks.n_marks):
-            dn_i = counts[:, k, i] - float(nus[i]) * dt
-            resid = resid - triple.r[:, :, k, i] * dn_i[None, :]
+            resid = resid - r[:, :, i] * (counts[k, i] - float(nus[i]) * dt)
         total += (resid**2).sum(axis=1)
     return total / (n_paths * n_steps)
 
@@ -654,7 +664,7 @@ def mp_check_relaxed(
         ens = ensemble
     core = _adjoint_core(ens, basis_degree)
 
-    w, actions = _weights_and_actions(mu)
+    w, actions = core.w, core.actions
     a_tab = family.values
     nus = marks.intensities
     n_scen = a_tab.shape[0]
@@ -669,45 +679,26 @@ def mp_check_relaxed(
         x = core.x[k0]
         a0 = a_tab[:, k0][:, None]
         psi0 = core.psi[k0]
-        p0 = core.targets[k0] * psi0
-        q0 = psi0 * (core.Q[:, k0][:, None] - core.targets[k0] * core.sx[k0])
-        inv = _jump_inverse(model, marks, t0, x, w[k0], actions)
-        r0 = core.R[:, k0][:, None, :] * psi0[:, :, None] * inv + p0[:, :, None] * (inv - 1.0)
+        p0, q0, r0 = _triple_at(ens, core, k0, core.targets[k0])
 
-        h_vals, b_vals, g_vals, f_vals = [], [], [], []
-        for a in actions:
-            a = float(a)
-            h_vals.append(hamiltonian(model, marks, t0, x, a, p0, q0, r0))
-            b_vals.append(np.asarray(model.b(t0, x, a), dtype=float) + np.zeros_like(x))
-            g_vals.append(np.asarray(model.gamma(t0, x, a), dtype=float) + np.zeros_like(x))
-            f_vals.append(
-                [
-                    np.asarray(model.f(t0, x, float(marks.marks[i]), a), dtype=float)
-                    + np.zeros_like(x)
-                    for i in range(marks.n_marks)
-                ]
-            )
-
-        base_h = np.zeros_like(x)
-        base_b = np.zeros_like(x)
-        base_g = np.zeros_like(x)
-        base_f = [np.zeros_like(x) for _ in range(marks.n_marks)]
-        for ai in range(actions.size):
+        # per action: H, then b, gamma and f at every mark, each (S, P)
+        rows = []
+        for a in map(float, actions):
+            coeffs = [model.b(t0, x, a), model.gamma(t0, x, a)]
+            coeffs += [model.f(t0, x, float(th), a) for th in marks.marks]
+            rows.append([hamiltonian(model, marks, t0, x, a, p0, q0, r0)]
+                        + [np.asarray(c, dtype=float) + np.zeros_like(x) for c in coeffs])
+        base = [np.zeros_like(x) for _ in rows[0]]
+        for ai, row in enumerate(rows):
             wa = float(w[k0, ai])
-            if wa == 0.0:
-                continue
-            base_h = base_h + wa * h_vals[ai]
-            base_b = base_b + wa * b_vals[ai]
-            base_g = base_g + wa * g_vals[ai]
-            for i in range(marks.n_marks):
-                base_f[i] = base_f[i] + wa * f_vals[ai][i]
+            if wa != 0.0:
+                base = [acc + wa * v for acc, v in zip(base, row)]
 
-        for ai in range(actions.size):
-            d_h = h_vals[ai] - base_h
-            dgamma = g_vals[ai] - base_g
-            impulse = (b_vals[ai] - base_b) + dgamma * a0
-            for i in range(marks.n_marks):
-                impulse = impulse - (f_vals[ai][i] - base_f[i]) * float(nus[i])
+        for ai, row in enumerate(rows):
+            d_h, d_b, dgamma, *d_f = (v - acc for v, acc in zip(row, base))
+            impulse = d_b + dgamma * a0
+            for i, d_fi in enumerate(d_f):
+                impulse = impulse - d_fi * float(nus[i])
             vals = d_h + f_term(impulse, dgamma, p0, a0, psi0, weights[b])
             um = upper_expectation([vals[s] for s in range(n_scen)])
             slack = slack_mult * um.stderr + extra_slack
@@ -924,11 +915,9 @@ def bsde_stability_report(
         ens_n = simulate_with(model, u_n, family, grid, marks, drivers, x0)
         triple_n, _ = solve_adjoint(ens_n, basis_degree)
 
-        p_dev = np.abs(triple_n.p - triple_mu.p).max(axis=2) ** 2
-        q_dev = ((triple_n.q - triple_mu.q) ** 2).sum(axis=2) * dt
-        r_dev = (((triple_n.r - triple_mu.r) ** 2) * nus[None, None, None, :]).sum(
-            axis=(2, 3)
-        ) * dt
+        p_dev = np.abs(triple_n.p - triple_mu.p).max(axis=0) ** 2
+        q_dev = ((triple_n.q - triple_mu.q) ** 2).sum(axis=0) * dt
+        r_dev = (((triple_n.r - triple_mu.r) ** 2) * nus).sum(axis=(0, 3)) * dt
 
         um_p = upper_expectation(list(p_dev))
         um_q = upper_expectation(list(q_dev))

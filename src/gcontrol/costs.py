@@ -82,13 +82,6 @@ def _path_costs(
     return total
 
 
-def path_costs(ensemble: StateEnsemble) -> np.ndarray:
-    """Per-(scenario, path) cost of an ensemble, shape (S, P)."""
-    return _path_costs(
-        ensemble.model, ensemble.control, ensemble.grid, np.moveaxis(ensemble.states, -1, 0)
-    )
-
-
 def _cost_report(costs: np.ndarray, seed: int) -> CostReport:
     upper = upper_expectation(list(costs))
     means = costs.mean(axis=1)
@@ -106,7 +99,8 @@ def _cost_report(costs: np.ndarray, seed: int) -> CostReport:
 
 
 def cost_from_ensemble(ensemble: StateEnsemble) -> CostReport:
-    return _cost_report(path_costs(ensemble), ensemble.seed)
+    costs = _path_costs(ensemble.model, ensemble.control, ensemble.grid, ensemble.states)
+    return _cost_report(costs, ensemble.seed)
 
 
 def batch_costs(

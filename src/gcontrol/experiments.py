@@ -16,7 +16,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -34,6 +34,7 @@ from .adjoint import (
     stability_csv,
 )
 from .controls import (
+    _WEIGHT_TOL,
     ActionGrid,
     RelaxedControl,
     StrictControl,
@@ -49,7 +50,7 @@ from .costs import (
     evaluate_costs,
 )
 from .jumps import POISSON_MEAN_MAX, MarkSpace, sample_drivers
-from .models import MODEL_BUILDERS, MODEL_DEFAULTS, build_model
+from .models import MODEL_BUILDERS, MODEL_DEFAULTS, build_model, check_derivatives
 from .scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from .sde import ensemble_from_batch, simulate, simulate_batch
 from .variational import (
@@ -154,7 +155,7 @@ def _check_control(spec, path, n_steps, n_actions, out, *, allow_bruteforce):
                 )
             else:
                 for i, row in enumerate(w):
-                    if abs(sum(row) - 1.0) > 1e-9:
+                    if abs(sum(row) - 1.0) > _WEIGHT_TOL:
                         out.append(f"{path}.weights: row {i} sums to {sum(row)}, not 1")
                         break
     if ctype == "chattering":
@@ -190,6 +191,9 @@ def _option_violations(doc: Mapping) -> list[str]:
                 f"$.options.{key}: not an option of kind {kind!r}"
                 f" (allowed: {sorted(allowed)})"
             )
+        elif given[key] is None and _OPTION_DEFAULTS[kind].get(key, 0) is not None:
+            out.append(f"$.options.{key}: null is not a value; leave the option out"
+                       " to use its default")
 
     def _int(key, minimum=1):
         v = opts.get(key)
@@ -330,10 +334,15 @@ def _semantic_violations(doc: Mapping) -> list[str]:
             if key not in MODEL_DEFAULTS[name]:
                 out.append(f"$.model.params.{key}: not a parameter of model {name!r}"
                            f" (known: {known})")
+        bad = check_derivatives(build_model(name, doc["model"].get("params", {})))
+        if bad:
+            out.append(f"$.model.params: {len(bad)} derivative checks fail, first: {bad[0]}")
     lo = doc["bounds"]["sigma_low"]
     hi = doc["bounds"]["sigma_high"]
     if hi < lo:
         out.append(f"$.bounds.sigma_high: {hi} is below sigma_low {lo}")
+    if len(set(doc["marks"]["values"])) != len(doc["marks"]["values"]):
+        out.append("$.marks.values: values must be distinct")
     n_values = len(doc["marks"]["values"])
     n_intens = len(doc["marks"]["intensities"])
     if n_values != n_intens:
@@ -527,8 +536,12 @@ def _map_ordered(fn, items: Sequence, threads: int) -> list:
 def _run_simulate(cfg: ExperimentConfig, threads: int):
     ens = simulate(cfg.model, cfg.control, cfg.family, cfg.grid, cfg.marks,
                    cfg.n_paths, cfg.seed, cfg.x0)
-    mean = ens.states.mean(axis=1)
-    std = ens.states.std(axis=1)
+    # states.csv's path moments add path by path, as numpy does over a
+    # non-contiguous axis; over the contiguous path axis of ens.states it
+    # would add pairwise and change their last bits
+    states = np.ascontiguousarray(np.moveaxis(ens.states, 0, -1))
+    mean = states.mean(axis=1)
+    std = states.std(axis=1)
     n_scen = mean.shape[0]
     lines = ["scenario,step,t,mean,std"]
     for s in range(n_scen):
@@ -745,6 +758,22 @@ _DISPATCH = {
 }
 
 
+def _remove_stale(out: Path, files: Mapping[str, str]) -> None:
+    """Delete the artifacts an earlier run's manifest lists and this run does not write.
+
+    Only plain file names a manifest lists are touched; anything else in
+    the directory stays.
+    """
+    try:
+        listed = json.loads((out / "manifest.json").read_text())["files"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return
+    for name in listed:
+        path = out / str(name)
+        if name not in files and path.name == name and path.is_file():
+            path.unlink()
+
+
 def run_document(doc: Mapping, *, output_dir: str | Path | None = None,
                  threads: int = 1, seed_override: int | None = None) -> RunResult:
     """Validate, execute, and persist one experiment.
@@ -776,6 +805,7 @@ def run_document(doc: Mapping, *, output_dir: str | Path | None = None,
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _remove_stale(out, files)
     digests: dict[str, str] = {}
     for name in sorted(files):
         (out / name).write_text(files[name])
@@ -787,17 +817,7 @@ def run_document(doc: Mapping, *, output_dir: str | Path | None = None,
         files=digests,
     )
     (out / "manifest.json").write_text(
-        json.dumps(
-            {
-                "config_hash": manifest.config_hash,
-                "version": manifest.version,
-                "wall_time_s": manifest.wall_time_s,
-                "files": dict(manifest.files),
-            },
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n"
+        json.dumps(asdict(manifest), sort_keys=True, indent=2) + "\n"
     )
     return RunResult(manifest=manifest, verdict=verdict, output_dir=out,
                      summary=summary)

@@ -90,12 +90,13 @@ def _index_from_uniform(u: np.ndarray, cum_weights: np.ndarray) -> np.ndarray:
 class Drivers:
     """The randomness of one (family, grid, marks, n_paths, seed).
 
-    ``dB`` holds the Brownian increments of every scenario, time-major
-    (n_steps, n_scenarios, n_paths). Jump events are flat arrays sorted
-    by (path, time): ``path``, ``times``, ``mark_idx`` and ``step`` (the
-    grid step holding the event), plus one TAGS-substream uniform
-    ``tag_u`` per event that :meth:`tags` maps to a relaxed control's
-    action tags. ``counts`` holds the events per (path, step, mark).
+    Every dense array is time-major with paths last. ``dB`` holds the
+    Brownian increments of every scenario, (n_steps, n_scenarios,
+    n_paths), and ``counts`` the events per (step, mark, path). Jump
+    events are flat arrays sorted by (path, time): ``path``, ``times``,
+    ``mark_idx`` and ``step`` (the grid step holding the event), plus
+    one TAGS-substream uniform ``tag_u`` per event that :meth:`tags`
+    maps to a relaxed control's action tags.
     """
 
     seed: int
@@ -117,16 +118,22 @@ class Drivers:
 
     def tags(self, mu: RelaxedControl) -> np.ndarray:
         """Action tag of every event under ``mu``, drawn from the step's weights."""
-        if mu.n_steps != self.counts.shape[1]:
+        if mu.n_steps != self.counts.shape[0]:
             raise ValueError("relaxed control and drivers disagree on n_steps")
         cumw = np.cumsum(mu.weights, axis=1)
         return _index_from_uniform(self.tag_u, cumw[self.step])
 
     def tagged_counts(self, mu: RelaxedControl) -> np.ndarray:
-        """Events per (path, step, mark, action tag) under ``mu``."""
-        P, K, m = self.counts.shape
-        out = np.zeros((P, K, m, mu.grid.n_actions), dtype=np.int32)
-        np.add.at(out, (self.path, self.step, self.mark_idx, self.tags(mu)), 1)
+        """Events per (step, mark, action tag, path) under ``mu``.
+
+        The dtype is the smallest signed integer that holds every
+        per-step count, which keeps the array small; it is signed so
+        that the flow's inverse jump factor ``base ** -count`` cannot wrap.
+        """
+        K, m, P = self.counts.shape
+        dtype = np.min_scalar_type(-int(self.counts.max(initial=0)) - 1)
+        out = np.zeros((K, m, mu.grid.n_actions, P), dtype=dtype)
+        np.add.at(out, (self.step, self.mark_idx, self.tags(mu), self.path), 1)
         return out
 
 
@@ -165,8 +172,8 @@ def sample_drivers(
     path, times, mark_idx = path[order], times[order], mark_idx[order]
     step = _step_of(times, grid)
     tag_u = rng.substream(seed, rng.TAGS).uniform(size=times.size)
-    counts = np.zeros((n_paths, grid.n_steps, marks.n_marks), dtype=np.int32)
-    np.add.at(counts, (path, step, mark_idx), 1)
+    counts = np.zeros((grid.n_steps, marks.n_marks, n_paths), dtype=np.int32)
+    np.add.at(counts, (step, mark_idx, path), 1)
     for arr in (path, times, mark_idx, step, tag_u, counts):
         arr.setflags(write=False)
     return Drivers(int(seed), dB, path, times, mark_idx, step, tag_u, counts)

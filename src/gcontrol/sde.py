@@ -26,12 +26,14 @@ Control = Union[StrictControl, RelaxedControl]
 
 @dataclass(frozen=True)
 class StateEnsemble:
-    """Simulated state paths indexed by (scenario, path).
+    """Simulated state paths indexed by (step, scenario, path).
 
-    ``states`` has shape (n_scenarios, n_paths, n_steps + 1). The bundle
-    keeps everything a downstream consumer needs to reuse the same
-    randomness: the drivers, the tagged counts of a relaxed control, and
-    the control that produced the run.
+    ``states`` is C-ordered and time-major, shape (n_steps + 1,
+    n_scenarios, n_paths), the layout of :func:`simulate_batch`'s rows,
+    so ``states[k]`` is one contiguous step. The bundle keeps everything
+    a downstream consumer needs to reuse the same randomness: the
+    drivers, the tagged counts of a relaxed control, and the control
+    that produced the run.
     """
 
     states: np.ndarray
@@ -54,15 +56,15 @@ class StateEnsemble:
 
     @property
     def n_scenarios(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def n_paths(self) -> int:
         return self.states.shape[1]
 
     @property
+    def n_paths(self) -> int:
+        return self.states.shape[2]
+
+    @property
     def n_steps(self) -> int:
-        return self.states.shape[2] - 1
+        return self.states.shape[0] - 1
 
 
 class DistanceReport(NamedTuple):
@@ -103,7 +105,7 @@ def _strict_steps(model, controls, a_vals, grid, marks, dB, counts, X) -> None:
         a_dt = (a_vals[:, k] * dt)[:, None]
         uk = u_vals[:, k]
         xk = X[k]
-        ck = np.ascontiguousarray(counts[:, k].T)
+        ck = counts[k]
         incr = model.b(t, xk, uk) * dt
         incr = incr + model.sigma(t, xk) * dB[k]
         incr = incr + model.gamma(t, xk, uk) * a_dt
@@ -185,7 +187,7 @@ def simulate_batch(
     dB = drivers.dB
     if dB.shape[:2] != (K, family.n_scenarios):
         raise ValueError("drivers were sampled for a different grid or family")
-    if drivers.counts.shape[2] != marks.n_marks:
+    if drivers.counts.shape[1] != marks.n_marks:
         raise ValueError("drivers were sampled for a different mark space")
     S, P = dB.shape[1:]
     a_vals = family.values
@@ -197,13 +199,9 @@ def simulate_batch(
         actions = controls[0].grid.actions
         if any(not np.array_equal(c.grid.actions, actions) for c in controls):
             raise ValueError("relaxed controls of one batch must share the action grid")
-        # the smallest integer dtype that holds every per-step count keeps this
-        # array, live for the whole pass, small
-        dtype = np.min_scalar_type(int(drivers.counts.max(initial=0)))
-        tagged = np.zeros((K, marks.n_marks, actions.size, len(controls), 1, P), dtype)
-        for c, mu in enumerate(controls):
-            np.add.at(tagged, (drivers.step, drivers.mark_idx, drivers.tags(mu), c, 0,
-                               drivers.path), 1)
+        # (K, m, A, C, 1, P): each control's counts broadcast over the scenarios
+        tagged = np.stack([drivers.tagged_counts(mu) for mu in controls], axis=3)
+        tagged = tagged[:, :, :, :, None]
         _relaxed_steps(model, controls, a_vals, grid, marks, dB, tagged, X)
     else:
         raise ValueError("a batch holds either strict or relaxed controls, not both")
@@ -222,13 +220,13 @@ def ensemble_from_batch(
 ) -> StateEnsemble:
     """Wrap one control's time-major states, shape (n_steps + 1, S, P).
 
-    The states are copied into the C-ordered (S, P, n_steps + 1) layout
-    that the ensemble's consumers reduce over, so their sums keep their
-    summation order and their bits.
+    A row of a one-control batch is already C-ordered and is kept as is;
+    a row of a larger batch is strided and is copied, so the batch can
+    be freed once the caller drops it.
     """
     tagged = drivers.tagged_counts(control) if isinstance(control, RelaxedControl) else None
     return StateEnsemble(
-        states=np.ascontiguousarray(np.moveaxis(states, 0, -1)),
+        states=np.ascontiguousarray(states),
         drivers=drivers,
         tagged_counts=tagged,
         model=model,
@@ -282,9 +280,9 @@ def sup_distance(e1: StateEnsemble, e2: StateEnsemble) -> DistanceReport:
     controls' effect.
     """
     if e1.states.shape != e2.states.shape:
-        raise ValueError("ensembles have mismatched (scenario, path, step) shape")
+        raise ValueError("ensembles have mismatched (step, scenario, path) shape")
     if e1.seed != e2.seed:
         raise ValueError("sup_distance requires common random numbers (equal seeds)")
     diff = np.abs(e1.states - e2.states)
-    sup = diff.max(axis=2)
+    sup = diff.max(axis=0)
     return DistanceReport(sup=sup, mean_square=(sup**2).mean(axis=1))

@@ -8,12 +8,14 @@ the first-order formula). Reusing the ensemble's noise and jumps is not
 an optimization but a requirement; the quantities being compared are
 pathwise, and independent randomness would swamp them.
 
-The flow runs time-major: states are transposed once to (K+1, S, P) and
-the drivers' increments are already (K, S, P), so every step forms its
-growth factors on contiguous slices, and the jump multiplier
-``(1 + f_x)^count`` is applied only on the paths that have events in
-that step (found from the drivers' flat event arrays). A path without events would be multiplied by exactly one, so
-the result is bit for bit that of the dense product.
+Everything runs and is returned time-major: the states are (K+1, S, P)
+and the drivers' increments (K, S, P), so every step forms its growth
+factors on contiguous slices, and z, phi, psi and eta come back as
+C-ordered (K+1, S, P) arrays. The jump multiplier ``(1 + f_x)^count``
+is applied only on the paths that have events in the step (read off
+the step's row of the (K, m[, A], P) counts). A path without events
+would be multiplied by exactly one, so the result is bit for bit that
+of the dense product.
 """
 
 from __future__ import annotations
@@ -35,19 +37,19 @@ _JUMP_GUARD = 1e-6
 class VariationalPath:
     """Linearized state response to a spike, zero before the spike step."""
 
-    z: np.ndarray  # (n_scenarios, n_paths, n_steps + 1)
+    z: np.ndarray  # (n_steps + 1, n_scenarios, n_paths)
     k0: int
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.z)):
             raise FloatingPointError("variational path is not finite")
-        if self.k0 > 0 and np.any(self.z[:, :, : self.k0] != 0.0):
+        if np.any(self.z[: self.k0] != 0.0):
             raise ValueError("variational path must vanish before the spike")
 
 
 @dataclass(frozen=True)
 class FundamentalPair:
-    """Forward flow phi, inverse flow psi, and the spike impulse eta."""
+    """Forward flow phi, inverse flow psi, and the spike impulse eta, each (K+1, S, P)."""
 
     phi: np.ndarray
     psi: np.ndarray
@@ -105,28 +107,23 @@ def _avg(fun, t, x, w_k, actions, theta=None):
 def _events_by_step(ensemble) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per step: the paths with at least one event, and their counts.
 
-    The counts are the rows of the dense (path, step, mark) counts, or of
-    the tagged (path, step, mark, action) counts of a relaxed ensemble,
-    restricted to those paths.
+    The counts are the step's row of the (step, mark, path) counts, or
+    of the (step, mark, action, path) tagged counts of a relaxed
+    ensemble, restricted to those paths.
     """
-    drivers = ensemble.drivers
-    n_steps = ensemble.grid.n_steps
-    per_path = ensemble.counts if ensemble.tagged_counts is None else ensemble.tagged_counts
-    order = np.argsort(drivers.step, kind="stable")
-    cuts = np.searchsorted(drivers.step[order], np.arange(n_steps + 1))
+    per_step = ensemble.counts if ensemble.tagged_counts is None else ensemble.tagged_counts
     out = []
-    for k in range(n_steps):
-        paths = np.unique(drivers.path[order[cuts[k]:cuts[k + 1]]])
-        out.append((paths, per_path[paths, k]))
+    for ck in per_step:
+        paths = np.flatnonzero(ck.reshape(-1, ck.shape[-1]).any(axis=0))
+        out.append((paths, ck.take(paths, axis=-1)))
     return out
 
 
 class _FlowSteps:
     """Multiplicative Euler factors of the linearized flow, step by step.
 
-    The states are transposed once into a contiguous (K+1, S, P) array;
-    the Brownian increments are read from the drivers' time-major
-    (K, S, P) array. A jump multiplier
+    The states (K+1, S, P) and the Brownian increments (K, S, P) are
+    read one contiguous step at a time. A jump multiplier
     ``prod (1 + f_x)^(+-count)`` is formed only on the paths that have
     events in the step; every other path would be multiplied by
     ``pow(., 0) = 1``, so skipping it leaves the bits unchanged.
@@ -136,7 +133,7 @@ class _FlowSteps:
         self.model = ensemble.model
         self.marks = ensemble.marks
         self.grid = ensemble.grid
-        self.x = np.ascontiguousarray(np.moveaxis(ensemble.states, -1, 0))
+        self.x = ensemble.states
         self.dB = ensemble.drivers.dB
         self.a = ensemble.family.values
         self.w, self.actions = _weights_and_actions(ensemble.control)
@@ -158,15 +155,15 @@ class _FlowSteps:
             if self.tagged:
                 fxs = [np.asarray(model.f_x(t, x, float(th), float(a))) + np.zeros_like(x)
                        for a in self.actions]
-                cols = [counts[:, i, a_i] for a_i in range(self.actions.size)]
+                cols = [counts[i, a_i] for a_i in range(self.actions.size)]
             else:
                 fxs = [_avg(model.f_x, t, x, w_k, self.actions, theta=float(th))]
-                cols = [counts[:, i]]
+                cols = [counts[i]]
             for fx, c in zip(fxs, cols):
                 if np.min(np.abs(1.0 + fx)) < _JUMP_GUARD:
                     raise ValueError(f"jump linearization nearly singular at step {k}, mark {i}")
                 if c.any():
-                    out.append(((1.0 + fx)[:, paths], np.ascontiguousarray(c)))
+                    out.append(((1.0 + fx)[:, paths], c))
         return paths, out
 
     def factors(self, k: int, *, need_inverse: bool):
@@ -223,7 +220,7 @@ def _spike_impulse(ensemble, spec: SpikeSpec, k0: int) -> np.ndarray:
     model = ensemble.model
     grid = ensemble.grid
     t = float(grid.times[k0])
-    x = ensemble.states[:, :, k0]
+    x = ensemble.states[k0]
     base = ensemble.control
     if not isinstance(base, StrictControl):
         raise ValueError("spike variations act on strict controls")
@@ -266,14 +263,13 @@ def solve_variational(ensemble: StateEnsemble, spec: SpikeSpec) -> VariationalPa
     _require_same_base(ensemble, spec)
     grid = ensemble.grid
     k0, _ = spike_steps(spec, grid)
-    S, P, _ = ensemble.states.shape
     steps = _FlowSteps(ensemble)
-    z = np.zeros((grid.n_steps + 1, S, P))
+    z = np.zeros(ensemble.states.shape)
     z[k0] = _spike_impulse(ensemble, spec, k0)
     for k in range(k0, grid.n_steps):
         growth, _, paths, jmult, _ = steps.factors(k, need_inverse=False)
         _advance(z[k + 1], z[k], growth, paths, jmult)
-    return VariationalPath(z=np.ascontiguousarray(np.moveaxis(z, 0, -1)), k0=k0)
+    return VariationalPath(z=z, k0=k0)
 
 
 def solve_fundamental(
@@ -282,22 +278,18 @@ def solve_fundamental(
     """Forward and inverse fundamental solutions, plus eta for a spike.
 
     phi and psi start at one and evolve by reciprocal Euler factors, so
-    phi * psi drifts from one only at the scheme's order. They are built
-    time-major: ``phi`` and ``psi`` have shape (S, P, K+1) but are views
-    of contiguous (K+1, S, P) buffers, so ``phi[:, :, k]`` is contiguous
-    and ``np.moveaxis(phi, -1, 0)`` gives the buffer back without a copy.
-    eta is zero until the spike opens and constant afterwards: psi at the
-    spike step times the impulse.
+    phi * psi drifts from one only at the scheme's order. eta is zero
+    until the spike opens and constant afterwards: psi at the spike step
+    times the impulse.
     """
     grid = ensemble.grid
-    S, P, _ = ensemble.states.shape
     k0 = None
     if spec is not None:
         _require_same_base(ensemble, spec)
         k0, _ = spike_steps(spec, grid)
     steps = _FlowSteps(ensemble)
-    phi = np.empty((grid.n_steps + 1, S, P))
-    psi = np.empty((grid.n_steps + 1, S, P))
+    phi = np.empty(ensemble.states.shape)
+    psi = np.empty(ensemble.states.shape)
     phi[0] = 1.0
     psi[0] = 1.0
     for k in range(grid.n_steps):
@@ -306,12 +298,9 @@ def solve_fundamental(
         _advance(psi[k + 1], psi[k], igrowth, paths, ijmult)
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))):
         raise FloatingPointError("fundamental solutions are not finite")
-    phi = np.moveaxis(phi, 0, -1)
-    psi = np.moveaxis(psi, 0, -1)
-    eta = np.zeros((S, P, grid.n_steps + 1))
+    eta = np.zeros(ensemble.states.shape)
     if k0 is not None:
-        impulse = _spike_impulse(ensemble, spec, k0)
-        eta[:, :, k0:] = (psi[:, :, k0] * impulse)[:, :, None]
+        eta[k0:] = psi[k0] * _spike_impulse(ensemble, spec, k0)
     return FundamentalPair(phi=phi, psi=psi, eta=eta, k0=k0)
 
 
@@ -375,9 +364,8 @@ def difference_quotient_gap(
         k0, span = spike_steps(spec, grid)
         if z_path is None:
             z_path = solve_variational(ensemble, spec)
-        pert = np.ascontiguousarray(np.moveaxis(spiked[:, j], 0, -1))
-        y = (pert - ensemble.states) / float(h) - z_path.z
-        sup_sq = np.max(y[:, :, k0 + span :] ** 2, axis=2)
+        y = (spiked[:, j] - ensemble.states) / float(h) - z_path.z
+        sup_sq = np.max(y[k0 + span :] ** 2, axis=0)
         um = upper_expectation(list(sup_sq))
         rows.append(QuotientRow(float(h), um.value, um.stderr, um.scenario_id))
     return tuple(rows)
@@ -412,16 +400,15 @@ def gateaux_derivative(
     spec0 = SpikeSpec(base=u_star, action_index=action_index, t0=t0, width=grid.dt)
     z_path = solve_variational(ensemble, spec0)
     z = z_path.z
-    xT = ensemble.states[:, :, -1]
-    formula_paths = np.asarray(model.g_x(xT)) * z[:, :, -1]
+    formula_paths = np.asarray(model.g_x(ensemble.states[-1])) * z[-1]
     dt = grid.dt
     for k in range(grid.n_steps):
         if k < z_path.k0:
             continue
         t = float(grid.times[k])
-        xk = ensemble.states[:, :, k]
+        xk = ensemble.states[k]
         hx = np.asarray(model.h_x(t, xk, float(u_star.values[k]))) + np.zeros_like(xk)
-        formula_paths = formula_paths + hx * z[:, :, k] * dt
+        formula_paths = formula_paths + hx * z[k] * dt
     um = upper_expectation(list(formula_paths))
 
     if spiked is None:
@@ -429,7 +416,7 @@ def gateaux_derivative(
     controls = spike_controls(u_star, grid, action_index, t0, h_list)
     reports = batch_costs(model, controls, grid, spiked, ensemble.seed)
     rows = []
-    P = ensemble.states.shape[1]
+    P = ensemble.n_paths
     for h, pert_report in zip(h_list, reports):
         diff = (pert_report.per_path[s_star] - base_report.per_path[s_star]) / float(h)
         rows.append((float(h), float(diff.mean()), float(diff.std(ddof=1) / np.sqrt(P))))

@@ -161,7 +161,7 @@ def test_terminal_costate_matches_gradient_bitwise():
     ens = simulate(model, constant_strict(PM1, 16, 1), _fam(1.0, 4.0, grid),
                    grid, MARKS, 40, 7, 1.0)
     triple, _ = solve_adjoint(ens)
-    assert np.array_equal(triple.p[:, :, -1], model.g_x(ens.states[:, :, -1]))
+    assert np.array_equal(triple.p[-1], model.g_x(ens.states[-1]))
 
 
 def test_costate_tracks_linear_flow_closed_form():
@@ -172,9 +172,9 @@ def test_costate_tracks_linear_flow_closed_form():
     ens = simulate(model, constant_strict(PM1, 1000, 0), _fam(1.0, 1.0, grid),
                    grid, QUIET, 3, 3, 1.0)
     triple, _ = solve_adjoint(ens)
-    x_T = ens.states[0, 0, -1]
+    x_T = ens.states[-1, 0, 0]
     expected = x_T * np.exp(theta * (grid.T - grid.times))
-    rel = np.abs(triple.p[0, 0, :] - expected) / np.abs(expected)
+    rel = np.abs(triple.p[:, 0, 0] - expected) / np.abs(expected)
     assert rel.max() < 2e-2
 
 
@@ -186,10 +186,10 @@ def test_representation_reconstructs_terminal_functional():
     _, rep = solve_adjoint(ens)
     pair = solve_fundamental(ens)
     x = ens.states
-    manual = model.g_x(x[:, :, -1]) * pair.phi[:, :, -1]
+    manual = model.g_x(x[-1]) * pair.phi[-1]
     for k in range(16):
         tk = float(grid.times[k])
-        manual = manual + model.h_x(tk, x[:, :, k], 1.0) * pair.phi[:, :, k] * grid.dt
+        manual = manual + model.h_x(tk, x[k], 1.0) * pair.phi[k] * grid.dt
     assert np.max(np.abs(manual - rep.X)) < 1e-10
     assert rep.basis_degree == 2
     assert np.all(np.isfinite(rep.cond_y))
@@ -223,17 +223,17 @@ def test_richer_basis_tightens_state_fit():
 
 
 def test_triple_shape_and_flag_validation():
-    p = np.zeros((1, 2, 4))
-    q = np.zeros((1, 2, 3))
-    r = np.zeros((1, 2, 3, 1))
-    k = np.zeros((1, 2, 3))
+    p = np.zeros((4, 1, 2))
+    q = np.zeros((3, 1, 2))
+    r = np.zeros((3, 1, 2, 1))
+    k = np.zeros((3, 1, 2))
     AdjointTriple(p=p, q=q, r=r, k=k)
     with pytest.raises(ValueError):
         AdjointTriple(p=p, q=q, r=r, k=k + 0.5)
     with pytest.raises(ValueError):
-        AdjointTriple(p=np.full((1, 2, 4), np.nan), q=q, r=r, k=k)
+        AdjointTriple(p=np.full((4, 1, 2), np.nan), q=q, r=r, k=k)
     with pytest.raises(ValueError):
-        AdjointTriple(p=p, q=np.zeros((1, 2, 4)), r=r, k=k)
+        AdjointTriple(p=p, q=np.zeros((4, 1, 2)), r=r, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +241,20 @@ def test_triple_shape_and_flag_validation():
 # ---------------------------------------------------------------------------
 
 
+def _path_major(a):
+    """(K, ...) time-major array as a (..., K) view, the reference layout."""
+    return np.moveaxis(a, 0, -1)
+
+
 def _reference_flow(ens):
-    """Dense fundamental flow: every path gets (1 + f_x)^count at every step."""
+    """Dense fundamental flow: every path gets (1 + f_x)^count at every step.
+
+    Computed path-major, (S, P, K+1), and returned time-major.
+    """
     model, grid, marks = ens.model, ens.grid, ens.marks
     dt = grid.dt
-    S, P, K1 = ens.states.shape
+    states = _path_major(ens.states)
+    S, P, K1 = states.shape
     w, actions = _weights_and_actions(ens.control)
     a_tab = ens.family.scalar_values()
     dB = np.moveaxis(ens.drivers.dB, 0, -1)
@@ -253,7 +262,7 @@ def _reference_flow(ens):
     psi = np.ones((S, P, K1))
     for k in range(K1 - 1):
         t = float(grid.times[k])
-        x = ens.states[:, :, k]
+        x = states[:, :, k]
         a_k = a_tab[:, k][:, None]
         bx = _avg(model.b_x, t, x, w[k], actions)
         sx = np.asarray(model.sigma_x(t, x)) + np.zeros_like(x)
@@ -270,28 +279,31 @@ def _reference_flow(ens):
         for i, th in enumerate(marks.marks):
             if ens.tagged_counts is None:
                 pairs = [(_avg(model.f_x, t, x, w[k], actions, theta=float(th)),
-                          ens.counts[:, k, i])]
+                          ens.counts[k, i])]
             else:
                 pairs = [(np.asarray(model.f_x(t, x, float(th), float(a))) + np.zeros_like(x),
-                          ens.tagged_counts[:, k, i, a_i]) for a_i, a in enumerate(actions)]
+                          ens.tagged_counts[k, i, a_i]) for a_i, a in enumerate(actions)]
             for fx, c in pairs:
                 if c.any():
                     mult = mult * (1.0 + fx) ** c[None, :]
                     imult = imult * (1.0 + fx) ** (-c)[None, :]
         phi[:, :, k + 1] = phi[:, :, k] * growth * mult
         psi[:, :, k + 1] = psi[:, :, k] * igrowth * imult
-    return phi, psi
+    return np.moveaxis(phi, -1, 0), np.moveaxis(psi, -1, 0)
 
 
 def _reference_adjoint(ens, degree=2):
-    """One lstsq plus one cond per (scenario, step), on full (S, P, K) arrays."""
+    """One lstsq plus one cond per (scenario, step), on full (S, P, K) arrays.
+
+    The triple is returned time-major, like :func:`solve_adjoint`'s.
+    """
     model, grid, marks = ens.model, ens.grid, ens.marks
     dt, K = grid.dt, grid.n_steps
-    S, P = ens.states.shape[:2]
+    x = _path_major(ens.states)
+    S, P = x.shape[:2]
     m = marks.n_marks
-    phi, psi = _reference_flow(ens)
+    phi, psi = (_path_major(a) for a in _reference_flow(ens))
     w, actions = _weights_and_actions(ens.control)
-    x = ens.states
     sx = np.empty((S, P, K))
     hx = np.empty((S, P, K))
     fxb = np.empty((S, P, K, m))
@@ -336,7 +348,7 @@ def _reference_adjoint(ens, degree=2):
     cond_inc = np.ones((S, K))
     for s in range(S):
         for k in range(K):
-            dn = ens.counts[:, k, :] - marks.intensities[None, :] * dt
+            dn = ens.counts[k].T - marks.intensities[None, :] * dt
             keep_b = float(dB[s, :, k].std()) > 1e-12
             keep_n = [i for i in range(m) if float(dn[:, i].std()) > 1e-12]
             cols = ([dB[s, :, k]] if keep_b else []) + [dn[:, i] for i in keep_n]
@@ -366,7 +378,8 @@ def _reference_adjoint(ens, degree=2):
     inv = 1.0 / (1.0 + fxb)
     r = R[:, None, :, :] * psi[:, :, :K, None] * inv + p[:, :, :K, None] * (inv - 1.0)
     p[:, :, K] = gx_term
-    return {"p": p, "q": q, "r": r, "Q": Q, "R": R, "S_t": S_t, "cond_y": cond_y,
+    return {"p": np.moveaxis(p, -1, 0), "q": np.moveaxis(q, -1, 0), "r": np.moveaxis(r, 2, 0),
+            "Q": Q, "R": R, "S_t": S_t, "cond_y": cond_y,
             "cond_increment": cond_inc, "y_residual": np.sqrt(sq / (K * P)),
             "X": targets[:, :, 0], "intercept": c}
 

@@ -230,6 +230,19 @@ def test_module_errors_surface_from_run_document(tmp_path):
         run_document(doc, output_dir=tmp_path)
 
 
+def test_rerun_removes_files_the_old_manifest_lists(tmp_path):
+    # four corner scenarios write plot_state_mean_s0..s3; one block gives two
+    run_document(_base_doc(), output_dir=tmp_path)
+    (tmp_path / "notes.txt").write_text("not an artifact\n")
+    assert (tmp_path / "plot_state_mean_s3.csv").exists()
+    run_document(_base_doc(scenarios={"strategy": "corners", "blocks": 1}),
+                 output_dir=tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    on_disk = {p.name for p in tmp_path.iterdir()}
+    assert on_disk == set(manifest["files"]) | {"manifest.json", "notes.txt"}
+    assert "plot_state_mean_s2.csv" not in on_disk
+
+
 def test_manifest_matches_files_on_disk(tmp_path):
     res = run_document(_base_doc(), output_dir=tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -332,10 +345,37 @@ _DEFAULT_OPTION_PROBES = {
 }
 
 
+# gaps found by tests/test_validate_runs.py: each config passed validate and
+# then failed its run
+_VALIDATE_GAP_PROBES = {
+    "marks-distinct": (
+        _lq(marks={"values": [0.6, 0.6], "intensities": [0.7, 0.3]}),
+        "$.marks.values: values must be distinct",
+        _lq(marks={"values": [-0.4, 0.6], "intensities": [0.7, 0.3]})),
+    "weights-tolerance": (
+        _lq(kind="mp-relaxed", control={"type": "weights", "weights": [[0.3333333333] * 3] * 16}),
+        "$.control.weights: row 0 sums to 0.9999999999, not 1",
+        _lq(kind="mp-relaxed", control={"type": "weights", "weights": [[0.25, 0.5, 0.25]] * 16})),
+    "null-option": (
+        _lq(kind="mp-strict", options={"slack_mult": None}),
+        "$.options.slack_mult: null is not a value; leave the option out to use its default",
+        _lq(kind="mp-strict", options={"slack_mult": 2.0})),
+    "derivative-check": (
+        _base_doc(model={"name": "linear_jump_lq", "params": {"c2": -1e9}},
+                  actions=[-1.0, 0.0, 1.0]),
+        "$.model.params: 27 derivative checks fail, first: gamma_x mismatch at"
+        " (t=0.562, x=1.59, a=-0.302): fd 0.0936729 vs 0.1",
+        _base_doc(model={"name": "linear_jump_lq", "params": {"c2": -1.0}},
+                  actions=[-1.0, 0.0, 1.0])),
+}
+
+
 @pytest.mark.parametrize(
     "bad, violation, good",
-    _PRECONDITION_PROBES + list(_DEFAULT_OPTION_PROBES.values()),
-    ids=[p[1].split(":")[0] for p in _PRECONDITION_PROBES] + list(_DEFAULT_OPTION_PROBES),
+    _PRECONDITION_PROBES + list(_DEFAULT_OPTION_PROBES.values())
+    + list(_VALIDATE_GAP_PROBES.values()),
+    ids=[p[1].split(":")[0] for p in _PRECONDITION_PROBES] + list(_DEFAULT_OPTION_PROBES)
+    + list(_VALIDATE_GAP_PROBES),
 )
 def test_run_preconditions_are_violations(bad, violation, good, tmp_path):
     assert validate_document(bad) == [violation]

@@ -37,7 +37,7 @@ def test_zero_intensity_gives_no_events():
     grid = TimeGrid(T=1.0, n_steps=16)
     d = _drivers(quiet, grid, 64, seed=9)
     assert d.n_events == 0 and d.path.size == 0 and d.tag_u.size == 0
-    assert d.counts.shape == (64, 16, 1) and not d.counts.any()
+    assert d.counts.shape == (16, 1, 64) and not d.counts.any()
 
 
 def test_poisson_rate():
@@ -82,17 +82,18 @@ def test_compensated_counts_are_centered():
     grid = TimeGrid(T=1.0, n_steps=8)
     P = 20_000
     d = _drivers(MARKS, grid, P, seed=17)
-    per_mark = d.counts.sum(axis=1)
+    per_mark = d.counts.sum(axis=0)
     for i, nu in enumerate(MARKS.intensities):
-        centered = per_mark[:, i] - nu * grid.T
+        centered = per_mark[i] - nu * grid.T
         assert abs(centered.mean()) <= 3 * centered.std(ddof=1) / np.sqrt(P)
-    total = per_mark.sum(axis=1) - MARKS.total_intensity * grid.T
+    total = per_mark.sum(axis=0) - MARKS.total_intensity * grid.T
     assert abs(total.mean()) <= 3 * total.std(ddof=1) / np.sqrt(P)
 
 
 def test_flat_sampler_reproduces_frozen_events():
     # digests of the events, tags and counts that the per-path sampler drew
-    # for this seed before the flat bundle replaced it
+    # for this seed before the flat bundle replaced it; the counts were
+    # path-major int32 then, so they are hashed as such a copy
     grid = TimeGrid(T=1.0, n_steps=8)
     actions = ActionGrid(np.array([0.0, 1.0, 2.0]))
     w = np.tile(np.array([0.2, 0.5, 0.3]), (8, 1))
@@ -112,8 +113,9 @@ def test_flat_sampler_reproduces_frozen_events():
     assert digest(d.times) == "9c59f73edd48d03d9bd1aec2538ef912296ad613c9e376b608450b809bb3dd4c"
     assert digest(d.mark_idx) == "fcb249f2159f927554adaf6165782dcddd3adbc868e4eaa6748bf1ae0b55dad1"
     assert digest(d.tags(mu)) == "34a38d619af407ae353b75315a9c09128c93b1b5f21c19a6c97674d552851cbc"
-    assert digest(d.counts) == "e943de2053b91d6f0607c58bb9de80d16f5d610e4da19791e3a501b6c7429c44"
-    assert digest(d.tagged_counts(mu)) == (
+    path_major = np.moveaxis(d.counts, -1, 0)
+    assert digest(path_major) == "e943de2053b91d6f0607c58bb9de80d16f5d610e4da19791e3a501b6c7429c44"
+    assert digest(np.moveaxis(d.tagged_counts(mu), -1, 0).astype(np.int32)) == (
         "7e9188803c2025882adf7f2b1075378183fb16cc3b94770bc44882ec5ea47dab"
     )
 
@@ -161,7 +163,7 @@ def test_relaxed_base_events_shared_with_strict():
     assert tags.shape == tagged.times.shape
     assert np.array_equal(plain.times, tagged.times)
     assert np.array_equal(plain.mark_idx, tagged.mark_idx)
-    assert np.array_equal(tagged.tagged_counts(mu).sum(axis=3), plain.counts)
+    assert np.array_equal(tagged.tagged_counts(mu).sum(axis=2), plain.counts)
 
 
 def test_relaxed_compensator_identity():
@@ -197,15 +199,15 @@ def test_dense_counts_match_event_lists():
     grid = TimeGrid(T=1.0, n_steps=8)
     d = _drivers(MARKS, grid, 100, seed=12)
     dense = d.counts
-    assert dense.shape == (100, 8, 2)
-    assert np.array_equal(dense.sum(axis=(1, 2)), _per_path(d))
+    assert dense.shape == (8, 2, 100)
+    assert np.array_equal(dense.sum(axis=(0, 1)), _per_path(d))
     for i in range(2):
-        assert np.array_equal(dense[:, :, i].sum(axis=1), _per_path(d, d.mark_idx == i))
+        assert np.array_equal(dense[:, i].sum(axis=0), _per_path(d, d.mark_idx == i))
     # occupation step recomputed from raw times
     dt = grid.dt
     for p, t, i in zip(d.path, d.times, d.mark_idx):
         k = min(int(np.floor(t / dt)), 7)
-        assert dense[p, k, i] >= 1
+        assert dense[k, i, p] >= 1
 
 
 def test_dense_tagged_counts_split_by_action():
@@ -214,5 +216,5 @@ def test_dense_tagged_counts_split_by_action():
     mu = RelaxedControl(actions, np.full((4, 2), 0.5))
     d = _drivers(MARKS, grid, 200, seed=13)
     tagged = d.tagged_counts(mu)
-    assert tagged.shape == (200, 4, 2, 2)
-    assert np.array_equal(tagged.sum(axis=3), d.counts)
+    assert tagged.shape == (4, 2, 2, 200)
+    assert np.array_equal(tagged.sum(axis=2), d.counts)

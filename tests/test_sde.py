@@ -41,7 +41,7 @@ def test_constant_drift_exact_terminal_state():
     model = md.build_model("constant_drift", {"mu": 1.0, "sigma0": 0.0})
     u = constant_strict(ACTIONS, 16, 0)
     ens = sde.simulate(model, u, fam, grid, QUIET, n_paths=4, seed=0, x0=2.0)
-    assert np.all(ens.states[:, :, -1] == 3.0)
+    assert np.all(ens.states[-1] == 3.0)
 
 
 def test_linear_model_mean_matches_oracles():
@@ -52,7 +52,7 @@ def test_linear_model_mean_matches_oracles():
     u = constant_strict(ACTIONS, 200, 1)
     P = 20_000
     ens = sde.simulate(model, u, fam, grid, QUIET, n_paths=P, seed=14, x0=1.0)
-    xT = ens.states[0, :, -1]
+    xT = ens.states[-1, 0]
     se = xT.std(ddof=1) / np.sqrt(P)
     u_path = np.zeros(200)  # th1 = 0, control irrelevant
     assert abs(xT.mean() - md.bilinear_mean_discrete(params, grid, 1.0, u_path)) <= 3 * se
@@ -67,7 +67,7 @@ def test_lq_mean_matches_discrete_moment_recursion():
     u = constant_strict(ACTIONS, 64, 1)  # action 0.5
     P = 20_000
     ens = sde.simulate(model, u, fam, grid, MARKS, n_paths=P, seed=15, x0=1.0)
-    xT = ens.states[0, :, -1]
+    xT = ens.states[-1, 0]
     se = xT.std(ddof=1) / np.sqrt(P)
     u_mean = np.full(64, 0.5)
     m1, _, _ = md.lq_moments_discrete(params, grid, 1.0, u_mean, u_mean**2, np.full(64, 2.0), MARKS)
@@ -104,7 +104,7 @@ def test_variance_monotone_in_volatility_scenario():
     u = constant_strict(ACTIONS, 50, 0)
     P = 10_000
     ens = sde.simulate(model, u, fam, grid, QUIET, n_paths=P, seed=18, x0=0.0)
-    var = ens.states[:, :, -1].var(axis=1, ddof=1)
+    var = ens.states[-1].var(axis=1, ddof=1)
     for s, target in ((0, 1.0), (1, 4.0)):
         se = var[s] * np.sqrt(2.0 / (P - 1))
         assert abs(var[s] - target) <= 3 * se
@@ -125,7 +125,7 @@ def test_sup_distance_identity_and_separation():
     apart = sde.sup_distance(ea, eb)
     assert np.all(apart.sup > 0.0)
     # deterministic dynamics: sup is attained at the terminal step
-    expect = abs(ea.states[0, 0, -1] - eb.states[0, 0, -1])
+    expect = abs(ea.states[-1, 0, 0] - eb.states[-1, 0, 0])
     assert apart.sup[0, 0] == pytest.approx(expect)
 
 
@@ -174,7 +174,7 @@ def test_explicit_noise_and_jump_reuse():
     drivers = sample_drivers(fam, grid, MARKS, 30, seed=22)
     x1 = sde.simulate_batch(model, [u], fam, grid, MARKS, drivers, x0=1.0)
     e2 = sde.simulate(model, u, fam, grid, MARKS, n_paths=30, seed=22, x0=1.0)
-    assert np.moveaxis(x1[:, 0], 0, -1).tobytes() == e2.states.tobytes()
+    assert x1[:, 0].tobytes() == e2.states.tobytes()
 
     mu = embed_strict(u)
     x3 = sde.simulate_batch(model, [mu], fam, grid, MARKS, drivers, x0=1.0)
@@ -187,8 +187,7 @@ LQ = dict(b1=0.2, b2=0.5, s0=0.3, s1=0.1, c1=0.1, c2=0.3, f1=0.1, f2=0.1, h1=0.5
 def _alone(model, controls, fam, grid, marks, n_paths, seed, x0):
     """Each control's states from its own run, time-major like a batch."""
     return np.stack(
-        [np.moveaxis(sde.simulate(model, c, fam, grid, marks, n_paths, seed, x0).states, -1, 0)
-         for c in controls],
+        [sde.simulate(model, c, fam, grid, marks, n_paths, seed, x0).states for c in controls],
         axis=1,
     )
 
@@ -232,11 +231,11 @@ def _reference_loop(model, control, fam, grid, marks, drivers, x0):
                     jump_i = f_bar = 0.0
                     for al in range(actions.size):
                         f_ia = model.f(t, xk, th, float(actions[al]))
-                        jump_i = jump_i + f_ia * counts[:, k, i, al]
+                        jump_i = jump_i + f_ia * counts[k, i, al]
                         f_bar = f_bar + control.weights[k, al] * f_ia
                 else:
                     f_bar = model.f(t, xk, th, uk)
-                    jump_i = f_bar * counts[:, k, i]
+                    jump_i = f_bar * counts[k, i]
                 jump_sum = jump_sum + jump_i
                 comp_rate = comp_rate + f_bar * marks.intensities[i]
             x[s, :, k + 1] = xk + (incr + (jump_sum - comp_rate * dt))

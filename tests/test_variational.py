@@ -44,8 +44,8 @@ def test_z_constant_when_derivatives_vanish():
     spec = SpikeSpec(base=ens.control, action_index=1, t0=0.25, width=0.25)
     zp = vr.solve_variational(ens, spec)
     assert zp.k0 == 4
-    assert np.all(zp.z[:, :, :4] == 0.0)
-    assert np.all(zp.z[:, :, 4:] == 0.5)  # b2 * (1 - 0)
+    assert np.all(zp.z[:4] == 0.0)
+    assert np.all(zp.z[4:] == 0.5)  # b2 * (1 - 0)
 
 
 def test_z_scales_linearly_in_the_impulse():
@@ -76,19 +76,19 @@ def test_z_geometric_product_closed_form():
         spec = SpikeSpec(base=ens.control, action_index=1, t0=0.25, width=0.25)
         zp = vr.solve_variational(ens, spec)
         theta = th0 + th1 * u0
-        x_t0 = ens.states[0, 0, zp.k0]
+        x_t0 = ens.states[zp.k0, 0, 0]
         z0 = th1 * (0.9 - 0.2) * x_t0
         m = n - zp.k0
         product = z0 * (1.0 + theta * grid.dt) ** m
-        assert zp.z[0, 0, -1] == pytest.approx(product, rel=1e-10)
-        gap = abs(zp.z[0, 0, -1] - z0 * np.exp(theta * 0.75))
+        assert zp.z[-1, 0, 0] == pytest.approx(product, rel=1e-10)
+        gap = abs(zp.z[-1, 0, 0] - z0 * np.exp(theta * 0.75))
         if last is not None:
             assert gap < last
         last = gap
 
 
 def test_variational_path_invariant_enforced():
-    bad = np.ones((1, 1, 5))
+    bad = np.ones((5, 1, 1))
     with pytest.raises(ValueError):
         vr.VariationalPath(z=bad, k0=2)
 
@@ -103,8 +103,8 @@ def test_fundamental_trivial_flow():
     pair = vr.solve_fundamental(ens, spec)
     assert np.all(pair.phi == 1.0)
     assert np.all(pair.psi == 1.0)
-    assert np.all(pair.eta[:, :, :8] == 0.0)
-    assert np.all(pair.eta[:, :, 8:] == 0.5)
+    assert np.all(pair.eta[:8] == 0.0)
+    assert np.all(pair.eta[8:] == 0.5)
     assert pair.inverse_defect() == 0.0
 
 
@@ -114,8 +114,8 @@ def test_fundamental_starts_at_identity():
     ens = simulate(model, constant_strict(ActionGrid(np.array([0.0, 1.0])), 32, 1),
                    _fam(1.0, 1.0, grid), grid, MARKS, 30, 16, 1.0)
     pair = vr.solve_fundamental(ens)
-    assert np.all(pair.phi[:, :, 0] == 1.0)
-    assert np.all(pair.psi[:, :, 0] == 1.0)
+    assert np.all(pair.phi[0] == 1.0)
+    assert np.all(pair.psi[0] == 1.0)
     assert np.all(pair.eta == 0.0)
 
 
