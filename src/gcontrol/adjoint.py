@@ -17,10 +17,16 @@ the increment regression as another (scenarios that drop the dB column
 form a second stack). Each SVD yields the min-norm coefficients, the
 condition numbers and the residuals together. One formula,
 :func:`_triple_at`, turns a backward variable into ``(p, q, r)`` at a
-step: :func:`solve_adjoint` feeds it the fitted variable at every step,
-:func:`mp_check_relaxed` the raw (unfitted) one at report-block starts
-only, with one backward pass for the volatility-channel weights of
-every block.
+step, reading ``sigma_x`` at that step rather than from a stored
+array. :func:`_triple_steps` feeds it the fitted variable one step at a
+time: :func:`solve_adjoint` fills whole arrays from it, and
+:func:`bsde_stability_report` folds each chattering rung's steps into
+per-(scenario, path) gap accumulators, so it never holds a rung's
+triple. :func:`mp_check_relaxed` feeds :func:`_triple_at` the raw
+(unfitted) variable at report-block starts only, with one backward pass
+for the volatility-channel weights of every block. A backward variable,
+triple component or table entry that overflows raises, naming the step
+and the scenario.
 
 On top of the triple the module builds stationarity tables for strict,
 near-optimal, and relaxed controls (each with deterministic estimator
@@ -35,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,6 +67,26 @@ _DEGENERATE_STD = 1e-12
 
 def _fmt(x) -> str:
     return repr(float(x))
+
+
+def _sigma_x(model: ModelSpec, t: float, x: np.ndarray) -> np.ndarray:
+    """``sigma_x(t, x)`` broadcast to the shape of ``x``."""
+    return np.asarray(model.sigma_x(t, x), dtype=float) + np.zeros_like(x)
+
+
+def _nonfinite_scenario(v: np.ndarray) -> int | None:
+    """The first scenario (axis 0) where ``v`` is not finite, or None."""
+    finite = np.isfinite(v)
+    if finite.all():
+        return None
+    return int(np.argwhere(~finite)[0][0])
+
+
+def _require_finite(v: np.ndarray, what: str) -> None:
+    """Raise ``FloatingPointError`` naming ``what`` and the first non-finite scenario."""
+    s = _nonfinite_scenario(v)
+    if s is not None:
+        raise FloatingPointError(f"non-finite {what} under scenario {s}")
 
 
 @dataclass(frozen=True)
@@ -222,7 +248,7 @@ def tail_weights(
     psi: np.ndarray,
     y: np.ndarray,
     Q: np.ndarray,
-    sx: np.ndarray,
+    sx: Callable[[int], np.ndarray],
     a_tab: np.ndarray,
     s_table: np.ndarray,
     bounds,
@@ -238,16 +264,18 @@ def tail_weights(
     with ``q_k = psi_k (Q_k - y_k sx_k)`` and ``G`` the scalar generator
     :func:`~gcontrol.scenarios.generator_G`. One backward pass serves
     every start. ``phi``, ``psi`` and ``y`` are time-major (K+1, S, P),
-    ``sx`` is (K, S, P), ``Q``, ``a_tab`` and ``s_table`` are (S, K).
-    Returns shape (len(starts), S, P).
+    ``sx(k)`` returns ``sigma_x`` at step k, shape (S, P), and ``Q``,
+    ``a_tab`` and ``s_table`` are (S, K). Returns shape
+    (len(starts), S, P).
     """
     s_net = s_table * a_tab - 2.0 * generator_G(s_table, bounds)
     out = np.empty((len(starts),) + phi.shape[1:])
     acc = np.zeros(phi.shape[1:])
     slot = {int(k0): j for j, k0 in enumerate(starts)}
-    for k in range(sx.shape[0] - 1, min(starts) - 1, -1):
-        q_k = psi[k] * (Q[:, k][:, None] - y[k] * sx[k])
-        acc += phi[k] * (q_k * sx[k] * a_tab[:, k][:, None] + s_net[:, k][:, None])
+    for k in range(Q.shape[1] - 1, min(starts) - 1, -1):
+        sx_k = sx(k)
+        q_k = psi[k] * (Q[:, k][:, None] - y[k] * sx_k)
+        acc += phi[k] * (q_k * sx_k * a_tab[:, k][:, None] + s_net[:, k][:, None])
         if k in slot:
             out[slot[k]] = acc * dt
     return out
@@ -399,7 +427,9 @@ def _adjoint_core(
     on the state (one stacked SVD per step across scenarios) and the
     martingale increment of the fitted variable on the step's noise
     (another). Every (K+1, S, P) array in the result is time-major; the
-    fitted variable is kept only when ``keep_fit``.
+    fitted variable is kept only when ``keep_fit``. A backward variable
+    that overflows raises ``FloatingPointError`` naming the step and
+    the scenario.
     """
     model = ensemble.model
     grid = ensemble.grid
@@ -412,6 +442,7 @@ def _adjoint_core(
 
     pair = solve_fundamental(ensemble)
     phi, psi = pair.phi, pair.psi
+    del pair  # its all-zero eta is not read here
     x = ensemble.states
     dB = ensemble.drivers.dB
     times = grid.times
@@ -420,14 +451,13 @@ def _adjoint_core(
         hx = _avg(model.h_x, float(times[k]), x[k], w[k], actions)
         return hx * phi[k] * dt
 
-    sx = np.empty((n_steps, n_scen, n_paths))
-    for k in range(n_steps):
-        sx[k] = np.asarray(model.sigma_x(float(times[k]), x[k]), dtype=float) + np.zeros_like(x[k])
     gx_term = np.asarray(model.g_x(x[n_steps]), dtype=float) + np.zeros_like(x[n_steps])
     targets = np.empty((n_steps + 1, n_scen, n_paths))
     targets[n_steps] = gx_term * phi[n_steps]
+    _require_finite(targets[n_steps], f"backward variable at step {n_steps}")
     for k in range(n_steps - 1, -1, -1):
         targets[k] = targets[k + 1] + running(k)
+        _require_finite(targets[k], f"backward variable at step {k}")
 
     yhat = np.empty_like(targets) if keep_fit else None
     cond_y = np.ones((n_scen, n_steps))
@@ -473,7 +503,6 @@ def _adjoint_core(
         x=x,
         w=w,
         actions=actions,
-        sx=sx,
         gx_term=gx_term,
         targets=targets,
         yhat=yhat,
@@ -499,11 +528,45 @@ def _triple_at(ensemble: StateEnsemble, core: SimpleNamespace, k: int, y_k: np.n
     step's loadings ``Q``/``R`` from ``core``; ``r`` has shape (S, P, m).
     """
     psi = core.psi[k]
-    inv = _jump_inverse(ensemble.model, ensemble.marks, float(ensemble.grid.times[k]),
-                        core.x[k], core.w[k], core.actions)
+    t = float(ensemble.grid.times[k])
+    inv = _jump_inverse(ensemble.model, ensemble.marks, t, core.x[k], core.w[k], core.actions)
     p = y_k * psi
-    q = psi * (core.Q[:, k][:, None] - y_k * core.sx[k])
+    q = psi * (core.Q[:, k][:, None] - y_k * _sigma_x(ensemble.model, t, core.x[k]))
     r = core.R[:, k][:, None, :] * psi[:, :, None] * inv + p[:, :, None] * (inv - 1.0)
+    return p, q, r
+
+
+def _triple_steps(ensemble: StateEnsemble, core: SimpleNamespace) -> Iterator[tuple]:
+    """Yield ``(p_k, q_k, r_k)`` of the fitted variable for k < K, one step at a time.
+
+    ``core`` must keep its fit. A non-finite component raises the
+    ``ValueError`` of :class:`AdjointTriple`, naming the step and the
+    scenario, before the step is handed on.
+    """
+    for k in range(ensemble.grid.n_steps):
+        step = _triple_at(ensemble, core, k, core.yhat[k])
+        for name, v in zip("pqr", step):
+            s = _nonfinite_scenario(v)
+            if s is not None:
+                raise ValueError(
+                    f"adjoint component {name} is not finite at step {k} under scenario {s}"
+                )
+        yield step
+
+
+def _fitted_triple(ensemble: StateEnsemble, core: SimpleNamespace):
+    """The arrays ``p`` (K+1, S, P), ``q`` (K, S, P) and ``r`` (K, S, P, m).
+
+    The terminal value of ``p`` is the exact terminal gradient, set
+    directly rather than through the fitted product.
+    """
+    n_steps = ensemble.grid.n_steps
+    p = np.empty(ensemble.states.shape)
+    q = np.empty(p[:n_steps].shape)
+    r = np.empty(q.shape + (ensemble.marks.n_marks,))
+    for k, (p_k, q_k, r_k) in enumerate(_triple_steps(ensemble, core)):
+        p[k], q[k], r[k] = p_k, q_k, r_k
+    p[n_steps] = core.gx_term
     return p, q, r
 
 
@@ -520,13 +583,7 @@ def solve_adjoint(
     numbers land in the representation for inspection.
     """
     core = _adjoint_core(ensemble, basis_degree, keep_fit=True)
-    n_steps = ensemble.grid.n_steps
-    p = np.empty(ensemble.states.shape)
-    q = np.empty(p[:n_steps].shape)
-    r = np.empty(q.shape + (ensemble.marks.n_marks,))
-    for k in range(n_steps):
-        p[k], q[k], r[k] = _triple_at(ensemble, core, k, core.yhat[k])
-    p[n_steps] = core.gx_term
+    p, q, r = _fitted_triple(ensemble, core)
     triple = AdjointTriple(p=p, q=q, r=r, k=np.zeros_like(q))
     rep = BSDERepresentation(
         X=core.X,
@@ -577,7 +634,7 @@ def bsde_residual(ensemble: StateEnsemble, triple: AdjointTriple) -> np.ndarray:
         bx = _avg(model.b_x, t, x, w[k], actions)
         gx = _avg(model.gamma_x, t, x, w[k], actions)
         hxk = _avg(model.h_x, t, x, w[k], actions)
-        sxk = np.asarray(model.sigma_x(t, x), dtype=float) + np.zeros_like(x)
+        sxk = _sigma_x(model, t, x)
         q, r = triple.q[k], triple.r[k]
         drv = -hxk + p[k] * (bx - pi * gx) - pi * q * sxk
         for i in range(marks.n_marks):
@@ -670,8 +727,9 @@ def mp_check_relaxed(
     n_scen = a_tab.shape[0]
     block_len = n_steps // n_blocks
     starts = [b * block_len for b in range(n_blocks)]
-    weights = tail_weights(core.phi, core.psi, core.targets, core.Q, core.sx, a_tab,
-                           core.S_t, family.bounds, grid.dt, starts)
+    weights = tail_weights(core.phi, core.psi, core.targets, core.Q,
+                           lambda k: _sigma_x(model, float(grid.times[k]), core.x[k]),
+                           a_tab, core.S_t, family.bounds, grid.dt, starts)
 
     entries: list[MPEntry] = []
     for b, k0 in enumerate(starts):
@@ -700,6 +758,8 @@ def mp_check_relaxed(
             for i, d_fi in enumerate(d_f):
                 impulse = impulse - d_fi * float(nus[i])
             vals = d_h + f_term(impulse, dgamma, p0, a0, psi0, weights[b])
+            _require_finite(vals, f"stationarity entry of action {float(actions[ai])!r} in block "
+                                  f"{b} at step {k0}")
             um = upper_expectation([vals[s] for s in range(n_scen)])
             slack = slack_mult * um.stderr + extra_slack
             entries.append(
@@ -895,33 +955,49 @@ def bsde_stability_report(
     sup-square for ``p``, integrated square for ``q``, intensity-weighted
     integrated square for ``r``. The orthogonal remainder is identically
     zero on both sides, so its gap column is exactly zero.
+
+    Only the relaxed control's ``p``, ``q`` and ``r`` are held whole. A
+    rung's triple is formed one step at a time and folded into three
+    (S, P) accumulators: the running max of ``|p_n - p|`` (terminal node
+    included) and the running sums of the squared ``q`` and the
+    ``nu``-weighted squared ``r`` differences, in step order, which is
+    the order numpy sums a time-major array over its first axis when a
+    step holds more than one (scenario, path) pair.
     """
     n_list = [int(n) for n in n_list]
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"n_list must be strictly increasing and nonempty, got {n_list}")
     dt = grid.dt
+    n_steps = grid.n_steps
     nus = marks.intensities
 
-    # one set of drivers for every rung; the rungs are simulated one at a
-    # time, right before their adjoint solve, because the adjoint sets the
-    # peak memory and a batch would hold every rung's states at once
+    # one set of drivers for every rung; each rung is simulated right
+    # before its adjoint, and its ensemble and regressions are dropped
+    # before the next one, because the adjoint sets the peak memory
     drivers = sample_drivers(family, grid, marks, n_paths, seed)
-    ens_mu = simulate_with(model, mu, family, grid, marks, drivers, x0)
-    triple_mu, _ = solve_adjoint(ens_mu, basis_degree)
+    ens = simulate_with(model, mu, family, grid, marks, drivers, x0)
+    core = _adjoint_core(ens, basis_degree, keep_fit=True)
+    p_mu, q_mu, r_mu = _fitted_triple(ens, core)
+    del ens, core
 
     rows: list[StabilityRow] = []
     for n in n_list:
-        u_n = chattering(mu, n)
-        ens_n = simulate_with(model, u_n, family, grid, marks, drivers, x0)
-        triple_n, _ = solve_adjoint(ens_n, basis_degree)
+        ens = simulate_with(model, chattering(mu, n), family, grid, marks, drivers, x0)
+        core = _adjoint_core(ens, basis_degree, keep_fit=True)
+        p_sup = np.abs(core.gx_term - p_mu[n_steps])
+        q_sum = np.zeros(p_sup.shape)
+        r_sum = np.zeros(p_sup.shape)
+        for k, (p, q, r) in enumerate(_triple_steps(ens, core)):
+            np.maximum(p_sup, np.abs(p - p_mu[k]), out=p_sup)
+            q_sum += (q - q_mu[k]) ** 2
+            r_sum += (((r - r_mu[k]) ** 2) * nus).sum(axis=2)
+        del ens, core
 
-        p_dev = np.abs(triple_n.p - triple_mu.p).max(axis=0) ** 2
-        q_dev = ((triple_n.q - triple_mu.q) ** 2).sum(axis=0) * dt
-        r_dev = (((triple_n.r - triple_mu.r) ** 2) * nus).sum(axis=(0, 3)) * dt
-
-        um_p = upper_expectation(list(p_dev))
-        um_q = upper_expectation(list(q_dev))
-        um_r = upper_expectation(list(r_dev))
+        gaps = []
+        for name, dev in (("p", p_sup**2), ("q", q_sum * dt), ("r", r_sum * dt)):
+            _require_finite(dev, f"{name} gap of rung n={n}")
+            gaps.append(upper_expectation(list(dev)))
+        um_p, um_q, um_r = gaps
         rows.append(
             StabilityRow(
                 n=n,
@@ -986,7 +1062,7 @@ def driver_lipschitz_audit(
 
     bx = np.asarray(model.b_x(t, x, a), dtype=float) + np.zeros_like(x)
     gx = np.asarray(model.gamma_x(t, x, a), dtype=float) + np.zeros_like(x)
-    sxv = np.asarray(model.sigma_x(t, x), dtype=float) + np.zeros_like(x)
+    sxv = _sigma_x(model, t, x)
 
     diff = dp * (bx - pi * gx) - pi * dq * sxv
     denom = np.abs(dp) + np.abs(dq)

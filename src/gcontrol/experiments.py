@@ -781,7 +781,9 @@ def run_document(doc: Mapping, *, output_dir: str | Path | None = None,
     Emission is single-threaded and ordered; ``threads`` only fans out
     the strict and the relaxed batch of brute-force candidate costs,
     whose results are collected in submission order, so the artifacts do
-    not depend on it.
+    not depend on it. ``summary.json`` and ``manifest.json`` are strict
+    JSON: a non-finite metric raises ``FloatingPointError`` instead of
+    being written as a bare ``NaN`` or ``Infinity``.
     """
     eff = dict(doc)
     if seed_override is not None:
@@ -792,6 +794,9 @@ def run_document(doc: Mapping, *, output_dir: str | Path | None = None,
 
     start = time.perf_counter()
     files, metrics, verdict = _DISPATCH[cfg.kind](cfg, max(1, int(threads)))
+    for key, value in metrics.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise FloatingPointError(f"non-finite {cfg.kind} metric {key} = {value!r}")
     summary = {
         "kind": cfg.kind,
         "model": cfg.model_name,
@@ -801,7 +806,7 @@ def run_document(doc: Mapping, *, output_dir: str | Path | None = None,
         "metrics": metrics,
         "files": sorted(files),
     }
-    files["summary.json"] = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+    files["summary.json"] = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -817,7 +822,7 @@ def run_document(doc: Mapping, *, output_dir: str | Path | None = None,
         files=digests,
     )
     (out / "manifest.json").write_text(
-        json.dumps(asdict(manifest), sort_keys=True, indent=2) + "\n"
+        json.dumps(asdict(manifest), sort_keys=True, indent=2, allow_nan=False) + "\n"
     )
     return RunResult(manifest=manifest, verdict=verdict, output_dir=out,
                      summary=summary)

@@ -177,8 +177,17 @@ def simulate_batch(
     time-major, shape (n_steps + 1, n_controls, n_scenarios, n_paths);
     row c equals the run of control c alone, bit for bit.
     """
+    return _simulate(model, list(controls), family, grid, marks, drivers, x0)[0]
+
+
+def _simulate(model, controls, family, grid, marks, drivers, x0):
+    """:func:`simulate_batch`, plus the tagged counts the kernel ran on.
+
+    The counts are (K, m, A, n_controls, P) for a relaxed batch and None
+    for a strict one, so a caller that wraps a row as an ensemble hands
+    the kernel's counts on instead of building them again.
+    """
     ensure_validated(model)
-    controls = list(controls)
     if not controls:
         raise ValueError("simulate_batch needs at least one control")
     K = grid.n_steps
@@ -193,19 +202,19 @@ def simulate_batch(
     a_vals = family.values
     X = np.empty((K + 1, len(controls), S, P))
     X[0] = x0
+    tagged = None
     if all(isinstance(c, StrictControl) for c in controls):
         _strict_steps(model, controls, a_vals, grid, marks, dB, drivers.counts, X)
     elif all(isinstance(c, RelaxedControl) for c in controls):
         actions = controls[0].grid.actions
         if any(not np.array_equal(c.grid.actions, actions) for c in controls):
             raise ValueError("relaxed controls of one batch must share the action grid")
-        # (K, m, A, C, 1, P): each control's counts broadcast over the scenarios
+        # (K, m, A, C, P); the kernel broadcasts each control's counts over the scenarios
         tagged = np.stack([drivers.tagged_counts(mu) for mu in controls], axis=3)
-        tagged = tagged[:, :, :, :, None]
-        _relaxed_steps(model, controls, a_vals, grid, marks, dB, tagged, X)
+        _relaxed_steps(model, controls, a_vals, grid, marks, dB, tagged[:, :, :, :, None], X)
     else:
         raise ValueError("a batch holds either strict or relaxed controls, not both")
-    return X
+    return X, tagged
 
 
 def ensemble_from_batch(
@@ -225,6 +234,10 @@ def ensemble_from_batch(
     be freed once the caller drops it.
     """
     tagged = drivers.tagged_counts(control) if isinstance(control, RelaxedControl) else None
+    return _wrap(model, control, family, grid, marks, drivers, x0, states, tagged)
+
+
+def _wrap(model, control, family, grid, marks, drivers, x0, states, tagged) -> StateEnsemble:
     return StateEnsemble(
         states=np.ascontiguousarray(states),
         drivers=drivers,
@@ -247,9 +260,14 @@ def simulate_with(
     drivers: Drivers,
     x0: float,
 ) -> StateEnsemble:
-    """Simulate one control on existing drivers."""
-    X = simulate_batch(model, [control], family, grid, marks, drivers, x0)
-    return ensemble_from_batch(model, control, family, grid, marks, drivers, x0, X[:, 0])
+    """Simulate one control on existing drivers.
+
+    A relaxed control's tagged counts are built once, for the kernel,
+    and the ensemble keeps that array.
+    """
+    X, tagged = _simulate(model, [control], family, grid, marks, drivers, x0)
+    tagged = None if tagged is None else tagged[:, :, :, 0]
+    return _wrap(model, control, family, grid, marks, drivers, x0, X[:, 0], tagged)
 
 
 def simulate(

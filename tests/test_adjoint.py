@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,9 +30,14 @@ from gcontrol.controls import (
     uniform_relaxed,
 )
 from gcontrol.costs import evaluate_cost, value_bruteforce
-from gcontrol.jumps import MarkSpace
-from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
-from gcontrol.sde import simulate
+from gcontrol.jumps import MarkSpace, sample_drivers
+from gcontrol.scenarios import (
+    TimeGrid,
+    VolatilityBounds,
+    build_scenario_family,
+    upper_expectation,
+)
+from gcontrol.sde import simulate, simulate_with
 from gcontrol.variational import _avg, _weights_and_actions, solve_fundamental
 
 MARKS = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([0.7, 0.3]))
@@ -95,7 +101,7 @@ def _tail_weight(grid, fam, k0, *, y, Q):
     K = grid.n_steps
     ones_t = np.ones((K + 1, 1, 5))
     return tail_weights(ones_t, ones_t, np.full((K + 1, 1, 5), y), np.full((1, K), Q),
-                        np.ones((K, 1, 5)), fam.scalar_values(), np.full((1, K), 0.7),
+                        lambda k: np.ones((1, 5)), fam.scalar_values(), np.full((1, K), 0.7),
                         fam.bounds, grid.dt, [k0])[0]
 
 
@@ -220,6 +226,29 @@ def test_richer_basis_tightens_state_fit():
         _, rep1 = solve_adjoint(ens, basis_degree=1)
         _, rep2 = solve_adjoint(ens, basis_degree=2)
         assert np.all(rep2.y_residual < rep1.y_residual)
+
+
+def test_triple_steps_name_the_first_non_finite_step():
+    grid = TimeGrid(T=1.0, n_steps=8)
+    fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
+    ens = simulate(_lq(), uniform_relaxed(PM1, 8), fam, grid, MARKS, 30, 2, 1.0)
+    core = adj._adjoint_core(ens, 2, keep_fit=True)
+    core.yhat[5, 2, 7] = np.inf
+    steps = adj._triple_steps(ens, core)
+    for _ in range(5):
+        next(steps)
+    with pytest.raises(ValueError, match="component p is not finite at step 5 under scenario 2"):
+        next(steps)
+
+
+def test_overflowing_backward_variable_names_step_and_scenario():
+    # g_x = gq x overflows at the terminal node, the first one the backward pass forms
+    grid = TimeGrid(T=1.0, n_steps=8)
+    ens = simulate(_lq(gq=1e308), constant_strict(PM1, 8, 1), _fam(1.0, 4.0, grid), grid,
+                   QUIET, 4, 2, 10.0)
+    with pytest.raises(FloatingPointError,
+                       match="backward variable at step 8 under scenario 0"):
+        solve_adjoint(ens)
 
 
 def test_triple_shape_and_flag_validation():
@@ -677,6 +706,72 @@ def test_stability_gaps_shrink_along_ladder():
     assert [row.n for row in rep.rows] == [4, 16, 64]
     assert rep.rows[0].p_gap > rep.rows[-1].p_gap
     assert all(row.k_gap == 0.0 for row in rep.rows)
+
+
+BUSY = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([2.0, 1.5]))
+BUSY_SILENT = MarkSpace(marks=np.array([-0.4, 0.6, 0.9]), intensities=np.array([2.0, 1.5, 0.0]))
+
+
+def _stability_by_whole_arrays(model, mu, fam, grid, marks, n_list, n_paths, seed, x0):
+    """Stability rows from whole solve_adjoint triples, the arithmetic the report streams."""
+    dt = grid.dt
+    drivers = sample_drivers(fam, grid, marks, n_paths, seed)
+    tri_mu, _ = solve_adjoint(simulate_with(model, mu, fam, grid, marks, drivers, x0))
+    rows = []
+    for n in n_list:
+        tri_n, _ = solve_adjoint(
+            simulate_with(model, chattering(mu, n), fam, grid, marks, drivers, x0))
+        p_dev = np.abs(tri_n.p - tri_mu.p).max(axis=0) ** 2
+        q_dev = ((tri_n.q - tri_mu.q) ** 2).sum(axis=0) * dt
+        r_dev = (((tri_n.r - tri_mu.r) ** 2) * marks.intensities).sum(axis=(0, 3)) * dt
+        ums = [upper_expectation(list(dev)) for dev in (p_dev, q_dev, r_dev)]
+        rows.append((n,) + tuple(float(v) for um in ums for v in (um.value, um.stderr))
+                    + (0.0,))
+    return rows
+
+
+@pytest.mark.parametrize("case", ["uniform-busy", "uniform-silent", "weighted-silent",
+                                  "dirac-silent"])
+def test_streamed_stability_rows_equal_whole_array_gaps_bitwise(case):
+    grid = TimeGrid(T=1.0, n_steps=32)
+    fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
+    acts = ActionGrid(np.array([-1.0, 0.0, 1.0]))
+    model = _lq(c2=0.3, f2=0.05, h2=0.1)
+    marks = BUSY if case == "uniform-busy" else BUSY_SILENT
+    if case.startswith("uniform"):
+        mu = uniform_relaxed(acts, 32)
+    elif case == "weighted-silent":
+        w = np.linspace(0.1, 0.9, 32)[:, None] * np.array([0.5, 0.0, 0.5])
+        mu = RelaxedControl(acts, w + (1.0 - w.sum(axis=1))[:, None] * np.array([0, 1, 0]))
+    else:
+        mu = embed_strict(constant_strict(acts, 32, 2))
+    args = (model, mu, fam, grid, marks, [2, 4, 8], 300, 19, 1.0)
+    rep = bsde_stability_report(*args)
+    expected = _stability_by_whole_arrays(*args)
+    assert [tuple(row) for row in rep.rows] == expected
+    if case == "dirac-silent":
+        assert all(row[1:] == (0.0,) * 7 for row in expected)
+    else:
+        assert all(row[1] > 0.0 and row[3] > 0.0 and row[5] > 0.0 for row in expected)
+
+
+def test_stability_report_holds_one_triple():
+    """Only the relaxed triple is held whole: the peak stays within 13 state arrays.
+
+    Holding the rungs' whole triples as well peaks near 24.
+    """
+    grid = TimeGrid(T=1.0, n_steps=32)
+    fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
+    n_paths = 2000
+    state_bytes = fam.n_scenarios * n_paths * (grid.n_steps + 1) * 8
+    tracemalloc.start()
+    try:
+        bsde_stability_report(_lq(), uniform_relaxed(PM1, 32), fam, grid, MARKS, [4, 16],
+                              n_paths, 3, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * state_bytes, peak / state_bytes
 
 
 def test_lipschitz_audit_within_declared_bound():

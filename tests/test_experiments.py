@@ -230,6 +230,38 @@ def test_module_errors_surface_from_run_document(tmp_path):
         run_document(doc, output_dir=tmp_path)
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_overflowing_table_raises_instead_of_writing_nan(tmp_path):
+    # the states stay finite, the backward variable is huge, and the
+    # stationarity entries overflow to inf - inf
+    doc = _base_doc(
+        kind="mp-strict",
+        model={"name": "bilinear", "params": {"th0": 1e9, "s1": 1e9, "gl": 1e9}},
+        grid={"T": 1.0, "n_steps": 12},
+        marks={"values": [0.5], "intensities": [0.0]},
+        n_paths=2,
+        x0=0.0,
+    )
+    assert validate_document(doc) == []
+    with pytest.raises(FloatingPointError, match=(
+            r"non-finite stationarity entry of action -1\.0 in block 0 at step 0 "
+            r"under scenario 0")):
+        run_document(doc, output_dir=tmp_path)
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_non_finite_metric_is_refused(tmp_path, monkeypatch):
+    from gcontrol import experiments
+
+    def nan_metric(cfg, threads):
+        return {"states.csv": "x\n"}, {"terminal_upper_mean": float("nan")}, "none"
+
+    monkeypatch.setitem(experiments._DISPATCH, "simulate", nan_metric)
+    with pytest.raises(FloatingPointError, match="non-finite simulate metric terminal_upper_mean"):
+        run_document(_base_doc(), output_dir=tmp_path)
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_rerun_removes_files_the_old_manifest_lists(tmp_path):
     # four corner scenarios write plot_state_mean_s0..s3; one block gives two
     run_document(_base_doc(), output_dir=tmp_path)

@@ -11,7 +11,7 @@ import numpy as np
 from gcontrol import models as md
 from gcontrol.adjoint import solve_adjoint
 from gcontrol.controls import ActionGrid, SpikeSpec, constant_strict, uniform_relaxed
-from gcontrol.jumps import MarkSpace, sample_drivers
+from gcontrol.jumps import Drivers, MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from gcontrol.sde import ensemble_from_batch, simulate, simulate_batch, simulate_with
 from gcontrol.variational import solve_fundamental, solve_variational
@@ -77,3 +77,22 @@ def test_one_control_ensemble_keeps_the_kernel_buffer():
     assert not np.shares_memory(row.states, X2)
     _time_major(row.states, (K + 1, S, P))
     assert row.states.tobytes() == one.states.tobytes()
+
+
+def test_relaxed_ensemble_keeps_the_kernels_tagged_counts(monkeypatch):
+    calls = []
+    build = Drivers.tagged_counts
+
+    def counted(self, mu):
+        calls.append(mu)
+        return build(self, mu)
+
+    monkeypatch.setattr(Drivers, "tagged_counts", counted)
+    drivers = sample_drivers(FAMILY, GRID, MARKS, P, 6)
+    mu = uniform_relaxed(ACTIONS, K)
+    ens = simulate_with(MODEL, mu, FAMILY, GRID, MARKS, drivers, 1.0)
+    assert calls == [mu]
+    _time_major(ens.tagged_counts, (K, 2, 3, P))
+    assert np.array_equal(ens.tagged_counts, build(drivers, mu))
+    simulate_with(MODEL, mu, FAMILY, GRID, MARKS, drivers, 1.0)
+    assert len(calls) == 2
