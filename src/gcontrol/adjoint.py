@@ -49,7 +49,9 @@ from .controls import (
     RelaxedControl,
     SpikeSpec,
     StrictControl,
+    block_length,
     chattering,
+    check_ladder,
     ekeland_distance,
     embed_strict,
     spike,
@@ -539,8 +541,8 @@ def _triple_at(ensemble: StateEnsemble, core: SimpleNamespace, k: int, y_k: np.n
 def _triple_steps(ensemble: StateEnsemble, core: SimpleNamespace) -> Iterator[tuple]:
     """Yield ``(p_k, q_k, r_k)`` of the fitted variable for k < K, one step at a time.
 
-    ``core`` must keep its fit. A non-finite component raises the
-    ``ValueError`` of :class:`AdjointTriple`, naming the step and the
+    ``core`` must keep its fit. A non-finite component raises
+    ``FloatingPointError`` naming the component, the step and the
     scenario, before the step is handed on.
     """
     for k in range(ensemble.grid.n_steps):
@@ -548,7 +550,7 @@ def _triple_steps(ensemble: StateEnsemble, core: SimpleNamespace) -> Iterator[tu
         for name, v in zip("pqr", step):
             s = _nonfinite_scenario(v)
             if s is not None:
-                raise ValueError(
+                raise FloatingPointError(
                     f"adjoint component {name} is not finite at step {k} under scenario {s}"
                 )
         yield step
@@ -710,9 +712,7 @@ def mp_check_relaxed(
     passes that ``ensemble``.
     """
     ensure_validated(model)
-    n_steps = grid.n_steps
-    if n_blocks < 1 or n_steps % n_blocks != 0:
-        raise ValueError(f"n_blocks must divide the step count, got {n_blocks} for {n_steps}")
+    block_len = block_length(grid.n_steps, n_blocks)
     if ensemble is None:
         ens = simulate(model, mu, family, grid, marks, n_paths, seed, x0)
     elif ensemble.seed != seed or ensemble.n_paths != n_paths or ensemble.control is not mu:
@@ -725,7 +725,6 @@ def mp_check_relaxed(
     a_tab = family.values
     nus = marks.intensities
     n_scen = a_tab.shape[0]
-    block_len = n_steps // n_blocks
     starts = [b * block_len for b in range(n_blocks)]
     weights = tail_weights(core.phi, core.psi, core.targets, core.Q,
                            lambda k: _sigma_x(model, float(grid.times[k]), core.x[k]),
@@ -852,13 +851,10 @@ def mp_check_near(
     """
     if C < 0.0:
         raise ValueError(f"the allowance coefficient must be nonnegative, got {C}")
-    n_steps = grid.n_steps
-    if n_blocks < 1 or n_steps % n_blocks != 0:
-        raise ValueError(f"n_blocks must divide the step count, got {n_blocks} for {n_steps}")
+    block_len = block_length(grid.n_steps, n_blocks)
 
     cands = list(candidates)
     if add_block_spikes:
-        block_len = n_steps // n_blocks
         for b in range(n_blocks):
             k0 = b * block_len
             t0 = float(grid.times[k0])
@@ -964,9 +960,7 @@ def bsde_stability_report(
     the order numpy sums a time-major array over its first axis when a
     step holds more than one (scenario, path) pair.
     """
-    n_list = [int(n) for n in n_list]
-    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError(f"n_list must be strictly increasing and nonempty, got {n_list}")
+    n_list = check_ladder(n_list)
     dt = grid.dt
     n_steps = grid.n_steps
     nus = marks.intensities

@@ -30,7 +30,7 @@ class ActionGrid:
         if actions.ndim != 1 or actions.size == 0:
             raise ValueError("action grid must be a nonempty flat list")
         if len(np.unique(actions)) != actions.size:
-            raise ValueError("actions must be distinct")
+            raise ValueError("values must be distinct")
         actions.setflags(write=False)
         object.__setattr__(self, "actions", actions)
 
@@ -56,8 +56,9 @@ class StrictControl:
         idx = np.atleast_1d(np.asarray(self.indices, dtype=np.int64))
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("control needs at least one step")
-        if idx.min() < 0 or idx.max() >= self.grid.n_actions:
-            raise ValueError("control indices leave the action grid")
+        outside = idx[(idx < 0) | (idx >= self.grid.n_actions)]
+        if outside.size:
+            raise ValueError(f"index {outside[0]} outside the {self.grid.n_actions}-action grid")
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
 
@@ -78,17 +79,20 @@ class RelaxedControl:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        try:
+            w = np.asarray(self.weights, dtype=float)
+        except ValueError:  # rows of unequal length
+            raise ValueError("weights must have shape (n_steps, n_actions)") from None
         if w.ndim != 2 or w.shape[0] == 0:
             raise ValueError("weights must have shape (n_steps, n_actions)")
         if w.shape[1] != self.grid.n_actions:
-            raise ValueError("weight columns must match the action grid")
+            raise ValueError(f"rows have {w.shape[1]} entries for {self.grid.n_actions} actions")
         if np.any(w < -_WEIGHT_TOL) or np.any(w > 1 + _WEIGHT_TOL):
             raise ValueError("weights must lie in [0, 1]")
         sums = w.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > _WEIGHT_TOL):
-            k = int(np.argmax(np.abs(sums - 1.0)))
-            raise ValueError(f"weights at step {k} sum to {sums[k]}, not 1")
+        off = np.flatnonzero(np.abs(sums - 1.0) > _WEIGHT_TOL)
+        if off.size:
+            raise ValueError(f"row {off[0]} sums to {sums[off[0]]}, not 1")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -107,8 +111,9 @@ class SpikeSpec:
     width: float
 
     def __post_init__(self):
-        if not 0 <= self.action_index < self.base.grid.n_actions:
-            raise ValueError("spike action leaves the action grid")
+        n_actions = self.base.grid.n_actions
+        if not 0 <= self.action_index < n_actions:
+            raise ValueError(f"index {self.action_index} outside the {n_actions}-action grid")
         if self.t0 < 0 or self.width <= 0:
             raise ValueError("spike needs t0 >= 0 and width > 0")
 
@@ -125,6 +130,23 @@ def embed_strict(u: StrictControl) -> RelaxedControl:
     return RelaxedControl(grid=u.grid, weights=w)
 
 
+def block_length(n_steps: int, n: int) -> int:
+    """Steps per block when ``n`` equal blocks tile ``n_steps`` grid steps."""
+    if n < 1:
+        raise ValueError(f"{n} is below the minimum 1")
+    if n_steps % n != 0:
+        raise ValueError(f"{n} blocks do not divide n_steps {n_steps}")
+    return n_steps // n
+
+
+def check_ladder(n_list) -> list[int]:
+    """The block counts of a chattering ladder, which must strictly increase."""
+    n_list = [int(n) for n in n_list]
+    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"entries must be strictly increasing, got {n_list}")
+    return n_list
+
+
 def chattering(mu: RelaxedControl, n: int) -> StrictControl:
     """Strict control matching mu's averaged occupation on n equal blocks.
 
@@ -134,11 +156,7 @@ def chattering(mu: RelaxedControl, n: int) -> StrictControl:
     index). The occupation error per action per block is below one step.
     """
     K = mu.n_steps
-    if n < 1:
-        raise ValueError("block count must be at least 1")
-    if K % n != 0:
-        raise ValueError(f"block count {n} does not divide n_steps {K}")
-    L = K // n
+    L = block_length(K, n)
     m = mu.grid.n_actions
     indices = np.empty(K, dtype=np.int64)
     for j in range(n):
@@ -161,20 +179,33 @@ def spike(spec: SpikeSpec, grid: TimeGrid) -> StrictControl:
     return StrictControl(grid=spec.base.grid, indices=idx)
 
 
+def _grid_steps(value: float, dt: float) -> int:
+    """``value / dt`` when it is a whole number of steps (to 1e-9), else raise."""
+    steps = value / dt
+    if abs(steps - round(steps)) > 1e-9:
+        raise ValueError(f"{value} is not a multiple of dt = {dt!r}")
+    return int(round(steps))
+
+
+def spike_start(t0: float, grid: TimeGrid) -> int:
+    """First step of a spike window opening at ``t0``, a grid time before T."""
+    k0 = _grid_steps(t0, grid.dt)
+    if not 0 <= k0 < grid.n_steps:
+        raise ValueError(f"{t0} leaves no step before T = {grid.T}")
+    return k0
+
+
 def spike_steps(spec: SpikeSpec, grid: TimeGrid) -> tuple[int, int]:
     """Resolve a spike window to (first step, step count), rejecting misalignment."""
     if spec.base.n_steps != grid.n_steps:
         raise ValueError("spike base control and grid disagree on n_steps")
-    dt = grid.dt
-    k0_f = spec.t0 / dt
-    span_f = spec.width / dt
-    k0 = round(k0_f)
-    span = round(span_f)
-    if abs(k0_f - k0) > 1e-9 or abs(span_f - span) > 1e-9:
-        raise ValueError("spike window must align with grid steps (width a multiple of dt)")
-    if span < 1 or k0 < 0 or k0 + span > grid.n_steps:
-        raise ValueError("spike window leaves [0, T]")
-    return int(k0), int(span)
+    k0 = spike_start(spec.t0, grid)
+    span = _grid_steps(spec.width, grid.dt)
+    if span < 1:
+        raise ValueError(f"{spec.width} is shorter than dt = {grid.dt!r}")
+    if k0 + span > grid.n_steps:
+        raise ValueError(f"window [t0, t0 + {spec.width}) ends after T")
+    return k0, span
 
 
 def ekeland_distance(u: StrictControl, v: StrictControl, grid: TimeGrid) -> float:

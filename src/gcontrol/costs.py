@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controls import RelaxedControl, StrictControl, chattering
+from .controls import RelaxedControl, StrictControl, chattering, check_ladder
 from .jumps import Drivers, MarkSpace, sample_drivers
 from .models import ModelSpec
 from .scenarios import ScenarioFamily, TimeGrid, upper_expectation
@@ -223,8 +223,7 @@ def chattering_report(
     share the seed, so the mean-square path gap uses pathwise sups and
     the cost gap subtracts matched path costs.
     """
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("block counts must be strictly ascending")
+    n_list = check_ladder(n_list)
     ladder = [chattering(mu, n) for n in n_list]
     drivers = sample_drivers(family, grid, marks, n_paths, seed)
     base = simulate_batch(model, [mu], family, grid, marks, drivers, x0)[:, 0]

@@ -2,8 +2,10 @@
 
 A config names a model, a time grid, a scenario family, a mark space, an
 action grid, a control, and an experiment kind. ``validate_document`` lists
-every violation (schema first, then semantic checks); ``run_document``
-dispatches to the corresponding module operation and writes CSV tables, a
+every violation: schema errors first, then every check that the run's own
+plan fails, since validating builds what the run will use with the
+constructors the run calls. ``run_document`` dispatches to the
+corresponding module operation and writes CSV tables, a
 JSON summary with a stable key set, plot-ready two-column series, and a
 manifest with content digests. Everything numeric is determined by the
 config alone, so rerunning a config reproduces the digests bit for bit.
@@ -34,12 +36,15 @@ from .adjoint import (
     stability_csv,
 )
 from .controls import (
-    _WEIGHT_TOL,
     ActionGrid,
     RelaxedControl,
+    SpikeSpec,
     StrictControl,
+    block_length,
     chattering,
+    check_ladder,
     constant_strict,
+    spike_start,
     uniform_relaxed,
 )
 from .costs import (
@@ -49,11 +54,12 @@ from .costs import (
     evaluate_cost,
     evaluate_costs,
 )
-from .jumps import POISSON_MEAN_MAX, MarkSpace, sample_drivers
-from .models import MODEL_BUILDERS, MODEL_DEFAULTS, build_model, check_derivatives
+from .jumps import MarkSpace, poisson_mean, sample_drivers
+from .models import MODEL_DEFAULTS, build_model, ensure_validated
 from .scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from .sde import ensemble_from_batch, simulate, simulate_batch
 from .variational import (
+    check_widths,
     derivative_report_csv,
     difference_quotient_gap,
     gateaux_derivative,
@@ -64,11 +70,14 @@ SCHEMA: dict = json.loads(
     resources.files("gcontrol").joinpath("config_schema.json").read_text()
 )
 _VALIDATOR = Draft202012Validator(SCHEMA)
+_CONTROL_VALIDATOR = Draft202012Validator({"$defs": SCHEMA["$defs"], "$ref": "#/$defs/control"})
 
 KINDS: tuple[str, ...] = tuple(SCHEMA["properties"]["kind"]["enum"])
 
 _STRICT_TYPES = ("constant", "indices", "chattering")
 _RELAXED_TYPES = ("uniform", "weights")
+_STRICT_KINDS = ("mp-strict", "mp-near", "variational")
+_RELAXED_KINDS = ("mp-relaxed", "bsde-stability", "chattering")
 
 _OPTION_DEFAULTS: dict[str, dict[str, Any]] = {
     "simulate": {},
@@ -94,298 +103,42 @@ _ALLOWED_OPTIONS: dict[str, frozenset] = {
 }
 _ALLOWED_OPTIONS["variational"] = frozenset({"action_index", "t0", "h_list"})
 
+# option: (the types it takes, what they are called, its minimum); block_length
+# refuses an n_blocks below 1
+_OPTION_TYPES: dict[str, tuple] = {
+    "basis_degree": (int, "an integer", 1),
+    "n_blocks": (int, "an integer", None),
+    "action_index": (int, "an integer", 0),
+    "slack_mult": ((int, float), "a number", 0.0),
+    "C": ((int, float), "a number", 0.0),
+    "epsilon_n": ((int, float), "a number", 0.0),
+    "t0": ((int, float), "a number", 0.0),
+}
+
 
 # ---------------------------------------------------------------------------
-# loading and validation
+# loading, validation and building
 # ---------------------------------------------------------------------------
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"{literal} is not a finite number")
+    return value
 
 
 def load_config(path: str | Path) -> dict:
-    doc = json.loads(Path(path).read_text())
+    """Read a config file as strict JSON: ``NaN``, ``Infinity`` and overflows are refused."""
+    doc = json.loads(Path(path).read_text(), parse_constant=_refuse_constant,
+                     parse_float=_finite_float)
     if not isinstance(doc, dict):
         raise ValueError("config document must be a JSON object")
     return doc
-
-
-def validate_document(doc: Mapping) -> list[str]:
-    """Every violation as ``path: message``, never just the first.
-
-    Schema errors are reported alone when present; the semantic pass
-    assumes a schema-shaped document.
-    """
-    errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: (e.json_path, e.message))
-    out = [f"{e.json_path}: {e.message}" for e in errors]
-    if out:
-        return out
-    return _semantic_violations(doc)
-
-
-def _check_control(spec, path, n_steps, n_actions, out, *, allow_bruteforce):
-    ctype = spec["type"]
-    if ctype == "constant":
-        if "index" not in spec:
-            out.append(f"{path}: control type 'constant' requires 'index'")
-        elif spec["index"] >= n_actions:
-            out.append(
-                f"{path}.index: index {spec['index']} outside the {n_actions}-action grid"
-            )
-    elif ctype == "indices":
-        if "indices" not in spec:
-            out.append(f"{path}: control type 'indices' requires 'indices'")
-        else:
-            idx = spec["indices"]
-            if len(idx) != n_steps:
-                out.append(f"{path}.indices: expected {n_steps} entries, got {len(idx)}")
-            bad = [i for i in idx if i >= n_actions]
-            if bad:
-                out.append(
-                    f"{path}.indices: index {bad[0]} outside the {n_actions}-action grid"
-                )
-    elif ctype == "weights" or (ctype == "chattering" and "weights" in spec):
-        if "weights" not in spec:
-            out.append(f"{path}: control type 'weights' requires 'weights'")
-        else:
-            w = spec["weights"]
-            if len(w) != n_steps:
-                out.append(f"{path}.weights: expected {n_steps} rows, got {len(w)}")
-            elif any(len(row) != n_actions for row in w):
-                rows = sorted({len(row) for row in w})
-                out.append(
-                    f"{path}.weights: rows have {rows} entries for {n_actions} actions"
-                )
-            else:
-                for i, row in enumerate(w):
-                    if abs(sum(row) - 1.0) > _WEIGHT_TOL:
-                        out.append(f"{path}.weights: row {i} sums to {sum(row)}, not 1")
-                        break
-    if ctype == "chattering":
-        if "n" not in spec:
-            out.append(f"{path}: control type 'chattering' requires 'n'")
-        elif n_steps % spec["n"] != 0:
-            out.append(f"{path}.n: {spec['n']} blocks do not divide n_steps {n_steps}")
-    if ctype == "bruteforce":
-        if not allow_bruteforce:
-            out.append(f"{path}: 'bruteforce' control is only available for kind 'cost'")
-        elif "candidates" not in spec:
-            out.append(f"{path}: control type 'bruteforce' requires 'candidates'")
-        else:
-            for j, sub in enumerate(spec["candidates"]):
-                sub_path = f"{path}.candidates[{j}]"
-                if sub["type"] == "bruteforce":
-                    out.append(f"{sub_path}: nested 'bruteforce' is not allowed")
-                else:
-                    _check_control(sub, sub_path, n_steps, n_actions, out,
-                                   allow_bruteforce=False)
-
-
-def _option_violations(doc: Mapping) -> list[str]:
-    """Check the options a run would use: the kind's defaults overlaid by the document's."""
-    out: list[str] = []
-    kind = doc["kind"]
-    given = doc.get("options", {})
-    opts = {**_OPTION_DEFAULTS[kind], **given}
-    allowed = _ALLOWED_OPTIONS[kind]
-    for key in sorted(given):
-        if key not in allowed:
-            out.append(
-                f"$.options.{key}: not an option of kind {kind!r}"
-                f" (allowed: {sorted(allowed)})"
-            )
-        elif given[key] is None and _OPTION_DEFAULTS[kind].get(key, 0) is not None:
-            out.append(f"$.options.{key}: null is not a value; leave the option out"
-                       " to use its default")
-
-    def _int(key, minimum=1):
-        v = opts.get(key)
-        if v is None:
-            return
-        if not isinstance(v, int) or isinstance(v, bool):
-            out.append(f"$.options.{key}: expected an integer, got {v!r}")
-        elif v < minimum:
-            out.append(f"$.options.{key}: {v} is below the minimum {minimum}")
-
-    def _num(key, minimum=None):
-        v = opts.get(key)
-        if v is None:
-            return
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            out.append(f"$.options.{key}: expected a number, got {v!r}")
-        elif minimum is not None and v < minimum:
-            out.append(f"$.options.{key}: {v} is below the minimum {minimum}")
-
-    def _int_list(key):
-        v = opts.get(key)
-        if v is None:
-            return
-        ok = (isinstance(v, list) and v
-              and all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
-                      for n in v))
-        if not ok:
-            out.append(f"$.options.{key}: expected a list of positive integers, got {v!r}")
-        elif any(b <= a for a, b in zip(v, v[1:])):
-            out.append(f"$.options.{key}: entries must be strictly increasing, got {v}")
-
-    n_steps = doc["grid"]["n_steps"]
-
-    def _divides(n, key, where):
-        if isinstance(n, int) and not isinstance(n, bool) and n >= 1 and n_steps % n:
-            default = "" if key in given else "the default "
-            out.append(f"$.options.{where}: {default}{n} blocks do not divide n_steps {n_steps}")
-
-    if kind in ("chattering", "bsde-stability"):
-        _int_list("n_list")
-        v = opts.get("n_list")
-        if isinstance(v, list):
-            for j, n in enumerate(v):
-                _divides(n, "n_list", f"n_list[{j}]")
-    if kind in ("mp-strict", "mp-relaxed", "mp-near", "bsde-stability"):
-        _int("basis_degree")
-    if kind in ("mp-strict", "mp-relaxed", "mp-near"):
-        _int("n_blocks")
-        _divides(opts.get("n_blocks"), "n_blocks", "n_blocks")
-        _num("slack_mult", minimum=0.0)
-    if kind == "mp-near":
-        _num("C", minimum=0.0)
-        _num("epsilon_n", minimum=0.0)
-        if "add_block_spikes" in opts and not isinstance(opts["add_block_spikes"], bool):
-            out.append(
-                f"$.options.add_block_spikes: expected a boolean,"
-                f" got {opts['add_block_spikes']!r}"
-            )
-        for j, sub in enumerate(opts.get("candidates") or []):
-            sub_path = f"$.options.candidates[{j}]"
-            if not isinstance(sub, dict) or sub.get("type") not in _STRICT_TYPES:
-                out.append(f"{sub_path}: expected a strict control spec"
-                           f" (one of {_STRICT_TYPES})")
-            else:
-                _check_control(sub, sub_path, doc["grid"]["n_steps"],
-                               len(doc["actions"]), out, allow_bruteforce=False)
-    if kind == "variational":
-        for key in ("action_index", "t0", "h_list"):
-            if key not in opts:
-                out.append(f"$.options.{key}: required for kind 'variational'")
-        _int("action_index", minimum=0)
-        if isinstance(opts.get("action_index"), int) and not isinstance(
-            opts.get("action_index"), bool
-        ):
-            if opts["action_index"] >= len(doc["actions"]):
-                out.append(
-                    f"$.options.action_index: index {opts['action_index']} outside"
-                    f" the {len(doc['actions'])}-action grid"
-                )
-        _num("t0", minimum=0.0)
-        h_list = opts.get("h_list")
-        if h_list is not None:
-            ok = (isinstance(h_list, list) and h_list
-                  and all(isinstance(h, (int, float)) and not isinstance(h, bool)
-                          and h > 0 for h in h_list))
-            if not ok:
-                out.append(
-                    f"$.options.h_list: expected a list of positive spike widths,"
-                    f" got {h_list!r}"
-                )
-            elif any(b >= a for a, b in zip(h_list, h_list[1:])):
-                out.append(
-                    f"$.options.h_list: widths must be strictly descending, got {h_list}"
-                )
-        out.extend(_spike_grid_violations(doc["grid"], opts))
-    return out
-
-
-def _on_grid(value: float, dt: float) -> int | None:
-    """``value / dt`` when it is an integer (the tolerance of spike_steps), else None."""
-    steps = value / dt
-    return round(steps) if abs(steps - round(steps)) <= 1e-9 else None
-
-
-def _spike_grid_violations(grid: Mapping, opts: Mapping) -> list[str]:
-    """Spike windows [t0, t0 + h) must start and end on grid times inside [0, T]."""
-    t0, h_list = opts.get("t0"), opts.get("h_list")
-    number = (int, float)
-    if not isinstance(t0, number) or isinstance(t0, bool) or t0 < 0:
-        return []
-    n_steps = grid["n_steps"]
-    dt = grid["T"] / n_steps
-    k0 = _on_grid(t0, dt)
-    if k0 is None:
-        return [f"$.options.t0: {t0} is not a multiple of dt = {dt!r}"]
-    if k0 >= n_steps:
-        return [f"$.options.t0: {t0} leaves no step before T = {grid['T']}"]
-    out = []
-    for j, h in enumerate(h_list if isinstance(h_list, list) else []):
-        if not isinstance(h, number) or isinstance(h, bool) or h <= 0:
-            continue
-        span = _on_grid(h, dt)
-        if span is None:
-            out.append(f"$.options.h_list[{j}]: {h} is not a multiple of dt = {dt!r}")
-        elif k0 + span > n_steps:
-            out.append(f"$.options.h_list[{j}]: window [t0, t0 + {h}) ends after T")
-    return out
-
-
-def _semantic_violations(doc: Mapping) -> list[str]:
-    out: list[str] = []
-    name = doc["model"]["name"]
-    if name not in MODEL_BUILDERS:
-        out.append(f"$.model.name: unknown model {name!r}; known: {sorted(MODEL_BUILDERS)}")
-    else:
-        known = sorted(MODEL_DEFAULTS[name])
-        for key in sorted(doc["model"].get("params", {})):
-            if key not in MODEL_DEFAULTS[name]:
-                out.append(f"$.model.params.{key}: not a parameter of model {name!r}"
-                           f" (known: {known})")
-        bad = check_derivatives(build_model(name, doc["model"].get("params", {})))
-        if bad:
-            out.append(f"$.model.params: {len(bad)} derivative checks fail, first: {bad[0]}")
-    lo = doc["bounds"]["sigma_low"]
-    hi = doc["bounds"]["sigma_high"]
-    if hi < lo:
-        out.append(f"$.bounds.sigma_high: {hi} is below sigma_low {lo}")
-    if len(set(doc["marks"]["values"])) != len(doc["marks"]["values"]):
-        out.append("$.marks.values: values must be distinct")
-    n_values = len(doc["marks"]["values"])
-    n_intens = len(doc["marks"]["intensities"])
-    if n_values != n_intens:
-        out.append(f"$.marks.intensities: {n_intens} entries for {n_values} mark values")
-    mean_events = float(sum(doc["marks"]["intensities"])) * doc["grid"]["T"]
-    if not mean_events <= POISSON_MEAN_MAX:
-        out.append(f"$.marks.intensities: total intensity times T is {mean_events!r},"
-                   f" above the largest Poisson mean {POISSON_MEAN_MAX!r}")
-    actions = doc["actions"]
-    if len(set(actions)) != len(actions):
-        out.append("$.actions: values must be distinct")
-    scen = doc.get("scenarios", {})
-    if scen.get("strategy") == "random" and "count" not in scen:
-        out.append("$.scenarios.count: required when strategy is 'random'")
-    if scen.get("strategy") == "random" and "seed" not in scen:
-        out.append("$.scenarios: 'seed' is a required property when strategy is 'random'")
-    if doc["n_paths"] < 2:
-        out.append(
-            f"$.n_paths: {doc['n_paths']} path gives no standard error; at least 2 are needed"
-        )
-
-    kind = doc["kind"]
-    ctl = doc["control"]
-    _check_control(ctl, "$.control", doc["grid"]["n_steps"], len(actions), out,
-                   allow_bruteforce=(kind == "cost"))
-    ctype = ctl["type"]
-    if kind in ("mp-strict", "mp-near", "variational") and ctype not in _STRICT_TYPES:
-        out.append(
-            f"$.control.type: kind {kind!r} needs a strict control"
-            f" (one of {_STRICT_TYPES})"
-        )
-    if kind in ("mp-relaxed", "bsde-stability", "chattering") and ctype not in _RELAXED_TYPES:
-        out.append(
-            f"$.control.type: kind {kind!r} needs a relaxed control"
-            f" (one of {_RELAXED_TYPES})"
-        )
-    out.extend(_option_violations(doc))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# building
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -400,7 +153,7 @@ class ExperimentConfig:
     marks: MarkSpace
     actions: ActionGrid
     control: Any
-    candidates: tuple | None
+    candidates: tuple | None  # the brute-force or the mp-near candidate controls
     options: Mapping[str, Any]
     n_paths: int
     seed: int
@@ -409,65 +162,131 @@ class ExperimentConfig:
     doc: Mapping = field(repr=False)
 
 
-def _build_control(spec: Mapping, ag: ActionGrid, n_steps: int):
-    ctype = spec["type"]
-    if ctype == "constant":
-        return constant_strict(ag, n_steps, int(spec["index"]))
-    if ctype == "indices":
-        return StrictControl(grid=ag, indices=np.asarray(spec["indices"], dtype=np.int64))
-    if ctype == "uniform":
-        return uniform_relaxed(ag, n_steps)
-    if ctype == "weights":
-        return RelaxedControl(grid=ag, weights=np.asarray(spec["weights"], dtype=float))
-    if ctype == "chattering":
-        if "weights" in spec:
-            base = RelaxedControl(grid=ag, weights=np.asarray(spec["weights"], dtype=float))
-        else:
-            base = uniform_relaxed(ag, n_steps)
-        return chattering(base, int(spec["n"]))
-    raise ValueError(f"cannot build a control of type {ctype!r}")
+class _Plan(list):
+    """The ``path: message`` lines of a document's plan, and the config it built.
+
+    ``config`` stays None unless every step succeeded.
+    """
+
+    config: ExperimentConfig | None = None
+
+    def attempt(self, path, build, *args, fields=(), lead="", catch=ValueError, **kwargs):
+        """``build(*args, **kwargs)``, or None once its ``catch`` error is filed under ``path``.
+
+        A message that opens with a key of ``fields`` (the document's
+        object at ``path``) is filed under that key; ``lead`` goes before
+        the message.
+        """
+        try:
+            return build(*args, **kwargs)
+        except catch as exc:
+            message = str(exc.args[0])
+            head = message.split(" ", 1)[0]
+            self.append(f"{path}.{head}: {lead}{message}" if head in fields
+                        else f"{path}: {lead}{message}")
+            return None
 
 
-def build_experiment(doc: Mapping) -> ExperimentConfig:
-    violations = validate_document(doc)
-    if violations:
-        raise ValueError("invalid configuration:\n" + "\n".join(violations))
+def validate_document(doc: Mapping) -> _Plan:
+    """Every violation as ``path: message``, never just the first.
 
-    grid = TimeGrid(T=float(doc["grid"]["T"]), n_steps=int(doc["grid"]["n_steps"]))
-    model = build_model(doc["model"]["name"], doc["model"].get("params", {}))
-    scen = {"strategy": "corners", "blocks": 2, "count": None, "seed": None}
-    scen.update(doc.get("scenarios", {}))
-    family = build_scenario_family(
-        VolatilityBounds(float(doc["bounds"]["sigma_low"]),
-                         float(doc["bounds"]["sigma_high"])),
-        grid,
-        scen["strategy"],
-        blocks=int(scen["blocks"]),
-        count=scen["count"],
-        seed=scen["seed"],
-    )
-    marks = MarkSpace(
-        marks=np.asarray(doc["marks"]["values"], dtype=float),
-        intensities=np.asarray(doc["marks"]["intensities"], dtype=float),
-    )
-    ag = ActionGrid(np.asarray(doc["actions"], dtype=float))
+    Schema errors are reported alone when present; otherwise these are
+    the checks the run's own plan fails: what a run of ``doc`` uses is
+    built with the constructors and checks the run calls, and a step
+    whose inputs failed is skipped. When the list is empty, its
+    ``config`` is the experiment a run executes.
+    """
+    plan = _Plan()
+    errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: (e.json_path, e.message))
+    plan.extend(f"{e.json_path}: {e.message}" for e in errors)
+    if plan:
+        return plan
+    kind = doc["kind"]
+    n_steps = int(doc["grid"]["n_steps"])  # the schema admits 16.0 as an integer
+    grid = plan.attempt("$.grid", TimeGrid, doc["grid"]["T"], n_steps, fields=doc["grid"])
 
-    ctl_spec = doc["control"]
-    if ctl_spec["type"] == "bruteforce":
-        control = None
+    name, params = doc["model"]["name"], doc["model"].get("params", {})
+    model = plan.attempt("$.model.name", build_model, name, params, catch=KeyError)
+    if model is not None:
+        for key in sorted(set(params) - set(MODEL_DEFAULTS[name])):
+            plan.append(f"$.model.params.{key}: not a parameter of model {name!r}"
+                        f" (known: {sorted(MODEL_DEFAULTS[name])})")
+        plan.attempt("$.model.params", ensure_validated, model)
+
+    bounds = plan.attempt("$.bounds", VolatilityBounds, doc["bounds"]["sigma_low"],
+                          doc["bounds"]["sigma_high"], fields=doc["bounds"])
+    marks = plan.attempt("$.marks", MarkSpace, doc["marks"]["values"],
+                         doc["marks"]["intensities"], fields=doc["marks"])
+    if marks is not None and grid is not None:
+        plan.attempt("$.marks.intensities", poisson_mean, marks, grid.T)
+    ag = plan.attempt("$.actions", ActionGrid, doc["actions"])
+    family = None
+    if bounds is not None and grid is not None:
+        scen = {"strategy": "corners", "blocks": 2, "count": None, "seed": None,
+                **doc.get("scenarios", {})}
+        family = plan.attempt("$.scenarios", build_scenario_family, bounds, grid,
+                              scen["strategy"], blocks=int(scen["blocks"]),
+                              count=scen["count"], seed=scen["seed"])
+    if doc["n_paths"] < 2:
+        plan.append(f"$.n_paths: {doc['n_paths']} path gives no standard error;"
+                    " at least 2 are needed")
+
+    spec = doc["control"]
+    control = candidates = None
+    if spec["type"] == "bruteforce":
+        if kind != "cost":
+            plan.append("$.control: 'bruteforce' control is only available for kind 'cost'")
+        elif "candidates" not in spec:
+            plan.append("$.control: control type 'bruteforce' requires 'candidates'")
+        elif ag is not None:
+            candidates = tuple(
+                _build_control(sub, ag, n_steps, plan, f"$.control.candidates[{j}]")
+                for j, sub in enumerate(spec["candidates"]))
+    elif ag is not None:
+        control = _build_control(spec, ag, n_steps, plan, "$.control")
+    for kinds, types, which in ((_STRICT_KINDS, _STRICT_TYPES, "strict"),
+                                (_RELAXED_KINDS, _RELAXED_TYPES, "relaxed")):
+        if kind in kinds and spec["type"] not in types:
+            plan.append(f"$.control.type: kind {kind!r} needs a {which} control"
+                        f" (one of {types})")
+
+    opts = _options(doc, plan)
+    given = doc.get("options", {})
+
+    def lead(key):
+        return "" if key in given else "the default "
+
+    if "n_blocks" in opts:
+        plan.attempt("$.options.n_blocks", block_length, n_steps, opts["n_blocks"],
+                     lead=lead("n_blocks"))
+    if "n_list" in opts:
+        plan.attempt("$.options.n_list", check_ladder, opts["n_list"])
+        if isinstance(control, RelaxedControl):
+            for j, n in enumerate(opts["n_list"]):
+                plan.attempt(f"$.options.n_list[{j}]", chattering, control, n,
+                             lead=lead("n_list"))
+    if kind == "mp-near" and "candidates" in opts and ag is not None:
+        # the built controls are the only copy a run reads
         candidates = tuple(
-            _build_control(sub, ag, grid.n_steps) for sub in ctl_spec["candidates"]
-        )
-    else:
-        control = _build_control(ctl_spec, ag, grid.n_steps)
-        candidates = None
+            _build_control(sub, ag, n_steps, plan, f"$.options.candidates[{j}]")
+            for j, sub in enumerate(opts.pop("candidates")))
+    if (kind == "variational" and isinstance(control, StrictControl) and grid is not None
+            and {"action_index", "t0", "h_list"} <= opts.keys()):
+        ai, t0, h_list = opts["action_index"], opts["t0"], opts["h_list"]
+        plan.attempt("$.options.h_list", check_widths, h_list)
+        k0 = plan.attempt("$.options.t0", spike_start, t0, grid)
+        # a one-step spike checks the action index once, not once per width
+        one_step = plan.attempt("$.options.action_index", SpikeSpec, control, ai, t0, grid.dt)
+        if k0 is not None and one_step is not None:
+            for j, h in enumerate(h_list):
+                plan.attempt(f"$.options.h_list[{j}]", spike_controls,
+                             control, grid, ai, t0, [h])
 
-    options = dict(_OPTION_DEFAULTS[doc["kind"]])
-    options.update(doc.get("options", {}))
-
-    return ExperimentConfig(
-        kind=doc["kind"],
-        model_name=doc["model"]["name"],
+    if plan:
+        return plan
+    plan.config = ExperimentConfig(
+        kind=kind,
+        model_name=name,
         model=model,
         grid=grid,
         family=family,
@@ -475,13 +294,127 @@ def build_experiment(doc: Mapping) -> ExperimentConfig:
         actions=ag,
         control=control,
         candidates=candidates,
-        options=options,
+        options=opts,
         n_paths=int(doc["n_paths"]),
         seed=int(doc["seed"]),
         x0=float(doc["x0"]),
         output_dir=str(doc.get("output_dir", "gcontrol-out")),
         doc=dict(doc),
     )
+    return plan
+
+
+def build_experiment(doc: Mapping) -> ExperimentConfig:
+    """The config of the plan ``validate_document`` builds; a violation raises ``ValueError``.
+
+    Validating and running a document therefore check it once, with the
+    same code.
+    """
+    plan = validate_document(doc)
+    if plan:
+        raise ValueError("invalid configuration:\n" + "\n".join(plan))
+    return plan.config
+
+
+# the field each control type cannot do without
+_REQUIRED_FIELD = {"constant": "index", "indices": "indices", "weights": "weights",
+                   "chattering": "n"}
+
+
+def _per_step(rows: Sequence, n_steps: int, unit: str) -> Sequence:
+    if len(rows) != n_steps:
+        raise ValueError(f"expected {n_steps} {unit}, got {len(rows)}")
+    return rows
+
+
+def _build_control(spec: Mapping, ag: ActionGrid, n_steps: int, plan: _Plan, path: str):
+    """The control of ``spec``, or None once each failed check is filed under ``path``."""
+    ctype = spec["type"]
+    need = _REQUIRED_FIELD.get(ctype)
+    if need is not None and need not in spec:
+        plan.append(f"{path}: control type {ctype!r} requires {need!r}")
+        return None
+    if ctype == "bruteforce":
+        plan.append(f"{path}: nested 'bruteforce' is not allowed")
+        return None
+    if ctype == "constant":
+        return plan.attempt(f"{path}.index", constant_strict, ag, n_steps, int(spec["index"]))
+    if ctype == "indices":
+        idx = plan.attempt(f"{path}.indices", _per_step, spec["indices"], n_steps, "entries")
+        if idx is None:
+            return None
+        return plan.attempt(f"{path}.indices", StrictControl, grid=ag, indices=idx)
+    if ctype == "uniform":  # a stray 'weights' field is not read
+        return uniform_relaxed(ag, n_steps)
+    if "weights" in spec:
+        w = plan.attempt(f"{path}.weights", _per_step, spec["weights"], n_steps, "rows")
+        base = (None if w is None
+                else plan.attempt(f"{path}.weights", RelaxedControl, grid=ag, weights=w))
+    else:
+        base = uniform_relaxed(ag, n_steps)
+    if ctype != "chattering" or base is None:
+        return base
+    return plan.attempt(f"{path}.n", chattering, base, int(spec["n"]))
+
+
+def _options(doc: Mapping, plan: _Plan) -> dict[str, Any]:
+    """The options a run uses: the kind's defaults overlaid by the document's.
+
+    Only the document's own shape is checked here: unknown and null
+    options and each option's type. An option that fails is left out,
+    so no later step of the plan reads it.
+    """
+    kind = doc["kind"]
+    given = doc.get("options", {})
+    defaults = _OPTION_DEFAULTS[kind]
+    allowed = _ALLOWED_OPTIONS[kind]
+    opts = {**defaults, **given}
+    bad: set[str] = set()
+
+    def fail(key, message, where=None):
+        plan.append(f"$.options.{where or key}: {message}")
+        bad.add(key)
+
+    for key in sorted(given):
+        if key not in allowed:
+            fail(key, f"not an option of kind {kind!r} (allowed: {sorted(allowed)})")
+        elif given[key] is None and defaults.get(key, 0) is not None:
+            fail(key, "null is not a value; leave the option out to use its default")
+    if kind == "variational":
+        for key in sorted(allowed - set(opts)):
+            fail(key, "required for kind 'variational'")
+
+    def number(val, types):
+        return isinstance(val, types) and not isinstance(val, bool)
+
+    for key, val in sorted(opts.items()):
+        if key in bad or val is None:
+            continue
+        if key in _OPTION_TYPES:
+            types, noun, minimum = _OPTION_TYPES[key]
+            if not number(val, types):
+                fail(key, f"expected {noun}, got {val!r}")
+            elif minimum is not None and val < minimum:
+                fail(key, f"{val} is below the minimum {minimum}")
+        elif key in ("n_list", "h_list"):
+            types, noun = ((int, "positive integers") if key == "n_list"
+                           else ((int, float), "positive spike widths"))
+            if not (isinstance(val, list) and val
+                    and all(number(x, types) and x > 0 for x in val)):
+                fail(key, f"expected a list of {noun}, got {val!r}")
+        elif key == "add_block_spikes" and not isinstance(val, bool):
+            fail(key, f"expected a boolean, got {val!r}")
+        elif key == "candidates" and not isinstance(val, list):
+            fail(key, f"expected a list of strict control specs, got {val!r}")
+        elif key == "candidates":
+            for j, sub in enumerate(val):
+                where = f"candidates[{j}]"
+                if not isinstance(sub, dict) or sub.get("type") not in _STRICT_TYPES:
+                    fail(key, f"expected a strict control spec (one of {_STRICT_TYPES})", where)
+                    continue
+                for e in _CONTROL_VALIDATOR.iter_errors(sub):
+                    fail(key, e.message, where + e.json_path[1:])
+    return {key: val for key, val in opts.items() if key not in bad}
 
 
 # ---------------------------------------------------------------------------
@@ -703,10 +636,8 @@ def _run_mp_relaxed(cfg: ExperimentConfig, threads: int):
 
 def _run_mp_near(cfg: ExperimentConfig, threads: int):
     o = cfg.options
-    cands = [_build_control(sub, cfg.actions, cfg.grid.n_steps)
-             for sub in o["candidates"]]
     eps = o["epsilon_n"]
-    rep = mp_check_near(cfg.model, cfg.control, cands, float(o["C"]), cfg.family,
+    rep = mp_check_near(cfg.model, cfg.control, list(cfg.candidates), float(o["C"]), cfg.family,
                         cfg.grid, cfg.marks, cfg.n_paths, cfg.seed, cfg.x0,
                         epsilon_n=None if eps is None else float(eps),
                         n_blocks=int(o["n_blocks"]),

@@ -47,7 +47,7 @@ class MarkSpace:
         if marks.shape != inten.shape:
             raise ValueError("marks and intensities must have equal length")
         if len(np.unique(marks)) != marks.size:
-            raise ValueError("marks must be distinct")
+            raise ValueError("values must be distinct")
         if not np.all(np.isfinite(inten)) or np.any(inten < 0):
             raise ValueError("intensities must be finite and nonnegative")
         marks.setflags(write=False)
@@ -67,6 +67,15 @@ class MarkSpace:
 # The largest Poisson mean numpy's sampler accepts; above it the sampler
 # raises "lam value too large".
 POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+
+
+def poisson_mean(marks: MarkSpace, T: float) -> float:
+    """Mean event count per path on [0, T], refused above what the sampler accepts."""
+    mean = marks.total_intensity * T
+    if not mean <= POISSON_MEAN_MAX:
+        raise ValueError(f"total intensity times T is {mean!r},"
+                         f" above the largest Poisson mean {POISSON_MEAN_MAX!r}")
+    return mean
 
 
 def _step_of(times: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -149,17 +158,13 @@ def sample_drivers(
     dB = scen_mod.sample_brownian(family, grid, n_paths, seed)
     gen = rng.substream(seed, rng.JUMPS)
     nu_bar = marks.total_intensity
-    if not nu_bar * grid.T <= POISSON_MEAN_MAX:
-        raise ValueError(
-            f"total intensity times horizon {nu_bar * grid.T!r} exceeds the largest"
-            f" Poisson mean {POISSON_MEAN_MAX!r}"
-        )
+    mean = poisson_mean(marks, grid.T)
     if nu_bar == 0.0:
         per_path = np.zeros(n_paths, dtype=np.int64)
         times = np.empty(0)
         mark_idx = np.empty(0, dtype=np.int64)
     else:
-        per_path = gen.poisson(nu_bar * grid.T, size=n_paths)
+        per_path = gen.poisson(mean, size=n_paths)
         total = int(per_path.sum())
         # uniform(0, T) covers [0, T); reflecting it puts times in (0, T]
         times = grid.T - gen.uniform(0.0, grid.T, size=total)

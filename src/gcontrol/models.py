@@ -118,7 +118,7 @@ def ensure_validated(model: ModelSpec) -> None:
         return
     violations = check_derivatives(model)
     if violations:
-        raise ValueError("model failed derivative validation:\n" + "\n".join(violations))
+        raise ValueError(f"{len(violations)} derivative checks fail, first: {violations[0]}")
     _VALIDATED.add(model)
 
 

@@ -37,7 +37,7 @@ class TimeGrid:
 
     def __post_init__(self):
         if not self.T > 0:
-            raise ValueError(f"horizon T must be positive, got {self.T}")
+            raise ValueError(f"T must be positive, got {self.T}")
         if int(self.n_steps) < 1 or int(self.n_steps) != self.n_steps:
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")
         object.__setattr__(self, "T", float(self.T))
@@ -170,7 +170,7 @@ def build_scenario_family(
         if count is None or count < 1:
             raise ValueError("random strategy needs count >= 1")
         if seed is None:
-            raise ValueError("random strategy needs a seed")
+            raise ValueError("'seed' is a required property when strategy is 'random'")
         u = rng.substream(seed, rng.SCENARIOS).uniform(size=(count, K))
         values = bounds.sigma_low + u * (bounds.sigma_high - bounds.sigma_low)
     else:

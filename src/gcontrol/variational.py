@@ -304,6 +304,14 @@ def solve_fundamental(
     return FundamentalPair(phi=phi, psi=psi, eta=eta, k0=k0)
 
 
+def check_widths(h_list) -> list[float]:
+    """Spike widths, which must strictly descend."""
+    h_list = list(h_list)
+    if any(b >= a for a, b in zip(h_list, h_list[1:])):
+        raise ValueError(f"widths must be strictly descending, got {h_list}")
+    return h_list
+
+
 def spike_controls(
     u_star: StrictControl, grid: TimeGrid, action_index: int, t0: float, h_list: list[float]
 ) -> list[StrictControl]:
@@ -349,8 +357,7 @@ def difference_quotient_gap(
     Widths must be given in descending order. ``spiked`` takes the
     :func:`simulate_spikes` result when the caller already has it.
     """
-    if any(b >= a for a, b in zip(h_list, h_list[1:])):
-        raise ValueError("spike widths must be strictly descending")
+    check_widths(h_list)
     grid = ensemble.grid
     u_star = ensemble.control
     if not isinstance(u_star, StrictControl):
@@ -387,8 +394,7 @@ def gateaux_derivative(
     takes the :func:`simulate_spikes` result when the caller already has
     it.
     """
-    if any(b >= a for a, b in zip(h_list, h_list[1:])):
-        raise ValueError("spike widths must be strictly descending")
+    check_widths(h_list)
     grid = ensemble.grid
     model = ensemble.model
     u_star = ensemble.control

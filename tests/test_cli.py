@@ -130,6 +130,22 @@ def test_non_object_config_returns_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("literal, message", [
+    ("NaN", "NaN is not a JSON number"),
+    # a literal that overflows a float would load as inf
+    ("1e400", "1e400 is not a finite number"),
+])
+def test_non_standard_json_constant_is_refused(tmp_path, capsys, command, literal, message):
+    path = tmp_path / "nan.json"
+    text = json.dumps(_doc(x0=123.25))
+    assert text.count("123.25") == 1
+    path.write_text(text.replace("123.25", literal))
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_module_error_surfaces_as_error_line(tmp_path, capsys):
     # a valid config whose scheme diverges: the kernel's FloatingPointError

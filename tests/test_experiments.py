@@ -115,6 +115,14 @@ def test_weight_rows_must_sum_to_one():
     assert violations == ["$.control.weights: row 0 sums to 0.5, not 1"]
 
 
+def test_ragged_weight_rows_are_a_violation():
+    rows = [[1.0]] + [[0.5, 0.5]] * 15
+    doc = _base_doc(kind="cost", control={"type": "weights", "weights": rows})
+    assert validate_document(doc) == [
+        "$.control.weights: weights must have shape (n_steps, n_actions)"
+    ]
+
+
 def test_indices_length_mismatch_is_reported():
     doc = _base_doc(control={"type": "indices", "indices": [0, 1, 0]})
     violations = validate_document(doc)
@@ -248,6 +256,23 @@ def test_overflowing_table_raises_instead_of_writing_nan(tmp_path):
             r"under scenario 0")):
         run_document(doc, output_dir=tmp_path)
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_run_checks_the_model_derivatives_once(tmp_path, monkeypatch):
+    # the plan validates the model instance the kernel then runs
+    from gcontrol import experiments, models
+
+    calls = []
+    check = models.check_derivatives
+
+    def counted(model, *args, **kwargs):
+        calls.append(model)
+        return check(model, *args, **kwargs)
+
+    monkeypatch.setattr(models, "check_derivatives", counted)
+    monkeypatch.setattr(experiments, "check_derivatives", counted, raising=False)
+    run_document(_lq(), output_dir=tmp_path)
+    assert len(calls) == 1
 
 
 def test_non_finite_metric_is_refused(tmp_path, monkeypatch):
@@ -399,7 +424,54 @@ _VALIDATE_GAP_PROBES = {
         " (t=0.562, x=1.59, a=-0.302): fd 0.0936729 vs 0.1",
         _base_doc(model={"name": "linear_jump_lq", "params": {"c2": -1.0}},
                   actions=[-1.0, 0.0, 1.0])),
+    # NaN passes the schema's bounds (every comparison with it is false),
+    # so these documents are built here rather than loaded from JSON
+    "sigma-low-nan": (
+        _lq(bounds={"sigma_low": float("nan"), "sigma_high": 4.0}),
+        "$.bounds.sigma_low: sigma_low must be nonnegative, got nan",
+        _lq(bounds={"sigma_low": 0.5, "sigma_high": 4.0})),
+    "T-nan": (
+        _lq(grid={"T": float("nan"), "n_steps": 16}),
+        "$.grid.T: T must be positive, got nan",
+        _lq(grid={"T": 2.0, "n_steps": 16})),
+    # options are free-form in the schema, so candidates get the control schema
+    "candidate-schema": (
+        _lq(kind="mp-near", options={"C": 1.0, "candidates": [{"type": "constant", "index": "0"}]}),
+        "$.options.candidates[0].index: '0' is not of type 'integer'",
+        _lq(kind="mp-near", options={"C": 1.0, "candidates": [{"type": "constant", "index": 0}]})),
+    # a width that rounds to zero steps is on no grid
+    "h-below-dt": (
+        _lq(kind="variational", options={**_VARIATIONAL, "h_list": [0.125, 1e-12]}),
+        "$.options.h_list[1]: 1e-12 is shorter than dt = 0.0625",
+        _lq(kind="variational", options=_VARIATIONAL)),
+    # VolatilityBounds orders the bounds up to 1e-10
+    "sigma-order-tolerance": (
+        _lq(bounds={"sigma_low": 1.0, "sigma_high": 1.0 - 2e-10}),
+        "$.bounds.sigma_high: sigma_high 0.9999999998 is below sigma_low 1.0",
+        _lq(bounds={"sigma_low": 1.0, "sigma_high": 1.0 - 5e-11})),
 }
+
+
+# a spelling the schema admits, and the plain document it must run exactly as
+_SAME_RUN_PROBES = {
+    # only 'weights' and 'chattering' controls read a 'weights' field
+    "uniform-stray-weights": (
+        _lq(kind="cost", control={"type": "uniform", "weights": [[1.0]]}),
+        _lq(kind="cost", control={"type": "uniform"})),
+    # the schema takes 16.0 as an integer
+    "n-steps-float": (
+        _lq(kind="cost", grid={"T": 1.0, "n_steps": 16.0}, control={"type": "uniform"}),
+        _lq(kind="cost", grid={"T": 1.0, "n_steps": 16}, control={"type": "uniform"})),
+}
+
+
+@pytest.mark.parametrize("variant, plain", list(_SAME_RUN_PROBES.values()),
+                         ids=list(_SAME_RUN_PROBES))
+def test_admitted_spelling_runs_as_plain_document(variant, plain, tmp_path):
+    assert validate_document(variant) == []
+    ran = run_document(variant, output_dir=tmp_path / "variant")
+    expected = run_document(plain, output_dir=tmp_path / "plain")
+    assert dict(ran.manifest.files) == dict(expected.manifest.files)
 
 
 @pytest.mark.parametrize(

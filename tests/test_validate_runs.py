@@ -11,7 +11,7 @@ from an accepted document is a gap in ``validate``.
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gcontrol.experiments import KINDS, run_document, validate_document
@@ -167,12 +167,30 @@ def documents(draw):
     return doc
 
 
+# the states stay finite, the backward variable is huge, and the
+# loading q of the relaxed control overflows at the last step
+_OVERFLOWING_STABILITY = {
+    "kind": "bsde-stability",
+    "model": {"name": "bilinear", "params": {"th0": 1e9, "s1": 1e9, "gl": 1e9}},
+    "grid": {"T": 1.0, "n_steps": 12},
+    "bounds": {"sigma_low": 1.0, "sigma_high": 4.0},
+    "marks": {"values": [0.5], "intensities": [0.0]},
+    "actions": [-1.0, 1.0],
+    "control": {"type": "uniform"},
+    "n_paths": 2,
+    "seed": 3,
+    "x0": 0.0,
+    "options": {"n_list": [2, 4]},
+}
+
+
 # derandomized, so every run of the suite draws the same documents; the
 # overflow warnings of diverging draws are not what this test is about
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=400, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(documents())
+@example(_OVERFLOWING_STABILITY)
 def test_accepted_documents_run(doc):
     if validate_document(doc):
         return
