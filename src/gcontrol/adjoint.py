@@ -39,7 +39,7 @@ minus the stated slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -56,12 +56,12 @@ from .controls import (
     embed_strict,
     spike,
 )
-from .costs import batch_costs
+from .costs import cost_from_ensemble, evaluate_costs
 from .jumps import MarkSpace, sample_drivers
 from .models import ModelSpec, ensure_validated
 from .rng import PROBES, substream
 from .scenarios import ScenarioFamily, TimeGrid, generator_G, upper_expectation
-from .sde import StateEnsemble, ensemble_from_batch, simulate, simulate_batch, simulate_with
+from .sde import StateEnsemble, simulate, simulate_with
 from .variational import _avg, _weights_and_actions, solve_fundamental
 
 _DEGENERATE_STD = 1e-12
@@ -867,21 +867,19 @@ def mp_check_near(
     if epsilon_n is not None and epsilon_n < 0.0:
         raise ValueError(f"epsilon_n must be nonnegative, got {epsilon_n}")
 
-    # u_n and every candidate in one strict batch; u_n's row, wrapped as its
-    # Dirac embedding, feeds the table, and the batch is gone before the adjoint
+    # u_n keeps its states, which feed the table as its Dirac embedding (the
+    # strict run's bits, with the embedding's tagged counts); the candidates
+    # are streamed, so no candidate's trajectory is held
     drivers = sample_drivers(family, grid, marks, n_paths, seed)
-    controls = [u_n] + cands
-    states = simulate_batch(model, controls, family, grid, marks, drivers, x0)
-    reports = batch_costs(model, controls, grid, states, drivers.seed)
-    mu_n = embed_strict(u_n)
-    ens = ensemble_from_batch(model, mu_n, family, grid, marks, drivers, x0, states[:, 0])
-    del states
-    j_n = reports[0].upper_value
+    ens = simulate_with(model, u_n, family, grid, marks, drivers, x0)
+    j_n = cost_from_ensemble(ens).upper_value
     scored = [
         (ekeland_distance(u_n, cand, grid), rep.upper_value)
-        for cand, rep in zip(cands, reports[1:])
+        for cand, rep in zip(cands, evaluate_costs(model, cands, family, grid, marks,
+                                                   drivers, x0))
     ]
-    del reports
+    mu_n = embed_strict(u_n)
+    ens = replace(ens, control=mu_n, tagged_counts=drivers.tagged_counts(mu_n))
 
     if epsilon_n is None:
         # worst cost-improvement rate of u_n; candidates at distance zero are skipped

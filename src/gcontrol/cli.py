@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import load_config, run_document, validate_document
+from .experiments import InvalidConfig, load_config, run_document, validate_document
 from .models import MODEL_BUILDERS, MODEL_PARAM_DOCS
 
 
@@ -48,9 +48,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    violations = validate_document(doc)
-
     if args.command == "validate":
+        violations = validate_document(doc)
         for line in violations:
             print(line)
         if violations:
@@ -59,14 +58,16 @@ def main(argv: list[str] | None = None) -> int:
         print("configuration is valid")
         return 0
 
-    if violations:
-        for line in violations:
-            print(line, file=sys.stderr)
-        return 1
+    # run_document plans the document once, with the overrides applied, and
+    # refuses it with the lines validate prints
     try:
         result = run_document(doc, output_dir=args.output_dir,
                               threads=args.threads,
                               seed_override=args.seed_override)
+    except InvalidConfig as exc:
+        for line in exc.violations:
+            print(line, file=sys.stderr)
+        return 1
     except Exception as exc:  # module errors surface verbatim as exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

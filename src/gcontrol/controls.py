@@ -29,6 +29,8 @@ class ActionGrid:
         actions = np.atleast_1d(np.asarray(self.actions, dtype=float))
         if actions.ndim != 1 or actions.size == 0:
             raise ValueError("action grid must be a nonempty flat list")
+        if not np.all(np.isfinite(actions)):
+            raise ValueError("actions must be finite")
         if len(np.unique(actions)) != actions.size:
             raise ValueError("values must be distinct")
         actions.setflags(write=False)

@@ -5,6 +5,13 @@ family of the terminal cost plus the running cost, the latter integrated
 by a left-endpoint quadrature to match the forward Euler scheme. All
 comparisons between controls reuse one seed, so differences are coupled
 path by path rather than being differences of independent estimates.
+
+There is one quadrature, :class:`_PathCost`, fed one step at a time.
+:func:`cost_from_ensemble` runs it over a stored ensemble. A set of
+controls whose paths nothing reads again (brute-force candidates,
+chattering rungs, spiked controls) goes through :func:`stream_costs`,
+which folds each step into the path costs as the kernel writes it and
+never holds the batch's trajectories.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from .controls import RelaxedControl, StrictControl, chattering, check_ladder
 from .jumps import Drivers, MarkSpace, sample_drivers
 from .models import ModelSpec
 from .scenarios import ScenarioFamily, TimeGrid, upper_expectation
-from .sde import StateEnsemble, simulate, simulate_batch
+from .sde import StateEnsemble, simulate, simulate_with, stream_batch
 
 Control = StrictControl | RelaxedControl
 
@@ -48,38 +55,42 @@ class ValueSearchResult:
     reports: tuple  # CostReport per candidate
 
 
-def _path_costs(
-    model: ModelSpec, control: Control, grid: TimeGrid, states: np.ndarray
-) -> np.ndarray:
-    """Per-(scenario, path) cost of time-major states, shape (n_steps + 1, S, P).
+class _PathCost:
+    """Left-endpoint quadrature of one control's per-(scenario, path) cost.
 
-    Left-endpoint running cost plus terminal cost. For a relaxed control
-    the running cost at each step is the weighted average of h over the
-    action grid.
+    ``add(k, x_k)`` for k = 0, ..., n_steps - 1 in step order, then
+    ``total(x_T)``. For a relaxed control the running cost at each step
+    is the weighted average of h over the action grid, skipping the
+    actions of weight zero. Fed the steps of a stored ensemble or of a
+    streamed batch, it gives the same bits.
     """
-    dt = grid.dt
-    running = np.zeros(states.shape[1:])
-    if isinstance(control, RelaxedControl):
-        actions = control.grid.actions
-        for k in range(grid.n_steps):
-            xk = states[k]
-            t = float(grid.times[k])
+
+    def __init__(self, model: ModelSpec, control: Control, grid: TimeGrid, shape):
+        self.model = model
+        self.control = control
+        self.grid = grid
+        self.relaxed = isinstance(control, RelaxedControl)
+        self.values = None if self.relaxed else control.values
+        self.running = np.zeros(shape)
+
+    def add(self, k: int, xk: np.ndarray) -> None:
+        model = self.model
+        t = float(self.grid.times[k])
+        if self.relaxed:
             hk = np.zeros_like(xk)
-            for a_i, a in enumerate(actions):
-                w = control.weights[k, a_i]
+            for a_i, a in enumerate(self.control.grid.actions):
+                w = self.control.weights[k, a_i]
                 if w != 0.0:
                     hk = hk + w * np.asarray(model.h(t, xk, a))
-            running += hk * dt
-    else:
-        values = control.values
-        for k in range(grid.n_steps):
-            xk = states[k]
-            t = float(grid.times[k])
-            running += np.asarray(model.h(t, xk, float(values[k]))) * dt
-    total = running + np.asarray(model.g(states[-1]))
-    if not np.all(np.isfinite(total)):
-        raise FloatingPointError("cost evaluation produced non-finite values")
-    return total
+            self.running += hk * self.grid.dt
+        else:
+            self.running += np.asarray(model.h(t, xk, float(self.values[k]))) * self.grid.dt
+
+    def total(self, x_T: np.ndarray) -> np.ndarray:
+        total = self.running + np.asarray(self.model.g(x_T))
+        if not np.all(np.isfinite(total)):
+            raise FloatingPointError("cost evaluation produced non-finite values")
+        return total
 
 
 def _cost_report(costs: np.ndarray, seed: int) -> CostReport:
@@ -99,18 +110,45 @@ def _cost_report(costs: np.ndarray, seed: int) -> CostReport:
 
 
 def cost_from_ensemble(ensemble: StateEnsemble) -> CostReport:
-    costs = _path_costs(ensemble.model, ensemble.control, ensemble.grid, ensemble.states)
-    return _cost_report(costs, ensemble.seed)
+    states = ensemble.states
+    acc = _PathCost(ensemble.model, ensemble.control, ensemble.grid, states.shape[1:])
+    for k in range(ensemble.grid.n_steps):
+        acc.add(k, states[k])
+    return _cost_report(acc.total(states[-1]), ensemble.seed)
 
 
-def batch_costs(
-    model: ModelSpec, controls: list[Control], grid: TimeGrid, states: np.ndarray, seed: int
+def stream_costs(
+    model: ModelSpec,
+    controls: list[Control],
+    family: ScenarioFamily,
+    grid: TimeGrid,
+    marks: MarkSpace,
+    drivers: Drivers,
+    x0: float,
+    reduce=None,
 ) -> list[CostReport]:
-    """CostReport per control from a :func:`simulate_batch` result."""
-    return [
-        _cost_report(_path_costs(model, u, grid, states[:, c]), seed)
-        for c, u in enumerate(controls)
-    ]
+    """CostReport per control of one kernel batch that keeps no trajectory.
+
+    The batch runs through :func:`stream_batch`, which folds each step
+    into the controls' path costs as it is written; ``reduce(k, x)``,
+    when given, sees every step of the batch first, shape (n_controls,
+    S, P). The controls must be all strict or all relaxed.
+    """
+    K = grid.n_steps
+    sums = [_PathCost(model, u, grid, drivers.dB.shape[1:]) for u in controls]
+    totals = []
+
+    def fold(k: int, x: np.ndarray) -> None:
+        if reduce is not None:
+            reduce(k, x)
+        if k < K:
+            for acc, xc in zip(sums, x):
+                acc.add(k, xc)
+        else:
+            totals.extend(acc.total(xc) for acc, xc in zip(sums, x))
+
+    stream_batch(model, controls, family, grid, marks, drivers, x0, fold)
+    return [_cost_report(c, drivers.seed) for c in totals]
 
 
 def _serial_map(fn, items):
@@ -141,8 +179,7 @@ def evaluate_costs(
 
     def run(batch: list[int]) -> list[CostReport]:
         group = [controls[i] for i in batch]
-        states = simulate_batch(model, group, family, grid, marks, drivers, x0)
-        return batch_costs(model, group, grid, states, drivers.seed)
+        return stream_costs(model, group, family, grid, marks, drivers, x0)
 
     reports: list = [None] * len(controls)
     for batch, batch_reports in zip(batches, map_ordered(run, batches)):
@@ -221,18 +258,25 @@ def chattering_report(
 
     Both gap columns are coupled: the relaxed run and every strict run
     share the seed, so the mean-square path gap uses pathwise sups and
-    the cost gap subtracts matched path costs.
+    the cost gap subtracts matched path costs. Only the relaxed run keeps
+    its states; the rungs are streamed, each folded step by step into
+    its path costs and its sup distance to the relaxed run.
     """
     n_list = check_ladder(n_list)
     ladder = [chattering(mu, n) for n in n_list]
     drivers = sample_drivers(family, grid, marks, n_paths, seed)
-    base = simulate_batch(model, [mu], family, grid, marks, drivers, x0)[:, 0]
-    (base_report,) = batch_costs(model, [mu], grid, base[:, None], seed)
-    states = simulate_batch(model, ladder, family, grid, marks, drivers, x0)
-    reports = batch_costs(model, ladder, grid, states, seed)
+    base = simulate_with(model, mu, family, grid, marks, drivers, x0)
+    base_report = cost_from_ensemble(base)
+    # per rung, the running max over steps of |x_mu - x_n|; max is exact
+    # in any order, and each rung's (S, P) slice is C-contiguous
+    sups = np.zeros((len(ladder),) + base.states.shape[1:])
+
+    def sup_gap(k: int, x: np.ndarray) -> None:
+        np.maximum(sups, np.abs(base.states[k] - x), out=sups)
+
+    reports = stream_costs(model, ladder, family, grid, marks, drivers, x0, sup_gap)
     rows = []
-    for c, (n, rep) in enumerate(zip(n_list, reports)):
-        sup = np.abs(base - states[:, c]).max(axis=0)
+    for sup, n, rep in zip(sups, n_list, reports):
         msq = float(np.max((sup**2).mean(axis=1)))
         gap = abs(rep.upper_value - base_report.upper_value)
         s_star = base_report.argmax_scenario

@@ -57,14 +57,8 @@ from .costs import (
 from .jumps import MarkSpace, poisson_mean, sample_drivers
 from .models import MODEL_DEFAULTS, build_model, ensure_validated
 from .scenarios import TimeGrid, VolatilityBounds, build_scenario_family
-from .sde import ensemble_from_batch, simulate, simulate_batch
-from .variational import (
-    check_widths,
-    derivative_report_csv,
-    difference_quotient_gap,
-    gateaux_derivative,
-    spike_controls,
-)
+from .sde import simulate
+from .variational import check_widths, derivative_report_csv, spike_controls, spike_report
 
 SCHEMA: dict = json.loads(
     resources.files("gcontrol").joinpath("config_schema.json").read_text()
@@ -123,6 +117,10 @@ _OPTION_TYPES: dict[str, tuple] = {
 
 def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
+
+
+def _not_finite(value) -> str:
+    return f"{value!r} is not a finite number"
 
 
 def _finite_float(literal: str) -> float:
@@ -208,9 +206,12 @@ def validate_document(doc: Mapping) -> _Plan:
     name, params = doc["model"]["name"], doc["model"].get("params", {})
     model = plan.attempt("$.model.name", build_model, name, params, catch=KeyError)
     if model is not None:
-        for key in sorted(set(params) - set(MODEL_DEFAULTS[name])):
-            plan.append(f"$.model.params.{key}: not a parameter of model {name!r}"
-                        f" (known: {sorted(MODEL_DEFAULTS[name])})")
+        for key in sorted(params):
+            if key not in MODEL_DEFAULTS[name]:
+                plan.append(f"$.model.params.{key}: not a parameter of model {name!r}"
+                            f" (known: {sorted(MODEL_DEFAULTS[name])})")
+            elif not math.isfinite(params[key]):
+                plan.append(f"$.model.params.{key}: {_not_finite(params[key])}")
         plan.attempt("$.model.params", ensure_validated, model)
 
     bounds = plan.attempt("$.bounds", VolatilityBounds, doc["bounds"]["sigma_low"],
@@ -227,6 +228,8 @@ def validate_document(doc: Mapping) -> _Plan:
         family = plan.attempt("$.scenarios", build_scenario_family, bounds, grid,
                               scen["strategy"], blocks=int(scen["blocks"]),
                               count=scen["count"], seed=scen["seed"])
+    if not math.isfinite(doc["x0"]):
+        plan.append(f"$.x0: {_not_finite(doc['x0'])}")
     if doc["n_paths"] < 2:
         plan.append(f"$.n_paths: {doc['n_paths']} path gives no standard error;"
                     " at least 2 are needed")
@@ -304,15 +307,23 @@ def validate_document(doc: Mapping) -> _Plan:
     return plan
 
 
+class InvalidConfig(ValueError):
+    """A document's plan failed; ``violations`` holds its ``path: message`` lines."""
+
+    def __init__(self, violations: Sequence[str]):
+        super().__init__("invalid configuration:\n" + "\n".join(violations))
+        self.violations = list(violations)
+
+
 def build_experiment(doc: Mapping) -> ExperimentConfig:
-    """The config of the plan ``validate_document`` builds; a violation raises ``ValueError``.
+    """The config of the plan ``validate_document`` builds; a violation raises ``InvalidConfig``.
 
     Validating and running a document therefore check it once, with the
     same code.
     """
     plan = validate_document(doc)
     if plan:
-        raise ValueError("invalid configuration:\n" + "\n".join(plan))
+        raise InvalidConfig(plan)
     return plan.config
 
 
@@ -394,6 +405,8 @@ def _options(doc: Mapping, plan: _Plan) -> dict[str, Any]:
             types, noun, minimum = _OPTION_TYPES[key]
             if not number(val, types):
                 fail(key, f"expected {noun}, got {val!r}")
+            elif not math.isfinite(val):
+                fail(key, _not_finite(val))
             elif minimum is not None and val < minimum:
                 fail(key, f"{val} is below the minimum {minimum}")
         elif key in ("n_list", "h_list"):
@@ -557,16 +570,10 @@ def _run_variational(cfg: ExperimentConfig, threads: int):
     ai = int(cfg.options["action_index"])
     t0 = float(cfg.options["t0"])
     h_list = [float(h) for h in cfg.options["h_list"]]
-    # the base control and every spiked control in one batch
-    drivers = sample_drivers(cfg.family, cfg.grid, cfg.marks, cfg.n_paths, cfg.seed)
-    controls = [cfg.control] + spike_controls(cfg.control, cfg.grid, ai, t0, h_list)
-    states = simulate_batch(cfg.model, controls, cfg.family, cfg.grid, cfg.marks,
-                            drivers, cfg.x0)
-    ens = ensemble_from_batch(cfg.model, cfg.control, cfg.family, cfg.grid, cfg.marks,
-                              drivers, cfg.x0, states[:, 0])
-    spiked = states[:, 1:]
-    der = gateaux_derivative(ens, ai, t0, h_list, spiked=spiked)
-    rows = difference_quotient_gap(ens, ai, t0, h_list, spiked=spiked)
+    # z and the formula read the base run's states; the spikes are streamed
+    ens = simulate(cfg.model, cfg.control, cfg.family, cfg.grid, cfg.marks,
+                   cfg.n_paths, cfg.seed, cfg.x0)
+    der, rows = spike_report(ens, ai, t0, h_list)
     qlines = ["h,gap,stderr,scenario_id"]
     for row in rows:
         qlines.append(f"{_fmt(row[0])},{_fmt(row[1])},{_fmt(row[2])},{int(row[3])}")

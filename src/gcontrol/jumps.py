@@ -46,6 +46,8 @@ class MarkSpace:
             raise ValueError("mark space must be nonempty")
         if marks.shape != inten.shape:
             raise ValueError("marks and intensities must have equal length")
+        if not np.all(np.isfinite(marks)):
+            raise ValueError("values must be finite")
         if len(np.unique(marks)) != marks.size:
             raise ValueError("values must be distinct")
         if not np.all(np.isfinite(inten)) or np.any(inten < 0):

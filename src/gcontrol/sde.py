@@ -7,12 +7,20 @@ relaxed step averages b and gamma under the step's weights and evaluates
 f at each event's action tag; its weighted sums are accumulated in fixed
 action order, so a one-hot (embedded strict) control reproduces the
 strict simulation bit for bit under the same seed.
+
+Only the runs that the flow or the adjoint read again keep their whole
+(n_steps + 1, S, P) states: :func:`simulate_with` and :func:`simulate`
+return them as a :class:`StateEnsemble`. A caller that needs only a few
+per-path numbers of a set of controls (path costs, pathwise sup
+distances) runs them through :func:`stream_batch`: the kernel updates
+one step slot in place and hands each step to the caller's reducer, so
+the batch never holds more than one step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -85,7 +93,30 @@ def _check_finite(x: np.ndarray, k: int) -> None:
         )
 
 
-def _strict_steps(model, controls, a_vals, grid, marks, dB, counts, X) -> None:
+def _write(X, k, xk, incr, reduce) -> None:
+    """Store step k + 1 = xk + incr in its slot, check it, and hand it to ``reduce``."""
+    out = X[(k + 1) % len(X)]
+    np.add(xk, incr, out=out)
+    _check_finite(out, k)
+    reduce(k + 1, out)
+
+
+def _strict_jumps(model, t, xk, uk, marks, ck, dt):
+    """The step's jump term ``sum_i f_i dN_i - (sum_i f_i nu_i) dt`` as one array.
+
+    A frame of its own, so the per-mark arrays are freed before the
+    kernel forms the drift terms.
+    """
+    jump_sum = 0.0
+    comp_rate = 0.0
+    for i in range(marks.n_marks):
+        fi = model.f(t, xk, float(marks.marks[i]), uk)
+        jump_sum = jump_sum + fi * ck[i]
+        comp_rate = comp_rate + fi * marks.intensities[i]
+    return jump_sum - comp_rate * dt
+
+
+def _strict_steps(model, controls, a_vals, grid, marks, dB, counts, X, reduce) -> None:
     """One Euler step under scenario s and control c is
 
         x'  =  x + b(t, x, u_k) dt + sigma(t, x) dB
@@ -93,73 +124,81 @@ def _strict_steps(model, controls, a_vals, grid, marks, dB, counts, X) -> None:
              + sum_i f(t, x, theta_i, u_k) (dN_i - nu_i dt)
 
     with every coefficient read at the left endpoint and jumps acting on
-    the pre-jump state.
+    the pre-jump state. Step k lives in ``X[k % len(X)]``: X holds every
+    step, or one slot that each step updates in place (the update is
+    elementwise), and ``reduce(k, X_k)`` sees each step once it is
+    written, k = 0, ..., n_steps.
     """
     u_vals = np.stack([u.values for u in controls])[:, :, None, None]
-    nu = marks.intensities
-    theta = marks.marks
     dt = grid.dt
-    times = grid.times
+    slots = len(X)
+    reduce(0, X[0])
     for k in range(grid.n_steps):
-        t = times[k]
+        xk = X[k % slots]
         a_dt = (a_vals[:, k] * dt)[:, None]
-        uk = u_vals[:, k]
-        xk = X[k]
-        ck = counts[k]
-        incr = model.b(t, xk, uk) * dt
-        incr = incr + model.sigma(t, xk) * dB[k]
-        incr = incr + model.gamma(t, xk, uk) * a_dt
-        jump_sum = 0.0
-        comp_rate = 0.0
-        for i in range(marks.n_marks):
-            fi = model.f(t, xk, float(theta[i]), uk)
-            jump_sum = jump_sum + fi * ck[i]
-            comp_rate = comp_rate + fi * nu[i]
-        np.add(xk, incr + (jump_sum - comp_rate * dt), out=X[k + 1])
-        _check_finite(X[k + 1], k)
+        # the increment is built in its own frame, so none of its arrays
+        # outlives the step
+        _write(X, k, xk, _strict_increment(model, grid.times[k], xk, u_vals[:, k], a_dt,
+                                           dB[k], marks, counts[k], dt), reduce)
 
 
-def _relaxed_steps(model, controls, a_vals, grid, marks, dB, tagged, X) -> None:
+def _strict_increment(model, t, xk, uk, a_dt, dBk, marks, ck, dt):
+    jumps = _strict_jumps(model, t, xk, uk, marks, ck, dt)
+    incr = model.b(t, xk, uk) * dt
+    incr = incr + model.sigma(t, xk) * dBk
+    incr = incr + model.gamma(t, xk, uk) * a_dt
+    return incr + jumps
+
+
+def _relaxed_jumps(model, t, xk, wk, actions, marks, tk, dt):
+    """:func:`_strict_jumps` with f at each event's tag and a weight-averaged compensator."""
+    jump_sum = 0.0
+    comp_rate = 0.0
+    for i in range(marks.n_marks):
+        th = float(marks.marks[i])
+        jump_i = 0.0
+        f_bar = 0.0
+        for al in range(actions.size):
+            f_ia = model.f(t, xk, th, float(actions[al]))
+            jump_i = jump_i + f_ia * tk[i, al]
+            f_bar = f_bar + wk[:, al] * f_ia
+        jump_sum = jump_sum + jump_i
+        comp_rate = comp_rate + f_bar * marks.intensities[i]
+    return jump_sum - comp_rate * dt
+
+
+def _relaxed_steps(model, controls, a_vals, grid, marks, dB, tagged, X, reduce) -> None:
     """Weight-averaged b and gamma, f at each event's tag.
 
     The compensator is the product average sum_i sum_a w_k(a) f(theta_i,
     a) nu_i dt. Sums run over actions in grid order so that one-hot
-    weights collapse to the strict expression exactly.
+    weights collapse to the strict expression exactly. X and ``reduce``
+    are as in :func:`_strict_steps`.
     """
     w = np.stack([mu.weights for mu in controls])[:, :, :, None, None]
-    nu = marks.intensities
-    theta = marks.marks
     actions = controls[0].grid.actions
     dt = grid.dt
-    times = grid.times
+    slots = len(X)
+    reduce(0, X[0])
     for k in range(grid.n_steps):
-        t = times[k]
+        xk = X[k % slots]
         a_dt = (a_vals[:, k] * dt)[:, None]
-        wk = w[:, k]
-        xk = X[k]
-        b_bar = 0.0
-        g_bar = 0.0
-        for al in range(actions.size):
-            av = float(actions[al])
-            b_bar = b_bar + wk[:, al] * model.b(t, xk, av)
-            g_bar = g_bar + wk[:, al] * model.gamma(t, xk, av)
-        incr = b_bar * dt
-        incr = incr + model.sigma(t, xk) * dB[k]
-        incr = incr + g_bar * a_dt
-        jump_sum = 0.0
-        comp_rate = 0.0
-        for i in range(marks.n_marks):
-            th = float(theta[i])
-            jump_i = 0.0
-            f_bar = 0.0
-            for al in range(actions.size):
-                f_ia = model.f(t, xk, th, float(actions[al]))
-                jump_i = jump_i + f_ia * tagged[k, i, al]
-                f_bar = f_bar + wk[:, al] * f_ia
-            jump_sum = jump_sum + jump_i
-            comp_rate = comp_rate + f_bar * nu[i]
-        np.add(xk, incr + (jump_sum - comp_rate * dt), out=X[k + 1])
-        _check_finite(X[k + 1], k)
+        _write(X, k, xk, _relaxed_increment(model, grid.times[k], xk, w[:, k], actions, a_dt,
+                                            dB[k], marks, tagged[k], dt), reduce)
+
+
+def _relaxed_increment(model, t, xk, wk, actions, a_dt, dBk, marks, tk, dt):
+    jumps = _relaxed_jumps(model, t, xk, wk, actions, marks, tk, dt)
+    b_bar = 0.0
+    g_bar = 0.0
+    for al in range(actions.size):
+        av = float(actions[al])
+        b_bar = b_bar + wk[:, al] * model.b(t, xk, av)
+        g_bar = g_bar + wk[:, al] * model.gamma(t, xk, av)
+    incr = b_bar * dt
+    incr = incr + model.sigma(t, xk) * dBk
+    incr = incr + g_bar * a_dt
+    return incr + jumps
 
 
 def simulate_batch(
@@ -177,15 +216,41 @@ def simulate_batch(
     time-major, shape (n_steps + 1, n_controls, n_scenarios, n_paths);
     row c equals the run of control c alone, bit for bit.
     """
-    return _simulate(model, list(controls), family, grid, marks, drivers, x0)[0]
+    return _simulate(model, list(controls), family, grid, marks, drivers, x0, None)[0]
 
 
-def _simulate(model, controls, family, grid, marks, drivers, x0):
-    """:func:`simulate_batch`, plus the tagged counts the kernel ran on.
+def stream_batch(
+    model: ModelSpec,
+    controls: Sequence[Control],
+    family: ScenarioFamily,
+    grid: TimeGrid,
+    marks: MarkSpace,
+    drivers: Drivers,
+    x0: float,
+    reduce: Callable[[int, np.ndarray], None],
+) -> None:
+    """:func:`simulate_batch` on one step slot, updated in place step by step.
 
-    The counts are (K, m, A, n_controls, P) for a relaxed batch and None
-    for a strict one, so a caller that wraps a row as an ensemble hands
-    the kernel's counts on instead of building them again.
+    ``reduce(k, x)`` is called for k = 0, ..., n_steps in order with the
+    states of step k, shape (n_controls, n_scenarios, n_paths), the same
+    bits as ``simulate_batch(...)[k]``. The next step overwrites ``x``
+    in place, so a reducer keeps what it derives from ``x``, never ``x``
+    itself.
+    """
+    _simulate(model, list(controls), family, grid, marks, drivers, x0, reduce)
+
+
+def _keep_all(k: int, x: np.ndarray) -> None:
+    """The reducer of a run that stores every step: nothing to fold."""
+
+
+def _simulate(model, controls, family, grid, marks, drivers, x0, reduce):
+    """The kernel on every step (``reduce`` None) or on one slot updated in place.
+
+    Returns the state buffer and the tagged counts the kernel ran on:
+    (K, m, A, n_controls, P) for a relaxed batch and None for a strict
+    one, so a caller that wraps a stored run as an ensemble hands the
+    kernel's counts on instead of building them again.
     """
     ensure_validated(model)
     if not controls:
@@ -200,55 +265,23 @@ def _simulate(model, controls, family, grid, marks, drivers, x0):
         raise ValueError("drivers were sampled for a different mark space")
     S, P = dB.shape[1:]
     a_vals = family.values
-    X = np.empty((K + 1, len(controls), S, P))
+    X = np.empty((K + 1 if reduce is None else 1, len(controls), S, P))
     X[0] = x0
+    reduce = reduce or _keep_all
     tagged = None
     if all(isinstance(c, StrictControl) for c in controls):
-        _strict_steps(model, controls, a_vals, grid, marks, dB, drivers.counts, X)
+        _strict_steps(model, controls, a_vals, grid, marks, dB, drivers.counts, X, reduce)
     elif all(isinstance(c, RelaxedControl) for c in controls):
         actions = controls[0].grid.actions
         if any(not np.array_equal(c.grid.actions, actions) for c in controls):
             raise ValueError("relaxed controls of one batch must share the action grid")
         # (K, m, A, C, P); the kernel broadcasts each control's counts over the scenarios
         tagged = np.stack([drivers.tagged_counts(mu) for mu in controls], axis=3)
-        _relaxed_steps(model, controls, a_vals, grid, marks, dB, tagged[:, :, :, :, None], X)
+        _relaxed_steps(model, controls, a_vals, grid, marks, dB, tagged[:, :, :, :, None], X,
+                       reduce)
     else:
         raise ValueError("a batch holds either strict or relaxed controls, not both")
     return X, tagged
-
-
-def ensemble_from_batch(
-    model: ModelSpec,
-    control: Control,
-    family: ScenarioFamily,
-    grid: TimeGrid,
-    marks: MarkSpace,
-    drivers: Drivers,
-    x0: float,
-    states: np.ndarray,
-) -> StateEnsemble:
-    """Wrap one control's time-major states, shape (n_steps + 1, S, P).
-
-    A row of a one-control batch is already C-ordered and is kept as is;
-    a row of a larger batch is strided and is copied, so the batch can
-    be freed once the caller drops it.
-    """
-    tagged = drivers.tagged_counts(control) if isinstance(control, RelaxedControl) else None
-    return _wrap(model, control, family, grid, marks, drivers, x0, states, tagged)
-
-
-def _wrap(model, control, family, grid, marks, drivers, x0, states, tagged) -> StateEnsemble:
-    return StateEnsemble(
-        states=np.ascontiguousarray(states),
-        drivers=drivers,
-        tagged_counts=tagged,
-        model=model,
-        family=family,
-        grid=grid,
-        marks=marks,
-        control=control,
-        x0=float(x0),
-    )
 
 
 def simulate_with(
@@ -260,14 +293,24 @@ def simulate_with(
     drivers: Drivers,
     x0: float,
 ) -> StateEnsemble:
-    """Simulate one control on existing drivers.
+    """Simulate one control on existing drivers and keep every step.
 
-    A relaxed control's tagged counts are built once, for the kernel,
-    and the ensemble keeps that array.
+    The ensemble holds the kernel's own buffer. A relaxed control's
+    tagged counts are built once, for the kernel, and the ensemble keeps
+    that array.
     """
-    X, tagged = _simulate(model, [control], family, grid, marks, drivers, x0)
-    tagged = None if tagged is None else tagged[:, :, :, 0]
-    return _wrap(model, control, family, grid, marks, drivers, x0, X[:, 0], tagged)
+    X, tagged = _simulate(model, [control], family, grid, marks, drivers, x0, None)
+    return StateEnsemble(
+        states=X[:, 0],
+        drivers=drivers,
+        tagged_counts=None if tagged is None else tagged[:, :, :, 0],
+        model=model,
+        family=family,
+        grid=grid,
+        marks=marks,
+        control=control,
+        x0=float(x0),
+    )
 
 
 def simulate(

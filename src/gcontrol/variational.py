@@ -16,6 +16,12 @@ is applied only on the paths that have events in the step (read off
 the step's row of the (K, m[, A], P) counts). A path without events
 would be multiplied by exactly one, so the result is bit for bit that
 of the dense product.
+
+The base ensemble keeps its whole states because z, the flow and the
+formula column read them at every step. The spiked controls do not:
+:func:`spike_report` solves z once (it depends only on the spike's
+opening step) and streams the spikes through the kernel, folding each
+step into their path costs and their quotient sups.
 """
 
 from __future__ import annotations
@@ -26,9 +32,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .controls import RelaxedControl, SpikeSpec, StrictControl, spike, spike_steps
-from .costs import batch_costs, cost_from_ensemble
+from .costs import cost_from_ensemble, stream_costs
 from .scenarios import TimeGrid, upper_expectation
-from .sde import StateEnsemble, simulate_batch
+from .sde import StateEnsemble
 
 _JUMP_GUARD = 1e-6
 
@@ -324,82 +330,25 @@ def spike_controls(
     ]
 
 
-def simulate_spikes(
+def spike_report(
     ensemble: StateEnsemble, action_index: int, t0: float, h_list: list[float]
-) -> np.ndarray:
-    """Every spiked control as one batch on the ensemble's drivers.
+) -> tuple[DerivativeReport, tuple[QuotientRow, ...]]:
+    """The cost slopes and the difference-quotient gaps of one set of spikes.
 
-    Returns time-major states, shape (n_steps + 1, len(h_list), S, P).
+    z depends on the spike's opening step only, so it is solved once for
+    every width. The spiked controls run as one batch on the ensemble's
+    drivers through :func:`stream_costs`: each step is folded into their
+    path costs and into their quotient sups as the kernel writes it, so
+    only the base ensemble and z are held whole. Widths must be given in
+    descending order. See :func:`gateaux_derivative` and
+    :func:`difference_quotient_gap` for the two tables.
     """
-    return simulate_batch(
-        ensemble.model,
-        spike_controls(ensemble.control, ensemble.grid, action_index, t0, h_list),
-        ensemble.family,
-        ensemble.grid,
-        ensemble.marks,
-        ensemble.drivers,
-        ensemble.x0,
-    )
-
-
-def difference_quotient_gap(
-    ensemble: StateEnsemble,
-    action_index: int,
-    t0: float,
-    h_list: list[float],
-    spiked: np.ndarray | None = None,
-) -> tuple[QuotientRow, ...]:
-    """Worst-scenario mean of sup_t |(x^h - x*)/h - z|^2 per spike width.
-
-    The sup runs over grid times from the end of the spike window to T;
-    inside the window the quotient has not yet absorbed the full kick,
-    so including it would measure the window itself, not convergence.
-    Widths must be given in descending order. ``spiked`` takes the
-    :func:`simulate_spikes` result when the caller already has it.
-    """
-    check_widths(h_list)
-    grid = ensemble.grid
-    u_star = ensemble.control
-    if not isinstance(u_star, StrictControl):
-        raise ValueError("difference quotients are defined along strict controls")
-    if spiked is None:
-        spiked = simulate_spikes(ensemble, action_index, t0, h_list)
-    rows = []
-    z_path = None
-    for j, h in enumerate(h_list):
-        spec = SpikeSpec(base=u_star, action_index=action_index, t0=t0, width=float(h))
-        k0, span = spike_steps(spec, grid)
-        if z_path is None:
-            z_path = solve_variational(ensemble, spec)
-        y = (spiked[:, j] - ensemble.states) / float(h) - z_path.z
-        sup_sq = np.max(y[k0 + span :] ** 2, axis=0)
-        um = upper_expectation(list(sup_sq))
-        rows.append(QuotientRow(float(h), um.value, um.stderr, um.scenario_id))
-    return tuple(rows)
-
-
-def gateaux_derivative(
-    ensemble: StateEnsemble,
-    action_index: int,
-    t0: float,
-    h_list: list[float],
-    spiked: np.ndarray | None = None,
-) -> DerivativeReport:
-    """Finite-difference cost slopes against the first-order formula.
-
-    The FD column divides coupled per-path cost differences by the spike
-    width, evaluated in the scenario that attains the base upper cost.
-    The formula column is the worst-scenario mean of
-    g_x(x*_T) z_T + sum_k h_x(t_k, x*_k, u*_k) z_k dt. ``spiked``
-    takes the :func:`simulate_spikes` result when the caller already has
-    it.
-    """
-    check_widths(h_list)
+    h_list = [float(h) for h in check_widths(h_list)]
     grid = ensemble.grid
     model = ensemble.model
     u_star = ensemble.control
     if not isinstance(u_star, StrictControl):
-        raise ValueError("the base control must be strict")
+        raise ValueError("spike variations act on strict controls")
     base_report = cost_from_ensemble(ensemble)
     s_star = base_report.argmax_scenario
 
@@ -417,21 +366,61 @@ def gateaux_derivative(
         formula_paths = formula_paths + hx * z[k] * dt
     um = upper_expectation(list(formula_paths))
 
-    if spiked is None:
-        spiked = simulate_spikes(ensemble, action_index, t0, h_list)
     controls = spike_controls(u_star, grid, action_index, t0, h_list)
-    reports = batch_costs(model, controls, grid, spiked, ensemble.seed)
+    # the quotient's sup runs from the end of each spike window to T
+    ends = [sum(spike_steps(SpikeSpec(u_star, action_index, t0, h), grid)) for h in h_list]
+    sups = np.zeros((len(h_list),) + ensemble.states.shape[1:])
+
+    def quotient(k: int, x: np.ndarray) -> None:
+        for j, h in enumerate(h_list):
+            if k >= ends[j]:
+                y = (x[j] - ensemble.states[k]) / h - z[k]
+                np.maximum(sups[j], y**2, out=sups[j])
+
+    reports = stream_costs(model, controls, ensemble.family, grid, ensemble.marks,
+                           ensemble.drivers, ensemble.x0, quotient)
     rows = []
     P = ensemble.n_paths
     for h, pert_report in zip(h_list, reports):
-        diff = (pert_report.per_path[s_star] - base_report.per_path[s_star]) / float(h)
-        rows.append((float(h), float(diff.mean()), float(diff.std(ddof=1) / np.sqrt(P))))
-    return DerivativeReport(
+        diff = (pert_report.per_path[s_star] - base_report.per_path[s_star]) / h
+        rows.append((h, float(diff.mean()), float(diff.std(ddof=1) / np.sqrt(P))))
+    derivative = DerivativeReport(
         rows=tuple(rows),
         formula=um.value,
         formula_stderr=um.stderr,
         scenario_id=s_star,
     )
+    quotients = []
+    for h, sup_sq in zip(h_list, sups):
+        um = upper_expectation(list(sup_sq))
+        quotients.append(QuotientRow(h, um.value, um.stderr, um.scenario_id))
+    return derivative, tuple(quotients)
+
+
+def difference_quotient_gap(
+    ensemble: StateEnsemble, action_index: int, t0: float, h_list: list[float]
+) -> tuple[QuotientRow, ...]:
+    """Worst-scenario mean of sup_t |(x^h - x*)/h - z|^2 per spike width.
+
+    The sup runs over grid times from the end of the spike window to T;
+    inside the window the quotient has not yet absorbed the full kick,
+    so including it would measure the window itself, not convergence.
+    Widths must be given in descending order.
+    """
+    return spike_report(ensemble, action_index, t0, h_list)[1]
+
+
+def gateaux_derivative(
+    ensemble: StateEnsemble, action_index: int, t0: float, h_list: list[float]
+) -> DerivativeReport:
+    """Finite-difference cost slopes against the first-order formula.
+
+    The FD column divides coupled per-path cost differences by the spike
+    width, evaluated in the scenario that attains the base upper cost.
+    The formula column is the worst-scenario mean of
+    g_x(x*_T) z_T + sum_k h_x(t_k, x*_k, u*_k) z_k dt.
+    """
+    return spike_report(ensemble, action_index, t0, h_list)[0]
 
 
 def derivative_report_csv(report: DerivativeReport) -> str:

@@ -179,6 +179,33 @@ def test_seed_override_reaches_the_summary(tmp_path, capsys):
     assert summary["seed"] == 77
 
 
+def test_out_of_range_seed_override_is_a_violation(tmp_path, capsys):
+    path = _write(tmp_path, _doc())
+    rc = main(["run", path, "--output-dir", str(tmp_path / "out"),
+               "--seed-override", str(2**64)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "$.seed: 18446744073709551616 is greater than the maximum of 18446744073709551615\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_plans_the_document_once(tmp_path, monkeypatch):
+    # one plan builds the model and checks its derivatives once
+    from gcontrol import models
+
+    calls = []
+    check = models.check_derivatives
+
+    def counted(model, *args, **kwargs):
+        calls.append(model)
+        return check(model, *args, **kwargs)
+
+    monkeypatch.setattr(models, "check_derivatives", counted)
+    path = _write(tmp_path, _doc(model={"name": "linear_jump_lq"}, actions=[-1.0, 0.0, 1.0]))
+    assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
 def test_module_entry_point_runs(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "gcontrol.cli", "list-models"],

@@ -275,6 +275,22 @@ def test_run_checks_the_model_derivatives_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_variational_run_solves_z_once(tmp_path, monkeypatch):
+    # z depends only on the spike's opening step, so every width shares it
+    from gcontrol import variational
+
+    calls = []
+    solve = variational.solve_variational
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(variational, "solve_variational", counted)
+    run_document(_lq(kind="variational", options=_VARIATIONAL), output_dir=tmp_path)
+    assert len(calls) == 1
+
+
 def test_non_finite_metric_is_refused(tmp_path, monkeypatch):
     from gcontrol import experiments
 
@@ -449,6 +465,36 @@ _VALIDATE_GAP_PROBES = {
         _lq(bounds={"sigma_low": 1.0, "sigma_high": 1.0 - 2e-10}),
         "$.bounds.sigma_high: sigma_high 0.9999999998 is below sigma_low 1.0",
         _lq(bounds={"sigma_low": 1.0, "sigma_high": 1.0 - 5e-11})),
+    # non-finite numbers that no constructor compares: the run would fail in
+    # the kernel or write a non-finite metric
+    "x0-nan": (
+        _lq(x0=float("nan")),
+        "$.x0: nan is not a finite number",
+        _lq(x0=-1.5)),
+    "actions-nan": (
+        _base_doc(model={"name": "linear_jump_lq"}, actions=[-1.0, float("nan"), 1.0]),
+        "$.actions: actions must be finite",
+        _base_doc(model={"name": "linear_jump_lq"}, actions=[-1.0, 0.5, 1.0])),
+    "mark-values-inf": (
+        _lq(marks={"values": [-0.4, float("inf")], "intensities": [0.7, 0.3]}),
+        "$.marks.values: values must be finite",
+        _lq(marks={"values": [-0.4, 0.8], "intensities": [0.7, 0.3]})),
+    "model-param-nan": (
+        _base_doc(model={"name": "linear_jump_lq", "params": {"b1": float("nan")}}),
+        "$.model.params.b1: nan is not a finite number",
+        _base_doc(model={"name": "linear_jump_lq", "params": {"b1": 0.1}})),
+    "slack-mult-nan": (
+        _lq(kind="mp-strict", options={"slack_mult": float("nan")}),
+        "$.options.slack_mult: nan is not a finite number",
+        _lq(kind="mp-strict", options={"slack_mult": 2.0})),
+    "C-inf": (
+        _lq(kind="mp-near", options={"C": float("inf")}),
+        "$.options.C: inf is not a finite number",
+        _lq(kind="mp-near", options={"C": 2.0})),
+    "epsilon-n-nan": (
+        _lq(kind="mp-near", options={"C": 1.0, "epsilon_n": float("nan")}),
+        "$.options.epsilon_n: nan is not a finite number",
+        _lq(kind="mp-near", options={"C": 1.0, "epsilon_n": 0.01})),
 }
 
 

@@ -13,7 +13,7 @@ from gcontrol.adjoint import solve_adjoint
 from gcontrol.controls import ActionGrid, SpikeSpec, constant_strict, uniform_relaxed
 from gcontrol.jumps import Drivers, MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
-from gcontrol.sde import ensemble_from_batch, simulate, simulate_batch, simulate_with
+from gcontrol.sde import simulate, simulate_batch, simulate_with
 from gcontrol.variational import solve_fundamental, solve_variational
 
 K, P = 8, 6
@@ -65,18 +65,10 @@ def test_one_control_ensemble_keeps_the_kernel_buffer():
     ens = simulate_with(MODEL, u, FAMILY, GRID, MARKS,
                         sample_drivers(FAMILY, GRID, MARKS, P, 5), 1.0)
     assert ens.states.base is not None and ens.states.base.shape == (K + 1, 1, S, P)
-
-    drivers = ens.drivers
-    controls = [u, constant_strict(ACTIONS, K, 2)]
-    X = simulate_batch(MODEL, controls[:1], FAMILY, GRID, MARKS, drivers, 1.0)
-    one = ensemble_from_batch(MODEL, u, FAMILY, GRID, MARKS, drivers, 1.0, X[:, 0])
-    assert np.shares_memory(one.states, X)
-    # a row of a larger batch is strided; it is copied so the batch can be freed
-    X2 = simulate_batch(MODEL, controls, FAMILY, GRID, MARKS, drivers, 1.0)
-    row = ensemble_from_batch(MODEL, u, FAMILY, GRID, MARKS, drivers, 1.0, X2[:, 0])
-    assert not np.shares_memory(row.states, X2)
-    _time_major(row.states, (K + 1, S, P))
-    assert row.states.tobytes() == one.states.tobytes()
+    _time_major(ens.states, (K + 1, S, P))
+    X = simulate_batch(MODEL, [u, constant_strict(ACTIONS, K, 2)], FAMILY, GRID, MARKS,
+                       ens.drivers, 1.0)
+    assert X[:, 0].tobytes() == ens.states.tobytes()
 
 
 def test_relaxed_ensemble_keeps_the_kernels_tagged_counts(monkeypatch):

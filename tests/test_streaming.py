@@ -1,0 +1,175 @@
+"""Streamed batches: the same bits as the whole-array expressions, in bounded memory.
+
+Brute-force candidates, chattering rungs and spiked controls run through
+the kernel without keeping their trajectories; each step is folded into
+path costs and pathwise sups as it is written. The references below are
+the whole-array expressions those reductions replaced, evaluated on a
+stored ``simulate_batch`` result, and every comparison is exact.
+"""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from gcontrol import models as md
+from gcontrol.controls import (
+    ActionGrid,
+    RelaxedControl,
+    SpikeSpec,
+    StrictControl,
+    chattering,
+    spike_steps,
+    uniform_relaxed,
+)
+from gcontrol.costs import chattering_report, evaluate_costs
+from gcontrol.jumps import MarkSpace, sample_drivers
+from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family, upper_expectation
+from gcontrol.sde import simulate_batch, simulate_with, stream_batch
+from gcontrol.variational import QuotientRow, solve_variational, spike_controls, spike_report
+
+K = 16
+GRID = TimeGrid(T=1.0, n_steps=K)
+# asymmetric actions and a width that is no power of two, so a reordered
+# sum or a reciprocal multiply would change bits
+ACTIONS = ActionGrid(np.array([-1.0, 0.5, 2.0]))
+BUSY = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([2.0, 1.5]))
+QUIET = MarkSpace(marks=np.array([1.0]), intensities=np.array([0.0]))
+CORNERS = build_scenario_family(VolatilityBounds(1.0, 4.0), GRID, "corners", blocks=2)
+LONE = dataclasses.replace(CORNERS, values=CORNERS.values[:1])
+MODEL = md.build_model("linear_jump_lq", {"c2": 0.3, "f2": 0.05, "h1": 0.2, "h2": 0.1})
+
+# every weight row has a zero, and the last rows are one-hot
+_ZERO_WEIGHTS = RelaxedControl(ACTIONS, np.array([[0.3, 0.0, 0.7]] * (K - 4)
+                                                  + [[0.0, 1.0, 0.0]] * 4))
+_PATTERN = StrictControl(ACTIONS, np.tile(np.array([0, 2, 1, 1]), K // 4))
+
+# (family, marks, controls) per case
+CASES = {
+    "strict": (CORNERS, BUSY, [_PATTERN] + [StrictControl(ACTIONS, np.full(K, i))
+                                            for i in range(3)]),
+    "relaxed-zero-weights": (CORNERS, BUSY, [_ZERO_WEIGHTS, uniform_relaxed(ACTIONS, K)]),
+    "lone-quiet": (LONE, QUIET, [_PATTERN, StrictControl(ACTIONS, np.full(K, 2))]),
+}
+
+
+def _whole_array_path_costs(model, control, grid, states):
+    """Left-endpoint path costs of stored states (n_steps + 1, S, P), whole-array form."""
+    dt = grid.dt
+    running = np.zeros(states.shape[1:])
+    if isinstance(control, RelaxedControl):
+        actions = control.grid.actions
+        for k in range(grid.n_steps):
+            xk = states[k]
+            t = float(grid.times[k])
+            hk = np.zeros_like(xk)
+            for a_i, a in enumerate(actions):
+                w = control.weights[k, a_i]
+                if w != 0.0:
+                    hk = hk + w * np.asarray(model.h(t, xk, a))
+            running += hk * dt
+    else:
+        values = control.values
+        for k in range(grid.n_steps):
+            xk = states[k]
+            t = float(grid.times[k])
+            running += np.asarray(model.h(t, xk, float(values[k]))) * dt
+    return running + np.asarray(model.g(states[-1]))
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_stream_batch_hands_every_step_with_the_stored_bits(case):
+    family, marks, controls = CASES[case]
+    drivers = sample_drivers(family, GRID, marks, 30, 4)
+    stored = simulate_batch(MODEL, controls, family, GRID, marks, drivers, 1.0)
+    seen = []
+    stream_batch(MODEL, controls, family, GRID, marks, drivers, 1.0,
+                 lambda k, x: seen.append((k, x.tobytes())))
+    assert [k for k, _ in seen] == list(range(K + 1))
+    assert all(x == stored[k].tobytes() for k, x in seen)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_streamed_costs_equal_whole_array_costs_bitwise(case):
+    family, marks, controls = CASES[case]
+    drivers = sample_drivers(family, GRID, marks, 40, 5)
+    stored = simulate_batch(MODEL, controls, family, GRID, marks, drivers, 1.0)
+    reports = evaluate_costs(MODEL, controls, family, GRID, marks, drivers, 1.0)
+    for c, (u, rep) in enumerate(zip(controls, reports)):
+        ref = _whole_array_path_costs(MODEL, u, GRID, stored[:, c])
+        assert rep.per_path.tobytes() == ref.tobytes()
+        assert rep.per_path.flags["C_CONTIGUOUS"]
+        assert (rep.scenario_means == ref.mean(axis=1)).all()
+        assert rep.upper_value == upper_expectation(list(ref)).value
+
+
+@pytest.mark.parametrize("case", ["strict", "lone-quiet"])
+def test_streamed_quotient_and_slope_rows_equal_whole_array_rows_bitwise(case):
+    family, marks, _ = CASES[case]
+    ai, t0, h_list = 2, 0.25, [0.1875, 0.125, 0.0625]
+    drivers = sample_drivers(family, GRID, marks, 40, 6)
+    ens = simulate_with(MODEL, _PATTERN, family, GRID, marks, drivers, 1.0)
+    derivative, rows = spike_report(ens, ai, t0, h_list)
+
+    spikes = spike_controls(_PATTERN, GRID, ai, t0, h_list)
+    spiked = simulate_batch(MODEL, spikes, family, GRID, marks, drivers, 1.0)
+    z = solve_variational(ens, SpikeSpec(_PATTERN, ai, t0, GRID.dt)).z
+    base = _whole_array_path_costs(MODEL, _PATTERN, GRID, ens.states)
+    s_star = upper_expectation(list(base)).scenario_id
+    ref_rows, ref_slopes = [], []
+    for j, (h, u) in enumerate(zip(h_list, spikes)):
+        k0, span = spike_steps(SpikeSpec(_PATTERN, ai, t0, h), GRID)
+        y = (spiked[:, j] - ens.states) / h - z
+        um = upper_expectation(list(np.max(y[k0 + span:] ** 2, axis=0)))
+        ref_rows.append(QuotientRow(h, um.value, um.stderr, um.scenario_id))
+        pert = _whole_array_path_costs(MODEL, u, GRID, spiked[:, j])
+        diff = (pert[s_star] - base[s_star]) / h
+        ref_slopes.append((h, float(diff.mean()), float(diff.std(ddof=1) / np.sqrt(40))))
+    assert rows == tuple(ref_rows)
+    assert derivative.rows == tuple(ref_slopes)
+    assert derivative.scenario_id == s_star
+
+
+@pytest.mark.parametrize("case", ["relaxed-zero-weights", "lone-quiet"])
+def test_streamed_chattering_sups_equal_whole_array_sups_bitwise(case):
+    family, marks, _ = CASES[case]
+    mu, n_list = _ZERO_WEIGHTS, [2, 4, 8]
+    rep = chattering_report(MODEL, mu, family, GRID, marks, n_list, 40, 7, 1.0)
+
+    drivers = sample_drivers(family, GRID, marks, 40, 7)
+    ladder = [chattering(mu, n) for n in n_list]
+    base = simulate_batch(MODEL, [mu], family, GRID, marks, drivers, 1.0)[:, 0]
+    states = simulate_batch(MODEL, ladder, family, GRID, marks, drivers, 1.0)
+    base_cost = _whole_array_path_costs(MODEL, mu, GRID, base)
+    s_star = upper_expectation(list(base_cost)).scenario_id
+    ref = []
+    for c, (n, u) in enumerate(zip(n_list, ladder)):
+        sup = np.abs(base - states[:, c]).max(axis=0)
+        cost = _whole_array_path_costs(MODEL, u, GRID, states[:, c])
+        gap = abs(upper_expectation(list(cost)).value - upper_expectation(list(base_cost)).value)
+        diff = cost[s_star] - base_cost[s_star]
+        ref.append((n, float(np.max((sup**2).mean(axis=1))), float(gap),
+                    float(diff.std(ddof=1) / np.sqrt(diff.size))))
+    assert rep.rows == tuple(ref)
+
+
+def test_candidate_costs_peak_below_two_state_arrays():
+    # a stored batch of C candidates holds C state arrays; streamed, the
+    # kernel holds one step of the batch and the costs one (S, P) sum each
+    k, p, n_candidates = 32, 2000, 8
+    grid = TimeGrid(T=1.0, n_steps=k)
+    family = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
+    model = md.build_model("linear_jump_lq", {})
+    md.ensure_validated(model)
+    drivers = sample_drivers(family, grid, BUSY, p, 8)
+    rng = np.random.default_rng(0)
+    candidates = [StrictControl(ACTIONS, rng.integers(0, 3, k)) for _ in range(n_candidates)]
+    state_bytes = (k + 1) * family.n_scenarios * p * 8
+    tracemalloc.start()
+    try:
+        evaluate_costs(model, candidates, family, grid, BUSY, drivers, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * state_bytes
