@@ -28,6 +28,11 @@ for the volatility-channel weights of every block. A backward variable,
 triple component or table entry that overflows raises, naming the step
 and the scenario.
 
+A control is read through its ``weights`` over ``grid.actions`` (one-hot
+for a strict control), so a strict control's adjoint and tables run on the
+strict run itself: the strict kernel, no tagged counts, the flow's
+untagged branch. Its Dirac embedding is what the tests compare against.
+
 On top of the triple the module builds stationarity tables for strict,
 near-optimal, and relaxed controls (each with deterministic estimator
 health numbers), one-step driver residuals, stability gaps under
@@ -39,7 +44,7 @@ minus the stated slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -53,7 +58,6 @@ from .controls import (
     chattering,
     check_ladder,
     ekeland_distance,
-    embed_strict,
     spike,
 )
 from .costs import cost_from_ensemble, evaluate_costs
@@ -62,7 +66,7 @@ from .models import ModelSpec, ensure_validated
 from .rng import PROBES, substream
 from .scenarios import ScenarioFamily, TimeGrid, generator_G, upper_expectation
 from .sde import StateEnsemble, simulate, simulate_with
-from .variational import _avg, _weights_and_actions, solve_fundamental
+from .variational import _avg, solve_fundamental
 
 _DEGENERATE_STD = 1e-12
 
@@ -440,7 +444,8 @@ def _adjoint_core(
     n_steps = grid.n_steps
     _, n_scen, n_paths = ensemble.states.shape
     n_marks = marks.n_marks
-    w, actions = _weights_and_actions(ensemble.control)
+    w = ensemble.control.weights
+    actions = ensemble.control.grid.actions
 
     pair = solve_fundamental(ensemble)
     phi, psi = pair.phi, pair.psi
@@ -621,7 +626,8 @@ def bsde_residual(ensemble: StateEnsemble, triple: AdjointTriple) -> np.ndarray:
     dt = grid.dt
     n_steps = grid.n_steps
     _, n_scen, n_paths = ensemble.states.shape
-    w, actions = _weights_and_actions(ensemble.control)
+    w = ensemble.control.weights
+    actions = ensemble.control.grid.actions
     a_tab = ensemble.family.values
     dB = ensemble.drivers.dB
     counts = ensemble.counts
@@ -685,7 +691,7 @@ def _estimator_health(core: SimpleNamespace) -> dict:
 
 def mp_check_relaxed(
     model: ModelSpec,
-    mu: RelaxedControl,
+    mu: RelaxedControl | StrictControl,
     family: ScenarioFamily,
     grid: TimeGrid,
     marks: MarkSpace,
@@ -699,17 +705,18 @@ def mp_check_relaxed(
     basis_degree: int = 2,
     ensemble: StateEnsemble | None = None,
 ) -> MPCheckReport:
-    """Stationarity table for a relaxed control.
+    """Stationarity table for the control it is given, relaxed or strict.
 
     Each entry compares a candidate action against the mixture at a
     report-block start: the Hamiltonian difference plus the
     volatility-channel term, averaged per scenario and maximized across
     scenarios. An entry passes when its estimate is at least minus
-    ``slack_mult`` standard errors minus ``extra_slack``. Entries at a
-    Dirac mixture's own atom are exactly zero by construction. The
-    triple is built from the raw (unfitted) backward variable, and only
-    at block starts. A caller that already simulated ``mu`` on this seed
-    passes that ``ensemble``.
+    ``slack_mult`` standard errors minus ``extra_slack``. The mixture is
+    ``mu.weights``: a strict control runs as it is, its one-hot weights
+    the Dirac mixture, whose own atom's entries are exactly zero by
+    construction. The triple is built from the raw (unfitted) backward
+    variable, and only at block starts. A caller that already simulated
+    ``mu`` on this seed passes that ``ensemble``.
     """
     ensure_validated(model)
     block_len = block_length(grid.n_steps, n_blocks)
@@ -803,22 +810,12 @@ def mp_check_strict(
 ) -> MPCheckReport:
     """Stationarity table for a strict control.
 
-    Runs the relaxed table on the Dirac embedding, which reduces entry
-    for entry to the strict comparison against ``u_star``.
+    Runs :func:`mp_check_relaxed` on ``u_star`` itself, the strict run.
+    The table equals, entry for entry, that of the Dirac embedding run
+    as a relaxed control, which the tests compare it against.
     """
-    return mp_check_relaxed(
-        model,
-        embed_strict(u_star),
-        family,
-        grid,
-        marks,
-        n_paths,
-        seed,
-        x0,
-        n_blocks=n_blocks,
-        slack_mult=slack_mult,
-        basis_degree=basis_degree,
-    )
+    return mp_check_relaxed(model, u_star, family, grid, marks, n_paths, seed, x0,
+                            n_blocks=n_blocks, slack_mult=slack_mult, basis_degree=basis_degree)
 
 
 def mp_check_near(
@@ -867,8 +864,7 @@ def mp_check_near(
     if epsilon_n is not None and epsilon_n < 0.0:
         raise ValueError(f"epsilon_n must be nonnegative, got {epsilon_n}")
 
-    # u_n keeps its states, which feed the table as its Dirac embedding (the
-    # strict run's bits, with the embedding's tagged counts); the candidates
+    # u_n keeps its states, which feed the table as they are; the candidates
     # are streamed, so no candidate's trajectory is held
     drivers = sample_drivers(family, grid, marks, n_paths, seed)
     ens = simulate_with(model, u_n, family, grid, marks, drivers, x0)
@@ -878,8 +874,6 @@ def mp_check_near(
         for cand, rep in zip(cands, evaluate_costs(model, cands, family, grid, marks,
                                                    drivers, x0))
     ]
-    mu_n = embed_strict(u_n)
-    ens = replace(ens, control=mu_n, tagged_counts=drivers.tagged_counts(mu_n))
 
     if epsilon_n is None:
         # worst cost-improvement rate of u_n; candidates at distance zero are skipped
@@ -894,21 +888,9 @@ def mp_check_near(
         not j_n > j_c + eps * d + 1e-9 * (1.0 + abs(j_n)) for d, j_c in scored
     )
 
-    mp = mp_check_relaxed(
-        model,
-        mu_n,
-        family,
-        grid,
-        marks,
-        n_paths,
-        seed,
-        x0,
-        n_blocks=n_blocks,
-        slack_mult=slack_mult,
-        extra_slack=C * eps,
-        basis_degree=basis_degree,
-        ensemble=ens,
-    )
+    mp = mp_check_relaxed(model, u_n, family, grid, marks, n_paths, seed, x0,
+                          n_blocks=n_blocks, slack_mult=slack_mult, extra_slack=C * eps,
+                          basis_degree=basis_degree, ensemble=ens)
 
     need = 0.0
     for e in mp.entries:

@@ -1,11 +1,13 @@
 """Strict and relaxed controls on a finite action grid.
 
 A strict control picks one action per grid step; a relaxed control puts
-a probability weight vector over the action grid on every step. The
-embedding sends a strict control to its one-hot weights, and the
-chattering construction goes the other way: it converts a relaxed
-control into a strict one whose per-block occupation of each action
-matches the averaged weights up to one grid step.
+a probability weight vector over the action grid on every step. Both
+expose their per-step ``weights`` (a strict control's are one-hot), the
+one view every layer below the kernel reads a control through. The
+embedding wraps a strict control's one-hot weights as a relaxed control,
+and the chattering construction goes the other way: it converts a
+relaxed control into a strict one whose per-block occupation of each
+action matches the averaged weights up to one grid step.
 """
 
 from __future__ import annotations
@@ -72,6 +74,14 @@ class StrictControl:
     def values(self) -> np.ndarray:
         return self.grid.actions[self.indices]
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Read-only one-hot weights (n_steps, n_actions): exact ones at the indices."""
+        w = np.zeros((self.n_steps, self.grid.n_actions))
+        w[np.arange(self.n_steps), self.indices] = 1.0
+        w.setflags(write=False)
+        return w
+
 
 @dataclass(frozen=True)
 class RelaxedControl:
@@ -113,6 +123,8 @@ class SpikeSpec:
     width: float
 
     def __post_init__(self):
+        if not isinstance(self.base, StrictControl):
+            raise ValueError("spike variations act on strict controls")
         n_actions = self.base.grid.n_actions
         if not 0 <= self.action_index < n_actions:
             raise ValueError(f"index {self.action_index} outside the {n_actions}-action grid")
@@ -126,10 +138,12 @@ class SpikeSpec:
 
 
 def embed_strict(u: StrictControl) -> RelaxedControl:
-    """One-hot weights at u's index on every step (exact zeros and ones)."""
-    w = np.zeros((u.n_steps, u.grid.n_actions))
-    w[np.arange(u.n_steps), u.indices] = 1.0
-    return RelaxedControl(grid=u.grid, weights=w)
+    """The Dirac embedding, u's one-hot weights as a relaxed control.
+
+    Tables and kernels run a strict control as it is; the tests compare
+    them against this embedding's relaxed run.
+    """
+    return RelaxedControl(u.grid, u.weights)
 
 
 def block_length(n_steps: int, n: int) -> int:

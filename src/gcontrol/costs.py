@@ -8,10 +8,10 @@ path by path rather than being differences of independent estimates.
 
 There is one quadrature, :class:`_PathCost`, fed one step at a time.
 :func:`cost_from_ensemble` runs it over a stored ensemble. A set of
-controls whose paths nothing reads again (brute-force candidates,
-chattering rungs, spiked controls) goes through :func:`stream_costs`,
-which folds each step into the path costs as the kernel writes it and
-never holds the batch's trajectories.
+controls whose paths nothing reads again (a lone control's cost,
+brute-force candidates, chattering rungs, spiked controls) goes through
+:func:`stream_costs`, which folds each step into the path costs as the
+kernel writes it and never holds the batch's trajectories.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .controls import RelaxedControl, StrictControl, chattering, check_ladder
 from .jumps import Drivers, MarkSpace, sample_drivers
 from .models import ModelSpec
 from .scenarios import ScenarioFamily, TimeGrid, upper_expectation
-from .sde import StateEnsemble, simulate, simulate_with, stream_batch
+from .sde import StateEnsemble, simulate_with, stream_batch
 
 Control = StrictControl | RelaxedControl
 
@@ -198,8 +198,9 @@ def evaluate_cost(
     seed: int,
     x0: float,
 ) -> CostReport:
-    ensemble = simulate(model, control, family, grid, marks, n_paths, seed, x0)
-    return cost_from_ensemble(ensemble)
+    """CostReport of one control on the drivers of ``seed``; no state is stored."""
+    drivers = sample_drivers(family, grid, marks, n_paths, seed)
+    return stream_costs(model, [control], family, grid, marks, drivers, x0)[0]
 
 
 def value_bruteforce(

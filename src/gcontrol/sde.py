@@ -2,9 +2,12 @@
 
 :func:`simulate_batch` runs every control of one kind (all strict or all
 relaxed) through one time-major pass over a shared :class:`Drivers`
-bundle, so a set of controls costs one sampling and one kernel call. The
-relaxed step averages b and gamma under the step's weights and evaluates
-f at each event's action tag; its weighted sums are accumulated in fixed
+bundle, so a set of controls costs one sampling and one kernel call.
+There is one step loop, :func:`_steps`; each control kind supplies only
+its increment and its per-step tables: action values and counts for a
+strict batch, weights and tagged counts for a relaxed one. The relaxed
+step averages b and gamma under the step's weights and evaluates f at
+each event's action tag; its weighted sums are accumulated in fixed
 action order, so a one-hot (embedded strict) control reproduces the
 strict simulation bit for bit under the same seed.
 
@@ -20,6 +23,7 @@ the batch never holds more than one step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -116,20 +120,22 @@ def _strict_jumps(model, t, xk, uk, marks, ck, dt):
     return jump_sum - comp_rate * dt
 
 
-def _strict_steps(model, controls, a_vals, grid, marks, dB, counts, X, reduce) -> None:
-    """One Euler step under scenario s and control c is
+def _steps(model, increment, tables, events, a_vals, grid, marks, dB, X, reduce) -> None:
+    """The one Euler step loop. Under scenario s and control c a step is
 
         x'  =  x + b(t, x, u_k) dt + sigma(t, x) dB
              + gamma(t, x, u_k) a_k dt
              + sum_i f(t, x, theta_i, u_k) (dN_i - nu_i dt)
 
     with every coefficient read at the left endpoint and jumps acting on
-    the pre-jump state. Step k lives in ``X[k % len(X)]``: X holds every
-    step, or one slot that each step updates in place (the update is
-    elementwise), and ``reduce(k, X_k)`` sees each step once it is
-    written, k = 0, ..., n_steps.
+    the pre-jump state. The control kind supplies ``increment`` and its
+    per-step tables: ``tables[:, k]`` holds the controls' step-k action
+    values (strict) or weights (relaxed), and ``events[k]`` the step's
+    counts (strict) or tagged counts (relaxed). Step k lives in
+    ``X[k % len(X)]``: X holds every step, or one slot that each step
+    updates in place (the update is elementwise), and ``reduce(k, X_k)``
+    sees each step once it is written, k = 0, ..., n_steps.
     """
-    u_vals = np.stack([u.values for u in controls])[:, :, None, None]
     dt = grid.dt
     slots = len(X)
     reduce(0, X[0])
@@ -138,8 +144,8 @@ def _strict_steps(model, controls, a_vals, grid, marks, dB, counts, X, reduce) -
         a_dt = (a_vals[:, k] * dt)[:, None]
         # the increment is built in its own frame, so none of its arrays
         # outlives the step
-        _write(X, k, xk, _strict_increment(model, grid.times[k], xk, u_vals[:, k], a_dt,
-                                           dB[k], marks, counts[k], dt), reduce)
+        _write(X, k, xk, increment(model, grid.times[k], xk, tables[:, k], a_dt, dB[k], marks,
+                                   events[k], dt), reduce)
 
 
 def _strict_increment(model, t, xk, uk, a_dt, dBk, marks, ck, dt):
@@ -167,27 +173,13 @@ def _relaxed_jumps(model, t, xk, wk, actions, marks, tk, dt):
     return jump_sum - comp_rate * dt
 
 
-def _relaxed_steps(model, controls, a_vals, grid, marks, dB, tagged, X, reduce) -> None:
+def _relaxed_increment(actions, model, t, xk, wk, a_dt, dBk, marks, tk, dt):
     """Weight-averaged b and gamma, f at each event's tag.
 
     The compensator is the product average sum_i sum_a w_k(a) f(theta_i,
     a) nu_i dt. Sums run over actions in grid order so that one-hot
-    weights collapse to the strict expression exactly. X and ``reduce``
-    are as in :func:`_strict_steps`.
+    weights collapse to the strict expression exactly.
     """
-    w = np.stack([mu.weights for mu in controls])[:, :, :, None, None]
-    actions = controls[0].grid.actions
-    dt = grid.dt
-    slots = len(X)
-    reduce(0, X[0])
-    for k in range(grid.n_steps):
-        xk = X[k % slots]
-        a_dt = (a_vals[:, k] * dt)[:, None]
-        _write(X, k, xk, _relaxed_increment(model, grid.times[k], xk, w[:, k], actions, a_dt,
-                                            dB[k], marks, tagged[k], dt), reduce)
-
-
-def _relaxed_increment(model, t, xk, wk, actions, a_dt, dBk, marks, tk, dt):
     jumps = _relaxed_jumps(model, t, xk, wk, actions, marks, tk, dt)
     b_bar = 0.0
     g_bar = 0.0
@@ -270,17 +262,21 @@ def _simulate(model, controls, family, grid, marks, drivers, x0, reduce):
     reduce = reduce or _keep_all
     tagged = None
     if all(isinstance(c, StrictControl) for c in controls):
-        _strict_steps(model, controls, a_vals, grid, marks, dB, drivers.counts, X, reduce)
+        increment = _strict_increment
+        tables = np.stack([u.values for u in controls])[:, :, None, None]
+        events = drivers.counts
     elif all(isinstance(c, RelaxedControl) for c in controls):
         actions = controls[0].grid.actions
         if any(not np.array_equal(c.grid.actions, actions) for c in controls):
             raise ValueError("relaxed controls of one batch must share the action grid")
+        increment = partial(_relaxed_increment, actions)
+        tables = np.stack([mu.weights for mu in controls])[:, :, :, None, None]
         # (K, m, A, C, P); the kernel broadcasts each control's counts over the scenarios
         tagged = np.stack([drivers.tagged_counts(mu) for mu in controls], axis=3)
-        _relaxed_steps(model, controls, a_vals, grid, marks, dB, tagged[:, :, :, :, None], X,
-                       reduce)
+        events = tagged[:, :, :, :, None]
     else:
         raise ValueError("a batch holds either strict or relaxed controls, not both")
+    _steps(model, increment, tables, events, a_vals, grid, marks, dB, X, reduce)
     return X, tagged
 
 

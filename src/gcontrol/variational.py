@@ -8,6 +8,10 @@ the first-order formula). Reusing the ensemble's noise and jumps is not
 an optimization but a requirement; the quantities being compared are
 pathwise, and independent randomness would swamp them.
 
+A control is read through its per-step ``weights`` over ``grid.actions``
+(one-hot for a strict control). A strict run has no tagged counts, so its
+jump factors and the ``|1 + f_x|`` guard are read at the played action.
+
 Everything runs and is returned time-major: the states are (K+1, S, P)
 and the drivers' increments (K, S, P), so every step forms its growth
 factors on contiguous slices, and z, phi, psi and eta come back as
@@ -31,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .controls import RelaxedControl, SpikeSpec, StrictControl, spike, spike_steps
+from .controls import SpikeSpec, StrictControl, spike, spike_steps
 from .costs import cost_from_ensemble, stream_costs
 from .scenarios import TimeGrid, upper_expectation
 from .sde import StateEnsemble
@@ -87,14 +91,6 @@ class DerivativeReport:
 # ---------------------------------------------------------------------------
 
 
-def _weights_and_actions(control) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(control, RelaxedControl):
-        return control.weights, control.grid.actions
-    w = np.zeros((control.n_steps, control.grid.n_actions))
-    w[np.arange(control.n_steps), control.indices] = 1.0
-    return w, control.grid.actions
-
-
 def _avg(fun, t, x, w_k, actions, theta=None):
     """Weight-averaged coefficient; strict controls hit a single action."""
     out = None
@@ -142,7 +138,8 @@ class _FlowSteps:
         self.x = ensemble.states
         self.dB = ensemble.drivers.dB
         self.a = ensemble.family.values
-        self.w, self.actions = _weights_and_actions(ensemble.control)
+        self.w = ensemble.control.weights
+        self.actions = ensemble.control.grid.actions
         self.tagged = ensemble.tagged_counts is not None
         self.events = _events_by_step(ensemble)
 
@@ -150,8 +147,8 @@ class _FlowSteps:
         """``1 + f_x`` per (mark[, action]) with its event counts on the step's paths.
 
         The linearization must stay invertible: |1 + f_x| is checked
-        against a hard threshold at every mark and action, whether or not
-        an event landed there.
+        against a hard threshold at every mark (and, on a relaxed run, at
+        every action), whether or not an event landed there.
         """
         model = self.model
         paths, counts = self.events[k]
@@ -228,8 +225,6 @@ def _spike_impulse(ensemble, spec: SpikeSpec, k0: int) -> np.ndarray:
     t = float(grid.times[k0])
     x = ensemble.states[k0]
     base = ensemble.control
-    if not isinstance(base, StrictControl):
-        raise ValueError("spike variations act on strict controls")
     u_val = float(base.values[k0])
     nu_val = float(base.grid.actions[spec.action_index])
     a_k = ensemble.family.values[:, k0][:, None]
@@ -248,9 +243,7 @@ def _spike_impulse(ensemble, spec: SpikeSpec, k0: int) -> np.ndarray:
 
 def _require_same_base(ensemble: StateEnsemble, spec: SpikeSpec) -> None:
     u = ensemble.control
-    if not isinstance(u, StrictControl):
-        raise ValueError("the reference ensemble must use a strict control")
-    if not np.array_equal(u.indices, spec.base.indices):
+    if not (isinstance(u, StrictControl) and np.array_equal(u.indices, spec.base.indices)):
         raise ValueError("spike base control differs from the simulated control")
 
 
@@ -322,8 +315,6 @@ def spike_controls(
     u_star: StrictControl, grid: TimeGrid, action_index: int, t0: float, h_list: list[float]
 ) -> list[StrictControl]:
     """``u_star`` spiked to ``action_index`` on [t0, t0 + h), for every h."""
-    if not isinstance(u_star, StrictControl):
-        raise ValueError("spike variations act on strict controls")
     return [
         spike(SpikeSpec(base=u_star, action_index=action_index, t0=t0, width=float(h)), grid)
         for h in h_list
@@ -347,12 +338,10 @@ def spike_report(
     grid = ensemble.grid
     model = ensemble.model
     u_star = ensemble.control
-    if not isinstance(u_star, StrictControl):
-        raise ValueError("spike variations act on strict controls")
+    spec0 = SpikeSpec(base=u_star, action_index=action_index, t0=t0, width=grid.dt)
     base_report = cost_from_ensemble(ensemble)
     s_star = base_report.argmax_scenario
 
-    spec0 = SpikeSpec(base=u_star, action_index=action_index, t0=t0, width=grid.dt)
     z_path = solve_variational(ensemble, spec0)
     z = z_path.z
     formula_paths = np.asarray(model.g_x(ensemble.states[-1])) * z[-1]

@@ -24,13 +24,14 @@ from gcontrol.adjoint import (
 from gcontrol.controls import (
     ActionGrid,
     RelaxedControl,
+    StrictControl,
     chattering,
     constant_strict,
     embed_strict,
     uniform_relaxed,
 )
 from gcontrol.costs import evaluate_cost, value_bruteforce
-from gcontrol.jumps import MarkSpace, sample_drivers
+from gcontrol.jumps import Drivers, MarkSpace, sample_drivers
 from gcontrol.scenarios import (
     TimeGrid,
     VolatilityBounds,
@@ -38,7 +39,7 @@ from gcontrol.scenarios import (
     upper_expectation,
 )
 from gcontrol.sde import simulate, simulate_with
-from gcontrol.variational import _avg, _weights_and_actions, solve_fundamental
+from gcontrol.variational import _avg, solve_fundamental
 
 MARKS = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([0.7, 0.3]))
 QUIET = MarkSpace(marks=np.array([1.0]), intensities=np.array([0.0]))
@@ -285,7 +286,7 @@ def _reference_flow(ens):
     dt = grid.dt
     states = _path_major(ens.states)
     S, P, K1 = states.shape
-    w, actions = _weights_and_actions(ens.control)
+    w, actions = ens.control.weights, ens.control.grid.actions
     a_tab = ens.family.scalar_values()
     dB = np.moveaxis(ens.drivers.dB, 0, -1)
     phi = np.ones((S, P, K1))
@@ -333,7 +334,7 @@ def _reference_adjoint(ens, degree=2):
     S, P = x.shape[:2]
     m = marks.n_marks
     phi, psi = (_path_major(a) for a in _reference_flow(ens))
-    w, actions = _weights_and_actions(ens.control)
+    w, actions = ens.control.weights, ens.control.grid.actions
     sx = np.empty((S, P, K))
     hx = np.empty((S, P, K))
     fxb = np.empty((S, P, K, m))
@@ -553,25 +554,59 @@ def test_suboptimal_control_flagged_with_witness():
             assert not e.passed and e.estimate < -2.5
 
 
-def test_embedding_reproduces_strict_table_bitwise():
+# three busy marks: at 400 paths every step has events of every mark
+BUSY3 = MarkSpace(marks=np.array([-0.3, 0.2, 0.5]), intensities=np.array([40.0, 30.0, 20.0]))
+_VARYING = np.array([0, 1, 1, 0, 1, 0] * 8)
+
+
+@pytest.mark.parametrize("marks", [MARKS, BUSY3], ids=["two-marks", "busy-three-marks"])
+@pytest.mark.parametrize("indices", [np.full(48, 1), _VARYING], ids=["constant", "indices"])
+def test_embedding_reproduces_strict_table_bitwise(indices, marks):
+    # the strict table runs on the strict run (no tagged counts, the flow's
+    # untagged branch); the Dirac embedding runs the relaxed path
     grid = TimeGrid(T=1.0, n_steps=48)
     model = _lq(c2=0.3, f2=0.05, h2=0.1)
     fam = _fam(1.0, 4.0, grid)
-    u = constant_strict(PM1, 48, 1)
+    u = StrictControl(PM1, indices)
 
-    ens_u = simulate(model, u, fam, grid, MARKS, 400, 9, 1.0)
-    ens_e = simulate(model, embed_strict(u), fam, grid, MARKS, 400, 9, 1.0)
+    ens_u = simulate(model, u, fam, grid, marks, 400, 9, 1.0)
+    ens_e = simulate(model, embed_strict(u), fam, grid, marks, 400, 9, 1.0)
+    assert ens_u.tagged_counts is None and ens_e.tagged_counts is not None
     tri_u, _ = solve_adjoint(ens_u)
     tri_e, _ = solve_adjoint(ens_e)
     assert np.array_equal(tri_u.p, tri_e.p)
     assert np.array_equal(tri_u.q, tri_e.q)
     assert np.array_equal(tri_u.r, tri_e.r)
 
-    rep_u = mp_check_strict(model, u, fam, grid, MARKS, 400, 9, 1.0, n_blocks=4)
-    rep_e = mp_check_relaxed(model, embed_strict(u), fam, grid, MARKS, 400, 9, 1.0,
+    rep_u = mp_check_strict(model, u, fam, grid, marks, 400, 9, 1.0, n_blocks=4)
+    rep_e = mp_check_relaxed(model, embed_strict(u), fam, grid, marks, 400, 9, 1.0,
                              n_blocks=4)
     assert rep_u.entries == rep_e.entries
     assert rep_u.verdict == rep_e.verdict
+    assert rep_u.health == rep_e.health
+
+
+def test_strict_tables_build_no_tagged_counts(monkeypatch):
+    grid = TimeGrid(T=1.0, n_steps=32)
+    model = _gamma_control_model()
+    fam = _fam(1.0, 4.0, grid)
+    u = constant_strict(PM1, 32, 1)
+    calls = []
+    original = Drivers.tagged_counts
+
+    def counted(self, mu):
+        calls.append(mu)
+        return original(self, mu)
+
+    monkeypatch.setattr(Drivers, "tagged_counts", counted)
+    mp_check_strict(model, u, fam, grid, MARKS, 200, 21, 2.5, n_blocks=4)
+    assert calls == []
+    mp_check_near(model, u, [constant_strict(PM1, 32, 0)], 1.0, fam, grid, MARKS,
+                  200, 21, 2.5, n_blocks=4)
+    assert calls == []
+    # the counter sees a relaxed table's one build
+    mp_check_relaxed(model, embed_strict(u), fam, grid, MARKS, 200, 21, 2.5, n_blocks=4)
+    assert len(calls) == 1
 
 
 def test_near_check_zero_epsilon_matches_strict():

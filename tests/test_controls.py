@@ -41,6 +41,9 @@ def test_embed_strict_one_hot():
     expect = np.zeros((3, 3))
     expect[0, 2] = expect[1, 0] = expect[2, 1] = 1.0
     assert np.array_equal(mu.weights, expect)
+    assert np.array_equal(u.weights, expect)
+    # the strict control's view is read-only, like a relaxed control's weights
+    assert not u.weights.flags.writeable and not mu.weights.flags.writeable
 
 
 def test_chattering_dirac_occupation_preserved():
@@ -102,6 +105,11 @@ def test_spike_degenerate_width_is_identity():
     spec = ct.SpikeSpec(base=base, action_index=1, t0=0.5, width=grid.dt)
     u = ct.spike(spec, grid)
     assert np.array_equal(u.indices, base.indices)
+
+
+def test_spike_refuses_a_relaxed_base():
+    with pytest.raises(ValueError, match="spike variations act on strict controls"):
+        ct.SpikeSpec(base=ct.uniform_relaxed(ACTIONS, 8), action_index=0, t0=0.25, width=0.25)
 
 
 def test_spike_rejects_fractional_width():

@@ -23,7 +23,7 @@ from gcontrol.controls import (
     spike_steps,
     uniform_relaxed,
 )
-from gcontrol.costs import chattering_report, evaluate_costs
+from gcontrol.costs import chattering_report, evaluate_cost, evaluate_costs
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family, upper_expectation
 from gcontrol.sde import simulate_batch, simulate_with, stream_batch
@@ -173,3 +173,24 @@ def test_candidate_costs_peak_below_two_state_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 2 * state_bytes
+
+
+@pytest.mark.parametrize("kind", ["strict", "uniform"])
+def test_single_control_cost_peak_is_set_by_the_drivers(kind):
+    # one control's cost streams its run: the peak is the sampling of the
+    # drivers (dB alone is about one state array), not a stored ensemble
+    k, p = 32, 2000
+    grid = TimeGrid(T=1.0, n_steps=k)
+    family = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
+    model = md.build_model("linear_jump_lq", {})
+    md.ensure_validated(model)
+    control = (StrictControl(ACTIONS, np.random.default_rng(0).integers(0, 3, k))
+               if kind == "strict" else uniform_relaxed(ACTIONS, k))
+    state_bytes = (k + 1) * family.n_scenarios * p * 8
+    tracemalloc.start()
+    try:
+        evaluate_cost(model, control, family, grid, BUSY, p, 8, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.3 * state_bytes

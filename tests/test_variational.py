@@ -5,7 +5,7 @@ import pytest
 
 from gcontrol import models as md
 from gcontrol import variational as vr
-from gcontrol.controls import ActionGrid, SpikeSpec, constant_strict
+from gcontrol.controls import ActionGrid, SpikeSpec, constant_strict, uniform_relaxed
 from gcontrol.jumps import MarkSpace
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from gcontrol.sde import simulate
@@ -173,6 +173,19 @@ def test_spike_base_mismatch_rejected():
     other = constant_strict(actions, 16, 1)
     with pytest.raises(ValueError):
         vr.solve_variational(ens, SpikeSpec(base=other, action_index=0, t0=0.25, width=0.25))
+
+
+def test_spike_report_refuses_a_relaxed_ensemble_before_any_work(monkeypatch):
+    grid = TimeGrid(T=1.0, n_steps=16)
+    model = md.build_model("linear_jump_lq", {})
+    actions = ActionGrid(np.array([0.0, 1.0]))
+    ens = simulate(model, uniform_relaxed(actions, 16), _fam(1.0, 1.0, grid),
+                   grid, MARKS, 20, 20, 1.0)
+    costed = []
+    monkeypatch.setattr(vr, "cost_from_ensemble", lambda e: costed.append(e))
+    with pytest.raises(ValueError, match="spike variations act on strict controls"):
+        vr.spike_report(ens, 0, 0.25, [0.25])
+    assert costed == []
 
 
 def test_quotient_gap_zero_for_trivial_spike():
