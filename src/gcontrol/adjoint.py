@@ -11,22 +11,25 @@ martingale increments.
 The layer works time-major, as does every array it takes or returns:
 states and flow (K+1, S, P), counts (K, m, P), and the triple's ``p``
 (K+1, S, P), ``q`` (K, S, P) and ``r`` (K, S, P, m), all C-ordered.
-:func:`_adjoint_core` walks the grid once forward; at each step it
-solves the state regression of every scenario as one stacked SVD and
-the increment regression as another (scenarios that drop the dB column
-form a second stack). Each SVD yields the min-norm coefficients, the
-condition numbers and the residuals together. One formula,
-:func:`_triple_at`, turns a backward variable into ``(p, q, r)`` at a
-step, reading ``sigma_x`` at that step rather than from a stored
-array. :func:`_triple_steps` feeds it the fitted variable one step at a
-time: :func:`solve_adjoint` fills whole arrays from it, and
+:func:`_adjoint_core` forms the backward variable in one (K+1, S, P)
+buffer, then walks the grid once forward; at each step it solves the
+state regression of every scenario as one stacked SVD and the increment
+regression as another (scenarios that drop the dB column form a second
+stack). Each SVD yields the min-norm coefficients, the condition
+numbers and the residuals together. A caller that asks for the fit
+gets it in the same buffer: each step's fit overwrites the raw step
+once the regression has read it. One formula, :func:`_triple_at`,
+turns a backward variable into ``(p, q, r)`` at a step, and one,
+:func:`_q_at`, gives its ``q`` together with ``sigma_x`` at that step.
+:func:`_triple_steps` feeds the fitted variable one step at a time:
+:func:`solve_adjoint` fills whole arrays from it, and
 :func:`bsde_stability_report` folds each chattering rung's steps into
 per-(scenario, path) gap accumulators, so it never holds a rung's
-triple. :func:`mp_check_relaxed` feeds :func:`_triple_at` the raw
-(unfitted) variable at report-block starts only, with one backward pass
-for the volatility-channel weights of every block. A backward variable,
-triple component or table entry that overflows raises, naming the step
-and the scenario.
+triple. :func:`mp_check_relaxed` reads the raw (unfitted) variable, at
+report-block starts for the triple and through :func:`_q_at` in one
+backward pass for the volatility-channel weights of every block. A
+backward variable, triple component or table entry that overflows
+raises, naming the step and the scenario.
 
 A control is read through its ``weights`` over ``grid.actions`` (one-hot
 for a strict control), so a strict control's adjoint and tables run on the
@@ -99,16 +102,15 @@ def _require_finite(v: np.ndarray, what: str) -> None:
 class AdjointTriple:
     """Costate ``p`` per grid node, loadings ``q``/``r`` per step.
 
-    The orthogonal remainder ``k`` is identically zero under the finite
-    scenario family used here; the column is kept so reports can show
-    it. Every component is time-major, so ``p[k]`` and ``q[k]`` are
-    contiguous (S, P) steps.
+    The G-BSDE's orthogonal remainder is identically zero under the
+    finite scenario family used here, so it is not stored. Every
+    component is time-major, so ``p[k]`` and ``q[k]`` are contiguous
+    (S, P) steps.
     """
 
     p: np.ndarray  # (K+1, S, P)
     q: np.ndarray  # (K, S, P)
     r: np.ndarray  # (K, S, P, m)
-    k: np.ndarray  # (K, S, P), all zeros
 
     def __post_init__(self):
         kk, s, p_ = self.q.shape
@@ -116,17 +118,9 @@ class AdjointTriple:
             raise ValueError("p must have one more time index than q")
         if self.r.shape[:3] != (kk, s, p_) or self.r.ndim != 4:
             raise ValueError("r must align with q and carry a mark axis")
-        if self.k.shape != self.q.shape:
-            raise ValueError("k must have the shape of q")
-        for name in ("p", "q", "r", "k"):
+        for name in ("p", "q", "r"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"adjoint component {name} is not finite")
-        if np.any(self.k != 0.0):
-            raise ValueError("the orthogonal remainder must be identically zero")
-
-    @property
-    def n_marks(self) -> int:
-        return self.r.shape[3]
 
 
 @dataclass(frozen=True)
@@ -251,10 +245,7 @@ def hamiltonian(model: ModelSpec, marks: MarkSpace, t, x, a, p, q, r):
 
 def tail_weights(
     phi: np.ndarray,
-    psi: np.ndarray,
-    y: np.ndarray,
-    Q: np.ndarray,
-    sx: Callable[[int], np.ndarray],
+    q_at: Callable[[int], tuple[np.ndarray, np.ndarray]],
     a_tab: np.ndarray,
     s_table: np.ndarray,
     bounds,
@@ -267,20 +258,18 @@ def tail_weights(
 
         sum_{k >= k0} phi_k (q_k sx_k a_k + S_k a_k - 2 G(S_k)) dt
 
-    with ``q_k = psi_k (Q_k - y_k sx_k)`` and ``G`` the scalar generator
-    :func:`~gcontrol.scenarios.generator_G`. One backward pass serves
-    every start. ``phi``, ``psi`` and ``y`` are time-major (K+1, S, P),
-    ``sx(k)`` returns ``sigma_x`` at step k, shape (S, P), and ``Q``,
-    ``a_tab`` and ``s_table`` are (S, K). Returns shape
+    with ``G`` the scalar generator :func:`~gcontrol.scenarios.generator_G`.
+    One backward pass serves every start. ``phi`` is time-major
+    (K+1, S, P), ``q_at(k)`` returns the step's ``(q_k, sx_k)``, each
+    (S, P), and ``a_tab`` and ``s_table`` are (S, K). Returns shape
     (len(starts), S, P).
     """
     s_net = s_table * a_tab - 2.0 * generator_G(s_table, bounds)
     out = np.empty((len(starts),) + phi.shape[1:])
     acc = np.zeros(phi.shape[1:])
     slot = {int(k0): j for j, k0 in enumerate(starts)}
-    for k in range(Q.shape[1] - 1, min(starts) - 1, -1):
-        sx_k = sx(k)
-        q_k = psi[k] * (Q[:, k][:, None] - y[k] * sx_k)
+    for k in range(len(phi) - 2, min(starts) - 1, -1):
+        q_k, sx_k = q_at(k)
         acc += phi[k] * (q_k * sx_k * a_tab[:, k][:, None] + s_net[:, k][:, None])
         if k in slot:
             out[slot[k]] = acc * dt
@@ -432,10 +421,12 @@ def _adjoint_core(
     One forward pass over the steps regresses the raw backward variable
     on the state (one stacked SVD per step across scenarios) and the
     martingale increment of the fitted variable on the step's noise
-    (another). Every (K+1, S, P) array in the result is time-major; the
-    fitted variable is kept only when ``keep_fit``. A backward variable
-    that overflows raises ``FloatingPointError`` naming the step and
-    the scenario.
+    (another). The backward variable lives in one time-major (K+1, S, P)
+    buffer, ``y``: it holds the raw variable, and with ``keep_fit`` step
+    k's fit overwrites step k once the regression has read it, so ``y``
+    ends as the fitted variable. ``X`` is the raw step 0, copied first.
+    A backward variable that overflows raises ``FloatingPointError``
+    naming the step and the scenario.
     """
     model = ensemble.model
     grid = ensemble.grid
@@ -459,14 +450,14 @@ def _adjoint_core(
         return hx * phi[k] * dt
 
     gx_term = np.asarray(model.g_x(x[n_steps]), dtype=float) + np.zeros_like(x[n_steps])
-    targets = np.empty((n_steps + 1, n_scen, n_paths))
-    targets[n_steps] = gx_term * phi[n_steps]
-    _require_finite(targets[n_steps], f"backward variable at step {n_steps}")
+    y = np.empty((n_steps + 1, n_scen, n_paths))
+    y[n_steps] = gx_term * phi[n_steps]
+    _require_finite(y[n_steps], f"backward variable at step {n_steps}")
     for k in range(n_steps - 1, -1, -1):
-        targets[k] = targets[k + 1] + running(k)
-        _require_finite(targets[k], f"backward variable at step {k}")
+        y[k] = y[k + 1] + running(k)
+        _require_finite(y[k], f"backward variable at step {k}")
+    X = y[0].copy()
 
-    yhat = np.empty_like(targets) if keep_fit else None
     cond_y = np.ones((n_scen, n_steps))
     cond_inc = np.ones((n_scen, n_steps))
     sq_resid = np.zeros(n_scen)
@@ -480,12 +471,13 @@ def _adjoint_core(
     m_prev = None
     for k in range(n_steps + 1):
         if k < n_steps:
-            fit, cond_y[:, k], rss = _regress_state(x[k], targets[k], basis_degree)
+            fit, cond_y[:, k], rss = _regress_state(x[k], y[k], basis_degree)
             sq_resid += rss
+            if keep_fit:
+                # the regression has read the raw step; nothing reads it again
+                y[k] = fit
         else:
-            fit = targets[n_steps]
-        if keep_fit:
-            yhat[k] = fit
+            fit = y[n_steps]
         m_k = fit + past
         if k > 0:
             j = k - 1
@@ -507,13 +499,9 @@ def _adjoint_core(
     return SimpleNamespace(
         phi=phi,
         psi=psi,
-        x=x,
-        w=w,
-        actions=actions,
         gx_term=gx_term,
-        targets=targets,
-        yhat=yhat,
-        X=targets[0].copy(),
+        y=y,
+        X=X,
         Q=q_load,
         R=r_load,
         S_t=s_table,
@@ -527,18 +515,26 @@ def _adjoint_core(
     )
 
 
+def _q_at(ensemble: StateEnsemble, core: SimpleNamespace, k: int, y_k: np.ndarray):
+    """``q = psi (Q - y sigma_x)`` at step k and the ``sigma_x`` it reads, each (S, P)."""
+    sx = _sigma_x(ensemble.model, float(ensemble.grid.times[k]), ensemble.states[k])
+    return core.psi[k] * (core.Q[:, k][:, None] - y_k * sx), sx
+
+
 def _triple_at(ensemble: StateEnsemble, core: SimpleNamespace, k: int, y_k: np.ndarray):
     """``(p, q, r)`` at step k from a backward variable ``y_k``, shape (S, P).
 
-    ``p = y psi``, ``q = psi (Q - y sigma_x)`` and
+    ``p = y psi``, ``q`` from :func:`_q_at` and
     ``r = R psi / (1 + f_x) + p (1 / (1 + f_x) - 1)`` per mark, with the
     step's loadings ``Q``/``R`` from ``core``; ``r`` has shape (S, P, m).
     """
     psi = core.psi[k]
     t = float(ensemble.grid.times[k])
-    inv = _jump_inverse(ensemble.model, ensemble.marks, t, core.x[k], core.w[k], core.actions)
+    u = ensemble.control
+    inv = _jump_inverse(ensemble.model, ensemble.marks, t, ensemble.states[k], u.weights[k],
+                        u.grid.actions)
     p = y_k * psi
-    q = psi * (core.Q[:, k][:, None] - y_k * _sigma_x(ensemble.model, t, core.x[k]))
+    q, _ = _q_at(ensemble, core, k, y_k)
     r = core.R[:, k][:, None, :] * psi[:, :, None] * inv + p[:, :, None] * (inv - 1.0)
     return p, q, r
 
@@ -551,7 +547,7 @@ def _triple_steps(ensemble: StateEnsemble, core: SimpleNamespace) -> Iterator[tu
     scenario, before the step is handed on.
     """
     for k in range(ensemble.grid.n_steps):
-        step = _triple_at(ensemble, core, k, core.yhat[k])
+        step = _triple_at(ensemble, core, k, core.y[k])
         for name, v in zip("pqr", step):
             s = _nonfinite_scenario(v)
             if s is not None:
@@ -591,10 +587,10 @@ def solve_adjoint(
     """
     core = _adjoint_core(ensemble, basis_degree, keep_fit=True)
     p, q, r = _fitted_triple(ensemble, core)
-    triple = AdjointTriple(p=p, q=q, r=r, k=np.zeros_like(q))
+    triple = AdjointTriple(p=p, q=q, r=r)
     rep = BSDERepresentation(
         X=core.X,
-        y=core.yhat,
+        y=core.y,
         Q=core.Q,
         R=core.R,
         S_t=core.S_t,
@@ -728,22 +724,21 @@ def mp_check_relaxed(
         ens = ensemble
     core = _adjoint_core(ens, basis_degree)
 
-    w, actions = core.w, core.actions
+    w, actions = mu.weights, mu.grid.actions
     a_tab = family.values
     nus = marks.intensities
     n_scen = a_tab.shape[0]
     starts = [b * block_len for b in range(n_blocks)]
-    weights = tail_weights(core.phi, core.psi, core.targets, core.Q,
-                           lambda k: _sigma_x(model, float(grid.times[k]), core.x[k]),
+    weights = tail_weights(core.phi, lambda k: _q_at(ens, core, k, core.y[k]),
                            a_tab, core.S_t, family.bounds, grid.dt, starts)
 
     entries: list[MPEntry] = []
     for b, k0 in enumerate(starts):
         t0 = float(grid.times[k0])
-        x = core.x[k0]
+        x = ens.states[k0]
         a0 = a_tab[:, k0][:, None]
         psi0 = core.psi[k0]
-        p0, q0, r0 = _triple_at(ens, core, k0, core.targets[k0])
+        p0, q0, r0 = _triple_at(ens, core, k0, core.y[k0])
 
         # per action: H, then b, gamma and f at every mark, each (S, P)
         rows = []

@@ -130,7 +130,7 @@ def _steps(model, increment, tables, events, a_vals, grid, marks, dB, X, reduce)
     with every coefficient read at the left endpoint and jumps acting on
     the pre-jump state. The control kind supplies ``increment`` and its
     per-step tables: ``tables[:, k]`` holds the controls' step-k action
-    values (strict) or weights (relaxed), and ``events[k]`` the step's
+    values (strict) or weights (relaxed), and ``events`` yields each step's
     counts (strict) or tagged counts (relaxed). Step k lives in
     ``X[k % len(X)]``: X holds every step, or one slot that each step
     updates in place (the update is elementwise), and ``reduce(k, X_k)``
@@ -139,13 +139,13 @@ def _steps(model, increment, tables, events, a_vals, grid, marks, dB, X, reduce)
     dt = grid.dt
     slots = len(X)
     reduce(0, X[0])
-    for k in range(grid.n_steps):
+    for k, ek in enumerate(events):
         xk = X[k % slots]
         a_dt = (a_vals[:, k] * dt)[:, None]
         # the increment is built in its own frame, so none of its arrays
         # outlives the step
         _write(X, k, xk, increment(model, grid.times[k], xk, tables[:, k], a_dt, dB[k], marks,
-                                   events[k], dt), reduce)
+                                   ek, dt), reduce)
 
 
 def _strict_increment(model, t, xk, uk, a_dt, dBk, marks, ck, dt):
@@ -240,9 +240,10 @@ def _simulate(model, controls, family, grid, marks, drivers, x0, reduce):
     """The kernel on every step (``reduce`` None) or on one slot updated in place.
 
     Returns the state buffer and the tagged counts the kernel ran on:
-    (K, m, A, n_controls, P) for a relaxed batch and None for a strict
-    one, so a caller that wraps a stored run as an ensemble hands the
-    kernel's counts on instead of building them again.
+    one (K, m, A, P) array per control of a relaxed batch and None for a
+    strict one, so a caller that wraps a stored run as an ensemble hands
+    the kernel's counts on instead of building them again. A relaxed
+    step stacks only its own counts, (m, A, n_controls, 1, P).
     """
     ensure_validated(model)
     if not controls:
@@ -271,9 +272,9 @@ def _simulate(model, controls, family, grid, marks, drivers, x0, reduce):
             raise ValueError("relaxed controls of one batch must share the action grid")
         increment = partial(_relaxed_increment, actions)
         tables = np.stack([mu.weights for mu in controls])[:, :, :, None, None]
-        # (K, m, A, C, P); the kernel broadcasts each control's counts over the scenarios
-        tagged = np.stack([drivers.tagged_counts(mu) for mu in controls], axis=3)
-        events = tagged[:, :, :, :, None]
+        tagged = [drivers.tagged_counts(mu) for mu in controls]
+        # one step's slices at a time, each control's broadcast over the scenarios
+        events = (np.stack([t[k] for t in tagged], axis=2)[:, :, :, None] for k in range(K))
     else:
         raise ValueError("a batch holds either strict or relaxed controls, not both")
     _steps(model, increment, tables, events, a_vals, grid, marks, dB, X, reduce)
@@ -299,7 +300,7 @@ def simulate_with(
     return StateEnsemble(
         states=X[:, 0],
         drivers=drivers,
-        tagged_counts=None if tagged is None else tagged[:, :, :, 0],
+        tagged_counts=None if tagged is None else tagged[0],
         model=model,
         family=family,
         grid=grid,

@@ -243,7 +243,9 @@ def _spike_impulse(ensemble, spec: SpikeSpec, k0: int) -> np.ndarray:
 
 def _require_same_base(ensemble: StateEnsemble, spec: SpikeSpec) -> None:
     u = ensemble.control
-    if not (isinstance(u, StrictControl) and np.array_equal(u.indices, spec.base.indices)):
+    base = spec.base
+    if not (isinstance(u, StrictControl) and np.array_equal(u.indices, base.indices)
+            and np.array_equal(u.grid.actions, base.grid.actions)):
         raise ValueError("spike base control differs from the simulated control")
 
 

@@ -101,9 +101,10 @@ def _tail_weight(grid, fam, k0, *, y, Q):
     # time-major flow of ones, unit diffusion loading, S_t = 0.7 everywhere
     K = grid.n_steps
     ones_t = np.ones((K + 1, 1, 5))
-    return tail_weights(ones_t, ones_t, np.full((K + 1, 1, 5), y), np.full((1, K), Q),
-                        lambda k: np.ones((1, 5)), fam.scalar_values(), np.full((1, K), 0.7),
-                        fam.bounds, grid.dt, [k0])[0]
+    sx = np.ones((1, 5))
+    # q = psi (Q - y sx) with psi = 1
+    return tail_weights(ones_t, lambda k: (1.0 * (Q - y * sx), sx), fam.scalar_values(),
+                        np.full((1, K), 0.7), fam.bounds, grid.dt, [k0])[0]
 
 
 def test_f_term_vanishes_without_impulse():
@@ -157,7 +158,6 @@ def test_constant_gradient_adjoint_is_exact():
     assert np.all(triple.p == 1.0)
     assert np.all(triple.q == 0.0)
     assert np.all(triple.r == 0.0)
-    assert np.all(triple.k == 0.0)
     assert np.all(rep.y_residual == 0.0)
     assert np.max(bsde_residual(ens, triple)) <= 1e-12
 
@@ -212,7 +212,7 @@ def test_residual_detects_costate_perturbation():
                    grid, QUIET, 4, 3, 1.0)
     triple, _ = solve_adjoint(ens)
     base = bsde_residual(ens, triple)
-    shifted = AdjointTriple(p=triple.p + 1.0, q=triple.q, r=triple.r, k=triple.k)
+    shifted = AdjointTriple(p=triple.p + 1.0, q=triple.q, r=triple.r)
     pert = bsde_residual(ens, shifted)
     bound = (theta * grid.dt) ** 2
     assert np.all(pert - base >= 0.999 * bound)
@@ -234,7 +234,7 @@ def test_triple_steps_name_the_first_non_finite_step():
     fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
     ens = simulate(_lq(), uniform_relaxed(PM1, 8), fam, grid, MARKS, 30, 2, 1.0)
     core = adj._adjoint_core(ens, 2, keep_fit=True)
-    core.yhat[5, 2, 7] = np.inf
+    core.y[5, 2, 7] = np.inf
     steps = adj._triple_steps(ens, core)
     for _ in range(5):
         next(steps)
@@ -257,14 +257,11 @@ def test_triple_shape_and_flag_validation():
     p = np.zeros((4, 1, 2))
     q = np.zeros((3, 1, 2))
     r = np.zeros((3, 1, 2, 1))
-    k = np.zeros((3, 1, 2))
-    AdjointTriple(p=p, q=q, r=r, k=k)
+    AdjointTriple(p=p, q=q, r=r)
     with pytest.raises(ValueError):
-        AdjointTriple(p=p, q=q, r=r, k=k + 0.5)
+        AdjointTriple(p=np.full((4, 1, 2), np.nan), q=q, r=r)
     with pytest.raises(ValueError):
-        AdjointTriple(p=np.full((4, 1, 2), np.nan), q=q, r=r, k=k)
-    with pytest.raises(ValueError):
-        AdjointTriple(p=p, q=np.zeros((4, 1, 2)), r=r, k=k)
+        AdjointTriple(p=p, q=np.zeros((4, 1, 2)), r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -808,6 +805,25 @@ def test_stability_report_holds_one_triple():
     finally:
         tracemalloc.stop()
     assert peak <= 13 * state_bytes, peak / state_bytes
+
+
+def test_solve_adjoint_holds_one_backward_buffer():
+    """The fit overwrites the raw backward variable step by step: one (K+1, S, P) buffer.
+
+    A second buffer for the fit peaks above 9 state arrays.
+    """
+    grid = TimeGrid(T=1.0, n_steps=32)
+    fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
+    n_paths = 2000
+    ens = simulate(_lq(), uniform_relaxed(PM1, 32), fam, grid, MARKS, n_paths, 3, 1.0)
+    state_bytes = ens.states.nbytes
+    tracemalloc.start()
+    try:
+        solve_adjoint(ens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5 * state_bytes, peak / state_bytes
 
 
 def test_lipschitz_audit_within_declared_bound():

@@ -56,7 +56,6 @@ def test_flow_variational_and_triple_are_time_major():
     _time_major(triple.p, (K + 1, S, P))
     _time_major(triple.q, (K, S, P))
     _time_major(triple.r, (K, S, P, 2))
-    _time_major(triple.k, (K, S, P))
     _time_major(rep.y, (K + 1, S, P))
 
 

@@ -175,6 +175,33 @@ def test_candidate_costs_peak_below_two_state_arrays():
     assert peak < 2 * state_bytes
 
 
+def test_relaxed_candidate_costs_hold_each_controls_own_counts():
+    # each control keeps its own (K, m, A, P) tagged counts and a step
+    # stacks only its own slices; a (K, m, A, C, P) stack of them would
+    # double the counts while it is built, and here the counts, not the
+    # kernel's step temporaries, set the peak
+    k, p, n_candidates = 32, 2000, 8
+    grid = TimeGrid(T=1.0, n_steps=k)
+    family = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
+    model = md.build_model("linear_jump_lq", {})
+    md.ensure_validated(model)
+    actions = ActionGrid(np.array([-1.0, 0.5, 2.0, 3.0]))
+    marks = MarkSpace(marks=np.array([-0.4, 0.6, 0.9]), intensities=np.array([2.0, 1.5, 1.0]))
+    drivers = sample_drivers(family, grid, marks, p, 8)
+    rng = np.random.default_rng(0)
+    candidates = [RelaxedControl(actions, w / w.sum(axis=1, keepdims=True))
+                  for w in rng.random((n_candidates, k, 4))]
+    state_bytes = (k + 1) * family.n_scenarios * p * 8
+    tracemalloc.start()
+    try:
+        reports = evaluate_costs(model, candidates, family, grid, marks, drivers, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == n_candidates
+    assert peak < 5.7 * state_bytes, peak / state_bytes
+
+
 @pytest.mark.parametrize("kind", ["strict", "uniform"])
 def test_single_control_cost_peak_is_set_by_the_drivers(kind):
     # one control's cost streams its run: the peak is the sampling of the

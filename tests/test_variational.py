@@ -175,6 +175,19 @@ def test_spike_base_mismatch_rejected():
         vr.solve_variational(ens, SpikeSpec(base=other, action_index=0, t0=0.25, width=0.25))
 
 
+def test_spike_base_on_another_action_grid_rejected():
+    # the same indices on another action grid name another control
+    grid = TimeGrid(T=1.0, n_steps=16)
+    model = md.build_model("linear_jump_lq", {})
+    ens = simulate(model, constant_strict(ActionGrid(np.array([0.0, 1.0])), 16, 1),
+                   _fam(1.0, 1.0, grid), grid, MARKS, 20, 20, 1.0)
+    other = constant_strict(ActionGrid(np.array([5.0, -7.0])), 16, 1)
+    spec = SpikeSpec(base=other, action_index=0, t0=0.25, width=0.25)
+    for solve in (vr.solve_variational, vr.solve_fundamental):
+        with pytest.raises(ValueError, match="spike base control differs"):
+            solve(ens, spec)
+
+
 def test_spike_report_refuses_a_relaxed_ensemble_before_any_work(monkeypatch):
     grid = TimeGrid(T=1.0, n_steps=16)
     model = md.build_model("linear_jump_lq", {})
