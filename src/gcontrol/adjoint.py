@@ -9,8 +9,8 @@ volatility channel) come from cross-path regressions of the fitted
 martingale increments.
 
 The layer works time-major, as does every array it takes or returns:
-states and flow (K+1, S, P), counts (K, m, P), and the triple's ``p``
-(K+1, S, P), ``q`` (K, S, P) and ``r`` (K, S, P, m), all C-ordered.
+states and flow (K+1, S, P), and the triple's ``p`` (K+1, S, P), ``q``
+(K, S, P) and ``r`` (K, S, P, m), all C-ordered.
 :func:`_adjoint_core` forms the backward variable in one (K+1, S, P)
 buffer, then walks the grid once forward; at each step it solves the
 state regression of every scenario as one stacked SVD and the increment
@@ -33,7 +33,7 @@ raises, naming the step and the scenario.
 
 A control is read through its ``weights`` over ``grid.actions`` (one-hot
 for a strict control), so a strict control's adjoint and tables run on the
-strict run itself: the strict kernel, no tagged counts, the flow's
+strict run itself: the strict kernel, no action tags, the flow's
 untagged branch. Its Dirac embedding is what the tests compare against.
 
 On top of the triple the module builds stationarity tables for strict,
@@ -466,7 +466,6 @@ def _adjoint_core(
     intercept = np.zeros((n_scen, n_steps))
     dropped = 0
     comp = marks.intensities[:, None] * dt
-    counts = ensemble.counts
     past = np.zeros((n_scen, n_paths))
     m_prev = None
     for k in range(n_steps + 1):
@@ -482,7 +481,7 @@ def _adjoint_core(
         if k > 0:
             j = k - 1
             q_load[:, j], r_load[:, j], intercept[:, j], cond_inc[:, j], drop = (
-                _regress_increment(m_k - m_prev, dB[j], counts[j] - comp)
+                _regress_increment(m_k - m_prev, dB[j], ensemble.drivers.step_counts(j) - comp)
             )
             dropped += int(drop.sum())
         if k < n_steps:
@@ -626,7 +625,6 @@ def bsde_residual(ensemble: StateEnsemble, triple: AdjointTriple) -> np.ndarray:
     actions = ensemble.control.grid.actions
     a_tab = ensemble.family.values
     dB = ensemble.drivers.dB
-    counts = ensemble.counts
     nus = marks.intensities
     p = triple.p
 
@@ -645,8 +643,9 @@ def bsde_residual(ensemble: StateEnsemble, triple: AdjointTriple) -> np.ndarray:
             f_i = _avg(model.f, t, x, w[k], actions, theta=float(marks.marks[i]))
             drv = drv + r[:, :, i] * f_i * float(nus[i])
         resid = p[k + 1] - p[k] + drv * dt - q * dB[k]
+        counts = ensemble.drivers.step_counts(k)
         for i in range(marks.n_marks):
-            resid = resid - r[:, :, i] * (counts[k, i] - float(nus[i]) * dt)
+            resid = resid - r[:, :, i] * (counts[i] - float(nus[i]) * dt)
         total += (resid**2).sum(axis=1)
     return total / (n_paths * n_steps)
 

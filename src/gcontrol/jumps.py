@@ -12,6 +12,8 @@ relaxed, sees the same base events.
 :func:`sample_drivers` samples all of this, plus the Brownian increments,
 once per (family, grid, marks, n_paths, seed); every scenario and every
 control of a run then share one :class:`Drivers` (common random numbers).
+The flat events are the one jump representation: a consumer forms a
+step's counts from that step's events (:meth:`Drivers.step_counts`).
 """
 
 from __future__ import annotations
@@ -57,6 +59,10 @@ class MarkSpace:
         object.__setattr__(self, "marks", marks)
         object.__setattr__(self, "intensities", inten)
 
+    def __eq__(self, other):
+        return (isinstance(other, MarkSpace) and np.array_equal(self.marks, other.marks)
+                and np.array_equal(self.intensities, other.intensities))
+
     @property
     def n_marks(self) -> int:
         return self.marks.size
@@ -101,23 +107,27 @@ def _index_from_uniform(u: np.ndarray, cum_weights: np.ndarray) -> np.ndarray:
 class Drivers:
     """The randomness of one (family, grid, marks, n_paths, seed).
 
-    Every dense array is time-major with paths last. ``dB`` holds the
-    Brownian increments of every scenario, (n_steps, n_scenarios,
-    n_paths), and ``counts`` the events per (step, mark, path). Jump
-    events are flat arrays sorted by (path, time): ``path``, ``times``,
-    ``mark_idx`` and ``step`` (the grid step holding the event), plus
-    one TAGS-substream uniform ``tag_u`` per event that :meth:`tags`
-    maps to a relaxed control's action tags.
+    ``dB`` holds the Brownian increments, (n_steps, n_scenarios,
+    n_paths). Jump events are flat arrays sorted by (path, time):
+    ``path``, ``times``, ``mark_idx``, ``step`` (the grid step holding
+    the event) and one TAGS-substream uniform ``tag_u`` that :meth:`tags`
+    maps to a relaxed control's action tag. Step k's events are
+    ``by_step[offsets[k]:offsets[k + 1]]``: a stable sort by step and
+    its n_steps + 1 row offsets.
     """
 
     seed: int
+    grid: TimeGrid
+    marks: MarkSpace
     dB: np.ndarray
     path: np.ndarray
     times: np.ndarray
     mark_idx: np.ndarray
     step: np.ndarray
     tag_u: np.ndarray
-    counts: np.ndarray
+    by_step: np.ndarray
+    offsets: np.ndarray
+    count_dtype: np.dtype
 
     @property
     def n_paths(self) -> int:
@@ -127,25 +137,34 @@ class Drivers:
     def n_events(self) -> int:
         return self.times.size
 
+    def step_paths(self, k: int) -> np.ndarray:
+        """The paths with at least one event in step k, ascending."""
+        return np.unique(self.path[self.by_step[self.offsets[k]:self.offsets[k + 1]]])
+
     def tags(self, mu: RelaxedControl) -> np.ndarray:
         """Action tag of every event under ``mu``, drawn from the step's weights."""
-        if mu.n_steps != self.counts.shape[0]:
+        if mu.n_steps != self.grid.n_steps:
             raise ValueError("relaxed control and drivers disagree on n_steps")
         cumw = np.cumsum(mu.weights, axis=1)
         return _index_from_uniform(self.tag_u, cumw[self.step])
 
-    def tagged_counts(self, mu: RelaxedControl) -> np.ndarray:
-        """Events per (step, mark, action tag, path) under ``mu``.
+    def step_counts(self, k: int, tags: np.ndarray | None = None,
+                    n_actions: int | None = None) -> np.ndarray:
+        """Step k's events per (mark, path), or per (mark, action tag, path).
 
-        The dtype is the smallest signed integer that holds every
-        per-step count, which keeps the array small; it is signed so
-        that the flow's inverse jump factor ``base ** -count`` cannot wrap.
+        ``tags`` is every event's tag (:meth:`tags`) on ``n_actions`` actions.
+        ``count_dtype`` is the smallest signed integer that holds the
+        largest (step, mark, path) count; signed, so the flow's inverse
+        jump factor ``base ** -count`` cannot wrap.
         """
-        K, m, P = self.counts.shape
-        dtype = np.min_scalar_type(-int(self.counts.max(initial=0)) - 1)
-        out = np.zeros((K, m, mu.grid.n_actions, P), dtype=dtype)
-        np.add.at(out, (self.step, self.mark_idx, self.tags(mu), self.path), 1)
-        return out
+        ev = self.by_step[self.offsets[k]:self.offsets[k + 1]]
+        cell = self.mark_idx[ev]
+        shape = (self.marks.n_marks, self.n_paths)
+        if tags is not None:
+            cell = cell * n_actions + tags[ev]
+            shape = (self.marks.n_marks, n_actions, self.n_paths)
+        flat = np.bincount(cell * self.n_paths + self.path[ev], minlength=np.prod(shape))
+        return flat.astype(self.count_dtype).reshape(shape)
 
 
 def sample_drivers(
@@ -179,8 +198,11 @@ def sample_drivers(
     path, times, mark_idx = path[order], times[order], mark_idx[order]
     step = _step_of(times, grid)
     tag_u = rng.substream(seed, rng.TAGS).uniform(size=times.size)
-    counts = np.zeros((grid.n_steps, marks.n_marks, n_paths), dtype=np.int32)
-    np.add.at(counts, (step, mark_idx, path), 1)
-    for arr in (path, times, mark_idx, step, tag_u, counts):
+    by_step = np.argsort(step, kind="stable")
+    offsets = np.searchsorted(step, np.arange(grid.n_steps + 1), side="left", sorter=by_step)
+    cells = np.unique((step * marks.n_marks + mark_idx) * n_paths + path, return_counts=True)[1]
+    count_dtype = np.min_scalar_type(-int(cells.max(initial=0)) - 1)
+    for arr in (path, times, mark_idx, step, tag_u, by_step, offsets):
         arr.setflags(write=False)
-    return Drivers(int(seed), dB, path, times, mark_idx, step, tag_u, counts)
+    return Drivers(int(seed), grid, marks, dB, path, times, mark_idx, step, tag_u, by_step,
+                   offsets, count_dtype)

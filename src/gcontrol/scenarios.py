@@ -205,8 +205,8 @@ def sample_brownian(family: ScenarioFamily, grid: TimeGrid, n_paths: int, seed: 
     xi = rng.substream(seed, rng.BROWNIAN).standard_normal((n_paths, grid.n_steps))
     # both factors are transposed views; order="C" lays the product out
     # time-major in memory, so every consumer's dB[k] is a contiguous slice
-    scaled = np.multiply(np.sqrt(family.values).T[:, :, None], xi.T[:, None, :], order="C")
-    dB = np.sqrt(grid.dt) * scaled
+    dB = np.multiply(np.sqrt(family.values).T[:, :, None], xi.T[:, None, :], order="C")
+    dB *= np.sqrt(grid.dt)  # in place: one sampling allocates one (K, S, P) buffer
     dB.setflags(write=False)
     return dB
 

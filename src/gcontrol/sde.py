@@ -5,11 +5,12 @@ relaxed) through one time-major pass over a shared :class:`Drivers`
 bundle, so a set of controls costs one sampling and one kernel call.
 There is one step loop, :func:`_steps`; each control kind supplies only
 its increment and its per-step tables: action values and counts for a
-strict batch, weights and tagged counts for a relaxed one. The relaxed
-step averages b and gamma under the step's weights and evaluates f at
-each event's action tag; its weighted sums are accumulated in fixed
-action order, so a one-hot (embedded strict) control reproduces the
-strict simulation bit for bit under the same seed.
+strict batch, weights and tagged counts for a relaxed one, each step's
+counts formed from its events. The relaxed step averages b and gamma
+under the step's weights and evaluates f at each event's action tag;
+its weighted sums are accumulated in fixed action order, so a one-hot
+(embedded strict) control reproduces the strict simulation bit for bit
+under the same seed.
 
 Only the runs that the flow or the adjoint read again keep their whole
 (n_steps + 1, S, P) states: :func:`simulate_with` and :func:`simulate`
@@ -44,23 +45,18 @@ class StateEnsemble:
     n_scenarios, n_paths), the layout of :func:`simulate_batch`'s rows,
     so ``states[k]`` is one contiguous step. The bundle keeps everything
     a downstream consumer needs to reuse the same randomness: the
-    drivers, the tagged counts of a relaxed control, and the control
-    that produced the run.
+    drivers (whose events give each step's counts, and a relaxed
+    control's tags) and the control that produced the run.
     """
 
     states: np.ndarray
     drivers: Drivers
-    tagged_counts: np.ndarray | None
     model: ModelSpec
     family: ScenarioFamily
     grid: TimeGrid
     marks: MarkSpace
     control: Control
     x0: float
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self.drivers.counts
 
     @property
     def seed(self) -> int:
@@ -208,7 +204,7 @@ def simulate_batch(
     time-major, shape (n_steps + 1, n_controls, n_scenarios, n_paths);
     row c equals the run of control c alone, bit for bit.
     """
-    return _simulate(model, list(controls), family, grid, marks, drivers, x0, None)[0]
+    return _simulate(model, list(controls), family, grid, marks, drivers, x0, None)
 
 
 def stream_batch(
@@ -239,11 +235,10 @@ def _keep_all(k: int, x: np.ndarray) -> None:
 def _simulate(model, controls, family, grid, marks, drivers, x0, reduce):
     """The kernel on every step (``reduce`` None) or on one slot updated in place.
 
-    Returns the state buffer and the tagged counts the kernel ran on:
-    one (K, m, A, P) array per control of a relaxed batch and None for a
-    strict one, so a caller that wraps a stored run as an ensemble hands
-    the kernel's counts on instead of building them again. A relaxed
-    step stacks only its own counts, (m, A, n_controls, 1, P).
+    Returns the state buffer. A step's counts are formed from its events:
+    (m, P) for a strict batch, (m, A, n_controls, 1, P) from each control's
+    event tags for a relaxed one. The drivers must be sampled for this
+    grid, scenario count and mark space.
     """
     ensure_validated(model)
     if not controls:
@@ -252,33 +247,33 @@ def _simulate(model, controls, family, grid, marks, drivers, x0, reduce):
     if family.n_steps != K or any(c.n_steps != K for c in controls):
         raise ValueError("controls, family and grid must agree on n_steps")
     dB = drivers.dB
-    if dB.shape[:2] != (K, family.n_scenarios):
+    if drivers.grid != grid or dB.shape[1] != family.n_scenarios:
         raise ValueError("drivers were sampled for a different grid or family")
-    if drivers.counts.shape[1] != marks.n_marks:
+    if drivers.marks != marks:
         raise ValueError("drivers were sampled for a different mark space")
     S, P = dB.shape[1:]
     a_vals = family.values
     X = np.empty((K + 1 if reduce is None else 1, len(controls), S, P))
     X[0] = x0
     reduce = reduce or _keep_all
-    tagged = None
     if all(isinstance(c, StrictControl) for c in controls):
         increment = _strict_increment
         tables = np.stack([u.values for u in controls])[:, :, None, None]
-        events = drivers.counts
+        events = (drivers.step_counts(k) for k in range(K))
     elif all(isinstance(c, RelaxedControl) for c in controls):
         actions = controls[0].grid.actions
         if any(not np.array_equal(c.grid.actions, actions) for c in controls):
             raise ValueError("relaxed controls of one batch must share the action grid")
         increment = partial(_relaxed_increment, actions)
         tables = np.stack([mu.weights for mu in controls])[:, :, :, None, None]
-        tagged = [drivers.tagged_counts(mu) for mu in controls]
-        # one step's slices at a time, each control's broadcast over the scenarios
-        events = (np.stack([t[k] for t in tagged], axis=2)[:, :, :, None] for k in range(K))
+        tags = [drivers.tags(mu) for mu in controls]
+        # one step's counts at a time, each control's broadcast over the scenarios
+        events = (np.stack([drivers.step_counts(k, t, actions.size) for t in tags],
+                           axis=2)[:, :, :, None] for k in range(K))
     else:
         raise ValueError("a batch holds either strict or relaxed controls, not both")
     _steps(model, increment, tables, events, a_vals, grid, marks, dB, X, reduce)
-    return X, tagged
+    return X
 
 
 def simulate_with(
@@ -292,15 +287,13 @@ def simulate_with(
 ) -> StateEnsemble:
     """Simulate one control on existing drivers and keep every step.
 
-    The ensemble holds the kernel's own buffer. A relaxed control's
-    tagged counts are built once, for the kernel, and the ensemble keeps
-    that array.
+    The ensemble holds the kernel's own buffer and no counts: a consumer
+    forms each step's counts from the drivers' events.
     """
-    X, tagged = _simulate(model, [control], family, grid, marks, drivers, x0, None)
+    X = _simulate(model, [control], family, grid, marks, drivers, x0, None)
     return StateEnsemble(
         states=X[:, 0],
         drivers=drivers,
-        tagged_counts=None if tagged is None else tagged[0],
         model=model,
         family=family,
         grid=grid,

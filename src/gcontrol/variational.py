@@ -9,17 +9,17 @@ an optimization but a requirement; the quantities being compared are
 pathwise, and independent randomness would swamp them.
 
 A control is read through its per-step ``weights`` over ``grid.actions``
-(one-hot for a strict control). A strict run has no tagged counts, so its
-jump factors and the ``|1 + f_x|`` guard are read at the played action.
+(one-hot for a strict control). A strict run's events are untagged, so
+its jump factors and the ``|1 + f_x|`` guard are read at the played action.
 
 Everything runs and is returned time-major: the states are (K+1, S, P)
 and the drivers' increments (K, S, P), so every step forms its growth
 factors on contiguous slices, and z, phi, psi and eta come back as
 C-ordered (K+1, S, P) arrays. The jump multiplier ``(1 + f_x)^count``
-is applied only on the paths that have events in the step (read off
-the step's row of the (K, m[, A], P) counts). A path without events
-would be multiplied by exactly one, so the result is bit for bit that
-of the dense product.
+is applied only on the paths that have events in the step (the drivers
+list them, with the step's (m[, A], P) counts formed from its events).
+A path without events would be multiplied by exactly one, so the result
+is bit for bit that of the dense product.
 
 The base ensemble keeps its whole states because z, the flow and the
 formula column read them at every step. The spiked controls do not:
@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .controls import SpikeSpec, StrictControl, spike, spike_steps
+from .controls import RelaxedControl, SpikeSpec, StrictControl, spike, spike_steps
 from .costs import cost_from_ensemble, stream_costs
 from .scenarios import TimeGrid, upper_expectation
 from .sde import StateEnsemble
@@ -106,21 +106,6 @@ def _avg(fun, t, x, w_k, actions, theta=None):
     return out
 
 
-def _events_by_step(ensemble) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per step: the paths with at least one event, and their counts.
-
-    The counts are the step's row of the (step, mark, path) counts, or
-    of the (step, mark, action, path) tagged counts of a relaxed
-    ensemble, restricted to those paths.
-    """
-    per_step = ensemble.counts if ensemble.tagged_counts is None else ensemble.tagged_counts
-    out = []
-    for ck in per_step:
-        paths = np.flatnonzero(ck.reshape(-1, ck.shape[-1]).any(axis=0))
-        out.append((paths, ck.take(paths, axis=-1)))
-    return out
-
-
 class _FlowSteps:
     """Multiplicative Euler factors of the linearized flow, step by step.
 
@@ -136,12 +121,12 @@ class _FlowSteps:
         self.marks = ensemble.marks
         self.grid = ensemble.grid
         self.x = ensemble.states
-        self.dB = ensemble.drivers.dB
         self.a = ensemble.family.values
         self.w = ensemble.control.weights
         self.actions = ensemble.control.grid.actions
-        self.tagged = ensemble.tagged_counts is not None
-        self.events = _events_by_step(ensemble)
+        self.drivers = ensemble.drivers
+        self.tags = (self.drivers.tags(ensemble.control)
+                     if isinstance(ensemble.control, RelaxedControl) else None)
 
     def _jump_bases(self, k, t, x):
         """``1 + f_x`` per (mark[, action]) with its event counts on the step's paths.
@@ -151,11 +136,12 @@ class _FlowSteps:
         every action), whether or not an event landed there.
         """
         model = self.model
-        paths, counts = self.events[k]
+        paths = self.drivers.step_paths(k)
+        counts = self.drivers.step_counts(k, self.tags, self.actions.size).take(paths, axis=-1)
         w_k = self.w[k]
         out = []
         for i, th in enumerate(self.marks.marks):
-            if self.tagged:
+            if self.tags is not None:
                 fxs = [np.asarray(model.f_x(t, x, float(th), float(a))) + np.zeros_like(x)
                        for a in self.actions]
                 cols = [counts[i, a_i] for a_i in range(self.actions.size)]
@@ -180,7 +166,7 @@ class _FlowSteps:
         t = float(self.grid.times[k])
         x = self.x[k]
         a_k = self.a[:, k][:, None]
-        dB = self.dB[k]
+        dB = self.drivers.dB[k]
         w_k = self.w[k]
         actions = self.actions
         bx = _avg(model.b_x, t, x, w_k, actions)

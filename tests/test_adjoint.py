@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from dense_reference import dense_counts
 
 from gcontrol import adjoint as adj
 from gcontrol import models as md
@@ -286,6 +287,9 @@ def _reference_flow(ens):
     w, actions = ens.control.weights, ens.control.grid.actions
     a_tab = ens.family.scalar_values()
     dB = np.moveaxis(ens.drivers.dB, 0, -1)
+    relaxed = isinstance(ens.control, RelaxedControl)
+    counts = (dense_counts(ens.drivers, ens.drivers.tags(ens.control), actions.size) if relaxed
+              else dense_counts(ens.drivers))
     phi = np.ones((S, P, K1))
     psi = np.ones((S, P, K1))
     for k in range(K1 - 1):
@@ -305,12 +309,12 @@ def _reference_flow(ens):
         mult = np.ones_like(x)
         imult = np.ones_like(x)
         for i, th in enumerate(marks.marks):
-            if ens.tagged_counts is None:
+            if not relaxed:
                 pairs = [(_avg(model.f_x, t, x, w[k], actions, theta=float(th)),
-                          ens.counts[k, i])]
+                          counts[k, i])]
             else:
                 pairs = [(np.asarray(model.f_x(t, x, float(th), float(a))) + np.zeros_like(x),
-                          ens.tagged_counts[k, i, a_i]) for a_i, a in enumerate(actions)]
+                          counts[k, i, a_i]) for a_i, a in enumerate(actions)]
             for fx, c in pairs:
                 if c.any():
                     mult = mult * (1.0 + fx) ** c[None, :]
@@ -374,9 +378,10 @@ def _reference_adjoint(ens, degree=2):
     R = np.zeros((S, K, m))
     c = np.zeros((S, K))
     cond_inc = np.ones((S, K))
+    counts = dense_counts(ens.drivers)
     for s in range(S):
         for k in range(K):
-            dn = ens.counts[k].T - marks.intensities[None, :] * dt
+            dn = counts[k].T - marks.intensities[None, :] * dt
             keep_b = float(dB[s, :, k].std()) > 1e-12
             keep_n = [i for i in range(m) if float(dn[:, i].std()) > 1e-12]
             cols = ([dB[s, :, k]] if keep_b else []) + [dn[:, i] for i in keep_n]
@@ -559,7 +564,7 @@ _VARYING = np.array([0, 1, 1, 0, 1, 0] * 8)
 @pytest.mark.parametrize("marks", [MARKS, BUSY3], ids=["two-marks", "busy-three-marks"])
 @pytest.mark.parametrize("indices", [np.full(48, 1), _VARYING], ids=["constant", "indices"])
 def test_embedding_reproduces_strict_table_bitwise(indices, marks):
-    # the strict table runs on the strict run (no tagged counts, the flow's
+    # the strict table runs on the strict run (no action tags, the flow's
     # untagged branch); the Dirac embedding runs the relaxed path
     grid = TimeGrid(T=1.0, n_steps=48)
     model = _lq(c2=0.3, f2=0.05, h2=0.1)
@@ -568,7 +573,7 @@ def test_embedding_reproduces_strict_table_bitwise(indices, marks):
 
     ens_u = simulate(model, u, fam, grid, marks, 400, 9, 1.0)
     ens_e = simulate(model, embed_strict(u), fam, grid, marks, 400, 9, 1.0)
-    assert ens_u.tagged_counts is None and ens_e.tagged_counts is not None
+    assert isinstance(ens_u.control, StrictControl) and isinstance(ens_e.control, RelaxedControl)
     tri_u, _ = solve_adjoint(ens_u)
     tri_e, _ = solve_adjoint(ens_e)
     assert np.array_equal(tri_u.p, tri_e.p)
@@ -583,27 +588,28 @@ def test_embedding_reproduces_strict_table_bitwise(indices, marks):
     assert rep_u.health == rep_e.health
 
 
-def test_strict_tables_build_no_tagged_counts(monkeypatch):
+def test_strict_tables_never_tag_events(monkeypatch):
     grid = TimeGrid(T=1.0, n_steps=32)
     model = _gamma_control_model()
     fam = _fam(1.0, 4.0, grid)
     u = constant_strict(PM1, 32, 1)
     calls = []
-    original = Drivers.tagged_counts
+    original = Drivers.tags
 
     def counted(self, mu):
         calls.append(mu)
         return original(self, mu)
 
-    monkeypatch.setattr(Drivers, "tagged_counts", counted)
+    monkeypatch.setattr(Drivers, "tags", counted)
     mp_check_strict(model, u, fam, grid, MARKS, 200, 21, 2.5, n_blocks=4)
     assert calls == []
     mp_check_near(model, u, [constant_strict(PM1, 32, 0)], 1.0, fam, grid, MARKS,
                   200, 21, 2.5, n_blocks=4)
     assert calls == []
-    # the counter sees a relaxed table's one build
-    mp_check_relaxed(model, embed_strict(u), fam, grid, MARKS, 200, 21, 2.5, n_blocks=4)
-    assert len(calls) == 1
+    # the counter sees a relaxed table's tags
+    mu = embed_strict(u)
+    mp_check_relaxed(model, mu, fam, grid, MARKS, 200, 21, 2.5, n_blocks=4)
+    assert calls and all(c is mu for c in calls)
 
 
 def test_near_check_zero_epsilon_matches_strict():

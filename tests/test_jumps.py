@@ -2,6 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from dense_reference import dense_counts, stacked_step_counts
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcontrol import jumps as jp
 from gcontrol.controls import ActionGrid, RelaxedControl, StrictControl, embed_strict
@@ -37,7 +40,8 @@ def test_zero_intensity_gives_no_events():
     grid = TimeGrid(T=1.0, n_steps=16)
     d = _drivers(quiet, grid, 64, seed=9)
     assert d.n_events == 0 and d.path.size == 0 and d.tag_u.size == 0
-    assert d.counts.shape == (16, 1, 64) and not d.counts.any()
+    steps = stacked_step_counts(d)
+    assert steps.shape == (16, 1, 64) and not steps.any()
 
 
 def test_poisson_rate():
@@ -57,7 +61,7 @@ def test_poisson_determinism_and_time_range():
     grid = TimeGrid(T=2.0, n_steps=10)
     a = _drivers(MARKS, grid, 200, seed=4)
     b = _drivers(MARKS, grid, 200, seed=4)
-    for name in ("path", "times", "mark_idx", "step", "tag_u", "counts"):
+    for name in ("path", "times", "mark_idx", "step", "tag_u", "by_step", "offsets"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert a.times.min() > 0.0 and a.times.max() <= 2.0
     # sorted by (path, time), strictly increasing within a path
@@ -82,7 +86,7 @@ def test_compensated_counts_are_centered():
     grid = TimeGrid(T=1.0, n_steps=8)
     P = 20_000
     d = _drivers(MARKS, grid, P, seed=17)
-    per_mark = d.counts.sum(axis=0)
+    per_mark = dense_counts(d).sum(axis=0)
     for i, nu in enumerate(MARKS.intensities):
         centered = per_mark[i] - nu * grid.T
         assert abs(centered.mean()) <= 3 * centered.std(ddof=1) / np.sqrt(P)
@@ -93,7 +97,8 @@ def test_compensated_counts_are_centered():
 def test_flat_sampler_reproduces_frozen_events():
     # digests of the events, tags and counts that the per-path sampler drew
     # for this seed before the flat bundle replaced it; the counts were
-    # path-major int32 then, so they are hashed as such a copy
+    # path-major int32 then, so the stacked per-step counts are hashed as
+    # such a copy
     grid = TimeGrid(T=1.0, n_steps=8)
     actions = ActionGrid(np.array([0.0, 1.0, 2.0]))
     w = np.tile(np.array([0.2, 0.5, 0.3]), (8, 1))
@@ -113,9 +118,10 @@ def test_flat_sampler_reproduces_frozen_events():
     assert digest(d.times) == "9c59f73edd48d03d9bd1aec2538ef912296ad613c9e376b608450b809bb3dd4c"
     assert digest(d.mark_idx) == "fcb249f2159f927554adaf6165782dcddd3adbc868e4eaa6748bf1ae0b55dad1"
     assert digest(d.tags(mu)) == "34a38d619af407ae353b75315a9c09128c93b1b5f21c19a6c97674d552851cbc"
-    path_major = np.moveaxis(d.counts, -1, 0)
+    path_major = np.moveaxis(stacked_step_counts(d), -1, 0).astype(np.int32)
     assert digest(path_major) == "e943de2053b91d6f0607c58bb9de80d16f5d610e4da19791e3a501b6c7429c44"
-    assert digest(np.moveaxis(d.tagged_counts(mu), -1, 0).astype(np.int32)) == (
+    tagged = stacked_step_counts(d, d.tags(mu), 3)
+    assert digest(np.moveaxis(tagged, -1, 0).astype(np.int32)) == (
         "7e9188803c2025882adf7f2b1075378183fb16cc3b94770bc44882ec5ea47dab"
     )
 
@@ -163,7 +169,8 @@ def test_relaxed_base_events_shared_with_strict():
     assert tags.shape == tagged.times.shape
     assert np.array_equal(plain.times, tagged.times)
     assert np.array_equal(plain.mark_idx, tagged.mark_idx)
-    assert np.array_equal(tagged.tagged_counts(mu).sum(axis=2), plain.counts)
+    assert np.array_equal(stacked_step_counts(tagged, tags, 2).sum(axis=2),
+                          stacked_step_counts(plain))
 
 
 def test_relaxed_compensator_identity():
@@ -198,8 +205,9 @@ def test_relaxed_orthogonality_of_disjoint_boxes():
 def test_dense_counts_match_event_lists():
     grid = TimeGrid(T=1.0, n_steps=8)
     d = _drivers(MARKS, grid, 100, seed=12)
-    dense = d.counts
+    dense = stacked_step_counts(d)
     assert dense.shape == (8, 2, 100)
+    assert np.array_equal(dense, dense_counts(d))
     assert np.array_equal(dense.sum(axis=(0, 1)), _per_path(d))
     for i in range(2):
         assert np.array_equal(dense[:, i].sum(axis=0), _per_path(d, d.mark_idx == i))
@@ -215,6 +223,44 @@ def test_dense_tagged_counts_split_by_action():
     actions = ActionGrid(np.array([0.0, 1.0]))
     mu = RelaxedControl(actions, np.full((4, 2), 0.5))
     d = _drivers(MARKS, grid, 200, seed=13)
-    tagged = d.tagged_counts(mu)
+    tags = d.tags(mu)
+    tagged = stacked_step_counts(d, tags, 2)
     assert tagged.shape == (4, 2, 2, 200)
-    assert np.array_equal(tagged.sum(axis=2), d.counts)
+    assert np.array_equal(tagged, dense_counts(d, tags, 2))
+    assert np.array_equal(tagged.sum(axis=2), stacked_step_counts(d))
+
+
+def _step_forms_match_reference(intensities, n_steps, n_paths, seed, n_actions):
+    """Check every step's counts against the dense reference; return the reference."""
+    marks = jp.MarkSpace(marks=0.3 * np.arange(len(intensities)) - 0.4, intensities=intensities)
+    d = _drivers(marks, TimeGrid(T=1.0, n_steps=n_steps), n_paths, seed)
+    w = np.random.default_rng(seed).random((n_steps, n_actions))
+    mu = RelaxedControl(ActionGrid(np.arange(n_actions, dtype=float)), w / w.sum(axis=1)[:, None])
+    tags = d.tags(mu)
+    dense = dense_counts(d)
+    tagged = dense_counts(d, tags, n_actions)
+    # the smallest signed integer that holds the largest (step, mark, path) count
+    assert d.count_dtype == np.min_scalar_type(-int(dense.max(initial=0)) - 1)
+    for k in range(n_steps):
+        ck = d.step_counts(k)
+        tk = d.step_counts(k, tags, n_actions)
+        assert ck.dtype == tk.dtype == d.count_dtype
+        assert np.array_equal(ck, dense[k]) and np.array_equal(tk, tagged[k])
+        assert np.array_equal(tk.sum(axis=1), ck)
+        assert np.array_equal(d.step_paths(k), np.flatnonzero(dense[k].any(axis=0)))
+    return dense
+
+
+@settings(max_examples=40, deadline=None)
+@given(intensities=st.lists(st.sampled_from([0.0, 0.4, 3.0, 25.0]), min_size=1, max_size=3),
+       n_steps=st.integers(1, 12), n_paths=st.integers(1, 30), seed=st.integers(0, 2**16),
+       n_actions=st.integers(1, 4))
+def test_step_counts_equal_the_dense_reference(intensities, n_steps, n_paths, seed, n_actions):
+    _step_forms_match_reference(intensities, n_steps, n_paths, seed, n_actions)
+
+
+def test_step_counts_of_busy_and_silent_drivers():
+    # a (step, path) cell with several events, next to a silent mark
+    assert _step_forms_match_reference([40.0, 0.0, 5.0], 3, 6, 1, 3).max() >= 2
+    # no intensity at all: every step is empty
+    assert not _step_forms_match_reference([0.0, 0.0], 5, 7, 2, 2).any()

@@ -6,12 +6,15 @@ step as one contiguous slice and no layer transposes. The sizes below
 are pairwise distinct, so a swapped axis cannot pass.
 """
 
+import dataclasses
+
 import numpy as np
+from dense_reference import dense_counts, stacked_step_counts
 
 from gcontrol import models as md
 from gcontrol.adjoint import solve_adjoint
 from gcontrol.controls import ActionGrid, SpikeSpec, constant_strict, uniform_relaxed
-from gcontrol.jumps import Drivers, MarkSpace, sample_drivers
+from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from gcontrol.sde import simulate, simulate_batch, simulate_with
 from gcontrol.variational import solve_fundamental, solve_variational
@@ -35,13 +38,16 @@ def test_states_and_drivers_are_time_major():
     ens = simulate(MODEL, u, FAMILY, GRID, MARKS, P, 3, 1.0)
     _time_major(ens.states, (K + 1, S, P))
     _time_major(ens.drivers.dB, (K, S, P))
-    _time_major(ens.drivers.counts, (K, 2, P))
+    d = ens.drivers
+    _time_major(d.step_counts(0), (2, P))
     mu = uniform_relaxed(ACTIONS, K)
-    tagged = ens.drivers.tagged_counts(mu)
-    _time_major(tagged, (K, 2, 3, P))
+    tags = d.tags(mu)
+    _time_major(d.step_counts(0, tags, 3), (2, 3, P))
     # signed, so the inverse jump factor's -count cannot wrap
-    assert np.issubdtype(tagged.dtype, np.signedinteger)
-    assert np.array_equal(tagged.sum(axis=2), ens.drivers.counts)
+    assert np.issubdtype(d.count_dtype, np.signedinteger)
+    tagged = stacked_step_counts(d, tags, 3)
+    assert np.array_equal(tagged, dense_counts(d, tags, 3))
+    assert np.array_equal(tagged.sum(axis=2), dense_counts(d))
 
 
 def test_flow_variational_and_triple_are_time_major():
@@ -70,20 +76,14 @@ def test_one_control_ensemble_keeps_the_kernel_buffer():
     assert X[:, 0].tobytes() == ens.states.tobytes()
 
 
-def test_relaxed_ensemble_keeps_the_kernels_tagged_counts(monkeypatch):
-    calls = []
-    build = Drivers.tagged_counts
-
-    def counted(self, mu):
-        calls.append(mu)
-        return build(self, mu)
-
-    monkeypatch.setattr(Drivers, "tagged_counts", counted)
+def test_no_ensemble_holds_a_whole_run_count_array():
+    # the events are the one jump representation: neither an ensemble nor
+    # its drivers keep an integer array with a step axis and a path axis
     drivers = sample_drivers(FAMILY, GRID, MARKS, P, 6)
-    mu = uniform_relaxed(ACTIONS, K)
-    ens = simulate_with(MODEL, mu, FAMILY, GRID, MARKS, drivers, 1.0)
-    assert calls == [mu]
-    _time_major(ens.tagged_counts, (K, 2, 3, P))
-    assert np.array_equal(ens.tagged_counts, build(drivers, mu))
-    simulate_with(MODEL, mu, FAMILY, GRID, MARKS, drivers, 1.0)
-    assert len(calls) == 2
+    for u in (constant_strict(ACTIONS, K, 1), uniform_relaxed(ACTIONS, K)):
+        ens = simulate_with(MODEL, u, FAMILY, GRID, MARKS, drivers, 1.0)
+        held = [getattr(ens, f.name) for f in dataclasses.fields(ens)]
+        held += [getattr(drivers, f.name) for f in dataclasses.fields(drivers)]
+        counts = [a for a in held if isinstance(a, np.ndarray)
+                  and np.issubdtype(a.dtype, np.integer) and a.ndim > 1]
+        assert counts == []

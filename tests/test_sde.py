@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from dense_reference import dense_counts
 
 from gcontrol import models as md
 from gcontrol import sde
@@ -202,8 +203,9 @@ def _reference_loop(model, control, fam, grid, marks, drivers, x0):
     a_vals = fam.scalar_values()
     S, P, K = dB.shape
     relaxed = isinstance(control, RelaxedControl)
-    counts = drivers.tagged_counts(control) if relaxed else drivers.counts
     actions = control.grid.actions
+    counts = (dense_counts(drivers, drivers.tags(control), actions.size) if relaxed
+              else dense_counts(drivers))
     dt = grid.dt
     x = np.empty((S, P, K + 1))
     x[:, :, 0] = x0
@@ -315,6 +317,32 @@ def test_batch_rejects_mixed_kinds_and_foreign_drivers():
     with pytest.raises(ValueError, match="drivers"):
         sde.simulate_batch(model, [constant_strict(ACTIONS, 16, 0)], _family(1.0, 4.0, other),
                            other, MARKS, drivers, x0=0.0)
+
+
+def _sampled_at_unit_horizon():
+    grid = TimeGrid(T=1.0, n_steps=8)
+    return sample_drivers(_family(1.0, 4.0, grid), grid, MARKS, 40, seed=29)
+
+
+def test_batch_refuses_drivers_sampled_on_another_horizon():
+    # same step count and scenarios, but the events were placed on [0, 1]
+    grid = TimeGrid(T=4.0, n_steps=8)
+    model = md.build_model("linear_jump_lq", {})
+    with pytest.raises(ValueError, match="drivers were sampled for a different grid or family"):
+        sde.simulate_batch(model, [constant_strict(ACTIONS, 8, 0)], _family(1.0, 4.0, grid),
+                           grid, MARKS, _sampled_at_unit_horizon(), x0=0.0)
+
+
+@pytest.mark.parametrize("marks", [
+    MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([30.0, 0.0])),
+    MarkSpace(marks=np.array([-0.4, 0.9]), intensities=np.array([0.7, 0.3])),
+], ids=["intensities", "values"])
+def test_batch_refuses_drivers_sampled_for_another_mark_space(marks):
+    grid = TimeGrid(T=1.0, n_steps=8)
+    model = md.build_model("linear_jump_lq", {})
+    with pytest.raises(ValueError, match="drivers were sampled for a different mark space"):
+        sde.simulate_batch(model, [constant_strict(ACTIONS, 8, 0)], _family(1.0, 4.0, grid),
+                           grid, marks, _sampled_at_unit_horizon(), x0=0.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

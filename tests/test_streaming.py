@@ -175,11 +175,10 @@ def test_candidate_costs_peak_below_two_state_arrays():
     assert peak < 2 * state_bytes
 
 
-def test_relaxed_candidate_costs_hold_each_controls_own_counts():
-    # each control keeps its own (K, m, A, P) tagged counts and a step
-    # stacks only its own slices; a (K, m, A, C, P) stack of them would
-    # double the counts while it is built, and here the counts, not the
-    # kernel's step temporaries, set the peak
+def test_relaxed_candidate_costs_hold_no_whole_run_counts():
+    # each step's (m, A, C, 1, P) tagged counts are formed from that step's
+    # events and per-event tags; a whole-run (K, m, A, P) array per control
+    # would add about 2.6 state arrays here
     k, p, n_candidates = 32, 2000, 8
     grid = TimeGrid(T=1.0, n_steps=k)
     family = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
@@ -199,7 +198,7 @@ def test_relaxed_candidate_costs_hold_each_controls_own_counts():
     finally:
         tracemalloc.stop()
     assert len(reports) == n_candidates
-    assert peak < 5.7 * state_bytes, peak / state_bytes
+    assert peak < 2.8 * state_bytes, peak / state_bytes
 
 
 @pytest.mark.parametrize("kind", ["strict", "uniform"])
