@@ -13,12 +13,18 @@ states and flow (K+1, S, P), and the triple's ``p`` (K+1, S, P), ``q``
 (K, S, P) and ``r`` (K, S, P, m), all C-ordered.
 :func:`_adjoint_core` forms the backward variable in one (K+1, S, P)
 buffer, then walks the grid once forward; at each step it solves the
-state regression of every scenario as one stacked SVD and the increment
-regression as another (scenarios that drop the dB column form a second
-stack). Each SVD yields the min-norm coefficients, the condition
-numbers and the residuals together. A caller that asks for the fit
-gets it in the same buffer: each step's fit overwrites the raw step
-once the regression has read it. One formula, :func:`_triple_at`,
+state regression and the increment regression of every scenario from
+stacked normal equations (the scheme's own least-squares problem). The
+state regression's Gram matrix is the Hankel matrix of the power sums of
+the standardized state, so no (S, P, n) design is formed; the increment
+regression's Gram block of the shared columns (compensated marks and the
+constant) is formed once per step, and only its dB row and right-hand
+side per scenario. The eigenvalues of each Gram matrix give the
+condition number; a singular or ill-conditioned Gram matrix falls back to
+the min-norm SVD solution of its design, and the health numbers count
+those fallbacks. A caller that asks for the fit gets it in the same
+buffer: each step's fit overwrites the raw step once the regression has
+read it. One formula, :func:`_triple_at`,
 turns a backward variable into ``(p, q, r)`` at a step, and one,
 :func:`_q_at`, gives its ``q`` together with ``sigma_x`` at that step.
 :func:`_triple_steps` feeds the fitted variable one step at a time:
@@ -72,6 +78,9 @@ from .sde import StateEnsemble, simulate, simulate_with
 from .variational import _avg, solve_fundamental
 
 _DEGENERATE_STD = 1e-12
+# a Gram matrix whose condition number lmax / lmin exceeds this is not solved;
+# its design goes to the SVD instead (design condition numbers above 1e4)
+_GRAM_COND_MAX = 1e8
 
 
 def _fmt(x) -> str:
@@ -213,6 +222,7 @@ class StabilityReport:
     r_nonincreasing: bool
     basis_degree: int
     seed: int
+    health: Mapping[str, float]
 
 
 class LipschitzAudit(NamedTuple):
@@ -296,57 +306,102 @@ def f_term(
     return p_at * dgamma * a_at + psi_at * impulse * weight
 
 
-def _vander(z: np.ndarray, degree: int) -> np.ndarray:
-    """Increasing powers of z along a new last axis, as repeated products like np.vander."""
-    out = np.empty(z.shape + (degree + 1,))
-    out[..., 0] = 1.0
-    for j in range(1, degree + 1):
-        out[..., j] = z if j == 1 else out[..., j - 1] * z
-    return out
-
-
 def _svd_lstsq(design: np.ndarray, target: np.ndarray):
     """Min-norm least squares on a stack of designs from one SVD.
 
     ``design`` is (B, P, n) and ``target`` (B, P). Singular values at or
     below ``eps * max(P, n)`` times the largest are cut, the default
-    ``rcond`` of ``np.linalg.lstsq``. Returns the coefficients (B, n),
-    the fitted values (B, P) and the 2-norm condition numbers (B,), the
-    latter as ``np.linalg.cond`` reports them (inf when singular).
+    ``rcond`` of ``np.linalg.lstsq``. Returns the coefficients (B, n)
+    and the 2-norm condition numbers (B,), the latter as
+    ``np.linalg.cond`` reports them (inf when singular).
     """
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     keep = s > np.finfo(float).eps * max(design.shape[-2:]) * s[:, :1]
     uty = np.where(keep, (target[:, None, :] @ u)[:, 0, :], 0.0)
-    fitted = (u @ uty[:, :, None])[:, :, 0]
     coef = (np.swapaxes(vt, 1, 2) @ (uty / np.where(keep, s, 1.0))[:, :, None])[:, :, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = s[:, 0] / s[:, -1]
     cond[np.isnan(cond)] = np.inf
-    return coef, fitted, cond
+    return coef, cond
+
+
+def _solve_normal(gram: np.ndarray, rhs: np.ndarray,
+                  fallback: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]):
+    """Least squares from stacked normal equations ``gram @ coef = rhs``.
+
+    ``gram`` (B, n, n) and ``rhs`` (B, n) are the moment sums of B
+    designs. The eigenvalues of each Gram matrix give the design's
+    2-norm condition number, ``sqrt(lmax / lmin)``. A Gram matrix that is
+    singular or whose own condition number ``lmax / lmin`` exceeds
+    ``_GRAM_COND_MAX`` is not solved: ``fallback(rows)`` builds those
+    rows' (len(rows), P, n) designs and targets, and :func:`_svd_lstsq`
+    gives their min-norm coefficients and condition numbers. Each row is
+    solved on its own, so a row's result does not depend on the stack
+    it sits in. Returns the coefficients (B, n), the condition numbers
+    (B,) and the number of fallback rows.
+    """
+    lam = np.linalg.eigvalsh(gram)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = lam[:, -1] / lam[:, 0]
+        cond = np.sqrt(ratio)
+    ok = (lam[:, 0] > 0.0) & (ratio <= _GRAM_COND_MAX)
+    if ok.all():
+        return np.linalg.solve(gram, rhs[:, :, None])[:, :, 0], cond, 0
+    coef = np.empty(rhs.shape)
+    coef[ok] = np.linalg.solve(gram[ok], rhs[ok][:, :, None])[:, :, 0]
+    rows = np.flatnonzero(~ok)
+    coef[rows], cond[rows] = _svd_lstsq(*fallback(rows))
+    return coef, cond, rows.size
 
 
 def _regress_state(x: np.ndarray, target: np.ndarray, degree: int):
     """Fit each scenario's target on a standardized polynomial basis in its state.
 
-    ``x`` and ``target`` are one step's (S, P) slices; every scenario
-    with a spread-out state goes into one stacked SVD. A degenerate
-    state row (deterministic time, single path) falls back to the plain
-    mean, which is the exact conditional expectation there, with
-    condition number 1. Returns the fit (S, P), the condition numbers
-    (S,) and the residual sums of squares (S,).
+    ``x`` and ``target`` are one step's (S, P) slices. For every scenario
+    with a spread-out state the Gram matrix of the basis ``z**i`` is the
+    Hankel matrix of the power sums ``sum z**j`` (j <= 2 degree) and the
+    right-hand side holds ``sum z**i target``; the stack goes to
+    :func:`_solve_normal` and the fit is evaluated by Horner's rule. A
+    degenerate state row (deterministic time, single path) falls back to
+    the plain mean, which is the exact conditional expectation there,
+    with condition number 1. Returns the fit (S, P), the condition
+    numbers (S,), the residual sums of squares (S,) and the number of
+    SVD fallbacks.
     """
     sd = x.std(axis=1)
     pred = np.empty_like(target)
     cond = np.ones(x.shape[0])
+    fallbacks = 0
     flat = sd < _DEGENERATE_STD
     if flat.any():
         pred[flat] = target[flat].mean(axis=1)[:, None]
     live = ~flat
     if live.any():
-        xl = x[live]
+        xl, yl = x[live], target[live]
         z = (xl - xl.mean(axis=1)[:, None]) / sd[live][:, None]
-        _, pred[live], cond[live] = _svd_lstsq(_vander(z, degree), target[live])
-    return pred, cond, ((target - pred) ** 2).sum(axis=1)
+        n = degree + 1
+        power = np.empty((z.shape[0], 2 * degree + 1))
+        rhs = np.empty((z.shape[0], n))
+        power[:, 0] = z.shape[1]
+        rhs[:, 0] = yl.sum(axis=1)
+        zj = z
+        for j in range(1, 2 * degree + 1):
+            power[:, j] = zj.sum(axis=1)
+            if j < n:
+                rhs[:, j] = (zj * yl).sum(axis=1)
+            if j < 2 * degree:
+                zj = zj * z
+        gram = power[:, np.add.outer(np.arange(n), np.arange(n))]
+
+        def design(rows):
+            return z[rows][:, :, None] ** np.arange(n), yl[rows]
+
+        coef, cond[live], fallbacks = _solve_normal(gram, rhs, design)
+        fit = np.broadcast_to(coef[:, -1:], z.shape)
+        for i in range(degree - 1, -1, -1):
+            fit = fit * z + coef[:, i:i + 1]
+        pred[live] = fit
+    return pred, cond, ((target - pred) ** 2).sum(axis=1), fallbacks
 
 
 def _regress_increment(dm: np.ndarray, db: np.ndarray, dn: np.ndarray):
@@ -356,34 +411,49 @@ def _regress_increment(dm: np.ndarray, db: np.ndarray, dn: np.ndarray):
     compensated counts every scenario shares. Constant columns (no
     Brownian variance, no events at this step) are dropped instead of
     letting the design go singular; their loadings are reported as zero.
-    Scenarios that keep the dB column and those that drop it are solved
-    as two stacks. Returns q (S,), r (S, m), the intercepts (S,), the
-    condition numbers (S,) and the dropped-column counts (S,).
+    The Gram block of the shared columns is formed once; only the dB row
+    and the right-hand side are formed per scenario. Scenarios that keep
+    the dB column and those that drop it are solved as two stacks by
+    :func:`_solve_normal`. Returns q (S,), r (S, m), the intercepts (S,),
+    the condition numbers (S,), the dropped-column counts (S,) and the
+    number of SVD fallbacks.
     """
     n_scen, n_paths = dm.shape
     n_marks = dn.shape[0]
     keep_n = [i for i in range(n_marks) if float(dn[i].std()) > _DEGENERATE_STD]
     keep_b = db.std(axis=1) > _DEGENERATE_STD
-    shared = [dn[i] for i in keep_n] + [np.ones(n_paths)]
-    q_k = np.zeros(n_scen)
-    r_k = np.zeros((n_scen, n_marks))
-    c_k = np.empty(n_scen)
+    shared = np.concatenate([dn[keep_n], np.ones((1, n_paths))])
+    n = shared.shape[0] + 1
+    # per scenario, the dB row and the target against [dB, shared]: (S, 2, n)
+    pair = np.stack([db, dm], axis=1)
+    cross = np.concatenate([pair @ db[:, :, None], pair @ shared.T], axis=2)
+    gram = np.empty((n_scen, n, n))
+    gram[:, 0] = cross[:, 0]
+    gram[:, 1:, 0] = cross[:, 0, 1:]
+    gram[:, 1:, 1:] = shared @ shared.T
+    rhs = cross[:, 1]
+
+    coef = np.zeros((n_scen, n))
     cond = np.empty(n_scen)
+    fallbacks = 0
     for with_b in (True, False):
         sel = np.flatnonzero(keep_b == with_b)
         if sel.size == 0:
             continue
-        cols = [np.broadcast_to(col, (sel.size, n_paths)) for col in shared]
-        if with_b:
-            cols.insert(0, db[sel])
-        coef, _, cond[sel] = _svd_lstsq(np.stack(cols, axis=-1), dm[sel])
-        offset = int(with_b)
-        if with_b:
-            q_k[sel] = coef[:, 0]
-        r_k[np.ix_(sel, keep_n)] = coef[:, offset:offset + len(keep_n)]
-        c_k[sel] = coef[:, -1]
+        lo = 0 if with_b else 1
+
+        def design(rows):
+            scen = sel[rows]
+            cols = np.concatenate([db[scen][:, :, None],
+                                   np.broadcast_to(shared.T, (scen.size, n_paths, n - 1))], axis=2)
+            return cols[:, :, lo:], dm[scen]
+
+        coef[sel, lo:], cond[sel], fb = _solve_normal(gram[sel, lo:, lo:], rhs[sel, lo:], design)
+        fallbacks += fb
+    r_k = np.zeros((n_scen, n_marks))
+    r_k[:, keep_n] = coef[:, 1:-1]
     dropped = (n_marks - len(keep_n)) + (~keep_b).astype(int)
-    return q_k, r_k, c_k, cond, dropped
+    return coef[:, 0], r_k, coef[:, -1], cond, dropped, fallbacks
 
 
 def _invert_step_drift(c: np.ndarray, a: np.ndarray, lo: float, hi: float, dt: float):
@@ -419,10 +489,10 @@ def _adjoint_core(
     """Raw backward variable, per-step regressions and loadings, time-major.
 
     One forward pass over the steps regresses the raw backward variable
-    on the state (one stacked SVD per step across scenarios) and the
-    martingale increment of the fitted variable on the step's noise
-    (another). The backward variable lives in one time-major (K+1, S, P)
-    buffer, ``y``: it holds the raw variable, and with ``keep_fit`` step
+    on the state and the martingale increment of the fitted variable on
+    the step's noise, each from stacked normal equations across
+    scenarios (:func:`_solve_normal`). The backward variable lives in one
+    time-major (K+1, S, P) buffer, ``y``: it holds the raw variable, and with ``keep_fit`` step
     k's fit overwrites step k once the regression has read it, so ``y``
     ends as the fitted variable. ``X`` is the raw step 0, copied first.
     A backward variable that overflows raises ``FloatingPointError``
@@ -465,13 +535,15 @@ def _adjoint_core(
     r_load = np.zeros((n_scen, n_steps, n_marks))
     intercept = np.zeros((n_scen, n_steps))
     dropped = 0
+    fallbacks = 0
     comp = marks.intensities[:, None] * dt
     past = np.zeros((n_scen, n_paths))
     m_prev = None
     for k in range(n_steps + 1):
         if k < n_steps:
-            fit, cond_y[:, k], rss = _regress_state(x[k], y[k], basis_degree)
+            fit, cond_y[:, k], rss, fb = _regress_state(x[k], y[k], basis_degree)
             sq_resid += rss
+            fallbacks += fb
             if keep_fit:
                 # the regression has read the raw step; nothing reads it again
                 y[k] = fit
@@ -480,10 +552,11 @@ def _adjoint_core(
         m_k = fit + past
         if k > 0:
             j = k - 1
-            q_load[:, j], r_load[:, j], intercept[:, j], cond_inc[:, j], drop = (
+            q_load[:, j], r_load[:, j], intercept[:, j], cond_inc[:, j], drop, fb = (
                 _regress_increment(m_k - m_prev, dB[j], ensemble.drivers.step_counts(j) - comp)
             )
             dropped += int(drop.sum())
+            fallbacks += fb
         if k < n_steps:
             past = past + running(k)
         m_prev = m_k
@@ -509,6 +582,7 @@ def _adjoint_core(
         cond_increment=cond_inc,
         y_residual=y_residual,
         dropped_columns=dropped,
+        svd_fallbacks=fallbacks,
         clamped_intercepts=clamped,
         basis_degree=basis_degree,
     )
@@ -670,8 +744,10 @@ def _estimator_health(core: SimpleNamespace) -> dict:
 
     Condition numbers of the state and increment regressions (max and
     median over scenarios and steps), the largest rms state-fit residual,
-    the regression columns dropped as constant, and the positive
-    per-step drifts that :func:`_invert_step_drift` maps to zero.
+    the regression columns dropped as constant, the regressions solved
+    by SVD because their Gram matrix was singular or ill-conditioned, and
+    the positive per-step drifts that :func:`_invert_step_drift` maps to
+    zero.
     """
     return {
         "cond_y_max": float(np.max(core.cond_y)),
@@ -680,6 +756,7 @@ def _estimator_health(core: SimpleNamespace) -> dict:
         "cond_increment_median": float(np.median(core.cond_increment)),
         "y_residual_max": float(np.max(core.y_residual)),
         "dropped_columns": int(core.dropped_columns),
+        "svd_fallbacks": int(core.svd_fallbacks),
         "clamped_intercepts": int(core.clamped_intercepts),
     }
 
@@ -932,7 +1009,8 @@ def bsde_stability_report(
     included) and the running sums of the squared ``q`` and the
     ``nu``-weighted squared ``r`` differences, in step order, which is
     the order numpy sums a time-major array over its first axis when a
-    step holds more than one (scenario, path) pair.
+    step holds more than one (scenario, path) pair. ``health`` is the
+    :func:`_estimator_health` of the relaxed control's regressions.
     """
     n_list = check_ladder(n_list)
     dt = grid.dt
@@ -946,6 +1024,7 @@ def bsde_stability_report(
     ens = simulate_with(model, mu, family, grid, marks, drivers, x0)
     core = _adjoint_core(ens, basis_degree, keep_fit=True)
     p_mu, q_mu, r_mu = _fitted_triple(ens, core)
+    health = _estimator_health(core)
     del ens, core
 
     rows: list[StabilityRow] = []
@@ -986,6 +1065,7 @@ def bsde_stability_report(
         r_nonincreasing=all(b.r_gap <= a.r_gap for a, b in zip(rows, rows[1:])),
         basis_degree=basis_degree,
         seed=seed,
+        health=health,
     )
 
 

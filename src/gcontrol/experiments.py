@@ -604,11 +604,17 @@ def _mp_files(rep) -> dict[str, str]:
     }
 
 
-def _mp_metrics(rep) -> dict[str, Any]:
-    """Worst entry, hypothesis, and the estimator health of the table's regressions.
+def _health_metrics(health: Mapping[str, Any]) -> dict[str, Any]:
+    """Estimator health numbers as metrics.
 
     A singular regression has an infinite condition number, written as null.
     """
+    return {key: None if isinstance(value, float) and not math.isfinite(value) else value
+            for key, value in health.items()}
+
+
+def _mp_metrics(rep) -> dict[str, Any]:
+    """Worst entry, hypothesis, and the estimator health of the table's regressions."""
     out = rep.summary()
     metrics = {
         "worst_entry": float(out["worst_entry"]),
@@ -616,8 +622,7 @@ def _mp_metrics(rep) -> dict[str, Any]:
         "worst_action": float(out["worst_action"]),
         "hypothesis": rep.hypothesis,
     }
-    for key, value in rep.health.items():
-        metrics[key] = None if isinstance(value, float) and not math.isfinite(value) else value
+    metrics.update(_health_metrics(rep.health))
     return metrics
 
 
@@ -681,6 +686,7 @@ def _run_stability(cfg: ExperimentConfig, threads: int):
         "q_nonincreasing": bool(rep.q_nonincreasing),
         "r_nonincreasing": bool(rep.r_nonincreasing),
     }
+    metrics.update(_health_metrics(rep.health))
     return files, metrics, "pass" if ok else "fail"
 
 

@@ -108,16 +108,18 @@ class Drivers:
     """The randomness of one (family, grid, marks, n_paths, seed).
 
     ``dB`` holds the Brownian increments, (n_steps, n_scenarios,
-    n_paths). Jump events are flat arrays sorted by (path, time):
-    ``path``, ``times``, ``mark_idx``, ``step`` (the grid step holding
-    the event) and one TAGS-substream uniform ``tag_u`` that :meth:`tags`
-    maps to a relaxed control's action tag. Step k's events are
+    n_paths), scaled by the volatility values of ``family``. Jump events
+    are flat arrays sorted by (path, time): ``path``, ``times``,
+    ``mark_idx``, ``step`` (the grid step holding the event) and one
+    TAGS-substream uniform ``tag_u`` that :meth:`tags` maps to a relaxed
+    control's action tag. Step k's events are
     ``by_step[offsets[k]:offsets[k + 1]]``: a stable sort by step and
     its n_steps + 1 row offsets.
     """
 
     seed: int
     grid: TimeGrid
+    family: ScenarioFamily
     marks: MarkSpace
     dB: np.ndarray
     path: np.ndarray
@@ -204,5 +206,5 @@ def sample_drivers(
     count_dtype = np.min_scalar_type(-int(cells.max(initial=0)) - 1)
     for arr in (path, times, mark_idx, step, tag_u, by_step, offsets):
         arr.setflags(write=False)
-    return Drivers(int(seed), grid, marks, dB, path, times, mark_idx, step, tag_u, by_step,
+    return Drivers(int(seed), grid, family, marks, dB, path, times, mark_idx, step, tag_u, by_step,
                    offsets, count_dtype)

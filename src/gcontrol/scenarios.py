@@ -12,6 +12,7 @@ numbers), so scenario comparisons difference out the Monte Carlo noise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -47,10 +48,12 @@ class TimeGrid:
     def dt(self) -> float:
         return self.T / self.n_steps
 
-    @property
+    @functools.cached_property
     def times(self) -> np.ndarray:
-        """Grid times, length ``n_steps + 1``."""
-        return np.linspace(0.0, self.T, self.n_steps + 1)
+        """Grid times, length ``n_steps + 1``, computed once and read-only."""
+        times = np.linspace(0.0, self.T, self.n_steps + 1)
+        times.setflags(write=False)
+        return times
 
 
 @dataclass(frozen=True)

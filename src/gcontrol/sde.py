@@ -238,7 +238,7 @@ def _simulate(model, controls, family, grid, marks, drivers, x0, reduce):
     Returns the state buffer. A step's counts are formed from its events:
     (m, P) for a strict batch, (m, A, n_controls, 1, P) from each control's
     event tags for a relaxed one. The drivers must be sampled for this
-    grid, scenario count and mark space.
+    grid, this family's volatility values and this mark space.
     """
     ensure_validated(model)
     if not controls:
@@ -247,7 +247,7 @@ def _simulate(model, controls, family, grid, marks, drivers, x0, reduce):
     if family.n_steps != K or any(c.n_steps != K for c in controls):
         raise ValueError("controls, family and grid must agree on n_steps")
     dB = drivers.dB
-    if drivers.grid != grid or dB.shape[1] != family.n_scenarios:
+    if drivers.grid != grid or not np.array_equal(drivers.family.values, family.values):
         raise ValueError("drivers were sampled for a different grid or family")
     if drivers.marks != marks:
         raise ValueError("drivers were sampled for a different mark space")

@@ -496,7 +496,120 @@ def test_table_health_reports_the_regressions():
     assert health["clamped_intercepts"] == int(np.count_nonzero(bsde.intercept > 0.0))
     # the silent mark's column is dropped at every (scenario, step)
     assert health["dropped_columns"] == fam.n_scenarios * 32
+    assert health["svd_fallbacks"] == 0
     assert health["cond_y_max"] >= health["cond_y_median"] >= 1.0
+
+
+def _state_stack():
+    # rows: spread out, two-valued (z = +-1, so z**2 equals the ones column), constant, spread out
+    rng = np.random.default_rng(4)
+    n_paths = 60
+    x = rng.normal(size=(4, n_paths))
+    x[1] = np.arange(n_paths) % 2
+    x[2] = 0.5
+    y = rng.normal(size=(4, n_paths)) + x**2
+    return x, y
+
+
+def _increment_step():
+    # scenario 1 has no Brownian increment; mark 1 is silent at this step
+    rng = np.random.default_rng(7)
+    n_scen, n_paths = 4, 500
+    db = rng.normal(scale=0.2, size=(n_scen, n_paths))
+    db[1] = 0.0
+    counts = rng.poisson(0.1, size=(2, n_paths))
+    counts[1] = 0
+    dn = counts - np.array([[0.1], [0.0]])
+    dm = 0.7 * db + 1.3 * dn[:1] - 0.02 + rng.normal(scale=0.05, size=(n_scen, n_paths))
+    return dm, db, dn
+
+
+def test_singular_state_gram_falls_back_to_min_norm_svd():
+    x, y = _state_stack()
+    fit, cond, rss, fallbacks = adj._regress_state(x, y, 2)
+    assert fallbacks == 1
+    z = (x[1] - x[1].mean()) / x[1].std()
+    assert np.array_equal(z**2, np.ones_like(z))
+    design = np.vander(z, 3, increasing=True)
+    ref_coef, ref_cond = adj._svd_lstsq(design[None], y[1][None])
+    np.testing.assert_allclose(ref_coef[0], np.linalg.lstsq(design, y[1], rcond=None)[0],
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(fit[1], design @ ref_coef[0], rtol=1e-12, atol=1e-12)
+    assert cond[1] == ref_cond[0] and cond[1] > 1e4
+    assert rss[1] == ((y[1] - fit[1]) ** 2).sum()
+    # the constant row is the plain mean with condition number 1
+    assert np.all(fit[2] == y[2].mean()) and cond[2] == 1.0
+
+
+def test_singular_state_regressions_are_counted_in_the_health():
+    # no Brownian term and one mark: the state after one step is two-valued
+    grid = TimeGrid(T=1.0, n_steps=8)
+    marks = MarkSpace(marks=np.array([0.5]), intensities=np.array([1.0]))
+    model = _lq(s0=0.0, s1=0.0, c1=0.0, f1=0.5)
+    fam = _fam(1.0, 4.0, grid)
+    u = constant_strict(PM1, 8, 0)
+    ens = simulate(model, u, fam, grid, marks, 40, 3, 1.0)
+    two_valued = sum(len(np.unique(ens.states[k, s])) == 2
+                     for k in range(8) for s in range(fam.n_scenarios))
+    assert two_valued >= fam.n_scenarios
+    rep = mp_check_strict(model, u, fam, grid, marks, 40, 3, 1.0, n_blocks=2)
+    assert rep.health["svd_fallbacks"] >= two_valued
+    assert all(np.isfinite(e.estimate) for e in rep.entries)
+
+
+def test_increment_regression_matches_svd_reference_with_dropped_columns():
+    dm, db, dn = _increment_step()
+    q, r, c, cond, dropped, fallbacks = adj._regress_increment(dm, db, dn)
+    assert fallbacks == 0
+    assert dropped.tolist() == [1, 2, 1, 1]
+    assert q[1] == 0.0 and np.all(r[:, 1] == 0.0)
+    for s in range(dm.shape[0]):
+        design = np.column_stack(([db[s]] if s != 1 else []) + [dn[0], np.ones(dm.shape[1])])
+        coef = np.linalg.lstsq(design, dm[s], rcond=None)[0]
+        np.testing.assert_allclose([q[s], r[s, 0], c[s]],
+                                   [coef[0] if s != 1 else 0.0, coef[-2], coef[-1]],
+                                   rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(cond[s], np.linalg.cond(design), rtol=1e-10)
+
+
+def _collinear_marks(n_paths):
+    # both marks fire on the same paths, so dn[1] = dn[0] - 0.2 lies in the span of dn[0] and 1
+    counts = np.random.default_rng(9).poisson(0.1, size=n_paths)
+    return np.stack([counts - 0.1, counts - 0.3])
+
+
+def test_collinear_mark_columns_fall_back_to_min_norm_svd():
+    dm, db, _ = _increment_step()
+    dn = _collinear_marks(dm.shape[1])
+    q, r, c, cond, dropped, fallbacks = adj._regress_increment(dm, db, dn)
+    assert fallbacks == dm.shape[0]
+    assert dropped.tolist() == [0, 1, 0, 0]
+    for s in range(dm.shape[0]):
+        design = np.column_stack(([db[s]] if s != 1 else []) + [dn[0], dn[1], np.ones(dm.shape[1])])
+        coef = np.linalg.lstsq(design, dm[s], rcond=None)[0]
+        np.testing.assert_allclose([q[s], r[s, 0], r[s, 1], c[s]],
+                                   [coef[0] if s != 1 else 0.0, *coef[-3:]],
+                                   rtol=1e-9, atol=1e-12)
+        assert cond[s] > 1e4
+
+
+def test_stacked_regressions_are_row_independent():
+    # a scenario's fit does not depend on the other scenarios in its stack,
+    # bit for bit, whether it is solved from its Gram matrix, by the SVD
+    # fallback or as a plain mean
+    x, y = _state_stack()
+    whole = adj._regress_state(x, y, 2)
+    for s in range(x.shape[0]):
+        alone = adj._regress_state(x[s:s + 1], y[s:s + 1], 2)
+        for a, b in zip(whole[:3], alone[:3]):
+            assert a[s:s + 1].tobytes() == b.tobytes()
+    dm, db, dn = _increment_step()
+    for marks in (dn, _collinear_marks(dm.shape[1])):
+        whole = adj._regress_increment(dm, db, marks)
+        for s in range(dm.shape[0]):
+            alone = adj._regress_increment(dm[s:s + 1], db[s:s + 1], marks)
+            for a, b in zip(whole[:5], alone[:5]):
+                assert a[s:s + 1].tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------

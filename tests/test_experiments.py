@@ -229,6 +229,20 @@ def test_mp_strict_run_reports_pass(tmp_path):
     assert "hypothesis" in res.summary["metrics"]
 
 
+def test_stability_summary_reports_the_relaxed_regressions_health(tmp_path):
+    common = dict(model={"name": "linear_jump_lq", "params": {}}, actions=[-1.0, 0.0, 1.0],
+                  control={"type": "uniform"}, n_paths=64, seed=7, x0=1.0)
+    stab = run_document(_base_doc(kind="bsde-stability", options={"n_list": [2, 4]}, **common),
+                        output_dir=tmp_path / "stability")
+    table = run_document(_base_doc(kind="mp-relaxed", **common), output_dir=tmp_path / "table")
+    health = set(table.summary["metrics"]) - {"worst_entry", "worst_block", "worst_action",
+                                              "hypothesis"}
+    assert "svd_fallbacks" in health
+    # the table's regressions are those of the relaxed control the ladder starts from
+    assert {k: stab.summary["metrics"][k] for k in health} == {
+        k: table.summary["metrics"][k] for k in health}
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_module_errors_surface_from_run_document(tmp_path):
     # a valid config whose Euler scheme diverges under action -1

@@ -16,6 +16,18 @@ def test_grid_basics():
         sc.TimeGrid(T=1.0, n_steps=0)
 
 
+def test_grid_times_are_computed_once_and_read_only():
+    grid = sc.TimeGrid(T=2.0, n_steps=8)
+    times = grid.times
+    assert grid.times is times
+    assert not times.flags.writeable
+    assert np.array_equal(times, np.linspace(0.0, 2.0, 9))
+    # equality and hashing stay field-based
+    fresh = sc.TimeGrid(T=2.0, n_steps=8)
+    assert grid == fresh and hash(grid) == hash(fresh)
+    assert grid != sc.TimeGrid(T=2.0, n_steps=4)
+
+
 def test_bounds_validation():
     b = sc.VolatilityBounds(1.0, 4.0)
     assert b.dim == 1

@@ -333,6 +333,15 @@ def test_batch_refuses_drivers_sampled_on_another_horizon():
                            grid, MARKS, _sampled_at_unit_horizon(), x0=0.0)
 
 
+def test_batch_refuses_drivers_sampled_for_other_volatility_values():
+    # same grid and scenario count, but dB was scaled by the values on [1, 4]
+    grid = TimeGrid(T=1.0, n_steps=8)
+    model = md.build_model("linear_jump_lq", {})
+    with pytest.raises(ValueError, match="drivers were sampled for a different grid or family"):
+        sde.simulate_batch(model, [constant_strict(ACTIONS, 8, 0)], _family(0.0, 0.01, grid),
+                           grid, MARKS, _sampled_at_unit_horizon(), x0=0.0)
+
+
 @pytest.mark.parametrize("marks", [
     MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([30.0, 0.0])),
     MarkSpace(marks=np.array([-0.4, 0.9]), intensities=np.array([0.7, 0.3])),
