@@ -27,6 +27,9 @@ buffer: each step's fit overwrites the raw step once the regression has
 read it. One formula, :func:`_triple_at`,
 turns a backward variable into ``(p, q, r)`` at a step, and one,
 :func:`_q_at`, gives its ``q`` together with ``sigma_x`` at that step.
+``r`` is formed one mark at a time, from contiguous (S, P) operands
+with that mark's ``1 / (1 + f_x)``, a scalar when ``f_x`` is constant
+in the state, and stored mark-last like every ``r`` of this module.
 :func:`_triple_steps` feeds the fitted variable one step at a time:
 :func:`solve_adjoint` fills whole arrays from it, and
 :func:`bsde_stability_report` folds each chattering rung's steps into
@@ -75,7 +78,7 @@ from .models import ModelSpec, ensure_validated
 from .rng import PROBES, substream
 from .scenarios import ScenarioFamily, TimeGrid, generator_G, upper_expectation
 from .sde import StateEnsemble, simulate, simulate_with
-from .variational import _avg, solve_fundamental
+from .variational import _avg, _coeff, _first_nonfinite, solve_fundamental
 
 _DEGENERATE_STD = 1e-12
 # a Gram matrix whose condition number lmax / lmin exceeds this is not solved;
@@ -87,24 +90,16 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _sigma_x(model: ModelSpec, t: float, x: np.ndarray) -> np.ndarray:
-    """``sigma_x(t, x)`` broadcast to the shape of ``x``."""
-    return np.asarray(model.sigma_x(t, x), dtype=float) + np.zeros_like(x)
-
-
-def _nonfinite_scenario(v: np.ndarray) -> int | None:
-    """The first scenario (axis 0) where ``v`` is not finite, or None."""
-    finite = np.isfinite(v)
-    if finite.all():
-        return None
-    return int(np.argwhere(~finite)[0][0])
+def _sigma_x(model: ModelSpec, t: float, x: np.ndarray):
+    """``sigma_x(t, x)``, a scalar when it is constant in ``x`` (see :func:`_coeff`)."""
+    return _coeff(model.sigma_x(t, x))
 
 
 def _require_finite(v: np.ndarray, what: str) -> None:
     """Raise ``FloatingPointError`` naming ``what`` and the first non-finite scenario."""
-    s = _nonfinite_scenario(v)
-    if s is not None:
-        raise FloatingPointError(f"non-finite {what} under scenario {s}")
+    bad = _first_nonfinite(v)
+    if bad is not None:
+        raise FloatingPointError(f"non-finite {what} under scenario {bad[0]}")
 
 
 @dataclass(frozen=True)
@@ -270,8 +265,9 @@ def tail_weights(
 
     with ``G`` the scalar generator :func:`~gcontrol.scenarios.generator_G`.
     One backward pass serves every start. ``phi`` is time-major
-    (K+1, S, P), ``q_at(k)`` returns the step's ``(q_k, sx_k)``, each
-    (S, P), and ``a_tab`` and ``s_table`` are (S, K). Returns shape
+    (K+1, S, P), ``q_at(k)`` returns the step's ``(q_k, sx_k)``, ``q_k``
+    (S, P) and ``sx_k`` (S, P) or a scalar, and ``a_tab`` and ``s_table``
+    are (S, K). Returns shape
     (len(starts), S, P).
     """
     s_net = s_table * a_tab - 2.0 * generator_G(s_table, bounds)
@@ -475,14 +471,6 @@ def _invert_step_drift(c: np.ndarray, a: np.ndarray, lo: float, hi: float, dt: f
     return out
 
 
-def _jump_inverse(model: ModelSpec, marks: MarkSpace, t: float, x, w_k, actions) -> np.ndarray:
-    """``1 / (1 + f_x)`` per mark under the step's weights, shape (S, P, m)."""
-    fxb = np.stack(
-        [_avg(model.f_x, t, x, w_k, actions, theta=float(th)) for th in marks.marks], axis=-1
-    )
-    return 1.0 / (1.0 + fxb)
-
-
 def _adjoint_core(
     ensemble: StateEnsemble, basis_degree: int, *, keep_fit: bool = False
 ) -> SimpleNamespace:
@@ -589,26 +577,31 @@ def _adjoint_core(
 
 
 def _q_at(ensemble: StateEnsemble, core: SimpleNamespace, k: int, y_k: np.ndarray):
-    """``q = psi (Q - y sigma_x)`` at step k and the ``sigma_x`` it reads, each (S, P)."""
+    """``q = psi (Q - y sigma_x)`` at step k, (S, P), and the ``sigma_x`` it reads."""
     sx = _sigma_x(ensemble.model, float(ensemble.grid.times[k]), ensemble.states[k])
     return core.psi[k] * (core.Q[:, k][:, None] - y_k * sx), sx
 
 
 def _triple_at(ensemble: StateEnsemble, core: SimpleNamespace, k: int, y_k: np.ndarray):
-    """``(p, q, r)`` at step k from a backward variable ``y_k``, shape (S, P).
+    """``(p, q, r)`` at step k from a backward variable ``y_k`` of shape (S, P).
 
-    ``p = y psi``, ``q`` from :func:`_q_at` and
-    ``r = R psi / (1 + f_x) + p (1 / (1 + f_x) - 1)`` per mark, with the
-    step's loadings ``Q``/``R`` from ``core``; ``r`` has shape (S, P, m).
+    ``p = y psi`` and ``q`` from :func:`_q_at` are (S, P). ``r`` is
+    (S, P, m): mark i's entry is
+    ``R_i psi / (1 + f_x) + p (1 / (1 + f_x) - 1)`` with that mark's
+    ``f_x`` under the step's weights and the step's loadings ``Q``/``R``
+    from ``core``.
     """
     psi = core.psi[k]
     t = float(ensemble.grid.times[k])
+    x = ensemble.states[k]
     u = ensemble.control
-    inv = _jump_inverse(ensemble.model, ensemble.marks, t, ensemble.states[k], u.weights[k],
-                        u.grid.actions)
     p = y_k * psi
     q, _ = _q_at(ensemble, core, k, y_k)
-    r = core.R[:, k][:, None, :] * psi[:, :, None] * inv + p[:, :, None] * (inv - 1.0)
+    r = np.empty(p.shape + (ensemble.marks.n_marks,))
+    for i, th in enumerate(ensemble.marks.marks):
+        inv = 1.0 / (1.0 + _avg(ensemble.model.f_x, t, x, u.weights[k], u.grid.actions,
+                                theta=float(th)))
+        np.add(core.R[:, k, i][:, None] * psi * inv, p * (inv - 1.0), out=r[..., i])
     return p, q, r
 
 
@@ -622,10 +615,10 @@ def _triple_steps(ensemble: StateEnsemble, core: SimpleNamespace) -> Iterator[tu
     for k in range(ensemble.grid.n_steps):
         step = _triple_at(ensemble, core, k, core.y[k])
         for name, v in zip("pqr", step):
-            s = _nonfinite_scenario(v)
-            if s is not None:
+            bad = _first_nonfinite(v)
+            if bad is not None:
                 raise FloatingPointError(
-                    f"adjoint component {name} is not finite at step {k} under scenario {s}"
+                    f"adjoint component {name} is not finite at step {k} under scenario {bad[0]}"
                 )
         yield step
 

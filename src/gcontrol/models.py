@@ -9,6 +9,12 @@ vectorized over the state argument. The registry models carry
 closed-form reference quantities (moment recursions) that the tests and
 the acceptance suite compare against.
 
+A derivative that does not depend on the state may return a float
+instead of an array shaped like ``x``; the registry models do, for every
+derivative that is constant in ``x``. Consumers broadcast a derivative
+to the state's shape only where they index or store it, so a float
+costs one scalar operation where a full array would cost one per path.
+
 Dynamics convention, per scenario with volatility rate a_t:
 
     dx = b(t, x, u) dt + sigma(t, x) dB + gamma(t, x, u) a_t dt
@@ -154,12 +160,12 @@ def make_zero(params: Mapping[str, Any] | None = None) -> ModelSpec:
         f=zero4,
         h=zero3,
         g=lambda x: 1.0 * x,
-        b_x=zero3,
-        sigma_x=lambda t, x: 0.0 * x,
-        gamma_x=zero3,
-        f_x=zero4,
-        h_x=zero3,
-        g_x=lambda x: 1.0 + 0.0 * x,
+        b_x=lambda t, x, a: 0.0,
+        sigma_x=lambda t, x: 0.0,
+        gamma_x=lambda t, x, a: 0.0,
+        f_x=lambda t, x, th, a: 0.0,
+        h_x=lambda t, x, a: 0.0,
+        g_x=lambda x: 1.0,
         bounds=bounds,
         params=params,
     )
@@ -185,12 +191,12 @@ def make_constant_drift(params: Mapping[str, Any] | None = None) -> ModelSpec:
         f=zero4,
         h=zero3,
         g=lambda x: 1.0 * x,
-        b_x=zero3,
-        sigma_x=lambda t, x: 0.0 * x,
-        gamma_x=zero3,
-        f_x=zero4,
-        h_x=zero3,
-        g_x=lambda x: 1.0 + 0.0 * x,
+        b_x=lambda t, x, a: 0.0,
+        sigma_x=lambda t, x: 0.0,
+        gamma_x=lambda t, x, a: 0.0,
+        f_x=lambda t, x, th, a: 0.0,
+        h_x=lambda t, x, a: 0.0,
+        g_x=lambda x: 1.0,
         bounds=bounds,
         params=params,
     )
@@ -248,10 +254,10 @@ def make_linear_jump_lq(params: Mapping[str, Any] | None = None) -> ModelSpec:
         f=lambda t, x, th, a: (f1 * x + f2 * a) * th,
         h=lambda t, x, a: h1 * x**2 + h2 * a**2,
         g=lambda x: gq * x**2,
-        b_x=lambda t, x, a: b1 + 0.0 * x,
-        sigma_x=lambda t, x: s1 + 0.0 * x,
-        gamma_x=lambda t, x, a: c1 + 0.0 * x,
-        f_x=lambda t, x, th, a: f1 * th + 0.0 * x,
+        b_x=lambda t, x, a: b1,
+        sigma_x=lambda t, x: s1,
+        gamma_x=lambda t, x, a: c1,
+        f_x=lambda t, x, th, a: f1 * th,
         h_x=lambda t, x, a: 2.0 * h1 * x,
         g_x=lambda x: 2.0 * gq * x,
         bounds=bounds,
@@ -282,12 +288,12 @@ def make_bilinear(params: Mapping[str, Any] | None = None) -> ModelSpec:
         f=zero4,
         h=lambda t, x, a: 0.0 * x,
         g=lambda x: gl * x,
-        b_x=lambda t, x, a: th0 + th1 * a + 0.0 * x,
-        sigma_x=lambda t, x: s1 + 0.0 * x,
-        gamma_x=lambda t, x, a: 0.0 * x,
-        f_x=zero4,
-        h_x=lambda t, x, a: 0.0 * x,
-        g_x=lambda x: gl + 0.0 * x,
+        b_x=lambda t, x, a: th0 + th1 * a,
+        sigma_x=lambda t, x: s1,
+        gamma_x=lambda t, x, a: 0.0,
+        f_x=lambda t, x, th, a: 0.0,
+        h_x=lambda t, x, a: 0.0,
+        g_x=lambda x: gl,
         bounds=bounds,
         params=p,
     )

@@ -21,6 +21,13 @@ list them, with the step's (m[, A], P) counts formed from its events).
 A path without events would be multiplied by exactly one, so the result
 is bit for bit that of the dense product.
 
+A derivative that is constant in the state stays a scalar through the
+step's factors (see :func:`_coeff`): each factor is one elementwise
+operation per path only where a path-dependent term enters it, and
+``1 + f_x`` is broadcast to the state's shape only on the event paths
+that index it. Every elementwise operation is the one the full arrays
+would run, so the bits do not change.
+
 The base ensemble keeps its whole states because z, the flow and the
 formula column read them at every step. The spiked controls do not:
 :func:`spike_report` solves z once (it depends only on the spike's
@@ -51,8 +58,10 @@ class VariationalPath:
     k0: int
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.z)):
-            raise FloatingPointError("variational path is not finite")
+        bad = _first_nonfinite(self.z)
+        if bad is not None:
+            k, s, _ = bad
+            raise FloatingPointError(f"variational path is not finite at step {k} under scenario {s}")
         if np.any(self.z[: self.k0] != 0.0):
             raise ValueError("variational path must vanish before the spike")
 
@@ -91,19 +100,48 @@ class DerivativeReport:
 # ---------------------------------------------------------------------------
 
 
-def _avg(fun, t, x, w_k, actions, theta=None):
-    """Weight-averaged coefficient; strict controls hit a single action."""
+def _first_nonfinite(v: np.ndarray) -> tuple[int, ...] | None:
+    """The index of the first non-finite entry of ``v`` in C order, or None.
+
+    The index is looked for only once the whole-array check has failed,
+    and without an index row per non-finite entry.
+    """
+    finite = np.isfinite(v)
+    if finite.all():
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmin(finite), v.shape))
+
+
+def _coeff(v):
+    """A coefficient value as a float or a float array, ``-0.0`` read as ``0.0``.
+
+    A value that does not depend on the state stays a scalar. Adding
+    ``0.0`` gives the bits of adding a zero array of the state's shape,
+    which turns a negative zero into a positive one, without forming it.
+    """
+    return np.asarray(v, dtype=float) + 0.0
+
+
+def _mix(w_k, value):
+    """``sum_a w_k[a] value(a)`` over the actions of nonzero weight, in action order.
+
+    A weight of one leaves its value as it is (``1.0 * v == v``), so a
+    strict control's mixture is its action's value.
+    """
     out = None
-    for a_i, a in enumerate(actions):
-        wa = float(w_k[a_i])
+    for a_i, wa in enumerate(map(float, w_k)):
         if wa == 0.0:
             continue
-        val = fun(t, x, float(a)) if theta is None else fun(t, x, theta, float(a))
-        term = wa * (np.asarray(val) + np.zeros_like(x))
+        v = value(a_i)
+        term = v if wa == 1.0 else wa * v
         out = term if out is None else out + term
-    if out is None:
-        return np.zeros_like(x)
-    return out
+    return 0.0 if out is None else out
+
+
+def _avg(fun, t, x, w_k, actions, theta=None):
+    """Weight-averaged coefficient, a scalar when ``fun`` is constant in ``x``."""
+    lead = () if theta is None else (theta,)
+    return _mix(w_k, lambda a_i: _coeff(fun(t, x, *lead, float(actions[a_i]))))
 
 
 class _FlowSteps:
@@ -113,7 +151,9 @@ class _FlowSteps:
     read one contiguous step at a time. A jump multiplier
     ``prod (1 + f_x)^(+-count)`` is formed only on the paths that have
     events in the step; every other path would be multiplied by
-    ``pow(., 0) = 1``, so skipping it leaves the bits unchanged.
+    ``pow(., 0) = 1``, so skipping it leaves the bits unchanged. ``f_x``
+    is evaluated once per (mark, action) and step, and the compensator
+    and the jump multipliers share it.
     """
 
     def __init__(self, ensemble: StateEnsemble):
@@ -128,31 +168,33 @@ class _FlowSteps:
         self.tags = (self.drivers.tags(ensemble.control)
                      if isinstance(ensemble.control, RelaxedControl) else None)
 
-    def _jump_bases(self, k, t, x):
+    def _jump_derivatives(self, t, x, w_k):
+        """``f_x`` per mark: one per action on a tagged run, else the weight average."""
+        f_x, actions = self.model.f_x, self.actions
+        if self.tags is None:
+            return [[_avg(f_x, t, x, w_k, actions, theta=float(th))] for th in self.marks.marks]
+        return [[_coeff(f_x(t, x, float(th), float(a))) for a in actions]
+                for th in self.marks.marks]
+
+    def _jump_bases(self, k, x, fxs):
         """``1 + f_x`` per (mark[, action]) with its event counts on the step's paths.
 
-        The linearization must stay invertible: |1 + f_x| is checked
-        against a hard threshold at every mark (and, on a relaxed run, at
-        every action), whether or not an event landed there.
+        ``fxs`` is :meth:`_jump_derivatives` of the step. The
+        linearization must stay invertible: |1 + f_x| is checked against
+        a hard threshold at every mark (and, on a relaxed run, at every
+        action), whether or not an event landed there.
         """
-        model = self.model
         paths = self.drivers.step_paths(k)
         counts = self.drivers.step_counts(k, self.tags, self.actions.size).take(paths, axis=-1)
-        w_k = self.w[k]
         out = []
-        for i, th in enumerate(self.marks.marks):
-            if self.tags is not None:
-                fxs = [np.asarray(model.f_x(t, x, float(th), float(a))) + np.zeros_like(x)
-                       for a in self.actions]
-                cols = [counts[i, a_i] for a_i in range(self.actions.size)]
-            else:
-                fxs = [_avg(model.f_x, t, x, w_k, self.actions, theta=float(th))]
-                cols = [counts[i]]
-            for fx, c in zip(fxs, cols):
-                if np.min(np.abs(1.0 + fx)) < _JUMP_GUARD:
+        for i, fx_i in enumerate(fxs):
+            cols = counts[i] if self.tags is not None else counts[i:i + 1]
+            for fx, c in zip(fx_i, cols):
+                base = 1.0 + fx
+                if np.min(np.abs(base)) < _JUMP_GUARD:
                     raise ValueError(f"jump linearization nearly singular at step {k}, mark {i}")
                 if c.any():
-                    out.append(((1.0 + fx)[:, paths], c))
+                    out.append((np.broadcast_to(base, x.shape)[:, paths], c))
         return paths, out
 
     def factors(self, k: int, *, need_inverse: bool):
@@ -170,18 +212,23 @@ class _FlowSteps:
         w_k = self.w[k]
         actions = self.actions
         bx = _avg(model.b_x, t, x, w_k, actions)
-        sx = np.asarray(model.sigma_x(t, x)) + np.zeros_like(x)
+        sx = _coeff(model.sigma_x(t, x))
         gx = _avg(model.gamma_x, t, x, w_k, actions)
-        comp = np.zeros_like(x)
-        for i, th in enumerate(self.marks.marks):
-            nu_i = float(self.marks.intensities[i])
+        fxs = self._jump_derivatives(t, x, w_k)
+        comp = 0.0
+        for fx_i, nu_i in zip(fxs, map(float, self.marks.intensities)):
             if nu_i > 0.0:
-                comp = comp + _avg(model.f_x, t, x, w_k, actions, theta=float(th)) * nu_i
-        growth = 1.0 + bx * dt + gx * a_k * dt - comp * dt + sx * dB
+                fx = fx_i[0] if self.tags is None else _mix(w_k, fx_i.__getitem__)
+                comp = comp + fx * nu_i
+        bx_dt = bx * dt
+        gx_dt = gx * a_k * dt
+        comp_dt = comp * dt
+        sx_dB = sx * dB
+        growth = 1.0 + bx_dt + gx_dt - comp_dt + sx_dB
         igrowth = None
         if need_inverse:
-            igrowth = 1.0 - bx * dt - gx * a_k * dt + comp * dt + sx * sx * a_k * dt - sx * dB
-        paths, bases = self._jump_bases(k, t, x)
+            igrowth = 1.0 - bx_dt - gx_dt + comp_dt + sx * sx * a_k * dt - sx_dB
+        paths, bases = self._jump_bases(k, x, fxs)
         jmult = ijmult = None
         for base, c in bases:
             term = base ** c[None, :]
@@ -283,8 +330,12 @@ def solve_fundamental(
         growth, igrowth, paths, jmult, ijmult = steps.factors(k, need_inverse=True)
         _advance(phi[k + 1], phi[k], growth, paths, jmult)
         _advance(psi[k + 1], psi[k], igrowth, paths, ijmult)
-    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))):
-        raise FloatingPointError("fundamental solutions are not finite")
+    bad = [(idx[:2], name) for name, idx in (("phi", _first_nonfinite(phi)),
+                                             ("psi", _first_nonfinite(psi))) if idx is not None]
+    if bad:
+        (k, s), name = min(bad)
+        raise FloatingPointError(
+            f"fundamental solutions are not finite: {name} at step {k} under scenario {s}")
     eta = np.zeros(ensemble.states.shape)
     if k0 is not None:
         eta[k0:] = psi[k0] * _spike_impulse(ensemble, spec, k0)
@@ -339,7 +390,7 @@ def spike_report(
             continue
         t = float(grid.times[k])
         xk = ensemble.states[k]
-        hx = np.asarray(model.h_x(t, xk, float(u_star.values[k]))) + np.zeros_like(xk)
+        hx = _coeff(model.h_x(t, xk, float(u_star.values[k])))
         formula_paths = formula_paths + hx * z[k] * dt
     um = upper_expectation(list(formula_paths))
 

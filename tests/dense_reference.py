@@ -1,9 +1,13 @@
-"""Whole-run dense event counts, rebuilt from the flat events for reference.
+"""Dense references: whole-run event counts and full-array derivatives.
 
 The pipeline forms one step's counts at a time (``Drivers.step_counts``);
 tests compare those, and the arrays the old dense layout held, against
-this ``np.add.at`` over every event.
+this ``np.add.at`` over every event. It also keeps a derivative that is
+constant in the state as a float; :func:`broadcast_twin` gives the model
+whose derivatives are full arrays, to compare against.
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -24,3 +28,20 @@ def stacked_step_counts(drivers, tags=None, n_actions=None):
     """Every step's ``Drivers.step_counts`` stacked on a leading step axis."""
     return np.stack([drivers.step_counts(k, tags, n_actions)
                      for k in range(drivers.grid.n_steps)])
+
+
+_DERIVATIVES = ("b_x", "sigma_x", "gamma_x", "f_x", "h_x", "g_x")
+
+
+def broadcast_twin(model):
+    """A copy of ``model`` whose every derivative comes back shaped like the state.
+
+    Each derivative returns ``np.asarray(d(...)) + np.zeros_like(x)``, so
+    no consumer sees a float; ``x`` is the first argument of ``g_x`` and
+    the second of the others.
+    """
+    def full(d, x_at):
+        return lambda *args: np.asarray(d(*args)) + np.zeros_like(args[x_at])
+
+    return dataclasses.replace(model, **{name: full(getattr(model, name), 0 if name == "g_x" else 1)
+                                         for name in _DERIVATIVES})

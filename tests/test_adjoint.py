@@ -862,6 +862,8 @@ def test_stability_gaps_shrink_along_ladder():
 
 BUSY = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([2.0, 1.5]))
 BUSY_SILENT = MarkSpace(marks=np.array([-0.4, 0.6, 0.9]), intensities=np.array([2.0, 1.5, 0.0]))
+# nine marks: numpy sums eight or more entries along an axis pairwise
+NINE = MarkSpace(marks=np.linspace(-0.4, 0.8, 9), intensities=np.linspace(0.2, 1.8, 9))
 
 
 def _stability_by_whole_arrays(model, mu, fam, grid, marks, n_list, n_paths, seed, x0):
@@ -883,13 +885,13 @@ def _stability_by_whole_arrays(model, mu, fam, grid, marks, n_list, n_paths, see
 
 
 @pytest.mark.parametrize("case", ["uniform-busy", "uniform-silent", "weighted-silent",
-                                  "dirac-silent"])
+                                  "dirac-silent", "uniform-nine"])
 def test_streamed_stability_rows_equal_whole_array_gaps_bitwise(case):
     grid = TimeGrid(T=1.0, n_steps=32)
     fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
     acts = ActionGrid(np.array([-1.0, 0.0, 1.0]))
     model = _lq(c2=0.3, f2=0.05, h2=0.1)
-    marks = BUSY if case == "uniform-busy" else BUSY_SILENT
+    marks = {"uniform-busy": BUSY, "uniform-nine": NINE}.get(case, BUSY_SILENT)
     if case.startswith("uniform"):
         mu = uniform_relaxed(acts, 32)
     elif case == "weighted-silent":

@@ -1,11 +1,18 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from gcontrol import models as md
 from gcontrol import variational as vr
-from gcontrol.controls import ActionGrid, SpikeSpec, constant_strict, uniform_relaxed
+from gcontrol.controls import (
+    ActionGrid,
+    SpikeSpec,
+    StrictControl,
+    constant_strict,
+    uniform_relaxed,
+)
 from gcontrol.jumps import MarkSpace
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from gcontrol.sde import simulate
@@ -162,6 +169,61 @@ def test_fundamental_rejects_near_singular_jumps():
     bad_ens = dataclasses.replace(ens, model=broken)
     with pytest.raises(ValueError, match="singular"):
         vr.solve_fundamental(bad_ens)
+
+
+# sha256 of the phi and psi bytes at K=16, P=64 with three marks, recorded
+# while every derivative was still broadcast to the state's shape before
+# the flow read it; the flow runs no BLAS, so the pins do not depend on its build
+_FROZEN_FLOW = {
+    "strict": ("66d716020a053a63f5188d203160b536a26f3524d971a5372c529014e7ccae1f",
+               "49374f4907a666a41b2f4010e9eee3a1093e0ef404220d50828a883a7d6fc22e"),
+    "uniform": ("6734473b7bbf9eb20d63cc2ab21a65e4a966ce95eb785a93e6c8f03cc270c8e2",
+                "56652d0cf0c779e41ea1ab80a344b330cbe6a7de9edd645f4230bc88de0ab722"),
+}
+
+
+def _three_mark_ensemble(control):
+    grid = TimeGrid(T=1.0, n_steps=16)
+    fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
+    actions = ActionGrid(np.array([-1.0, 0.0, 1.0]))
+    marks = MarkSpace(marks=np.array([-0.3, 0.2, 0.5]), intensities=np.array([4.0, 3.0, 2.0]))
+    model = md.build_model("linear_jump_lq", dict(
+        b1=0.3, b2=0.6, s0=0.4, s1=0.2, c1=0.2, c2=0.3,
+        f1=0.15, f2=0.05, h1=0.4, h2=0.1, gq=0.6))
+    u = (StrictControl(actions, np.array([0, 2, 1, 1] * 4)) if control == "strict"
+         else uniform_relaxed(actions, 16))
+    return simulate(model, u, fam, grid, marks, 64, 7, 1.0)
+
+
+@pytest.mark.parametrize("control", sorted(_FROZEN_FLOW))
+def test_fundamental_flow_digests_are_frozen(control):
+    pair = vr.solve_fundamental(_three_mark_ensemble(control))
+    digests = tuple(hashlib.sha256(v.tobytes()).hexdigest() for v in (pair.phi, pair.psi))
+    assert digests == _FROZEN_FLOW[control]
+
+
+@pytest.mark.parametrize("field, value, where", [
+    # every scenario's growth is 1e308 dt: phi squares past the float range at step 2
+    ("b_x", 1e308, "step 2 under scenario 0"),
+    # a growth of about 5e153 a: only the scenarios at a = 4 in the first
+    # block overflow at step 2, and scenario 2 is the first of them
+    ("gamma_x", 8e154, "step 2 under scenario 2"),
+])
+def test_overflowing_flow_names_step_and_scenario(field, value, where):
+    ens = _three_mark_ensemble("strict")
+    assert ens.family.values[:, 0].tolist() == [1.0, 1.0, 4.0, 4.0]
+    huge = dataclasses.replace(ens, model=dataclasses.replace(ens.model, **{
+        field: lambda t, x, a: value}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError,
+                           match=f"fundamental solutions are not finite: phi at {where}$"):
+            vr.solve_fundamental(huge)
+        if field == "b_x":
+            # the spike opens at step 4; z is zero before it
+            spec = SpikeSpec(base=ens.control, action_index=1, t0=0.25, width=1 / 16)
+            with pytest.raises(FloatingPointError,
+                               match="variational path is not finite at step 6 under scenario 0$"):
+                vr.solve_variational(huge, spec)
 
 
 def test_spike_base_mismatch_rejected():
