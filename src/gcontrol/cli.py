@@ -27,7 +27,7 @@ def _parser() -> argparse.ArgumentParser:
                        help="replace the config's seed for this run")
 
     p_val = sub.add_parser("validate",
-                           help="schema-check a config and list every violation")
+                           help="check a config and list every violation")
     p_val.add_argument("config", help="path to a JSON config document")
 
     sub.add_parser("list-models", help="print the model registry")

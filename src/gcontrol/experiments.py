@@ -2,8 +2,9 @@
 
 A config names a model, a time grid, a scenario family, a mark space, an
 action grid, a control, and an experiment kind. ``validate_document`` lists
-every violation: schema errors first, then every check that the run's own
-plan fails, since validating builds what the run will use with the
+every violation: the document's shape errors (a missing or unknown key, a
+wrong type, a value out of range) first, then every check that the run's
+own plan fails, since validating builds what the run will use with the
 constructors the run calls. ``run_document`` dispatches to the
 corresponding module operation and writes CSV tables, a
 JSON summary with a stable key set, plot-ready two-column series, and a
@@ -16,15 +17,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import __version__
 from .adjoint import (
@@ -60,13 +61,117 @@ from .scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from .sde import simulate
 from .variational import check_widths, derivative_report_csv, spike_controls, spike_report
 
-SCHEMA: dict = json.loads(
-    resources.files("gcontrol").joinpath("config_schema.json").read_text()
-)
-_VALIDATOR = Draft202012Validator(SCHEMA)
-_CONTROL_VALIDATOR = Draft202012Validator({"$defs": SCHEMA["$defs"], "$ref": "#/$defs/control"})
+KINDS: tuple[str, ...] = ("simulate", "cost", "chattering", "variational", "mp-strict",
+                          "mp-near", "mp-relaxed", "bsde-stability")
 
-KINDS: tuple[str, ...] = tuple(SCHEMA["properties"]["kind"]["enum"])
+# The shape of a config document, in JSON Schema's vocabulary; "extra" is its
+# additionalProperties: False refuses unknown keys, a rule checks each of them;
+# "nonempty" is its minItems: 1.
+# Enums are lists because their messages print them as such.
+def _fields(required, **properties) -> dict[str, Any]:
+    """The rule of an object with these ``required`` keys and no key but ``properties``."""
+    return {"type": "object", "required": required, "extra": False, "properties": properties}
+
+
+_SEED = {"type": "integer", "minimum": 0, "maximum": 2**64 - 1}
+_NUMBERS = {"type": "array", "items": {"type": "number"}, "nonempty": True}
+_CONTROL = _fields(
+    ["type"],
+    type={"enum": ["constant", "indices", "uniform", "weights", "chattering", "bruteforce"]},
+    index={"type": "integer", "minimum": 0},
+    indices={"type": "array", "items": {"type": "integer", "minimum": 0}, "nonempty": True},
+    weights={"type": "array", "nonempty": True, "items": {
+        "type": "array", "items": {"type": "number", "minimum": 0}, "nonempty": True}},
+    n={"type": "integer", "minimum": 1},
+)
+_CONTROL["properties"]["candidates"] = {"type": "array", "items": _CONTROL, "nonempty": True}
+
+_DOCUMENT = _fields(
+    ["kind", "model", "grid", "bounds", "marks", "actions", "control", "n_paths", "seed",
+     "x0"],
+    kind={"enum": list(KINDS)},
+    model=_fields(["name"], name={"type": "string"},
+                  params={"type": "object", "extra": {"type": "number"}}),
+    grid=_fields(["T", "n_steps"], T={"type": "number", "exclusiveMinimum": 0},
+                 n_steps={"type": "integer", "minimum": 1}),
+    bounds=_fields(["sigma_low", "sigma_high"],
+                   sigma_low={"type": "number", "exclusiveMinimum": 0},
+                   sigma_high={"type": "number", "exclusiveMinimum": 0}),
+    scenarios=_fields([], strategy={"enum": ["corners", "random"]},
+                      blocks={"type": "integer", "minimum": 1},
+                      count={"type": "integer", "minimum": 1}, seed=_SEED),
+    marks=_fields(["values", "intensities"], values=_NUMBERS, intensities={
+        "type": "array", "items": {"type": "number", "minimum": 0}, "nonempty": True}),
+    actions=_NUMBERS,
+    control=_CONTROL,
+    n_paths={"type": "integer", "minimum": 1},
+    seed=_SEED,
+    x0={"type": "number"},
+    output_dir={"type": "string"},
+    options={"type": "object"},
+)
+
+_IDENTIFIER = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
+
+
+def _number(value, types=numbers.Number) -> bool:
+    """Whether ``value`` is one of ``types``; a bool is never a number."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+_IS = {"object": lambda v: isinstance(v, dict), "array": lambda v: isinstance(v, list),
+       "string": lambda v: isinstance(v, str), "number": _number,
+       "integer": lambda v: _number(v, int) or isinstance(v, float) and v.is_integer()}
+
+
+def _json_key(key) -> str:
+    """The JSON path step to ``key``: ``[1]``, ``.name`` or ``['a b']``."""
+    if isinstance(key, int):
+        return f"[{key}]"
+    if _IDENTIFIER.match(key):
+        return f".{key}"
+    return "['" + key.replace("\\", "\\\\").replace("'", "\\'") + "']"
+
+
+def shape_errors(value, rule: Mapping[str, Any], path: str = "$") -> Iterator[tuple[str, str]]:
+    """Yield ``(path, message)`` for every way ``value`` breaks ``rule``.
+
+    The messages are JSON Schema's (jsonschema's wording), and a bound is
+    failed only by a comparison that holds, so NaN fails none.
+    """
+    if "type" in rule and not _IS[rule["type"]](value):
+        yield path, f"{value!r} is not of type {rule['type']!r}"
+    if "enum" in rule and value not in rule["enum"]:
+        yield path, f"{value!r} is not one of {rule['enum']!r}"
+    if _number(value):
+        if "minimum" in rule and value < rule["minimum"]:
+            yield path, f"{value!r} is less than the minimum of {rule['minimum']!r}"
+        if "exclusiveMinimum" in rule and value <= rule["exclusiveMinimum"]:
+            yield path, (f"{value!r} is less than or equal to the minimum of"
+                         f" {rule['exclusiveMinimum']!r}")
+        if "maximum" in rule and value > rule["maximum"]:
+            yield path, f"{value!r} is greater than the maximum of {rule['maximum']!r}"
+    if isinstance(value, list):
+        if not value and rule.get("nonempty"):
+            yield path, f"{value!r} should be non-empty"
+        for j, item in enumerate(value if "items" in rule else ()):
+            yield from shape_errors(item, rule["items"], f"{path}[{j}]")
+    if isinstance(value, dict):
+        for key in rule.get("required", ()):
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+        properties = rule.get("properties", {})
+        extra = sorted((key for key in value if key not in properties), key=str)
+        if extra and rule.get("extra") is False:
+            verb = "was" if len(extra) == 1 else "were"
+            yield path, (f"Additional properties are not allowed"
+                         f" ({', '.join(map(repr, extra))} {verb} unexpected)")
+        for key, sub in properties.items():
+            if key in value:
+                yield from shape_errors(value[key], sub, path + _json_key(key))
+        for key in extra if isinstance(rule.get("extra"), dict) else ():
+            yield from shape_errors(value[key], rule["extra"], path + _json_key(key))
+
 
 _STRICT_TYPES = ("constant", "indices", "chattering")
 _RELAXED_TYPES = ("uniform", "weights")
@@ -188,19 +293,19 @@ class _Plan(list):
 def validate_document(doc: Mapping) -> _Plan:
     """Every violation as ``path: message``, never just the first.
 
-    Schema errors are reported alone when present; otherwise these are
-    the checks the run's own plan fails: what a run of ``doc`` uses is
-    built with the constructors and checks the run calls, and a step
-    whose inputs failed is skipped. When the list is empty, its
-    ``config`` is the experiment a run executes.
+    Shape errors against the ``_DOCUMENT`` rule table are reported alone,
+    sorted by path, when present; otherwise these are the checks the run's
+    own plan fails: what a run of ``doc`` uses is built with the
+    constructors and checks the run calls, and a step whose inputs failed
+    is skipped. When the list is empty, its ``config`` is the experiment a
+    run executes.
     """
     plan = _Plan()
-    errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: (e.json_path, e.message))
-    plan.extend(f"{e.json_path}: {e.message}" for e in errors)
+    plan.extend(f"{path}: {message}" for path, message in sorted(shape_errors(doc, _DOCUMENT)))
     if plan:
         return plan
     kind = doc["kind"]
-    n_steps = int(doc["grid"]["n_steps"])  # the schema admits 16.0 as an integer
+    n_steps = int(doc["grid"]["n_steps"])  # the shape check admits 16.0 as an integer
     grid = plan.attempt("$.grid", TimeGrid, doc["grid"]["T"], n_steps, fields=doc["grid"])
 
     name, params = doc["model"]["name"], doc["model"].get("params", {})
@@ -395,15 +500,12 @@ def _options(doc: Mapping, plan: _Plan) -> dict[str, Any]:
         for key in sorted(allowed - set(opts)):
             fail(key, "required for kind 'variational'")
 
-    def number(val, types):
-        return isinstance(val, types) and not isinstance(val, bool)
-
     for key, val in sorted(opts.items()):
         if key in bad or val is None:
             continue
         if key in _OPTION_TYPES:
             types, noun, minimum = _OPTION_TYPES[key]
-            if not number(val, types):
+            if not _number(val, types):
                 fail(key, f"expected {noun}, got {val!r}")
             elif not math.isfinite(val):
                 fail(key, _not_finite(val))
@@ -413,7 +515,7 @@ def _options(doc: Mapping, plan: _Plan) -> dict[str, Any]:
             types, noun = ((int, "positive integers") if key == "n_list"
                            else ((int, float), "positive spike widths"))
             if not (isinstance(val, list) and val
-                    and all(number(x, types) and x > 0 for x in val)):
+                    and all(_number(x, types) and x > 0 for x in val)):
                 fail(key, f"expected a list of {noun}, got {val!r}")
         elif key == "add_block_spikes" and not isinstance(val, bool):
             fail(key, f"expected a boolean, got {val!r}")
@@ -425,8 +527,8 @@ def _options(doc: Mapping, plan: _Plan) -> dict[str, Any]:
                 if not isinstance(sub, dict) or sub.get("type") not in _STRICT_TYPES:
                     fail(key, f"expected a strict control spec (one of {_STRICT_TYPES})", where)
                     continue
-                for e in _CONTROL_VALIDATOR.iter_errors(sub):
-                    fail(key, e.message, where + e.json_path[1:])
+                for path, message in shape_errors(sub, _CONTROL, where):
+                    fail(key, message, path)
     return {key: val for key, val in opts.items() if key not in bad}
 
 

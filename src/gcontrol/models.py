@@ -365,6 +365,8 @@ def lq_cost_continuous(
 
     ``u_mean`` and ``u_sq`` are the per-step first and second moments of
     the action; a strict control passes (u, u**2).
+
+    This oracle needs scipy, which only the ``test`` extra installs.
     """
     from scipy.linalg import expm  # only this oracle needs scipy; keep it off the import path
 

@@ -213,3 +213,43 @@ def test_module_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert "linear_jump_lq" in proc.stdout
+
+
+_REFUSE_IMPORTS = '''
+import importlib.abc
+import sys
+
+
+class Refuse(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("jsonschema", "scipy"):
+            raise ImportError(f"{name} is not a runtime dependency")
+        return None
+
+
+sys.meta_path.insert(0, Refuse())
+'''
+
+
+def test_validate_and_run_need_only_numpy(tmp_path):
+    bad = _write(tmp_path, _doc(model={"name": "zero", "params": {"a b": "1"}}, n_paths=-5,
+                                colour="red"), "bad.json")
+    near = _doc(kind="mp-near", model={"name": "linear_jump_lq"}, actions=[-1.0, 0.0, 1.0],
+                n_paths=64, options={"C": 1.0, "candidates": [{"type": "constant", "index": 2}]})
+    code = _REFUSE_IMPORTS + f'''
+from gcontrol.cli import main
+from gcontrol.experiments import run_document
+
+print("exit", main(["validate", {bad!r}]))
+print("verdict", run_document({near!r}, output_dir={str(tmp_path / "near")!r}).verdict)
+'''
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    *lines, verdict = proc.stdout.splitlines()
+    assert lines == [
+        "$: Additional properties are not allowed ('colour' was unexpected)",
+        "$.model.params['a b']: '1' is not of type 'number'",
+        "$.n_paths: -5 is less than the minimum of 1",
+        "exit 1",
+    ]
+    assert verdict in ("verdict pass", "verdict fail")

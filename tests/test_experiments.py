@@ -143,6 +143,77 @@ def test_load_config_requires_a_json_object(tmp_path):
         load_config(path)
 
 
+_CONTROL_TYPES = "['constant', 'indices', 'uniform', 'weights', 'chattering', 'bruteforce']"
+
+# (document, every line validate prints for it): the shape messages are
+# pinned byte for byte, including their order
+_SHAPE_PROBES = {
+    # a non-integer below the minimum fails both the type and the bound
+    "integer-below-minimum": (
+        _base_doc(control={"type": "constant", "index": -1.5}),
+        ["$.control.index: -1.5 is less than the minimum of 0",
+         "$.control.index: -1.5 is not of type 'integer'"]),
+    "integral-float": (_base_doc(grid={"T": 1.0, "n_steps": 16.0}, n_paths=50.0), []),
+    "int-beyond-float-range": (
+        _base_doc(seed=10**400),
+        [f"$.seed: {10**400} is greater than the maximum of 18446744073709551615"]),
+    # NaN fails no bound, only a type that is not a number
+    "nan-integer": (
+        _base_doc(grid={"T": 1.0, "n_steps": float("nan")}),
+        ["$.grid.n_steps: nan is not of type 'integer'"]),
+    # a number is any numbers.Number, so numpy scalars pass and meet the bounds
+    "numpy-scalars": (
+        _base_doc(x0=np.float32(1.0), grid={"T": np.float32(-1.0), "n_steps": 16}),
+        [f"$.grid.T: {np.float32(-1.0)!r} is less than or equal to the minimum of 0"]),
+    "missing-key": (
+        {k: v for k, v in _base_doc().items() if k != "actions"},
+        ["$: 'actions' is a required property"]),
+    "unknown-key": (
+        _base_doc(colour="red"),
+        ["$: Additional properties are not allowed ('colour' was unexpected)"]),
+    "unknown-keys": (
+        _base_doc(zeta=1, alpha=2, Mid=3),
+        ["$: Additional properties are not allowed ('Mid', 'alpha', 'zeta' were unexpected)"]),
+    "kind-enum": (
+        _base_doc(kind="sim"),
+        ["$.kind: 'sim' is not one of ['simulate', 'cost', 'chattering', 'variational',"
+         " 'mp-strict', 'mp-near', 'mp-relaxed', 'bsde-stability']"]),
+    "control-type-enum": (
+        _base_doc(control={"type": "strict"}),
+        [f"$.control.type: 'strict' is not one of {_CONTROL_TYPES}"]),
+    "bool-x0": (_base_doc(x0=True), ["$.x0: True is not of type 'number'"]),
+    "empty-actions": (_base_doc(actions=[]), ["$.actions: [] should be non-empty"]),
+    "bad-intensity": (
+        _base_doc(marks={"values": [-0.4, 0.6], "intensities": [0.7, -0.3]}),
+        ["$.marks.intensities[1]: -0.3 is less than the minimum of 0"]),
+    "nested-candidate": (
+        _base_doc(kind="cost", control={"type": "bruteforce", "candidates": [
+            {"type": "uniform"},
+            {"type": "bruteforce", "candidates": [{"type": "nope", "n": 0}]}]}),
+        ["$.control.candidates[1].candidates[0].n: 0 is less than the minimum of 1",
+         f"$.control.candidates[1].candidates[0].type: 'nope' is not one of {_CONTROL_TYPES}"]),
+    # option candidates are checked in the plan, in the order of the control rule
+    "option-candidate": (
+        _base_doc(kind="mp-near", options={"C": 1.0, "candidates": [
+            {"type": "constant", "index": -1.5, "colour": "red"}]}),
+        ["$.options.candidates[0]: Additional properties are not allowed"
+         " ('colour' was unexpected)",
+         "$.options.candidates[0].index: -1.5 is not of type 'integer'",
+         "$.options.candidates[0].index: -1.5 is less than the minimum of 0"]),
+    "params-keys": (
+        _base_doc(model={"name": "zero", "params": {"a b": "1", "it's": None, "a\\b": True}}),
+        ["$.model.params['a b']: '1' is not of type 'number'",
+         "$.model.params['a\\\\b']: True is not of type 'number'",
+         "$.model.params['it\\'s']: None is not of type 'number'"]),
+}
+
+
+@pytest.mark.parametrize("doc, violations", list(_SHAPE_PROBES.values()),
+                         ids=list(_SHAPE_PROBES))
+def test_shape_messages_are_frozen(doc, violations):
+    assert validate_document(doc) == violations
+
+
 # ---------------------------------------------------------------------------
 # running
 # ---------------------------------------------------------------------------

@@ -24,9 +24,11 @@ LQ_PARAMS = {
 MARKS = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([0.7, 0.3]))
 
 
-def test_import_leaves_scipy_unloaded():
-    # only the continuous-time oracle needs scipy, and it imports it itself
-    code = "import sys, gcontrol; print('scipy' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy", "jsonschema"])
+def test_import_leaves_scipy_unloaded(module):
+    # only the continuous-time oracle needs scipy, and it imports it itself;
+    # nothing at all needs jsonschema
+    code = f"import sys, gcontrol; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
