@@ -10,7 +10,8 @@ martingale increments.
 
 The layer works time-major, as does every array it takes or returns:
 states and flow (K+1, S, P), and the triple's ``p`` (K+1, S, P), ``q``
-(K, S, P) and ``r`` (K, S, P, m), all C-ordered.
+(K, S, P) and ``r`` (K, S, P, m), all C-ordered; a step's (S, P)
+Brownian increments are formed when it is read (``Drivers.step_dB``).
 :func:`_adjoint_core` forms the backward variable in one (K+1, S, P)
 buffer, then walks the grid once forward; at each step it solves the
 state regression and the increment regression of every scenario from
@@ -74,11 +75,11 @@ from .controls import (
 )
 from .costs import cost_from_ensemble, evaluate_costs
 from .jumps import MarkSpace, sample_drivers
-from .models import ModelSpec, ensure_validated
+from .models import ModelSpec, _avg, _coeff, ensure_validated
 from .rng import PROBES, substream
 from .scenarios import ScenarioFamily, TimeGrid, generator_G, upper_expectation
 from .sde import StateEnsemble, simulate, simulate_with
-from .variational import _avg, _coeff, _first_nonfinite, solve_fundamental
+from .variational import _first_nonfinite, solve_fundamental
 
 _DEGENERATE_STD = 1e-12
 # a Gram matrix whose condition number lmax / lmin exceeds this is not solved;
@@ -91,7 +92,7 @@ def _fmt(x) -> str:
 
 
 def _sigma_x(model: ModelSpec, t: float, x: np.ndarray):
-    """``sigma_x(t, x)``, a scalar when it is constant in ``x`` (see :func:`_coeff`)."""
+    """``sigma_x(t, x)``, a scalar when it is constant in ``x`` (see ``models._coeff``)."""
     return _coeff(model.sigma_x(t, x))
 
 
@@ -500,7 +501,6 @@ def _adjoint_core(
     phi, psi = pair.phi, pair.psi
     del pair  # its all-zero eta is not read here
     x = ensemble.states
-    dB = ensemble.drivers.dB
     times = grid.times
 
     def running(k):
@@ -541,7 +541,8 @@ def _adjoint_core(
         if k > 0:
             j = k - 1
             q_load[:, j], r_load[:, j], intercept[:, j], cond_inc[:, j], drop, fb = (
-                _regress_increment(m_k - m_prev, dB[j], ensemble.drivers.step_counts(j) - comp)
+                _regress_increment(m_k - m_prev, ensemble.drivers.step_dB(j),
+                                   ensemble.drivers.step_counts(j) - comp)
             )
             dropped += int(drop.sum())
             fallbacks += fb
@@ -691,7 +692,6 @@ def bsde_residual(ensemble: StateEnsemble, triple: AdjointTriple) -> np.ndarray:
     w = ensemble.control.weights
     actions = ensemble.control.grid.actions
     a_tab = ensemble.family.values
-    dB = ensemble.drivers.dB
     nus = marks.intensities
     p = triple.p
 
@@ -709,7 +709,7 @@ def bsde_residual(ensemble: StateEnsemble, triple: AdjointTriple) -> np.ndarray:
         for i in range(marks.n_marks):
             f_i = _avg(model.f, t, x, w[k], actions, theta=float(marks.marks[i]))
             drv = drv + r[:, :, i] * f_i * float(nus[i])
-        resid = p[k + 1] - p[k] + drv * dt - q * dB[k]
+        resid = p[k + 1] - p[k] + drv * dt - q * ensemble.drivers.step_dB(k)
         counts = ensemble.drivers.step_counts(k)
         for i in range(marks.n_marks):
             resid = resid - r[:, :, i] * (counts[i] - float(nus[i]) * dt)

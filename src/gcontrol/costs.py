@@ -22,7 +22,7 @@ import numpy as np
 
 from .controls import RelaxedControl, StrictControl, chattering, check_ladder
 from .jumps import Drivers, MarkSpace, sample_drivers
-from .models import ModelSpec
+from .models import ModelSpec, _avg
 from .scenarios import ScenarioFamily, TimeGrid, upper_expectation
 from .sde import StateEnsemble, simulate_with, stream_batch
 
@@ -59,32 +59,22 @@ class _PathCost:
     """Left-endpoint quadrature of one control's per-(scenario, path) cost.
 
     ``add(k, x_k)`` for k = 0, ..., n_steps - 1 in step order, then
-    ``total(x_T)``. For a relaxed control the running cost at each step
-    is the weighted average of h over the action grid, skipping the
-    actions of weight zero. Fed the steps of a stored ensemble or of a
-    streamed batch, it gives the same bits.
+    ``total(x_T)``. The running cost at each step is h mixed under the
+    step's weights (:func:`gcontrol.models._avg`), a strict control's
+    one-hot weights giving h at its action. Fed the steps of a stored
+    ensemble or of a streamed batch, it gives the same bits.
     """
 
     def __init__(self, model: ModelSpec, control: Control, grid: TimeGrid, shape):
         self.model = model
-        self.control = control
         self.grid = grid
-        self.relaxed = isinstance(control, RelaxedControl)
-        self.values = None if self.relaxed else control.values
+        self.weights = control.weights
+        self.actions = control.grid.actions
         self.running = np.zeros(shape)
 
     def add(self, k: int, xk: np.ndarray) -> None:
-        model = self.model
         t = float(self.grid.times[k])
-        if self.relaxed:
-            hk = np.zeros_like(xk)
-            for a_i, a in enumerate(self.control.grid.actions):
-                w = self.control.weights[k, a_i]
-                if w != 0.0:
-                    hk = hk + w * np.asarray(model.h(t, xk, a))
-            self.running += hk * self.grid.dt
-        else:
-            self.running += np.asarray(model.h(t, xk, float(self.values[k]))) * self.grid.dt
+        self.running += _avg(self.model.h, t, xk, self.weights[k], self.actions) * self.grid.dt
 
     def total(self, x_T: np.ndarray) -> np.ndarray:
         total = self.running + np.asarray(self.model.g(x_T))
@@ -135,7 +125,7 @@ def stream_costs(
     S, P). The controls must be all strict or all relaxed.
     """
     K = grid.n_steps
-    sums = [_PathCost(model, u, grid, drivers.dB.shape[1:]) for u in controls]
+    sums = [_PathCost(model, u, grid, (family.n_scenarios, drivers.n_paths)) for u in controls]
     totals = []
 
     def fold(k: int, x: np.ndarray) -> None:

@@ -32,7 +32,6 @@ from .adjoint import (
     bsde_stability_report,
     mp_check_near,
     mp_check_relaxed,
-    mp_check_strict,
     mp_report_csv,
     stability_csv,
 )
@@ -75,11 +74,12 @@ def _fields(required, **properties) -> dict[str, Any]:
 
 _SEED = {"type": "integer", "minimum": 0, "maximum": 2**64 - 1}
 _NUMBERS = {"type": "array", "items": {"type": "number"}, "nonempty": True}
+_INDEX = {"type": "integer", "minimum": 0, "maximum": 2**63 - 1}  # an action index is an int64
 _CONTROL = _fields(
     ["type"],
     type={"enum": ["constant", "indices", "uniform", "weights", "chattering", "bruteforce"]},
-    index={"type": "integer", "minimum": 0},
-    indices={"type": "array", "items": {"type": "integer", "minimum": 0}, "nonempty": True},
+    index=_INDEX,
+    indices={"type": "array", "items": _INDEX, "nonempty": True},
     weights={"type": "array", "nonempty": True, "items": {
         "type": "array", "items": {"type": "number", "minimum": 0}, "nonempty": True}},
     n={"type": "integer", "minimum": 1},
@@ -119,6 +119,14 @@ def _number(value, types=numbers.Number) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
+def _finite(value) -> bool:
+    """Whether a number is finite as a float; an integer beyond the float range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 _IS = {"object": lambda v: isinstance(v, dict), "array": lambda v: isinstance(v, list),
        "string": lambda v: isinstance(v, str), "number": _number,
        "integer": lambda v: _number(v, int) or isinstance(v, float) and v.is_integer()}
@@ -144,6 +152,8 @@ def shape_errors(value, rule: Mapping[str, Any], path: str = "$") -> Iterator[tu
     if "enum" in rule and value not in rule["enum"]:
         yield path, f"{value!r} is not one of {rule['enum']!r}"
     if _number(value):
+        if rule.get("type") == "number" and isinstance(value, int) and not _finite(value):
+            yield path, _not_finite(value)
         if "minimum" in rule and value < rule["minimum"]:
             yield path, f"{value!r} is less than the minimum of {rule['minimum']!r}"
         if "exclusiveMinimum" in rule and value <= rule["exclusiveMinimum"]:
@@ -507,7 +517,7 @@ def _options(doc: Mapping, plan: _Plan) -> dict[str, Any]:
             types, noun, minimum = _OPTION_TYPES[key]
             if not _number(val, types):
                 fail(key, f"expected {noun}, got {val!r}")
-            elif not math.isfinite(val):
+            elif not _finite(val):
                 fail(key, _not_finite(val))
             elif minimum is not None and val < minimum:
                 fail(key, f"{val} is below the minimum {minimum}")
@@ -515,7 +525,7 @@ def _options(doc: Mapping, plan: _Plan) -> dict[str, Any]:
             types, noun = ((int, "positive integers") if key == "n_list"
                            else ((int, float), "positive spike widths"))
             if not (isinstance(val, list) and val
-                    and all(_number(x, types) and x > 0 for x in val)):
+                    and all(_number(x, types) and x > 0 and _finite(x) for x in val)):
                 fail(key, f"expected a list of {noun}, got {val!r}")
         elif key == "add_block_spikes" and not isinstance(val, bool):
             fail(key, f"expected a boolean, got {val!r}")
@@ -728,17 +738,8 @@ def _mp_metrics(rep) -> dict[str, Any]:
     return metrics
 
 
-def _run_mp_strict(cfg: ExperimentConfig, threads: int):
-    o = cfg.options
-    rep = mp_check_strict(cfg.model, cfg.control, cfg.family, cfg.grid, cfg.marks,
-                          cfg.n_paths, cfg.seed, cfg.x0,
-                          n_blocks=int(o["n_blocks"]),
-                          slack_mult=float(o["slack_mult"]),
-                          basis_degree=int(o["basis_degree"]))
-    return _mp_files(rep), _mp_metrics(rep), "pass" if rep.verdict else "fail"
-
-
-def _run_mp_relaxed(cfg: ExperimentConfig, threads: int):
+def _run_mp(cfg: ExperimentConfig, threads: int):
+    """The stationarity table of ``cfg.control``, strict or relaxed."""
     o = cfg.options
     rep = mp_check_relaxed(cfg.model, cfg.control, cfg.family, cfg.grid, cfg.marks,
                            cfg.n_paths, cfg.seed, cfg.x0,
@@ -797,8 +798,8 @@ _DISPATCH = {
     "cost": _run_cost,
     "chattering": _run_chattering,
     "variational": _run_variational,
-    "mp-strict": _run_mp_strict,
-    "mp-relaxed": _run_mp_relaxed,
+    "mp-strict": _run_mp,
+    "mp-relaxed": _run_mp,
     "mp-near": _run_mp_near,
     "bsde-stability": _run_stability,
 }

@@ -9,11 +9,12 @@ product compensator exactly). The tag uniforms come from a separate
 substream and are drawn once per event, so every control, strict or
 relaxed, sees the same base events.
 
-:func:`sample_drivers` samples all of this, plus the Brownian increments,
-once per (family, grid, marks, n_paths, seed); every scenario and every
-control of a run then share one :class:`Drivers` (common random numbers).
-The flat events are the one jump representation: a consumer forms a
-step's counts from that step's events (:meth:`Drivers.step_counts`).
+:func:`sample_drivers` samples all of this, plus the standard-normal
+draws of the Brownian part, once per (family, grid, marks, n_paths,
+seed); every scenario and every control of a run then share one
+:class:`Drivers` (common random numbers). A consumer forms step k's
+counts from its events (:meth:`Drivers.step_counts`) and its (S, P)
+Brownian increments from the (n_steps, P) draws (:meth:`Drivers.step_dB`).
 """
 
 from __future__ import annotations
@@ -107,8 +108,9 @@ def _index_from_uniform(u: np.ndarray, cum_weights: np.ndarray) -> np.ndarray:
 class Drivers:
     """The randomness of one (family, grid, marks, n_paths, seed).
 
-    ``dB`` holds the Brownian increments, (n_steps, n_scenarios,
-    n_paths), scaled by the volatility values of ``family``. Jump events
+    ``xi`` holds the standard-normal draws, read-only and time-major
+    (n_steps, n_paths), that every scenario scales by its volatility
+    values (:meth:`step_dB`). Jump events
     are flat arrays sorted by (path, time): ``path``, ``times``,
     ``mark_idx``, ``step`` (the grid step holding the event) and one
     TAGS-substream uniform ``tag_u`` that :meth:`tags` maps to a relaxed
@@ -121,7 +123,7 @@ class Drivers:
     grid: TimeGrid
     family: ScenarioFamily
     marks: MarkSpace
-    dB: np.ndarray
+    xi: np.ndarray
     path: np.ndarray
     times: np.ndarray
     mark_idx: np.ndarray
@@ -133,11 +135,19 @@ class Drivers:
 
     @property
     def n_paths(self) -> int:
-        return self.dB.shape[2]
+        return self.xi.shape[1]
 
     @property
     def n_events(self) -> int:
         return self.times.size
+
+    def step_dB(self, k: int) -> np.ndarray:
+        """Step k's (n_scenarios, n_paths) increments ``(sqrt(a_k^(s)) xi[k, p]) sqrt(dt)``.
+
+        The step variance under scenario ``s`` is ``a_k dt``.
+        """
+        a_k = self.family.values[:, k]
+        return (np.sqrt(a_k)[:, None] * self.xi[k]) * np.sqrt(self.grid.dt)
 
     def step_paths(self, k: int) -> np.ndarray:
         """The paths with at least one event in step k, ascending."""
@@ -172,13 +182,13 @@ class Drivers:
 def sample_drivers(
     family: ScenarioFamily, grid: TimeGrid, marks: MarkSpace, n_paths: int, seed: int
 ) -> Drivers:
-    """Sample the Brownian increments, jump events and tag uniforms of a seed.
+    """Sample the Brownian draws, jump events and tag uniforms of a seed.
 
     Event counts, times and marks are drawn in three vectorized calls on
     the jump substream, so the events depend only on (marks, T, n_paths,
     seed); in particular they are unchanged under grid refinement.
     """
-    dB = scen_mod.sample_brownian(family, grid, n_paths, seed)
+    xi = scen_mod.sample_brownian(family, grid, n_paths, seed)
     gen = rng.substream(seed, rng.JUMPS)
     nu_bar = marks.total_intensity
     mean = poisson_mean(marks, grid.T)
@@ -206,5 +216,5 @@ def sample_drivers(
     count_dtype = np.min_scalar_type(-int(cells.max(initial=0)) - 1)
     for arr in (path, times, mark_idx, step, tag_u, by_step, offsets):
         arr.setflags(write=False)
-    return Drivers(int(seed), grid, family, marks, dB, path, times, mark_idx, step, tag_u, by_step,
+    return Drivers(int(seed), grid, family, marks, xi, path, times, mark_idx, step, tag_u, by_step,
                    offsets, count_dtype)

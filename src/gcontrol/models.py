@@ -14,6 +14,7 @@ instead of an array shaped like ``x``; the registry models do, for every
 derivative that is constant in ``x``. Consumers broadcast a derivative
 to the state's shape only where they index or store it, so a float
 costs one scalar operation where a full array would cost one per path.
+:func:`_avg` mixes a coefficient under a step's control weights.
 
 Dynamics convention, per scenario with volatility rate a_t:
 
@@ -126,6 +127,38 @@ def ensure_validated(model: ModelSpec) -> None:
     if violations:
         raise ValueError(f"{len(violations)} derivative checks fail, first: {violations[0]}")
     _VALIDATED.add(model)
+
+
+def _coeff(v):
+    """A coefficient value as a float or a float array, ``-0.0`` read as ``0.0``.
+
+    A value that does not depend on the state stays a scalar. Adding
+    ``0.0`` gives the bits of adding a zero array of the state's shape,
+    which turns a negative zero into a positive one, without forming it.
+    """
+    return np.asarray(v, dtype=float) + 0.0
+
+
+def _mix(w_k, value):
+    """``sum_a w_k[a] value(a)`` over the actions of nonzero weight, in action order.
+
+    A weight of one leaves its value as it is (``1.0 * v == v``), so a
+    strict control's mixture is its action's value.
+    """
+    out = None
+    for a_i, wa in enumerate(map(float, w_k)):
+        if wa == 0.0:
+            continue
+        v = value(a_i)
+        term = v if wa == 1.0 else wa * v
+        out = term if out is None else out + term
+    return 0.0 if out is None else out
+
+
+def _avg(fun, t, x, w_k, actions, theta=None):
+    """Weight-averaged coefficient, a scalar when ``fun`` is constant in ``x``."""
+    lead = () if theta is None else (theta,)
+    return _mix(w_k, lambda a_i: _coeff(fun(t, x, *lead, float(actions[a_i]))))
 
 
 # ---------------------------------------------------------------------------

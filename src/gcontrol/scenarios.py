@@ -76,11 +76,6 @@ class VolatilityBounds:
         object.__setattr__(self, "sigma_high", high)
 
     @property
-    def dim(self) -> int:
-        """Dimension of the driving noise; the model is scalar."""
-        return 1
-
-    @property
     def ellipticity_beta(self) -> float:
         """Half the lower bound."""
         return max(0.0, self.sigma_low) / 2.0
@@ -182,36 +177,35 @@ def build_scenario_family(
 
 
 def sample_brownian(family: ScenarioFamily, grid: TimeGrid, n_paths: int, seed: int) -> np.ndarray:
-    """Sample Brownian increments for every scenario under common random numbers.
+    """Sample the standard-normal draws that drive every scenario's Brownian motion.
 
     Parameters
     ----------
     family, grid
         Scenario family and the grid its values live on.
     n_paths
-        Number of Monte Carlo paths; the standard-normal draws ``xi`` are
-        generated once and reused by every scenario.
+        Number of Monte Carlo paths; the draws ``xi`` are generated once
+        and reused by every scenario (common random numbers).
     seed
-        Substream seed; identical seeds give bit-identical increments.
+        Substream seed; identical seeds give bit-identical draws.
 
     Returns
     -------
     np.ndarray
-        Read-only, time-major, shape (n_steps, n_scenarios, n_paths):
-        ``dB[k, s, p] = sqrt(a_k^(s)) xi[p, k] sqrt(dt)``, so that the step
-        variance under scenario ``s`` is ``a_k dt``.
+        Read-only, time-major, shape (n_steps, n_paths). Scenario ``s``
+        scales step k's row to ``sqrt(a_k^(s)) xi[k] sqrt(dt)``
+        (:meth:`gcontrol.jumps.Drivers.step_dB`), so that its step
+        variance is ``a_k dt``.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     if family.n_steps != grid.n_steps:
         raise ValueError("family and grid disagree on n_steps")
-    xi = rng.substream(seed, rng.BROWNIAN).standard_normal((n_paths, grid.n_steps))
-    # both factors are transposed views; order="C" lays the product out
-    # time-major in memory, so every consumer's dB[k] is a contiguous slice
-    dB = np.multiply(np.sqrt(family.values).T[:, :, None], xi.T[:, None, :], order="C")
-    dB *= np.sqrt(grid.dt)  # in place: one sampling allocates one (K, S, P) buffer
-    dB.setflags(write=False)
-    return dB
+    draws = rng.substream(seed, rng.BROWNIAN).standard_normal((n_paths, grid.n_steps))
+    # drawn path-major, as the seeds were frozen; stored time-major
+    xi = np.ascontiguousarray(draws.T)
+    xi.setflags(write=False)
+    return xi
 
 
 def upper_expectation(per_scenario_samples: Sequence[np.ndarray]) -> UpperMean:

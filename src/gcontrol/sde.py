@@ -6,7 +6,8 @@ bundle, so a set of controls costs one sampling and one kernel call.
 There is one step loop, :func:`_steps`; each control kind supplies only
 its increment and its per-step tables: action values and counts for a
 strict batch, weights and tagged counts for a relaxed one, each step's
-counts formed from its events. The relaxed step averages b and gamma
+counts formed from its events and its (S, P) Brownian increments from
+the drivers' scenario-free draws. The relaxed step averages b and gamma
 under the step's weights and evaluates f at each event's action tag;
 its weighted sums are accumulated in fixed action order, so a one-hot
 (embedded strict) control reproduces the strict simulation bit for bit
@@ -116,7 +117,7 @@ def _strict_jumps(model, t, xk, uk, marks, ck, dt):
     return jump_sum - comp_rate * dt
 
 
-def _steps(model, increment, tables, events, a_vals, grid, marks, dB, X, reduce) -> None:
+def _steps(model, increment, tables, events, a_vals, grid, marks, drivers, X, reduce) -> None:
     """The one Euler step loop. Under scenario s and control c a step is
 
         x'  =  x + b(t, x, u_k) dt + sigma(t, x) dB
@@ -127,7 +128,8 @@ def _steps(model, increment, tables, events, a_vals, grid, marks, dB, X, reduce)
     the pre-jump state. The control kind supplies ``increment`` and its
     per-step tables: ``tables[:, k]`` holds the controls' step-k action
     values (strict) or weights (relaxed), and ``events`` yields each step's
-    counts (strict) or tagged counts (relaxed). Step k lives in
+    counts (strict) or tagged counts (relaxed), and ``drivers`` each
+    step's Brownian increments (:meth:`Drivers.step_dB`). Step k lives in
     ``X[k % len(X)]``: X holds every step, or one slot that each step
     updates in place (the update is elementwise), and ``reduce(k, X_k)``
     sees each step once it is written, k = 0, ..., n_steps.
@@ -140,8 +142,8 @@ def _steps(model, increment, tables, events, a_vals, grid, marks, dB, X, reduce)
         a_dt = (a_vals[:, k] * dt)[:, None]
         # the increment is built in its own frame, so none of its arrays
         # outlives the step
-        _write(X, k, xk, increment(model, grid.times[k], xk, tables[:, k], a_dt, dB[k], marks,
-                                   ek, dt), reduce)
+        _write(X, k, xk, increment(model, grid.times[k], xk, tables[:, k], a_dt,
+                                   drivers.step_dB(k), marks, ek, dt), reduce)
 
 
 def _strict_increment(model, t, xk, uk, a_dt, dBk, marks, ck, dt):
@@ -246,12 +248,11 @@ def _simulate(model, controls, family, grid, marks, drivers, x0, reduce):
     K = grid.n_steps
     if family.n_steps != K or any(c.n_steps != K for c in controls):
         raise ValueError("controls, family and grid must agree on n_steps")
-    dB = drivers.dB
     if drivers.grid != grid or not np.array_equal(drivers.family.values, family.values):
         raise ValueError("drivers were sampled for a different grid or family")
     if drivers.marks != marks:
         raise ValueError("drivers were sampled for a different mark space")
-    S, P = dB.shape[1:]
+    S, P = family.n_scenarios, drivers.n_paths
     a_vals = family.values
     X = np.empty((K + 1 if reduce is None else 1, len(controls), S, P))
     X[0] = x0
@@ -272,7 +273,7 @@ def _simulate(model, controls, family, grid, marks, drivers, x0, reduce):
                            axis=2)[:, :, :, None] for k in range(K))
     else:
         raise ValueError("a batch holds either strict or relaxed controls, not both")
-    _steps(model, increment, tables, events, a_vals, grid, marks, dB, X, reduce)
+    _steps(model, increment, tables, events, a_vals, grid, marks, drivers, X, reduce)
     return X
 
 

@@ -13,8 +13,9 @@ A control is read through its per-step ``weights`` over ``grid.actions``
 its jump factors and the ``|1 + f_x|`` guard are read at the played action.
 
 Everything runs and is returned time-major: the states are (K+1, S, P)
-and the drivers' increments (K, S, P), so every step forms its growth
-factors on contiguous slices, and z, phi, psi and eta come back as
+and each step's Brownian increments an (S, P) array the drivers form
+from their (K, P) draws, so every step forms its growth factors on
+contiguous slices, and z, phi, psi and eta come back as
 C-ordered (K+1, S, P) arrays. The jump multiplier ``(1 + f_x)^count``
 is applied only on the paths that have events in the step (the drivers
 list them, with the step's (m[, A], P) counts formed from its events).
@@ -22,7 +23,7 @@ A path without events would be multiplied by exactly one, so the result
 is bit for bit that of the dense product.
 
 A derivative that is constant in the state stays a scalar through the
-step's factors (see :func:`_coeff`): each factor is one elementwise
+step's factors (see ``models._coeff``): each factor is one elementwise
 operation per path only where a path-dependent term enters it, and
 ``1 + f_x`` is broadcast to the state's shape only on the event paths
 that index it. Every elementwise operation is the one the full arrays
@@ -44,6 +45,7 @@ import numpy as np
 
 from .controls import RelaxedControl, SpikeSpec, StrictControl, spike, spike_steps
 from .costs import cost_from_ensemble, stream_costs
+from .models import _avg, _coeff, _mix
 from .scenarios import TimeGrid, upper_expectation
 from .sde import StateEnsemble
 
@@ -112,43 +114,11 @@ def _first_nonfinite(v: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(i) for i in np.unravel_index(np.argmin(finite), v.shape))
 
 
-def _coeff(v):
-    """A coefficient value as a float or a float array, ``-0.0`` read as ``0.0``.
-
-    A value that does not depend on the state stays a scalar. Adding
-    ``0.0`` gives the bits of adding a zero array of the state's shape,
-    which turns a negative zero into a positive one, without forming it.
-    """
-    return np.asarray(v, dtype=float) + 0.0
-
-
-def _mix(w_k, value):
-    """``sum_a w_k[a] value(a)`` over the actions of nonzero weight, in action order.
-
-    A weight of one leaves its value as it is (``1.0 * v == v``), so a
-    strict control's mixture is its action's value.
-    """
-    out = None
-    for a_i, wa in enumerate(map(float, w_k)):
-        if wa == 0.0:
-            continue
-        v = value(a_i)
-        term = v if wa == 1.0 else wa * v
-        out = term if out is None else out + term
-    return 0.0 if out is None else out
-
-
-def _avg(fun, t, x, w_k, actions, theta=None):
-    """Weight-averaged coefficient, a scalar when ``fun`` is constant in ``x``."""
-    lead = () if theta is None else (theta,)
-    return _mix(w_k, lambda a_i: _coeff(fun(t, x, *lead, float(actions[a_i]))))
-
-
 class _FlowSteps:
     """Multiplicative Euler factors of the linearized flow, step by step.
 
-    The states (K+1, S, P) and the Brownian increments (K, S, P) are
-    read one contiguous step at a time. A jump multiplier
+    The states (K+1, S, P) are read one contiguous step at a time, and
+    each step's (S, P) Brownian increments are formed from the drivers. A jump multiplier
     ``prod (1 + f_x)^(+-count)`` is formed only on the paths that have
     events in the step; every other path would be multiplied by
     ``pow(., 0) = 1``, so skipping it leaves the bits unchanged. ``f_x``
@@ -208,7 +178,7 @@ class _FlowSteps:
         t = float(self.grid.times[k])
         x = self.x[k]
         a_k = self.a[:, k][:, None]
-        dB = self.drivers.dB[k]
+        dB = self.drivers.step_dB(k)
         w_k = self.w[k]
         actions = self.actions
         bx = _avg(model.b_x, t, x, w_k, actions)

@@ -1,8 +1,9 @@
-"""Dense references: whole-run event counts and full-array derivatives.
+"""Dense references: whole-run event counts, increments and full-array derivatives.
 
-The pipeline forms one step's counts at a time (``Drivers.step_counts``);
-tests compare those, and the arrays the old dense layout held, against
-this ``np.add.at`` over every event. It also keeps a derivative that is
+The pipeline forms one step's counts and Brownian increments at a time
+(``Drivers.step_counts``, ``Drivers.step_dB``); tests compare those, and
+the arrays the old dense layout held, against this ``np.add.at`` over
+every event and the stacked steps. It also keeps a derivative that is
 constant in the state as a float; :func:`broadcast_twin` gives the model
 whose derivatives are full arrays, to compare against.
 """
@@ -28,6 +29,11 @@ def stacked_step_counts(drivers, tags=None, n_actions=None):
     """Every step's ``Drivers.step_counts`` stacked on a leading step axis."""
     return np.stack([drivers.step_counts(k, tags, n_actions)
                      for k in range(drivers.grid.n_steps)])
+
+
+def stacked_step_dB(drivers):
+    """Every step's ``Drivers.step_dB`` stacked on a leading step axis: (K, S, P)."""
+    return np.stack([drivers.step_dB(k) for k in range(drivers.grid.n_steps)])
 
 
 _DERIVATIVES = ("b_x", "sigma_x", "gamma_x", "f_x", "h_x", "g_x")

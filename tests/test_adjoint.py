@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_reference import dense_counts
+from dense_reference import dense_counts, stacked_step_dB
 
 from gcontrol import adjoint as adj
 from gcontrol import models as md
@@ -33,6 +33,7 @@ from gcontrol.controls import (
 )
 from gcontrol.costs import evaluate_cost, value_bruteforce
 from gcontrol.jumps import Drivers, MarkSpace, sample_drivers
+from gcontrol.models import _avg
 from gcontrol.scenarios import (
     TimeGrid,
     VolatilityBounds,
@@ -40,7 +41,7 @@ from gcontrol.scenarios import (
     upper_expectation,
 )
 from gcontrol.sde import simulate, simulate_with
-from gcontrol.variational import _avg, solve_fundamental
+from gcontrol.variational import solve_fundamental
 
 MARKS = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([0.7, 0.3]))
 QUIET = MarkSpace(marks=np.array([1.0]), intensities=np.array([0.0]))
@@ -286,7 +287,7 @@ def _reference_flow(ens):
     S, P, K1 = states.shape
     w, actions = ens.control.weights, ens.control.grid.actions
     a_tab = ens.family.scalar_values()
-    dB = np.moveaxis(ens.drivers.dB, 0, -1)
+    dB = _path_major(stacked_step_dB(ens.drivers))
     relaxed = isinstance(ens.control, RelaxedControl)
     counts = (dense_counts(ens.drivers, ens.drivers.tags(ens.control), actions.size) if relaxed
               else dense_counts(ens.drivers))
@@ -373,7 +374,7 @@ def _reference_adjoint(ens, degree=2):
             sq[s] += ((ys - pred) ** 2).sum()
 
     mhat = yhat + past
-    dB = np.moveaxis(ens.drivers.dB, 0, -1)
+    dB = _path_major(stacked_step_dB(ens.drivers))
     Q = np.zeros((S, K))
     R = np.zeros((S, K, m))
     c = np.zeros((S, K))

@@ -422,6 +422,8 @@ def _lq(**over):
     return _base_doc(model={"name": "linear_jump_lq"}, actions=[-1.0, 0.0, 1.0], **over)
 
 
+_HUGE = 10**400  # a 401-digit integer literal, beyond the float range
+
 _VARIATIONAL = {"action_index": 2, "t0": 0.25, "h_list": [0.125, 0.0625]}
 
 # (config validate must reject, its violation, an aligned config that must run)
@@ -580,6 +582,27 @@ _VALIDATE_GAP_PROBES = {
         _lq(kind="mp-near", options={"C": 1.0, "epsilon_n": float("nan")}),
         "$.options.epsilon_n: nan is not a finite number",
         _lq(kind="mp-near", options={"C": 1.0, "epsilon_n": 0.01})),
+    # integer literals no float holds, and a control index no int64 holds
+    "x0-int-overflow": (
+        _lq(x0=_HUGE),
+        f"$.x0: {_HUGE} is not a finite number",
+        _lq(x0=10**3)),
+    "actions-int-overflow": (
+        _base_doc(model={"name": "linear_jump_lq"}, actions=[-1.0, _HUGE]),
+        f"$.actions[1]: {_HUGE} is not a finite number",
+        _base_doc(model={"name": "linear_jump_lq"}, actions=[-1, 1])),
+    "mark-values-int-overflow": (
+        _lq(marks={"values": [-0.4, _HUGE], "intensities": [0.7, 0.3]}),
+        f"$.marks.values[1]: {_HUGE} is not a finite number",
+        _lq(marks={"values": [-0.4, 1], "intensities": [0.7, 0.3]})),
+    "mark-intensities-int-overflow": (
+        _lq(marks={"values": [-0.4, 0.6], "intensities": [0.7, _HUGE]}),
+        f"$.marks.intensities[1]: {_HUGE} is not a finite number",
+        _lq(marks={"values": [-0.4, 0.6], "intensities": [0.7, 1]})),
+    "control-index-int64-overflow": (
+        _lq(control={"type": "constant", "index": 2**64}),
+        "$.control.index: 18446744073709551616 is greater than the maximum of 9223372036854775807",
+        _lq(control={"type": "constant", "index": 2})),
 }
 
 

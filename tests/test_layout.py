@@ -37,8 +37,10 @@ def test_states_and_drivers_are_time_major():
     u = constant_strict(ACTIONS, K, 1)
     ens = simulate(MODEL, u, FAMILY, GRID, MARKS, P, 3, 1.0)
     _time_major(ens.states, (K + 1, S, P))
-    _time_major(ens.drivers.dB, (K, S, P))
     d = ens.drivers
+    _time_major(d.xi, (K, P))
+    assert not d.xi.flags.writeable
+    _time_major(d.step_dB(0), (S, P))
     _time_major(d.step_counts(0), (2, P))
     mu = uniform_relaxed(ACTIONS, K)
     tags = d.tags(mu)

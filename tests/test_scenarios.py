@@ -1,9 +1,13 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from dense_reference import stacked_step_dB
 
+from gcontrol import rng
 from gcontrol import scenarios as sc
+from gcontrol.jumps import MarkSpace, sample_drivers
 
 
 def test_grid_basics():
@@ -30,7 +34,6 @@ def test_grid_times_are_computed_once_and_read_only():
 
 def test_bounds_validation():
     b = sc.VolatilityBounds(1.0, 4.0)
-    assert b.dim == 1
     assert b.ellipticity_beta == 0.5
     with pytest.raises(ValueError):
         sc.VolatilityBounds(4.0, 1.0)  # order violated
@@ -100,11 +103,20 @@ def test_family_shape_checks():
 # ---------------------------------------------------------------------------
 
 
+# no jumps: only the Brownian part of the drivers is read
+SILENT = MarkSpace(marks=np.array([0.0]), intensities=np.array([0.0]))
+
+
+def _increments(fam, grid, n_paths, seed):
+    """The drivers' Brownian increments of every step, (n_steps, n_scenarios, n_paths)."""
+    return stacked_step_dB(sample_drivers(fam, grid, SILENT, n_paths, seed))
+
+
 def test_brownian_zero_scenario_is_zero():
     grid = sc.TimeGrid(T=1.0, n_steps=10)
     b = sc.VolatilityBounds(0.0, 1.0)
     fam = sc.ScenarioFamily(bounds=b, values=np.zeros((1, 10)))
-    dB = sc.sample_brownian(fam, grid, 32, seed=5)
+    dB = _increments(fam, grid, 32, seed=5)
     assert np.all(dB == 0.0)
 
 
@@ -123,7 +135,7 @@ def test_brownian_variance_matches_scenario():
     grid = sc.TimeGrid(T=1.0, n_steps=20)
     fam = sc.build_scenario_family(sc.VolatilityBounds(2.0, 2.0), grid, "corners")
     P = 10_000
-    dB = sc.sample_brownian(fam, grid, P, seed=11)
+    dB = _increments(fam, grid, P, seed=11)
     bT = dB[:, 0].sum(axis=0)
     var = bT.var(ddof=1)
     se = var * np.sqrt(2.0 / (P - 1))
@@ -134,7 +146,7 @@ def test_brownian_covariance_per_scenario():
     grid = sc.TimeGrid(T=1.0, n_steps=20)
     fam = sc.build_scenario_family(sc.VolatilityBounds(1.0, 4.0), grid, "corners", blocks=1)
     P = 10_000
-    dB = sc.sample_brownian(fam, grid, P, seed=12)
+    dB = _increments(fam, grid, P, seed=12)
     for s, target in ((0, 1.0), (1, 4.0)):
         bT = dB[:, s].sum(axis=0)
         var = bT.var(ddof=1)
@@ -146,7 +158,7 @@ def test_brownian_common_random_numbers():
     # scenario increments are deterministic transforms of shared draws
     grid = sc.TimeGrid(T=1.0, n_steps=5)
     fam = sc.build_scenario_family(sc.VolatilityBounds(1.0, 4.0), grid, "corners", blocks=1)
-    dB = sc.sample_brownian(fam, grid, 50, seed=3)
+    dB = _increments(fam, grid, 50, seed=3)
     ratio = dB[:, 1] / dB[:, 0]
     assert np.allclose(ratio, 2.0)
 
@@ -165,11 +177,47 @@ def test_brownian_reproduces_frozen_increments():
     )
     for fam, n_scen, digest in frozen:
         assert fam.n_scenarios == n_scen
-        dB = sc.sample_brownian(fam, grid, 40, seed=17)
-        assert dB.shape == (12, n_scen, 40) and dB.flags.c_contiguous
-        assert not dB.flags.writeable
-        spk = np.ascontiguousarray(np.moveaxis(dB, 0, -1))
+        xi = sc.sample_brownian(fam, grid, 40, seed=17)
+        assert xi.shape == (12, 40) and xi.flags.c_contiguous
+        assert not xi.flags.writeable
+        drivers = sample_drivers(fam, grid, SILENT, 40, seed=17)
+        steps = [drivers.step_dB(k) for k in range(grid.n_steps)]
+        assert all(dB.shape == (n_scen, 40) and dB.flags.c_contiguous for dB in steps)
+        spk = np.ascontiguousarray(np.stack(steps, axis=-1))
         assert hashlib.sha256(spk.tobytes()).hexdigest() == digest
+
+
+def test_step_increments_equal_the_whole_array_product_bitwise():
+    # the (K, S, P) product the sampler used to return, rounded in the same
+    # order, against every step the drivers form from the path-major draws
+    grid = sc.TimeGrid(T=0.7, n_steps=9)
+    for fam in (sc.build_scenario_family(sc.VolatilityBounds(1.0, 4.0), grid, "corners"),
+                sc.build_scenario_family(sc.VolatilityBounds(0.0, 2.5), grid, "random",
+                                         count=3, seed=4)):
+        xi = rng.substream(21, rng.BROWNIAN).standard_normal((30, grid.n_steps))
+        whole = np.multiply(np.sqrt(fam.values).T[:, :, None], xi.T[:, None, :])
+        whole = whole * np.sqrt(grid.dt)
+        drivers = sample_drivers(fam, grid, SILENT, 30, seed=21)
+        assert np.array_equal(drivers.xi, xi.T)
+        assert stacked_step_dB(drivers).tobytes() == whole.tobytes()
+
+
+def test_drivers_hold_no_scenario_array_of_increments():
+    # the sampling peak stays below one (K, S, P) float array: the drivers
+    # keep the (K, P) draws, not S scaled copies of them
+    grid = sc.TimeGrid(T=1.0, n_steps=128)
+    fam = sc.build_scenario_family(sc.VolatilityBounds(1.0, 4.0), grid, "corners")
+    marks = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([0.7, 0.3]))
+    P = 4000
+    increments_bytes = grid.n_steps * fam.n_scenarios * P * 8
+    tracemalloc.start()
+    try:
+        drivers = sample_drivers(fam, grid, marks, P, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fam.n_scenarios == 4 and drivers.n_paths == P
+    assert peak < increments_bytes, peak / increments_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from dense_reference import dense_counts
+from dense_reference import dense_counts, stacked_step_dB
 
 from gcontrol import models as md
 from gcontrol import sde
@@ -199,7 +199,7 @@ def _reference_loop(model, control, fam, grid, marks, drivers, x0):
     Kept as the arithmetic reference for the batched kernel: same
     operations in the same order, so results must agree bit for bit.
     """
-    dB = np.moveaxis(drivers.dB, 0, -1)
+    dB = np.moveaxis(stacked_step_dB(drivers), 0, -1)
     a_vals = fam.scalar_values()
     S, P, K = dB.shape
     relaxed = isinstance(control, RelaxedControl)
@@ -334,7 +334,8 @@ def test_batch_refuses_drivers_sampled_on_another_horizon():
 
 
 def test_batch_refuses_drivers_sampled_for_other_volatility_values():
-    # same grid and scenario count, but dB was scaled by the values on [1, 4]
+    # same grid and scenario count, but the drivers scale their draws by the
+    # values on [1, 4]
     grid = TimeGrid(T=1.0, n_steps=8)
     model = md.build_model("linear_jump_lq", {})
     with pytest.raises(ValueError, match="drivers were sampled for a different grid or family"):

@@ -204,7 +204,7 @@ def test_relaxed_candidate_costs_hold_no_whole_run_counts():
 @pytest.mark.parametrize("kind", ["strict", "uniform"])
 def test_single_control_cost_peak_is_set_by_the_drivers(kind):
     # one control's cost streams its run: the peak is the sampling of the
-    # drivers (dB alone is about one state array), not a stored ensemble
+    # drivers (their (K, P) draws and the transposing copy), not a stored ensemble
     k, p = 32, 2000
     grid = TimeGrid(T=1.0, n_steps=k)
     family = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
