@@ -46,6 +46,12 @@ for a strict control), so a strict control's adjoint and tables run on the
 strict run itself: the strict kernel, no action tags, the flow's
 untagged branch. Its Dirac embedding is what the tests compare against.
 
+Everything reads its run from a :class:`~gcontrol.sde.StateEnsemble`,
+whose drivers carry the scenario family, the grid, the marks and the
+seed, or, for an operation that simulates several controls itself
+(:func:`mp_check_near`, :func:`bsde_stability_report`), from the
+drivers and the initial state it is given last.
+
 On top of the triple the module builds stationarity tables for strict,
 near-optimal, and relaxed controls (each with deterministic estimator
 health numbers), one-step driver residuals, stability gaps under
@@ -74,11 +80,11 @@ from .controls import (
     spike,
 )
 from .costs import cost_from_ensemble, evaluate_costs
-from .jumps import MarkSpace, sample_drivers
+from .jumps import Drivers, MarkSpace
 from .models import ModelSpec, _avg, _coeff, ensure_validated
 from .rng import PROBES, substream
 from .scenarios import ScenarioFamily, TimeGrid, generator_G, upper_expectation
-from .sde import StateEnsemble, simulate, simulate_with
+from .sde import StateEnsemble, simulate
 from .variational import _first_nonfinite, solve_fundamental
 
 _DEGENERATE_STD = 1e-12
@@ -755,59 +761,46 @@ def _estimator_health(core: SimpleNamespace) -> dict:
 
 
 def mp_check_relaxed(
-    model: ModelSpec,
-    mu: RelaxedControl | StrictControl,
-    family: ScenarioFamily,
-    grid: TimeGrid,
-    marks: MarkSpace,
-    n_paths: int,
-    seed: int,
-    x0: float,
+    ensemble: StateEnsemble,
     *,
     n_blocks: int = 4,
     slack_mult: float = 3.0,
     extra_slack: float = 0.0,
     basis_degree: int = 2,
-    ensemble: StateEnsemble | None = None,
 ) -> MPCheckReport:
-    """Stationarity table for the control it is given, relaxed or strict.
+    """Stationarity table for the ensemble's control, relaxed or strict.
 
+    The model, the control and the run's setting are the ensemble's.
     Each entry compares a candidate action against the mixture at a
     report-block start: the Hamiltonian difference plus the
     volatility-channel term, averaged per scenario and maximized across
     scenarios. An entry passes when its estimate is at least minus
     ``slack_mult`` standard errors minus ``extra_slack``. The mixture is
-    ``mu.weights``: a strict control runs as it is, its one-hot weights
-    the Dirac mixture, whose own atom's entries are exactly zero by
-    construction. The triple is built from the raw (unfitted) backward
-    variable, and only at block starts. A caller that already simulated
-    ``mu`` on this seed passes that ``ensemble``.
+    the control's ``weights``: a strict control runs as it is, its one-hot
+    weights the Dirac mixture, whose own atom's entries are exactly zero
+    by construction. The triple is built from the raw (unfitted) backward
+    variable, and only at block starts.
     """
-    ensure_validated(model)
+    model, mu, grid, marks = ensemble.model, ensemble.control, ensemble.grid, ensemble.marks
+    family = ensemble.family
     block_len = block_length(grid.n_steps, n_blocks)
-    if ensemble is None:
-        ens = simulate(model, mu, family, grid, marks, n_paths, seed, x0)
-    elif ensemble.seed != seed or ensemble.n_paths != n_paths or ensemble.control is not mu:
-        raise ValueError("the ensemble was not simulated for this control, seed and n_paths")
-    else:
-        ens = ensemble
-    core = _adjoint_core(ens, basis_degree)
+    core = _adjoint_core(ensemble, basis_degree)
 
     w, actions = mu.weights, mu.grid.actions
     a_tab = family.values
     nus = marks.intensities
     n_scen = a_tab.shape[0]
     starts = [b * block_len for b in range(n_blocks)]
-    weights = tail_weights(core.phi, lambda k: _q_at(ens, core, k, core.y[k]),
+    weights = tail_weights(core.phi, lambda k: _q_at(ensemble, core, k, core.y[k]),
                            a_tab, core.S_t, family.bounds, grid.dt, starts)
 
     entries: list[MPEntry] = []
     for b, k0 in enumerate(starts):
         t0 = float(grid.times[k0])
-        x = ens.states[k0]
+        x = ensemble.states[k0]
         a0 = a_tab[:, k0][:, None]
         psi0 = core.psi[k0]
-        p0, q0, r0 = _triple_at(ens, core, k0, core.y[k0])
+        p0, q0, r0 = _triple_at(ensemble, core, k0, core.y[k0])
 
         # per action: H, then b, gamma and f at every mark, each (S, P)
         rows = []
@@ -852,34 +845,27 @@ def mp_check_relaxed(
         n_blocks=n_blocks,
         slack_mult=slack_mult,
         extra_slack=extra_slack,
-        n_paths=n_paths,
-        seed=seed,
+        n_paths=ensemble.n_paths,
+        seed=ensemble.seed,
         health=_estimator_health(core),
     )
 
 
 def mp_check_strict(
-    model: ModelSpec,
-    u_star: StrictControl,
-    family: ScenarioFamily,
-    grid: TimeGrid,
-    marks: MarkSpace,
-    n_paths: int,
-    seed: int,
-    x0: float,
+    ensemble: StateEnsemble,
     *,
     n_blocks: int = 4,
     slack_mult: float = 3.0,
     basis_degree: int = 2,
 ) -> MPCheckReport:
-    """Stationarity table for a strict control.
+    """Stationarity table for the ensemble's strict control.
 
-    Runs :func:`mp_check_relaxed` on ``u_star`` itself, the strict run.
-    The table equals, entry for entry, that of the Dirac embedding run
-    as a relaxed control, which the tests compare it against.
+    Runs :func:`mp_check_relaxed` on the strict run itself. The table
+    equals, entry for entry, that of the Dirac embedding run as a
+    relaxed control, which the tests compare it against.
     """
-    return mp_check_relaxed(model, u_star, family, grid, marks, n_paths, seed, x0,
-                            n_blocks=n_blocks, slack_mult=slack_mult, basis_degree=basis_degree)
+    return mp_check_relaxed(ensemble, n_blocks=n_blocks, slack_mult=slack_mult,
+                            basis_degree=basis_degree)
 
 
 def mp_check_near(
@@ -887,11 +873,7 @@ def mp_check_near(
     u_n: StrictControl,
     candidates: Sequence[StrictControl],
     C: float,
-    family: ScenarioFamily,
-    grid: TimeGrid,
-    marks: MarkSpace,
-    n_paths: int,
-    seed: int,
+    drivers: Drivers,
     x0: float,
     *,
     epsilon_n: float | None = None,
@@ -912,6 +894,7 @@ def mp_check_near(
     """
     if C < 0.0:
         raise ValueError(f"the allowance coefficient must be nonnegative, got {C}")
+    grid = drivers.grid
     block_len = block_length(grid.n_steps, n_blocks)
 
     cands = list(candidates)
@@ -930,13 +913,11 @@ def mp_check_near(
 
     # u_n keeps its states, which feed the table as they are; the candidates
     # are streamed, so no candidate's trajectory is held
-    drivers = sample_drivers(family, grid, marks, n_paths, seed)
-    ens = simulate_with(model, u_n, family, grid, marks, drivers, x0)
+    ens = simulate(model, u_n, drivers, x0)
     j_n = cost_from_ensemble(ens).upper_value
     scored = [
         (ekeland_distance(u_n, cand, grid), rep.upper_value)
-        for cand, rep in zip(cands, evaluate_costs(model, cands, family, grid, marks,
-                                                   drivers, x0))
+        for cand, rep in zip(cands, evaluate_costs(model, cands, drivers, x0))
     ]
 
     if epsilon_n is None:
@@ -952,9 +933,8 @@ def mp_check_near(
         not j_n > j_c + eps * d + 1e-9 * (1.0 + abs(j_n)) for d, j_c in scored
     )
 
-    mp = mp_check_relaxed(model, u_n, family, grid, marks, n_paths, seed, x0,
-                          n_blocks=n_blocks, slack_mult=slack_mult, extra_slack=C * eps,
-                          basis_degree=basis_degree, ensemble=ens)
+    mp = mp_check_relaxed(ens, n_blocks=n_blocks, slack_mult=slack_mult, extra_slack=C * eps,
+                          basis_degree=basis_degree)
 
     need = 0.0
     for e in mp.entries:
@@ -979,19 +959,15 @@ def mp_check_near(
 def bsde_stability_report(
     model: ModelSpec,
     mu: RelaxedControl,
-    family: ScenarioFamily,
-    grid: TimeGrid,
-    marks: MarkSpace,
     n_list: Sequence[int],
-    n_paths: int,
-    seed: int,
+    drivers: Drivers,
     x0: float,
     *,
     basis_degree: int = 2,
 ) -> StabilityReport:
     """Adjoint gaps between a relaxed control and its chattering ladder.
 
-    All runs share the seed, so gaps are common-random-number pairings:
+    All runs share the drivers, so gaps are common-random-number pairings:
     sup-square for ``p``, integrated square for ``q``, intensity-weighted
     integrated square for ``r``. The orthogonal remainder is identically
     zero on both sides, so its gap column is exactly zero.
@@ -1006,15 +982,14 @@ def bsde_stability_report(
     :func:`_estimator_health` of the relaxed control's regressions.
     """
     n_list = check_ladder(n_list)
-    dt = grid.dt
-    n_steps = grid.n_steps
-    nus = marks.intensities
+    dt = drivers.grid.dt
+    n_steps = drivers.grid.n_steps
+    nus = drivers.marks.intensities
 
-    # one set of drivers for every rung; each rung is simulated right
-    # before its adjoint, and its ensemble and regressions are dropped
-    # before the next one, because the adjoint sets the peak memory
-    drivers = sample_drivers(family, grid, marks, n_paths, seed)
-    ens = simulate_with(model, mu, family, grid, marks, drivers, x0)
+    # each rung is simulated right before its adjoint, and its ensemble
+    # and regressions are dropped before the next one, because the
+    # adjoint sets the peak memory
+    ens = simulate(model, mu, drivers, x0)
     core = _adjoint_core(ens, basis_degree, keep_fit=True)
     p_mu, q_mu, r_mu = _fitted_triple(ens, core)
     health = _estimator_health(core)
@@ -1022,7 +997,7 @@ def bsde_stability_report(
 
     rows: list[StabilityRow] = []
     for n in n_list:
-        ens = simulate_with(model, chattering(mu, n), family, grid, marks, drivers, x0)
+        ens = simulate(model, chattering(mu, n), drivers, x0)
         core = _adjoint_core(ens, basis_degree, keep_fit=True)
         p_sup = np.abs(core.gx_term - p_mu[n_steps])
         q_sum = np.zeros(p_sup.shape)
@@ -1057,7 +1032,7 @@ def bsde_stability_report(
         q_nonincreasing=all(b.q_gap <= a.q_gap for a, b in zip(rows, rows[1:])),
         r_nonincreasing=all(b.r_gap <= a.r_gap for a, b in zip(rows, rows[1:])),
         basis_degree=basis_degree,
-        seed=seed,
+        seed=drivers.seed,
         health=health,
     )
 

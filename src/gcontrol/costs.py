@@ -2,9 +2,11 @@
 
 The cost of a control is the worst-case expectation over the scenario
 family of the terminal cost plus the running cost, the latter integrated
-by a left-endpoint quadrature to match the forward Euler scheme. All
-comparisons between controls reuse one seed, so differences are coupled
-path by path rather than being differences of independent estimates.
+by a left-endpoint quadrature to match the forward Euler scheme. Every
+operation takes one :class:`~gcontrol.jumps.Drivers` bundle and the
+initial state last, and all comparisons between controls run on that
+bundle, so differences are coupled path by path rather than being
+differences of independent estimates.
 
 There is one quadrature, :class:`_PathCost`, fed one step at a time.
 :func:`cost_from_ensemble` runs it over a stored ensemble. A set of
@@ -21,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controls import RelaxedControl, StrictControl, chattering, check_ladder
-from .jumps import Drivers, MarkSpace, sample_drivers
+from .jumps import Drivers
 from .models import ModelSpec, _avg
-from .scenarios import ScenarioFamily, TimeGrid, upper_expectation
-from .sde import StateEnsemble, simulate_with, stream_batch
+from .scenarios import TimeGrid, upper_expectation
+from .sde import StateEnsemble, simulate, stream_batch
 
 Control = StrictControl | RelaxedControl
 
@@ -108,14 +110,7 @@ def cost_from_ensemble(ensemble: StateEnsemble) -> CostReport:
 
 
 def stream_costs(
-    model: ModelSpec,
-    controls: list[Control],
-    family: ScenarioFamily,
-    grid: TimeGrid,
-    marks: MarkSpace,
-    drivers: Drivers,
-    x0: float,
-    reduce=None,
+    model: ModelSpec, controls: list[Control], drivers: Drivers, x0: float, reduce=None
 ) -> list[CostReport]:
     """CostReport per control of one kernel batch that keeps no trajectory.
 
@@ -124,8 +119,10 @@ def stream_costs(
     when given, sees every step of the batch first, shape (n_controls,
     S, P). The controls must be all strict or all relaxed.
     """
+    grid = drivers.grid
     K = grid.n_steps
-    sums = [_PathCost(model, u, grid, (family.n_scenarios, drivers.n_paths)) for u in controls]
+    shape = (drivers.family.n_scenarios, drivers.n_paths)
+    sums = [_PathCost(model, u, grid, shape) for u in controls]
     totals = []
 
     def fold(k: int, x: np.ndarray) -> None:
@@ -137,7 +134,7 @@ def stream_costs(
         else:
             totals.extend(acc.total(xc) for acc, xc in zip(sums, x))
 
-    stream_batch(model, controls, family, grid, marks, drivers, x0, fold)
+    stream_batch(model, controls, drivers, x0, fold)
     return [_cost_report(c, drivers.seed) for c in totals]
 
 
@@ -146,13 +143,7 @@ def _serial_map(fn, items):
 
 
 def evaluate_costs(
-    model: ModelSpec,
-    controls: list[Control],
-    family: ScenarioFamily,
-    grid: TimeGrid,
-    marks: MarkSpace,
-    drivers: Drivers,
-    x0: float,
+    model: ModelSpec, controls: list[Control], drivers: Drivers, x0: float,
     map_ordered=_serial_map,
 ) -> list[CostReport]:
     """CostReport per control, in order, from one shared set of drivers.
@@ -169,7 +160,7 @@ def evaluate_costs(
 
     def run(batch: list[int]) -> list[CostReport]:
         group = [controls[i] for i in batch]
-        return stream_costs(model, group, family, grid, marks, drivers, x0)
+        return stream_costs(model, group, drivers, x0)
 
     reports: list = [None] * len(controls)
     for batch, batch_reports in zip(batches, map_ordered(run, batches)):
@@ -178,40 +169,22 @@ def evaluate_costs(
     return reports
 
 
-def evaluate_cost(
-    model: ModelSpec,
-    control: Control,
-    family: ScenarioFamily,
-    grid: TimeGrid,
-    marks: MarkSpace,
-    n_paths: int,
-    seed: int,
-    x0: float,
-) -> CostReport:
-    """CostReport of one control on the drivers of ``seed``; no state is stored."""
-    drivers = sample_drivers(family, grid, marks, n_paths, seed)
-    return stream_costs(model, [control], family, grid, marks, drivers, x0)[0]
+def evaluate_cost(model: ModelSpec, control: Control, drivers: Drivers, x0: float) -> CostReport:
+    """CostReport of one control on the drivers; no state is stored."""
+    return stream_costs(model, [control], drivers, x0)[0]
 
 
 def value_bruteforce(
-    model: ModelSpec,
-    candidates: list[Control],
-    family: ScenarioFamily,
-    grid: TimeGrid,
-    marks: MarkSpace,
-    n_paths: int,
-    seed: int,
-    x0: float,
+    model: ModelSpec, candidates: list[Control], drivers: Drivers, x0: float
 ) -> ValueSearchResult:
-    """Exhaustive search over a finite candidate list, one shared seed.
+    """Exhaustive search over a finite candidate list on one set of drivers.
 
     Ties go to the earliest candidate, and the (control, J) table keeps
     the enumeration order so reruns are comparable line by line.
     """
     if not candidates:
         raise ValueError("value search needs at least one candidate control")
-    drivers = sample_drivers(family, grid, marks, n_paths, seed)
-    reports = evaluate_costs(model, list(candidates), family, grid, marks, drivers, x0)
+    reports = evaluate_costs(model, list(candidates), drivers, x0)
     values = [r.upper_value for r in reports]
     best = int(np.argmin(values))
     return ValueSearchResult(
@@ -235,28 +208,19 @@ class ChatteringReport:
 
 
 def chattering_report(
-    model: ModelSpec,
-    mu: RelaxedControl,
-    family: ScenarioFamily,
-    grid: TimeGrid,
-    marks: MarkSpace,
-    n_list: list[int],
-    n_paths: int,
-    seed: int,
-    x0: float,
+    model: ModelSpec, mu: RelaxedControl, n_list: list[int], drivers: Drivers, x0: float
 ) -> ChatteringReport:
     """Approximation quality of chattering controls at several block counts.
 
     Both gap columns are coupled: the relaxed run and every strict run
-    share the seed, so the mean-square path gap uses pathwise sups and
+    share the drivers, so the mean-square path gap uses pathwise sups and
     the cost gap subtracts matched path costs. Only the relaxed run keeps
     its states; the rungs are streamed, each folded step by step into
     its path costs and its sup distance to the relaxed run.
     """
     n_list = check_ladder(n_list)
     ladder = [chattering(mu, n) for n in n_list]
-    drivers = sample_drivers(family, grid, marks, n_paths, seed)
-    base = simulate_with(model, mu, family, grid, marks, drivers, x0)
+    base = simulate(model, mu, drivers, x0)
     base_report = cost_from_ensemble(base)
     # per rung, the running max over steps of |x_mu - x_n|; max is exact
     # in any order, and each rung's (S, P) slice is C-contiguous
@@ -265,7 +229,7 @@ def chattering_report(
     def sup_gap(k: int, x: np.ndarray) -> None:
         np.maximum(sups, np.abs(base.states[k] - x), out=sups)
 
-    reports = stream_costs(model, ladder, family, grid, marks, drivers, x0, sup_gap)
+    reports = stream_costs(model, ladder, drivers, x0, sup_gap)
     rows = []
     for sup, n, rep in zip(sups, n_list, reports):
         msq = float(np.max((sup**2).mean(axis=1)))

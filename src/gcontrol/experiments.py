@@ -5,10 +5,10 @@ action grid, a control, and an experiment kind. ``validate_document`` lists
 every violation: the document's shape errors (a missing or unknown key, a
 wrong type, a value out of range) first, then every check that the run's
 own plan fails, since validating builds what the run will use with the
-constructors the run calls. ``run_document`` dispatches to the
-corresponding module operation and writes CSV tables, a
-JSON summary with a stable key set, plot-ready two-column series, and a
-manifest with content digests. Everything numeric is determined by the
+constructors the run calls. ``run_document`` samples the run's drivers
+once, dispatches them to the corresponding module operation and writes
+CSV tables, a JSON summary with a stable key set, plot-ready two-column
+series, and a manifest with content digests. Everything numeric is determined by the
 config alone, so rerunning a config reproduces the digests bit for bit.
 """
 
@@ -21,7 +21,7 @@ import numbers
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -54,7 +54,7 @@ from .costs import (
     evaluate_cost,
     evaluate_costs,
 )
-from .jumps import MarkSpace, poisson_mean, sample_drivers
+from .jumps import Drivers, MarkSpace, poisson_mean, sample_drivers
 from .models import MODEL_DEFAULTS, build_model, ensure_validated
 from .scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from .sde import simulate
@@ -93,7 +93,7 @@ _DOCUMENT = _fields(
     model=_fields(["name"], name={"type": "string"},
                   params={"type": "object", "extra": {"type": "number"}}),
     grid=_fields(["T", "n_steps"], T={"type": "number", "exclusiveMinimum": 0},
-                 n_steps={"type": "integer", "minimum": 1}),
+                 n_steps={"type": "integer", "minimum": 1, "maximum": 2**63 - 1}),
     bounds=_fields(["sigma_low", "sigma_high"],
                    sigma_low={"type": "number", "exclusiveMinimum": 0},
                    sigma_high={"type": "number", "exclusiveMinimum": 0}),
@@ -104,7 +104,7 @@ _DOCUMENT = _fields(
         "type": "array", "items": {"type": "number", "minimum": 0}, "nonempty": True}),
     actions=_NUMBERS,
     control=_CONTROL,
-    n_paths={"type": "integer", "minimum": 1},
+    n_paths={"type": "integer", "minimum": 1, "maximum": 2**63 - 1},
     seed=_SEED,
     x0={"type": "number"},
     output_dir={"type": "string"},
@@ -272,7 +272,6 @@ class ExperimentConfig:
     seed: int
     x0: float
     output_dir: str
-    doc: Mapping = field(repr=False)
 
 
 class _Plan(list):
@@ -417,7 +416,6 @@ def validate_document(doc: Mapping) -> _Plan:
         seed=int(doc["seed"]),
         x0=float(doc["x0"]),
         output_dir=str(doc.get("output_dir", "gcontrol-out")),
-        doc=dict(doc),
     )
     return plan
 
@@ -591,9 +589,8 @@ def _map_ordered(fn, items: Sequence, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _run_simulate(cfg: ExperimentConfig, threads: int):
-    ens = simulate(cfg.model, cfg.control, cfg.family, cfg.grid, cfg.marks,
-                   cfg.n_paths, cfg.seed, cfg.x0)
+def _run_simulate(cfg: ExperimentConfig, drivers: Drivers, threads: int):
+    ens = simulate(cfg.model, cfg.control, drivers, cfg.x0)
     # states.csv's path moments add path by path, as numpy does over a
     # non-contiguous axis; over the contiguous path axis of ens.states it
     # would add pairwise and change their last bits
@@ -619,12 +616,11 @@ def _run_simulate(cfg: ExperimentConfig, threads: int):
     return files, metrics, "none"
 
 
-def _run_cost(cfg: ExperimentConfig, threads: int):
+def _run_cost(cfg: ExperimentConfig, drivers: Drivers, threads: int):
     if cfg.candidates is not None:
-        drivers = sample_drivers(cfg.family, cfg.grid, cfg.marks, cfg.n_paths, cfg.seed)
         reports = evaluate_costs(
-            cfg.model, list(cfg.candidates), cfg.family, cfg.grid, cfg.marks, drivers,
-            cfg.x0, map_ordered=lambda fn, batches: _map_ordered(fn, batches, threads),
+            cfg.model, list(cfg.candidates), drivers, cfg.x0,
+            map_ordered=lambda fn, batches: _map_ordered(fn, batches, threads),
         )
         values = np.array([r.upper_value for r in reports])
         best = int(np.argmin(values))
@@ -643,8 +639,7 @@ def _run_cost(cfg: ExperimentConfig, threads: int):
         metrics = {"best_index": best, "best_value": float(values[best])}
         return files, metrics, "none"
 
-    rep = evaluate_cost(cfg.model, cfg.control, cfg.family, cfg.grid, cfg.marks,
-                        cfg.n_paths, cfg.seed, cfg.x0)
+    rep = evaluate_cost(cfg.model, cfg.control, drivers, cfg.x0)
     files = {
         "cost.csv": cost_report_csv(rep),
         "plot_scenario_means.csv": _series(
@@ -658,9 +653,8 @@ def _run_cost(cfg: ExperimentConfig, threads: int):
     return files, metrics, "none"
 
 
-def _run_chattering(cfg: ExperimentConfig, threads: int):
-    rep = chattering_report(cfg.model, cfg.control, cfg.family, cfg.grid, cfg.marks,
-                            list(cfg.options["n_list"]), cfg.n_paths, cfg.seed, cfg.x0)
+def _run_chattering(cfg: ExperimentConfig, drivers: Drivers, threads: int):
+    rep = chattering_report(cfg.model, cfg.control, list(cfg.options["n_list"]), drivers, cfg.x0)
     ns = [row[0] for row in rep.rows]
     files = {
         "chattering.csv": chattering_csv(rep),
@@ -678,13 +672,12 @@ def _run_chattering(cfg: ExperimentConfig, threads: int):
     return files, metrics, verdict
 
 
-def _run_variational(cfg: ExperimentConfig, threads: int):
+def _run_variational(cfg: ExperimentConfig, drivers: Drivers, threads: int):
     ai = int(cfg.options["action_index"])
     t0 = float(cfg.options["t0"])
     h_list = [float(h) for h in cfg.options["h_list"]]
     # z and the formula read the base run's states; the spikes are streamed
-    ens = simulate(cfg.model, cfg.control, cfg.family, cfg.grid, cfg.marks,
-                   cfg.n_paths, cfg.seed, cfg.x0)
+    ens = simulate(cfg.model, cfg.control, drivers, cfg.x0)
     der, rows = spike_report(ens, ai, t0, h_list)
     qlines = ["h,gap,stderr,scenario_id"]
     for row in rows:
@@ -738,23 +731,21 @@ def _mp_metrics(rep) -> dict[str, Any]:
     return metrics
 
 
-def _run_mp(cfg: ExperimentConfig, threads: int):
+def _run_mp(cfg: ExperimentConfig, drivers: Drivers, threads: int):
     """The stationarity table of ``cfg.control``, strict or relaxed."""
     o = cfg.options
-    rep = mp_check_relaxed(cfg.model, cfg.control, cfg.family, cfg.grid, cfg.marks,
-                           cfg.n_paths, cfg.seed, cfg.x0,
+    rep = mp_check_relaxed(simulate(cfg.model, cfg.control, drivers, cfg.x0),
                            n_blocks=int(o["n_blocks"]),
                            slack_mult=float(o["slack_mult"]),
                            basis_degree=int(o["basis_degree"]))
     return _mp_files(rep), _mp_metrics(rep), "pass" if rep.verdict else "fail"
 
 
-def _run_mp_near(cfg: ExperimentConfig, threads: int):
+def _run_mp_near(cfg: ExperimentConfig, drivers: Drivers, threads: int):
     o = cfg.options
     eps = o["epsilon_n"]
-    rep = mp_check_near(cfg.model, cfg.control, list(cfg.candidates), float(o["C"]), cfg.family,
-                        cfg.grid, cfg.marks, cfg.n_paths, cfg.seed, cfg.x0,
-                        epsilon_n=None if eps is None else float(eps),
+    rep = mp_check_near(cfg.model, cfg.control, list(cfg.candidates), float(o["C"]), drivers,
+                        cfg.x0, epsilon_n=None if eps is None else float(eps),
                         n_blocks=int(o["n_blocks"]),
                         slack_mult=float(o["slack_mult"]),
                         basis_degree=int(o["basis_degree"]),
@@ -771,11 +762,10 @@ def _run_mp_near(cfg: ExperimentConfig, threads: int):
     return files, metrics, "pass" if rep.mp.verdict else "fail"
 
 
-def _run_stability(cfg: ExperimentConfig, threads: int):
+def _run_stability(cfg: ExperimentConfig, drivers: Drivers, threads: int):
     o = cfg.options
-    rep = bsde_stability_report(cfg.model, cfg.control, cfg.family, cfg.grid,
-                                cfg.marks, list(o["n_list"]), cfg.n_paths, cfg.seed,
-                                cfg.x0, basis_degree=int(o["basis_degree"]))
+    rep = bsde_stability_report(cfg.model, cfg.control, list(o["n_list"]), drivers, cfg.x0,
+                                basis_degree=int(o["basis_degree"]))
     ns = [row.n for row in rep.rows]
     files = {
         "stability.csv": stability_csv(rep),
@@ -825,10 +815,11 @@ def run_document(doc: Mapping, *, output_dir: str | Path | None = None,
                  threads: int = 1, seed_override: int | None = None) -> RunResult:
     """Validate, execute, and persist one experiment.
 
-    Emission is single-threaded and ordered; ``threads`` only fans out
-    the strict and the relaxed batch of brute-force candidate costs,
-    whose results are collected in submission order, so the artifacts do
-    not depend on it. ``summary.json`` and ``manifest.json`` are strict
+    The run's drivers are sampled here, once, and every operation of the
+    kind runs on them. Emission is single-threaded and ordered;
+    ``threads`` only fans out the strict and the relaxed batch of
+    brute-force candidate costs, whose results are collected in
+    submission order, so the artifacts do not depend on it. ``summary.json`` and ``manifest.json`` are strict
     JSON: a non-finite metric raises ``FloatingPointError`` instead of
     being written as a bare ``NaN`` or ``Infinity``.
     """
@@ -840,7 +831,8 @@ def run_document(doc: Mapping, *, output_dir: str | Path | None = None,
     cfg = build_experiment(eff)
 
     start = time.perf_counter()
-    files, metrics, verdict = _DISPATCH[cfg.kind](cfg, max(1, int(threads)))
+    drivers = sample_drivers(cfg.family, cfg.grid, cfg.marks, cfg.n_paths, cfg.seed)
+    files, metrics, verdict = _DISPATCH[cfg.kind](cfg, drivers, max(1, int(threads)))
     for key, value in metrics.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise FloatingPointError(f"non-finite {cfg.kind} metric {key} = {value!r}")

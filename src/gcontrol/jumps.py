@@ -12,8 +12,11 @@ relaxed, sees the same base events.
 :func:`sample_drivers` samples all of this, plus the standard-normal
 draws of the Brownian part, once per (family, grid, marks, n_paths,
 seed); every scenario and every control of a run then share one
-:class:`Drivers` (common random numbers). A consumer forms step k's
-counts from its events (:meth:`Drivers.step_counts`) and its (S, P)
+:class:`Drivers` (common random numbers). The bundle is the one carrier
+of that setting: an operation that runs controls takes the drivers and
+reads the family, the grid and the marks from them, and a run samples
+its drivers once (``experiments.run_document``). A consumer forms step
+k's counts from its events (:meth:`Drivers.step_counts`) and its (S, P)
 Brownian increments from the (n_steps, P) draws (:meth:`Drivers.step_dB`).
 """
 

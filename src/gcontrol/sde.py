@@ -13,9 +13,12 @@ its weighted sums are accumulated in fixed action order, so a one-hot
 (embedded strict) control reproduces the strict simulation bit for bit
 under the same seed.
 
-Only the runs that the flow or the adjoint read again keep their whole
-(n_steps + 1, S, P) states: :func:`simulate_with` and :func:`simulate`
-return them as a :class:`StateEnsemble`. A caller that needs only a few
+Every operation takes the drivers and the initial state last: the
+drivers carry the scenario family, the grid, the mark space, the path
+count and the seed they were sampled for, so a run's setting is named
+once. Only the runs that the flow or the adjoint read again keep their
+whole (n_steps + 1, S, P) states: :func:`simulate` returns them as a
+:class:`StateEnsemble`. A caller that needs only a few
 per-path numbers of a set of controls (path costs, pathwise sup
 distances) runs them through :func:`stream_batch`: the kernel updates
 one step slot in place and hands each step to the caller's reducer, so
@@ -31,7 +34,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 import numpy as np
 
 from .controls import RelaxedControl, StrictControl
-from .jumps import Drivers, MarkSpace, sample_drivers
+from .jumps import Drivers, MarkSpace
 from .models import ModelSpec, ensure_validated
 from .scenarios import ScenarioFamily, TimeGrid
 
@@ -47,21 +50,31 @@ class StateEnsemble:
     so ``states[k]`` is one contiguous step. The bundle keeps everything
     a downstream consumer needs to reuse the same randomness: the
     drivers (whose events give each step's counts, and a relaxed
-    control's tags) and the control that produced the run.
+    control's tags) and the control that produced the run. The run's
+    setting (family, grid, marks, seed) is read through the drivers.
     """
 
     states: np.ndarray
     drivers: Drivers
     model: ModelSpec
-    family: ScenarioFamily
-    grid: TimeGrid
-    marks: MarkSpace
     control: Control
     x0: float
 
     @property
     def seed(self) -> int:
         return self.drivers.seed
+
+    @property
+    def family(self) -> ScenarioFamily:
+        return self.drivers.family
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.drivers.grid
+
+    @property
+    def marks(self) -> MarkSpace:
+        return self.drivers.marks
 
     @property
     def n_scenarios(self) -> int:
@@ -117,7 +130,7 @@ def _strict_jumps(model, t, xk, uk, marks, ck, dt):
     return jump_sum - comp_rate * dt
 
 
-def _steps(model, increment, tables, events, a_vals, grid, marks, drivers, X, reduce) -> None:
+def _steps(model, increment, tables, events, drivers, X, reduce) -> None:
     """The one Euler step loop. Under scenario s and control c a step is
 
         x'  =  x + b(t, x, u_k) dt + sigma(t, x) dB
@@ -128,12 +141,14 @@ def _steps(model, increment, tables, events, a_vals, grid, marks, drivers, X, re
     the pre-jump state. The control kind supplies ``increment`` and its
     per-step tables: ``tables[:, k]`` holds the controls' step-k action
     values (strict) or weights (relaxed), and ``events`` yields each step's
-    counts (strict) or tagged counts (relaxed), and ``drivers`` each
+    counts (strict) or tagged counts (relaxed), and ``drivers`` the
+    grid, the marks, the scenarios' volatility values ``a_k`` and each
     step's Brownian increments (:meth:`Drivers.step_dB`). Step k lives in
     ``X[k % len(X)]``: X holds every step, or one slot that each step
     updates in place (the update is elementwise), and ``reduce(k, X_k)``
     sees each step once it is written, k = 0, ..., n_steps.
     """
+    grid, marks, a_vals = drivers.grid, drivers.marks, drivers.family.values
     dt = grid.dt
     slots = len(X)
     reduce(0, X[0])
@@ -192,13 +207,7 @@ def _relaxed_increment(actions, model, t, xk, wk, a_dt, dBk, marks, tk, dt):
 
 
 def simulate_batch(
-    model: ModelSpec,
-    controls: Sequence[Control],
-    family: ScenarioFamily,
-    grid: TimeGrid,
-    marks: MarkSpace,
-    drivers: Drivers,
-    x0: float,
+    model: ModelSpec, controls: Sequence[Control], drivers: Drivers, x0: float
 ) -> np.ndarray:
     """Simulate every control under every scenario on one set of drivers.
 
@@ -206,15 +215,12 @@ def simulate_batch(
     time-major, shape (n_steps + 1, n_controls, n_scenarios, n_paths);
     row c equals the run of control c alone, bit for bit.
     """
-    return _simulate(model, list(controls), family, grid, marks, drivers, x0, None)
+    return _simulate(model, list(controls), drivers, x0, None)
 
 
 def stream_batch(
     model: ModelSpec,
     controls: Sequence[Control],
-    family: ScenarioFamily,
-    grid: TimeGrid,
-    marks: MarkSpace,
     drivers: Drivers,
     x0: float,
     reduce: Callable[[int, np.ndarray], None],
@@ -227,34 +233,28 @@ def stream_batch(
     in place, so a reducer keeps what it derives from ``x``, never ``x``
     itself.
     """
-    _simulate(model, list(controls), family, grid, marks, drivers, x0, reduce)
+    _simulate(model, list(controls), drivers, x0, reduce)
 
 
 def _keep_all(k: int, x: np.ndarray) -> None:
     """The reducer of a run that stores every step: nothing to fold."""
 
 
-def _simulate(model, controls, family, grid, marks, drivers, x0, reduce):
+def _simulate(model, controls, drivers, x0, reduce):
     """The kernel on every step (``reduce`` None) or on one slot updated in place.
 
     Returns the state buffer. A step's counts are formed from its events:
     (m, P) for a strict batch, (m, A, n_controls, 1, P) from each control's
-    event tags for a relaxed one. The drivers must be sampled for this
-    grid, this family's volatility values and this mark space.
+    event tags for a relaxed one.
     """
     ensure_validated(model)
     if not controls:
         raise ValueError("simulate_batch needs at least one control")
-    K = grid.n_steps
-    if family.n_steps != K or any(c.n_steps != K for c in controls):
-        raise ValueError("controls, family and grid must agree on n_steps")
-    if drivers.grid != grid or not np.array_equal(drivers.family.values, family.values):
-        raise ValueError("drivers were sampled for a different grid or family")
-    if drivers.marks != marks:
-        raise ValueError("drivers were sampled for a different mark space")
-    S, P = family.n_scenarios, drivers.n_paths
-    a_vals = family.values
-    X = np.empty((K + 1 if reduce is None else 1, len(controls), S, P))
+    K = drivers.grid.n_steps
+    if any(c.n_steps != K for c in controls):
+        raise ValueError("controls and grid must agree on n_steps")
+    X = np.empty((K + 1 if reduce is None else 1, len(controls),
+                  drivers.family.n_scenarios, drivers.n_paths))
     X[0] = x0
     reduce = reduce or _keep_all
     if all(isinstance(c, StrictControl) for c in controls):
@@ -273,55 +273,22 @@ def _simulate(model, controls, family, grid, marks, drivers, x0, reduce):
                            axis=2)[:, :, :, None] for k in range(K))
     else:
         raise ValueError("a batch holds either strict or relaxed controls, not both")
-    _steps(model, increment, tables, events, a_vals, grid, marks, drivers, X, reduce)
+    _steps(model, increment, tables, events, drivers, X, reduce)
     return X
 
 
-def simulate_with(
-    model: ModelSpec,
-    control: Control,
-    family: ScenarioFamily,
-    grid: TimeGrid,
-    marks: MarkSpace,
-    drivers: Drivers,
-    x0: float,
-) -> StateEnsemble:
-    """Simulate one control on existing drivers and keep every step.
+def simulate(model: ModelSpec, control: Control, drivers: Drivers, x0: float) -> StateEnsemble:
+    """Simulate one control on the drivers and keep every step.
 
-    The ensemble holds the kernel's own buffer and no counts: a consumer
+    Strict and relaxed runs on the same drivers share the Brownian draws
+    and the base jump events (tags come from a separate substream), so
+    cross-control comparisons are common-random-number pairings. The
+    ensemble holds the kernel's own buffer and no counts: a consumer
     forms each step's counts from the drivers' events.
     """
-    X = _simulate(model, [control], family, grid, marks, drivers, x0, None)
-    return StateEnsemble(
-        states=X[:, 0],
-        drivers=drivers,
-        model=model,
-        family=family,
-        grid=grid,
-        marks=marks,
-        control=control,
-        x0=float(x0),
-    )
-
-
-def simulate(
-    model: ModelSpec,
-    control: Control,
-    family: ScenarioFamily,
-    grid: TimeGrid,
-    marks: MarkSpace,
-    n_paths: int,
-    seed: int,
-    x0: float,
-) -> StateEnsemble:
-    """Sample the drivers of a seed, then simulate one control.
-
-    Strict and relaxed runs with the same seed share the Brownian draws
-    and the base jump events (tags come from a separate substream), so
-    cross-control comparisons are common-random-number pairings.
-    """
-    drivers = sample_drivers(family, grid, marks, n_paths, seed)
-    return simulate_with(model, control, family, grid, marks, drivers, x0)
+    X = _simulate(model, [control], drivers, x0, None)
+    return StateEnsemble(states=X[:, 0], drivers=drivers, model=model, control=control,
+                         x0=float(x0))
 
 
 def sup_distance(e1: StateEnsemble, e2: StateEnsemble) -> DistanceReport:

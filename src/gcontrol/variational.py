@@ -375,8 +375,7 @@ def spike_report(
                 y = (x[j] - ensemble.states[k]) / h - z[k]
                 np.maximum(sups[j], y**2, out=sups[j])
 
-    reports = stream_costs(model, controls, ensemble.family, grid, ensemble.marks,
-                           ensemble.drivers, ensemble.x0, quotient)
+    reports = stream_costs(model, controls, ensemble.drivers, ensemble.x0, quotient)
     rows = []
     P = ensemble.n_paths
     for h, pert_report in zip(h_list, reports):

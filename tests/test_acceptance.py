@@ -27,7 +27,7 @@ from gcontrol.controls import (
 )
 from gcontrol.costs import chattering_report, evaluate_cost, value_bruteforce
 from gcontrol.experiments import run_document
-from gcontrol.jumps import MarkSpace
+from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from gcontrol.sde import simulate
 from gcontrol.variational import (
@@ -57,8 +57,8 @@ def test_criterion_01_classical_reduction():
     grid = TimeGrid(T=1.0, n_steps=100)
     model = md.build_model("linear_jump_lq", {})
     start = time.perf_counter()
-    rep = evaluate_cost(model, constant_strict(PM1, 100, 1), _fam(1.0, 1.0, grid),
-                        grid, MARKS, 10_000, 101, 1.0)
+    rep = evaluate_cost(model, constant_strict(PM1, 100, 1),
+                        sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 10_000, 101), 1.0)
     elapsed = time.perf_counter() - start
     ones = np.ones(100)
     oracle = md.lq_cost_discrete(model.params, grid, 1.0, ones, ones, ones, MARKS)
@@ -77,11 +77,12 @@ def test_criterion_02_chattering_approximation():
         h1=0.2, h2=0.0, gq=1.0))
     fam = _fam(1.0, 2.25, grid)
     mu = uniform_relaxed(PM1, 256)
-    rep = chattering_report(model, mu, fam, grid, MARKS, [4, 16, 64], 2000, 55, 1.0)
+    drivers = sample_drivers(fam, grid, MARKS, 2000, 55)
+    rep = chattering_report(model, mu, [4, 16, 64], drivers, 1.0)
 
     # 3 * (se of each cost estimate): the CRN-paired difference se is
     # degenerate on this additive-noise model, see the module tests
-    j64 = evaluate_cost(model, chattering(mu, 64), fam, grid, MARKS, 2000, 55, 1.0)
+    j64 = evaluate_cost(model, chattering(mu, 64), drivers, 1.0)
     se_n = float(j64.scenario_stderrs[j64.argmax_scenario])
     combined = 3 * (se_n + rep.j_relaxed_stderr)
     final_gap = abs(rep.rows[-1][2])
@@ -102,15 +103,15 @@ def test_criterion_03_spike_quotient_scaling():
     det = md.build_model("linear_jump_lq", dict(
         b1=0.3, b2=0.5, s0=0.0, s1=0.0, c1=0.0, c2=0.0, f1=0.0, f2=0.0,
         h1=0.0, h2=0.0, gq=1.0))
-    ens = simulate(det, constant_strict(PM1, 200, 0), _fam(1.0, 1.0, grid),
-                   grid, QUIET, 20, 31, 1.0)
+    ens = simulate(det, constant_strict(PM1, 200, 0),
+                   sample_drivers(_fam(1.0, 1.0, grid), grid, QUIET, 20, 31), 1.0)
     rows = difference_quotient_gap(ens, 1, 0.3, h_list)
     gaps = [r.gap for r in rows]
     ratios = [gaps[i] / gaps[i + 1] for i in range(2)]
 
     lq = md.build_model("linear_jump_lq", {})
-    ens_lq = simulate(lq, constant_strict(PM1, 200, 0), _fam(1.0, 4.0, grid),
-                      grid, MARKS, 1000, 31, 1.0)
+    ens_lq = simulate(lq, constant_strict(PM1, 200, 0),
+                      sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 1000, 31), 1.0)
     rows_lq = difference_quotient_gap(ens_lq, 1, 0.3, h_list)
     noisy_ok = all(
         rows_lq[i + 1].gap <= rows_lq[i].gap
@@ -134,7 +135,7 @@ def test_criterion_04_flow_inverse_identity():
     for n_steps in (1000, 2000):
         grid = TimeGrid(T=1.0, n_steps=n_steps)
         ens = simulate(model, constant_strict(PM1, n_steps, 1),
-                       _fam(1.0, 2.25, grid), grid, MARKS, 100, 13, 1.0)
+                       sample_drivers(_fam(1.0, 2.25, grid), grid, MARKS, 100, 13), 1.0)
         devs.append(solve_fundamental(ens).inverse_defect())
     ratio = devs[1] / devs[0]
     ok = devs[0] <= 5e-2 and 0.4 <= ratio <= 0.6
@@ -149,8 +150,8 @@ def test_criterion_05_derivative_agreement():
         h1=0.4, h2=0.0, gq=0.6))
     grid = TimeGrid(T=1.0, n_steps=200)
     actions = ActionGrid(np.array([0.0, 1.0]))
-    ens = simulate(model, constant_strict(actions, 200, 0), _fam(1.5, 1.5, grid),
-                   grid, MARKS, 4000, 9, 1.0)
+    ens = simulate(model, constant_strict(actions, 200, 0),
+                   sample_drivers(_fam(1.5, 1.5, grid), grid, MARKS, 4000, 9), 1.0)
     rep = gateaux_derivative(ens, 1, 0.25, [0.1, 0.05, 0.025])
     h_min, fd, fd_se = rep.rows[-1]
     diff = abs(fd - rep.formula)
@@ -170,12 +171,13 @@ def test_criterion_06_stationarity_at_the_optimum():
     marks = MarkSpace(marks=np.array([-0.5, 0.6]), intensities=np.array([0.8, 0.4]))
     fam = _fam(1.0, 4.0, grid)
     candidates = [constant_strict(PM1, 64, 0), constant_strict(PM1, 64, 1)]
-    search = value_bruteforce(model, candidates, fam, grid, marks, 400, 21, 2.5)
+    search = value_bruteforce(model, candidates, sample_drivers(fam, grid, marks, 400, 21), 2.5)
 
-    optimum = mp_check_strict(model, candidates[search.minimizer_index], fam, grid,
-                              marks, 1500, 21, 2.5, n_blocks=2)
-    swapped = mp_check_strict(model, candidates[1 - search.minimizer_index], fam,
-                              grid, marks, 1500, 21, 2.5, n_blocks=2)
+    drivers = sample_drivers(fam, grid, marks, 1500, 21)
+    optimum = mp_check_strict(simulate(model, candidates[search.minimizer_index], drivers, 2.5),
+                              n_blocks=2)
+    swapped = mp_check_strict(simulate(model, candidates[1 - search.minimizer_index], drivers,
+                                       2.5), n_blocks=2)
     witness = swapped.summary()
     better_action = float(PM1.actions[search.minimizer_index])
 
@@ -200,16 +202,16 @@ def test_criterion_07_near_optimal_allowance():
     mu = uniform_relaxed(PM1, 256)
     fine = chattering(mu, 128)
 
+    drivers = sample_drivers(fam, grid, marks, 1500, 44)
     reports = [
-        mp_check_near(model, chattering(mu, n), [fine], 0.0, fam, grid, marks,
-                      1500, 44, 0.0, n_blocks=4, add_block_spikes=True)
+        mp_check_near(model, chattering(mu, n), [fine], 0.0, drivers, 0.0, n_blocks=4,
+                      add_block_spikes=True)
         for n in (4, 16, 64)
     ]
     c_mins = [r.C_min for r in reports]
     # the coarsest rung fails at zero allowance; rerun with a little
     # more than its measured minimal constant
-    rerun = mp_check_near(model, chattering(mu, 4), [fine], 1.05 * c_mins[0],
-                          fam, grid, marks, 1500, 44, 0.0,
+    rerun = mp_check_near(model, chattering(mu, 4), [fine], 1.05 * c_mins[0], drivers, 0.0,
                           n_blocks=4, add_block_spikes=True)
 
     ok = (all(r.jepsilon_ok for r in reports)
@@ -238,21 +240,19 @@ def test_criterion_08_relaxed_advantage():
     fam = _fam(1.0, 1.0, grid)
     mu = uniform_relaxed(PM1, 64)
 
-    j_mu = evaluate_cost(model, mu, fam, grid, marks, 1500, 33, 0.0)
-    j_lo = evaluate_cost(model, constant_strict(PM1, 64, 0), fam, grid, marks,
-                         1500, 33, 0.0)
-    j_hi = evaluate_cost(model, constant_strict(PM1, 64, 1), fam, grid, marks,
-                         1500, 33, 0.0)
+    drivers = sample_drivers(fam, grid, marks, 1500, 33)
+    j_mu = evaluate_cost(model, mu, drivers, 0.0)
+    j_lo = evaluate_cost(model, constant_strict(PM1, 64, 0), drivers, 0.0)
+    j_hi = evaluate_cost(model, constant_strict(PM1, 64, 1), drivers, 0.0)
     margin_lo = 3 * (j_mu.scenario_stderrs.max() + j_lo.scenario_stderrs.max())
     margin_hi = 3 * (j_mu.scenario_stderrs.max() + j_hi.scenario_stderrs.max())
     beats_both = (j_mu.upper_value < j_lo.upper_value - margin_lo
                   and j_mu.upper_value < j_hi.upper_value - margin_hi)
 
-    mixed = mp_check_relaxed(model, mu, fam, grid, marks, 1500, 33, 0.0, n_blocks=2)
-    dirac_lo = mp_check_relaxed(model, embed_strict(constant_strict(PM1, 64, 0)),
-                                fam, grid, marks, 1500, 33, 0.0, n_blocks=2)
-    dirac_hi = mp_check_relaxed(model, embed_strict(constant_strict(PM1, 64, 1)),
-                                fam, grid, marks, 1500, 33, 0.0, n_blocks=2)
+    mixed, dirac_lo, dirac_hi = (
+        mp_check_relaxed(simulate(model, mu_, drivers, 0.0), n_blocks=2)
+        for mu_ in (mu, embed_strict(constant_strict(PM1, 64, 0)),
+                    embed_strict(constant_strict(PM1, 64, 1))))
 
     ok = (beats_both and mixed.verdict
           and not dirac_lo.verdict and not dirac_hi.verdict)
@@ -269,8 +269,8 @@ def test_criterion_09_adjoint_stability():
         b1=0.15, b2=0.4, s0=0.3, s1=0.1, c1=0.1, c2=0.2, f1=0.2, f2=0.0,
         h1=0.3, h2=0.2, gq=0.5))
     fam = _fam(1.0, 2.25, grid)
-    rep = bsde_stability_report(model, uniform_relaxed(PM1, 256), fam, grid,
-                                MARKS, [4, 16, 64], 500, 55, 1.0)
+    rep = bsde_stability_report(model, uniform_relaxed(PM1, 256), [4, 16, 64],
+                                sample_drivers(fam, grid, MARKS, 500, 55), 1.0)
     slack_ok = all(
         getattr(nxt, col + "_gap") <= getattr(cur, col + "_gap")
         + 3 * (getattr(cur, col + "_stderr") + getattr(nxt, col + "_stderr"))

@@ -40,7 +40,7 @@ from gcontrol.scenarios import (
     build_scenario_family,
     upper_expectation,
 )
-from gcontrol.sde import simulate, simulate_with
+from gcontrol.sde import simulate
 from gcontrol.variational import solve_fundamental
 
 MARKS = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([0.7, 0.3]))
@@ -154,8 +154,8 @@ def test_f_term_single_scenario_cancellation():
 def test_constant_gradient_adjoint_is_exact():
     grid = TimeGrid(T=1.0, n_steps=12)
     model = md.build_model("zero", {})
-    ens = simulate(model, constant_strict(PM1, 12, 1), _fam(1.0, 4.0, grid),
-                   grid, MARKS, 30, 4, 0.7)
+    ens = simulate(model, constant_strict(PM1, 12, 1),
+                   sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 30, 4), 0.7)
     triple, rep = solve_adjoint(ens)
     assert np.all(triple.p == 1.0)
     assert np.all(triple.q == 0.0)
@@ -167,8 +167,8 @@ def test_constant_gradient_adjoint_is_exact():
 def test_terminal_costate_matches_gradient_bitwise():
     grid = TimeGrid(T=1.0, n_steps=16)
     model = _lq()
-    ens = simulate(model, constant_strict(PM1, 16, 1), _fam(1.0, 4.0, grid),
-                   grid, MARKS, 40, 7, 1.0)
+    ens = simulate(model, constant_strict(PM1, 16, 1),
+                   sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 40, 7), 1.0)
     triple, _ = solve_adjoint(ens)
     assert np.array_equal(triple.p[-1], model.g_x(ens.states[-1]))
 
@@ -178,8 +178,8 @@ def test_costate_tracks_linear_flow_closed_form():
     theta = 0.5
     grid = TimeGrid(T=1.0, n_steps=1000)
     model = _deterministic_linear(theta)
-    ens = simulate(model, constant_strict(PM1, 1000, 0), _fam(1.0, 1.0, grid),
-                   grid, QUIET, 3, 3, 1.0)
+    ens = simulate(model, constant_strict(PM1, 1000, 0),
+                   sample_drivers(_fam(1.0, 1.0, grid), grid, QUIET, 3, 3), 1.0)
     triple, _ = solve_adjoint(ens)
     x_T = ens.states[-1, 0, 0]
     expected = x_T * np.exp(theta * (grid.T - grid.times))
@@ -190,8 +190,8 @@ def test_costate_tracks_linear_flow_closed_form():
 def test_representation_reconstructs_terminal_functional():
     grid = TimeGrid(T=1.0, n_steps=16)
     model = _lq()
-    ens = simulate(model, constant_strict(PM1, 16, 1), _fam(1.0, 4.0, grid),
-                   grid, MARKS, 40, 7, 1.0)
+    ens = simulate(model, constant_strict(PM1, 16, 1),
+                   sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 40, 7), 1.0)
     _, rep = solve_adjoint(ens)
     pair = solve_fundamental(ens)
     x = ens.states
@@ -210,8 +210,8 @@ def test_residual_detects_costate_perturbation():
     theta = 0.5
     grid = TimeGrid(T=1.0, n_steps=20)
     model = _deterministic_linear(theta)
-    ens = simulate(model, constant_strict(PM1, 20, 0), _fam(1.0, 1.0, grid),
-                   grid, QUIET, 4, 3, 1.0)
+    ens = simulate(model, constant_strict(PM1, 20, 0),
+                   sample_drivers(_fam(1.0, 1.0, grid), grid, QUIET, 4, 3), 1.0)
     triple, _ = solve_adjoint(ens)
     base = bsde_residual(ens, triple)
     shifted = AdjointTriple(p=triple.p + 1.0, q=triple.q, r=triple.r)
@@ -225,7 +225,8 @@ def test_richer_basis_tightens_state_fit():
     model = _lq()
     mu = uniform_relaxed(PM1, 48)
     for seed in (5, 9, 13):
-        ens = simulate(model, mu, _fam(1.0, 4.0, grid), grid, MARKS, 1500, seed, 1.0)
+        ens = simulate(model, mu, sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 1500, seed),
+                       1.0)
         _, rep1 = solve_adjoint(ens, basis_degree=1)
         _, rep2 = solve_adjoint(ens, basis_degree=2)
         assert np.all(rep2.y_residual < rep1.y_residual)
@@ -234,7 +235,7 @@ def test_richer_basis_tightens_state_fit():
 def test_triple_steps_name_the_first_non_finite_step():
     grid = TimeGrid(T=1.0, n_steps=8)
     fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
-    ens = simulate(_lq(), uniform_relaxed(PM1, 8), fam, grid, MARKS, 30, 2, 1.0)
+    ens = simulate(_lq(), uniform_relaxed(PM1, 8), sample_drivers(fam, grid, MARKS, 30, 2), 1.0)
     core = adj._adjoint_core(ens, 2, keep_fit=True)
     core.y[5, 2, 7] = np.inf
     steps = adj._triple_steps(ens, core)
@@ -248,8 +249,8 @@ def test_triple_steps_name_the_first_non_finite_step():
 def test_overflowing_backward_variable_names_step_and_scenario():
     # g_x = gq x overflows at the terminal node, the first one the backward pass forms
     grid = TimeGrid(T=1.0, n_steps=8)
-    ens = simulate(_lq(gq=1e308), constant_strict(PM1, 8, 1), _fam(1.0, 4.0, grid), grid,
-                   QUIET, 4, 2, 10.0)
+    ens = simulate(_lq(gq=1e308), constant_strict(PM1, 8, 1),
+                   sample_drivers(_fam(1.0, 4.0, grid), grid, QUIET, 4, 2), 10.0)
     with pytest.raises(FloatingPointError,
                        match="backward variable at step 8 under scenario 0"):
         solve_adjoint(ens)
@@ -432,13 +433,14 @@ def _ensembles():
     lone = dataclasses.replace(fam, values=fam.values[:1])
     # sigma_low = 0: some scenarios have no Brownian increment on some steps
     flat = build_scenario_family(VolatilityBounds(0.0, 4.0), grid, "corners", blocks=2)
+    drivers = sample_drivers(fam, grid, marks, 300, 5)
     return {
-        "strict": simulate(model, constant_strict(acts, 24, 2), fam, grid, marks, 300, 5, 1.0),
-        "relaxed": simulate(model, uniform_relaxed(acts, 24), fam, grid, marks, 300, 5, 1.0),
-        "lone-quiet": simulate(model, constant_strict(acts, 24, 0), lone, grid, QUIET,
-                               40, 8, 1.0),
-        "zero-vol": simulate(model, constant_strict(acts, 24, 1), flat, grid, marks,
-                             300, 6, 1.0),
+        "strict": simulate(model, constant_strict(acts, 24, 2), drivers, 1.0),
+        "relaxed": simulate(model, uniform_relaxed(acts, 24), drivers, 1.0),
+        "lone-quiet": simulate(model, constant_strict(acts, 24, 0),
+                               sample_drivers(lone, grid, QUIET, 40, 8), 1.0),
+        "zero-vol": simulate(model, constant_strict(acts, 24, 1),
+                             sample_drivers(flat, grid, marks, 300, 6), 1.0),
     }
 
 
@@ -475,7 +477,7 @@ def test_jump_guard_raises_on_a_step_without_events(relaxed):
     silent = MarkSpace(marks=np.array([-1.0]), intensities=np.array([0.0]))
     model = _lq(f1=1.0)
     control = uniform_relaxed(PM1, 8) if relaxed else constant_strict(PM1, 8, 0)
-    ens = simulate(model, control, _fam(1.0, 4.0, grid), grid, silent, 20, 3, 0.5)
+    ens = simulate(model, control, sample_drivers(_fam(1.0, 4.0, grid), grid, silent, 20, 3), 0.5)
     assert ens.drivers.n_events == 0
     with pytest.raises(ValueError, match="nearly singular at step 0, mark 0"):
         solve_fundamental(ens)
@@ -485,9 +487,10 @@ def test_table_health_reports_the_regressions():
     grid = TimeGrid(T=1.0, n_steps=32)
     model = _gamma_control_model()
     fam = _fam(1.0, 4.0, grid)
-    u = constant_strict(PM1, 32, 0)
-    rep = mp_check_strict(model, u, fam, grid, QUIET, 200, 11, 2.5, n_blocks=2)
-    _, bsde = solve_adjoint(simulate(model, u, fam, grid, QUIET, 200, 11, 2.5))
+    ens = simulate(model, constant_strict(PM1, 32, 0), sample_drivers(fam, grid, QUIET, 200, 11),
+                   2.5)
+    rep = mp_check_strict(ens, n_blocks=2)
+    _, bsde = solve_adjoint(ens)
     health = rep.health
     assert health["cond_y_max"] == float(bsde.cond_y.max())
     assert health["cond_y_median"] == float(np.median(bsde.cond_y))
@@ -549,11 +552,11 @@ def test_singular_state_regressions_are_counted_in_the_health():
     model = _lq(s0=0.0, s1=0.0, c1=0.0, f1=0.5)
     fam = _fam(1.0, 4.0, grid)
     u = constant_strict(PM1, 8, 0)
-    ens = simulate(model, u, fam, grid, marks, 40, 3, 1.0)
+    ens = simulate(model, u, sample_drivers(fam, grid, marks, 40, 3), 1.0)
     two_valued = sum(len(np.unique(ens.states[k, s])) == 2
                      for k in range(8) for s in range(fam.n_scenarios))
     assert two_valued >= fam.n_scenarios
-    rep = mp_check_strict(model, u, fam, grid, marks, 40, 3, 1.0, n_blocks=2)
+    rep = mp_check_strict(ens, n_blocks=2)
     assert rep.health["svd_fallbacks"] >= two_valued
     assert all(np.isfinite(e.estimate) for e in rep.entries)
 
@@ -621,8 +624,9 @@ def test_stacked_regressions_are_row_independent():
 def test_single_action_table_is_vacuous():
     grid = TimeGrid(T=1.0, n_steps=32)
     solo = ActionGrid(np.array([0.7]))
-    rep = mp_check_strict(_lq(), constant_strict(solo, 32, 0), _fam(1.0, 4.0, grid),
-                          grid, MARKS, 60, 11, 1.0, n_blocks=4)
+    ens = simulate(_lq(), constant_strict(solo, 32, 0),
+                   sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 60, 11), 1.0)
+    rep = mp_check_strict(ens, n_blocks=4)
     assert rep.verdict
     assert len(rep.entries) == 4
     for e in rep.entries:
@@ -634,14 +638,12 @@ def test_optimum_passes_stationarity_table():
     model = _gamma_control_model()
     marks = MarkSpace(marks=np.array([-0.5, 0.6]), intensities=np.array([0.8, 0.4]))
     fam = _fam(1.0, 4.0, grid)
-    search = value_bruteforce(
-        model,
-        [constant_strict(PM1, 64, 0), constant_strict(PM1, 64, 1)],
-        fam, grid, marks, 400, 21, 2.5,
-    )
+    search = value_bruteforce(model, [constant_strict(PM1, 64, 0), constant_strict(PM1, 64, 1)],
+                              sample_drivers(fam, grid, marks, 400, 21), 2.5)
     assert search.minimizer_index == 0
-    rep = mp_check_strict(model, constant_strict(PM1, 64, 0), fam, grid, marks,
-                          1500, 21, 2.5, n_blocks=2)
+    ens = simulate(model, constant_strict(PM1, 64, 0), sample_drivers(fam, grid, marks, 1500, 21),
+                   2.5)
+    rep = mp_check_strict(ens, n_blocks=2)
     assert rep.verdict
     assert rep.hypothesis == "b = 0 and h = 0: stationarity guarantee applies"
     assert rep.summary()["verdict"] == "pass"
@@ -658,8 +660,9 @@ def test_suboptimal_control_flagged_with_witness():
     grid = TimeGrid(T=1.0, n_steps=64)
     model = _gamma_control_model()
     marks = MarkSpace(marks=np.array([-0.5, 0.6]), intensities=np.array([0.8, 0.4]))
-    rep = mp_check_strict(model, constant_strict(PM1, 64, 1), _fam(1.0, 4.0, grid),
-                          grid, marks, 1500, 21, 2.5, n_blocks=2)
+    ens = simulate(model, constant_strict(PM1, 64, 1),
+                   sample_drivers(_fam(1.0, 4.0, grid), grid, marks, 1500, 21), 2.5)
+    rep = mp_check_strict(ens, n_blocks=2)
     assert not rep.verdict
     out = rep.summary()
     assert out["verdict"] == "fail"
@@ -685,8 +688,9 @@ def test_embedding_reproduces_strict_table_bitwise(indices, marks):
     fam = _fam(1.0, 4.0, grid)
     u = StrictControl(PM1, indices)
 
-    ens_u = simulate(model, u, fam, grid, marks, 400, 9, 1.0)
-    ens_e = simulate(model, embed_strict(u), fam, grid, marks, 400, 9, 1.0)
+    drivers = sample_drivers(fam, grid, marks, 400, 9)
+    ens_u = simulate(model, u, drivers, 1.0)
+    ens_e = simulate(model, embed_strict(u), drivers, 1.0)
     assert isinstance(ens_u.control, StrictControl) and isinstance(ens_e.control, RelaxedControl)
     tri_u, _ = solve_adjoint(ens_u)
     tri_e, _ = solve_adjoint(ens_e)
@@ -694,9 +698,8 @@ def test_embedding_reproduces_strict_table_bitwise(indices, marks):
     assert np.array_equal(tri_u.q, tri_e.q)
     assert np.array_equal(tri_u.r, tri_e.r)
 
-    rep_u = mp_check_strict(model, u, fam, grid, marks, 400, 9, 1.0, n_blocks=4)
-    rep_e = mp_check_relaxed(model, embed_strict(u), fam, grid, marks, 400, 9, 1.0,
-                             n_blocks=4)
+    rep_u = mp_check_strict(ens_u, n_blocks=4)
+    rep_e = mp_check_relaxed(ens_e, n_blocks=4)
     assert rep_u.entries == rep_e.entries
     assert rep_u.verdict == rep_e.verdict
     assert rep_u.health == rep_e.health
@@ -715,14 +718,14 @@ def test_strict_tables_never_tag_events(monkeypatch):
         return original(self, mu)
 
     monkeypatch.setattr(Drivers, "tags", counted)
-    mp_check_strict(model, u, fam, grid, MARKS, 200, 21, 2.5, n_blocks=4)
+    drivers = sample_drivers(fam, grid, MARKS, 200, 21)
+    mp_check_strict(simulate(model, u, drivers, 2.5), n_blocks=4)
     assert calls == []
-    mp_check_near(model, u, [constant_strict(PM1, 32, 0)], 1.0, fam, grid, MARKS,
-                  200, 21, 2.5, n_blocks=4)
+    mp_check_near(model, u, [constant_strict(PM1, 32, 0)], 1.0, drivers, 2.5, n_blocks=4)
     assert calls == []
     # the counter sees a relaxed table's tags
     mu = embed_strict(u)
-    mp_check_relaxed(model, mu, fam, grid, MARKS, 200, 21, 2.5, n_blocks=4)
+    mp_check_relaxed(simulate(model, mu, drivers, 2.5), n_blocks=4)
     assert calls and all(c is mu for c in calls)
 
 
@@ -732,9 +735,10 @@ def test_near_check_zero_epsilon_matches_strict():
     marks = MarkSpace(marks=np.array([-0.5, 0.6]), intensities=np.array([0.8, 0.4]))
     fam = _fam(1.0, 4.0, grid)
     u = constant_strict(PM1, 64, 0)
-    strict = mp_check_strict(model, u, fam, grid, marks, 400, 21, 2.5, n_blocks=2)
-    near = mp_check_near(model, u, [], 5.0, fam, grid, marks, 400, 21, 2.5,
-                         epsilon_n=0.0, n_blocks=2, add_block_spikes=False)
+    drivers = sample_drivers(fam, grid, marks, 400, 21)
+    strict = mp_check_strict(simulate(model, u, drivers, 2.5), n_blocks=2)
+    near = mp_check_near(model, u, [], 5.0, drivers, 2.5, epsilon_n=0.0, n_blocks=2,
+                         add_block_spikes=False)
     assert near.mp.entries == strict.entries
     assert near.mp.extra_slack == 0.0
     assert near.C_min == 0.0
@@ -749,11 +753,11 @@ def test_near_table_equals_a_resimulated_table():
     marks = MarkSpace(marks=np.array([-0.5, 0.6]), intensities=np.array([0.8, 0.4]))
     fam = _fam(1.0, 4.0, grid)
     u = constant_strict(PM1, 32, 1)
-    near = mp_check_near(model, u, [constant_strict(PM1, 32, 0)], 1.0, fam, grid, marks,
-                         300, 21, 2.5, n_blocks=4)
+    drivers = sample_drivers(fam, grid, marks, 300, 21)
+    near = mp_check_near(model, u, [constant_strict(PM1, 32, 0)], 1.0, drivers, 2.5, n_blocks=4)
     assert near.mp.extra_slack > 0.0
-    fresh = mp_check_relaxed(model, embed_strict(u), fam, grid, marks, 300, 21, 2.5,
-                             n_blocks=4, extra_slack=near.mp.extra_slack)
+    fresh = mp_check_relaxed(simulate(model, embed_strict(u), drivers, 2.5), n_blocks=4,
+                             extra_slack=near.mp.extra_slack)
     assert near.mp.entries == fresh.entries
     assert near.mp.health == fresh.health
 
@@ -769,8 +773,9 @@ def test_near_check_allowance_rescues_chattering():
     u4 = chattering(uniform_relaxed(PM1, 256), 4)
     eps = 0.096
 
-    bare = mp_check_near(model, u4, [], 0.0, fam, grid, marks, 2000, 44, 0.0,
-                         epsilon_n=eps, n_blocks=4, add_block_spikes=False)
+    drivers = sample_drivers(fam, grid, marks, 2000, 44)
+    bare = mp_check_near(model, u4, [], 0.0, drivers, 0.0, epsilon_n=eps, n_blocks=4,
+                         add_block_spikes=False)
     assert not bare.mp.verdict
     failing = [e for e in bare.mp.entries if not e.passed]
     assert len(failing) == 2
@@ -778,9 +783,8 @@ def test_near_check_allowance_rescues_chattering():
     assert 0.1 < bare.C_min < 1.0
     assert bare.jepsilon_ok
 
-    rescued = mp_check_near(model, u4, [], 1.05 * bare.C_min, fam, grid, marks,
-                            2000, 44, 0.0, epsilon_n=eps, n_blocks=4,
-                            add_block_spikes=False)
+    rescued = mp_check_near(model, u4, [], 1.05 * bare.C_min, drivers, 0.0, epsilon_n=eps,
+                            n_blocks=4, add_block_spikes=False)
     assert rescued.mp.verdict
     assert rescued.mp.extra_slack == pytest.approx(1.05 * bare.C_min * eps)
 
@@ -790,9 +794,8 @@ def test_near_check_measures_improvement_rate():
     model = _gamma_control_model()
     marks = MarkSpace(marks=np.array([-0.5, 0.6]), intensities=np.array([0.8, 0.4]))
     fam = _fam(1.0, 4.0, grid)
-    rep = mp_check_near(model, constant_strict(PM1, 32, 1),
-                        [constant_strict(PM1, 32, 0)], 1.0, fam, grid, marks,
-                        400, 21, 2.5, n_blocks=4)
+    rep = mp_check_near(model, constant_strict(PM1, 32, 1), [constant_strict(PM1, 32, 0)], 1.0,
+                        sample_drivers(fam, grid, marks, 400, 21), 2.5, n_blocks=4)
     # one explicit candidate plus a one-step spike per block
     assert rep.n_candidates == 5
     assert rep.epsilon_n > 0.0
@@ -808,25 +811,24 @@ def test_mixture_beats_atoms_and_passes():
     fam = _fam(1.0, 1.0, grid)
     mu = uniform_relaxed(PM1, 64)
 
-    j_mu = evaluate_cost(model, mu, fam, grid, marks, 1500, 33, 0.0)
-    j_lo = evaluate_cost(model, constant_strict(PM1, 64, 0), fam, grid, marks,
-                         1500, 33, 0.0)
-    j_hi = evaluate_cost(model, constant_strict(PM1, 64, 1), fam, grid, marks,
-                         1500, 33, 0.0)
+    drivers = sample_drivers(fam, grid, marks, 1500, 33)
+    j_mu = evaluate_cost(model, mu, drivers, 0.0)
+    j_lo = evaluate_cost(model, constant_strict(PM1, 64, 0), drivers, 0.0)
+    j_hi = evaluate_cost(model, constant_strict(PM1, 64, 1), drivers, 0.0)
     margin = 3 * (j_mu.scenario_stderrs.max() + j_lo.scenario_stderrs.max())
     assert j_mu.upper_value < min(j_lo.upper_value, j_hi.upper_value) - margin
 
     # over the 5-point simplex ladder the even mixture is the minimizer
     ladder = [RelaxedControl(grid=PM1, weights=np.tile([1.0 - w, w], (64, 1)))
               for w in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    search = value_bruteforce(model, ladder, fam, grid, marks, 1200, 33, 0.0)
+    search = value_bruteforce(model, ladder, sample_drivers(fam, grid, marks, 1200, 33), 0.0)
     assert search.minimizer_index == 2
 
-    rep = mp_check_relaxed(model, mu, fam, grid, marks, 1500, 33, 0.0, n_blocks=2)
+    rep = mp_check_relaxed(simulate(model, mu, drivers, 0.0), n_blocks=2)
     assert rep.verdict
 
-    dirac = mp_check_relaxed(model, embed_strict(constant_strict(PM1, 64, 1)),
-                             fam, grid, marks, 1500, 33, 0.0, n_blocks=2)
+    dirac = mp_check_relaxed(simulate(model, embed_strict(constant_strict(PM1, 64, 1)), drivers,
+                                      0.0), n_blocks=2)
     assert not dirac.verdict
     assert dirac.summary()["worst_entry"] < -2.0
 
@@ -840,8 +842,8 @@ def test_stability_gaps_vanish_for_embedded_dirac():
     grid = TimeGrid(T=1.0, n_steps=32)
     model = _gamma_control_model()
     mu = embed_strict(constant_strict(PM1, 32, 0))
-    rep = bsde_stability_report(model, mu, _fam(1.0, 4.0, grid), grid, MARKS,
-                                [1, 2, 4], 200, 17, 2.5)
+    rep = bsde_stability_report(model, mu, [1, 2, 4],
+                                sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 200, 17), 2.5)
     for row in rep.rows:
         assert row.p_gap == 0.0 and row.q_gap == 0.0 and row.r_gap == 0.0
         assert row.k_gap == 0.0
@@ -853,8 +855,8 @@ def test_stability_gaps_shrink_along_ladder():
     model = _lq(b1=0.15, b2=0.4, s0=0.3, s1=0.1, c1=0.1, c2=0.2, f1=0.2,
                 h1=0.3, h2=0.2, gq=0.5)
     mu = uniform_relaxed(PM1, 256)
-    rep = bsde_stability_report(model, mu, _fam(1.0, 2.25, grid), grid, MARKS,
-                                [4, 16, 64], 500, 55, 1.0)
+    rep = bsde_stability_report(model, mu, [4, 16, 64],
+                                sample_drivers(_fam(1.0, 2.25, grid), grid, MARKS, 500, 55), 1.0)
     assert rep.p_nonincreasing and rep.q_nonincreasing and rep.r_nonincreasing
     assert [row.n for row in rep.rows] == [4, 16, 64]
     assert rep.rows[0].p_gap > rep.rows[-1].p_gap
@@ -867,18 +869,16 @@ BUSY_SILENT = MarkSpace(marks=np.array([-0.4, 0.6, 0.9]), intensities=np.array([
 NINE = MarkSpace(marks=np.linspace(-0.4, 0.8, 9), intensities=np.linspace(0.2, 1.8, 9))
 
 
-def _stability_by_whole_arrays(model, mu, fam, grid, marks, n_list, n_paths, seed, x0):
+def _stability_by_whole_arrays(model, mu, n_list, drivers, x0):
     """Stability rows from whole solve_adjoint triples, the arithmetic the report streams."""
-    dt = grid.dt
-    drivers = sample_drivers(fam, grid, marks, n_paths, seed)
-    tri_mu, _ = solve_adjoint(simulate_with(model, mu, fam, grid, marks, drivers, x0))
+    dt = drivers.grid.dt
+    tri_mu, _ = solve_adjoint(simulate(model, mu, drivers, x0))
     rows = []
     for n in n_list:
-        tri_n, _ = solve_adjoint(
-            simulate_with(model, chattering(mu, n), fam, grid, marks, drivers, x0))
+        tri_n, _ = solve_adjoint(simulate(model, chattering(mu, n), drivers, x0))
         p_dev = np.abs(tri_n.p - tri_mu.p).max(axis=0) ** 2
         q_dev = ((tri_n.q - tri_mu.q) ** 2).sum(axis=0) * dt
-        r_dev = (((tri_n.r - tri_mu.r) ** 2) * marks.intensities).sum(axis=(0, 3)) * dt
+        r_dev = (((tri_n.r - tri_mu.r) ** 2) * drivers.marks.intensities).sum(axis=(0, 3)) * dt
         ums = [upper_expectation(list(dev)) for dev in (p_dev, q_dev, r_dev)]
         rows.append((n,) + tuple(float(v) for um in ums for v in (um.value, um.stderr))
                     + (0.0,))
@@ -900,7 +900,7 @@ def test_streamed_stability_rows_equal_whole_array_gaps_bitwise(case):
         mu = RelaxedControl(acts, w + (1.0 - w.sum(axis=1))[:, None] * np.array([0, 1, 0]))
     else:
         mu = embed_strict(constant_strict(acts, 32, 2))
-    args = (model, mu, fam, grid, marks, [2, 4, 8], 300, 19, 1.0)
+    args = (model, mu, [2, 4, 8], sample_drivers(fam, grid, marks, 300, 19), 1.0)
     rep = bsde_stability_report(*args)
     expected = _stability_by_whole_arrays(*args)
     assert [tuple(row) for row in rep.rows] == expected
@@ -921,8 +921,8 @@ def test_stability_report_holds_one_triple():
     state_bytes = fam.n_scenarios * n_paths * (grid.n_steps + 1) * 8
     tracemalloc.start()
     try:
-        bsde_stability_report(_lq(), uniform_relaxed(PM1, 32), fam, grid, MARKS, [4, 16],
-                              n_paths, 3, 1.0)
+        bsde_stability_report(_lq(), uniform_relaxed(PM1, 32), [4, 16],
+                              sample_drivers(fam, grid, MARKS, n_paths, 3), 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -937,7 +937,8 @@ def test_solve_adjoint_holds_one_backward_buffer():
     grid = TimeGrid(T=1.0, n_steps=32)
     fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
     n_paths = 2000
-    ens = simulate(_lq(), uniform_relaxed(PM1, 32), fam, grid, MARKS, n_paths, 3, 1.0)
+    ens = simulate(_lq(), uniform_relaxed(PM1, 32), sample_drivers(fam, grid, MARKS, n_paths, 3),
+                   1.0)
     state_bytes = ens.states.nbytes
     tracemalloc.start()
     try:
@@ -975,8 +976,9 @@ def test_lipschitz_audit_trivial_model():
 def test_mp_csv_layout():
     grid = TimeGrid(T=1.0, n_steps=32)
     model = _gamma_control_model()
-    rep = mp_check_strict(model, constant_strict(PM1, 32, 0), _fam(1.0, 4.0, grid),
-                          grid, MARKS, 60, 11, 2.5, n_blocks=2)
+    ens = simulate(model, constant_strict(PM1, 32, 0),
+                   sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 60, 11), 2.5)
+    rep = mp_check_strict(ens, n_blocks=2)
     lines = mp_report_csv(rep).splitlines()
     assert lines[0] == "block,action,estimate,stderr,slack,verdict"
     assert len(lines) == 1 + 4
@@ -991,8 +993,8 @@ def test_stability_csv_layout():
     grid = TimeGrid(T=1.0, n_steps=32)
     model = _gamma_control_model()
     mu = embed_strict(constant_strict(PM1, 32, 0))
-    rep = bsde_stability_report(model, mu, _fam(1.0, 4.0, grid), grid, MARKS,
-                                [1, 2], 50, 17, 2.5)
+    rep = bsde_stability_report(model, mu, [1, 2],
+                                sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 50, 17), 2.5)
     lines = stability_csv(rep).splitlines()
     assert lines[0] == "n,p_gap,p_stderr,q_gap,q_stderr,r_gap,r_stderr,k_gap"
     assert len(lines) == 3
@@ -1005,15 +1007,14 @@ def test_argument_validation():
     model = _gamma_control_model()
     fam = _fam(1.0, 4.0, grid)
     u = constant_strict(PM1, 32, 0)
+    drivers = sample_drivers(fam, grid, MARKS, 20, 1)
     with pytest.raises(ValueError, match="7 blocks do not divide n_steps 32"):
-        mp_check_strict(model, u, fam, grid, MARKS, 20, 1, 2.5, n_blocks=7)
+        mp_check_strict(simulate(model, u, drivers, 2.5), n_blocks=7)
     with pytest.raises(ValueError, match="nonnegative"):
-        mp_check_near(model, u, [], -1.0, fam, grid, MARKS, 20, 1, 2.5)
+        mp_check_near(model, u, [], -1.0, drivers, 2.5)
     with pytest.raises(ValueError, match="epsilon_n"):
-        mp_check_near(model, u, [], 1.0, fam, grid, MARKS, 20, 1, 2.5,
-                      epsilon_n=-0.1, add_block_spikes=False)
+        mp_check_near(model, u, [], 1.0, drivers, 2.5, epsilon_n=-0.1, add_block_spikes=False)
     with pytest.raises(ValueError, match=r"strictly increasing, got \[4, 4\]"):
-        bsde_stability_report(model, embed_strict(u), fam, grid, MARKS,
-                              [4, 4], 20, 1, 2.5)
+        bsde_stability_report(model, embed_strict(u), [4, 4], drivers, 2.5)
     with pytest.raises(ValueError, match="n_probes"):
         driver_lipschitz_audit(model, fam, grid, MARKS, n_probes=0)

@@ -4,7 +4,7 @@ import pytest
 from gcontrol import costs as co
 from gcontrol import models as md
 from gcontrol.controls import ActionGrid, RelaxedControl, StrictControl, constant_strict, embed_strict
-from gcontrol.jumps import MarkSpace
+from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 
 
@@ -19,9 +19,8 @@ def _fam(lo, hi, grid, blocks=1):
 def test_terminal_only_cost_is_exact():
     grid = TimeGrid(T=2.0, n_steps=8)
     fam = _fam(1.0, 4.0, grid)
-    rep = co.evaluate_cost(
-        md.build_model("zero", {}), constant_strict(ACTIONS, 8, 1), fam, grid, MARKS, 16, 1, 5.0
-    )
+    rep = co.evaluate_cost(md.build_model("zero", {}), constant_strict(ACTIONS, 8, 1),
+                           sample_drivers(fam, grid, MARKS, 16, 1), 5.0)
     assert np.all(rep.scenario_means == 5.0)
     assert np.all(rep.scenario_stderrs == 0.0)
     assert rep.upper_value == 5.0
@@ -35,7 +34,8 @@ def test_running_only_cost_is_exact_quadrature():
     model = md.build_model("linear_jump_lq", params)
     grid = TimeGrid(T=2.0, n_steps=16)
     fam = _fam(1.0, 1.0, grid)
-    rep = co.evaluate_cost(model, constant_strict(ACTIONS, 16, 2), fam, grid, MARKS, 8, 2, 0.0)
+    rep = co.evaluate_cost(model, constant_strict(ACTIONS, 16, 2),
+                           sample_drivers(fam, grid, MARKS, 8, 2), 0.0)
     assert rep.upper_value == 2.0
 
 
@@ -45,7 +45,8 @@ def test_lq_cost_matches_moment_oracle():
     model = md.build_model("linear_jump_lq", params)
     grid = TimeGrid(T=1.0, n_steps=100)
     fam = _fam(1.0, 1.0, grid)
-    rep = co.evaluate_cost(model, constant_strict(ACTIONS, 100, 1), fam, grid, MARKS, 4000, 2026, 1.0)
+    rep = co.evaluate_cost(model, constant_strict(ACTIONS, 100, 1),
+                           sample_drivers(fam, grid, MARKS, 4000, 2026), 1.0)
     u_mean = np.full(100, 0.5)
     oracle = md.lq_cost_discrete(params, grid, 1.0, u_mean, u_mean**2, np.ones(100), MARKS)
     assert abs(rep.upper_value - oracle) <= 3 * rep.scenario_stderrs[rep.argmax_scenario]
@@ -56,8 +57,9 @@ def test_embedded_control_cost_is_bitwise_equal():
     grid = TimeGrid(T=1.0, n_steps=32)
     fam = _fam(1.0, 4.0, grid)
     u = StrictControl(ACTIONS, np.tile(np.array([0, 2, 1, 1]), 8))
-    r1 = co.evaluate_cost(model, u, fam, grid, MARKS, 64, 3, 1.0)
-    r2 = co.evaluate_cost(model, embed_strict(u), fam, grid, MARKS, 64, 3, 1.0)
+    drivers = sample_drivers(fam, grid, MARKS, 64, 3)
+    r1 = co.evaluate_cost(model, u, drivers, 1.0)
+    r2 = co.evaluate_cost(model, embed_strict(u), drivers, 1.0)
     assert r1.per_path.tobytes() == r2.per_path.tobytes()
     assert r1.upper_value == r2.upper_value
 
@@ -65,9 +67,8 @@ def test_embedded_control_cost_is_bitwise_equal():
 def test_cost_report_csv_layout():
     grid = TimeGrid(T=2.0, n_steps=8)
     fam = _fam(1.0, 4.0, grid)
-    rep = co.evaluate_cost(
-        md.build_model("zero", {}), constant_strict(ACTIONS, 8, 1), fam, grid, MARKS, 16, 1, 5.0
-    )
+    rep = co.evaluate_cost(md.build_model("zero", {}), constant_strict(ACTIONS, 8, 1),
+                           sample_drivers(fam, grid, MARKS, 16, 1), 5.0)
     lines = co.cost_report_csv(rep).strip().split("\n")
     assert lines[0] == "scenario_id,mean,stderr,n_paths,seed"
     assert lines[1] == "0,5.0,0.0,16,1"
@@ -80,14 +81,15 @@ def test_bruteforce_singleton_and_min_property():
     fam = _fam(1.0, 4.0, grid)
     u0 = constant_strict(ACTIONS, 32, 0)
     u2 = constant_strict(ACTIONS, 32, 2)
-    single = co.value_bruteforce(model, [u2], fam, grid, MARKS, 100, 7, 1.0)
+    drivers = sample_drivers(fam, grid, MARKS, 100, 7)
+    single = co.value_bruteforce(model, [u2], drivers, 1.0)
     assert single.value == single.table[0][1]
     assert single.minimizer_index == 0
 
-    res = co.value_bruteforce(model, [u0, u2], fam, grid, MARKS, 100, 7, 1.0)
+    res = co.value_bruteforce(model, [u0, u2], drivers, 1.0)
     assert all(res.value <= j for _, j in res.table)
     with pytest.raises(ValueError):
-        co.value_bruteforce(model, [], fam, grid, MARKS, 100, 7, 1.0)
+        co.value_bruteforce(model, [], drivers, 1.0)
 
 
 def test_bruteforce_minimizer_stable_under_dominated_candidates():
@@ -95,8 +97,9 @@ def test_bruteforce_minimizer_stable_under_dominated_candidates():
     grid = TimeGrid(T=1.0, n_steps=32)
     fam = _fam(1.0, 4.0, grid)
     base = [constant_strict(ACTIONS, 32, 0), constant_strict(ACTIONS, 32, 1)]
-    res1 = co.value_bruteforce(model, base, fam, grid, MARKS, 200, 7, 1.0)
-    res2 = co.value_bruteforce(model, base + [constant_strict(ACTIONS, 32, 2)], fam, grid, MARKS, 200, 7, 1.0)
+    drivers = sample_drivers(fam, grid, MARKS, 200, 7)
+    res1 = co.value_bruteforce(model, base, drivers, 1.0)
+    res2 = co.value_bruteforce(model, base + [constant_strict(ACTIONS, 32, 2)], drivers, 1.0)
     assert res2.minimizer_index == res1.minimizer_index
     assert res2.value == res1.value
 
@@ -113,8 +116,8 @@ def test_bruteforce_self_consistency_at_higher_path_count():
         for j in (0, 1):
             idx = np.concatenate([np.full(16, i), np.full(16, j)])
             cands.append(StrictControl(two, idx))
-    res = co.value_bruteforce(model, cands, fam, grid, MARKS, 1000, 7, 1.0)
-    rep = co.evaluate_cost(model, res.minimizer, fam, grid, MARKS, 4000, 1007, 1.0)
+    res = co.value_bruteforce(model, cands, sample_drivers(fam, grid, MARKS, 1000, 7), 1.0)
+    rep = co.evaluate_cost(model, res.minimizer, sample_drivers(fam, grid, MARKS, 4000, 1007), 1.0)
     se1 = res.reports[res.minimizer_index].scenario_stderrs[
         res.reports[res.minimizer_index].argmax_scenario
     ]
@@ -127,7 +130,8 @@ def test_chattering_report_dirac_is_all_zero():
     grid = TimeGrid(T=1.0, n_steps=64)
     fam = _fam(1.0, 4.0, grid)
     mu = embed_strict(constant_strict(ACTIONS, 64, 1))
-    rep = co.chattering_report(model, mu, fam, grid, MARKS, [4, 16, 64], 200, 5, 1.0)
+    rep = co.chattering_report(model, mu, [4, 16, 64], sample_drivers(fam, grid, MARKS, 200, 5),
+                               1.0)
     for _, msq, gap, _ in rep.rows:
         assert msq == 0.0
         assert gap == 0.0
@@ -142,7 +146,8 @@ def test_chattering_report_gaps_shrink():
     fam = _fam(1.0, 4.0, grid)
     two = ActionGrid(np.array([-1.0, 1.0]))
     mu = RelaxedControl(two, np.full((256, 2), 0.5))
-    rep = co.chattering_report(model, mu, fam, grid, MARKS, [4, 16, 64], 2000, 13, 0.0)
+    rep = co.chattering_report(model, mu, [4, 16, 64], sample_drivers(fam, grid, MARKS, 2000, 13),
+                               0.0)
     assert rep.msq_nonincreasing
     assert rep.fitted_C >= 0.0
     # the cost gap at the finest blocks is statistically indistinguishable from 0
@@ -163,10 +168,11 @@ def test_chattering_report_validation():
     grid = TimeGrid(T=1.0, n_steps=64)
     fam = _fam(1.0, 4.0, grid)
     mu = embed_strict(constant_strict(ACTIONS, 64, 1))
+    drivers = sample_drivers(fam, grid, MARKS, 50, 5)
     with pytest.raises(ValueError):
-        co.chattering_report(model, mu, fam, grid, MARKS, [16, 4], 50, 5, 1.0)
+        co.chattering_report(model, mu, [16, 4], drivers, 1.0)
     with pytest.raises(ValueError):
-        co.chattering_report(model, mu, fam, grid, MARKS, [3, 6], 50, 5, 1.0)
+        co.chattering_report(model, mu, [3, 6], drivers, 1.0)
 
 
 def test_chattering_csv_and_summary():
@@ -174,7 +180,7 @@ def test_chattering_csv_and_summary():
     grid = TimeGrid(T=1.0, n_steps=64)
     fam = _fam(1.0, 4.0, grid)
     mu = embed_strict(constant_strict(ACTIONS, 64, 1))
-    rep = co.chattering_report(model, mu, fam, grid, MARKS, [4, 16], 100, 5, 1.0)
+    rep = co.chattering_report(model, mu, [4, 16], sample_drivers(fam, grid, MARKS, 100, 5), 1.0)
     csv = co.chattering_csv(rep)
     assert csv.splitlines()[0] == "n,msq_gap,cost_gap,cost_gap_stderr"
     assert len(csv.splitlines()) == 3

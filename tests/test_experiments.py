@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from gcontrol import __version__
+from gcontrol import scenarios
 from gcontrol.experiments import (
+    KINDS,
     build_experiment,
     config_hash,
     load_config,
@@ -246,6 +248,38 @@ def test_rerun_yields_identical_digests(tmp_path):
     assert first.manifest.config_hash == second.manifest.config_hash
 
 
+# one small document per kind
+_ONE_DRAW = {
+    "simulate": {"control": {"type": "constant", "index": 1}},
+    "cost": {"control": {"type": "bruteforce", "candidates": [
+        {"type": "constant", "index": 0}, {"type": "uniform"}]}},
+    "chattering": {"control": {"type": "uniform"}, "options": {"n_list": [2, 4]}},
+    "variational": {"control": {"type": "constant", "index": 1},
+                    "options": {"action_index": 2, "t0": 0.25, "h_list": [0.125, 0.0625]}},
+    "mp-strict": {"control": {"type": "constant", "index": 1}},
+    "mp-near": {"control": {"type": "constant", "index": 1},
+                "options": {"candidates": [{"type": "constant", "index": 0}]}},
+    "mp-relaxed": {"control": {"type": "uniform"}},
+    "bsde-stability": {"control": {"type": "uniform"}, "options": {"n_list": [2, 4]}},
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_run_draws_its_brownian_normals_once(kind, monkeypatch, tmp_path):
+    # every control of a run, strict or relaxed, base or candidate, rung or
+    # spike, is driven by the one Brownian draw of the run's seed
+    calls = []
+    original = scenarios.sample_brownian
+
+    def counted(*args):
+        calls.append(args[2:])
+        return original(*args)
+
+    monkeypatch.setattr(scenarios, "sample_brownian", counted)
+    run_document(_lq(kind=kind, n_paths=16, seed=5, **_ONE_DRAW[kind]), output_dir=tmp_path)
+    assert calls == [(16, 5)]
+
+
 def test_config_hash_ignores_output_dir():
     doc = _base_doc()
     assert config_hash(doc) == config_hash({**doc, "output_dir": "elsewhere"})
@@ -379,7 +413,7 @@ def test_variational_run_solves_z_once(tmp_path, monkeypatch):
 def test_non_finite_metric_is_refused(tmp_path, monkeypatch):
     from gcontrol import experiments
 
-    def nan_metric(cfg, threads):
+    def nan_metric(cfg, drivers, threads):
         return {"states.csv": "x\n"}, {"terminal_upper_mean": float("nan")}, "none"
 
     monkeypatch.setitem(experiments._DISPATCH, "simulate", nan_metric)
@@ -603,6 +637,15 @@ _VALIDATE_GAP_PROBES = {
         _lq(control={"type": "constant", "index": 2**64}),
         "$.control.index: 18446744073709551616 is greater than the maximum of 9223372036854775807",
         _lq(control={"type": "constant", "index": 2})),
+    # sizes no int64 holds, listed at their own paths
+    "n-steps-int64-overflow": (
+        _lq(grid={"T": 1.0, "n_steps": 2**64}),
+        "$.grid.n_steps: 18446744073709551616 is greater than the maximum of 9223372036854775807",
+        _lq(grid={"T": 1.0, "n_steps": 16})),
+    "n-paths-int64-overflow": (
+        _lq(n_paths=2**64),
+        "$.n_paths: 18446744073709551616 is greater than the maximum of 9223372036854775807",
+        _lq(n_paths=50)),
 }
 
 

@@ -16,7 +16,7 @@ from gcontrol.adjoint import solve_adjoint
 from gcontrol.controls import ActionGrid, SpikeSpec, constant_strict, uniform_relaxed
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
-from gcontrol.sde import simulate, simulate_batch, simulate_with
+from gcontrol.sde import simulate, simulate_batch
 from gcontrol.variational import solve_fundamental, solve_variational
 
 K, P = 8, 6
@@ -35,7 +35,7 @@ def _time_major(a, shape):
 
 def test_states_and_drivers_are_time_major():
     u = constant_strict(ACTIONS, K, 1)
-    ens = simulate(MODEL, u, FAMILY, GRID, MARKS, P, 3, 1.0)
+    ens = simulate(MODEL, u, sample_drivers(FAMILY, GRID, MARKS, P, 3), 1.0)
     _time_major(ens.states, (K + 1, S, P))
     d = ens.drivers
     _time_major(d.xi, (K, P))
@@ -54,7 +54,7 @@ def test_states_and_drivers_are_time_major():
 
 def test_flow_variational_and_triple_are_time_major():
     u = constant_strict(ACTIONS, K, 1)
-    ens = simulate(MODEL, u, FAMILY, GRID, MARKS, P, 4, 1.0)
+    ens = simulate(MODEL, u, sample_drivers(FAMILY, GRID, MARKS, P, 4), 1.0)
     spec = SpikeSpec(base=u, action_index=2, t0=0.25, width=0.125)
     pair = solve_fundamental(ens, spec)
     for a in (pair.phi, pair.psi, pair.eta):
@@ -69,12 +69,10 @@ def test_flow_variational_and_triple_are_time_major():
 
 def test_one_control_ensemble_keeps_the_kernel_buffer():
     u = constant_strict(ACTIONS, K, 0)
-    ens = simulate_with(MODEL, u, FAMILY, GRID, MARKS,
-                        sample_drivers(FAMILY, GRID, MARKS, P, 5), 1.0)
+    ens = simulate(MODEL, u, sample_drivers(FAMILY, GRID, MARKS, P, 5), 1.0)
     assert ens.states.base is not None and ens.states.base.shape == (K + 1, 1, S, P)
     _time_major(ens.states, (K + 1, S, P))
-    X = simulate_batch(MODEL, [u, constant_strict(ACTIONS, K, 2)], FAMILY, GRID, MARKS,
-                       ens.drivers, 1.0)
+    X = simulate_batch(MODEL, [u, constant_strict(ACTIONS, K, 2)], ens.drivers, 1.0)
     assert X[:, 0].tobytes() == ens.states.tobytes()
 
 
@@ -83,7 +81,7 @@ def test_no_ensemble_holds_a_whole_run_count_array():
     # its drivers keep an integer array with a step axis and a path axis
     drivers = sample_drivers(FAMILY, GRID, MARKS, P, 6)
     for u in (constant_strict(ACTIONS, K, 1), uniform_relaxed(ACTIONS, K)):
-        ens = simulate_with(MODEL, u, FAMILY, GRID, MARKS, drivers, 1.0)
+        ens = simulate(MODEL, u, drivers, 1.0)
         held = [getattr(ens, f.name) for f in dataclasses.fields(ens)]
         held += [getattr(drivers, f.name) for f in dataclasses.fields(drivers)]
         counts = [a for a in held if isinstance(a, np.ndarray)

@@ -14,7 +14,7 @@ from dense_reference import broadcast_twin
 from gcontrol import models as md
 from gcontrol.adjoint import bsde_residual, bsde_stability_report, mp_check_relaxed, solve_adjoint
 from gcontrol.controls import ActionGrid, SpikeSpec, StrictControl, embed_strict, uniform_relaxed
-from gcontrol.jumps import MarkSpace
+from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from gcontrol.sde import simulate
 from gcontrol.variational import solve_fundamental, solve_variational
@@ -55,7 +55,7 @@ def _setup(case, control):
     fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
     strict = StrictControl(ACTIONS, np.array([0, 2, 1, 1] * (K // 4)))
     u = strict if control == "strict" else uniform_relaxed(ACTIONS, K)
-    return model, broadcast_twin(model), (u, fam, grid, marks, 200, 9, x0)
+    return model, broadcast_twin(model), (u, sample_drivers(fam, grid, marks, 200, 9), x0)
 
 
 @pytest.mark.parametrize("control", ["strict", "uniform"])
@@ -87,14 +87,13 @@ def test_flow_and_triple_match_the_broadcast_twin_bitwise(case, control):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_tables_match_the_broadcast_twin_bitwise(case, control):
     model, twin, args = _setup(case, control)
-    u, fam, grid, marks, n_paths, seed, x0 = args
-    tables = [mp_check_relaxed(m, u, fam, grid, marks, n_paths, seed, x0, n_blocks=4)
-              for m in (model, twin)]
+    u, drivers, x0 = args
+    tables = [mp_check_relaxed(simulate(m, *args), n_blocks=4) for m in (model, twin)]
     # repr keeps the sign of a zero, which == does not
     assert repr(tables[0].entries) == repr(tables[1].entries)
     assert repr(tables[0].health) == repr(tables[1].health)
 
     mu = embed_strict(u) if control == "strict" else u
-    rows = [bsde_stability_report(m, mu, fam, grid, marks, [2, 4], n_paths, seed, x0).rows
+    rows = [bsde_stability_report(m, mu, [2, 4], drivers, x0).rows
             for m in (model, twin)]
     assert repr(rows[0]) == repr(rows[1])

@@ -32,7 +32,7 @@ def test_zero_model_state_is_constant():
     fam = _family(1.0, 4.0, grid)
     model = md.build_model("zero", {})
     u = constant_strict(ACTIONS, 16, 1)
-    ens = sde.simulate(model, u, fam, grid, MARKS, n_paths=20, seed=3, x0=1.5)
+    ens = sde.simulate(model, u, sample_drivers(fam, grid, MARKS, 20, 3), 1.5)
     assert np.all(ens.states == 1.5)
 
 
@@ -41,7 +41,7 @@ def test_constant_drift_exact_terminal_state():
     fam = _family(1.0, 1.0, grid)
     model = md.build_model("constant_drift", {"mu": 1.0, "sigma0": 0.0})
     u = constant_strict(ACTIONS, 16, 0)
-    ens = sde.simulate(model, u, fam, grid, QUIET, n_paths=4, seed=0, x0=2.0)
+    ens = sde.simulate(model, u, sample_drivers(fam, grid, QUIET, 4, 0), 2.0)
     assert np.all(ens.states[-1] == 3.0)
 
 
@@ -52,7 +52,7 @@ def test_linear_model_mean_matches_oracles():
     model = md.build_model("bilinear", params)
     u = constant_strict(ACTIONS, 200, 1)
     P = 20_000
-    ens = sde.simulate(model, u, fam, grid, QUIET, n_paths=P, seed=14, x0=1.0)
+    ens = sde.simulate(model, u, sample_drivers(fam, grid, QUIET, P, 14), 1.0)
     xT = ens.states[-1, 0]
     se = xT.std(ddof=1) / np.sqrt(P)
     u_path = np.zeros(200)  # th1 = 0, control irrelevant
@@ -67,7 +67,7 @@ def test_lq_mean_matches_discrete_moment_recursion():
     model = md.build_model("linear_jump_lq", params)
     u = constant_strict(ACTIONS, 64, 1)  # action 0.5
     P = 20_000
-    ens = sde.simulate(model, u, fam, grid, MARKS, n_paths=P, seed=15, x0=1.0)
+    ens = sde.simulate(model, u, sample_drivers(fam, grid, MARKS, P, 15), 1.0)
     xT = ens.states[-1, 0]
     se = xT.std(ddof=1) / np.sqrt(P)
     u_mean = np.full(64, 0.5)
@@ -82,8 +82,9 @@ def test_relaxed_dirac_reduction_is_bitwise():
     model = md.build_model("linear_jump_lq", params)
     idx = np.tile(np.array([0, 2, 1, 1]), 8)
     u = StrictControl(ACTIONS, idx)
-    strict = sde.simulate(model, u, fam, grid, MARKS, n_paths=50, seed=16, x0=1.0)
-    relaxed = sde.simulate(model, embed_strict(u), fam, grid, MARKS, n_paths=50, seed=16, x0=1.0)
+    drivers = sample_drivers(fam, grid, MARKS, 50, 16)
+    strict = sde.simulate(model, u, drivers, 1.0)
+    relaxed = sde.simulate(model, embed_strict(u), drivers, 1.0)
     assert strict.states.tobytes() == relaxed.states.tobytes()
 
 
@@ -93,8 +94,8 @@ def test_jump_free_model_ignores_jump_stream():
     fam = _family(1.0, 4.0, grid)
     model = md.build_model("bilinear", {})
     u = constant_strict(ACTIONS, 32, 2)
-    busy = sde.simulate(model, u, fam, grid, MARKS, n_paths=40, seed=17, x0=1.0)
-    quiet = sde.simulate(model, u, fam, grid, QUIET, n_paths=40, seed=17, x0=1.0)
+    busy = sde.simulate(model, u, sample_drivers(fam, grid, MARKS, 40, 17), 1.0)
+    quiet = sde.simulate(model, u, sample_drivers(fam, grid, QUIET, 40, 17), 1.0)
     assert busy.states.tobytes() == quiet.states.tobytes()
 
 
@@ -104,7 +105,7 @@ def test_variance_monotone_in_volatility_scenario():
     model = md.build_model("constant_drift", {"mu": 0.0, "sigma0": 1.0})
     u = constant_strict(ACTIONS, 50, 0)
     P = 10_000
-    ens = sde.simulate(model, u, fam, grid, QUIET, n_paths=P, seed=18, x0=0.0)
+    ens = sde.simulate(model, u, sample_drivers(fam, grid, QUIET, P, 18), 0.0)
     var = ens.states[-1].var(axis=1, ddof=1)
     for s, target in ((0, 1.0), (1, 4.0)):
         se = var[s] * np.sqrt(2.0 / (P - 1))
@@ -119,8 +120,9 @@ def test_sup_distance_identity_and_separation():
     actions = ActionGrid(np.array([0.2, 0.9]))
     ua = constant_strict(actions, 32, 0)
     ub = constant_strict(actions, 32, 1)
-    ea = sde.simulate(model, ua, fam, grid, QUIET, n_paths=3, seed=19, x0=1.0)
-    eb = sde.simulate(model, ub, fam, grid, QUIET, n_paths=3, seed=19, x0=1.0)
+    drivers = sample_drivers(fam, grid, QUIET, 3, 19)
+    ea = sde.simulate(model, ua, drivers, 1.0)
+    eb = sde.simulate(model, ub, drivers, 1.0)
     same = sde.sup_distance(ea, ea)
     assert np.all(same.sup == 0.0) and np.all(same.mean_square == 0.0)
     apart = sde.sup_distance(ea, eb)
@@ -135,8 +137,8 @@ def test_sup_distance_rejects_mismatched_seeds():
     fam = _family(1.0, 1.0, grid)
     model = md.build_model("zero", {})
     u = constant_strict(ACTIONS, 8, 0)
-    e1 = sde.simulate(model, u, fam, grid, QUIET, n_paths=3, seed=1, x0=0.0)
-    e2 = sde.simulate(model, u, fam, grid, QUIET, n_paths=3, seed=2, x0=0.0)
+    e1 = sde.simulate(model, u, sample_drivers(fam, grid, QUIET, 3, 1), 0.0)
+    e2 = sde.simulate(model, u, sample_drivers(fam, grid, QUIET, 3, 2), 0.0)
     with pytest.raises(ValueError):
         sde.sup_distance(e1, e2)
 
@@ -147,11 +149,11 @@ def test_chattering_approximation_tightens_with_blocks():
     model = md.build_model("bilinear", {"th0": -0.2, "th1": 0.6, "s1": 0.1, "gl": 1.0})
     actions = ActionGrid(np.array([-1.0, 1.0]))
     mu = RelaxedControl(actions, np.full((256, 2), 0.5))
-    base = sde.simulate(model, mu, fam, grid, QUIET, n_paths=200, seed=20, x0=1.0)
+    drivers = sample_drivers(fam, grid, QUIET, 200, 20)
+    base = sde.simulate(model, mu, drivers, 1.0)
     msq = []
     for n in (4, 16, 64):
-        v = chattering(mu, n)
-        ens = sde.simulate(model, v, fam, grid, QUIET, n_paths=200, seed=20, x0=1.0)
+        ens = sde.simulate(model, chattering(mu, n), drivers, 1.0)
         msq.append(float(sde.sup_distance(base, ens).mean_square[0]))
     assert msq[0] > msq[1] > msq[2]
 
@@ -163,7 +165,7 @@ def test_nonfinite_state_aborts_with_step_info():
     model = md.build_model("bilinear", {"th0": 1e160, "th1": 0.0, "s1": 0.0, "gl": 1.0})
     u = constant_strict(ACTIONS, 8, 0)
     with pytest.raises(FloatingPointError, match="step"):
-        sde.simulate(model, u, fam, grid, QUIET, n_paths=2, seed=21, x0=1.0)
+        sde.simulate(model, u, sample_drivers(fam, grid, QUIET, 2, 21), 1.0)
 
 
 def test_explicit_noise_and_jump_reuse():
@@ -173,34 +175,32 @@ def test_explicit_noise_and_jump_reuse():
     model = md.build_model("linear_jump_lq", {})
     u = constant_strict(ACTIONS, 16, 1)
     drivers = sample_drivers(fam, grid, MARKS, 30, seed=22)
-    x1 = sde.simulate_batch(model, [u], fam, grid, MARKS, drivers, x0=1.0)
-    e2 = sde.simulate(model, u, fam, grid, MARKS, n_paths=30, seed=22, x0=1.0)
+    x1 = sde.simulate_batch(model, [u], drivers, 1.0)
+    e2 = sde.simulate(model, u, sample_drivers(fam, grid, MARKS, 30, 22), 1.0)
     assert x1[:, 0].tobytes() == e2.states.tobytes()
 
     mu = embed_strict(u)
-    x3 = sde.simulate_batch(model, [mu], fam, grid, MARKS, drivers, x0=1.0)
+    x3 = sde.simulate_batch(model, [mu], drivers, 1.0)
     assert x3.tobytes() == x1.tobytes()
 
 
 LQ = dict(b1=0.2, b2=0.5, s0=0.3, s1=0.1, c1=0.1, c2=0.3, f1=0.1, f2=0.1, h1=0.5, h2=0.5, gq=0.5)
 
 
-def _alone(model, controls, fam, grid, marks, n_paths, seed, x0):
+def _alone(model, controls, drivers, x0):
     """Each control's states from its own run, time-major like a batch."""
-    return np.stack(
-        [sde.simulate(model, c, fam, grid, marks, n_paths, seed, x0).states for c in controls],
-        axis=1,
-    )
+    return np.stack([sde.simulate(model, c, drivers, x0).states for c in controls], axis=1)
 
 
-def _reference_loop(model, control, fam, grid, marks, drivers, x0):
+def _reference_loop(model, control, drivers, x0):
     """Scenario-by-scenario Euler loop, one control, as the kernel was first written.
 
     Kept as the arithmetic reference for the batched kernel: same
     operations in the same order, so results must agree bit for bit.
     """
+    grid, marks = drivers.grid, drivers.marks
     dB = np.moveaxis(stacked_step_dB(drivers), 0, -1)
-    a_vals = fam.scalar_values()
+    a_vals = drivers.family.scalar_values()
     S, P, K = dB.shape
     relaxed = isinstance(control, RelaxedControl)
     actions = control.grid.actions
@@ -252,9 +252,9 @@ def test_batch_matches_reference_loop():
     mu = RelaxedControl(ACTIONS, np.tile(np.array([0.2, 0.5, 0.3]), (32, 1)))
     for batch in ([constant_strict(ACTIONS, 32, 1), chattering(mu, 8)],
                   [mu, embed_strict(chattering(mu, 4))]):
-        states = sde.simulate_batch(model, batch, fam, grid, MARKS, drivers, x0=0.7)
+        states = sde.simulate_batch(model, batch, drivers, 0.7)
         for c, control in enumerate(batch):
-            ref = _reference_loop(model, control, fam, grid, MARKS, drivers, 0.7)
+            ref = _reference_loop(model, control, drivers, 0.7)
             assert states[:, c].tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
@@ -264,9 +264,9 @@ def test_strict_batch_rows_equal_single_runs():
     model = md.build_model("linear_jump_lq", LQ)
     controls = [constant_strict(ACTIONS, 32, i) for i in range(3)]
     drivers = sample_drivers(fam, grid, MARKS, 40, seed=23)
-    batch = sde.simulate_batch(model, controls, fam, grid, MARKS, drivers, x0=1.0)
+    batch = sde.simulate_batch(model, controls, drivers, 1.0)
     assert batch.shape == (33, 3, 4, 40)
-    alone = _alone(model, controls, fam, grid, MARKS, 40, 23, 1.0)
+    alone = _alone(model, controls, drivers, 1.0)
     assert batch.tobytes() == alone.tobytes()
 
 
@@ -281,13 +281,13 @@ def test_batch_of_time_varying_controls():
                 spike(SpikeSpec(base, 2, 0.25, 0.125), grid),
                 spike(SpikeSpec(base, 0, 0.5, 1 / 32), grid)]
     drivers = sample_drivers(fam, grid, MARKS, 40, seed=24)
-    batch = sde.simulate_batch(model, controls, fam, grid, MARKS, drivers, x0=0.5)
-    alone = _alone(model, controls, fam, grid, MARKS, 40, 24, 0.5)
+    batch = sde.simulate_batch(model, controls, drivers, 0.5)
+    alone = _alone(model, controls, drivers, 0.5)
     assert batch.tobytes() == alone.tobytes()
     # relaxed rows likewise match their own runs
     relaxed = [mu, RelaxedControl(ACTIONS, np.full((32, 3), 1 / 3))]
-    rbatch = sde.simulate_batch(model, relaxed, fam, grid, MARKS, drivers, x0=0.5)
-    assert rbatch.tobytes() == _alone(model, relaxed, fam, grid, MARKS, 40, 24, 0.5).tobytes()
+    rbatch = sde.simulate_batch(model, relaxed, drivers, 0.5)
+    assert rbatch.tobytes() == _alone(model, relaxed, drivers, 0.5).tobytes()
     assert not np.array_equal(rbatch[:, 0], rbatch[:, 1])
 
 
@@ -299,9 +299,8 @@ def test_dirac_embedded_relaxed_batch_equals_strict_batch():
               constant_strict(ACTIONS, 32, 2),
               StrictControl(ACTIONS, np.repeat(np.array([2, 0, 1, 0]), 8))]
     drivers = sample_drivers(fam, grid, MARKS, 50, seed=25)
-    x_strict = sde.simulate_batch(model, strict, fam, grid, MARKS, drivers, x0=1.0)
-    x_relaxed = sde.simulate_batch(model, [embed_strict(u) for u in strict], fam, grid,
-                                   MARKS, drivers, x0=1.0)
+    x_strict = sde.simulate_batch(model, strict, drivers, 1.0)
+    x_relaxed = sde.simulate_batch(model, [embed_strict(u) for u in strict], drivers, 1.0)
     assert x_strict.tobytes() == x_relaxed.tobytes()
 
 
@@ -312,47 +311,10 @@ def test_batch_rejects_mixed_kinds_and_foreign_drivers():
     u = constant_strict(ACTIONS, 8, 0)
     drivers = sample_drivers(fam, grid, MARKS, 5, seed=26)
     with pytest.raises(ValueError, match="strict or relaxed"):
-        sde.simulate_batch(model, [u, embed_strict(u)], fam, grid, MARKS, drivers, x0=0.0)
-    other = TimeGrid(T=1.0, n_steps=16)
-    with pytest.raises(ValueError, match="drivers"):
-        sde.simulate_batch(model, [constant_strict(ACTIONS, 16, 0)], _family(1.0, 4.0, other),
-                           other, MARKS, drivers, x0=0.0)
-
-
-def _sampled_at_unit_horizon():
-    grid = TimeGrid(T=1.0, n_steps=8)
-    return sample_drivers(_family(1.0, 4.0, grid), grid, MARKS, 40, seed=29)
-
-
-def test_batch_refuses_drivers_sampled_on_another_horizon():
-    # same step count and scenarios, but the events were placed on [0, 1]
-    grid = TimeGrid(T=4.0, n_steps=8)
-    model = md.build_model("linear_jump_lq", {})
-    with pytest.raises(ValueError, match="drivers were sampled for a different grid or family"):
-        sde.simulate_batch(model, [constant_strict(ACTIONS, 8, 0)], _family(1.0, 4.0, grid),
-                           grid, MARKS, _sampled_at_unit_horizon(), x0=0.0)
-
-
-def test_batch_refuses_drivers_sampled_for_other_volatility_values():
-    # same grid and scenario count, but the drivers scale their draws by the
-    # values on [1, 4]
-    grid = TimeGrid(T=1.0, n_steps=8)
-    model = md.build_model("linear_jump_lq", {})
-    with pytest.raises(ValueError, match="drivers were sampled for a different grid or family"):
-        sde.simulate_batch(model, [constant_strict(ACTIONS, 8, 0)], _family(0.0, 0.01, grid),
-                           grid, MARKS, _sampled_at_unit_horizon(), x0=0.0)
-
-
-@pytest.mark.parametrize("marks", [
-    MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([30.0, 0.0])),
-    MarkSpace(marks=np.array([-0.4, 0.9]), intensities=np.array([0.7, 0.3])),
-], ids=["intensities", "values"])
-def test_batch_refuses_drivers_sampled_for_another_mark_space(marks):
-    grid = TimeGrid(T=1.0, n_steps=8)
-    model = md.build_model("linear_jump_lq", {})
-    with pytest.raises(ValueError, match="drivers were sampled for a different mark space"):
-        sde.simulate_batch(model, [constant_strict(ACTIONS, 8, 0)], _family(1.0, 4.0, grid),
-                           grid, marks, _sampled_at_unit_horizon(), x0=0.0)
+        sde.simulate_batch(model, [u, embed_strict(u)], drivers, 0.0)
+    # drivers sampled on an 8-step grid cannot drive a 16-step control
+    with pytest.raises(ValueError, match="controls and grid must agree on n_steps"):
+        sde.simulate_batch(model, [constant_strict(ACTIONS, 16, 0)], drivers, 0.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -367,4 +329,4 @@ def test_diverging_batch_names_step_scenario_and_control():
     drivers = sample_drivers(fam, grid, QUIET, 3, seed=27)
     with pytest.raises(FloatingPointError,
                        match="after step 1 under scenario 0 of control 1 on 3 paths"):
-        sde.simulate_batch(model, controls, fam, grid, QUIET, drivers, x0=1.0)
+        sde.simulate_batch(model, controls, drivers, 1.0)

@@ -26,7 +26,7 @@ from gcontrol.controls import (
 from gcontrol.costs import chattering_report, evaluate_cost, evaluate_costs
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family, upper_expectation
-from gcontrol.sde import simulate_batch, simulate_with, stream_batch
+from gcontrol.sde import simulate, simulate_batch, stream_batch
 from gcontrol.variational import QuotientRow, solve_variational, spike_controls, spike_report
 
 K = 16
@@ -82,10 +82,9 @@ def _whole_array_path_costs(model, control, grid, states):
 def test_stream_batch_hands_every_step_with_the_stored_bits(case):
     family, marks, controls = CASES[case]
     drivers = sample_drivers(family, GRID, marks, 30, 4)
-    stored = simulate_batch(MODEL, controls, family, GRID, marks, drivers, 1.0)
+    stored = simulate_batch(MODEL, controls, drivers, 1.0)
     seen = []
-    stream_batch(MODEL, controls, family, GRID, marks, drivers, 1.0,
-                 lambda k, x: seen.append((k, x.tobytes())))
+    stream_batch(MODEL, controls, drivers, 1.0, lambda k, x: seen.append((k, x.tobytes())))
     assert [k for k, _ in seen] == list(range(K + 1))
     assert all(x == stored[k].tobytes() for k, x in seen)
 
@@ -94,8 +93,8 @@ def test_stream_batch_hands_every_step_with_the_stored_bits(case):
 def test_streamed_costs_equal_whole_array_costs_bitwise(case):
     family, marks, controls = CASES[case]
     drivers = sample_drivers(family, GRID, marks, 40, 5)
-    stored = simulate_batch(MODEL, controls, family, GRID, marks, drivers, 1.0)
-    reports = evaluate_costs(MODEL, controls, family, GRID, marks, drivers, 1.0)
+    stored = simulate_batch(MODEL, controls, drivers, 1.0)
+    reports = evaluate_costs(MODEL, controls, drivers, 1.0)
     for c, (u, rep) in enumerate(zip(controls, reports)):
         ref = _whole_array_path_costs(MODEL, u, GRID, stored[:, c])
         assert rep.per_path.tobytes() == ref.tobytes()
@@ -109,11 +108,11 @@ def test_streamed_quotient_and_slope_rows_equal_whole_array_rows_bitwise(case):
     family, marks, _ = CASES[case]
     ai, t0, h_list = 2, 0.25, [0.1875, 0.125, 0.0625]
     drivers = sample_drivers(family, GRID, marks, 40, 6)
-    ens = simulate_with(MODEL, _PATTERN, family, GRID, marks, drivers, 1.0)
+    ens = simulate(MODEL, _PATTERN, drivers, 1.0)
     derivative, rows = spike_report(ens, ai, t0, h_list)
 
     spikes = spike_controls(_PATTERN, GRID, ai, t0, h_list)
-    spiked = simulate_batch(MODEL, spikes, family, GRID, marks, drivers, 1.0)
+    spiked = simulate_batch(MODEL, spikes, drivers, 1.0)
     z = solve_variational(ens, SpikeSpec(_PATTERN, ai, t0, GRID.dt)).z
     base = _whole_array_path_costs(MODEL, _PATTERN, GRID, ens.states)
     s_star = upper_expectation(list(base)).scenario_id
@@ -135,12 +134,12 @@ def test_streamed_quotient_and_slope_rows_equal_whole_array_rows_bitwise(case):
 def test_streamed_chattering_sups_equal_whole_array_sups_bitwise(case):
     family, marks, _ = CASES[case]
     mu, n_list = _ZERO_WEIGHTS, [2, 4, 8]
-    rep = chattering_report(MODEL, mu, family, GRID, marks, n_list, 40, 7, 1.0)
-
     drivers = sample_drivers(family, GRID, marks, 40, 7)
+    rep = chattering_report(MODEL, mu, n_list, drivers, 1.0)
+
     ladder = [chattering(mu, n) for n in n_list]
-    base = simulate_batch(MODEL, [mu], family, GRID, marks, drivers, 1.0)[:, 0]
-    states = simulate_batch(MODEL, ladder, family, GRID, marks, drivers, 1.0)
+    base = simulate_batch(MODEL, [mu], drivers, 1.0)[:, 0]
+    states = simulate_batch(MODEL, ladder, drivers, 1.0)
     base_cost = _whole_array_path_costs(MODEL, mu, GRID, base)
     s_star = upper_expectation(list(base_cost)).scenario_id
     ref = []
@@ -168,7 +167,7 @@ def test_candidate_costs_peak_below_two_state_arrays():
     state_bytes = (k + 1) * family.n_scenarios * p * 8
     tracemalloc.start()
     try:
-        evaluate_costs(model, candidates, family, grid, BUSY, drivers, 1.0)
+        evaluate_costs(model, candidates, drivers, 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -193,7 +192,7 @@ def test_relaxed_candidate_costs_hold_no_whole_run_counts():
     state_bytes = (k + 1) * family.n_scenarios * p * 8
     tracemalloc.start()
     try:
-        reports = evaluate_costs(model, candidates, family, grid, marks, drivers, 1.0)
+        reports = evaluate_costs(model, candidates, drivers, 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -215,7 +214,7 @@ def test_single_control_cost_peak_is_set_by_the_drivers(kind):
     state_bytes = (k + 1) * family.n_scenarios * p * 8
     tracemalloc.start()
     try:
-        evaluate_cost(model, control, family, grid, BUSY, p, 8, 1.0)
+        evaluate_cost(model, control, sample_drivers(family, grid, BUSY, p, 8), 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -13,7 +13,7 @@ from gcontrol.controls import (
     constant_strict,
     uniform_relaxed,
 )
-from gcontrol.jumps import MarkSpace
+from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from gcontrol.sde import simulate
 
@@ -36,7 +36,7 @@ def test_z_zero_for_trivial_spike():
     grid = TimeGrid(T=1.0, n_steps=16)
     model = md.build_model("linear_jump_lq", {})
     ens = simulate(model, constant_strict(ActionGrid(np.array([0.0, 1.0])), 16, 1),
-                   _fam(1.0, 1.0, grid), grid, MARKS, 50, 11, 1.0)
+                   sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 50, 11), 1.0)
     spec = SpikeSpec(base=ens.control, action_index=1, t0=0.25, width=0.25)
     zp = vr.solve_variational(ens, spec)
     assert np.all(zp.z == 0.0)
@@ -46,8 +46,8 @@ def test_z_constant_when_derivatives_vanish():
     grid = TimeGrid(T=1.0, n_steps=16)
     model = _pure_control_drift_model(b2=0.5)
     actions = ActionGrid(np.array([0.0, 1.0]))
-    ens = simulate(model, constant_strict(actions, 16, 0), _fam(1.0, 1.0, grid),
-                   grid, MARKS, 20, 12, 1.0)
+    ens = simulate(model, constant_strict(actions, 16, 0),
+                   sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 12), 1.0)
     spec = SpikeSpec(base=ens.control, action_index=1, t0=0.25, width=0.25)
     zp = vr.solve_variational(ens, spec)
     assert zp.k0 == 4
@@ -63,8 +63,8 @@ def test_z_scales_linearly_in_the_impulse():
         b1=0.0, b2=0.5, s0=0.3, s1=0.1, c1=0.1, c2=0.0,
         f1=0.1, f2=0.0, h1=0.0, h2=0.0, gq=1.0))
     actions = ActionGrid(np.array([0.0, 0.5, 1.0]))
-    ens = simulate(model, constant_strict(actions, 32, 0), _fam(1.0, 1.0, grid),
-                   grid, MARKS, 50, 13, 1.0)
+    ens = simulate(model, constant_strict(actions, 32, 0),
+                   sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 50, 13), 1.0)
     half = vr.solve_variational(ens, SpikeSpec(base=ens.control, action_index=1, t0=0.25, width=0.25))
     full = vr.solve_variational(ens, SpikeSpec(base=ens.control, action_index=2, t0=0.25, width=0.25))
     assert full.z.tobytes() == (2.0 * half.z).tobytes()
@@ -78,8 +78,8 @@ def test_z_geometric_product_closed_form():
     for n in (100, 400, 1600):
         grid = TimeGrid(T=1.0, n_steps=n)
         model = md.build_model("bilinear", {"th0": th0, "th1": th1, "s1": 0.0, "gl": 1.0})
-        ens = simulate(model, constant_strict(actions, n, 0), _fam(1.0, 1.0, grid),
-                       grid, QUIET, 2, 14, 1.0)
+        ens = simulate(model, constant_strict(actions, n, 0),
+                       sample_drivers(_fam(1.0, 1.0, grid), grid, QUIET, 2, 14), 1.0)
         spec = SpikeSpec(base=ens.control, action_index=1, t0=0.25, width=0.25)
         zp = vr.solve_variational(ens, spec)
         theta = th0 + th1 * u0
@@ -104,8 +104,8 @@ def test_fundamental_trivial_flow():
     grid = TimeGrid(T=1.0, n_steps=16)
     model = _pure_control_drift_model()
     actions = ActionGrid(np.array([0.0, 1.0]))
-    ens = simulate(model, constant_strict(actions, 16, 0), _fam(1.0, 1.0, grid),
-                   grid, MARKS, 20, 15, 1.0)
+    ens = simulate(model, constant_strict(actions, 16, 0),
+                   sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 15), 1.0)
     spec = SpikeSpec(base=ens.control, action_index=1, t0=0.5, width=0.25)
     pair = vr.solve_fundamental(ens, spec)
     assert np.all(pair.phi == 1.0)
@@ -119,7 +119,7 @@ def test_fundamental_starts_at_identity():
     grid = TimeGrid(T=1.0, n_steps=32)
     model = md.build_model("linear_jump_lq", {})
     ens = simulate(model, constant_strict(ActionGrid(np.array([0.0, 1.0])), 32, 1),
-                   _fam(1.0, 1.0, grid), grid, MARKS, 30, 16, 1.0)
+                   sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 30, 16), 1.0)
     pair = vr.solve_fundamental(ens)
     assert np.all(pair.phi[0] == 1.0)
     assert np.all(pair.psi[0] == 1.0)
@@ -135,8 +135,8 @@ def test_inverse_defect_halves_with_dt():
     defects = []
     for n in (250, 500, 1000):
         grid = TimeGrid(T=1.0, n_steps=n)
-        ens = simulate(model, constant_strict(actions, n, 0), _fam(1.0, 1.0, grid),
-                       grid, MARKS, 8, 17, 1.0)
+        ens = simulate(model, constant_strict(actions, n, 0),
+                       sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 8, 17), 1.0)
         defects.append(vr.solve_fundamental(ens).inverse_defect())
     assert defects[0] < 5e-2
     for a, b in zip(defects, defects[1:]):
@@ -149,8 +149,8 @@ def test_z_matches_phi_eta_within_scheme_tolerance():
         b1=0.3, b2=0.6, s0=0.4, s1=0.0, c1=0.2, c2=0.0,
         f1=0.15, f2=0.0, h1=0.4, h2=0.0, gq=0.6))
     actions = ActionGrid(np.array([0.0, 1.0]))
-    ens = simulate(model, constant_strict(actions, 400, 0), _fam(1.5, 1.5, grid),
-                   grid, MARKS, 100, 18, 1.0)
+    ens = simulate(model, constant_strict(actions, 400, 0),
+                   sample_drivers(_fam(1.5, 1.5, grid), grid, MARKS, 100, 18), 1.0)
     spec = SpikeSpec(base=ens.control, action_index=1, t0=0.25, width=0.25)
     zp = vr.solve_variational(ens, spec)
     pair = vr.solve_fundamental(ens, spec)
@@ -163,8 +163,8 @@ def test_fundamental_rejects_near_singular_jumps():
     grid = TimeGrid(T=1.0, n_steps=16)
     model = md.build_model("linear_jump_lq", {"f1": 0.1})
     actions = ActionGrid(np.array([0.0, 1.0]))
-    ens = simulate(model, constant_strict(actions, 16, 0), _fam(1.0, 1.0, grid),
-                   grid, MARKS, 20, 19, 1.0)
+    ens = simulate(model, constant_strict(actions, 16, 0),
+                   sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 19), 1.0)
     broken = dataclasses.replace(model, f_x=lambda t, x, th, a: -1.0 + 0.0 * x)
     bad_ens = dataclasses.replace(ens, model=broken)
     with pytest.raises(ValueError, match="singular"):
@@ -192,7 +192,7 @@ def _three_mark_ensemble(control):
         f1=0.15, f2=0.05, h1=0.4, h2=0.1, gq=0.6))
     u = (StrictControl(actions, np.array([0, 2, 1, 1] * 4)) if control == "strict"
          else uniform_relaxed(actions, 16))
-    return simulate(model, u, fam, grid, marks, 64, 7, 1.0)
+    return simulate(model, u, sample_drivers(fam, grid, marks, 64, 7), 1.0)
 
 
 @pytest.mark.parametrize("control", sorted(_FROZEN_FLOW))
@@ -230,8 +230,8 @@ def test_spike_base_mismatch_rejected():
     grid = TimeGrid(T=1.0, n_steps=16)
     model = md.build_model("linear_jump_lq", {})
     actions = ActionGrid(np.array([0.0, 1.0]))
-    ens = simulate(model, constant_strict(actions, 16, 0), _fam(1.0, 1.0, grid),
-                   grid, MARKS, 20, 20, 1.0)
+    ens = simulate(model, constant_strict(actions, 16, 0),
+                   sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 20), 1.0)
     other = constant_strict(actions, 16, 1)
     with pytest.raises(ValueError):
         vr.solve_variational(ens, SpikeSpec(base=other, action_index=0, t0=0.25, width=0.25))
@@ -242,7 +242,7 @@ def test_spike_base_on_another_action_grid_rejected():
     grid = TimeGrid(T=1.0, n_steps=16)
     model = md.build_model("linear_jump_lq", {})
     ens = simulate(model, constant_strict(ActionGrid(np.array([0.0, 1.0])), 16, 1),
-                   _fam(1.0, 1.0, grid), grid, MARKS, 20, 20, 1.0)
+                   sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 20), 1.0)
     other = constant_strict(ActionGrid(np.array([5.0, -7.0])), 16, 1)
     spec = SpikeSpec(base=other, action_index=0, t0=0.25, width=0.25)
     for solve in (vr.solve_variational, vr.solve_fundamental):
@@ -254,8 +254,8 @@ def test_spike_report_refuses_a_relaxed_ensemble_before_any_work(monkeypatch):
     grid = TimeGrid(T=1.0, n_steps=16)
     model = md.build_model("linear_jump_lq", {})
     actions = ActionGrid(np.array([0.0, 1.0]))
-    ens = simulate(model, uniform_relaxed(actions, 16), _fam(1.0, 1.0, grid),
-                   grid, MARKS, 20, 20, 1.0)
+    ens = simulate(model, uniform_relaxed(actions, 16),
+                   sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 20), 1.0)
     costed = []
     monkeypatch.setattr(vr, "cost_from_ensemble", lambda e: costed.append(e))
     with pytest.raises(ValueError, match="spike variations act on strict controls"):
@@ -267,8 +267,8 @@ def test_quotient_gap_zero_for_trivial_spike():
     grid = TimeGrid(T=1.0, n_steps=40)
     model = md.build_model("linear_jump_lq", {})
     actions = ActionGrid(np.array([0.0, 1.0]))
-    ens = simulate(model, constant_strict(actions, 40, 1), _fam(1.0, 1.0, grid),
-                   grid, MARKS, 100, 21, 1.0)
+    ens = simulate(model, constant_strict(actions, 40, 1),
+                   sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 100, 21), 1.0)
     rows = vr.difference_quotient_gap(ens, 1, 0.25, [0.1, 0.05])
     for row in rows:
         assert row.gap == 0.0
@@ -278,8 +278,8 @@ def test_quotient_gap_first_order_on_drift_only_model():
     grid = TimeGrid(T=1.0, n_steps=400)
     model = md.build_model("bilinear", {"th0": -0.2, "th1": 0.6, "s1": 0.0, "gl": 1.0})
     actions = ActionGrid(np.array([0.2, 0.9]))
-    ens = simulate(model, constant_strict(actions, 400, 0), _fam(1.0, 1.0, grid),
-                   grid, QUIET, 2, 22, 1.0)
+    ens = simulate(model, constant_strict(actions, 400, 0),
+                   sample_drivers(_fam(1.0, 1.0, grid), grid, QUIET, 2, 22), 1.0)
     rows = vr.difference_quotient_gap(ens, 1, 0.25, [0.1, 0.05, 0.025])
     assert rows[0].gap / rows[1].gap >= 1.5
     assert rows[1].gap / rows[2].gap >= 1.5
@@ -291,8 +291,8 @@ def test_quotient_gap_nonincreasing_on_jump_model():
         b1=0.25, b2=0.6, s0=0.35, s1=0.15, c1=0.15, c2=0.0,
         f1=0.15, f2=0.0, h1=0.3, h2=0.0, gq=0.5))
     actions = ActionGrid(np.array([0.0, 1.0]))
-    ens = simulate(model, constant_strict(actions, 200, 0), _fam(1.5, 1.5, grid),
-                   grid, MARKS, 1500, 23, 1.0)
+    ens = simulate(model, constant_strict(actions, 200, 0),
+                   sample_drivers(_fam(1.5, 1.5, grid), grid, MARKS, 1500, 23), 1.0)
     rows = vr.difference_quotient_gap(ens, 1, 0.25, [0.1, 0.05, 0.025])
     for a, b in zip(rows, rows[1:]):
         assert b.gap <= a.gap + 3 * (a.stderr + b.stderr)
@@ -302,8 +302,8 @@ def test_quotient_rejects_ascending_widths():
     grid = TimeGrid(T=1.0, n_steps=40)
     model = md.build_model("linear_jump_lq", {})
     actions = ActionGrid(np.array([0.0, 1.0]))
-    ens = simulate(model, constant_strict(actions, 40, 0), _fam(1.0, 1.0, grid),
-                   grid, MARKS, 20, 24, 1.0)
+    ens = simulate(model, constant_strict(actions, 40, 0),
+                   sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 24), 1.0)
     with pytest.raises(ValueError):
         vr.difference_quotient_gap(ens, 1, 0.25, [0.05, 0.1])
 
@@ -312,8 +312,8 @@ def test_gateaux_trivial_spike_is_zero():
     grid = TimeGrid(T=1.0, n_steps=40)
     model = md.build_model("linear_jump_lq", {})
     actions = ActionGrid(np.array([0.0, 1.0]))
-    ens = simulate(model, constant_strict(actions, 40, 1), _fam(1.0, 1.0, grid),
-                   grid, MARKS, 100, 25, 1.0)
+    ens = simulate(model, constant_strict(actions, 40, 1),
+                   sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 100, 25), 1.0)
     rep = vr.gateaux_derivative(ens, 1, 0.25, [0.1, 0.05])
     assert rep.formula == 0.0
     for _, fd, _ in rep.rows:
@@ -326,8 +326,8 @@ def test_gateaux_fd_agrees_with_formula():
     model = md.build_model("linear_jump_lq", params)
     grid = TimeGrid(T=1.0, n_steps=200)
     actions = ActionGrid(np.array([0.0, 1.0]))
-    ens = simulate(model, constant_strict(actions, 200, 0), _fam(1.5, 1.5, grid),
-                   grid, MARKS, 3000, 9, 1.0)
+    ens = simulate(model, constant_strict(actions, 200, 0),
+                   sample_drivers(_fam(1.5, 1.5, grid), grid, MARKS, 3000, 9), 1.0)
     rep = vr.gateaux_derivative(ens, 1, 0.25, [0.1, 0.05, 0.025])
     h_min, fd, fd_se = rep.rows[-1]
     tol = max(0.1 * abs(rep.formula), 3 * np.hypot(fd_se, rep.formula_stderr))
@@ -339,10 +339,10 @@ def test_gateaux_fd_column_is_reproducible():
     grid = TimeGrid(T=1.0, n_steps=40)
     actions = ActionGrid(np.array([0.0, 1.0]))
     kw = dict()
-    e1 = simulate(model, constant_strict(actions, 40, 0), _fam(1.0, 4.0, grid),
-                  grid, MARKS, 300, 26, 1.0)
-    e2 = simulate(model, constant_strict(actions, 40, 0), _fam(1.0, 4.0, grid),
-                  grid, MARKS, 300, 26, 1.0)
+    e1 = simulate(model, constant_strict(actions, 40, 0),
+                  sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 300, 26), 1.0)
+    e2 = simulate(model, constant_strict(actions, 40, 0),
+                  sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 300, 26), 1.0)
     r1 = vr.gateaux_derivative(e1, 1, 0.25, [0.1, 0.05])
     r2 = vr.gateaux_derivative(e2, 1, 0.25, [0.1, 0.05])
     assert r1.rows == r2.rows
@@ -361,9 +361,10 @@ def test_gateaux_nonnegative_at_bruteforce_optimum():
 
     cands = [constant_strict(actions, 32, 0), constant_strict(actions, 32, 1)]
     fam = _fam(1.0, 4.0, grid)
-    res = value_bruteforce(model, cands, fam, grid, MARKS, 2000, 27, 2.5)
+    drivers = sample_drivers(fam, grid, MARKS, 2000, 27)
+    res = value_bruteforce(model, cands, drivers, 2.5)
     assert res.minimizer_index == 0  # steady -1 pulls x toward 0
-    ens = simulate(model, res.minimizer, fam, grid, MARKS, 2000, 27, 2.5)
+    ens = simulate(model, res.minimizer, drivers, 2.5)
     rep = vr.gateaux_derivative(ens, 1, 0.25, [0.125, 0.0625])
     _, fd, fd_se = rep.rows[-1]
     assert fd >= -3 * fd_se
@@ -373,8 +374,8 @@ def test_derivative_report_csv_layout():
     model = md.build_model("linear_jump_lq", {})
     grid = TimeGrid(T=1.0, n_steps=40)
     actions = ActionGrid(np.array([0.0, 1.0]))
-    ens = simulate(model, constant_strict(actions, 40, 0), _fam(1.0, 1.0, grid),
-                   grid, MARKS, 100, 28, 1.0)
+    ens = simulate(model, constant_strict(actions, 40, 0),
+                   sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 100, 28), 1.0)
     rep = vr.gateaux_derivative(ens, 1, 0.25, [0.1, 0.05])
     lines = vr.derivative_report_csv(rep).strip().split("\n")
     assert lines[0] == "h,FD,FD_stderr,FORMULA,FORMULA_stderr"
