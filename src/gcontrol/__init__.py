@@ -15,7 +15,6 @@ from .adjoint import (
     NearOptimalReport,
     StabilityReport,
     bsde_stability_report,
-    driver_lipschitz_audit,
     hamiltonian,
     mp_check_near,
     mp_check_relaxed,
@@ -58,7 +57,7 @@ from .scenarios import (
     generator_G,
     upper_expectation,
 )
-from .sde import StateEnsemble, simulate, simulate_batch, sup_distance
+from .sde import StateEnsemble, simulate, simulate_batch
 from .variational import (
     DerivativeReport,
     FundamentalPair,
@@ -99,7 +98,6 @@ __all__ = [
     "chattering",
     "chattering_report",
     "constant_strict",
-    "driver_lipschitz_audit",
     "ekeland_distance",
     "embed_strict",
     "evaluate_cost",
@@ -119,7 +117,6 @@ __all__ = [
     "solve_fundamental",
     "solve_variational",
     "spike",
-    "sup_distance",
     "uniform_relaxed",
     "upper_expectation",
     "validate_document",

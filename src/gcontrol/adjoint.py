@@ -54,8 +54,7 @@ drivers and the initial state it is given last.
 
 On top of the triple the module builds stationarity tables for strict,
 near-optimal, and relaxed controls (each with deterministic estimator
-health numbers), one-step driver residuals, stability gaps under
-chattering approximations, and a Lipschitz audit of the driver.
+health numbers) and stability gaps under chattering approximations.
 Verdicts are statistical: an entry passes when its estimate clears
 minus the stated slack.
 """
@@ -81,9 +80,8 @@ from .controls import (
 )
 from .costs import cost_from_ensemble, evaluate_costs
 from .jumps import Drivers, MarkSpace
-from .models import ModelSpec, _avg, _coeff, ensure_validated
-from .rng import PROBES, substream
-from .scenarios import ScenarioFamily, TimeGrid, generator_G, upper_expectation
+from .models import ModelSpec, _avg, _coeff
+from .scenarios import TimeGrid, generator_G, upper_expectation
 from .sde import StateEnsemble, simulate
 from .variational import _first_nonfinite, solve_fundamental
 
@@ -225,13 +223,6 @@ class StabilityReport:
     basis_degree: int
     seed: int
     health: Mapping[str, float]
-
-
-class LipschitzAudit(NamedTuple):
-    c0: float
-    worst_ratio: float
-    n_probes: int
-    ok: bool
 
 
 def hamiltonian(model: ModelSpec, marks: MarkSpace, t, x, a, p, q, r):
@@ -505,7 +496,6 @@ def _adjoint_core(
 
     pair = solve_fundamental(ensemble)
     phi, psi = pair.phi, pair.psi
-    del pair  # its all-zero eta is not read here
     x = ensemble.states
     times = grid.times
 
@@ -674,53 +664,6 @@ def solve_adjoint(
         basis_degree=basis_degree,
     )
     return triple, rep
-
-
-def bsde_residual(ensemble: StateEnsemble, triple: AdjointTriple) -> np.ndarray:
-    """Mean-square one-step residual of the driver representation.
-
-    The driver is evaluated with the scenario quadratic-variation
-    density ``pi = a_t`` and with the jump coefficient itself (not its
-    state derivative) weighting ``r``:
-
-        F = -h_x + p (b_x - pi gamma_x) - pi q sigma_x + sum_i r_i f nu_i
-
-    and the residual at step k is
-    ``p_{k+1} - p_k + F dt - q dB - sum_i r_i dN~_i`` averaged in square
-    over paths and steps, one value per scenario.
-    """
-    model = ensemble.model
-    grid = ensemble.grid
-    marks = ensemble.marks
-    dt = grid.dt
-    n_steps = grid.n_steps
-    _, n_scen, n_paths = ensemble.states.shape
-    w = ensemble.control.weights
-    actions = ensemble.control.grid.actions
-    a_tab = ensemble.family.values
-    nus = marks.intensities
-    p = triple.p
-
-    total = np.zeros(n_scen)
-    for k in range(n_steps):
-        t = float(grid.times[k])
-        x = ensemble.states[k]
-        pi = a_tab[:, k][:, None]
-        bx = _avg(model.b_x, t, x, w[k], actions)
-        gx = _avg(model.gamma_x, t, x, w[k], actions)
-        hxk = _avg(model.h_x, t, x, w[k], actions)
-        sxk = _sigma_x(model, t, x)
-        q, r = triple.q[k], triple.r[k]
-        drv = -hxk + p[k] * (bx - pi * gx) - pi * q * sxk
-        for i in range(marks.n_marks):
-            f_i = _avg(model.f, t, x, w[k], actions, theta=float(marks.marks[i]))
-            drv = drv + r[:, :, i] * f_i * float(nus[i])
-        resid = p[k + 1] - p[k] + drv * dt - q * ensemble.drivers.step_dB(k)
-        counts = ensemble.drivers.step_counts(k)
-        for i in range(marks.n_marks):
-            resid = resid - r[:, :, i] * (counts[i] - float(nus[i]) * dt)
-        total += (resid**2).sum(axis=1)
-    return total / (n_paths * n_steps)
 
 
 def _hypothesis_label(model: ModelSpec, grid: TimeGrid, actions: np.ndarray) -> str:
@@ -1034,70 +977,6 @@ def bsde_stability_report(
         basis_degree=basis_degree,
         seed=drivers.seed,
         health=health,
-    )
-
-
-def driver_lipschitz_audit(
-    model: ModelSpec,
-    family: ScenarioFamily,
-    grid: TimeGrid,
-    marks: MarkSpace,
-    n_probes: int = 1000,
-    seed: int = 0,
-) -> LipschitzAudit:
-    """Check the driver's Lipschitz constant against declared bounds.
-
-    ``C0 = max(|b_x| + pi |gamma_x|, pi |sigma_x|, |f|)`` with ``pi`` the
-    upper volatility corner. Random probe pairs of (p, q, r) at random
-    (t, x, a, pi) must produce difference ratios below ``C0`` in the
-    metric ``|dp| + |dq| + sum_i |dr_i| nu_i``.
-    """
-    ensure_validated(model)
-    if n_probes < 1:
-        raise ValueError(f"n_probes must be positive, got {n_probes}")
-    lo_x, hi_x = model.bounds["state_box"]
-    lo_a, hi_a = model.bounds["action_box"]
-    pi_lo = family.bounds.sigma_low
-    pi_hi = family.bounds.sigma_high
-    c0 = max(
-        model.bounds["b_x"] + pi_hi * model.bounds["gamma_x"],
-        pi_hi * model.bounds["sigma_x"],
-        model.bounds["f"],
-    )
-
-    gen = substream(seed, PROBES)
-    t = gen.uniform(0.0, grid.T, n_probes)
-    x = gen.uniform(lo_x, hi_x, n_probes)
-    a = gen.uniform(lo_a, hi_a, n_probes)
-    pi = gen.uniform(pi_lo, pi_hi, n_probes)
-    dp = gen.standard_normal(n_probes) - gen.standard_normal(n_probes)
-    dq = gen.standard_normal(n_probes) - gen.standard_normal(n_probes)
-    dr = gen.standard_normal((n_probes, marks.n_marks)) - gen.standard_normal(
-        (n_probes, marks.n_marks)
-    )
-
-    bx = np.asarray(model.b_x(t, x, a), dtype=float) + np.zeros_like(x)
-    gx = np.asarray(model.gamma_x(t, x, a), dtype=float) + np.zeros_like(x)
-    sxv = _sigma_x(model, t, x)
-
-    diff = dp * (bx - pi * gx) - pi * dq * sxv
-    denom = np.abs(dp) + np.abs(dq)
-    for i in range(marks.n_marks):
-        f_i = np.asarray(
-            model.f(t, x, float(marks.marks[i]), a), dtype=float
-        ) + np.zeros_like(x)
-        nu_i = float(marks.intensities[i])
-        diff = diff + dr[:, i] * f_i * nu_i
-        denom = denom + np.abs(dr[:, i]) * nu_i
-
-    mask = denom > 1e-12
-    ratio = np.abs(diff[mask]) / denom[mask]
-    worst = float(ratio.max()) if ratio.size else 0.0
-    return LipschitzAudit(
-        c0=float(c0),
-        worst_ratio=worst,
-        n_probes=int(n_probes),
-        ok=bool(worst <= c0 * (1.0 + 1e-9)),
     )
 
 

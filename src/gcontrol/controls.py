@@ -42,12 +42,6 @@ class ActionGrid:
     def n_actions(self) -> int:
         return self.actions.size
 
-    def index_of(self, value: float) -> int:
-        hits = np.flatnonzero(self.actions == value)
-        if hits.size != 1:
-            raise ValueError(f"action value {value} is not on the grid")
-        return int(hits[0])
-
 
 @dataclass(frozen=True)
 class StrictControl:

@@ -5,9 +5,11 @@ f, the costs h and g, their first derivatives in the state, and bound
 declarations used by validation and audits. The state, the noise and the
 action are all one-dimensional, and controls range over a finite action
 grid, so no derivative in the action is needed. Every evaluator is
-vectorized over the state argument. The registry models carry
-closed-form reference quantities (moment recursions) that the tests and
-the acceptance suite compare against.
+vectorized over the state argument. The linear-quadratic jump model
+carries one closed-form reference: the exact moment recursion of its
+Euler chain and the cost it gives (:func:`lq_moments_discrete`,
+:func:`lq_cost_discrete`), which the tests and perfbench's output check
+compare a run against.
 
 A derivative that does not depend on the state may return a float
 instead of an array shaped like ``x``; the registry models do, for every
@@ -380,56 +382,6 @@ def _lq_rates(p: Mapping[str, float], a: float):
     return lam, beta
 
 
-def lq_cost_continuous(
-    params: Mapping[str, float],
-    grid: TimeGrid,
-    x0: float,
-    u_mean: np.ndarray,
-    u_sq: np.ndarray,
-    a_path: np.ndarray,
-    marks: MarkSpace,
-) -> float:
-    """Exact cost of the continuous-time linear-quadratic jump model.
-
-    The first two state moments and the running cost satisfy a linear ODE
-    system with coefficients frozen per step (the action path and the
-    volatility path are piecewise constant), so one matrix exponential
-    per step propagates them without discretization error.
-
-    ``u_mean`` and ``u_sq`` are the per-step first and second moments of
-    the action; a strict control passes (u, u**2).
-
-    This oracle needs scipy, which only the ``test`` extra installs.
-    """
-    from scipy.linalg import expm  # only this oracle needs scipy; keep it off the import path
-
-    p = {k: float(v) for k, v in params.items() if isinstance(v, (int, float))}
-    _, nu2 = _mark_moments(marks)
-    f1, f2 = p["f1"], p["f2"]
-    s0, s1 = p["s0"], p["s1"]
-    h1, h2 = p["h1"], p["h2"]
-    y = np.array([x0 * x0, x0, 1.0, 0.0])
-    dt = grid.dt
-    for k in range(grid.n_steps):
-        a = float(a_path[k])
-        u1 = float(u_mean[k])
-        u2 = float(u_sq[k])
-        lam, beta = _lq_rates(p, a)
-        A = 2 * lam + a * s1**2 + nu2 * f1**2
-        B = 2 * beta * u1 + 2 * a * s0 * s1 + 2 * nu2 * f1 * f2 * u1
-        C = a * s0**2 + nu2 * f2**2 * u2
-        M = np.array(
-            [
-                [A, B, C, 0.0],
-                [0.0, lam, beta * u1, 0.0],
-                [0.0, 0.0, 0.0, 0.0],
-                [h1, 0.0, h2 * u2, 0.0],
-            ]
-        )
-        y = expm(M * dt) @ y
-    return float(p["gq"] * y[0] + y[3])
-
-
 def lq_moments_discrete(
     params: Mapping[str, float],
     grid: TimeGrid,
@@ -477,26 +429,3 @@ def lq_cost_discrete(params, grid, x0, u_mean, u_sq, a_path, marks) -> float:
     """Cost part of :func:`lq_moments_discrete`."""
     return lq_moments_discrete(params, grid, x0, u_mean, u_sq, a_path, marks)[2]
 
-
-def bilinear_mean_continuous(
-    params: Mapping[str, float], grid: TimeGrid, x0: float, u_path: np.ndarray
-) -> float:
-    """E[x_T] = x0 exp(int (th0 + th1 u) dt) for the bilinear model."""
-    rate = float(params["th0"]) + float(params["th1"]) * np.asarray(u_path, dtype=float)
-    return float(x0 * np.exp(rate.sum() * grid.dt))
-
-
-def bilinear_mean_discrete(
-    params: Mapping[str, float], grid: TimeGrid, x0: float, u_path: np.ndarray
-) -> float:
-    """E[x_T] of the Euler chain for the bilinear model (exact product)."""
-    rate = float(params["th0"]) + float(params["th1"]) * np.asarray(u_path, dtype=float)
-    return float(x0 * np.prod(1.0 + rate * grid.dt))
-
-
-def bilinear_cost_continuous(params, grid, x0, u_path) -> float:
-    return float(params["gl"]) * bilinear_mean_continuous(params, grid, x0, u_path)
-
-
-def bilinear_cost_discrete(params, grid, x0, u_path) -> float:
-    return float(params["gl"]) * bilinear_mean_discrete(params, grid, x0, u_path)

@@ -18,18 +18,18 @@ drivers carry the scenario family, the grid, the mark space, the path
 count and the seed they were sampled for, so a run's setting is named
 once. Only the runs that the flow or the adjoint read again keep their
 whole (n_steps + 1, S, P) states: :func:`simulate` returns them as a
-:class:`StateEnsemble`. A caller that needs only a few
-per-path numbers of a set of controls (path costs, pathwise sup
-distances) runs them through :func:`stream_batch`: the kernel updates
-one step slot in place and hands each step to the caller's reducer, so
-the batch never holds more than one step.
+:class:`StateEnsemble`. A caller that needs only a few per-path numbers
+of a set of controls (path costs, the spikes' quotient sups) runs them
+through :func:`stream_batch`: the kernel updates one step slot in place
+and hands each step to the caller's reducer, so the batch never holds
+more than one step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -87,11 +87,6 @@ class StateEnsemble:
     @property
     def n_steps(self) -> int:
         return self.states.shape[0] - 1
-
-
-class DistanceReport(NamedTuple):
-    sup: np.ndarray  # (n_scenarios, n_paths) per-path sup_t |x1 - x2|
-    mean_square: np.ndarray  # (n_scenarios,) cross-path mean of sup^2
 
 
 def _check_finite(x: np.ndarray, k: int) -> None:
@@ -290,18 +285,3 @@ def simulate(model: ModelSpec, control: Control, drivers: Drivers, x0: float) ->
     return StateEnsemble(states=X[:, 0], drivers=drivers, model=model, control=control,
                          x0=float(x0))
 
-
-def sup_distance(e1: StateEnsemble, e2: StateEnsemble) -> DistanceReport:
-    """Pathwise sup distance and its per-scenario mean square.
-
-    Both ensembles must come from the same seed (common random numbers);
-    comparing independently seeded runs would measure noise, not the
-    controls' effect.
-    """
-    if e1.states.shape != e2.states.shape:
-        raise ValueError("ensembles have mismatched (step, scenario, path) shape")
-    if e1.seed != e2.seed:
-        raise ValueError("sup_distance requires common random numbers (equal seeds)")
-    diff = np.abs(e1.states - e2.states)
-    sup = diff.max(axis=0)
-    return DistanceReport(sup=sup, mean_square=(sup**2).mean(axis=1))

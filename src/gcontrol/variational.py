@@ -2,11 +2,11 @@
 
 Everything here rides the randomness already stored in a state ensemble:
 the linearized state z, the forward/inverse fundamental solutions phi and
-psi, the impulse process eta, the difference-quotient convergence table,
-and the two-sided check of the cost derivative (finite differences vs.
-the first-order formula). Reusing the ensemble's noise and jumps is not
-an optimization but a requirement; the quantities being compared are
-pathwise, and independent randomness would swamp them.
+psi, the difference-quotient convergence table, and the two-sided check
+of the cost derivative (finite differences vs. the first-order formula).
+Reusing the ensemble's noise and jumps is not an optimization but a
+requirement; the quantities being compared are pathwise, and independent
+randomness would swamp them.
 
 A control is read through its per-step ``weights`` over ``grid.actions``
 (one-hot for a strict control). A strict run's events are untagged, so
@@ -15,8 +15,8 @@ its jump factors and the ``|1 + f_x|`` guard are read at the played action.
 Everything runs and is returned time-major: the states are (K+1, S, P)
 and each step's Brownian increments an (S, P) array the drivers form
 from their (K, P) draws, so every step forms its growth factors on
-contiguous slices, and z, phi, psi and eta come back as
-C-ordered (K+1, S, P) arrays. The jump multiplier ``(1 + f_x)^count``
+contiguous slices, and z, phi and psi come back as C-ordered
+(K+1, S, P) arrays. The jump multiplier ``(1 + f_x)^count``
 is applied only on the paths that have events in the step (the drivers
 list them, with the step's (m[, A], P) counts formed from its events).
 A path without events would be multiplied by exactly one, so the result
@@ -70,12 +70,10 @@ class VariationalPath:
 
 @dataclass(frozen=True)
 class FundamentalPair:
-    """Forward flow phi, inverse flow psi, and the spike impulse eta, each (K+1, S, P)."""
+    """Forward flow phi and inverse flow psi, each (K+1, S, P)."""
 
     phi: np.ndarray
     psi: np.ndarray
-    eta: np.ndarray
-    k0: int | None
 
     def inverse_defect(self) -> float:
         """max over (scenario, path, time) of |phi psi - 1|."""
@@ -276,21 +274,13 @@ def solve_variational(ensemble: StateEnsemble, spec: SpikeSpec) -> VariationalPa
     return VariationalPath(z=z, k0=k0)
 
 
-def solve_fundamental(
-    ensemble: StateEnsemble, spec: SpikeSpec | None = None
-) -> FundamentalPair:
-    """Forward and inverse fundamental solutions, plus eta for a spike.
+def solve_fundamental(ensemble: StateEnsemble) -> FundamentalPair:
+    """Forward and inverse fundamental solutions of the linearized flow.
 
     phi and psi start at one and evolve by reciprocal Euler factors, so
-    phi * psi drifts from one only at the scheme's order. eta is zero
-    until the spike opens and constant afterwards: psi at the spike step
-    times the impulse.
+    phi * psi drifts from one only at the scheme's order.
     """
     grid = ensemble.grid
-    k0 = None
-    if spec is not None:
-        _require_same_base(ensemble, spec)
-        k0, _ = spike_steps(spec, grid)
     steps = _FlowSteps(ensemble)
     phi = np.empty(ensemble.states.shape)
     psi = np.empty(ensemble.states.shape)
@@ -306,10 +296,7 @@ def solve_fundamental(
         (k, s), name = min(bad)
         raise FloatingPointError(
             f"fundamental solutions are not finite: {name} at step {k} under scenario {s}")
-    eta = np.zeros(ensemble.states.shape)
-    if k0 is not None:
-        eta[k0:] = psi[k0] * _spike_impulse(ensemble, spec, k0)
-    return FundamentalPair(phi=phi, psi=psi, eta=eta, k0=k0)
+    return FundamentalPair(phi=phi, psi=psi)
 
 
 def check_widths(h_list) -> list[float]:

@@ -9,11 +9,11 @@ numbers quoted in comments are reproducible, not typical.
 import time
 
 import numpy as np
+from oracles import driver_lipschitz_audit
 
 from gcontrol import models as md
 from gcontrol.adjoint import (
     bsde_stability_report,
-    driver_lipschitz_audit,
     mp_check_near,
     mp_check_relaxed,
     mp_check_strict,

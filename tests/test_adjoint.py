@@ -4,14 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from dense_reference import dense_counts, stacked_step_dB
+from oracles import bsde_residual, driver_lipschitz_audit
 
 from gcontrol import adjoint as adj
 from gcontrol import models as md
 from gcontrol.adjoint import (
     AdjointTriple,
-    bsde_residual,
     bsde_stability_report,
-    driver_lipschitz_audit,
     f_term,
     hamiltonian,
     mp_check_near,

@@ -12,9 +12,6 @@ ACTIONS = ct.ActionGrid(np.array([-1.0, 0.0, 1.0]))
 
 def test_action_grid():
     assert ACTIONS.n_actions == 3
-    assert ACTIONS.index_of(0.0) == 1
-    with pytest.raises(ValueError):
-        ACTIONS.index_of(0.5)
     with pytest.raises(ValueError):
         ct.ActionGrid(np.array([1.0, 1.0]))
 

@@ -56,8 +56,8 @@ def test_flow_variational_and_triple_are_time_major():
     u = constant_strict(ACTIONS, K, 1)
     ens = simulate(MODEL, u, sample_drivers(FAMILY, GRID, MARKS, P, 4), 1.0)
     spec = SpikeSpec(base=u, action_index=2, t0=0.25, width=0.125)
-    pair = solve_fundamental(ens, spec)
-    for a in (pair.phi, pair.psi, pair.eta):
+    pair = solve_fundamental(ens)
+    for a in (pair.phi, pair.psi):
         _time_major(a, (K + 1, S, P))
     _time_major(solve_variational(ens, spec).z, (K + 1, S, P))
     triple, rep = solve_adjoint(ens)

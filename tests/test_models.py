@@ -1,15 +1,18 @@
 """Model registry and closed-form cost references.
 
 The reference values frozen below were produced by the matrix-exponential
-moment solver in `gcontrol.models` and cross-checked against plain Monte
+moment solver in `tests/oracles.py` and cross-checked against plain Monte
 Carlo at 10^4 paths before being pinned.
 """
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import bilinear_cost_continuous, bilinear_cost_discrete, lq_cost_continuous
 
 from gcontrol import models as md
 from gcontrol.jumps import MarkSpace
@@ -26,12 +29,30 @@ MARKS = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([0.7, 0.3]))
 
 @pytest.mark.parametrize("module", ["scipy", "jsonschema"])
 def test_import_leaves_scipy_unloaded(module):
-    # only the continuous-time oracle needs scipy, and it imports it itself;
-    # nothing at all needs jsonschema
+    # numpy is the only runtime dependency: scipy serves only the tests'
+    # continuous-time oracle in tests/oracles.py, and nothing needs jsonschema
     code = f"import sys, gcontrol; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("module", ["scipy", "jsonschema"])
+def test_no_source_file_imports(module):
+    # the import above runs no function body, so it cannot see an import
+    # made inside a function; the parsed source shows every one
+    found = []
+    for path in sorted(Path(md.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] == module for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_registry_contents():
@@ -84,7 +105,7 @@ def test_lq_continuous_reference_value():
     a_path = np.ones(100)
     u_mean = np.full(100, 0.5)
     u_sq = u_mean**2
-    j = md.lq_cost_continuous(LQ_PARAMS, grid, 1.0, u_mean, u_sq, a_path, MARKS)
+    j = lq_cost_continuous(LQ_PARAMS, grid, 1.0, u_mean, u_sq, a_path, MARKS)
     assert j == pytest.approx(2.955585335478892, rel=1e-12)
 
 
@@ -103,7 +124,7 @@ def test_lq_discrete_converges_to_continuous_first_order():
         grid = TimeGrid(T=1.0, n_steps=n)
         a_path = np.ones(n)
         u_mean = np.full(n, 0.5)
-        jc = md.lq_cost_continuous(LQ_PARAMS, grid, 1.0, u_mean, u_mean**2, a_path, MARKS)
+        jc = lq_cost_continuous(LQ_PARAMS, grid, 1.0, u_mean, u_mean**2, a_path, MARKS)
         jd = md.lq_cost_discrete(LQ_PARAMS, grid, 1.0, u_mean, u_mean**2, a_path, MARKS)
         diffs.append(abs(jc - jd))
     assert diffs[0] == pytest.approx(0.011023873859151934, rel=1e-6)
@@ -123,7 +144,7 @@ def test_lq_relaxed_reference_value():
     # mixing control +/-1 with equal weights: mean 0, second moment 1
     u_mean = np.zeros(256)
     u_sq = np.ones(256)
-    j = md.lq_cost_continuous(params, grid, 0.0, u_mean, u_sq, a_path, MARKS)
+    j = lq_cost_continuous(params, grid, 0.0, u_mean, u_sq, a_path, MARKS)
     assert j == pytest.approx(0.14910362678815625, rel=1e-12)
 
 
@@ -145,11 +166,11 @@ def test_bilinear_reference_values():
     params = {"th0": -0.2, "th1": 0.6, "s1": 0.0, "gl": 1.0}
     grid = TimeGrid(T=1.0, n_steps=400)
     u = np.full(400, 0.2)
-    jc = md.bilinear_cost_continuous(params, grid, 1.0, u)
+    jc = bilinear_cost_continuous(params, grid, 1.0, u)
     assert jc == pytest.approx(0.9231163463866358, rel=1e-12)
     # continuous reference is just the exponential of the integrated rate
     assert jc == pytest.approx(np.exp(-0.2 + 0.6 * 0.2), rel=1e-12)
-    jd = md.bilinear_cost_discrete(params, grid, 1.0, u)
+    jd = bilinear_cost_discrete(params, grid, 1.0, u)
     assert jd == pytest.approx((1.0 + (-0.2 + 0.12) / 400) ** 400, rel=1e-12)
     assert abs(jc - jd) < 1e-4
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from dense_reference import dense_counts, stacked_step_dB
+from oracles import bilinear_mean_continuous, bilinear_mean_discrete, sup_distance
 
 from gcontrol import models as md
 from gcontrol import sde
@@ -56,8 +57,8 @@ def test_linear_model_mean_matches_oracles():
     xT = ens.states[-1, 0]
     se = xT.std(ddof=1) / np.sqrt(P)
     u_path = np.zeros(200)  # th1 = 0, control irrelevant
-    assert abs(xT.mean() - md.bilinear_mean_discrete(params, grid, 1.0, u_path)) <= 3 * se
-    assert abs(xT.mean() - md.bilinear_mean_continuous(params, grid, 1.0, u_path)) <= 3 * se
+    assert abs(xT.mean() - bilinear_mean_discrete(params, grid, 1.0, u_path)) <= 3 * se
+    assert abs(xT.mean() - bilinear_mean_continuous(params, grid, 1.0, u_path)) <= 3 * se
 
 
 def test_lq_mean_matches_discrete_moment_recursion():
@@ -123,9 +124,9 @@ def test_sup_distance_identity_and_separation():
     drivers = sample_drivers(fam, grid, QUIET, 3, 19)
     ea = sde.simulate(model, ua, drivers, 1.0)
     eb = sde.simulate(model, ub, drivers, 1.0)
-    same = sde.sup_distance(ea, ea)
+    same = sup_distance(ea, ea)
     assert np.all(same.sup == 0.0) and np.all(same.mean_square == 0.0)
-    apart = sde.sup_distance(ea, eb)
+    apart = sup_distance(ea, eb)
     assert np.all(apart.sup > 0.0)
     # deterministic dynamics: sup is attained at the terminal step
     expect = abs(ea.states[-1, 0, 0] - eb.states[-1, 0, 0])
@@ -140,7 +141,7 @@ def test_sup_distance_rejects_mismatched_seeds():
     e1 = sde.simulate(model, u, sample_drivers(fam, grid, QUIET, 3, 1), 0.0)
     e2 = sde.simulate(model, u, sample_drivers(fam, grid, QUIET, 3, 2), 0.0)
     with pytest.raises(ValueError):
-        sde.sup_distance(e1, e2)
+        sup_distance(e1, e2)
 
 
 def test_chattering_approximation_tightens_with_blocks():
@@ -154,7 +155,7 @@ def test_chattering_approximation_tightens_with_blocks():
     msq = []
     for n in (4, 16, 64):
         ens = sde.simulate(model, chattering(mu, n), drivers, 1.0)
-        msq.append(float(sde.sup_distance(base, ens).mean_square[0]))
+        msq.append(float(sup_distance(base, ens).mean_square[0]))
     assert msq[0] > msq[1] > msq[2]
 
 

@@ -3,6 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from oracles import spike_eta
 
 from gcontrol import models as md
 from gcontrol import variational as vr
@@ -107,11 +108,12 @@ def test_fundamental_trivial_flow():
     ens = simulate(model, constant_strict(actions, 16, 0),
                    sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 15), 1.0)
     spec = SpikeSpec(base=ens.control, action_index=1, t0=0.5, width=0.25)
-    pair = vr.solve_fundamental(ens, spec)
+    pair = vr.solve_fundamental(ens)
+    eta = spike_eta(ens, spec, pair.psi)
     assert np.all(pair.phi == 1.0)
     assert np.all(pair.psi == 1.0)
-    assert np.all(pair.eta[:8] == 0.0)
-    assert np.all(pair.eta[8:] == 0.5)
+    assert np.all(eta[:8] == 0.0)
+    assert np.all(eta[8:] == 0.5)
     assert pair.inverse_defect() == 0.0
 
 
@@ -123,7 +125,7 @@ def test_fundamental_starts_at_identity():
     pair = vr.solve_fundamental(ens)
     assert np.all(pair.phi[0] == 1.0)
     assert np.all(pair.psi[0] == 1.0)
-    assert np.all(pair.eta == 0.0)
+    assert [f.name for f in dataclasses.fields(pair)] == ["phi", "psi"]
 
 
 def test_inverse_defect_halves_with_dt():
@@ -153,9 +155,9 @@ def test_z_matches_phi_eta_within_scheme_tolerance():
                    sample_drivers(_fam(1.5, 1.5, grid), grid, MARKS, 100, 18), 1.0)
     spec = SpikeSpec(base=ens.control, action_index=1, t0=0.25, width=0.25)
     zp = vr.solve_variational(ens, spec)
-    pair = vr.solve_fundamental(ens, spec)
+    pair = vr.solve_fundamental(ens)
     defect = pair.inverse_defect()
-    diff = np.abs(zp.z - pair.phi * pair.eta).max()
+    diff = np.abs(zp.z - pair.phi * spike_eta(ens, spec, pair.psi)).max()
     assert diff <= 3 * defect * max(1.0, np.abs(zp.z).max())
 
 
@@ -245,9 +247,8 @@ def test_spike_base_on_another_action_grid_rejected():
                    sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 20), 1.0)
     other = constant_strict(ActionGrid(np.array([5.0, -7.0])), 16, 1)
     spec = SpikeSpec(base=other, action_index=0, t0=0.25, width=0.25)
-    for solve in (vr.solve_variational, vr.solve_fundamental):
-        with pytest.raises(ValueError, match="spike base control differs"):
-            solve(ens, spec)
+    with pytest.raises(ValueError, match="spike base control differs"):
+        vr.solve_variational(ens, spec)
 
 
 def test_spike_report_refuses_a_relaxed_ensemble_before_any_work(monkeypatch):
