@@ -33,13 +33,15 @@ with that mark's ``1 / (1 + f_x)``, a scalar when ``f_x`` is constant
 in the state, and stored mark-last like every ``r`` of this module.
 :func:`_triple_steps` feeds the fitted variable one step at a time:
 :func:`solve_adjoint` fills whole arrays from it, and
-:func:`bsde_stability_report` folds each chattering rung's steps into
-per-(scenario, path) gap accumulators, so it never holds a rung's
-triple. :func:`mp_check_relaxed` reads the raw (unfitted) variable, at
-report-block starts for the triple and through :func:`_q_at` in one
-backward pass for the volatility-channel weights of every block. A
-backward variable, triple component or table entry that overflows
-raises, naming the step and the scenario.
+:func:`bsde_stability_report` walks each chattering rung's steps beside
+the relaxed control's and folds each pair into per-(scenario, path) gap
+accumulators, so it holds no triple whole: the relaxed control keeps its
+states, ``psi`` and fitted ``y``, and re-forms its triple step by step
+beside each rung. :func:`mp_check_relaxed` reads the raw (unfitted)
+variable, at report-block starts for the triple and through
+:func:`_q_at` in one backward pass for the volatility-channel weights of
+every block. A backward variable, triple component or table entry that
+overflows raises, naming the step and the scenario.
 
 A control is read through its ``weights`` over ``grid.actions`` (one-hot
 for a strict control), so a strict control's adjoint and tables run on the
@@ -620,22 +622,6 @@ def _triple_steps(ensemble: StateEnsemble, core: SimpleNamespace) -> Iterator[tu
         yield step
 
 
-def _fitted_triple(ensemble: StateEnsemble, core: SimpleNamespace):
-    """The arrays ``p`` (K+1, S, P), ``q`` (K, S, P) and ``r`` (K, S, P, m).
-
-    The terminal value of ``p`` is the exact terminal gradient, set
-    directly rather than through the fitted product.
-    """
-    n_steps = ensemble.grid.n_steps
-    p = np.empty(ensemble.states.shape)
-    q = np.empty(p[:n_steps].shape)
-    r = np.empty(q.shape + (ensemble.marks.n_marks,))
-    for k, (p_k, q_k, r_k) in enumerate(_triple_steps(ensemble, core)):
-        p[k], q[k], r[k] = p_k, q_k, r_k
-    p[n_steps] = core.gx_term
-    return p, q, r
-
-
 def solve_adjoint(
     ensemble: StateEnsemble, basis_degree: int = 2
 ) -> tuple[AdjointTriple, BSDERepresentation]:
@@ -649,7 +635,13 @@ def solve_adjoint(
     numbers land in the representation for inspection.
     """
     core = _adjoint_core(ensemble, basis_degree, keep_fit=True)
-    p, q, r = _fitted_triple(ensemble, core)
+    n_steps = ensemble.grid.n_steps
+    p = np.empty(ensemble.states.shape)
+    q = np.empty(p[:n_steps].shape)
+    r = np.empty(q.shape + (ensemble.marks.n_marks,))
+    for k, (p_k, q_k, r_k) in enumerate(_triple_steps(ensemble, core)):
+        p[k], q[k], r[k] = p_k, q_k, r_k
+    p[n_steps] = core.gx_term
     triple = AdjointTriple(p=p, q=q, r=r)
     rep = BSDERepresentation(
         X=core.X,
@@ -915,47 +907,56 @@ def bsde_stability_report(
     integrated square for ``r``. The orthogonal remainder is identically
     zero on both sides, so its gap column is exactly zero.
 
-    Only the relaxed control's ``p``, ``q`` and ``r`` are held whole. A
-    rung's triple is formed one step at a time and folded into three
-    (S, P) accumulators: the running max of ``|p_n - p|`` (terminal node
-    included) and the running sums of the squared ``q`` and the
-    ``nu``-weighted squared ``r`` differences, in step order, which is
-    the order numpy sums a time-major array over its first axis when a
-    step holds more than one (scenario, path) pair. ``health`` is the
-    :func:`_estimator_health` of the relaxed control's regressions.
+    No triple is held whole. The relaxed control keeps what its triple is
+    formed from: its states and its fitted core (``psi``, the fitted
+    backward variable ``y`` and the loadings; the flow ``phi`` is dropped
+    once the core returns). Beside each rung, both triples are formed one
+    step at a time and folded into three (S, P) accumulators: the
+    running max of ``|p_n - p|`` (terminal node included) and the running
+    sums of the squared ``q`` and the ``nu``-weighted squared ``r``
+    differences, in step order, which is the order numpy sums a
+    time-major array over its first axis when a step holds more than one
+    (scenario, path) pair. ``health`` is the :func:`_estimator_health` of
+    the relaxed control's regressions.
     """
     n_list = check_ladder(n_list)
     dt = drivers.grid.dt
-    n_steps = drivers.grid.n_steps
     nus = drivers.marks.intensities
 
-    # each rung is simulated right before its adjoint, and its ensemble
-    # and regressions are dropped before the next one, because the
-    # adjoint sets the peak memory
-    ens = simulate(model, mu, drivers, x0)
-    core = _adjoint_core(ens, basis_degree, keep_fit=True)
-    p_mu, q_mu, r_mu = _fitted_triple(ens, core)
-    health = _estimator_health(core)
-    del ens, core
-
-    rows: list[StabilityRow] = []
-    for n in n_list:
-        ens = simulate(model, chattering(mu, n), drivers, x0)
+    def fitted(control):
+        ens = simulate(model, control, drivers, x0)
         core = _adjoint_core(ens, basis_degree, keep_fit=True)
-        p_sup = np.abs(core.gx_term - p_mu[n_steps])
+        core.phi = None  # nothing after the core reads the flow
+        return ens, core
+
+    mu_ens, mu_core = fitted(mu)
+    health = _estimator_health(mu_core)
+
+    def rung_gaps(n):
+        """Upper means of rung n's p, q and r gaps.
+
+        The rung is simulated right before its adjoint, and everything
+        of it is dropped on return, before the next rung is simulated,
+        because the adjoint sets the peak memory.
+        """
+        ens, core = fitted(chattering(mu, n))
+        p_sup = np.abs(core.gx_term - mu_core.gx_term)
         q_sum = np.zeros(p_sup.shape)
         r_sum = np.zeros(p_sup.shape)
-        for k, (p, q, r) in enumerate(_triple_steps(ens, core)):
-            np.maximum(p_sup, np.abs(p - p_mu[k]), out=p_sup)
-            q_sum += (q - q_mu[k]) ** 2
-            r_sum += (((r - r_mu[k]) ** 2) * nus).sum(axis=2)
-        del ens, core
-
+        for (p, q, r), (p_mu, q_mu, r_mu) in zip(_triple_steps(ens, core),
+                                                 _triple_steps(mu_ens, mu_core)):
+            np.maximum(p_sup, np.abs(p - p_mu), out=p_sup)
+            q_sum += (q - q_mu) ** 2
+            r_sum += (((r - r_mu) ** 2) * nus).sum(axis=2)
         gaps = []
         for name, dev in (("p", p_sup**2), ("q", q_sum * dt), ("r", r_sum * dt)):
             _require_finite(dev, f"{name} gap of rung n={n}")
             gaps.append(upper_expectation(list(dev)))
-        um_p, um_q, um_r = gaps
+        return gaps
+
+    rows: list[StabilityRow] = []
+    for n in n_list:
+        um_p, um_q, um_r = rung_gaps(n)
         rows.append(
             StabilityRow(
                 n=n,

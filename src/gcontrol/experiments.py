@@ -341,7 +341,8 @@ def validate_document(doc: Mapping) -> _Plan:
                 **doc.get("scenarios", {})}
         family = plan.attempt("$.scenarios", build_scenario_family, bounds, grid,
                               scen["strategy"], blocks=int(scen["blocks"]),
-                              count=scen["count"], seed=scen["seed"])
+                              count=scen["count"], seed=scen["seed"],
+                              fields=doc.get("scenarios", {}))
     if not math.isfinite(doc["x0"]):
         plan.append(f"$.x0: {_not_finite(doc['x0'])}")
     if doc["n_paths"] < 2:

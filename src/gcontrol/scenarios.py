@@ -22,6 +22,8 @@ import numpy as np
 from . import rng
 
 _ORDER_TOL = 1e-10
+# the corner family enumerates 2**min(blocks, n_steps) paths
+_MAX_CORNER_BLOCKS = 12
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +145,19 @@ def build_scenario_family(
 
     ``corners`` enumerates every piecewise-constant path taking the value
     sigma_low or sigma_high on each of ``blocks`` coarse blocks (duplicates
-    collapse, so a degenerate interval yields a single scenario).
+    collapse, so a degenerate interval yields a single scenario). A grid
+    of fewer steps than ``blocks`` gives one block per step; more than 12
+    blocks after that cap (4096 paths) are refused before anything is
+    enumerated.
     ``random`` draws ``count`` paths uniformly on the interval.
     """
     K = grid.n_steps
     if strategy == "corners":
         if blocks < 1:
             raise ValueError("corner strategy needs at least one block")
+        if min(blocks, K) > _MAX_CORNER_BLOCKS:
+            raise ValueError(f"blocks {blocks} on {K} steps would enumerate 2**{min(blocks, K)}"
+                             f" corner paths; at most {_MAX_CORNER_BLOCKS} blocks are enumerated")
         chunks = np.array_split(np.arange(K), min(blocks, K))
         corners = (bounds.sigma_low, bounds.sigma_high)
         paths: list[np.ndarray] = []

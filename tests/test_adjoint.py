@@ -909,10 +909,13 @@ def test_streamed_stability_rows_equal_whole_array_gaps_bitwise(case):
         assert all(row[1] > 0.0 and row[3] > 0.0 and row[5] > 0.0 for row in expected)
 
 
-def test_stability_report_holds_one_triple():
-    """Only the relaxed triple is held whole: the peak stays within 13 state arrays.
+def test_stability_report_holds_no_whole_triple():
+    """No triple is held whole: the peak stays within 8.2 state arrays.
 
-    Holding the rungs' whole triples as well peaks near 24.
+    The relaxed control keeps its states, ``psi`` and fitted ``y`` and
+    forms its triple step by step beside each rung, whose adjoint holds
+    4 arrays of its own. Holding the relaxed control's whole triple
+    peaks near 9.2, and holding the rungs' whole triples as well near 24.
     """
     grid = TimeGrid(T=1.0, n_steps=32)
     fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
@@ -925,7 +928,7 @@ def test_stability_report_holds_one_triple():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 13 * state_bytes, peak / state_bytes
+    assert peak <= 8.2 * state_bytes, peak / state_bytes
 
 
 def test_solve_adjoint_holds_one_backward_buffer():

@@ -646,6 +646,13 @@ _VALIDATE_GAP_PROBES = {
         _lq(n_paths=2**64),
         "$.n_paths: 18446744073709551616 is greater than the maximum of 9223372036854775807",
         _lq(n_paths=50)),
+    # the corner family has 2**min(blocks, n_steps) paths: refused before
+    # validate enumerates them, and a grid of 8 steps caps 40 blocks at 8
+    "blocks-too-many": (
+        _lq(scenarios={"strategy": "corners", "blocks": 40}),
+        "$.scenarios.blocks: blocks 40 on 16 steps would enumerate 2**16 corner paths;"
+        " at most 12 blocks are enumerated",
+        _steps(8, scenarios={"strategy": "corners", "blocks": 40})),
 }
 
 
