@@ -18,7 +18,6 @@ from .adjoint import (
     hamiltonian,
     mp_check_near,
     mp_check_relaxed,
-    mp_check_strict,
     solve_adjoint,
 )
 from .controls import (
@@ -61,10 +60,9 @@ from .sde import StateEnsemble, simulate, simulate_batch
 from .variational import (
     DerivativeReport,
     FundamentalPair,
-    difference_quotient_gap,
-    gateaux_derivative,
     solve_fundamental,
     solve_variational,
+    spike_report,
 )
 
 __all__ = [
@@ -101,14 +99,11 @@ __all__ = [
     "ekeland_distance",
     "embed_strict",
     "evaluate_cost",
-    "gateaux_derivative",
     "generator_G",
-    "difference_quotient_gap",
     "hamiltonian",
     "load_config",
     "mp_check_near",
     "mp_check_relaxed",
-    "mp_check_strict",
     "run_document",
     "sample_drivers",
     "simulate",
@@ -117,6 +112,7 @@ __all__ = [
     "solve_fundamental",
     "solve_variational",
     "spike",
+    "spike_report",
     "uniform_relaxed",
     "upper_expectation",
     "validate_document",

@@ -91,10 +91,10 @@ _DEGENERATE_STD = 1e-12
 # a Gram matrix whose condition number lmax / lmin exceeds this is not solved;
 # its design goes to the SVD instead (design condition numbers above 1e4)
 _GRAM_COND_MAX = 1e8
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
+# the state is standardized with ddof=0, so sum z**2 = P and every power sum
+# sum z**(2d) is at most P**d; at this degree that stays below 1e304 for any
+# P below 2**63, so no Gram entry overflows
+_MAX_BASIS_DEGREE = 16
 
 
 def _sigma_x(model: ModelSpec, t: float, x: np.ndarray):
@@ -350,6 +350,14 @@ def _solve_normal(gram: np.ndarray, rhs: np.ndarray,
     return coef, cond, rows.size
 
 
+def check_basis_degree(degree: int) -> int:
+    """The degree of the state regression's polynomial basis, at most 16."""
+    if degree > _MAX_BASIS_DEGREE:
+        raise ValueError(f"degree {degree} is above {_MAX_BASIS_DEGREE}, beyond which the"
+                         " power sums of the standardized state can overflow")
+    return degree
+
+
 def _regress_state(x: np.ndarray, target: np.ndarray, degree: int):
     """Fit each scenario's target on a standardized polynomial basis in its state.
 
@@ -486,6 +494,7 @@ def _adjoint_core(
     A backward variable that overflows raises ``FloatingPointError``
     naming the step and the scenario.
     """
+    check_basis_degree(basis_degree)
     model = ensemble.model
     grid = ensemble.grid
     marks = ensemble.marks
@@ -786,23 +795,6 @@ def mp_check_relaxed(
     )
 
 
-def mp_check_strict(
-    ensemble: StateEnsemble,
-    *,
-    n_blocks: int = 4,
-    slack_mult: float = 3.0,
-    basis_degree: int = 2,
-) -> MPCheckReport:
-    """Stationarity table for the ensemble's strict control.
-
-    Runs :func:`mp_check_relaxed` on the strict run itself. The table
-    equals, entry for entry, that of the Dirac embedding run as a
-    relaxed control, which the tests compare it against.
-    """
-    return mp_check_relaxed(ensemble, n_blocks=n_blocks, slack_mult=slack_mult,
-                            basis_degree=basis_degree)
-
-
 def mp_check_near(
     model: ModelSpec,
     u_n: StrictControl,
@@ -979,24 +971,3 @@ def bsde_stability_report(
         seed=drivers.seed,
         health=health,
     )
-
-
-def mp_report_csv(report: MPCheckReport) -> str:
-    lines = ["block,action,estimate,stderr,slack,verdict"]
-    for e in report.entries:
-        verdict = "pass" if e.passed else "fail"
-        lines.append(
-            f"{e.block},{_fmt(e.action)},{_fmt(e.estimate)},"
-            f"{_fmt(e.stderr)},{_fmt(e.slack)},{verdict}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def stability_csv(report: StabilityReport) -> str:
-    lines = ["n,p_gap,p_stderr,q_gap,q_stderr,r_gap,r_stderr,k_gap"]
-    for row in report.rows:
-        lines.append(
-            f"{row.n},{_fmt(row.p_gap)},{_fmt(row.p_stderr)},{_fmt(row.q_gap)},"
-            f"{_fmt(row.q_stderr)},{_fmt(row.r_gap)},{_fmt(row.r_stderr)},{_fmt(row.k_gap)}"
-        )
-    return "\n".join(lines) + "\n"

@@ -252,20 +252,3 @@ def chattering_report(
         j_relaxed_stderr=float(base_report.scenario_stderrs[base_report.argmax_scenario]),
         min_chattering_j=float(min(r.upper_value for r in reports)),
     )
-
-
-def cost_report_csv(report: CostReport) -> str:
-    lines = ["scenario_id,mean,stderr,n_paths,seed"]
-    for s in range(report.scenario_means.size):
-        lines.append(
-            f"{s},{repr(float(report.scenario_means[s]))},"
-            f"{repr(float(report.scenario_stderrs[s]))},{report.n_paths},{report.seed}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def chattering_csv(report: ChatteringReport) -> str:
-    lines = ["n,msq_gap,cost_gap,cost_gap_stderr"]
-    for n, msq, gap, gap_se in report.rows:
-        lines.append(f"{n},{repr(float(msq))},{repr(float(gap))},{repr(float(gap_se))}")
-    return "\n".join(lines) + "\n"

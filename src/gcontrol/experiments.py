@@ -10,6 +10,10 @@ once, dispatches them to the corresponding module operation and writes
 CSV tables, a JSON summary with a stable key set, plot-ready two-column
 series, and a manifest with content digests. Everything numeric is determined by the
 config alone, so rerunning a config reproduces the digests bit for bit.
+
+The compute modules return numbers; this module alone turns them into
+artifact bytes. Every CSV goes through one writer, :func:`_csv`, with one
+rule per cell.
 """
 
 from __future__ import annotations
@@ -28,13 +32,7 @@ from typing import Any, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .adjoint import (
-    bsde_stability_report,
-    mp_check_near,
-    mp_check_relaxed,
-    mp_report_csv,
-    stability_csv,
-)
+from .adjoint import bsde_stability_report, check_basis_degree, mp_check_near, mp_check_relaxed
 from .controls import (
     ActionGrid,
     RelaxedControl,
@@ -47,18 +45,12 @@ from .controls import (
     spike_start,
     uniform_relaxed,
 )
-from .costs import (
-    chattering_csv,
-    chattering_report,
-    cost_report_csv,
-    evaluate_cost,
-    evaluate_costs,
-)
+from .costs import chattering_report, evaluate_cost, evaluate_costs
 from .jumps import Drivers, MarkSpace, poisson_mean, sample_drivers
 from .models import MODEL_DEFAULTS, build_model, ensure_validated
 from .scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from .sde import simulate
-from .variational import check_widths, derivative_report_csv, spike_controls, spike_report
+from .variational import check_widths, spike_controls, spike_report
 
 KINDS: tuple[str, ...] = ("simulate", "cost", "chattering", "variational", "mp-strict",
                           "mp-near", "mp-relaxed", "bsde-stability")
@@ -339,9 +331,10 @@ def validate_document(doc: Mapping) -> _Plan:
     if bounds is not None and grid is not None:
         scen = {"strategy": "corners", "blocks": 2, "count": None, "seed": None,
                 **doc.get("scenarios", {})}
+        count = scen["count"] if scen["count"] is None else int(scen["count"])
         family = plan.attempt("$.scenarios", build_scenario_family, bounds, grid,
                               scen["strategy"], blocks=int(scen["blocks"]),
-                              count=scen["count"], seed=scen["seed"],
+                              count=count, seed=scen["seed"],
                               fields=doc.get("scenarios", {}))
     if not math.isfinite(doc["x0"]):
         plan.append(f"$.x0: {_not_finite(doc['x0'])}")
@@ -377,6 +370,8 @@ def validate_document(doc: Mapping) -> _Plan:
     if "n_blocks" in opts:
         plan.attempt("$.options.n_blocks", block_length, n_steps, opts["n_blocks"],
                      lead=lead("n_blocks"))
+    if "basis_degree" in opts:
+        plan.attempt("$.options.basis_degree", check_basis_degree, opts["basis_degree"])
     if "n_list" in opts:
         plan.attempt("$.options.n_list", check_ladder, opts["n_list"])
         if isinstance(control, RelaxedControl):
@@ -569,17 +564,27 @@ def config_hash(doc: Mapping) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _fmt(v) -> str:
+def _cell(v) -> str:
+    if isinstance(v, str):
+        return v
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return repr(float(v))
 
 
-def _series(x_label: str, y_label: str, xs, ys) -> str:
-    lines = [f"{x_label},{y_label}"]
-    for x, y in zip(xs, ys):
-        lines.append(f"{_fmt(x)},{_fmt(y)}")
+def _csv(header: str, rows) -> str:
+    """The CSV text of ``rows`` under ``header``, one line each, newline-terminated.
+
+    A string cell is written as it is, an integer as its digits, and any
+    other cell as the ``repr`` of its float, which round-trips.
+    """
+    lines = [header]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def _series(x_label: str, y_label: str, xs, ys) -> str:
+    return _csv(f"{x_label},{y_label}", zip(xs, ys))
 
 
 def _map_ordered(fn, items: Sequence, threads: int) -> list:
@@ -599,13 +604,9 @@ def _run_simulate(cfg: ExperimentConfig, drivers: Drivers, threads: int):
     mean = states.mean(axis=1)
     std = states.std(axis=1)
     n_scen = mean.shape[0]
-    lines = ["scenario,step,t,mean,std"]
-    for s in range(n_scen):
-        for k in range(cfg.grid.n_steps + 1):
-            lines.append(
-                f"{s},{k},{_fmt(cfg.grid.times[k])},{_fmt(mean[s, k])},{_fmt(std[s, k])}"
-            )
-    files = {"states.csv": "\n".join(lines) + "\n"}
+    files = {"states.csv": _csv("scenario,step,t,mean,std", (
+        (s, k, cfg.grid.times[k], mean[s, k], std[s, k])
+        for s in range(n_scen) for k in range(cfg.grid.n_steps + 1)))}
     for s in range(n_scen):
         files[f"plot_state_mean_s{s}.csv"] = _series(
             "t", f"mean_state_scenario_{s}", cfg.grid.times, mean[s]
@@ -617,6 +618,13 @@ def _run_simulate(cfg: ExperimentConfig, drivers: Drivers, threads: int):
     return files, metrics, "none"
 
 
+def _cost_table(rep) -> str:
+    """``cost.csv``: each scenario's mean cost and its standard error."""
+    return _csv("scenario_id,mean,stderr,n_paths,seed", (
+        (s, mean, se, rep.n_paths, rep.seed)
+        for s, (mean, se) in enumerate(zip(rep.scenario_means, rep.scenario_stderrs))))
+
+
 def _run_cost(cfg: ExperimentConfig, drivers: Drivers, threads: int):
     if cfg.candidates is not None:
         reports = evaluate_costs(
@@ -625,14 +633,11 @@ def _run_cost(cfg: ExperimentConfig, drivers: Drivers, threads: int):
         )
         values = np.array([r.upper_value for r in reports])
         best = int(np.argmin(values))
-        lines = ["candidate,upper_value,stderr_max"]
-        for i, rep in enumerate(reports):
-            lines.append(
-                f"{i},{_fmt(rep.upper_value)},{_fmt(rep.scenario_stderrs.max())}"
-            )
         files = {
-            "candidates.csv": "\n".join(lines) + "\n",
-            "cost.csv": cost_report_csv(reports[best]),
+            "candidates.csv": _csv("candidate,upper_value,stderr_max", (
+                (i, rep.upper_value, rep.scenario_stderrs.max())
+                for i, rep in enumerate(reports))),
+            "cost.csv": _cost_table(reports[best]),
             "plot_candidate_values.csv": _series(
                 "candidate", "upper_value", range(len(reports)), values
             ),
@@ -642,7 +647,7 @@ def _run_cost(cfg: ExperimentConfig, drivers: Drivers, threads: int):
 
     rep = evaluate_cost(cfg.model, cfg.control, drivers, cfg.x0)
     files = {
-        "cost.csv": cost_report_csv(rep),
+        "cost.csv": _cost_table(rep),
         "plot_scenario_means.csv": _series(
             "scenario", "mean_cost", range(rep.scenario_means.size), rep.scenario_means
         ),
@@ -658,7 +663,7 @@ def _run_chattering(cfg: ExperimentConfig, drivers: Drivers, threads: int):
     rep = chattering_report(cfg.model, cfg.control, list(cfg.options["n_list"]), drivers, cfg.x0)
     ns = [row[0] for row in rep.rows]
     files = {
-        "chattering.csv": chattering_csv(rep),
+        "chattering.csv": _csv("n,msq_gap,cost_gap,cost_gap_stderr", rep.rows),
         "plot_msq_gap.csv": _series("n", "msq_gap", ns, [row[1] for row in rep.rows]),
         "plot_cost_gap.csv": _series("n", "cost_gap", ns, [row[2] for row in rep.rows]),
     }
@@ -680,12 +685,10 @@ def _run_variational(cfg: ExperimentConfig, drivers: Drivers, threads: int):
     # z and the formula read the base run's states; the spikes are streamed
     ens = simulate(cfg.model, cfg.control, drivers, cfg.x0)
     der, rows = spike_report(ens, ai, t0, h_list)
-    qlines = ["h,gap,stderr,scenario_id"]
-    for row in rows:
-        qlines.append(f"{_fmt(row[0])},{_fmt(row[1])},{_fmt(row[2])},{int(row[3])}")
     files = {
-        "derivative.csv": derivative_report_csv(der),
-        "quotient_gaps.csv": "\n".join(qlines) + "\n",
+        "derivative.csv": _csv("h,FD,FD_stderr,FORMULA,FORMULA_stderr", (
+            (h, fd, fd_se, der.formula, der.formula_stderr) for h, fd, fd_se in der.rows)),
+        "quotient_gaps.csv": _csv("h,gap,stderr,scenario_id", rows),
         "plot_quotient_gap.csv": _series("h", "gap", [r[0] for r in rows],
                                          [r[1] for r in rows]),
         "plot_fd_slope.csv": _series("h", "fd", [r[0] for r in der.rows],
@@ -702,7 +705,9 @@ def _run_variational(cfg: ExperimentConfig, drivers: Drivers, threads: int):
 
 def _mp_files(rep) -> dict[str, str]:
     return {
-        "mp_report.csv": mp_report_csv(rep),
+        "mp_report.csv": _csv("block,action,estimate,stderr,slack,verdict", (
+            (e.block, e.action, e.estimate, e.stderr, e.slack, "pass" if e.passed else "fail")
+            for e in rep.entries)),
         "plot_entries.csv": _series(
             "entry", "estimate", range(len(rep.entries)),
             [e.estimate for e in rep.entries]
@@ -769,7 +774,8 @@ def _run_stability(cfg: ExperimentConfig, drivers: Drivers, threads: int):
                                 basis_degree=int(o["basis_degree"]))
     ns = [row.n for row in rep.rows]
     files = {
-        "stability.csv": stability_csv(rep),
+        "stability.csv": _csv("n,p_gap,p_stderr,q_gap,q_stderr,r_gap,r_stderr,k_gap",
+                              rep.rows),
         "plot_p_gap.csv": _series("n", "p_gap", ns, [row.p_gap for row in rep.rows]),
         "plot_q_gap.csv": _series("n", "q_gap", ns, [row.q_gap for row in rep.rows]),
         "plot_r_gap.csv": _series("n", "r_gap", ns, [row.r_gap for row in rep.rows]),

@@ -149,7 +149,9 @@ def build_scenario_family(
     of fewer steps than ``blocks`` gives one block per step; more than 12
     blocks after that cap (4096 paths) are refused before anything is
     enumerated.
-    ``random`` draws ``count`` paths uniformly on the interval.
+    ``random`` draws ``count`` paths uniformly on the interval; like the
+    corner family it has at most 4096, and a larger ``count`` is refused
+    before anything is drawn.
     """
     K = grid.n_steps
     if strategy == "corners":
@@ -175,6 +177,9 @@ def build_scenario_family(
     elif strategy == "random":
         if count is None or count < 1:
             raise ValueError("random strategy needs count >= 1")
+        if count > 2**_MAX_CORNER_BLOCKS:
+            raise ValueError(f"count {count} is above {2**_MAX_CORNER_BLOCKS}, the most paths"
+                             " a corner family has")
         if seed is None:
             raise ValueError("'seed' is a required property when strategy is 'random'")
         u = rng.substream(seed, rng.SCENARIOS).uniform(size=(count, K))

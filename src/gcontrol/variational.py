@@ -327,8 +327,17 @@ def spike_report(
     drivers through :func:`stream_costs`: each step is folded into their
     path costs and into their quotient sups as the kernel writes it, so
     only the base ensemble and z are held whole. Widths must be given in
-    descending order. See :func:`gateaux_derivative` and
-    :func:`difference_quotient_gap` for the two tables.
+    descending order.
+
+    The derivative report holds the Gateaux slopes: its FD column divides
+    coupled per-path cost differences by the spike width, in the scenario
+    that attains the base upper cost, and its formula is the
+    worst-scenario mean of g_x(x*_T) z_T + sum_k h_x(t_k, x*_k, u*_k) z_k dt.
+    Each quotient row is the worst-scenario mean of
+    sup_t |(x^h - x*)/h - z|^2 for one width; the sup runs over grid times
+    from the end of the spike window to T, since inside the window the
+    quotient has not yet absorbed the full kick, and including it would
+    measure the window itself, not convergence.
     """
     h_list = [float(h) for h in check_widths(h_list)]
     grid = ensemble.grid
@@ -379,39 +388,3 @@ def spike_report(
         um = upper_expectation(list(sup_sq))
         quotients.append(QuotientRow(h, um.value, um.stderr, um.scenario_id))
     return derivative, tuple(quotients)
-
-
-def difference_quotient_gap(
-    ensemble: StateEnsemble, action_index: int, t0: float, h_list: list[float]
-) -> tuple[QuotientRow, ...]:
-    """Worst-scenario mean of sup_t |(x^h - x*)/h - z|^2 per spike width.
-
-    The sup runs over grid times from the end of the spike window to T;
-    inside the window the quotient has not yet absorbed the full kick,
-    so including it would measure the window itself, not convergence.
-    Widths must be given in descending order.
-    """
-    return spike_report(ensemble, action_index, t0, h_list)[1]
-
-
-def gateaux_derivative(
-    ensemble: StateEnsemble, action_index: int, t0: float, h_list: list[float]
-) -> DerivativeReport:
-    """Finite-difference cost slopes against the first-order formula.
-
-    The FD column divides coupled per-path cost differences by the spike
-    width, evaluated in the scenario that attains the base upper cost.
-    The formula column is the worst-scenario mean of
-    g_x(x*_T) z_T + sum_k h_x(t_k, x*_k, u*_k) z_k dt.
-    """
-    return spike_report(ensemble, action_index, t0, h_list)[0]
-
-
-def derivative_report_csv(report: DerivativeReport) -> str:
-    lines = ["h,FD,FD_stderr,FORMULA,FORMULA_stderr"]
-    for h, fd, fd_se in report.rows:
-        lines.append(
-            f"{repr(float(h))},{repr(float(fd))},{repr(float(fd_se))},"
-            f"{repr(float(report.formula))},{repr(float(report.formula_stderr))}"
-        )
-    return "\n".join(lines) + "\n"

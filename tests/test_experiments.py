@@ -16,6 +16,7 @@ from gcontrol import __version__
 from gcontrol import scenarios
 from gcontrol.experiments import (
     KINDS,
+    _csv,
     build_experiment,
     config_hash,
     load_config,
@@ -229,6 +230,14 @@ def test_simulate_zero_model_writes_constant_state_rows(tmp_path):
     assert all(line.endswith(",2.0,0.0") for line in lines[1:])
     assert res.summary["metrics"]["terminal_upper_mean"] == 2.0
     assert res.summary["metrics"]["n_scenarios"] == 4
+
+
+def test_csv_cell_rule():
+    # integers as their digits, strings as they are, every other cell as
+    # the repr of its float; one line per row and a trailing newline
+    text = _csv("a,b,c,d", [(3, np.int64(3), 0.1, "pass"), (np.float64(2.5), 1.0, -0, "fail")])
+    assert text == "a,b,c,d\n3,3,0.1,pass\n2.5,1.0,0,fail\n"
+    assert _csv("a", []) == "a\n"
 
 
 def test_summary_key_set_is_stable(tmp_path):
@@ -653,6 +662,18 @@ _VALIDATE_GAP_PROBES = {
         "$.scenarios.blocks: blocks 40 on 16 steps would enumerate 2**16 corner paths;"
         " at most 12 blocks are enumerated",
         _steps(8, scenarios={"strategy": "corners", "blocks": 40})),
+    # a random family as large as the largest corner family is the cap;
+    # 10**13 paths would fail numpy's allocation inside validate
+    "count-too-many": (
+        _lq(kind="cost", scenarios={"strategy": "random", "count": 4097, "seed": 1}),
+        "$.scenarios.count: count 4097 is above 4096, the most paths a corner family has",
+        _lq(kind="cost", scenarios={"strategy": "random", "count": 4096, "seed": 1})),
+    # the state regression's power sums up to z**32 cannot overflow
+    "basis-degree-too-high": (
+        _lq(kind="mp-strict", options={"basis_degree": 17}),
+        "$.options.basis_degree: degree 17 is above 16, beyond which the power sums of"
+        " the standardized state can overflow",
+        _lq(kind="mp-strict", options={"basis_degree": 16})),
 }
 
 
@@ -666,6 +687,9 @@ _SAME_RUN_PROBES = {
     "n-steps-float": (
         _lq(kind="cost", grid={"T": 1.0, "n_steps": 16.0}, control={"type": "uniform"}),
         _lq(kind="cost", grid={"T": 1.0, "n_steps": 16}, control={"type": "uniform"})),
+    "count-float": (
+        _lq(kind="cost", scenarios={"strategy": "random", "count": 3.0, "seed": 1}),
+        _lq(kind="cost", scenarios={"strategy": "random", "count": 3, "seed": 1})),
 }
 
 

@@ -14,6 +14,7 @@ from gcontrol.controls import (
     constant_strict,
     uniform_relaxed,
 )
+from gcontrol.experiments import run_document
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from gcontrol.sde import simulate
@@ -24,6 +25,12 @@ QUIET = MarkSpace(marks=np.array([1.0]), intensities=np.array([0.0]))
 
 def _fam(lo, hi, grid):
     return build_scenario_family(VolatilityBounds(lo, hi), grid, "corners", blocks=1)
+
+
+def _artifact(tmp_path, name, **doc):
+    """The text of artifact ``name`` of a run of ``doc`` on a one-block corner family."""
+    run_document({"scenarios": {"strategy": "corners", "blocks": 1}, **doc}, output_dir=tmp_path)
+    return (tmp_path / name).read_text()
 
 
 def _pure_control_drift_model(b2=0.5):
@@ -270,7 +277,7 @@ def test_quotient_gap_zero_for_trivial_spike():
     actions = ActionGrid(np.array([0.0, 1.0]))
     ens = simulate(model, constant_strict(actions, 40, 1),
                    sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 100, 21), 1.0)
-    rows = vr.difference_quotient_gap(ens, 1, 0.25, [0.1, 0.05])
+    _, rows = vr.spike_report(ens, 1, 0.25, [0.1, 0.05])
     for row in rows:
         assert row.gap == 0.0
 
@@ -281,7 +288,7 @@ def test_quotient_gap_first_order_on_drift_only_model():
     actions = ActionGrid(np.array([0.2, 0.9]))
     ens = simulate(model, constant_strict(actions, 400, 0),
                    sample_drivers(_fam(1.0, 1.0, grid), grid, QUIET, 2, 22), 1.0)
-    rows = vr.difference_quotient_gap(ens, 1, 0.25, [0.1, 0.05, 0.025])
+    _, rows = vr.spike_report(ens, 1, 0.25, [0.1, 0.05, 0.025])
     assert rows[0].gap / rows[1].gap >= 1.5
     assert rows[1].gap / rows[2].gap >= 1.5
 
@@ -294,7 +301,7 @@ def test_quotient_gap_nonincreasing_on_jump_model():
     actions = ActionGrid(np.array([0.0, 1.0]))
     ens = simulate(model, constant_strict(actions, 200, 0),
                    sample_drivers(_fam(1.5, 1.5, grid), grid, MARKS, 1500, 23), 1.0)
-    rows = vr.difference_quotient_gap(ens, 1, 0.25, [0.1, 0.05, 0.025])
+    _, rows = vr.spike_report(ens, 1, 0.25, [0.1, 0.05, 0.025])
     for a, b in zip(rows, rows[1:]):
         assert b.gap <= a.gap + 3 * (a.stderr + b.stderr)
 
@@ -306,7 +313,7 @@ def test_quotient_rejects_ascending_widths():
     ens = simulate(model, constant_strict(actions, 40, 0),
                    sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 24), 1.0)
     with pytest.raises(ValueError):
-        vr.difference_quotient_gap(ens, 1, 0.25, [0.05, 0.1])
+        vr.spike_report(ens, 1, 0.25, [0.05, 0.1])
 
 
 def test_gateaux_trivial_spike_is_zero():
@@ -315,7 +322,7 @@ def test_gateaux_trivial_spike_is_zero():
     actions = ActionGrid(np.array([0.0, 1.0]))
     ens = simulate(model, constant_strict(actions, 40, 1),
                    sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 100, 25), 1.0)
-    rep = vr.gateaux_derivative(ens, 1, 0.25, [0.1, 0.05])
+    rep, _ = vr.spike_report(ens, 1, 0.25, [0.1, 0.05])
     assert rep.formula == 0.0
     for _, fd, _ in rep.rows:
         assert fd == 0.0
@@ -329,7 +336,7 @@ def test_gateaux_fd_agrees_with_formula():
     actions = ActionGrid(np.array([0.0, 1.0]))
     ens = simulate(model, constant_strict(actions, 200, 0),
                    sample_drivers(_fam(1.5, 1.5, grid), grid, MARKS, 3000, 9), 1.0)
-    rep = vr.gateaux_derivative(ens, 1, 0.25, [0.1, 0.05, 0.025])
+    rep, _ = vr.spike_report(ens, 1, 0.25, [0.1, 0.05, 0.025])
     h_min, fd, fd_se = rep.rows[-1]
     tol = max(0.1 * abs(rep.formula), 3 * np.hypot(fd_se, rep.formula_stderr))
     assert abs(fd - rep.formula) <= tol
@@ -344,8 +351,8 @@ def test_gateaux_fd_column_is_reproducible():
                   sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 300, 26), 1.0)
     e2 = simulate(model, constant_strict(actions, 40, 0),
                   sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 300, 26), 1.0)
-    r1 = vr.gateaux_derivative(e1, 1, 0.25, [0.1, 0.05])
-    r2 = vr.gateaux_derivative(e2, 1, 0.25, [0.1, 0.05])
+    r1, _ = vr.spike_report(e1, 1, 0.25, [0.1, 0.05])
+    r2, _ = vr.spike_report(e2, 1, 0.25, [0.1, 0.05])
     assert r1.rows == r2.rows
     assert r1.formula == r2.formula
 
@@ -366,19 +373,20 @@ def test_gateaux_nonnegative_at_bruteforce_optimum():
     res = value_bruteforce(model, cands, drivers, 2.5)
     assert res.minimizer_index == 0  # steady -1 pulls x toward 0
     ens = simulate(model, res.minimizer, drivers, 2.5)
-    rep = vr.gateaux_derivative(ens, 1, 0.25, [0.125, 0.0625])
+    rep, _ = vr.spike_report(ens, 1, 0.25, [0.125, 0.0625])
     _, fd, fd_se = rep.rows[-1]
     assert fd >= -3 * fd_se
 
 
-def test_derivative_report_csv_layout():
-    model = md.build_model("linear_jump_lq", {})
-    grid = TimeGrid(T=1.0, n_steps=40)
-    actions = ActionGrid(np.array([0.0, 1.0]))
-    ens = simulate(model, constant_strict(actions, 40, 0),
-                   sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 100, 28), 1.0)
-    rep = vr.gateaux_derivative(ens, 1, 0.25, [0.1, 0.05])
-    lines = vr.derivative_report_csv(rep).strip().split("\n")
+def test_derivative_report_csv_layout(tmp_path):
+    text = _artifact(tmp_path, "derivative.csv", kind="variational",
+                     model={"name": "linear_jump_lq"}, grid={"T": 1.0, "n_steps": 40},
+                     bounds={"sigma_low": 1.0, "sigma_high": 1.0},
+                     marks={"values": [-0.4, 0.6], "intensities": [0.7, 0.3]},
+                     actions=[0.0, 1.0], control={"type": "constant", "index": 0},
+                     n_paths=100, seed=28, x0=1.0,
+                     options={"action_index": 1, "t0": 0.25, "h_list": [0.1, 0.05]})
+    lines = text.strip().split("\n")
     assert lines[0] == "h,FD,FD_stderr,FORMULA,FORMULA_stderr"
     assert len(lines) == 3
     assert lines[1].startswith("0.1,")
