@@ -9,8 +9,6 @@ maximum-principle checks.
 __version__ = "0.1.0"
 
 from .adjoint import (
-    AdjointTriple,
-    BSDERepresentation,
     MPCheckReport,
     NearOptimalReport,
     StabilityReport,
@@ -18,7 +16,6 @@ from .adjoint import (
     hamiltonian,
     mp_check_near,
     mp_check_relaxed,
-    solve_adjoint,
 )
 from .controls import (
     ActionGrid,
@@ -56,7 +53,7 @@ from .scenarios import (
     generator_G,
     upper_expectation,
 )
-from .sde import StateEnsemble, simulate, simulate_batch
+from .sde import StateEnsemble, simulate
 from .variational import (
     DerivativeReport,
     FundamentalPair,
@@ -67,8 +64,6 @@ from .variational import (
 
 __all__ = [
     "ActionGrid",
-    "AdjointTriple",
-    "BSDERepresentation",
     "ChatteringReport",
     "CostReport",
     "DerivativeReport",
@@ -107,8 +102,6 @@ __all__ = [
     "run_document",
     "sample_drivers",
     "simulate",
-    "simulate_batch",
-    "solve_adjoint",
     "solve_fundamental",
     "solve_variational",
     "spike",

@@ -8,10 +8,11 @@ martingale loadings (Brownian, compensated jumps, and the second-order
 volatility channel) come from cross-path regressions of the fitted
 martingale increments.
 
-The layer works time-major, as does every array it takes or returns:
-states and flow (K+1, S, P), and the triple's ``p`` (K+1, S, P), ``q``
-(K, S, P) and ``r`` (K, S, P, m), all C-ordered; a step's (S, P)
+The layer works time-major, as does every array it takes: states, flow
+and backward variable (K+1, S, P), all C-ordered; a step's (S, P)
 Brownian increments are formed when it is read (``Drivers.step_dB``).
+The triple exists one step at a time: ``p`` and ``q`` (S, P) and ``r``
+(S, P, m).
 :func:`_adjoint_core` forms the backward variable in one (K+1, S, P)
 buffer, then walks the grid once forward; at each step it solves the
 state regression and the increment regression of every scenario from
@@ -31,13 +32,12 @@ turns a backward variable into ``(p, q, r)`` at a step, and one,
 ``r`` is formed one mark at a time, from contiguous (S, P) operands
 with that mark's ``1 / (1 + f_x)``, a scalar when ``f_x`` is constant
 in the state, and stored mark-last like every ``r`` of this module.
-:func:`_triple_steps` feeds the fitted variable one step at a time:
-:func:`solve_adjoint` fills whole arrays from it, and
-:func:`bsde_stability_report` walks each chattering rung's steps beside
-the relaxed control's and folds each pair into per-(scenario, path) gap
-accumulators, so it holds no triple whole: the relaxed control keeps its
-states, ``psi`` and fitted ``y``, and re-forms its triple step by step
-beside each rung. :func:`mp_check_relaxed` reads the raw (unfitted)
+:func:`_triple_steps` feeds the fitted variable one step at a time, and
+no triple is ever held whole: :func:`bsde_stability_report` walks each
+chattering rung's steps beside the relaxed control's and folds each pair
+into per-(scenario, path) gap accumulators; the relaxed control keeps
+its states, ``psi`` and fitted ``y``, and re-forms its triple step by
+step beside each rung. :func:`mp_check_relaxed` reads the raw (unfitted)
 variable, at report-block starts for the triple and through
 :func:`_q_at` in one backward pass for the volatility-channel weights of
 every block. A backward variable, triple component or table entry that
@@ -45,8 +45,9 @@ overflows raises, naming the step and the scenario.
 
 A control is read through its ``weights`` over ``grid.actions`` (one-hot
 for a strict control), so a strict control's adjoint and tables run on the
-strict run itself: the strict kernel, no action tags, the flow's
-untagged branch. Its Dirac embedding is what the tests compare against.
+strict run itself: the strict kernel, and the flow on the events' tags,
+which for a strict control are its played indices. Its Dirac embedding
+is what the tests compare against.
 
 Everything reads its run from a :class:`~gcontrol.sde.StateEnsemble`,
 whose drivers carry the scenario family, the grid, the marks and the
@@ -84,8 +85,8 @@ from .costs import cost_from_ensemble, evaluate_costs
 from .jumps import Drivers, MarkSpace
 from .models import ModelSpec, _avg, _coeff
 from .scenarios import TimeGrid, generator_G, upper_expectation
-from .sde import StateEnsemble, simulate
-from .variational import _first_nonfinite, solve_fundamental
+from .sde import StateEnsemble, _first_nonfinite, _require_finite, simulate
+from .variational import solve_fundamental
 
 _DEGENERATE_STD = 1e-12
 # a Gram matrix whose condition number lmax / lmin exceeds this is not solved;
@@ -95,67 +96,6 @@ _GRAM_COND_MAX = 1e8
 # sum z**(2d) is at most P**d; at this degree that stays below 1e304 for any
 # P below 2**63, so no Gram entry overflows
 _MAX_BASIS_DEGREE = 16
-
-
-def _sigma_x(model: ModelSpec, t: float, x: np.ndarray):
-    """``sigma_x(t, x)``, a scalar when it is constant in ``x`` (see ``models._coeff``)."""
-    return _coeff(model.sigma_x(t, x))
-
-
-def _require_finite(v: np.ndarray, what: str) -> None:
-    """Raise ``FloatingPointError`` naming ``what`` and the first non-finite scenario."""
-    bad = _first_nonfinite(v)
-    if bad is not None:
-        raise FloatingPointError(f"non-finite {what} under scenario {bad[0]}")
-
-
-@dataclass(frozen=True)
-class AdjointTriple:
-    """Costate ``p`` per grid node, loadings ``q``/``r`` per step.
-
-    The G-BSDE's orthogonal remainder is identically zero under the
-    finite scenario family used here, so it is not stored. Every
-    component is time-major, so ``p[k]`` and ``q[k]`` are contiguous
-    (S, P) steps.
-    """
-
-    p: np.ndarray  # (K+1, S, P)
-    q: np.ndarray  # (K, S, P)
-    r: np.ndarray  # (K, S, P, m)
-
-    def __post_init__(self):
-        kk, s, p_ = self.q.shape
-        if self.p.shape != (kk + 1, s, p_):
-            raise ValueError("p must have one more time index than q")
-        if self.r.shape[:3] != (kk, s, p_) or self.r.ndim != 4:
-            raise ValueError("r must align with q and carry a mark axis")
-        for name in ("p", "q", "r"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"adjoint component {name} is not finite")
-
-
-@dataclass(frozen=True)
-class BSDERepresentation:
-    """Diagnostics of the regression-backed martingale representation.
-
-    ``X`` is the raw backward variable at time zero (terminal gradient
-    times the forward flow plus the running-cost integral), ``y`` the
-    fitted conditional means of that variable along the grid. ``Q``/``R``
-    are per-step cross-path loadings, ``intercept`` the leftover drift,
-    and ``S_t`` the second-order loading recovered from that drift.
-    Condition numbers are reported, never raised on.
-    """
-
-    X: np.ndarray  # (S, P) terminal functional
-    y: np.ndarray  # (K+1, S, P)
-    Q: np.ndarray  # (S, K)
-    R: np.ndarray  # (S, K, m)
-    S_t: np.ndarray  # (S, K)
-    intercept: np.ndarray  # (S, K)
-    cond_y: np.ndarray  # (S, K)
-    cond_increment: np.ndarray  # (S, K)
-    y_residual: np.ndarray  # (S,) rms in-sample regression residual
-    basis_degree: int
 
 
 class MPEntry(NamedTuple):
@@ -490,9 +430,8 @@ def _adjoint_core(
     scenarios (:func:`_solve_normal`). The backward variable lives in one
     time-major (K+1, S, P) buffer, ``y``: it holds the raw variable, and with ``keep_fit`` step
     k's fit overwrites step k once the regression has read it, so ``y``
-    ends as the fitted variable. ``X`` is the raw step 0, copied first.
-    A backward variable that overflows raises ``FloatingPointError``
-    naming the step and the scenario.
+    ends as the fitted variable. A backward variable that overflows
+    raises ``FloatingPointError`` naming the step and the scenario.
     """
     check_basis_degree(basis_degree)
     model = ensemble.model
@@ -521,7 +460,6 @@ def _adjoint_core(
     for k in range(n_steps - 1, -1, -1):
         y[k] = y[k + 1] + running(k)
         _require_finite(y[k], f"backward variable at step {k}")
-    X = y[0].copy()
 
     cond_y = np.ones((n_scen, n_steps))
     cond_inc = np.ones((n_scen, n_steps))
@@ -569,7 +507,6 @@ def _adjoint_core(
         psi=psi,
         gx_term=gx_term,
         y=y,
-        X=X,
         Q=q_load,
         R=r_load,
         S_t=s_table,
@@ -580,13 +517,12 @@ def _adjoint_core(
         dropped_columns=dropped,
         svd_fallbacks=fallbacks,
         clamped_intercepts=clamped,
-        basis_degree=basis_degree,
     )
 
 
 def _q_at(ensemble: StateEnsemble, core: SimpleNamespace, k: int, y_k: np.ndarray):
     """``q = psi (Q - y sigma_x)`` at step k, (S, P), and the ``sigma_x`` it reads."""
-    sx = _sigma_x(ensemble.model, float(ensemble.grid.times[k]), ensemble.states[k])
+    sx = _coeff(ensemble.model.sigma_x(float(ensemble.grid.times[k]), ensemble.states[k]))
     return core.psi[k] * (core.Q[:, k][:, None] - y_k * sx), sx
 
 
@@ -629,42 +565,6 @@ def _triple_steps(ensemble: StateEnsemble, core: SimpleNamespace) -> Iterator[tu
                     f"adjoint component {name} is not finite at step {k} under scenario {bad[0]}"
                 )
         yield step
-
-
-def solve_adjoint(
-    ensemble: StateEnsemble, basis_degree: int = 2
-) -> tuple[AdjointTriple, BSDERepresentation]:
-    """Recover the adjoint triple along an ensemble's paths.
-
-    ``p`` is the fitted backward variable times ``psi``; ``q`` and ``r``
-    transport the regression loadings with ``psi`` and the jump
-    inverse. The terminal value of ``p`` is the exact terminal gradient,
-    set directly rather than through the fitted product. Degenerate
-    regressions fall back to means and dropped columns; condition
-    numbers land in the representation for inspection.
-    """
-    core = _adjoint_core(ensemble, basis_degree, keep_fit=True)
-    n_steps = ensemble.grid.n_steps
-    p = np.empty(ensemble.states.shape)
-    q = np.empty(p[:n_steps].shape)
-    r = np.empty(q.shape + (ensemble.marks.n_marks,))
-    for k, (p_k, q_k, r_k) in enumerate(_triple_steps(ensemble, core)):
-        p[k], q[k], r[k] = p_k, q_k, r_k
-    p[n_steps] = core.gx_term
-    triple = AdjointTriple(p=p, q=q, r=r)
-    rep = BSDERepresentation(
-        X=core.X,
-        y=core.y,
-        Q=core.Q,
-        R=core.R,
-        S_t=core.S_t,
-        intercept=core.intercept,
-        cond_y=core.cond_y,
-        cond_increment=core.cond_increment,
-        y_residual=core.y_residual,
-        basis_degree=basis_degree,
-    )
-    return triple, rep
 
 
 def _hypothesis_label(model: ModelSpec, grid: TimeGrid, actions: np.ndarray) -> str:

@@ -192,6 +192,8 @@ def spike(spec: SpikeSpec, grid: TimeGrid) -> StrictControl:
 def _grid_steps(value: float, dt: float) -> int:
     """``value / dt`` when it is a whole number of steps (to 1e-9), else raise."""
     steps = value / dt
+    if not np.isfinite(steps):
+        raise ValueError(f"{value} is {steps} steps of dt = {dt!r}, more than any grid has")
     if abs(steps - round(steps)) > 1e-9:
         raise ValueError(f"{value} is not a multiple of dt = {dt!r}")
     return int(round(steps))

@@ -26,7 +26,7 @@ from .controls import RelaxedControl, StrictControl, chattering, check_ladder
 from .jumps import Drivers
 from .models import ModelSpec, _avg
 from .scenarios import TimeGrid, upper_expectation
-from .sde import StateEnsemble, simulate, stream_batch
+from .sde import StateEnsemble, _require_finite, simulate, stream_batch
 
 Control = StrictControl | RelaxedControl
 
@@ -61,7 +61,8 @@ class _PathCost:
     """Left-endpoint quadrature of one control's per-(scenario, path) cost.
 
     ``add(k, x_k)`` for k = 0, ..., n_steps - 1 in step order, then
-    ``total(x_T)``. The running cost at each step is h mixed under the
+    ``total(x_T, what)``, which raises on a non-finite cost, naming ``what``
+    and the scenario. The running cost at each step is h mixed under the
     step's weights (:func:`gcontrol.models._avg`), a strict control's
     one-hot weights giving h at its action. Fed the steps of a stored
     ensemble or of a streamed batch, it gives the same bits.
@@ -78,10 +79,9 @@ class _PathCost:
         t = float(self.grid.times[k])
         self.running += _avg(self.model.h, t, xk, self.weights[k], self.actions) * self.grid.dt
 
-    def total(self, x_T: np.ndarray) -> np.ndarray:
+    def total(self, x_T: np.ndarray, what: str) -> np.ndarray:
         total = self.running + np.asarray(self.model.g(x_T))
-        if not np.all(np.isfinite(total)):
-            raise FloatingPointError("cost evaluation produced non-finite values")
+        _require_finite(total, what)
         return total
 
 
@@ -106,7 +106,7 @@ def cost_from_ensemble(ensemble: StateEnsemble) -> CostReport:
     acc = _PathCost(ensemble.model, ensemble.control, ensemble.grid, states.shape[1:])
     for k in range(ensemble.grid.n_steps):
         acc.add(k, states[k])
-    return _cost_report(acc.total(states[-1]), ensemble.seed)
+    return _cost_report(acc.total(states[-1], "path cost"), ensemble.seed)
 
 
 def stream_costs(
@@ -117,7 +117,9 @@ def stream_costs(
     The batch runs through :func:`stream_batch`, which folds each step
     into the controls' path costs as it is written; ``reduce(k, x)``,
     when given, sees every step of the batch first, shape (n_controls,
-    S, P). The controls must be all strict or all relaxed.
+    S, P). The controls must be all strict or all relaxed. A non-finite
+    path cost raises, naming its scenario and the control's position in
+    the batch.
     """
     grid = drivers.grid
     K = grid.n_steps
@@ -132,7 +134,8 @@ def stream_costs(
             for acc, xc in zip(sums, x):
                 acc.add(k, xc)
         else:
-            totals.extend(acc.total(xc) for acc, xc in zip(sums, x))
+            totals.extend(acc.total(xc, f"path cost of control {c}")
+                          for c, (acc, xc) in enumerate(zip(sums, x)))
 
     stream_batch(model, controls, drivers, x0, fold)
     return [_cost_report(c, drivers.seed) for c in totals]

@@ -3,11 +3,12 @@
 Jumps are simulated as a compound Poisson process: the path's event count
 is Poisson with rate ``total_intensity * T``, event times are uniform on
 (0, T], and marks are drawn i.i.d. with weights ``nu_i / nu(Gamma)``.
-A relaxed control tags each event with an action drawn from its weights
-at the event's grid step (a thinning construction, which reproduces the
-product compensator exactly). The tag uniforms come from a separate
-substream and are drawn once per event, so every control, strict or
-relaxed, sees the same base events.
+A control tags each event with an action drawn from its weights at the
+event's grid step (a thinning construction, which reproduces the product
+compensator exactly); a strict control's one-hot weights tag every event
+with the action it plays, and an action of zero weight is never drawn.
+The tag uniforms come from a separate substream and are drawn once per
+event, so every control, strict or relaxed, sees the same base events.
 
 :func:`sample_drivers` samples all of this, plus the standard-normal
 draws of the Brownian part, once per (family, grid, marks, n_paths,
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import rng
 from . import scenarios as scen_mod
-from .controls import RelaxedControl
+from .controls import RelaxedControl, StrictControl
 from .scenarios import ScenarioFamily, TimeGrid
 
 
@@ -100,11 +101,12 @@ def _index_from_uniform(u: np.ndarray, cum_weights: np.ndarray) -> np.ndarray:
     """Inverse-CDF lookup written so Dirac weights reduce exactly.
 
     ``cum_weights`` has one row per draw. The returned index counts the
-    cumulative weights <= u, so a one-hot weight row at j maps every
-    u in [0, 1) to exactly j, with no floating-point rounding involved.
+    cumulative weights <= u that lie below the row's total, so a one-hot
+    weight row at j maps every u in [0, 1) to exactly j, with no
+    floating-point rounding involved, and an entry of zero weight is
+    never drawn, not even when the row's total rounds below u.
     """
-    idx = (u[:, None] >= cum_weights).sum(axis=1)
-    return np.minimum(idx, cum_weights.shape[1] - 1)
+    return ((u[:, None] >= cum_weights) & (cum_weights < cum_weights[:, -1:])).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,6 @@ class Drivers:
     tag_u: np.ndarray
     by_step: np.ndarray
     offsets: np.ndarray
-    count_dtype: np.dtype
 
     @property
     def n_paths(self) -> int:
@@ -156,10 +157,10 @@ class Drivers:
         """The paths with at least one event in step k, ascending."""
         return np.unique(self.path[self.by_step[self.offsets[k]:self.offsets[k + 1]]])
 
-    def tags(self, mu: RelaxedControl) -> np.ndarray:
-        """Action tag of every event under ``mu``, drawn from the step's weights."""
+    def tags(self, mu: RelaxedControl | StrictControl) -> np.ndarray:
+        """Every event's action tag, drawn from ``mu``'s step weights; exact for one-hot rows."""
         if mu.n_steps != self.grid.n_steps:
-            raise ValueError("relaxed control and drivers disagree on n_steps")
+            raise ValueError("control and drivers disagree on n_steps")
         cumw = np.cumsum(mu.weights, axis=1)
         return _index_from_uniform(self.tag_u, cumw[self.step])
 
@@ -168,9 +169,8 @@ class Drivers:
         """Step k's events per (mark, path), or per (mark, action tag, path).
 
         ``tags`` is every event's tag (:meth:`tags`) on ``n_actions`` actions.
-        ``count_dtype`` is the smallest signed integer that holds the
-        largest (step, mark, path) count; signed, so the flow's inverse
-        jump factor ``base ** -count`` cannot wrap.
+        The counts are :func:`numpy.bincount`'s int64, signed, so the
+        flow's inverse jump factor ``base ** -count`` cannot wrap.
         """
         ev = self.by_step[self.offsets[k]:self.offsets[k + 1]]
         cell = self.mark_idx[ev]
@@ -179,7 +179,7 @@ class Drivers:
             cell = cell * n_actions + tags[ev]
             shape = (self.marks.n_marks, n_actions, self.n_paths)
         flat = np.bincount(cell * self.n_paths + self.path[ev], minlength=np.prod(shape))
-        return flat.astype(self.count_dtype).reshape(shape)
+        return flat.reshape(shape)
 
 
 def sample_drivers(
@@ -215,9 +215,7 @@ def sample_drivers(
     tag_u = rng.substream(seed, rng.TAGS).uniform(size=times.size)
     by_step = np.argsort(step, kind="stable")
     offsets = np.searchsorted(step, np.arange(grid.n_steps + 1), side="left", sorter=by_step)
-    cells = np.unique((step * marks.n_marks + mark_idx) * n_paths + path, return_counts=True)[1]
-    count_dtype = np.min_scalar_type(-int(cells.max(initial=0)) - 1)
     for arr in (path, times, mark_idx, step, tag_u, by_step, offsets):
         arr.setflags(write=False)
     return Drivers(int(seed), grid, family, marks, xi, path, times, mark_idx, step, tag_u, by_step,
-                   offsets, count_dtype)
+                   offsets)

@@ -1,13 +1,13 @@
 """Batched Euler simulation of the controlled jump-diffusion, strict and relaxed.
 
-:func:`simulate_batch` runs every control of one kind (all strict or all
-relaxed) through one time-major pass over a shared :class:`Drivers`
-bundle, so a set of controls costs one sampling and one kernel call.
-There is one step loop, :func:`_steps`; each control kind supplies only
-its increment and its per-step tables: action values and counts for a
-strict batch, weights and tagged counts for a relaxed one, each step's
-counts formed from its events and its (S, P) Brownian increments from
-the drivers' scenario-free draws. The relaxed step averages b and gamma
+The kernel runs every control of one kind (all strict or all relaxed)
+through one time-major pass over a shared :class:`Drivers` bundle, so a
+set of controls costs one sampling and one kernel call. There is one
+step loop, :func:`_steps`; each control kind supplies only its increment
+and its per-step tables: action values and counts for a strict batch,
+weights and tagged counts for a relaxed one, each step's counts formed
+from its events and its (S, P) Brownian increments from the drivers'
+scenario-free draws. The relaxed step averages b and gamma
 under the step's weights and evaluates f at each event's action tag;
 its weighted sums are accumulated in fixed action order, so a one-hot
 (embedded strict) control reproduces the strict simulation bit for bit
@@ -46,9 +46,9 @@ class StateEnsemble:
     """Simulated state paths indexed by (step, scenario, path).
 
     ``states`` is C-ordered and time-major, shape (n_steps + 1,
-    n_scenarios, n_paths), the layout of :func:`simulate_batch`'s rows,
-    so ``states[k]`` is one contiguous step. The bundle keeps everything
-    a downstream consumer needs to reuse the same randomness: the
+    n_scenarios, n_paths), so ``states[k]`` is one contiguous step. The
+    bundle keeps everything a downstream consumer needs to reuse the same
+    randomness: the
     drivers (whose events give each step's counts, and a relaxed
     control's tags) and the control that produced the run. The run's
     setting (family, grid, marks, seed) is read through the drivers.
@@ -77,27 +77,37 @@ class StateEnsemble:
         return self.drivers.marks
 
     @property
-    def n_scenarios(self) -> int:
-        return self.states.shape[1]
-
-    @property
     def n_paths(self) -> int:
         return self.states.shape[2]
 
-    @property
-    def n_steps(self) -> int:
-        return self.states.shape[0] - 1
+
+def _first_nonfinite(v: np.ndarray) -> tuple[int, ...] | None:
+    """The index of the first non-finite entry of ``v`` in C order, or None.
+
+    The index is looked for only once the whole-array check has failed,
+    and without an index row per non-finite entry.
+    """
+    finite = np.isfinite(v)
+    if finite.all():
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmin(finite), v.shape))
+
+
+def _require_finite(v: np.ndarray, what: str) -> None:
+    """Raise ``FloatingPointError`` naming ``what`` and the first non-finite scenario."""
+    bad = _first_nonfinite(v)
+    if bad is not None:
+        raise FloatingPointError(f"non-finite {what} under scenario {bad[0]}")
 
 
 def _check_finite(x: np.ndarray, k: int) -> None:
     """Raise when the (control, scenario, path) states after step k diverged."""
-    finite = np.isfinite(x)
-    if not finite.all():
-        bad = ~finite
-        c, s = (int(i) for i in np.argwhere(bad.any(axis=2))[0])
+    bad = _first_nonfinite(x)
+    if bad is not None:
+        c, s, _ = bad
         raise FloatingPointError(
             f"non-finite state after step {k} under scenario {s} of control {c} on "
-            f"{int(np.count_nonzero(bad[c, s]))} paths; the scheme diverged "
+            f"{int(np.count_nonzero(~np.isfinite(x[c, s])))} paths; the scheme diverged "
             "(check coefficients and dt)"
         )
 
@@ -135,10 +145,11 @@ def _steps(model, increment, tables, events, drivers, X, reduce) -> None:
     with every coefficient read at the left endpoint and jumps acting on
     the pre-jump state. The control kind supplies ``increment`` and its
     per-step tables: ``tables[:, k]`` holds the controls' step-k action
-    values (strict) or weights (relaxed), and ``events`` yields each step's
-    counts (strict) or tagged counts (relaxed), and ``drivers`` the
-    grid, the marks, the scenarios' volatility values ``a_k`` and each
-    step's Brownian increments (:meth:`Drivers.step_dB`). Step k lives in
+    values (strict) or weights (relaxed), ``events`` yields each step's
+    counts (strict) or its per-mark tagged counts (relaxed, as a function
+    of the mark), and ``drivers`` the grid, the marks, the scenarios'
+    volatility values ``a_k`` and each step's Brownian increments
+    (:meth:`Drivers.step_dB`). Step k lives in
     ``X[k % len(X)]``: X holds every step, or one slot that each step
     updates in place (the update is elementwise), and ``reduce(k, X_k)``
     sees each step once it is written, k = 0, ..., n_steps.
@@ -164,31 +175,48 @@ def _strict_increment(model, t, xk, uk, a_dt, dBk, marks, ck, dt):
     return incr + jumps
 
 
-def _relaxed_jumps(model, t, xk, wk, actions, marks, tk, dt):
-    """:func:`_strict_jumps` with f at each event's tag and a weight-averaged compensator."""
+def _mark_counts(drivers, tags, n_actions, k, i):
+    """Step k's events of mark i per (action tag, control, path), (A, C, 1, P).
+
+    ``tags`` (C, n_events) holds every control's event tags. One mark at a
+    time, so a step never holds the int64 counts of every mark.
+    """
+    ev = drivers.by_step[drivers.offsets[k]:drivers.offsets[k + 1]]
+    ev = ev[drivers.mark_idx[ev] == i]
+    C, P = tags.shape[0], drivers.n_paths
+    cell = (tags[:, ev] * C + np.arange(C)[:, None]) * P + drivers.path[ev]
+    return np.bincount(cell.ravel(), minlength=n_actions * C * P).reshape(n_actions, C, 1, P)
+
+
+def _relaxed_jumps(model, t, xk, wk, actions, marks, counts, dt):
+    """:func:`_strict_jumps` with f at each event's tag and a weight-averaged compensator.
+
+    ``counts(i)`` is mark i's :func:`_mark_counts`.
+    """
     jump_sum = 0.0
     comp_rate = 0.0
     for i in range(marks.n_marks):
         th = float(marks.marks[i])
+        tk = counts(i)
         jump_i = 0.0
         f_bar = 0.0
         for al in range(actions.size):
             f_ia = model.f(t, xk, th, float(actions[al]))
-            jump_i = jump_i + f_ia * tk[i, al]
+            jump_i = jump_i + f_ia * tk[al]
             f_bar = f_bar + wk[:, al] * f_ia
         jump_sum = jump_sum + jump_i
         comp_rate = comp_rate + f_bar * marks.intensities[i]
     return jump_sum - comp_rate * dt
 
 
-def _relaxed_increment(actions, model, t, xk, wk, a_dt, dBk, marks, tk, dt):
+def _relaxed_increment(actions, model, t, xk, wk, a_dt, dBk, marks, counts, dt):
     """Weight-averaged b and gamma, f at each event's tag.
 
     The compensator is the product average sum_i sum_a w_k(a) f(theta_i,
     a) nu_i dt. Sums run over actions in grid order so that one-hot
     weights collapse to the strict expression exactly.
     """
-    jumps = _relaxed_jumps(model, t, xk, wk, actions, marks, tk, dt)
+    jumps = _relaxed_jumps(model, t, xk, wk, actions, marks, counts, dt)
     b_bar = 0.0
     g_bar = 0.0
     for al in range(actions.size):
@@ -201,18 +229,6 @@ def _relaxed_increment(actions, model, t, xk, wk, a_dt, dBk, marks, tk, dt):
     return incr + jumps
 
 
-def simulate_batch(
-    model: ModelSpec, controls: Sequence[Control], drivers: Drivers, x0: float
-) -> np.ndarray:
-    """Simulate every control under every scenario on one set of drivers.
-
-    The controls must be all strict or all relaxed. Returns the states
-    time-major, shape (n_steps + 1, n_controls, n_scenarios, n_paths);
-    row c equals the run of control c alone, bit for bit.
-    """
-    return _simulate(model, list(controls), drivers, x0, None)
-
-
 def stream_batch(
     model: ModelSpec,
     controls: Sequence[Control],
@@ -220,13 +236,14 @@ def stream_batch(
     x0: float,
     reduce: Callable[[int, np.ndarray], None],
 ) -> None:
-    """:func:`simulate_batch` on one step slot, updated in place step by step.
+    """Simulate every control under every scenario on one step slot, updated in place.
 
-    ``reduce(k, x)`` is called for k = 0, ..., n_steps in order with the
-    states of step k, shape (n_controls, n_scenarios, n_paths), the same
-    bits as ``simulate_batch(...)[k]``. The next step overwrites ``x``
-    in place, so a reducer keeps what it derives from ``x``, never ``x``
-    itself.
+    The controls must be all strict or all relaxed. ``reduce(k, x)`` is
+    called for k = 0, ..., n_steps in order with the states of step k,
+    shape (n_controls, n_scenarios, n_paths); row c has the bits of step
+    k of control c's own :func:`simulate` run. The next step overwrites
+    ``x`` in place, so a reducer keeps what it derives from ``x``, never
+    ``x`` itself.
     """
     _simulate(model, list(controls), drivers, x0, reduce)
 
@@ -239,12 +256,12 @@ def _simulate(model, controls, drivers, x0, reduce):
     """The kernel on every step (``reduce`` None) or on one slot updated in place.
 
     Returns the state buffer. A step's counts are formed from its events:
-    (m, P) for a strict batch, (m, A, n_controls, 1, P) from each control's
-    event tags for a relaxed one.
+    (m, P) for a strict batch, and for a relaxed one (A, n_controls, 1, P)
+    of one mark at a time from every control's event tags.
     """
     ensure_validated(model)
     if not controls:
-        raise ValueError("simulate_batch needs at least one control")
+        raise ValueError("a batch needs at least one control")
     K = drivers.grid.n_steps
     if any(c.n_steps != K for c in controls):
         raise ValueError("controls and grid must agree on n_steps")
@@ -262,10 +279,9 @@ def _simulate(model, controls, drivers, x0, reduce):
             raise ValueError("relaxed controls of one batch must share the action grid")
         increment = partial(_relaxed_increment, actions)
         tables = np.stack([mu.weights for mu in controls])[:, :, :, None, None]
-        tags = [drivers.tags(mu) for mu in controls]
-        # one step's counts at a time, each control's broadcast over the scenarios
-        events = (np.stack([drivers.step_counts(k, t, actions.size) for t in tags],
-                           axis=2)[:, :, :, None] for k in range(K))
+        tags = np.stack([drivers.tags(mu) for mu in controls])
+        # one mark's counts of one step at a time, broadcast over the scenarios
+        events = (partial(_mark_counts, drivers, tags, actions.size, k) for k in range(K))
     else:
         raise ValueError("a batch holds either strict or relaxed controls, not both")
     _steps(model, increment, tables, events, drivers, X, reduce)

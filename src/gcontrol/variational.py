@@ -9,8 +9,11 @@ requirement; the quantities being compared are pathwise, and independent
 randomness would swamp them.
 
 A control is read through its per-step ``weights`` over ``grid.actions``
-(one-hot for a strict control). A strict run's events are untagged, so
-its jump factors and the ``|1 + f_x|`` guard are read at the played action.
+(one-hot for a strict control) and its events through their action tags
+(``Drivers.tags``), which for a strict control are the played indices.
+``f_x``, its jump factors and the ``|1 + f_x|`` guard are read only at
+the actions of nonzero weight at the step: no other action is tagged or
+enters the compensator.
 
 Everything runs and is returned time-major: the states are (K+1, S, P)
 and each step's Brownian increments an (S, P) array the drivers form
@@ -18,7 +21,7 @@ from their (K, P) draws, so every step forms its growth factors on
 contiguous slices, and z, phi and psi come back as C-ordered
 (K+1, S, P) arrays. The jump multiplier ``(1 + f_x)^count``
 is applied only on the paths that have events in the step (the drivers
-list them, with the step's (m[, A], P) counts formed from its events).
+list them, with the step's tagged (m, A, P) counts formed from its events).
 A path without events would be multiplied by exactly one, so the result
 is bit for bit that of the dense product.
 
@@ -43,11 +46,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .controls import RelaxedControl, SpikeSpec, StrictControl, spike, spike_steps
+from .controls import SpikeSpec, StrictControl, spike, spike_steps
 from .costs import cost_from_ensemble, stream_costs
 from .models import _avg, _coeff, _mix
 from .scenarios import TimeGrid, upper_expectation
-from .sde import StateEnsemble
+from .sde import StateEnsemble, _first_nonfinite
 
 _JUMP_GUARD = 1e-6
 
@@ -100,18 +103,6 @@ class DerivativeReport:
 # ---------------------------------------------------------------------------
 
 
-def _first_nonfinite(v: np.ndarray) -> tuple[int, ...] | None:
-    """The index of the first non-finite entry of ``v`` in C order, or None.
-
-    The index is looked for only once the whole-array check has failed,
-    and without an index row per non-finite entry.
-    """
-    finite = np.isfinite(v)
-    if finite.all():
-        return None
-    return tuple(int(i) for i in np.unravel_index(np.argmin(finite), v.shape))
-
-
 class _FlowSteps:
     """Multiplicative Euler factors of the linearized flow, step by step.
 
@@ -120,8 +111,8 @@ class _FlowSteps:
     ``prod (1 + f_x)^(+-count)`` is formed only on the paths that have
     events in the step; every other path would be multiplied by
     ``pow(., 0) = 1``, so skipping it leaves the bits unchanged. ``f_x``
-    is evaluated once per (mark, action) and step, and the compensator
-    and the jump multipliers share it.
+    is evaluated once per (mark, action of nonzero weight) and step, and
+    the compensator and the jump multipliers share it.
     """
 
     def __init__(self, ensemble: StateEnsemble):
@@ -133,31 +124,29 @@ class _FlowSteps:
         self.w = ensemble.control.weights
         self.actions = ensemble.control.grid.actions
         self.drivers = ensemble.drivers
-        self.tags = (self.drivers.tags(ensemble.control)
-                     if isinstance(ensemble.control, RelaxedControl) else None)
+        self.tags = self.drivers.tags(ensemble.control)
 
     def _jump_derivatives(self, t, x, w_k):
-        """``f_x`` per mark: one per action on a tagged run, else the weight average."""
+        """``f_x`` per mark, as a map from each action of nonzero weight to its value."""
         f_x, actions = self.model.f_x, self.actions
-        if self.tags is None:
-            return [[_avg(f_x, t, x, w_k, actions, theta=float(th))] for th in self.marks.marks]
-        return [[_coeff(f_x(t, x, float(th), float(a))) for a in actions]
+        live = [a_i for a_i, wa in enumerate(map(float, w_k)) if wa != 0.0]
+        return [{a_i: _coeff(f_x(t, x, float(th), float(actions[a_i]))) for a_i in live}
                 for th in self.marks.marks]
 
     def _jump_bases(self, k, x, fxs):
-        """``1 + f_x`` per (mark[, action]) with its event counts on the step's paths.
+        """``1 + f_x`` per (mark, action) with its event counts on the step's paths.
 
         ``fxs`` is :meth:`_jump_derivatives` of the step. The
         linearization must stay invertible: |1 + f_x| is checked against
-        a hard threshold at every mark (and, on a relaxed run, at every
-        action), whether or not an event landed there.
+        a hard threshold at every mark and every action of nonzero
+        weight, whether or not an event landed there.
         """
         paths = self.drivers.step_paths(k)
         counts = self.drivers.step_counts(k, self.tags, self.actions.size).take(paths, axis=-1)
         out = []
         for i, fx_i in enumerate(fxs):
-            cols = counts[i] if self.tags is not None else counts[i:i + 1]
-            for fx, c in zip(fx_i, cols):
+            for a_i, fx in fx_i.items():
+                c = counts[i, a_i]
                 base = 1.0 + fx
                 if np.min(np.abs(base)) < _JUMP_GUARD:
                     raise ValueError(f"jump linearization nearly singular at step {k}, mark {i}")
@@ -186,8 +175,7 @@ class _FlowSteps:
         comp = 0.0
         for fx_i, nu_i in zip(fxs, map(float, self.marks.intensities)):
             if nu_i > 0.0:
-                fx = fx_i[0] if self.tags is None else _mix(w_k, fx_i.__getitem__)
-                comp = comp + fx * nu_i
+                comp = comp + _mix(w_k, fx_i.__getitem__) * nu_i
         bx_dt = bx * dt
         gx_dt = gx * a_k * dt
         comp_dt = comp * dt

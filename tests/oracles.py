@@ -2,16 +2,19 @@
 
 The continuous-time references (the LQ cost by matrix exponential, the
 bilinear mean), the pathwise sup distance of two ensembles, the one-step
-residual of the adjoint's driver representation, the Lipschitz audit of
-that driver, and the spike's impulse process ``eta``. Only
+residual of the adjoint's driver representation with the whole triple it
+checks, the Lipschitz audit of that driver, and the spike's impulse
+process ``eta``. Only
 :func:`lq_cost_continuous` needs scipy, which it imports itself, so every
 other oracle runs on numpy alone.
 """
 
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
+from gcontrol.adjoint import _adjoint_core, _triple_steps
 from gcontrol.controls import spike_steps
 from gcontrol.models import _avg, _coeff, _lq_rates, _mark_moments, ensure_validated
 from gcontrol.rng import PROBES, substream
@@ -111,6 +114,17 @@ def sup_distance(e1, e2) -> DistanceReport:
 # ---------------------------------------------------------------------------
 # the adjoint's driver
 # ---------------------------------------------------------------------------
+
+
+def whole_triple(ensemble, basis_degree=2) -> SimpleNamespace:
+    """The fitted triple's steps stacked time-major, and the core they come from.
+
+    ``p`` (K+1, S, P) ends at the exact terminal gradient, ``q`` is
+    (K, S, P) and ``r`` (K, S, P, m); ``core`` keeps its fit.
+    """
+    core = _adjoint_core(ensemble, basis_degree, keep_fit=True)
+    p, q, r = (np.stack(c) for c in zip(*_triple_steps(ensemble, core)))
+    return SimpleNamespace(p=np.concatenate([p, core.gx_term[None]]), q=q, r=r, core=core)
 
 
 def bsde_residual(ensemble, triple) -> np.ndarray:

@@ -1,21 +1,20 @@
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from dense_reference import dense_counts, stacked_step_dB
-from oracles import bsde_residual, driver_lipschitz_audit
+from oracles import bsde_residual, driver_lipschitz_audit, whole_triple
 
 from gcontrol import adjoint as adj
 from gcontrol import models as md
 from gcontrol.adjoint import (
-    AdjointTriple,
     bsde_stability_report,
     f_term,
     hamiltonian,
     mp_check_near,
     mp_check_relaxed,
-    solve_adjoint,
     tail_weights,
 )
 from gcontrol.controls import (
@@ -163,7 +162,7 @@ def test_f_term_single_scenario_cancellation():
 
 
 # ---------------------------------------------------------------------------
-# solve_adjoint
+# the adjoint triple
 # ---------------------------------------------------------------------------
 
 
@@ -172,11 +171,11 @@ def test_constant_gradient_adjoint_is_exact():
     model = md.build_model("zero", {})
     ens = simulate(model, constant_strict(PM1, 12, 1),
                    sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 30, 4), 0.7)
-    triple, rep = solve_adjoint(ens)
+    triple = whole_triple(ens)
     assert np.all(triple.p == 1.0)
     assert np.all(triple.q == 0.0)
     assert np.all(triple.r == 0.0)
-    assert np.all(rep.y_residual == 0.0)
+    assert np.all(triple.core.y_residual == 0.0)
     assert np.max(bsde_residual(ens, triple)) <= 1e-12
 
 
@@ -185,7 +184,7 @@ def test_terminal_costate_matches_gradient_bitwise():
     model = _lq()
     ens = simulate(model, constant_strict(PM1, 16, 1),
                    sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 40, 7), 1.0)
-    triple, _ = solve_adjoint(ens)
+    triple = whole_triple(ens)
     assert np.array_equal(triple.p[-1], model.g_x(ens.states[-1]))
 
 
@@ -196,7 +195,7 @@ def test_costate_tracks_linear_flow_closed_form():
     model = _deterministic_linear(theta)
     ens = simulate(model, constant_strict(PM1, 1000, 0),
                    sample_drivers(_fam(1.0, 1.0, grid), grid, QUIET, 3, 3), 1.0)
-    triple, _ = solve_adjoint(ens)
+    triple = whole_triple(ens)
     x_T = ens.states[-1, 0, 0]
     expected = x_T * np.exp(theta * (grid.T - grid.times))
     rel = np.abs(triple.p[:, 0, 0] - expected) / np.abs(expected)
@@ -208,15 +207,15 @@ def test_representation_reconstructs_terminal_functional():
     model = _lq()
     ens = simulate(model, constant_strict(PM1, 16, 1),
                    sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 40, 7), 1.0)
-    _, rep = solve_adjoint(ens)
+    # without the fit, the backward variable's step 0 is the raw terminal functional
+    rep = adj._adjoint_core(ens, 2)
     pair = solve_fundamental(ens)
     x = ens.states
     manual = model.g_x(x[-1]) * pair.phi[-1]
     for k in range(16):
         tk = float(grid.times[k])
         manual = manual + model.h_x(tk, x[k], 1.0) * pair.phi[k] * grid.dt
-    assert np.max(np.abs(manual - rep.X)) < 1e-10
-    assert rep.basis_degree == 2
+    assert np.max(np.abs(manual - rep.y[0])) < 1e-10
     assert np.all(np.isfinite(rep.cond_y))
     assert np.all(np.isfinite(rep.cond_increment))
 
@@ -228,9 +227,9 @@ def test_residual_detects_costate_perturbation():
     model = _deterministic_linear(theta)
     ens = simulate(model, constant_strict(PM1, 20, 0),
                    sample_drivers(_fam(1.0, 1.0, grid), grid, QUIET, 4, 3), 1.0)
-    triple, _ = solve_adjoint(ens)
+    triple = whole_triple(ens)
     base = bsde_residual(ens, triple)
-    shifted = AdjointTriple(p=triple.p + 1.0, q=triple.q, r=triple.r)
+    shifted = SimpleNamespace(p=triple.p + 1.0, q=triple.q, r=triple.r)
     pert = bsde_residual(ens, shifted)
     bound = (theta * grid.dt) ** 2
     assert np.all(pert - base >= 0.999 * bound)
@@ -243,8 +242,7 @@ def test_richer_basis_tightens_state_fit():
     for seed in (5, 9, 13):
         ens = simulate(model, mu, sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 1500, seed),
                        1.0)
-        _, rep1 = solve_adjoint(ens, basis_degree=1)
-        _, rep2 = solve_adjoint(ens, basis_degree=2)
+        rep1, rep2 = (adj._adjoint_core(ens, degree, keep_fit=True) for degree in (1, 2))
         assert np.all(rep2.y_residual < rep1.y_residual)
 
 
@@ -269,18 +267,7 @@ def test_overflowing_backward_variable_names_step_and_scenario():
                    sample_drivers(_fam(1.0, 4.0, grid), grid, QUIET, 4, 2), 10.0)
     with pytest.raises(FloatingPointError,
                        match="backward variable at step 8 under scenario 0"):
-        solve_adjoint(ens)
-
-
-def test_triple_shape_and_flag_validation():
-    p = np.zeros((4, 1, 2))
-    q = np.zeros((3, 1, 2))
-    r = np.zeros((3, 1, 2, 1))
-    AdjointTriple(p=p, q=q, r=r)
-    with pytest.raises(ValueError):
-        AdjointTriple(p=np.full((4, 1, 2), np.nan), q=q, r=r)
-    with pytest.raises(ValueError):
-        AdjointTriple(p=p, q=np.zeros((4, 1, 2)), r=r)
+        adj._adjoint_core(ens, 2, keep_fit=True)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +332,7 @@ def _reference_flow(ens):
 def _reference_adjoint(ens, degree=2):
     """One lstsq plus one cond per (scenario, step), on full (S, P, K) arrays.
 
-    The triple is returned time-major, like :func:`solve_adjoint`'s.
+    The triple is returned time-major, like :func:`oracles.whole_triple`'s.
     """
     model, grid, marks = ens.model, ens.grid, ens.marks
     dt, K = grid.dt, grid.n_steps
@@ -464,11 +451,13 @@ def _ensembles():
 def test_stacked_regressions_agree_with_reference(case):
     ens = _ensembles()[case]
     ref = _reference_adjoint(ens)
-    triple, rep = solve_adjoint(ens)
+    triple = whole_triple(ens)
+    rep = triple.core
     for name in ("p", "q", "r"):
         _assert_agrees(getattr(triple, name), ref[name], name)
-    for name in ("Q", "R", "S_t", "cond_y", "cond_increment", "y_residual", "X", "intercept"):
+    for name in ("Q", "R", "S_t", "cond_y", "cond_increment", "y_residual", "intercept"):
         _assert_agrees(getattr(rep, name), ref[name], name)
+    _assert_agrees(adj._adjoint_core(ens, 2).y[0], ref["X"], "X")
     if case == "lone-quiet":
         # the never-firing mark is dropped at every step; its loading is exactly zero
         assert np.all(rep.R == 0.0)
@@ -499,6 +488,32 @@ def test_jump_guard_raises_on_a_step_without_events(relaxed):
         solve_fundamental(ens)
 
 
+def test_jump_guard_reads_only_the_actions_of_nonzero_weight():
+    # f = a x theta at the mark theta = -1: 1 + f_x = 1 - a vanishes at the action 1.0
+    grid = TimeGrid(T=1.0, n_steps=8)
+    mark = MarkSpace(marks=np.array([-1.0]), intensities=np.array([2.0]))
+    model = dataclasses.replace(_lq(f1=0.0), f=lambda t, x, th, a: a * x * th,
+                                f_x=lambda t, x, th, a: a * th)
+    acts = ActionGrid(np.array([-1.0, 0.0, 1.0]))
+    drivers = sample_drivers(_fam(1.0, 4.0, grid), grid, mark, 50, 3)
+    assert drivers.n_events > 0
+    # no weight on 1.0: never tagged with it, never in the compensator
+    w = np.tile([0.25, 0.75, 0.0], (8, 1))
+    pair = solve_fundamental(simulate(model, RelaxedControl(acts, w), drivers, 0.5))
+    assert np.all(np.isfinite(pair.phi)) and np.all(np.isfinite(pair.psi))
+    # weight on 1.0 at step 5 only: the guard refuses that step
+    w = w.copy()
+    w[5] = [0.25, 0.5, 0.25]
+    with pytest.raises(ValueError, match="nearly singular at step 5, mark 0"):
+        solve_fundamental(simulate(model, RelaxedControl(acts, w), drivers, 0.5))
+    # a strict control's flow is its Dirac embedding's, bit for bit
+    u = StrictControl(acts, np.array([0, 1, 0, 0, 1, 1, 0, 1]))
+    strict, dirac = (solve_fundamental(simulate(model, c, drivers, 0.5))
+                     for c in (u, embed_strict(u)))
+    assert strict.phi.tobytes() == dirac.phi.tobytes()
+    assert strict.psi.tobytes() == dirac.psi.tobytes()
+
+
 def test_table_health_reports_the_regressions():
     grid = TimeGrid(T=1.0, n_steps=32)
     model = _gamma_control_model()
@@ -506,7 +521,7 @@ def test_table_health_reports_the_regressions():
     ens = simulate(model, constant_strict(PM1, 32, 0), sample_drivers(fam, grid, QUIET, 200, 11),
                    2.5)
     rep = mp_check_relaxed(ens, n_blocks=2)
-    _, bsde = solve_adjoint(ens)
+    bsde = adj._adjoint_core(ens, 2, keep_fit=True)
     health = rep.health
     assert health["cond_y_max"] == float(bsde.cond_y.max())
     assert health["cond_y_median"] == float(np.median(bsde.cond_y))
@@ -697,8 +712,8 @@ _VARYING = np.array([0, 1, 1, 0, 1, 0] * 8)
 @pytest.mark.parametrize("marks", [MARKS, BUSY3], ids=["two-marks", "busy-three-marks"])
 @pytest.mark.parametrize("indices", [np.full(48, 1), _VARYING], ids=["constant", "indices"])
 def test_embedding_reproduces_strict_table_bitwise(indices, marks):
-    # the strict table runs on the strict run (no action tags, the flow's
-    # untagged branch); the Dirac embedding runs the relaxed path
+    # the strict table runs on the strict run (the strict kernel, the flow
+    # on the played indices as tags); the Dirac embedding runs the relaxed path
     grid = TimeGrid(T=1.0, n_steps=48)
     model = _lq(c2=0.3, f2=0.05, h2=0.1)
     fam = _fam(1.0, 4.0, grid)
@@ -708,8 +723,7 @@ def test_embedding_reproduces_strict_table_bitwise(indices, marks):
     ens_u = simulate(model, u, drivers, 1.0)
     ens_e = simulate(model, embed_strict(u), drivers, 1.0)
     assert isinstance(ens_u.control, StrictControl) and isinstance(ens_e.control, RelaxedControl)
-    tri_u, _ = solve_adjoint(ens_u)
-    tri_e, _ = solve_adjoint(ens_e)
+    tri_u, tri_e = whole_triple(ens_u), whole_triple(ens_e)
     assert np.array_equal(tri_u.p, tri_e.p)
     assert np.array_equal(tri_u.q, tri_e.q)
     assert np.array_equal(tri_u.r, tri_e.r)
@@ -721,28 +735,31 @@ def test_embedding_reproduces_strict_table_bitwise(indices, marks):
     assert rep_u.health == rep_e.health
 
 
-def test_strict_tables_never_tag_events(monkeypatch):
+def test_strict_tables_tag_events_with_the_played_indices(monkeypatch):
+    # the flow reads every control through its events' tags; a strict
+    # control's one-hot weights tag each event with the index it plays at
+    # the event's step, whatever the event's uniform
     grid = TimeGrid(T=1.0, n_steps=32)
     model = _gamma_control_model()
     fam = _fam(1.0, 4.0, grid)
-    u = constant_strict(PM1, 32, 1)
+    u = StrictControl(PM1, np.tile([1, 0, 0, 1], 8))
     calls = []
     original = Drivers.tags
 
     def counted(self, mu):
-        calls.append(mu)
-        return original(self, mu)
+        tags = original(self, mu)
+        calls.append((mu, tags))
+        return tags
 
     monkeypatch.setattr(Drivers, "tags", counted)
     drivers = sample_drivers(fam, grid, MARKS, 200, 21)
+    assert drivers.n_events > 0
     mp_check_relaxed(simulate(model, u, drivers, 2.5), n_blocks=4)
-    assert calls == []
     mp_check_near(model, u, [constant_strict(PM1, 32, 0)], 1.0, drivers, 2.5, n_blocks=4)
-    assert calls == []
-    # the counter sees a relaxed table's tags
-    mu = embed_strict(u)
-    mp_check_relaxed(simulate(model, mu, drivers, 2.5), n_blocks=4)
-    assert calls and all(c is mu for c in calls)
+    assert len(calls) == 2
+    for mu, tags in calls:
+        assert mu is u
+        assert np.array_equal(tags, u.indices[drivers.step])
 
 
 def test_near_check_zero_epsilon_matches_strict():
@@ -886,12 +903,12 @@ NINE = MarkSpace(marks=np.linspace(-0.4, 0.8, 9), intensities=np.linspace(0.2, 1
 
 
 def _stability_by_whole_arrays(model, mu, n_list, drivers, x0):
-    """Stability rows from whole solve_adjoint triples, the arithmetic the report streams."""
+    """Stability rows from whole triples, the arithmetic the report streams."""
     dt = drivers.grid.dt
-    tri_mu, _ = solve_adjoint(simulate(model, mu, drivers, x0))
+    tri_mu = whole_triple(simulate(model, mu, drivers, x0))
     rows = []
     for n in n_list:
-        tri_n, _ = solve_adjoint(simulate(model, chattering(mu, n), drivers, x0))
+        tri_n = whole_triple(simulate(model, chattering(mu, n), drivers, x0))
         p_dev = np.abs(tri_n.p - tri_mu.p).max(axis=0) ** 2
         q_dev = ((tri_n.q - tri_mu.q) ** 2).sum(axis=0) * dt
         r_dev = (((tri_n.r - tri_mu.r) ** 2) * drivers.marks.intensities).sum(axis=(0, 3)) * dt
@@ -948,10 +965,11 @@ def test_stability_report_holds_no_whole_triple():
     assert peak <= 8.2 * state_bytes, peak / state_bytes
 
 
-def test_solve_adjoint_holds_one_backward_buffer():
+def test_fitted_core_holds_one_backward_buffer():
     """The fit overwrites the raw backward variable step by step: one (K+1, S, P) buffer.
 
-    A second buffer for the fit peaks above 9 state arrays.
+    The core peaks at 3.4 state arrays (the flow, its inverse and the
+    backward variable); a second buffer for the fit peaks at 4.4.
     """
     grid = TimeGrid(T=1.0, n_steps=32)
     fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
@@ -961,11 +979,11 @@ def test_solve_adjoint_holds_one_backward_buffer():
     state_bytes = ens.states.nbytes
     tracemalloc.start()
     try:
-        solve_adjoint(ens)
+        adj._adjoint_core(ens, 2, keep_fit=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8.5 * state_bytes, peak / state_bytes
+    assert peak <= 3.9 * state_bytes, peak / state_bytes
 
 
 def test_lipschitz_audit_within_declared_bound():

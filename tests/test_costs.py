@@ -7,6 +7,7 @@ from gcontrol.controls import ActionGrid, RelaxedControl, StrictControl, constan
 from gcontrol.experiments import run_document
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
+from gcontrol.sde import simulate
 
 
 MARKS = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([0.7, 0.3]))
@@ -77,6 +78,26 @@ def test_embedded_control_cost_is_bitwise_equal():
     r2 = co.evaluate_cost(model, embed_strict(u), drivers, 1.0)
     assert r1.per_path.tobytes() == r2.per_path.tobytes()
     assert r1.upper_value == r2.upper_value
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_non_finite_cost_names_its_scenario_and_control():
+    # gamma = c2 u rides the volatility: under u = 1 the high corner (scenario 1)
+    # drives x_T to about 4e4, where g = gq x^2 overflows, and the low one to 1e4
+    grid = TimeGrid(T=1.0, n_steps=16)
+    drivers = sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 64, 5)
+    model = md.build_model("linear_jump_lq", {"gq": 1e300, "s1": 0.0, "f1": 0.0, "c1": 0.0,
+                                              "c2": 1e4})
+    low, high = constant_strict(ACTIONS, 16, 0), constant_strict(ACTIONS, 16, 2)
+    assert np.isfinite(co.evaluate_cost(model, low, drivers, 1.0).upper_value)
+    with pytest.raises(FloatingPointError, match="non-finite path cost of control 1 under scenario 1$"):
+        co.value_bruteforce(model, [low, high], drivers, 1.0)
+    with pytest.raises(FloatingPointError, match="non-finite path cost under scenario 1$"):
+        co.cost_from_ensemble(simulate(model, high, drivers, 1.0))
+    # every scenario overflows at x0 = 1e5: the first is named
+    with pytest.raises(FloatingPointError, match="non-finite path cost of control 0 under scenario 0$"):
+        co.evaluate_cost(md.build_model("linear_jump_lq", {"gq": 1e300}),
+                         constant_strict(ACTIONS, 16, 1), drivers, 1e5)
 
 
 def test_cost_report_csv_layout(tmp_path):

@@ -674,6 +674,15 @@ _VALIDATE_GAP_PROBES = {
         "$.options.basis_degree: degree 17 is above 16, beyond which the power sums of"
         " the standardized state can overflow",
         _lq(kind="mp-strict", options={"basis_degree": 16})),
+    # a spike time whose step count overflows a float is on no grid
+    "t0-huge": (
+        _lq(kind="variational", options={**_VARIATIONAL, "t0": 1e308}),
+        "$.options.t0: 1e+308 is inf steps of dt = 0.0625, more than any grid has",
+        _lq(kind="variational", options=_VARIATIONAL)),
+    "h-list-huge": (
+        _lq(kind="variational", options={**_VARIATIONAL, "h_list": [1e308, 0.0625]}),
+        "$.options.h_list[0]: 1e+308 is inf steps of dt = 0.0625, more than any grid has",
+        _lq(kind="variational", options=_VARIATIONAL)),
 }
 
 

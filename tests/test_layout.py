@@ -12,11 +12,11 @@ import numpy as np
 from dense_reference import dense_counts, stacked_step_counts
 
 from gcontrol import models as md
-from gcontrol.adjoint import solve_adjoint
+from gcontrol.adjoint import _adjoint_core, _triple_steps
 from gcontrol.controls import ActionGrid, SpikeSpec, constant_strict, uniform_relaxed
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
-from gcontrol.sde import simulate, simulate_batch
+from gcontrol.sde import simulate, stream_batch
 from gcontrol.variational import solve_fundamental, solve_variational
 
 K, P = 8, 6
@@ -45,8 +45,8 @@ def test_states_and_drivers_are_time_major():
     mu = uniform_relaxed(ACTIONS, K)
     tags = d.tags(mu)
     _time_major(d.step_counts(0, tags, 3), (2, 3, P))
-    # signed, so the inverse jump factor's -count cannot wrap
-    assert np.issubdtype(d.count_dtype, np.signedinteger)
+    # plain int64, signed, so the inverse jump factor's -count cannot wrap
+    assert d.step_counts(0).dtype == d.step_counts(0, tags, 3).dtype == np.int64
     tagged = stacked_step_counts(d, tags, 3)
     assert np.array_equal(tagged, dense_counts(d, tags, 3))
     assert np.array_equal(tagged.sum(axis=2), dense_counts(d))
@@ -60,11 +60,15 @@ def test_flow_variational_and_triple_are_time_major():
     for a in (pair.phi, pair.psi):
         _time_major(a, (K + 1, S, P))
     _time_major(solve_variational(ens, spec).z, (K + 1, S, P))
-    triple, rep = solve_adjoint(ens)
-    _time_major(triple.p, (K + 1, S, P))
-    _time_major(triple.q, (K, S, P))
-    _time_major(triple.r, (K, S, P, 2))
-    _time_major(rep.y, (K + 1, S, P))
+    core = _adjoint_core(ens, 2, keep_fit=True)
+    _time_major(core.y, (K + 1, S, P))
+    # the triple is handed on one step at a time, each step C-ordered
+    steps = list(_triple_steps(ens, core))
+    assert len(steps) == K
+    for p, q, r in steps:
+        _time_major(p, (S, P))
+        _time_major(q, (S, P))
+        _time_major(r, (S, P, 2))
 
 
 def test_one_control_ensemble_keeps_the_kernel_buffer():
@@ -72,8 +76,10 @@ def test_one_control_ensemble_keeps_the_kernel_buffer():
     ens = simulate(MODEL, u, sample_drivers(FAMILY, GRID, MARKS, P, 5), 1.0)
     assert ens.states.base is not None and ens.states.base.shape == (K + 1, 1, S, P)
     _time_major(ens.states, (K + 1, S, P))
-    X = simulate_batch(MODEL, [u, constant_strict(ACTIONS, K, 2)], ens.drivers, 1.0)
-    assert X[:, 0].tobytes() == ens.states.tobytes()
+    rows = []
+    stream_batch(MODEL, [u, constant_strict(ACTIONS, K, 2)], ens.drivers, 1.0,
+                 lambda k, x: rows.append(x[0].tobytes()))
+    assert rows == [ens.states[k].tobytes() for k in range(K + 1)]
 
 
 def test_no_ensemble_holds_a_whole_run_count_array():

@@ -10,10 +10,10 @@ sign of zero counts too.
 import numpy as np
 import pytest
 from dense_reference import broadcast_twin
-from oracles import bsde_residual, spike_eta
+from oracles import bsde_residual, spike_eta, whole_triple
 
 from gcontrol import models as md
-from gcontrol.adjoint import bsde_stability_report, mp_check_relaxed, solve_adjoint
+from gcontrol.adjoint import _adjoint_core, bsde_stability_report, mp_check_relaxed
 from gcontrol.controls import ActionGrid, SpikeSpec, StrictControl, embed_strict, uniform_relaxed
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
@@ -75,12 +75,13 @@ def test_flow_and_triple_match_the_broadcast_twin_bitwise(case, control):
         eta, eta_t = (spike_eta(e, spec, p.psi) for e, p in ((ens, pair), (ens_t, pair_t)))
         assert _bits(eta) == _bits(eta_t)
 
-    (triple, rep), (triple_t, rep_t) = solve_adjoint(ens), solve_adjoint(ens_t)
+    triple, triple_t = whole_triple(ens), whole_triple(ens_t)
     for name in ("p", "q", "r"):
         assert _bits(getattr(triple, name)) == _bits(getattr(triple_t, name)), name
-    for name in ("X", "y", "Q", "R", "S_t", "intercept", "cond_y", "cond_increment",
-                 "y_residual"):
-        assert _bits(getattr(rep, name)) == _bits(getattr(rep_t, name)), name
+    for name in ("y", "Q", "R", "S_t", "intercept", "cond_y", "cond_increment", "y_residual"):
+        assert _bits(getattr(triple.core, name)) == _bits(getattr(triple_t.core, name)), name
+    # the raw backward variable, whose step 0 is the terminal functional
+    assert _bits(_adjoint_core(ens, 2).y) == _bits(_adjoint_core(ens_t, 2).y)
     assert _bits(bsde_residual(ens, triple)) == _bits(bsde_residual(ens_t, triple_t))
 
 

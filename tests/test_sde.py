@@ -170,18 +170,18 @@ def test_nonfinite_state_aborts_with_step_info():
 
 
 def test_explicit_noise_and_jump_reuse():
-    # the batch kernel accepts pre-sampled randomness
+    # the kernel accepts pre-sampled randomness
     grid = TimeGrid(T=1.0, n_steps=16)
     fam = _family(1.0, 4.0, grid)
     model = md.build_model("linear_jump_lq", {})
     u = constant_strict(ACTIONS, 16, 1)
     drivers = sample_drivers(fam, grid, MARKS, 30, seed=22)
-    x1 = sde.simulate_batch(model, [u], drivers, 1.0)
+    x1 = sde.simulate(model, u, drivers, 1.0).states
     e2 = sde.simulate(model, u, sample_drivers(fam, grid, MARKS, 30, 22), 1.0)
-    assert x1[:, 0].tobytes() == e2.states.tobytes()
+    assert x1.tobytes() == e2.states.tobytes()
 
     mu = embed_strict(u)
-    x3 = sde.simulate_batch(model, [mu], drivers, 1.0)
+    x3 = sde.simulate(model, mu, drivers, 1.0).states
     assert x3.tobytes() == x1.tobytes()
 
 
@@ -189,8 +189,20 @@ LQ = dict(b1=0.2, b2=0.5, s0=0.3, s1=0.1, c1=0.1, c2=0.3, f1=0.1, f2=0.1, h1=0.5
 
 
 def _alone(model, controls, drivers, x0):
-    """Each control's states from its own run, time-major like a batch."""
+    """Each control's states from its own run, (n_steps + 1, n_controls, S, P)."""
     return np.stack([sde.simulate(model, c, drivers, x0).states for c in controls], axis=1)
+
+
+def _assert_streams(model, controls, drivers, x0, expected):
+    """:func:`sde.stream_batch` hands step k of the batch with the bits of ``expected[k]``."""
+    seen = []
+
+    def check(k, x):
+        assert x.shape == expected[k].shape
+        seen.append(x.tobytes() == np.ascontiguousarray(expected[k]).tobytes())
+
+    sde.stream_batch(model, controls, drivers, x0, check)
+    assert seen == [True] * len(expected)
 
 
 def _reference_loop(model, control, drivers, x0):
@@ -253,10 +265,8 @@ def test_batch_matches_reference_loop():
     mu = RelaxedControl(ACTIONS, np.tile(np.array([0.2, 0.5, 0.3]), (32, 1)))
     for batch in ([constant_strict(ACTIONS, 32, 1), chattering(mu, 8)],
                   [mu, embed_strict(chattering(mu, 4))]):
-        states = sde.simulate_batch(model, batch, drivers, 0.7)
-        for c, control in enumerate(batch):
-            ref = _reference_loop(model, control, drivers, 0.7)
-            assert states[:, c].tobytes() == np.ascontiguousarray(ref).tobytes()
+        ref = np.stack([_reference_loop(model, c, drivers, 0.7) for c in batch], axis=1)
+        _assert_streams(model, batch, drivers, 0.7, ref)
 
 
 def test_strict_batch_rows_equal_single_runs():
@@ -265,10 +275,9 @@ def test_strict_batch_rows_equal_single_runs():
     model = md.build_model("linear_jump_lq", LQ)
     controls = [constant_strict(ACTIONS, 32, i) for i in range(3)]
     drivers = sample_drivers(fam, grid, MARKS, 40, seed=23)
-    batch = sde.simulate_batch(model, controls, drivers, 1.0)
-    assert batch.shape == (33, 3, 4, 40)
     alone = _alone(model, controls, drivers, 1.0)
-    assert batch.tobytes() == alone.tobytes()
+    assert alone.shape == (33, 3, 4, 40)
+    _assert_streams(model, controls, drivers, 1.0, alone)
 
 
 def test_batch_of_time_varying_controls():
@@ -282,14 +291,12 @@ def test_batch_of_time_varying_controls():
                 spike(SpikeSpec(base, 2, 0.25, 0.125), grid),
                 spike(SpikeSpec(base, 0, 0.5, 1 / 32), grid)]
     drivers = sample_drivers(fam, grid, MARKS, 40, seed=24)
-    batch = sde.simulate_batch(model, controls, drivers, 0.5)
-    alone = _alone(model, controls, drivers, 0.5)
-    assert batch.tobytes() == alone.tobytes()
+    _assert_streams(model, controls, drivers, 0.5, _alone(model, controls, drivers, 0.5))
     # relaxed rows likewise match their own runs
     relaxed = [mu, RelaxedControl(ACTIONS, np.full((32, 3), 1 / 3))]
-    rbatch = sde.simulate_batch(model, relaxed, drivers, 0.5)
-    assert rbatch.tobytes() == _alone(model, relaxed, drivers, 0.5).tobytes()
-    assert not np.array_equal(rbatch[:, 0], rbatch[:, 1])
+    ralone = _alone(model, relaxed, drivers, 0.5)
+    _assert_streams(model, relaxed, drivers, 0.5, ralone)
+    assert not np.array_equal(ralone[:, 0], ralone[:, 1])
 
 
 def test_dirac_embedded_relaxed_batch_equals_strict_batch():
@@ -300,9 +307,9 @@ def test_dirac_embedded_relaxed_batch_equals_strict_batch():
               constant_strict(ACTIONS, 32, 2),
               StrictControl(ACTIONS, np.repeat(np.array([2, 0, 1, 0]), 8))]
     drivers = sample_drivers(fam, grid, MARKS, 50, seed=25)
-    x_strict = sde.simulate_batch(model, strict, drivers, 1.0)
-    x_relaxed = sde.simulate_batch(model, [embed_strict(u) for u in strict], drivers, 1.0)
-    assert x_strict.tobytes() == x_relaxed.tobytes()
+    x_strict = _alone(model, strict, drivers, 1.0)
+    _assert_streams(model, strict, drivers, 1.0, x_strict)
+    _assert_streams(model, [embed_strict(u) for u in strict], drivers, 1.0, x_strict)
 
 
 def test_batch_rejects_mixed_kinds_and_foreign_drivers():
@@ -312,10 +319,11 @@ def test_batch_rejects_mixed_kinds_and_foreign_drivers():
     u = constant_strict(ACTIONS, 8, 0)
     drivers = sample_drivers(fam, grid, MARKS, 5, seed=26)
     with pytest.raises(ValueError, match="strict or relaxed"):
-        sde.simulate_batch(model, [u, embed_strict(u)], drivers, 0.0)
+        sde.stream_batch(model, [u, embed_strict(u)], drivers, 0.0, lambda k, x: None)
     # drivers sampled on an 8-step grid cannot drive a 16-step control
     with pytest.raises(ValueError, match="controls and grid must agree on n_steps"):
-        sde.simulate_batch(model, [constant_strict(ACTIONS, 16, 0)], drivers, 0.0)
+        sde.stream_batch(model, [constant_strict(ACTIONS, 16, 0)], drivers, 0.0,
+                         lambda k, x: None)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -330,4 +338,4 @@ def test_diverging_batch_names_step_scenario_and_control():
     drivers = sample_drivers(fam, grid, QUIET, 3, seed=27)
     with pytest.raises(FloatingPointError,
                        match="after step 1 under scenario 0 of control 1 on 3 paths"):
-        sde.simulate_batch(model, controls, drivers, 1.0)
+        sde.stream_batch(model, controls, drivers, 1.0, lambda k, x: None)

@@ -3,8 +3,8 @@
 Brute-force candidates, chattering rungs and spiked controls run through
 the kernel without keeping their trajectories; each step is folded into
 path costs and pathwise sups as it is written. The references below are
-the whole-array expressions those reductions replaced, evaluated on a
-stored ``simulate_batch`` result, and every comparison is exact.
+the whole-array expressions those reductions replaced, evaluated on each
+control's own stored :func:`simulate` run, and every comparison is exact.
 """
 
 import dataclasses
@@ -26,7 +26,7 @@ from gcontrol.controls import (
 from gcontrol.costs import chattering_report, evaluate_cost, evaluate_costs
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family, upper_expectation
-from gcontrol.sde import simulate, simulate_batch, stream_batch
+from gcontrol.sde import simulate, stream_batch
 from gcontrol.variational import QuotientRow, solve_variational, spike_controls, spike_report
 
 K = 16
@@ -52,6 +52,11 @@ CASES = {
     "relaxed-zero-weights": (CORNERS, BUSY, [_ZERO_WEIGHTS, uniform_relaxed(ACTIONS, K)]),
     "lone-quiet": (LONE, QUIET, [_PATTERN, StrictControl(ACTIONS, np.full(K, 2))]),
 }
+
+
+def _stored(model, controls, drivers, x0):
+    """Each control's states from its own run, (n_steps + 1, n_controls, S, P)."""
+    return np.stack([simulate(model, c, drivers, x0).states for c in controls], axis=1)
 
 
 def _whole_array_path_costs(model, control, grid, states):
@@ -82,7 +87,7 @@ def _whole_array_path_costs(model, control, grid, states):
 def test_stream_batch_hands_every_step_with_the_stored_bits(case):
     family, marks, controls = CASES[case]
     drivers = sample_drivers(family, GRID, marks, 30, 4)
-    stored = simulate_batch(MODEL, controls, drivers, 1.0)
+    stored = _stored(MODEL, controls, drivers, 1.0)
     seen = []
     stream_batch(MODEL, controls, drivers, 1.0, lambda k, x: seen.append((k, x.tobytes())))
     assert [k for k, _ in seen] == list(range(K + 1))
@@ -93,7 +98,7 @@ def test_stream_batch_hands_every_step_with_the_stored_bits(case):
 def test_streamed_costs_equal_whole_array_costs_bitwise(case):
     family, marks, controls = CASES[case]
     drivers = sample_drivers(family, GRID, marks, 40, 5)
-    stored = simulate_batch(MODEL, controls, drivers, 1.0)
+    stored = _stored(MODEL, controls, drivers, 1.0)
     reports = evaluate_costs(MODEL, controls, drivers, 1.0)
     for c, (u, rep) in enumerate(zip(controls, reports)):
         ref = _whole_array_path_costs(MODEL, u, GRID, stored[:, c])
@@ -112,7 +117,7 @@ def test_streamed_quotient_and_slope_rows_equal_whole_array_rows_bitwise(case):
     derivative, rows = spike_report(ens, ai, t0, h_list)
 
     spikes = spike_controls(_PATTERN, GRID, ai, t0, h_list)
-    spiked = simulate_batch(MODEL, spikes, drivers, 1.0)
+    spiked = _stored(MODEL, spikes, drivers, 1.0)
     z = solve_variational(ens, SpikeSpec(_PATTERN, ai, t0, GRID.dt)).z
     base = _whole_array_path_costs(MODEL, _PATTERN, GRID, ens.states)
     s_star = upper_expectation(list(base)).scenario_id
@@ -138,8 +143,8 @@ def test_streamed_chattering_sups_equal_whole_array_sups_bitwise(case):
     rep = chattering_report(MODEL, mu, n_list, drivers, 1.0)
 
     ladder = [chattering(mu, n) for n in n_list]
-    base = simulate_batch(MODEL, [mu], drivers, 1.0)[:, 0]
-    states = simulate_batch(MODEL, ladder, drivers, 1.0)
+    base = simulate(MODEL, mu, drivers, 1.0).states
+    states = _stored(MODEL, ladder, drivers, 1.0)
     base_cost = _whole_array_path_costs(MODEL, mu, GRID, base)
     s_star = upper_expectation(list(base_cost)).scenario_id
     ref = []
@@ -175,9 +180,9 @@ def test_candidate_costs_peak_below_two_state_arrays():
 
 
 def test_relaxed_candidate_costs_hold_no_whole_run_counts():
-    # each step's (m, A, C, 1, P) tagged counts are formed from that step's
-    # events and per-event tags; a whole-run (K, m, A, P) array per control
-    # would add about 2.6 state arrays here
+    # each step's tagged counts are formed one mark at a time, (A, C, 1, P),
+    # from that step's events and per-event tags; a whole-run (K, m, A, P)
+    # array per control would add about 2.6 state arrays here even as int8
     k, p, n_candidates = 32, 2000, 8
     grid = TimeGrid(T=1.0, n_steps=k)
     family = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)

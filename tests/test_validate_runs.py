@@ -3,9 +3,12 @@
 Documents are drawn small (at most 16 steps and 32 paths) over every
 experiment kind, with option values, control specs and model parameters
 that are sometimes out of range, so both sides of every ``validate``
-check get exercised. A run may still stop on genuine numeric divergence,
-which is a ``FloatingPointError`` naming the stage; any other exception
-from an accepted document is a gap in ``validate``.
+check get exercised. Now and then an option is extreme: a spike time or
+width up to 1e308, a block count, basis degree, ladder entry or action
+index up to 2**64. ``validate`` must list every such value, never raise;
+a run may still stop on genuine numeric divergence, which is a
+``FloatingPointError`` naming the stage; any other exception from an
+accepted document is a gap in ``validate``.
 """
 
 import tempfile
@@ -39,6 +42,16 @@ def _values(pool, size):
     """``size`` entries of ``pool``, mostly distinct."""
     return _mostly(st.permutations(pool).map(lambda p: list(p[:size])),
                    st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+
+
+def _huge_int(good):
+    """``good``, or now and then an integer up to 2**64."""
+    return _mostly(good, st.integers(0, 2**64), odds=8)
+
+
+def _huge_float(good):
+    """``good``, or now and then a float up to 1e308, often 1e308 itself."""
+    return _mostly(good, st.one_of(st.just(1e308), _numbers(0.0, 1e308)), odds=6)
 
 
 def _divisors(n_steps):
@@ -79,7 +92,7 @@ def _control(draw, types, n_steps, n_actions):
 def _step_lists(n_steps):
     """Strictly increasing block counts, mostly divisors of n_steps."""
     pool = _mostly(st.just(st.sampled_from(_divisors(n_steps))),
-                   st.just(st.integers(1, n_steps)))
+                   st.just(_huge_int(st.integers(1, n_steps))))
     return pool.flatmap(lambda p: st.lists(p, min_size=1, max_size=3, unique=True).map(sorted))
 
 
@@ -90,11 +103,11 @@ def _options(draw, kind, n_steps, n_actions):
                                                                 odds=8)):
         opts["n_list"] = draw(_maybe(_step_lists(n_steps)))
     if kind in ("mp-strict", "mp-relaxed", "mp-near", "bsde-stability") and draw(st.booleans()):
-        opts["basis_degree"] = draw(_maybe(st.integers(1, 4)))
+        opts["basis_degree"] = draw(_maybe(_huge_int(st.integers(1, 4))))
     if kind in ("mp-strict", "mp-relaxed", "mp-near"):
         if draw(st.booleans()):
             opts["n_blocks"] = draw(_mostly(st.sampled_from(_divisors(n_steps)),
-                                            _maybe(st.integers(1, n_steps))))
+                                            _maybe(_huge_int(st.integers(1, n_steps)))))
         if draw(st.booleans()):
             opts["slack_mult"] = draw(_maybe(_numbers(0.0, 5.0)))
     if kind == "mp-near":
@@ -108,12 +121,13 @@ def _options(draw, kind, n_steps, n_actions):
             opts["candidates"] = draw(_maybe(st.lists(
                 _control(_STRICT, n_steps, n_actions), max_size=2)))
     if kind == "variational":
-        opts["action_index"] = draw(st.integers(0, n_actions))
+        opts["action_index"] = draw(_huge_int(st.integers(0, n_actions)))
         t0_steps = draw(st.integers(0, n_steps - 1))
         widths = draw(st.lists(st.integers(1, n_steps), min_size=1, max_size=3, unique=True))
         dt = 1.0 / n_steps
-        opts["t0"] = t0_steps * dt
-        opts["h_list"] = [w * dt for w in sorted(widths, reverse=True)]
+        opts["t0"] = draw(_huge_float(st.just(t0_steps * dt)))
+        opts["h_list"] = [draw(_huge_float(st.just(w * dt)))
+                          for w in sorted(widths, reverse=True)]
     return opts
 
 
@@ -192,7 +206,11 @@ _OVERFLOWING_STABILITY = {
 @given(documents())
 @example(_OVERFLOWING_STABILITY)
 def test_accepted_documents_run(doc):
-    if validate_document(doc):
+    try:
+        violations = validate_document(doc)
+    except Exception as exc:
+        pytest.fail(f"validate_document raised instead of listing a violation: {exc!r}")
+    if violations:
         return
     with tempfile.TemporaryDirectory() as out:
         try:
