@@ -56,8 +56,7 @@ from .scenarios import (
 from .sde import StateEnsemble, simulate
 from .variational import (
     DerivativeReport,
-    FundamentalPair,
-    solve_fundamental,
+    fundamental_steps,
     solve_variational,
     spike_report,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "CostReport",
     "DerivativeReport",
     "Drivers",
-    "FundamentalPair",
     "MarkSpace",
     "ModelSpec",
     "MODEL_BUILDERS",
@@ -94,6 +92,7 @@ __all__ = [
     "ekeland_distance",
     "embed_strict",
     "evaluate_cost",
+    "fundamental_steps",
     "generator_G",
     "hamiltonian",
     "load_config",
@@ -102,7 +101,6 @@ __all__ = [
     "run_document",
     "sample_drivers",
     "simulate",
-    "solve_fundamental",
     "solve_variational",
     "spike",
     "spike_report",

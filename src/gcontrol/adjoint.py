@@ -8,12 +8,17 @@ martingale loadings (Brownian, compensated jumps, and the second-order
 volatility channel) come from cross-path regressions of the fitted
 martingale increments.
 
-The layer works time-major, as does every array it takes: states, flow
-and backward variable (K+1, S, P), all C-ordered; a step's (S, P)
-Brownian increments are formed when it is read (``Drivers.step_dB``).
-The triple exists one step at a time: ``p`` and ``q`` (S, P) and ``r``
-(S, P, m).
-:func:`_adjoint_core` forms the backward variable in one (K+1, S, P)
+The layer works time-major, as does every array it takes: states and
+backward variable (K+1, S, P), all C-ordered; a step's (S, P) Brownian
+increments are formed when it is read (``Drivers.step_dB``). The flow
+``phi`` and its inverse ``psi`` are never held whole: they are streamed
+one step at a time (:func:`~gcontrol.variational.fundamental_steps`),
+once for the backward variable and once for the regressions, because
+the flow is cheap to run again and a stored flow would double the
+memory of every table. The triple exists one step at a time: ``p`` and
+``q`` (S, P) and ``r`` (S, P, m).
+
+:func:`_adjoint_core` forms the raw backward variable in one (K+1, S, P)
 buffer, then walks the grid once forward; at each step it solves the
 state regression and the increment regression of every scenario from
 stacked normal equations (the scheme's own least-squares problem). The
@@ -24,24 +29,26 @@ constant) is formed once per step, and only its dB row and right-hand
 side per scenario. The eigenvalues of each Gram matrix give the
 condition number; a singular or ill-conditioned Gram matrix falls back to
 the min-norm SVD solution of its design, and the health numbers count
-those fallbacks. A caller that asks for the fit gets it in the same
-buffer: each step's fit overwrites the raw step once the regression has
-read it. One formula, :func:`_triple_at`,
-turns a backward variable into ``(p, q, r)`` at a step, and one,
-:func:`_q_at`, gives its ``q`` together with ``sigma_x`` at that step.
-``r`` is formed one mark at a time, from contiguous (S, P) operands
-with that mark's ``1 / (1 + f_x)``, a scalar when ``f_x`` is constant
-in the state, and stored mark-last like every ``r`` of this module.
-:func:`_triple_steps` feeds the fitted variable one step at a time, and
-no triple is ever held whole: :func:`bsde_stability_report` walks each
-chattering rung's steps beside the relaxed control's and folds each pair
-into per-(scenario, path) gap accumulators; the relaxed control keeps
-its states, ``psi`` and fitted ``y``, and re-forms its triple step by
-step beside each rung. :func:`mp_check_relaxed` reads the raw (unfitted)
-variable, at report-block starts for the triple and through
-:func:`_q_at` in one backward pass for the volatility-channel weights of
-every block. A backward variable, triple component or table entry that
-overflows raises, naming the step and the scenario.
+those fallbacks. Once a step's loadings exist, one step late, the core
+hands the step (its flow, inverse flow and fit) to the caller's reducer,
+which from then on owns the step's row of the buffer. One formula,
+:func:`_triple_at`, turns a backward variable into ``(p, q, r)`` at a
+step, and one, :func:`_q_at`, gives its ``q`` together with ``sigma_x``
+at that step. ``r`` is formed one mark at a time, from contiguous
+(S, P) operands with that mark's ``1 / (1 + f_x)``, a scalar when
+``f_x`` is constant in the state, and stored mark-last like every ``r``
+of this module.
+
+The reducers are the tables' own. :func:`mp_check_relaxed` reads the
+raw (unfitted) variable: it keeps the block starts' triples and writes
+each step's volatility-channel summand (:func:`tail_summand`) into the
+step's row, so one backward sum over the rows gives every block's
+:func:`tail_weights`. In :func:`bsde_stability_report` the relaxed
+control's reducer writes each step's fit into its row and copies
+``psi``, and each chattering rung's reducer forms both triples at the
+step and folds the pair into per-(scenario, path) gap accumulators
+(:func:`_finite_triple`). A backward variable, triple component or table
+entry that overflows raises, naming the step and the scenario.
 
 A control is read through its ``weights`` over ``grid.actions`` (one-hot
 for a strict control), so a strict control's adjoint and tables run on the
@@ -67,7 +74,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,7 +93,7 @@ from .jumps import Drivers, MarkSpace
 from .models import ModelSpec, _avg, _coeff
 from .scenarios import TimeGrid, generator_G, upper_expectation
 from .sde import StateEnsemble, _first_nonfinite, _require_finite, simulate
-from .variational import solve_fundamental
+from .variational import fundamental_steps
 
 _DEGENERATE_STD = 1e-12
 # a Gram matrix whose condition number lmax / lmin exceeds this is not solved;
@@ -188,35 +195,31 @@ def hamiltonian(model: ModelSpec, marks: MarkSpace, t, x, a, p, q, r):
     return val
 
 
-def tail_weights(
-    phi: np.ndarray,
-    q_at: Callable[[int], tuple[np.ndarray, np.ndarray]],
-    a_tab: np.ndarray,
-    s_table: np.ndarray,
-    bounds,
-    dt: float,
-    starts: Sequence[int],
-) -> np.ndarray:
+def tail_summand(phi_k, q_k, sx_k, a_k, s_k, bounds) -> np.ndarray:
+    """Step k's term ``phi_k (q_k sx_k a_k + S_k a_k - 2 G(S_k))`` of :func:`tail_weights`.
+
+    ``G`` is the scalar generator :func:`~gcontrol.scenarios.generator_G`.
+    ``phi_k`` and ``q_k`` are (S, P), ``sx_k`` (S, P) or a scalar, and
+    ``a_k`` and ``s_k`` the step's (S,) volatility values and
+    second-order loadings.
+    """
+    s_net = s_k * a_k - 2.0 * generator_G(s_k, bounds)
+    return phi_k * (q_k * sx_k * a_k[:, None] + s_net[:, None])
+
+
+def tail_weights(summands, starts: Sequence[int], dt: float) -> np.ndarray:
     """Downstream volatility-channel weight of a spike opened at each start step.
 
-    For a start ``k0`` the weight is
-
-        sum_{k >= k0} phi_k (q_k sx_k a_k + S_k a_k - 2 G(S_k)) dt
-
-    with ``G`` the scalar generator :func:`~gcontrol.scenarios.generator_G`.
-    One backward pass serves every start. ``phi`` is time-major
-    (K+1, S, P), ``q_at(k)`` returns the step's ``(q_k, sx_k)``, ``q_k``
-    (S, P) and ``sx_k`` (S, P) or a scalar, and ``a_tab`` and ``s_table``
-    are (S, K). Returns shape
+    For a start ``k0`` the weight is ``sum_{k >= k0} summands[k] dt``,
+    with step k's :func:`tail_summand` in row k of the (K, S, P)
+    ``summands``. One backward pass serves every start. Returns shape
     (len(starts), S, P).
     """
-    s_net = s_table * a_tab - 2.0 * generator_G(s_table, bounds)
-    out = np.empty((len(starts),) + phi.shape[1:])
-    acc = np.zeros(phi.shape[1:])
+    out = np.empty((len(starts),) + summands.shape[1:])
+    acc = np.zeros(summands.shape[1:])
     slot = {int(k0): j for j, k0 in enumerate(starts)}
-    for k in range(len(phi) - 2, min(starts) - 1, -1):
-        q_k, sx_k = q_at(k)
-        acc += phi[k] * (q_k * sx_k * a_tab[:, k][:, None] + s_net[:, k][:, None])
+    for k in range(len(summands) - 1, min(starts) - 1, -1):
+        acc += summands[k]
         if k in slot:
             out[slot[k]] = acc * dt
     return out
@@ -406,7 +409,8 @@ def _invert_step_drift(c: np.ndarray, a: np.ndarray, lo: float, hi: float, dt: f
     A representable drift is ``S (a - argmax probe) dt``, which is never
     positive, so positive intercepts are noise and map to zero; so does
     a singleton volatility band, where the drift carries no information
-    about ``S``. ``c`` and ``a`` are (S, K); returns S of that shape.
+    about ``S``. ``c`` and ``a`` are one step's (S,) drifts and volatility
+    values, or (S, K) tables; returns S of that shape.
     """
     out = np.zeros(np.shape(c))
     if hi - lo <= 1e-12:
@@ -420,18 +424,33 @@ def _invert_step_drift(c: np.ndarray, a: np.ndarray, lo: float, hi: float, dt: f
 
 
 def _adjoint_core(
-    ensemble: StateEnsemble, basis_degree: int, *, keep_fit: bool = False
+    ensemble: StateEnsemble, basis_degree: int,
+    reduce: Callable[[SimpleNamespace, int, np.ndarray, np.ndarray, np.ndarray], None]
+    | None = None,
 ) -> SimpleNamespace:
     """Raw backward variable, per-step regressions and loadings, time-major.
 
-    One forward pass over the steps regresses the raw backward variable
-    on the state and the martingale increment of the fitted variable on
-    the step's noise, each from stacked normal equations across
-    scenarios (:func:`_solve_normal`). The backward variable lives in one
-    time-major (K+1, S, P) buffer, ``y``: it holds the raw variable, and with ``keep_fit`` step
-    k's fit overwrites step k once the regression has read it, so ``y``
-    ends as the fitted variable. A backward variable that overflows
-    raises ``FloatingPointError`` naming the step and the scenario.
+    The flow is streamed twice (:func:`~gcontrol.variational.fundamental_steps`),
+    so ``phi`` and ``psi`` are never held whole. The first pass writes
+    step k's running term ``h_x phi_k dt`` into the (K+1, S, P) buffer
+    ``y`` and the terminal ``g_x phi_K`` into its last row, then sums
+    ``y`` backward in place into the raw backward variable. The second
+    pass regresses the raw variable on the state and the martingale
+    increment of the fitted variable on the step's noise, each from
+    stacked normal equations across scenarios (:func:`_solve_normal`).
+
+    Once the loadings ``Q``, ``R`` and ``S_t`` of step j exist, which is
+    one step late, ``reduce(core, j, phi_j, psi_j, fit_j)`` is called
+    for j = 0, ..., K - 1 in order, with the step's flow, its inverse
+    and its fit, each (S, P); ``core`` is the namespace this returns,
+    with the loadings filled up to step j. ``phi_j`` and ``psi_j`` are
+    overwritten after the call. From the call on the reducer owns
+    ``y[j]``: the core reads the raw step only before it. Without a
+    reducer ``y`` ends as the raw backward variable. A backward variable
+    that overflows raises ``FloatingPointError`` naming the step and the
+    scenario; so does a flow step, as in ``fundamental_steps``, but the
+    first pass forms ``phi`` only, so there a ``phi`` that overflows is
+    named even where ``psi`` overflowed at an earlier step.
     """
     check_basis_degree(basis_degree)
     model = ensemble.model
@@ -443,91 +462,82 @@ def _adjoint_core(
     n_marks = marks.n_marks
     w = ensemble.control.weights
     actions = ensemble.control.grid.actions
-
-    pair = solve_fundamental(ensemble)
-    phi, psi = pair.phi, pair.psi
     x = ensemble.states
     times = grid.times
 
-    def running(k):
+    def running(k, phi_k):
         hx = _avg(model.h_x, float(times[k]), x[k], w[k], actions)
-        return hx * phi[k] * dt
+        return hx * phi_k * dt
 
     gx_term = np.asarray(model.g_x(x[n_steps]), dtype=float) + np.zeros_like(x[n_steps])
     y = np.empty((n_steps + 1, n_scen, n_paths))
-    y[n_steps] = gx_term * phi[n_steps]
+    for k, phi_k, _ in fundamental_steps(ensemble, need_inverse=False):
+        y[k] = running(k, phi_k) if k < n_steps else gx_term * phi_k
     _require_finite(y[n_steps], f"backward variable at step {n_steps}")
     for k in range(n_steps - 1, -1, -1):
-        y[k] = y[k + 1] + running(k)
+        np.add(y[k + 1], y[k], out=y[k])
         _require_finite(y[k], f"backward variable at step {k}")
-
-    cond_y = np.ones((n_scen, n_steps))
-    cond_inc = np.ones((n_scen, n_steps))
-    sq_resid = np.zeros(n_scen)
-    q_load = np.zeros((n_scen, n_steps))
-    r_load = np.zeros((n_scen, n_steps, n_marks))
-    intercept = np.zeros((n_scen, n_steps))
-    dropped = 0
-    fallbacks = 0
-    comp = marks.intensities[:, None] * dt
-    past = np.zeros((n_scen, n_paths))
-    m_prev = None
-    for k in range(n_steps + 1):
-        if k < n_steps:
-            fit, cond_y[:, k], rss, fb = _regress_state(x[k], y[k], basis_degree)
-            sq_resid += rss
-            fallbacks += fb
-            if keep_fit:
-                # the regression has read the raw step; nothing reads it again
-                y[k] = fit
-        else:
-            fit = y[n_steps]
-        m_k = fit + past
-        if k > 0:
-            j = k - 1
-            q_load[:, j], r_load[:, j], intercept[:, j], cond_inc[:, j], drop, fb = (
-                _regress_increment(m_k - m_prev, ensemble.drivers.step_dB(j),
-                                   ensemble.drivers.step_counts(j) - comp)
-            )
-            dropped += int(drop.sum())
-            fallbacks += fb
-        if k < n_steps:
-            past = past + running(k)
-        m_prev = m_k
-    y_residual = np.sqrt(sq_resid / (n_steps * n_paths))
 
     a_tab = ensemble.family.values
     lo = ensemble.family.bounds.sigma_low
     hi = ensemble.family.bounds.sigma_high
-    s_table = _invert_step_drift(intercept, a_tab, lo, hi, dt)
-    clamped = int(np.count_nonzero(intercept > 0.0)) if hi - lo > 1e-12 else 0
-
-    return SimpleNamespace(
-        phi=phi,
-        psi=psi,
+    core = SimpleNamespace(
         gx_term=gx_term,
         y=y,
-        Q=q_load,
-        R=r_load,
-        S_t=s_table,
-        intercept=intercept,
-        cond_y=cond_y,
-        cond_increment=cond_inc,
-        y_residual=y_residual,
-        dropped_columns=dropped,
-        svd_fallbacks=fallbacks,
-        clamped_intercepts=clamped,
+        Q=np.zeros((n_scen, n_steps)),
+        R=np.zeros((n_scen, n_steps, n_marks)),
+        S_t=np.zeros((n_scen, n_steps)),
+        intercept=np.zeros((n_scen, n_steps)),
+        cond_y=np.ones((n_scen, n_steps)),
+        cond_increment=np.ones((n_scen, n_steps)),
     )
+    sq_resid = np.zeros(n_scen)
+    dropped = 0
+    fallbacks = 0
+    comp = marks.intensities[:, None] * dt
+    past = np.zeros((n_scen, n_paths))
+    prev = None
+    for k, phi_k, psi_k in fundamental_steps(ensemble, need_inverse=True):
+        if k < n_steps:
+            fit, core.cond_y[:, k], rss, fb = _regress_state(x[k], y[k], basis_degree)
+            sq_resid += rss
+            fallbacks += fb
+        else:
+            fit = y[n_steps]
+        m_k = fit + past
+        if prev is not None:
+            j = k - 1
+            m_prev, phi_j, psi_j, fit_j = prev
+            (core.Q[:, j], core.R[:, j], core.intercept[:, j], core.cond_increment[:, j], drop,
+             fb) = _regress_increment(m_k - m_prev, ensemble.drivers.step_dB(j),
+                                      ensemble.drivers.step_counts(j) - comp)
+            core.S_t[:, j] = _invert_step_drift(core.intercept[:, j], a_tab[:, j], lo, hi, dt)
+            dropped += int(drop.sum())
+            fallbacks += fb
+            if reduce is not None:
+                reduce(core, j, phi_j, psi_j, fit_j)
+        if k < n_steps:
+            past = past + running(k, phi_k)
+        prev = (m_k, phi_k, psi_k, fit)
+
+    core.y_residual = np.sqrt(sq_resid / (n_steps * n_paths))
+    core.dropped_columns = dropped
+    core.svd_fallbacks = fallbacks
+    core.clamped_intercepts = (int(np.count_nonzero(core.intercept > 0.0))
+                               if hi - lo > 1e-12 else 0)
+    return core
 
 
-def _q_at(ensemble: StateEnsemble, core: SimpleNamespace, k: int, y_k: np.ndarray):
+def _q_at(ensemble: StateEnsemble, core: SimpleNamespace, k: int, y_k: np.ndarray,
+          psi_k: np.ndarray):
     """``q = psi (Q - y sigma_x)`` at step k, (S, P), and the ``sigma_x`` it reads."""
     sx = _coeff(ensemble.model.sigma_x(float(ensemble.grid.times[k]), ensemble.states[k]))
-    return core.psi[k] * (core.Q[:, k][:, None] - y_k * sx), sx
+    return psi_k * (core.Q[:, k][:, None] - y_k * sx), sx
 
 
-def _triple_at(ensemble: StateEnsemble, core: SimpleNamespace, k: int, y_k: np.ndarray):
-    """``(p, q, r)`` at step k from a backward variable ``y_k`` of shape (S, P).
+def _triple_at(ensemble: StateEnsemble, core: SimpleNamespace, k: int, y_k: np.ndarray,
+               psi_k: np.ndarray):
+    """``(p, q, r)`` at step k from a backward variable ``y_k`` and ``psi_k``, each (S, P).
 
     ``p = y psi`` and ``q`` from :func:`_q_at` are (S, P). ``r`` is
     (S, P, m): mark i's entry is
@@ -535,36 +545,34 @@ def _triple_at(ensemble: StateEnsemble, core: SimpleNamespace, k: int, y_k: np.n
     ``f_x`` under the step's weights and the step's loadings ``Q``/``R``
     from ``core``.
     """
-    psi = core.psi[k]
     t = float(ensemble.grid.times[k])
     x = ensemble.states[k]
     u = ensemble.control
-    p = y_k * psi
-    q, _ = _q_at(ensemble, core, k, y_k)
+    p = y_k * psi_k
+    q, _ = _q_at(ensemble, core, k, y_k, psi_k)
     r = np.empty(p.shape + (ensemble.marks.n_marks,))
     for i, th in enumerate(ensemble.marks.marks):
         inv = 1.0 / (1.0 + _avg(ensemble.model.f_x, t, x, u.weights[k], u.grid.actions,
                                 theta=float(th)))
-        np.add(core.R[:, k, i][:, None] * psi * inv, p * (inv - 1.0), out=r[..., i])
+        np.add(core.R[:, k, i][:, None] * psi_k * inv, p * (inv - 1.0), out=r[..., i])
     return p, q, r
 
 
-def _triple_steps(ensemble: StateEnsemble, core: SimpleNamespace) -> Iterator[tuple]:
-    """Yield ``(p_k, q_k, r_k)`` of the fitted variable for k < K, one step at a time.
+def _finite_triple(ensemble: StateEnsemble, core: SimpleNamespace, k: int, y_k: np.ndarray,
+                   psi_k: np.ndarray) -> tuple:
+    """:func:`_triple_at`, checked: a non-finite component raises.
 
-    ``core`` must keep its fit. A non-finite component raises
-    ``FloatingPointError`` naming the component, the step and the
-    scenario, before the step is handed on.
+    The ``FloatingPointError`` names the component, the step and the
+    first scenario.
     """
-    for k in range(ensemble.grid.n_steps):
-        step = _triple_at(ensemble, core, k, core.y[k])
-        for name, v in zip("pqr", step):
-            bad = _first_nonfinite(v)
-            if bad is not None:
-                raise FloatingPointError(
-                    f"adjoint component {name} is not finite at step {k} under scenario {bad[0]}"
-                )
-        yield step
+    step = _triple_at(ensemble, core, k, y_k, psi_k)
+    for name, v in zip("pqr", step):
+        bad = _first_nonfinite(v)
+        if bad is not None:
+            raise FloatingPointError(
+                f"adjoint component {name} is not finite at step {k} under scenario {bad[0]}"
+            )
+    return step
 
 
 def _hypothesis_label(model: ModelSpec, grid: TimeGrid, actions: np.ndarray) -> str:
@@ -623,28 +631,39 @@ def mp_check_relaxed(
     the control's ``weights``: a strict control runs as it is, its one-hot
     weights the Dirac mixture, whose own atom's entries are exactly zero
     by construction. The triple is built from the raw (unfitted) backward
-    variable, and only at block starts.
+    variable, and only at block starts. The adjoint core hands each step
+    on as it is regressed; the raw step feeds the block start's triple
+    and the step's :func:`tail_summand`, which then takes the step's row
+    of the backward variable, so one backward sum over those rows gives
+    every block's :func:`tail_weights`.
     """
     model, mu, grid, marks = ensemble.model, ensemble.control, ensemble.grid, ensemble.marks
     family = ensemble.family
     block_len = block_length(grid.n_steps, n_blocks)
-    core = _adjoint_core(ensemble, basis_degree)
-
     w, actions = mu.weights, mu.grid.actions
     a_tab = family.values
     nus = marks.intensities
     n_scen = a_tab.shape[0]
     starts = [b * block_len for b in range(n_blocks)]
-    weights = tail_weights(core.phi, lambda k: _q_at(ensemble, core, k, core.y[k]),
-                           a_tab, core.S_t, family.bounds, grid.dt, starts)
+    at_start = {}
+
+    def reduce(core, j, phi_j, psi_j, fit_j):
+        # the raw step feeds the block start's triple, then holds the step's tail summand
+        y_j = core.y[j]
+        if j in starts:
+            at_start[j] = (psi_j.copy(),) + _triple_at(ensemble, core, j, y_j, psi_j)
+        q_j, sx_j = _q_at(ensemble, core, j, y_j, psi_j)
+        y_j[...] = tail_summand(phi_j, q_j, sx_j, a_tab[:, j], core.S_t[:, j], family.bounds)
+
+    core = _adjoint_core(ensemble, basis_degree, reduce)
+    weights = tail_weights(core.y[:-1], starts, grid.dt)
 
     entries: list[MPEntry] = []
     for b, k0 in enumerate(starts):
         t0 = float(grid.times[k0])
         x = ensemble.states[k0]
         a0 = a_tab[:, k0][:, None]
-        psi0 = core.psi[k0]
-        p0, q0, r0 = _triple_at(ensemble, core, k0, core.y[k0])
+        psi0, p0, q0, r0 = at_start.pop(k0)
 
         # per action: H, then b, gamma and f at every mark, each (S, P)
         rows = []
@@ -799,29 +818,30 @@ def bsde_stability_report(
     integrated square for ``r``. The orthogonal remainder is identically
     zero on both sides, so its gap column is exactly zero.
 
-    No triple is held whole. The relaxed control keeps what its triple is
-    formed from: its states and its fitted core (``psi``, the fitted
-    backward variable ``y`` and the loadings; the flow ``phi`` is dropped
-    once the core returns). Beside each rung, both triples are formed one
-    step at a time and folded into three (S, P) accumulators: the
-    running max of ``|p_n - p|`` (terminal node included) and the running
-    sums of the squared ``q`` and the ``nu``-weighted squared ``r``
-    differences, in step order, which is the order numpy sums a
-    time-major array over its first axis when a step holds more than one
-    (scenario, path) pair. ``health`` is the :func:`_estimator_health` of
-    the relaxed control's regressions.
+    No triple is held whole, and no flow. The relaxed control keeps what
+    its triple is formed from: its states, its fitted backward variable
+    (each step's fit takes the raw step's row as the core hands it on),
+    ``psi`` and the loadings. Each rung's core hands its steps on one at
+    a time; both triples are formed at the step and folded into three
+    (S, P) accumulators: the running max of ``|p_n - p|`` (terminal node
+    included) and the running sums of the squared ``q`` and the
+    ``nu``-weighted squared ``r`` differences, in step order, which is
+    the order numpy sums a time-major array over its first axis when a
+    step holds more than one (scenario, path) pair. ``health`` is the
+    :func:`_estimator_health` of the relaxed control's regressions.
     """
     n_list = check_ladder(n_list)
     dt = drivers.grid.dt
     nus = drivers.marks.intensities
 
-    def fitted(control):
-        ens = simulate(model, control, drivers, x0)
-        core = _adjoint_core(ens, basis_degree, keep_fit=True)
-        core.phi = None  # nothing after the core reads the flow
-        return ens, core
+    mu_ens = simulate(model, mu, drivers, x0)
+    mu_psi = np.empty((drivers.grid.n_steps,) + mu_ens.states.shape[1:])
 
-    mu_ens, mu_core = fitted(mu)
+    def keep(core, j, phi_j, psi_j, fit_j):
+        core.y[j] = fit_j
+        mu_psi[j] = psi_j
+
+    mu_core = _adjoint_core(mu_ens, basis_degree, keep)
     health = _estimator_health(mu_core)
 
     def rung_gaps(n):
@@ -831,17 +851,23 @@ def bsde_stability_report(
         of it is dropped on return, before the next rung is simulated,
         because the adjoint sets the peak memory.
         """
-        ens, core = fitted(chattering(mu, n))
-        p_sup = np.abs(core.gx_term - mu_core.gx_term)
-        q_sum = np.zeros(p_sup.shape)
-        r_sum = np.zeros(p_sup.shape)
-        for (p, q, r), (p_mu, q_mu, r_mu) in zip(_triple_steps(ens, core),
-                                                 _triple_steps(mu_ens, mu_core)):
-            np.maximum(p_sup, np.abs(p - p_mu), out=p_sup)
-            q_sum += (q - q_mu) ** 2
-            r_sum += (((r - r_mu) ** 2) * nus).sum(axis=2)
+        ens = simulate(model, chattering(mu, n), drivers, x0)
+        acc = SimpleNamespace()
+
+        def fold(core, j, phi_j, psi_j, fit_j):
+            if j == 0:
+                acc.p_sup = np.abs(core.gx_term - mu_core.gx_term)
+                acc.q_sum = np.zeros(acc.p_sup.shape)
+                acc.r_sum = np.zeros(acc.p_sup.shape)
+            p, q, r = _finite_triple(ens, core, j, fit_j, psi_j)
+            p_mu, q_mu, r_mu = _finite_triple(mu_ens, mu_core, j, mu_core.y[j], mu_psi[j])
+            np.maximum(acc.p_sup, np.abs(p - p_mu), out=acc.p_sup)
+            acc.q_sum += (q - q_mu) ** 2
+            acc.r_sum += (((r - r_mu) ** 2) * nus).sum(axis=2)
+
+        _adjoint_core(ens, basis_degree, fold)
         gaps = []
-        for name, dev in (("p", p_sup**2), ("q", q_sum * dt), ("r", r_sum * dt)):
+        for name, dev in (("p", acc.p_sup**2), ("q", acc.q_sum * dt), ("r", acc.r_sum * dt)):
             _require_finite(dev, f"{name} gap of rung n={n}")
             gaps.append(upper_expectation(list(dev)))
         return gaps

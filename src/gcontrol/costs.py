@@ -19,6 +19,7 @@ kernel writes it and never holds the batch's trajectories.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -110,7 +111,8 @@ def cost_from_ensemble(ensemble: StateEnsemble) -> CostReport:
 
 
 def stream_costs(
-    model: ModelSpec, controls: list[Control], drivers: Drivers, x0: float, reduce=None
+    model: ModelSpec, controls: list[Control], drivers: Drivers, x0: float, reduce=None,
+    ids: Sequence[int] | None = None,
 ) -> list[CostReport]:
     """CostReport per control of one kernel batch that keeps no trajectory.
 
@@ -118,13 +120,14 @@ def stream_costs(
     into the controls' path costs as it is written; ``reduce(k, x)``,
     when given, sees every step of the batch first, shape (n_controls,
     S, P). The controls must be all strict or all relaxed. A non-finite
-    path cost raises, naming its scenario and the control's position in
-    the batch.
+    path cost raises, naming its scenario and the control: its entry in
+    ``ids``, or its position in the batch when ``ids`` is not given.
     """
     grid = drivers.grid
     K = grid.n_steps
     shape = (drivers.family.n_scenarios, drivers.n_paths)
     sums = [_PathCost(model, u, grid, shape) for u in controls]
+    ids = range(len(controls)) if ids is None else ids
     totals = []
 
     def fold(k: int, x: np.ndarray) -> None:
@@ -135,7 +138,7 @@ def stream_costs(
                 acc.add(k, xc)
         else:
             totals.extend(acc.total(xc, f"path cost of control {c}")
-                          for c, (acc, xc) in enumerate(zip(sums, x)))
+                          for c, acc, xc in zip(ids, sums, x))
 
     stream_batch(model, controls, drivers, x0, fold)
     return [_cost_report(c, drivers.seed) for c in totals]
@@ -153,7 +156,8 @@ def evaluate_costs(
 
     The strict controls run as one batch and the relaxed ones as another;
     ``map_ordered(fn, batches)`` runs the batches and returns their
-    results in order, so a caller may run them on threads.
+    results in order, so a caller may run them on threads. A non-finite
+    path cost names the control by its index in ``controls``.
     """
     batches = [
         [i for i, u in enumerate(controls) if isinstance(u, kind)]
@@ -163,7 +167,7 @@ def evaluate_costs(
 
     def run(batch: list[int]) -> list[CostReport]:
         group = [controls[i] for i in batch]
-        return stream_costs(model, group, drivers, x0)
+        return stream_costs(model, group, drivers, x0, ids=batch)
 
     reports: list = [None] * len(controls)
     for batch, batch_reports in zip(batches, map_ordered(run, batches)):

@@ -17,8 +17,10 @@ seed); every scenario and every control of a run then share one
 of that setting: an operation that runs controls takes the drivers and
 reads the family, the grid and the marks from them, and a run samples
 its drivers once (``experiments.run_document``). A consumer forms step
-k's counts from its events (:meth:`Drivers.step_counts`) and its (S, P)
-Brownian increments from the (n_steps, P) draws (:meth:`Drivers.step_dB`).
+k's counts from its events (:meth:`Drivers.step_counts` on every path;
+:meth:`Drivers.event_path_counts` gives every step's counts per action
+tag on its event paths only) and its (S, P) Brownian increments from
+the (n_steps, P) draws (:meth:`Drivers.step_dB`).
 """
 
 from __future__ import annotations
@@ -153,10 +155,6 @@ class Drivers:
         a_k = self.family.values[:, k]
         return (np.sqrt(a_k)[:, None] * self.xi[k]) * np.sqrt(self.grid.dt)
 
-    def step_paths(self, k: int) -> np.ndarray:
-        """The paths with at least one event in step k, ascending."""
-        return np.unique(self.path[self.by_step[self.offsets[k]:self.offsets[k + 1]]])
-
     def tags(self, mu: RelaxedControl | StrictControl) -> np.ndarray:
         """Every event's action tag, drawn from ``mu``'s step weights; exact for one-hot rows."""
         if mu.n_steps != self.grid.n_steps:
@@ -164,22 +162,37 @@ class Drivers:
         cumw = np.cumsum(mu.weights, axis=1)
         return _index_from_uniform(self.tag_u, cumw[self.step])
 
-    def step_counts(self, k: int, tags: np.ndarray | None = None,
-                    n_actions: int | None = None) -> np.ndarray:
-        """Step k's events per (mark, path), or per (mark, action tag, path).
-
-        ``tags`` is every event's tag (:meth:`tags`) on ``n_actions`` actions.
-        The counts are :func:`numpy.bincount`'s int64, signed, so the
-        flow's inverse jump factor ``base ** -count`` cannot wrap.
-        """
+    def step_counts(self, k: int) -> np.ndarray:
+        """Step k's events per (mark, path), :func:`numpy.bincount`'s int64."""
         ev = self.by_step[self.offsets[k]:self.offsets[k + 1]]
-        cell = self.mark_idx[ev]
         shape = (self.marks.n_marks, self.n_paths)
-        if tags is not None:
-            cell = cell * n_actions + tags[ev]
-            shape = (self.marks.n_marks, n_actions, self.n_paths)
-        flat = np.bincount(cell * self.n_paths + self.path[ev], minlength=np.prod(shape))
+        flat = np.bincount(self.mark_idx[ev] * self.n_paths + self.path[ev],
+                           minlength=np.prod(shape))
         return flat.reshape(shape)
+
+    def event_path_counts(self, tags: np.ndarray,
+                          n_actions: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every step's event paths and their events per (mark, action tag), on those paths only.
+
+        ``tags`` is every event's tag (:meth:`tags`) on ``n_actions``
+        actions. Returns ``(bounds, paths, counts)``: step k's event paths,
+        ascending, are ``paths[bounds[k]:bounds[k + 1]]`` and their counts
+        the same rows of ``counts``, (n_event_paths, n_marks, n_actions)
+        over the run. The counts are signed int64, so the flow's inverse
+        jump factor ``base ** -count`` cannot wrap.
+        """
+        ev = self.by_step
+        st, on = self.step[ev], self.path[ev]
+        # within a step the events keep their (path, time) order, so a new
+        # (step, path) pair starts wherever the step or the path changes
+        first = np.ones(ev.size, dtype=bool)
+        first[1:] = (st[1:] != st[:-1]) | (on[1:] != on[:-1])
+        n_before = np.concatenate([[0], np.cumsum(first)])
+        paths = on[first]
+        cell = ((n_before[1:] - 1) * self.marks.n_marks + self.mark_idx[ev]) * n_actions + tags[ev]
+        counts = np.bincount(cell, minlength=paths.size * self.marks.n_marks * n_actions)
+        return (n_before[self.offsets], paths,
+                counts.reshape(paths.size, self.marks.n_marks, n_actions))
 
 
 def sample_drivers(

@@ -18,19 +18,23 @@ enters the compensator.
 Everything runs and is returned time-major: the states are (K+1, S, P)
 and each step's Brownian increments an (S, P) array the drivers form
 from their (K, P) draws, so every step forms its growth factors on
-contiguous slices, and z, phi and psi come back as C-ordered
-(K+1, S, P) arrays. The jump multiplier ``(1 + f_x)^count``
-is applied only on the paths that have events in the step (the drivers
-list them, with the step's tagged (m, A, P) counts formed from its events).
-A path without events would be multiplied by exactly one, so the result
-is bit for bit that of the dense product.
+contiguous slices, and z comes back as a C-ordered (K+1, S, P) array.
+The fundamental solutions phi and psi are never formed whole:
+:func:`fundamental_steps` yields them one (S, P) step at a time from two
+step slots each, and a consumer that needs them twice (the adjoint core)
+runs the flow twice. The jump multiplier ``(1 + f_x)^count`` is applied
+only on the paths that have events in the step, with the step's counts
+per (mark, action tag) formed on those paths only
+(``Drivers.event_path_counts``). A path without events would be
+multiplied by exactly one, so the result is bit for bit that of the
+dense product.
 
 A derivative that is constant in the state stays a scalar through the
 step's factors (see ``models._coeff``): each factor is one elementwise
 operation per path only where a path-dependent term enters it, and
-``1 + f_x`` is broadcast to the state's shape only on the event paths
-that index it. Every elementwise operation is the one the full arrays
-would run, so the bits do not change.
+``1 + f_x`` is read on the event paths only where it depends on the
+state. Every elementwise operation is the one the full arrays would run,
+so the bits do not change.
 
 The base ensemble keeps its whole states because z, the flow and the
 formula column read them at every step. The spiked controls do not:
@@ -42,7 +46,7 @@ step into their path costs and their quotient sups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -69,18 +73,6 @@ class VariationalPath:
             raise FloatingPointError(f"variational path is not finite at step {k} under scenario {s}")
         if np.any(self.z[: self.k0] != 0.0):
             raise ValueError("variational path must vanish before the spike")
-
-
-@dataclass(frozen=True)
-class FundamentalPair:
-    """Forward flow phi and inverse flow psi, each (K+1, S, P)."""
-
-    phi: np.ndarray
-    psi: np.ndarray
-
-    def inverse_defect(self) -> float:
-        """max over (scenario, path, time) of |phi psi - 1|."""
-        return float(np.max(np.abs(self.phi * self.psi - 1.0)))
 
 
 class QuotientRow(NamedTuple):
@@ -124,7 +116,8 @@ class _FlowSteps:
         self.w = ensemble.control.weights
         self.actions = ensemble.control.grid.actions
         self.drivers = ensemble.drivers
-        self.tags = self.drivers.tags(ensemble.control)
+        self.bounds, self.paths, self.counts = self.drivers.event_path_counts(
+            self.drivers.tags(ensemble.control), self.actions.size)
 
     def _jump_derivatives(self, t, x, w_k):
         """``f_x`` per mark, as a map from each action of nonzero weight to its value."""
@@ -134,31 +127,36 @@ class _FlowSteps:
                 for th in self.marks.marks]
 
     def _jump_bases(self, k, x, fxs):
-        """``1 + f_x`` per (mark, action) with its event counts on the step's paths.
+        """``1 + f_x`` per (mark, action) with its event counts on the step's event paths.
 
         ``fxs`` is :meth:`_jump_derivatives` of the step. The
         linearization must stay invertible: |1 + f_x| is checked against
         a hard threshold at every mark and every action of nonzero
-        weight, whether or not an event landed there.
+        weight, whether or not an event landed there. A base that is
+        constant in the state stays a scalar; one that is not is read on
+        the event paths only.
         """
-        paths = self.drivers.step_paths(k)
-        counts = self.drivers.step_counts(k, self.tags, self.actions.size).take(paths, axis=-1)
+        rows = slice(self.bounds[k], self.bounds[k + 1])
+        paths, counts = self.paths[rows], self.counts[rows]
+        fired = counts.any(axis=0)
         out = []
         for i, fx_i in enumerate(fxs):
             for a_i, fx in fx_i.items():
-                c = counts[i, a_i]
                 base = 1.0 + fx
-                if np.min(np.abs(base)) < _JUMP_GUARD:
+                scalar = np.ndim(base) == 0
+                if (abs(base) if scalar else np.min(np.abs(base))) < _JUMP_GUARD:
                     raise ValueError(f"jump linearization nearly singular at step {k}, mark {i}")
-                if c.any():
-                    out.append((np.broadcast_to(base, x.shape)[:, paths], c))
+                if fired[i, a_i]:
+                    out.append((base if scalar else np.broadcast_to(base, x.shape)[:, paths],
+                                counts[:, i, a_i]))
         return paths, out
 
     def factors(self, k: int, *, need_inverse: bool):
         """growth, inverse growth (or None), event paths, and their jump multipliers.
 
-        The multipliers have shape (S, len(paths)); the inverse one is
-        None unless ``need_inverse``.
+        The multipliers have shape (S, len(paths)), or (1, len(paths))
+        when every base is a scalar; the inverse one is None unless
+        ``need_inverse``.
         """
         model = self.model
         dt = self.grid.dt
@@ -262,29 +260,38 @@ def solve_variational(ensemble: StateEnsemble, spec: SpikeSpec) -> VariationalPa
     return VariationalPath(z=z, k0=k0)
 
 
-def solve_fundamental(ensemble: StateEnsemble) -> FundamentalPair:
-    """Forward and inverse fundamental solutions of the linearized flow.
+def fundamental_steps(ensemble: StateEnsemble, *, need_inverse: bool) -> Iterator[tuple]:
+    """Forward and inverse fundamental solutions of the linearized flow, one step at a time.
 
-    phi and psi start at one and evolve by reciprocal Euler factors, so
-    phi * psi drifts from one only at the scheme's order.
+    Yields ``(k, phi_k, psi_k)`` for k = 0, ..., n_steps, each (S, P);
+    ``psi_k`` is None unless ``need_inverse``. phi and psi start at one
+    and evolve by reciprocal Euler factors, so phi * psi drifts from one
+    only at the scheme's order. Each lives in two step slots that the
+    steps alternate between: a yielded step stays valid while the next
+    one is read and is overwritten by the one after, so a consumer that
+    keeps a step longer copies it. A step that is not finite raises
+    ``FloatingPointError`` naming the solution, the step and the first
+    scenario, before it is handed on.
     """
-    grid = ensemble.grid
     steps = _FlowSteps(ensemble)
-    phi = np.empty(ensemble.states.shape)
-    psi = np.empty(ensemble.states.shape)
-    phi[0] = 1.0
-    psi[0] = 1.0
-    for k in range(grid.n_steps):
-        growth, igrowth, paths, jmult, ijmult = steps.factors(k, need_inverse=True)
-        _advance(phi[k + 1], phi[k], growth, paths, jmult)
-        _advance(psi[k + 1], psi[k], igrowth, paths, ijmult)
-    bad = [(idx[:2], name) for name, idx in (("phi", _first_nonfinite(phi)),
-                                             ("psi", _first_nonfinite(psi))) if idx is not None]
-    if bad:
-        (k, s), name = min(bad)
-        raise FloatingPointError(
-            f"fundamental solutions are not finite: {name} at step {k} under scenario {s}")
-    return FundamentalPair(phi=phi, psi=psi)
+    phi = np.ones((2,) + ensemble.states.shape[1:])
+    psi = np.ones(phi.shape) if need_inverse else None
+    for k in range(ensemble.grid.n_steps + 1):
+        now = k % 2
+        if k > 0:
+            growth, igrowth, paths, jmult, ijmult = steps.factors(k - 1, need_inverse=need_inverse)
+            _advance(phi[now], phi[1 - now], growth, paths, jmult)
+            if need_inverse:
+                _advance(psi[now], psi[1 - now], igrowth, paths, ijmult)
+        phi_k = phi[now]
+        psi_k = psi[now] if need_inverse else None
+        bad = [(idx[0], name) for name, v in (("phi", phi_k), ("psi", psi_k))
+               if v is not None and (idx := _first_nonfinite(v)) is not None]
+        if bad:
+            s, name = min(bad)
+            raise FloatingPointError(
+                f"fundamental solutions are not finite: {name} at step {k} under scenario {s}")
+        yield k, phi_k, psi_k
 
 
 def check_widths(h_list) -> list[float]:

@@ -1,9 +1,11 @@
 """Dense references: whole-run event counts, increments and full-array derivatives.
 
 The pipeline forms one step's counts and Brownian increments at a time
-(``Drivers.step_counts``, ``Drivers.step_dB``); tests compare those, and
-the arrays the old dense layout held, against this ``np.add.at`` over
-every event and the stacked steps. It also keeps a derivative that is
+(``Drivers.step_counts``, ``Drivers.step_dB``) and every step's counts
+on its event paths (``Drivers.event_path_counts``); tests compare those,
+and the arrays the old dense layout held, against this ``np.add.at``
+over every event, the per-step tagged counts on every path, and the
+stacked steps. It also keeps a derivative that is
 constant in the state as a float; :func:`broadcast_twin` gives the model
 whose derivatives are full arrays, to compare against.
 """
@@ -25,9 +27,20 @@ def dense_counts(drivers, tags=None, n_actions=None):
     return out
 
 
+def tagged_step_counts(drivers, k, tags, n_actions):
+    """Step k's int64 events per (mark, action tag, path), on every path."""
+    ev = drivers.by_step[drivers.offsets[k]:drivers.offsets[k + 1]]
+    cell = drivers.mark_idx[ev] * n_actions + tags[ev]
+    shape = (drivers.marks.n_marks, n_actions, drivers.n_paths)
+    flat = np.bincount(cell * drivers.n_paths + drivers.path[ev], minlength=np.prod(shape))
+    return flat.reshape(shape)
+
+
 def stacked_step_counts(drivers, tags=None, n_actions=None):
-    """Every step's ``Drivers.step_counts`` stacked on a leading step axis."""
-    return np.stack([drivers.step_counts(k, tags, n_actions)
+    """Every step's counts stacked on a leading step axis, tagged when ``tags`` is given."""
+    if tags is None:
+        return np.stack([drivers.step_counts(k) for k in range(drivers.grid.n_steps)])
+    return np.stack([tagged_step_counts(drivers, k, tags, n_actions)
                      for k in range(drivers.grid.n_steps)])
 
 

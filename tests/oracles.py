@@ -1,10 +1,10 @@
 """Oracles the tests check the package against, and that no experiment kind runs.
 
 The continuous-time references (the LQ cost by matrix exponential, the
-bilinear mean), the pathwise sup distance of two ensembles, the one-step
-residual of the adjoint's driver representation with the whole triple it
-checks, the Lipschitz audit of that driver, and the spike's impulse
-process ``eta``. Only
+bilinear mean), the pathwise sup distance of two ensembles, the whole
+fundamental flow and its inverse defect, the one-step residual of the
+adjoint's driver representation with the whole triple it checks, the
+Lipschitz audit of that driver, and the spike's impulse process ``eta``. Only
 :func:`lq_cost_continuous` needs scipy, which it imports itself, so every
 other oracle runs on numpy alone.
 """
@@ -14,11 +14,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from gcontrol.adjoint import _adjoint_core, _triple_steps
+from gcontrol.adjoint import _adjoint_core, _finite_triple
 from gcontrol.controls import spike_steps
 from gcontrol.models import _avg, _coeff, _lq_rates, _mark_moments, ensure_validated
 from gcontrol.rng import PROBES, substream
-from gcontrol.variational import _spike_impulse
+from gcontrol.variational import _spike_impulse, fundamental_steps
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +112,28 @@ def sup_distance(e1, e2) -> DistanceReport:
 
 
 # ---------------------------------------------------------------------------
+# the fundamental flow
+# ---------------------------------------------------------------------------
+
+
+def whole_flow(ensemble) -> SimpleNamespace:
+    """Every step of :func:`fundamental_steps` stacked time-major: ``phi``, ``psi`` (K+1, S, P).
+
+    The generator reuses two step slots, so each step is copied before
+    the next one is read.
+    """
+    steps = [(phi_k.copy(), psi_k.copy())
+             for _, phi_k, psi_k in fundamental_steps(ensemble, need_inverse=True)]
+    phi, psi = (np.stack(c) for c in zip(*steps))
+    return SimpleNamespace(phi=phi, psi=psi)
+
+
+def inverse_defect(flow) -> float:
+    """max over (scenario, path, time) of |phi psi - 1|."""
+    return float(np.max(np.abs(flow.phi * flow.psi - 1.0)))
+
+
+# ---------------------------------------------------------------------------
 # the adjoint's driver
 # ---------------------------------------------------------------------------
 
@@ -120,10 +142,18 @@ def whole_triple(ensemble, basis_degree=2) -> SimpleNamespace:
     """The fitted triple's steps stacked time-major, and the core they come from.
 
     ``p`` (K+1, S, P) ends at the exact terminal gradient, ``q`` is
-    (K, S, P) and ``r`` (K, S, P, m); ``core`` keeps its fit.
+    (K, S, P) and ``r`` (K, S, P, m); ``core.y`` is the fitted backward
+    variable, each step's fit written over the raw step as the core
+    hands it on.
     """
-    core = _adjoint_core(ensemble, basis_degree, keep_fit=True)
-    p, q, r = (np.stack(c) for c in zip(*_triple_steps(ensemble, core)))
+    steps = []
+
+    def keep(core, j, phi_j, psi_j, fit_j):
+        core.y[j] = fit_j
+        steps.append(_finite_triple(ensemble, core, j, fit_j, psi_j))
+
+    core = _adjoint_core(ensemble, basis_degree, keep)
+    p, q, r = (np.stack(c) for c in zip(*steps))
     return SimpleNamespace(p=np.concatenate([p, core.gx_term[None]]), q=q, r=r, core=core)
 
 

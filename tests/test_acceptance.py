@@ -9,7 +9,7 @@ numbers quoted in comments are reproducible, not typical.
 import time
 
 import numpy as np
-from oracles import driver_lipschitz_audit
+from oracles import driver_lipschitz_audit, inverse_defect, whole_flow
 
 from gcontrol import models as md
 from gcontrol.adjoint import (
@@ -29,7 +29,7 @@ from gcontrol.experiments import run_document
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from gcontrol.sde import simulate
-from gcontrol.variational import solve_fundamental, spike_report
+from gcontrol.variational import spike_report
 
 MARKS = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([0.7, 0.3]))
 QUIET = MarkSpace(marks=np.array([1.0]), intensities=np.array([0.0]))
@@ -131,7 +131,7 @@ def test_criterion_04_flow_inverse_identity():
         grid = TimeGrid(T=1.0, n_steps=n_steps)
         ens = simulate(model, constant_strict(PM1, n_steps, 1),
                        sample_drivers(_fam(1.0, 2.25, grid), grid, MARKS, 100, 13), 1.0)
-        devs.append(solve_fundamental(ens).inverse_defect())
+        devs.append(inverse_defect(whole_flow(ens)))
     ratio = devs[1] / devs[0]
     ok = devs[0] <= 5e-2 and 0.4 <= ratio <= 0.6
     assert _report(4, "flow inverse identity", ok)

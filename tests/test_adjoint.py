@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from dense_reference import dense_counts, stacked_step_dB
-from oracles import bsde_residual, driver_lipschitz_audit, whole_triple
+from oracles import bsde_residual, driver_lipschitz_audit, whole_flow, whole_triple
 
 from gcontrol import adjoint as adj
 from gcontrol import models as md
@@ -15,6 +15,7 @@ from gcontrol.adjoint import (
     hamiltonian,
     mp_check_near,
     mp_check_relaxed,
+    tail_summand,
     tail_weights,
 )
 from gcontrol.controls import (
@@ -37,7 +38,6 @@ from gcontrol.scenarios import (
     upper_expectation,
 )
 from gcontrol.sde import simulate
-from gcontrol.variational import solve_fundamental
 
 MARKS = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([0.7, 0.3]))
 QUIET = MarkSpace(marks=np.array([1.0]), intensities=np.array([0.0]))
@@ -115,13 +115,14 @@ def test_hamiltonian_zero_for_trivial_model():
 
 
 def _tail_weight(grid, fam, k0, *, y, Q):
-    # time-major flow of ones, unit diffusion loading, S_t = 0.7 everywhere
-    K = grid.n_steps
-    ones_t = np.ones((K + 1, 1, 5))
-    sx = np.ones((1, 5))
+    # a flow of ones, unit diffusion loading, S_t = 0.7 everywhere
+    ones = np.ones((1, 5))
+    a_tab = fam.scalar_values()
     # q = psi (Q - y sx) with psi = 1
-    return tail_weights(ones_t, lambda k: (1.0 * (Q - y * sx), sx), fam.scalar_values(),
-                        np.full((1, K), 0.7), fam.bounds, grid.dt, [k0])[0]
+    summands = np.stack([tail_summand(ones, 1.0 * (Q - y * ones), ones, a_tab[:, k],
+                                      np.full(1, 0.7), fam.bounds)
+                         for k in range(grid.n_steps)])
+    return tail_weights(summands, [k0], grid.dt)[0]
 
 
 def test_f_term_vanishes_without_impulse():
@@ -209,7 +210,7 @@ def test_representation_reconstructs_terminal_functional():
                    sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 40, 7), 1.0)
     # without the fit, the backward variable's step 0 is the raw terminal functional
     rep = adj._adjoint_core(ens, 2)
-    pair = solve_fundamental(ens)
+    pair = whole_flow(ens)
     x = ens.states
     manual = model.g_x(x[-1]) * pair.phi[-1]
     for k in range(16):
@@ -242,7 +243,7 @@ def test_richer_basis_tightens_state_fit():
     for seed in (5, 9, 13):
         ens = simulate(model, mu, sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 1500, seed),
                        1.0)
-        rep1, rep2 = (adj._adjoint_core(ens, degree, keep_fit=True) for degree in (1, 2))
+        rep1, rep2 = (adj._adjoint_core(ens, degree) for degree in (1, 2))
         assert np.all(rep2.y_residual < rep1.y_residual)
 
 
@@ -250,14 +251,18 @@ def test_triple_steps_name_the_first_non_finite_step():
     grid = TimeGrid(T=1.0, n_steps=8)
     fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
     ens = simulate(_lq(), uniform_relaxed(PM1, 8), sample_drivers(fam, grid, MARKS, 30, 2), 1.0)
-    core = adj._adjoint_core(ens, 2, keep_fit=True)
-    core.y[5, 2, 7] = np.inf
-    steps = adj._triple_steps(ens, core)
-    for _ in range(5):
-        next(steps)
+    seen = []
+
+    def fold(core, j, phi_j, psi_j, fit_j):
+        if j == 5:
+            fit_j[2, 7] = np.inf
+        adj._finite_triple(ens, core, j, fit_j, psi_j)
+        seen.append(j)
+
     with pytest.raises(FloatingPointError,
                        match="component p is not finite at step 5 under scenario 2"):
-        next(steps)
+        adj._adjoint_core(ens, 2, fold)
+    assert seen == [0, 1, 2, 3, 4]
 
 
 def test_overflowing_backward_variable_names_step_and_scenario():
@@ -267,7 +272,7 @@ def test_overflowing_backward_variable_names_step_and_scenario():
                    sample_drivers(_fam(1.0, 4.0, grid), grid, QUIET, 4, 2), 10.0)
     with pytest.raises(FloatingPointError,
                        match="backward variable at step 8 under scenario 0"):
-        adj._adjoint_core(ens, 2, keep_fit=True)
+        adj._adjoint_core(ens, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +475,7 @@ def test_stacked_regressions_agree_with_reference(case):
 def test_event_sparse_flow_matches_dense_reference_bitwise(case):
     ens = _ensembles()[case]
     phi, psi = _reference_flow(ens)
-    pair = solve_fundamental(ens)
+    pair = whole_flow(ens)
     assert np.array_equal(pair.phi, phi)
     assert np.array_equal(pair.psi, psi)
 
@@ -485,7 +490,7 @@ def test_jump_guard_raises_on_a_step_without_events(relaxed):
     ens = simulate(model, control, sample_drivers(_fam(1.0, 4.0, grid), grid, silent, 20, 3), 0.5)
     assert ens.drivers.n_events == 0
     with pytest.raises(ValueError, match="nearly singular at step 0, mark 0"):
-        solve_fundamental(ens)
+        whole_flow(ens)
 
 
 def test_jump_guard_reads_only_the_actions_of_nonzero_weight():
@@ -499,16 +504,16 @@ def test_jump_guard_reads_only_the_actions_of_nonzero_weight():
     assert drivers.n_events > 0
     # no weight on 1.0: never tagged with it, never in the compensator
     w = np.tile([0.25, 0.75, 0.0], (8, 1))
-    pair = solve_fundamental(simulate(model, RelaxedControl(acts, w), drivers, 0.5))
+    pair = whole_flow(simulate(model, RelaxedControl(acts, w), drivers, 0.5))
     assert np.all(np.isfinite(pair.phi)) and np.all(np.isfinite(pair.psi))
     # weight on 1.0 at step 5 only: the guard refuses that step
     w = w.copy()
     w[5] = [0.25, 0.5, 0.25]
     with pytest.raises(ValueError, match="nearly singular at step 5, mark 0"):
-        solve_fundamental(simulate(model, RelaxedControl(acts, w), drivers, 0.5))
+        whole_flow(simulate(model, RelaxedControl(acts, w), drivers, 0.5))
     # a strict control's flow is its Dirac embedding's, bit for bit
     u = StrictControl(acts, np.array([0, 1, 0, 0, 1, 1, 0, 1]))
-    strict, dirac = (solve_fundamental(simulate(model, c, drivers, 0.5))
+    strict, dirac = (whole_flow(simulate(model, c, drivers, 0.5))
                      for c in (u, embed_strict(u)))
     assert strict.phi.tobytes() == dirac.phi.tobytes()
     assert strict.psi.tobytes() == dirac.psi.tobytes()
@@ -521,7 +526,7 @@ def test_table_health_reports_the_regressions():
     ens = simulate(model, constant_strict(PM1, 32, 0), sample_drivers(fam, grid, QUIET, 200, 11),
                    2.5)
     rep = mp_check_relaxed(ens, n_blocks=2)
-    bsde = adj._adjoint_core(ens, 2, keep_fit=True)
+    bsde = adj._adjoint_core(ens, 2)
     health = rep.health
     assert health["cond_y_max"] == float(bsde.cond_y.max())
     assert health["cond_y_median"] == float(np.median(bsde.cond_y))
@@ -756,7 +761,8 @@ def test_strict_tables_tag_events_with_the_played_indices(monkeypatch):
     assert drivers.n_events > 0
     mp_check_relaxed(simulate(model, u, drivers, 2.5), n_blocks=4)
     mp_check_near(model, u, [constant_strict(PM1, 32, 0)], 1.0, drivers, 2.5, n_blocks=4)
-    assert len(calls) == 2
+    # each table's adjoint core streams the flow twice, and each pass tags the events
+    assert len(calls) == 4
     for mu, tags in calls:
         assert mu is u
         assert np.array_equal(tags, u.indices[drivers.step])
@@ -944,12 +950,14 @@ def test_streamed_stability_rows_equal_whole_array_gaps_bitwise(case):
 
 
 def test_stability_report_holds_no_whole_triple():
-    """No triple is held whole: the peak stays within 8.2 state arrays.
+    """No triple and no flow is held whole: the peak stays within 6.8 state arrays.
 
     The relaxed control keeps its states, ``psi`` and fitted ``y`` and
     forms its triple step by step beside each rung, whose adjoint holds
-    4 arrays of its own. Holding the relaxed control's whole triple
-    peaks near 9.2, and holding the rungs' whole triples as well near 24.
+    its states and its backward variable. The peak is near 6.5, with
+    the drivers sampled inside the measurement. Holding each rung's
+    whole flow and inverse flow as well peaks near 8.0, the relaxed
+    control's whole triple near 9.2, and the rungs' whole triples near 24.
     """
     grid = TimeGrid(T=1.0, n_steps=32)
     fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
@@ -962,14 +970,16 @@ def test_stability_report_holds_no_whole_triple():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8.2 * state_bytes, peak / state_bytes
+    assert peak <= 6.8 * state_bytes, peak / state_bytes
 
 
 def test_fitted_core_holds_one_backward_buffer():
     """The fit overwrites the raw backward variable step by step: one (K+1, S, P) buffer.
 
-    The core peaks at 3.4 state arrays (the flow, its inverse and the
-    backward variable); a second buffer for the fit peaks at 4.4.
+    The flow and its inverse are streamed twice, one step at a time, so
+    the core peaks at 1.7 state arrays: the backward variable and the
+    steps' temporaries. A second buffer for the fit would peak near 2.7,
+    and the whole flow and its inverse near 3.4.
     """
     grid = TimeGrid(T=1.0, n_steps=32)
     fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
@@ -977,13 +987,38 @@ def test_fitted_core_holds_one_backward_buffer():
     ens = simulate(_lq(), uniform_relaxed(PM1, 32), sample_drivers(fam, grid, MARKS, n_paths, 3),
                    1.0)
     state_bytes = ens.states.nbytes
+
+    def keep(core, j, phi_j, psi_j, fit_j):
+        core.y[j] = fit_j
+
     tracemalloc.start()
     try:
-        adj._adjoint_core(ens, 2, keep_fit=True)
+        adj._adjoint_core(ens, 2, keep)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.9 * state_bytes, peak / state_bytes
+    assert peak <= 2.0 * state_bytes, peak / state_bytes
+
+
+def test_relaxed_table_holds_one_backward_buffer():
+    """The table's tail summands take the raw steps' rows: no second (K+1, S, P) buffer.
+
+    Past its ensemble, the table peaks at 2.7 state arrays: the backward
+    variable, the core's step temporaries and the block starts' triples.
+    The whole flow and its inverse peak near 4.4.
+    """
+    grid = TimeGrid(T=1.0, n_steps=32)
+    fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
+    ens = simulate(_lq(), uniform_relaxed(PM1, 32), sample_drivers(fam, grid, MARKS, 2000, 3),
+                   1.0)
+    state_bytes = ens.states.nbytes
+    tracemalloc.start()
+    try:
+        mp_check_relaxed(ens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * state_bytes, peak / state_bytes
 
 
 def test_lipschitz_audit_within_declared_bound():

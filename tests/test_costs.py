@@ -3,7 +3,14 @@ import pytest
 
 from gcontrol import costs as co
 from gcontrol import models as md
-from gcontrol.controls import ActionGrid, RelaxedControl, StrictControl, constant_strict, embed_strict
+from gcontrol.controls import (
+    ActionGrid,
+    RelaxedControl,
+    StrictControl,
+    constant_strict,
+    embed_strict,
+    uniform_relaxed,
+)
 from gcontrol.experiments import run_document
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
@@ -98,6 +105,22 @@ def test_non_finite_cost_names_its_scenario_and_control():
     with pytest.raises(FloatingPointError, match="non-finite path cost of control 0 under scenario 0$"):
         co.evaluate_cost(md.build_model("linear_jump_lq", {"gq": 1e300}),
                          constant_strict(ACTIONS, 16, 1), drivers, 1e5)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_non_finite_candidate_is_named_by_its_index():
+    # the strict batch is [constant 0, constant 2]: the diverging candidate sits
+    # at position 1 of its batch and at index 2 of the candidate list
+    grid = TimeGrid(T=1.0, n_steps=16)
+    drivers = sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 64, 5)
+    model = md.build_model("linear_jump_lq", {"gq": 1e300, "s1": 0.0, "f1": 0.0, "c1": 0.0,
+                                              "c2": 1e4})
+    candidates = [uniform_relaxed(ACTIONS, 16), constant_strict(ACTIONS, 16, 0),
+                  constant_strict(ACTIONS, 16, 2)]
+    with pytest.raises(FloatingPointError, match="non-finite path cost of control 2 under scenario 1$"):
+        co.evaluate_costs(model, candidates, drivers, 1.0)
+    with pytest.raises(FloatingPointError, match="non-finite path cost of control 2 under scenario 1$"):
+        co.value_bruteforce(model, candidates, drivers, 1.0)
 
 
 def test_cost_report_csv_layout(tmp_path):

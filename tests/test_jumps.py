@@ -253,14 +253,18 @@ def _step_forms_match_reference(intensities, n_steps, n_paths, seed, n_actions):
     tags = d.tags(mu)
     dense = dense_counts(d)
     tagged = dense_counts(d, tags, n_actions)
+    bounds, paths, counts = d.event_path_counts(tags, n_actions)
+    # plain int64, signed, so the flow's inverse jump factor cannot wrap
+    assert counts.dtype == np.int64
+    assert bounds[0] == 0 and bounds[-1] == paths.size == counts.shape[0]
     for k in range(n_steps):
         ck = d.step_counts(k)
-        tk = d.step_counts(k, tags, n_actions)
-        # plain int64, signed, so the flow's inverse jump factor cannot wrap
-        assert ck.dtype == tk.dtype == np.int64
-        assert np.array_equal(ck, dense[k]) and np.array_equal(tk, tagged[k])
-        assert np.array_equal(tk.sum(axis=1), ck)
-        assert np.array_equal(d.step_paths(k), np.flatnonzero(dense[k].any(axis=0)))
+        pk, tk = paths[bounds[k]:bounds[k + 1]], counts[bounds[k]:bounds[k + 1]]
+        assert ck.dtype == np.int64
+        assert np.array_equal(pk, np.flatnonzero(dense[k].any(axis=0)))
+        assert np.array_equal(ck, dense[k])
+        assert np.array_equal(tk, np.moveaxis(tagged[k][..., pk], -1, 0))
+        assert np.array_equal(tk.sum(axis=2), ck[:, pk].T)
     return dense
 
 

@@ -12,12 +12,12 @@ import numpy as np
 from dense_reference import dense_counts, stacked_step_counts
 
 from gcontrol import models as md
-from gcontrol.adjoint import _adjoint_core, _triple_steps
+from gcontrol.adjoint import _adjoint_core, _finite_triple
 from gcontrol.controls import ActionGrid, SpikeSpec, constant_strict, uniform_relaxed
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from gcontrol.sde import simulate, stream_batch
-from gcontrol.variational import solve_fundamental, solve_variational
+from gcontrol.variational import fundamental_steps, solve_variational
 
 K, P = 8, 6
 GRID = TimeGrid(T=1.0, n_steps=K)
@@ -44,9 +44,12 @@ def test_states_and_drivers_are_time_major():
     _time_major(d.step_counts(0), (2, P))
     mu = uniform_relaxed(ACTIONS, K)
     tags = d.tags(mu)
-    _time_major(d.step_counts(0, tags, 3), (2, 3, P))
+    # the flow's counts are event-path major: a step's event paths are a run of rows
+    bounds, paths, counts = d.event_path_counts(tags, 3)
+    assert bounds.shape == (K + 1,)
+    _time_major(counts, (paths.size, 2, 3))
     # plain int64, signed, so the inverse jump factor's -count cannot wrap
-    assert d.step_counts(0).dtype == d.step_counts(0, tags, 3).dtype == np.int64
+    assert d.step_counts(0).dtype == counts.dtype == np.int64
     tagged = stacked_step_counts(d, tags, 3)
     assert np.array_equal(tagged, dense_counts(d, tags, 3))
     assert np.array_equal(tagged.sum(axis=2), dense_counts(d))
@@ -56,14 +59,20 @@ def test_flow_variational_and_triple_are_time_major():
     u = constant_strict(ACTIONS, K, 1)
     ens = simulate(MODEL, u, sample_drivers(FAMILY, GRID, MARKS, P, 4), 1.0)
     spec = SpikeSpec(base=u, action_index=2, t0=0.25, width=0.125)
-    pair = solve_fundamental(ens)
-    for a in (pair.phi, pair.psi):
-        _time_major(a, (K + 1, S, P))
+    # the flow is handed on one step at a time, each step C-ordered
+    for _, phi_k, psi_k in fundamental_steps(ens, need_inverse=True):
+        _time_major(phi_k, (S, P))
+        _time_major(psi_k, (S, P))
     _time_major(solve_variational(ens, spec).z, (K + 1, S, P))
-    core = _adjoint_core(ens, 2, keep_fit=True)
+    steps = []
+
+    def keep(core, j, phi_j, psi_j, fit_j):
+        core.y[j] = fit_j
+        steps.append(_finite_triple(ens, core, j, fit_j, psi_j))
+
+    core = _adjoint_core(ens, 2, keep)
     _time_major(core.y, (K + 1, S, P))
-    # the triple is handed on one step at a time, each step C-ordered
-    steps = list(_triple_steps(ens, core))
+    # so is the triple
     assert len(steps) == K
     for p, q, r in steps:
         _time_major(p, (S, P))

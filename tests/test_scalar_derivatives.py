@@ -10,7 +10,7 @@ sign of zero counts too.
 import numpy as np
 import pytest
 from dense_reference import broadcast_twin
-from oracles import bsde_residual, spike_eta, whole_triple
+from oracles import bsde_residual, spike_eta, whole_flow, whole_triple
 
 from gcontrol import models as md
 from gcontrol.adjoint import _adjoint_core, bsde_stability_report, mp_check_relaxed
@@ -18,7 +18,7 @@ from gcontrol.controls import ActionGrid, SpikeSpec, StrictControl, embed_strict
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from gcontrol.sde import simulate
-from gcontrol.variational import solve_fundamental, solve_variational
+from gcontrol.variational import solve_variational
 
 K = 16
 ACTIONS = ActionGrid(np.array([-1.0, 0.0, 1.0]))
@@ -66,7 +66,7 @@ def test_flow_and_triple_match_the_broadcast_twin_bitwise(case, control):
     ens, ens_t = (simulate(m, *args) for m in (model, twin))
     assert _bits(ens.states) == _bits(ens_t.states)
 
-    pair, pair_t = solve_fundamental(ens), solve_fundamental(ens_t)
+    pair, pair_t = whole_flow(ens), whole_flow(ens_t)
     for name in ("phi", "psi"):
         assert _bits(getattr(pair, name)) == _bits(getattr(pair_t, name)), name
     if control == "strict":

@@ -3,10 +3,11 @@ import hashlib
 
 import numpy as np
 import pytest
-from oracles import spike_eta
+from oracles import inverse_defect, spike_eta, whole_flow
 
 from gcontrol import models as md
 from gcontrol import variational as vr
+from gcontrol.adjoint import _adjoint_core
 from gcontrol.controls import (
     ActionGrid,
     SpikeSpec,
@@ -115,13 +116,13 @@ def test_fundamental_trivial_flow():
     ens = simulate(model, constant_strict(actions, 16, 0),
                    sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 15), 1.0)
     spec = SpikeSpec(base=ens.control, action_index=1, t0=0.5, width=0.25)
-    pair = vr.solve_fundamental(ens)
+    pair = whole_flow(ens)
     eta = spike_eta(ens, spec, pair.psi)
     assert np.all(pair.phi == 1.0)
     assert np.all(pair.psi == 1.0)
     assert np.all(eta[:8] == 0.0)
     assert np.all(eta[8:] == 0.5)
-    assert pair.inverse_defect() == 0.0
+    assert inverse_defect(pair) == 0.0
 
 
 def test_fundamental_starts_at_identity():
@@ -129,10 +130,15 @@ def test_fundamental_starts_at_identity():
     model = md.build_model("linear_jump_lq", {})
     ens = simulate(model, constant_strict(ActionGrid(np.array([0.0, 1.0])), 32, 1),
                    sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 30, 16), 1.0)
-    pair = vr.solve_fundamental(ens)
-    assert np.all(pair.phi[0] == 1.0)
-    assert np.all(pair.psi[0] == 1.0)
-    assert [f.name for f in dataclasses.fields(pair)] == ["phi", "psi"]
+    steps = vr.fundamental_steps(ens, need_inverse=True)
+    k, phi_0, psi_0 = next(steps)
+    assert k == 0 and np.all(phi_0 == 1.0) and np.all(psi_0 == 1.0)
+    assert phi_0.shape == psi_0.shape == ens.states.shape[1:]
+    assert [k for k, _, _ in steps] == list(range(1, 33))
+    # without the inverse, phi's steps are the same bits and psi is None
+    pair = whole_flow(ens)
+    for k, phi_k, psi_k in vr.fundamental_steps(ens, need_inverse=False):
+        assert psi_k is None and phi_k.tobytes() == pair.phi[k].tobytes()
 
 
 def test_inverse_defect_halves_with_dt():
@@ -146,7 +152,7 @@ def test_inverse_defect_halves_with_dt():
         grid = TimeGrid(T=1.0, n_steps=n)
         ens = simulate(model, constant_strict(actions, n, 0),
                        sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 8, 17), 1.0)
-        defects.append(vr.solve_fundamental(ens).inverse_defect())
+        defects.append(inverse_defect(whole_flow(ens)))
     assert defects[0] < 5e-2
     for a, b in zip(defects, defects[1:]):
         assert 0.3 <= b / a <= 0.7
@@ -162,8 +168,8 @@ def test_z_matches_phi_eta_within_scheme_tolerance():
                    sample_drivers(_fam(1.5, 1.5, grid), grid, MARKS, 100, 18), 1.0)
     spec = SpikeSpec(base=ens.control, action_index=1, t0=0.25, width=0.25)
     zp = vr.solve_variational(ens, spec)
-    pair = vr.solve_fundamental(ens)
-    defect = pair.inverse_defect()
+    pair = whole_flow(ens)
+    defect = inverse_defect(pair)
     diff = np.abs(zp.z - pair.phi * spike_eta(ens, spec, pair.psi)).max()
     assert diff <= 3 * defect * max(1.0, np.abs(zp.z).max())
 
@@ -177,7 +183,7 @@ def test_fundamental_rejects_near_singular_jumps():
     broken = dataclasses.replace(model, f_x=lambda t, x, th, a: -1.0 + 0.0 * x)
     bad_ens = dataclasses.replace(ens, model=broken)
     with pytest.raises(ValueError, match="singular"):
-        vr.solve_fundamental(bad_ens)
+        whole_flow(bad_ens)
 
 
 # sha256 of the phi and psi bytes at K=16, P=64 with three marks, recorded
@@ -206,7 +212,7 @@ def _three_mark_ensemble(control):
 
 @pytest.mark.parametrize("control", sorted(_FROZEN_FLOW))
 def test_fundamental_flow_digests_are_frozen(control):
-    pair = vr.solve_fundamental(_three_mark_ensemble(control))
+    pair = whole_flow(_three_mark_ensemble(control))
     digests = tuple(hashlib.sha256(v.tobytes()).hexdigest() for v in (pair.phi, pair.psi))
     assert digests == _FROZEN_FLOW[control]
 
@@ -226,7 +232,11 @@ def test_overflowing_flow_names_step_and_scenario(field, value, where):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError,
                            match=f"fundamental solutions are not finite: phi at {where}$"):
-            vr.solve_fundamental(huge)
+            whole_flow(huge)
+        # the adjoint core streams the same flow and refuses at the same step
+        with pytest.raises(FloatingPointError,
+                           match=f"fundamental solutions are not finite: phi at {where}$"):
+            _adjoint_core(huge, 2)
         if field == "b_x":
             # the spike opens at step 4; z is zero before it
             spec = SpikeSpec(base=ens.control, action_index=1, t0=0.25, width=1 / 16)
