@@ -88,11 +88,11 @@ from .controls import (
     ekeland_distance,
     spike,
 )
-from .costs import cost_from_ensemble, evaluate_costs
+from .costs import evaluate_costs, stream_costs
 from .jumps import Drivers, MarkSpace
 from .models import ModelSpec, _avg, _coeff
 from .scenarios import TimeGrid, generator_G, upper_expectation
-from .sde import StateEnsemble, _first_nonfinite, _require_finite, simulate
+from .sde import StateEnsemble, _first_nonfinite, _require_finite, _stored_run, simulate
 from .variational import fundamental_steps
 
 _DEGENERATE_STD = 1e-12
@@ -757,10 +757,10 @@ def mp_check_near(
     if epsilon_n is not None and epsilon_n < 0.0:
         raise ValueError(f"epsilon_n must be nonnegative, got {epsilon_n}")
 
-    # u_n keeps its states, which feed the table as they are; the candidates
-    # are streamed, so no candidate's trajectory is held
-    ens = simulate(model, u_n, drivers, x0)
-    j_n = cost_from_ensemble(ens).upper_value
+    # u_n's states feed the table, and its cost is folded in the pass that stores
+    # them; the candidates stream in a batch of their own and keep no trajectory
+    ens, keep = _stored_run(model, u_n, drivers)
+    j_n = stream_costs(model, [u_n], drivers, x0, keep)[0].upper_value
     scored = [
         (ekeland_distance(u_n, cand, grid), rep.upper_value)
         for cand, rep in zip(cands, evaluate_costs(model, cands, drivers, x0))

@@ -8,12 +8,15 @@ initial state last, and all comparisons between controls run on that
 bundle, so differences are coupled path by path rather than being
 differences of independent estimates.
 
-There is one quadrature, :class:`_PathCost`, fed one step at a time.
-:func:`cost_from_ensemble` runs it over a stored ensemble. A set of
-controls whose paths nothing reads again (a lone control's cost,
-brute-force candidates, chattering rungs, spiked controls) goes through
-:func:`stream_costs`, which folds each step into the path costs as the
-kernel writes it and never holds the batch's trajectories.
+There is one quadrature, :class:`_PathCost`, fed one step at a time,
+and one place that feeds it: :func:`stream_costs`, which folds each
+step into the path costs as the kernel writes it. A set of controls
+whose paths nothing reads again (a lone control's cost, brute-force
+candidates, chattering rungs, spiked controls) never holds its
+trajectories; a run whose states a later pass reads (the relaxed
+control of a chattering ladder, the base of a spike or a stationarity
+table) is stored by a reducer handed to :func:`stream_costs` alongside
+the cost, so its cost is folded in the pass that stores it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .controls import RelaxedControl, StrictControl, chattering, check_ladder
 from .jumps import Drivers
 from .models import ModelSpec, _avg
 from .scenarios import TimeGrid, upper_expectation
-from .sde import StateEnsemble, _require_finite, simulate, stream_batch
+from .sde import _require_finite, _stored_run, stream_batch
 
 Control = StrictControl | RelaxedControl
 
@@ -65,8 +68,7 @@ class _PathCost:
     ``total(x_T, what)``, which raises on a non-finite cost, naming ``what``
     and the scenario. The running cost at each step is h mixed under the
     step's weights (:func:`gcontrol.models._avg`), a strict control's
-    one-hot weights giving h at its action. Fed the steps of a stored
-    ensemble or of a streamed batch, it gives the same bits.
+    one-hot weights giving h at its action.
     """
 
     def __init__(self, model: ModelSpec, control: Control, grid: TimeGrid, shape):
@@ -102,26 +104,20 @@ def _cost_report(costs: np.ndarray, seed: int) -> CostReport:
     )
 
 
-def cost_from_ensemble(ensemble: StateEnsemble) -> CostReport:
-    states = ensemble.states
-    acc = _PathCost(ensemble.model, ensemble.control, ensemble.grid, states.shape[1:])
-    for k in range(ensemble.grid.n_steps):
-        acc.add(k, states[k])
-    return _cost_report(acc.total(states[-1], "path cost"), ensemble.seed)
-
-
 def stream_costs(
     model: ModelSpec, controls: list[Control], drivers: Drivers, x0: float, reduce=None,
     ids: Sequence[int] | None = None,
 ) -> list[CostReport]:
-    """CostReport per control of one kernel batch that keeps no trajectory.
+    """CostReport per control of one kernel batch.
 
     The batch runs through :func:`stream_batch`, which folds each step
     into the controls' path costs as it is written; ``reduce(k, x)``,
     when given, sees every step of the batch first, shape (n_controls,
-    S, P). The controls must be all strict or all relaxed. A non-finite
-    path cost raises, naming its scenario and the control: its entry in
-    ``ids``, or its position in the batch when ``ids`` is not given.
+    S, P). No trajectory is kept unless ``reduce`` keeps it, as a stored
+    run's reducer (:func:`gcontrol.sde._stored_run`) does. The controls
+    must be all strict or all relaxed. A non-finite path cost raises,
+    naming its scenario and the control: its entry in ``ids``, or its
+    position in the batch when ``ids`` is not given.
     """
     grid = drivers.grid
     K = grid.n_steps
@@ -222,13 +218,14 @@ def chattering_report(
     Both gap columns are coupled: the relaxed run and every strict run
     share the drivers, so the mean-square path gap uses pathwise sups and
     the cost gap subtracts matched path costs. Only the relaxed run keeps
-    its states; the rungs are streamed, each folded step by step into
-    its path costs and its sup distance to the relaxed run.
+    its states, stored in the pass that folds its cost; the rungs are
+    streamed, each folded step by step into its path costs and its sup
+    distance to the relaxed run.
     """
     n_list = check_ladder(n_list)
     ladder = [chattering(mu, n) for n in n_list]
-    base = simulate(model, mu, drivers, x0)
-    base_report = cost_from_ensemble(base)
+    base, keep = _stored_run(model, mu, drivers)
+    [base_report] = stream_costs(model, [mu], drivers, x0, keep)
     # per rung, the running max over steps of |x_mu - x_n|; max is exact
     # in any order, and each rung's (S, P) slice is C-contiguous
     sups = np.zeros((len(ladder),) + base.states.shape[1:])

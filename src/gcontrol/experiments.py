@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import numbers
+import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -49,7 +50,7 @@ from .costs import chattering_report, evaluate_cost, evaluate_costs
 from .jumps import Drivers, MarkSpace, poisson_mean, sample_drivers
 from .models import MODEL_DEFAULTS, build_model, ensure_validated
 from .scenarios import TimeGrid, VolatilityBounds, build_scenario_family
-from .sde import simulate
+from .sde import simulate, stream_batch
 from .variational import check_widths, spike_controls, spike_report
 
 KINDS: tuple[str, ...] = ("simulate", "cost", "chattering", "variational", "mp-strict",
@@ -596,17 +597,20 @@ def _map_ordered(fn, items: Sequence, threads: int) -> list:
 
 
 def _run_simulate(cfg: ExperimentConfig, drivers: Drivers, threads: int):
-    ens = simulate(cfg.model, cfg.control, drivers, cfg.x0)
-    # states.csv's path moments add path by path, as numpy does over a
-    # non-contiguous axis; over the contiguous path axis of ens.states it
-    # would add pairwise and change their last bits
-    states = np.ascontiguousarray(np.moveaxis(ens.states, 0, -1))
-    mean = states.mean(axis=1)
-    std = states.std(axis=1)
-    n_scen = mean.shape[0]
+    K, n_scen = cfg.grid.n_steps, drivers.family.n_scenarios
+    mean, std = np.empty((n_scen, K + 1)), np.empty((n_scen, K + 1))
+
+    def moments(k: int, x: np.ndarray) -> None:
+        # states.csv's path moments add path by path, down the rows of a
+        # path-major copy; over the contiguous path axis numpy would add
+        # pairwise and change their last bits
+        paths = np.ascontiguousarray(x[0].T)
+        mean[:, k], std[:, k] = paths.mean(axis=0), paths.std(axis=0)
+
+    stream_batch(cfg.model, [cfg.control], drivers, cfg.x0, moments)
     files = {"states.csv": _csv("scenario,step,t,mean,std", (
         (s, k, cfg.grid.times[k], mean[s, k], std[s, k])
-        for s in range(n_scen) for k in range(cfg.grid.n_steps + 1)))}
+        for s in range(n_scen) for k in range(K + 1)))}
     for s in range(n_scen):
         files[f"plot_state_mean_s{s}.csv"] = _series(
             "t", f"mean_state_scenario_{s}", cfg.grid.times, mean[s]
@@ -682,9 +686,9 @@ def _run_variational(cfg: ExperimentConfig, drivers: Drivers, threads: int):
     ai = int(cfg.options["action_index"])
     t0 = float(cfg.options["t0"])
     h_list = [float(h) for h in cfg.options["h_list"]]
-    # z and the formula read the base run's states; the spikes are streamed
-    ens = simulate(cfg.model, cfg.control, drivers, cfg.x0)
-    der, rows = spike_report(ens, ai, t0, h_list)
+    # spike_report stores the base run, whose states z and the formula
+    # read, in the pass that folds its cost; the spikes are streamed
+    der, rows = spike_report(cfg.model, cfg.control, ai, t0, h_list, drivers, cfg.x0)
     files = {
         "derivative.csv": _csv("h,FD,FD_stderr,FORMULA,FORMULA_stderr", (
             (h, fd, fd_se, der.formula, der.formula_stderr) for h, fd, fd_se in der.rows)),
@@ -802,20 +806,30 @@ _DISPATCH = {
 }
 
 
-def _remove_stale(out: Path, files: Mapping[str, str]) -> None:
-    """Delete the artifacts an earlier run's manifest lists and this run does not write.
-
-    Only plain file names a manifest lists are touched; anything else in
-    the directory stays.
-    """
+def _listed(out: Path) -> list:
+    """The names an earlier run's manifest in ``out`` lists, or none."""
     try:
-        listed = json.loads((out / "manifest.json").read_text())["files"]
+        return list(json.loads((out / "manifest.json").read_text())["files"])
     except (OSError, ValueError, KeyError, TypeError):
-        return
+        return []
+
+
+def _remove_stale(out: Path, listed: Sequence, files: Mapping[str, str]) -> None:
+    """Delete the plain file names in ``listed`` that are neither in ``files`` nor the manifest."""
     for name in listed:
         path = out / str(name)
-        if name not in files and path.name == name and path.is_file():
+        if name not in files and name != "manifest.json" and path.name == name and path.is_file():
             path.unlink()
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temporary name beside ``path``, then rename it into place."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def run_document(doc: Mapping, *, output_dir: str | Path | None = None,
@@ -854,21 +868,25 @@ def run_document(doc: Mapping, *, output_dir: str | Path | None = None,
     }
     files["summary.json"] = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
+    # each file is replaced whole and the manifest last, so an interrupted
+    # write leaves every file old or new; stale files go after the manifest
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _remove_stale(out, files)
+    listed = _listed(out)
     digests: dict[str, str] = {}
     for name in sorted(files):
-        (out / name).write_text(files[name])
-        digests[name] = hashlib.sha256(files[name].encode()).hexdigest()
+        data = files[name].encode()
+        _write_atomic(out / name, data)
+        digests[name] = hashlib.sha256(data).hexdigest()
     manifest = RunManifest(
         config_hash=config_hash(eff),
         version=__version__,
         wall_time_s=time.perf_counter() - start,
         files=digests,
     )
-    (out / "manifest.json").write_text(
+    _write_atomic(out / "manifest.json", (
         json.dumps(asdict(manifest), sort_keys=True, indent=2, allow_nan=False) + "\n"
-    )
+    ).encode())
+    _remove_stale(out, listed, files)
     return RunResult(manifest=manifest, verdict=verdict, output_dir=out,
                      summary=summary)

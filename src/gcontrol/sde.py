@@ -16,13 +16,11 @@ under the same seed.
 Every operation takes the drivers and the initial state last: the
 drivers carry the scenario family, the grid, the mark space, the path
 count and the seed they were sampled for, so a run's setting is named
-once. Only the runs that the flow or the adjoint read again keep their
-whole (n_steps + 1, S, P) states: :func:`simulate` returns them as a
-:class:`StateEnsemble`. A caller that needs only a few per-path numbers
-of a set of controls (path costs, the spikes' quotient sups) runs them
-through :func:`stream_batch`: the kernel updates one step slot in place
-and hands each step to the caller's reducer, so the batch never holds
-more than one step.
+once. Every run is a stream: :func:`stream_batch` updates one step slot
+in place and hands each step to the caller's reducer. A run keeps its
+whole (n_steps + 1, S, P) states only when a later pass reads them again
+(the flow, the adjoint, z): a stored run is a reducer that copies each
+step into a :class:`StateEnsemble` (:func:`_stored_run`, :func:`simulate`).
 """
 
 from __future__ import annotations
@@ -45,20 +43,18 @@ Control = Union[StrictControl, RelaxedControl]
 class StateEnsemble:
     """Simulated state paths indexed by (step, scenario, path).
 
-    ``states`` is C-ordered and time-major, shape (n_steps + 1,
+    ``states`` is owned, C-ordered and time-major, shape (n_steps + 1,
     n_scenarios, n_paths), so ``states[k]`` is one contiguous step. The
     bundle keeps everything a downstream consumer needs to reuse the same
-    randomness: the
-    drivers (whose events give each step's counts, and a relaxed
-    control's tags) and the control that produced the run. The run's
-    setting (family, grid, marks, seed) is read through the drivers.
+    randomness: the drivers (whose events give each step's counts, and a
+    relaxed control's tags) and the control that produced the run. The
+    run's setting (family, grid, marks, seed) is read through the drivers.
     """
 
     states: np.ndarray
     drivers: Drivers
     model: ModelSpec
     control: Control
-    x0: float
 
     @property
     def seed(self) -> int:
@@ -112,14 +108,6 @@ def _check_finite(x: np.ndarray, k: int) -> None:
         )
 
 
-def _write(X, k, xk, incr, reduce) -> None:
-    """Store step k + 1 = xk + incr in its slot, check it, and hand it to ``reduce``."""
-    out = X[(k + 1) % len(X)]
-    np.add(xk, incr, out=out)
-    _check_finite(out, k)
-    reduce(k + 1, out)
-
-
 def _strict_jumps(model, t, xk, uk, marks, ck, dt):
     """The step's jump term ``sum_i f_i dN_i - (sum_i f_i nu_i) dt`` as one array.
 
@@ -135,7 +123,7 @@ def _strict_jumps(model, t, xk, uk, marks, ck, dt):
     return jump_sum - comp_rate * dt
 
 
-def _steps(model, increment, tables, events, drivers, X, reduce) -> None:
+def _steps(model, increment, tables, events, drivers, x, reduce) -> None:
     """The one Euler step loop. Under scenario s and control c a step is
 
         x'  =  x + b(t, x, u_k) dt + sigma(t, x) dB
@@ -149,22 +137,21 @@ def _steps(model, increment, tables, events, drivers, X, reduce) -> None:
     counts (strict) or its per-mark tagged counts (relaxed, as a function
     of the mark), and ``drivers`` the grid, the marks, the scenarios'
     volatility values ``a_k`` and each step's Brownian increments
-    (:meth:`Drivers.step_dB`). Step k lives in
-    ``X[k % len(X)]``: X holds every step, or one slot that each step
-    updates in place (the update is elementwise), and ``reduce(k, X_k)``
-    sees each step once it is written, k = 0, ..., n_steps.
+    (:meth:`Drivers.step_dB`). Every step updates the one (C, S, P) slot
+    ``x`` in place (the update is elementwise), and ``reduce(k, x)`` sees
+    each step once it is written and checked, k = 0, ..., n_steps.
     """
     grid, marks, a_vals = drivers.grid, drivers.marks, drivers.family.values
     dt = grid.dt
-    slots = len(X)
-    reduce(0, X[0])
+    reduce(0, x)
     for k, ek in enumerate(events):
-        xk = X[k % slots]
         a_dt = (a_vals[:, k] * dt)[:, None]
         # the increment is built in its own frame, so none of its arrays
         # outlives the step
-        _write(X, k, xk, increment(model, grid.times[k], xk, tables[:, k], a_dt,
-                                   drivers.step_dB(k), marks, ek, dt), reduce)
+        np.add(x, increment(model, grid.times[k], x, tables[:, k], a_dt,
+                            drivers.step_dB(k), marks, ek, dt), out=x)
+        _check_finite(x, k)
+        reduce(k + 1, x)
 
 
 def _strict_increment(model, t, xk, uk, a_dt, dBk, marks, ck, dt):
@@ -241,34 +228,19 @@ def stream_batch(
     The controls must be all strict or all relaxed. ``reduce(k, x)`` is
     called for k = 0, ..., n_steps in order with the states of step k,
     shape (n_controls, n_scenarios, n_paths); row c has the bits of step
-    k of control c's own :func:`simulate` run. The next step overwrites
-    ``x`` in place, so a reducer keeps what it derives from ``x``, never
-    ``x`` itself.
-    """
-    _simulate(model, list(controls), drivers, x0, reduce)
-
-
-def _keep_all(k: int, x: np.ndarray) -> None:
-    """The reducer of a run that stores every step: nothing to fold."""
-
-
-def _simulate(model, controls, drivers, x0, reduce):
-    """The kernel on every step (``reduce`` None) or on one slot updated in place.
-
-    Returns the state buffer. A step's counts are formed from its events:
-    (m, P) for a strict batch, and for a relaxed one (A, n_controls, 1, P)
-    of one mark at a time from every control's event tags.
+    k of control c run alone. The next step overwrites ``x`` in place, so
+    a reducer keeps what it derives from ``x``, never ``x`` itself. A
+    step's counts are formed from its events: (m, P) for a strict batch,
+    and for a relaxed one (A, n_controls, 1, P) of one mark at a time
+    from every control's event tags.
     """
     ensure_validated(model)
+    controls = list(controls)
     if not controls:
         raise ValueError("a batch needs at least one control")
     K = drivers.grid.n_steps
     if any(c.n_steps != K for c in controls):
         raise ValueError("controls and grid must agree on n_steps")
-    X = np.empty((K + 1 if reduce is None else 1, len(controls),
-                  drivers.family.n_scenarios, drivers.n_paths))
-    X[0] = x0
-    reduce = reduce or _keep_all
     if all(isinstance(c, StrictControl) for c in controls):
         increment = _strict_increment
         tables = np.stack([u.values for u in controls])[:, :, None, None]
@@ -284,8 +256,18 @@ def _simulate(model, controls, drivers, x0, reduce):
         events = (partial(_mark_counts, drivers, tags, actions.size, k) for k in range(K))
     else:
         raise ValueError("a batch holds either strict or relaxed controls, not both")
-    _steps(model, increment, tables, events, drivers, X, reduce)
-    return X
+    x = np.full((len(controls), drivers.family.n_scenarios, drivers.n_paths), float(x0))
+    _steps(model, increment, tables, events, drivers, x, reduce)
+
+
+def _stored_run(model: ModelSpec, control: Control, drivers: Drivers):
+    """The ensemble of ``control`` on ``drivers``, and the reducer that fills its states."""
+    states = np.empty((drivers.grid.n_steps + 1, drivers.family.n_scenarios, drivers.n_paths))
+
+    def keep(k: int, x: np.ndarray) -> None:
+        states[k] = x[0]
+
+    return StateEnsemble(states=states, drivers=drivers, model=model, control=control), keep
 
 
 def simulate(model: ModelSpec, control: Control, drivers: Drivers, x0: float) -> StateEnsemble:
@@ -294,10 +276,9 @@ def simulate(model: ModelSpec, control: Control, drivers: Drivers, x0: float) ->
     Strict and relaxed runs on the same drivers share the Brownian draws
     and the base jump events (tags come from a separate substream), so
     cross-control comparisons are common-random-number pairings. The
-    ensemble holds the kernel's own buffer and no counts: a consumer
-    forms each step's counts from the drivers' events.
+    ensemble holds no counts: a consumer forms each step's counts from
+    the drivers' events.
     """
-    X = _simulate(model, [control], drivers, x0, None)
-    return StateEnsemble(states=X[:, 0], drivers=drivers, model=model, control=control,
-                         x0=float(x0))
-
+    ensemble, keep = _stored_run(model, control, drivers)
+    stream_batch(model, [control], drivers, x0, keep)
+    return ensemble

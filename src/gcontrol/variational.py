@@ -36,11 +36,11 @@ operation per path only where a path-dependent term enters it, and
 state. Every elementwise operation is the one the full arrays would run,
 so the bits do not change.
 
-The base ensemble keeps its whole states because z, the flow and the
-formula column read them at every step. The spiked controls do not:
-:func:`spike_report` solves z once (it depends only on the spike's
-opening step) and streams the spikes through the kernel, folding each
-step into their path costs and their quotient sups.
+The base run keeps its whole states because z, the flow and the formula
+column read them at every step. :func:`spike_report` stores it in the
+pass that folds its path costs, solves z once (it depends only on the
+spike's opening step) and streams the spikes through the kernel, folding
+each step into their path costs and their quotient sups.
 """
 
 from __future__ import annotations
@@ -51,10 +51,11 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .controls import SpikeSpec, StrictControl, spike, spike_steps
-from .costs import cost_from_ensemble, stream_costs
-from .models import _avg, _coeff, _mix
+from .costs import stream_costs
+from .jumps import Drivers
+from .models import ModelSpec, _avg, _coeff, _mix
 from .scenarios import TimeGrid, upper_expectation
-from .sde import StateEnsemble, _first_nonfinite
+from .sde import StateEnsemble, _first_nonfinite, _stored_run
 
 _JUMP_GUARD = 1e-6
 
@@ -313,16 +314,17 @@ def spike_controls(
 
 
 def spike_report(
-    ensemble: StateEnsemble, action_index: int, t0: float, h_list: list[float]
+    model: ModelSpec, u_star: StrictControl, action_index: int, t0: float,
+    h_list: list[float], drivers: Drivers, x0: float,
 ) -> tuple[DerivativeReport, tuple[QuotientRow, ...]]:
-    """The cost slopes and the difference-quotient gaps of one set of spikes.
+    """The cost slopes and the difference-quotient gaps of one set of spikes of ``u_star``.
 
-    z depends on the spike's opening step only, so it is solved once for
-    every width. The spiked controls run as one batch on the ensemble's
-    drivers through :func:`stream_costs`: each step is folded into their
-    path costs and into their quotient sups as the kernel writes it, so
-    only the base ensemble and z are held whole. Widths must be given in
-    descending order.
+    The base run is stored in the pass that folds its path costs, and z,
+    which depends on the spike's opening step only, is solved once for
+    every width. The spiked controls run as one batch through
+    :func:`stream_costs`, each step folded into their path costs and
+    quotient sups as the kernel writes it. Widths must descend; a relaxed
+    ``u_star`` is refused before any kernel work.
 
     The derivative report holds the Gateaux slopes: its FD column divides
     coupled per-path cost differences by the spike width, in the scenario
@@ -335,11 +337,10 @@ def spike_report(
     measure the window itself, not convergence.
     """
     h_list = [float(h) for h in check_widths(h_list)]
-    grid = ensemble.grid
-    model = ensemble.model
-    u_star = ensemble.control
+    grid = drivers.grid
     spec0 = SpikeSpec(base=u_star, action_index=action_index, t0=t0, width=grid.dt)
-    base_report = cost_from_ensemble(ensemble)
+    ensemble, keep = _stored_run(model, u_star, drivers)
+    [base_report] = stream_costs(model, [u_star], drivers, x0, keep)
     s_star = base_report.argmax_scenario
 
     z_path = solve_variational(ensemble, spec0)
@@ -366,7 +367,7 @@ def spike_report(
                 y = (x[j] - ensemble.states[k]) / h - z[k]
                 np.maximum(sups[j], y**2, out=sups[j])
 
-    reports = stream_costs(model, controls, ensemble.drivers, ensemble.x0, quotient)
+    reports = stream_costs(model, controls, drivers, x0, quotient)
     rows = []
     P = ensemble.n_paths
     for h, pert_report in zip(h_list, reports):

@@ -98,16 +98,14 @@ def test_criterion_03_spike_quotient_scaling():
     det = md.build_model("linear_jump_lq", dict(
         b1=0.3, b2=0.5, s0=0.0, s1=0.0, c1=0.0, c2=0.0, f1=0.0, f2=0.0,
         h1=0.0, h2=0.0, gq=1.0))
-    ens = simulate(det, constant_strict(PM1, 200, 0),
-                   sample_drivers(_fam(1.0, 1.0, grid), grid, QUIET, 20, 31), 1.0)
-    _, rows = spike_report(ens, 1, 0.3, h_list)
+    _, rows = spike_report(det, constant_strict(PM1, 200, 0), 1, 0.3, h_list,
+                           sample_drivers(_fam(1.0, 1.0, grid), grid, QUIET, 20, 31), 1.0)
     gaps = [r.gap for r in rows]
     ratios = [gaps[i] / gaps[i + 1] for i in range(2)]
 
     lq = md.build_model("linear_jump_lq", {})
-    ens_lq = simulate(lq, constant_strict(PM1, 200, 0),
-                      sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 1000, 31), 1.0)
-    _, rows_lq = spike_report(ens_lq, 1, 0.3, h_list)
+    _, rows_lq = spike_report(lq, constant_strict(PM1, 200, 0), 1, 0.3, h_list,
+                              sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 1000, 31), 1.0)
     noisy_ok = all(
         rows_lq[i + 1].gap <= rows_lq[i].gap
         + 3 * (rows_lq[i].stderr + rows_lq[i + 1].stderr)
@@ -145,9 +143,8 @@ def test_criterion_05_derivative_agreement():
         h1=0.4, h2=0.0, gq=0.6))
     grid = TimeGrid(T=1.0, n_steps=200)
     actions = ActionGrid(np.array([0.0, 1.0]))
-    ens = simulate(model, constant_strict(actions, 200, 0),
-                   sample_drivers(_fam(1.5, 1.5, grid), grid, MARKS, 4000, 9), 1.0)
-    rep, _ = spike_report(ens, 1, 0.25, [0.1, 0.05, 0.025])
+    rep, _ = spike_report(model, constant_strict(actions, 200, 0), 1, 0.25, [0.1, 0.05, 0.025],
+                          sample_drivers(_fam(1.5, 1.5, grid), grid, MARKS, 4000, 9), 1.0)
     h_min, fd, fd_se = rep.rows[-1]
     diff = abs(fd - rep.formula)
     tol = max(0.1 * abs(rep.formula),

@@ -14,7 +14,7 @@ from gcontrol.controls import (
 from gcontrol.experiments import run_document
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
-from gcontrol.sde import simulate
+from gcontrol.variational import spike_report
 
 
 MARKS = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([0.7, 0.3]))
@@ -87,6 +87,37 @@ def test_embedded_control_cost_is_bitwise_equal():
     assert r1.upper_value == r2.upper_value
 
 
+# upper value, then scenario means and stderrs, as float.hex, recorded before
+# every run became a stream of the one kernel; a lone control's cost is a
+# one-control batch of :func:`evaluate_cost`
+_FROZEN_COSTS = {
+    "constant": ("0x1.01cf8830d65afp+3",
+                 ("0x1.865a16f7de7dbp+1", "0x1.32ddb98a00393p+2", "0x1.58f5ae11fe71cp+2",
+                  "0x1.01cf8830d65afp+3"),
+                 ("0x1.78d5e0b701374p-3", "0x1.6a7375a0e10c5p-2", "0x1.f7cb0f1fdc483p-2",
+                  "0x1.8e93c7cd4caaap-1")),
+    "uniform": ("0x1.05ab8f609a298p+3",
+                ("0x1.92fb14ed5b1a8p+1", "0x1.39850b32532a0p+2", "0x1.60154a3a41312p+2",
+                 "0x1.05ab8f609a298p+3"),
+                ("0x1.80228169a0a86p-3", "0x1.6f1848c354763p-2", "0x1.ff0ece9d4e9f1p-2",
+                 "0x1.93a91a167687ap-1")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN_COSTS))
+def test_single_control_costs_are_frozen(name):
+    grid = TimeGrid(T=1.0, n_steps=16)
+    control = {"constant": constant_strict(ACTIONS, 16, 1),
+               "uniform": uniform_relaxed(ACTIONS, 16)}[name]
+    rep = co.evaluate_cost(md.build_model("linear_jump_lq", {"f2": 0.1}), control,
+                           sample_drivers(_fam(1.0, 4.0, grid, blocks=2), grid, MARKS, 64, 11),
+                           1.0)
+    upper, means, stderrs = _FROZEN_COSTS[name]
+    assert rep.upper_value.hex() == upper
+    assert tuple(float(m).hex() for m in rep.scenario_means) == means
+    assert tuple(float(s).hex() for s in rep.scenario_stderrs) == stderrs
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_non_finite_cost_names_its_scenario_and_control():
     # gamma = c2 u rides the volatility: under u = 1 the high corner (scenario 1)
@@ -99,8 +130,9 @@ def test_non_finite_cost_names_its_scenario_and_control():
     assert np.isfinite(co.evaluate_cost(model, low, drivers, 1.0).upper_value)
     with pytest.raises(FloatingPointError, match="non-finite path cost of control 1 under scenario 1$"):
         co.value_bruteforce(model, [low, high], drivers, 1.0)
-    with pytest.raises(FloatingPointError, match="non-finite path cost under scenario 1$"):
-        co.cost_from_ensemble(simulate(model, high, drivers, 1.0))
+    # a stored run's cost is folded in the pass that stores it, as a one-control batch
+    with pytest.raises(FloatingPointError, match="non-finite path cost of control 0 under scenario 1$"):
+        spike_report(model, high, 0, 0.25, [0.25], drivers, 1.0)
     # every scenario overflows at x0 = 1e5: the first is named
     with pytest.raises(FloatingPointError, match="non-finite path cost of control 0 under scenario 0$"):
         co.evaluate_cost(md.build_model("linear_jump_lq", {"gq": 1e300}),

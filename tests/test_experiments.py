@@ -8,6 +8,8 @@ bytes, regardless of worker count or output directory.
 
 import hashlib
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +234,27 @@ def test_simulate_zero_model_writes_constant_state_rows(tmp_path):
     assert res.summary["metrics"]["n_scenarios"] == 4
 
 
+@pytest.mark.parametrize("control", [{"type": "constant", "index": 1}, {"type": "uniform"}])
+def test_simulate_kind_stores_no_run(control, tmp_path):
+    # the per-step moments are taken from the stream as the kernel writes
+    # each step: the whole run, drivers and artifacts included, peaks
+    # below one (K + 1, S, P) state array
+    k, p = 32, 2000
+    doc = _base_doc(model={"name": "linear_jump_lq"}, grid={"T": 1.0, "n_steps": k},
+                    scenarios={"strategy": "corners", "blocks": 2},
+                    actions=[-1.0, 0.0, 1.0], control=control, n_paths=p)
+    # numpy imports some submodules on first use; a first run loads them
+    run_document(doc, output_dir=tmp_path / "first")
+    state_bytes = (k + 1) * 4 * p * 8
+    tracemalloc.start()
+    try:
+        run_document(doc, output_dir=tmp_path / "measured")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0 * state_bytes, peak / state_bytes
+
+
 def test_csv_cell_rule():
     # integers as their digits, strings as they are, every other cell as
     # the repr of its float; one line per row and a trailing newline
@@ -442,6 +465,58 @@ def test_rerun_removes_files_the_old_manifest_lists(tmp_path):
     on_disk = {p.name for p in tmp_path.iterdir()}
     assert on_disk == set(manifest["files"]) | {"manifest.json", "notes.txt"}
     assert "plot_state_mean_s2.csv" not in on_disk
+
+
+def _snapshot(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def test_interrupted_write_leaves_every_file_old_or_new(tmp_path, monkeypatch):
+    # the second run writes other bytes under every shared name and drops
+    # plot_state_mean_s2 and _s3; a failure after its k-th replaced file
+    # leaves each file with its old bytes or its new ones, and no temporary
+    # file, whatever k is
+    old_doc = _base_doc(model={"name": "linear_jump_lq"})
+    new_doc = _base_doc(model={"name": "linear_jump_lq"}, seed=4,
+                        scenarios={"strategy": "corners", "blocks": 1})
+    new = run_document(new_doc, output_dir=tmp_path / "new")
+    new_files = {n: b for n, b in _snapshot(tmp_path / "new").items() if n != "manifest.json"}
+    replace = os.replace
+    for k in range(len(new_files) + 2):
+        out = tmp_path / f"after-{k}"
+        run_document(old_doc, output_dir=out)
+        before = _snapshot(out)
+        assert all(before[n] != b for n, b in new_files.items())
+        done = []
+
+        def failing_replace(src, dst):
+            if len(done) == k:
+                raise OSError("injected failure")
+            done.append(dst)
+            replace(src, dst)
+
+        finished = k > len(new_files)
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", failing_replace)
+            if finished:
+                run_document(new_doc, output_dir=out)
+            else:
+                with pytest.raises(OSError, match="injected failure"):
+                    run_document(new_doc, output_dir=out)
+        after = _snapshot(out)
+        assert not [n for n in after if n.endswith(".tmp")]
+        assert len(done) == min(k, len(new_files) + 1)
+        # the old manifest stays until every new file is in place, and the
+        # files only it lists go after the new one
+        manifest = after.pop("manifest.json")
+        if finished:
+            assert json.loads(manifest)["files"] == dict(new.manifest.files)
+            assert set(after) == set(new_files)
+        else:
+            assert manifest == before["manifest.json"]
+            assert "plot_state_mean_s3.csv" in after
+        for name, data in after.items():
+            assert data in (before.get(name), new_files.get(name))
 
 
 def test_manifest_matches_files_on_disk(tmp_path):
@@ -817,3 +892,24 @@ def test_artifact_digests_are_frozen(kind, threads, tmp_path):
     extra, digests = _FROZEN[kind]
     res = run_document({**_FROZEN_BASE, **extra}, output_dir=tmp_path, threads=threads)
     assert dict(res.manifest.files) == digests
+
+
+# mp-near's measured epsilon_n (float.hex), jepsilon_ok and n_candidates with
+# epsilon_n measured and given; they read path costs only, so unlike the
+# table they do not depend on the BLAS build
+_FROZEN_NEAR = {
+    None: ("0x1.0c10a4a87a688p+3", True, 9),
+    0.25: ("0x1.0000000000000p-2", False, 9),
+}
+
+
+@pytest.mark.parametrize("epsilon_n", [None, 0.25])
+def test_near_optimal_allowance_is_frozen(epsilon_n, tmp_path):
+    options = {"n_blocks": 4, "C": 1.0, "candidates": [{"type": "constant", "index": 0}]}
+    if epsilon_n is not None:
+        options["epsilon_n"] = epsilon_n
+    res = run_document({**_FROZEN_BASE, "kind": "mp-near",
+                        "control": {"type": "constant", "index": 1}, "options": options},
+                       output_dir=tmp_path)
+    m = res.summary["metrics"]
+    assert (m["epsilon_n"].hex(), m["jepsilon_ok"], m["n_candidates"]) == _FROZEN_NEAR[epsilon_n]

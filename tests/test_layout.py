@@ -80,10 +80,12 @@ def test_flow_variational_and_triple_are_time_major():
         _time_major(r, (S, P, 2))
 
 
-def test_one_control_ensemble_keeps_the_kernel_buffer():
+def test_one_control_ensemble_owns_its_streamed_states():
+    # a stored run is a reducer that copies each streamed step into an
+    # array of its own: no view of a kernel buffer
     u = constant_strict(ACTIONS, K, 0)
     ens = simulate(MODEL, u, sample_drivers(FAMILY, GRID, MARKS, P, 5), 1.0)
-    assert ens.states.base is not None and ens.states.base.shape == (K + 1, 1, S, P)
+    assert ens.states.base is None and ens.states.flags["OWNDATA"]
     _time_major(ens.states, (K + 1, S, P))
     rows = []
     stream_batch(MODEL, [u, constant_strict(ACTIONS, K, 2)], ens.drivers, 1.0,

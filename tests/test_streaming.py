@@ -114,7 +114,7 @@ def test_streamed_quotient_and_slope_rows_equal_whole_array_rows_bitwise(case):
     ai, t0, h_list = 2, 0.25, [0.1875, 0.125, 0.0625]
     drivers = sample_drivers(family, GRID, marks, 40, 6)
     ens = simulate(MODEL, _PATTERN, drivers, 1.0)
-    derivative, rows = spike_report(ens, ai, t0, h_list)
+    derivative, rows = spike_report(MODEL, _PATTERN, ai, t0, h_list, drivers, 1.0)
 
     spikes = spike_controls(_PATTERN, GRID, ai, t0, h_list)
     spiked = _stored(MODEL, spikes, drivers, 1.0)

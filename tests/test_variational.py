@@ -268,26 +268,25 @@ def test_spike_base_on_another_action_grid_rejected():
         vr.solve_variational(ens, spec)
 
 
-def test_spike_report_refuses_a_relaxed_ensemble_before_any_work(monkeypatch):
+def test_spike_report_refuses_a_relaxed_control_before_any_work(monkeypatch):
     grid = TimeGrid(T=1.0, n_steps=16)
     model = md.build_model("linear_jump_lq", {})
     actions = ActionGrid(np.array([0.0, 1.0]))
-    ens = simulate(model, uniform_relaxed(actions, 16),
-                   sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 20), 1.0)
-    costed = []
-    monkeypatch.setattr(vr, "cost_from_ensemble", lambda e: costed.append(e))
+    drivers = sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 20)
+    # the base run and the spikes both enter the kernel through stream_costs
+    streamed = []
+    monkeypatch.setattr(vr, "stream_costs", lambda *args, **kw: streamed.append(args))
     with pytest.raises(ValueError, match="spike variations act on strict controls"):
-        vr.spike_report(ens, 0, 0.25, [0.25])
-    assert costed == []
+        vr.spike_report(model, uniform_relaxed(actions, 16), 0, 0.25, [0.25], drivers, 1.0)
+    assert streamed == []
 
 
 def test_quotient_gap_zero_for_trivial_spike():
     grid = TimeGrid(T=1.0, n_steps=40)
     model = md.build_model("linear_jump_lq", {})
     actions = ActionGrid(np.array([0.0, 1.0]))
-    ens = simulate(model, constant_strict(actions, 40, 1),
-                   sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 100, 21), 1.0)
-    _, rows = vr.spike_report(ens, 1, 0.25, [0.1, 0.05])
+    _, rows = vr.spike_report(model, constant_strict(actions, 40, 1), 1, 0.25, [0.1, 0.05],
+                              sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 100, 21), 1.0)
     for row in rows:
         assert row.gap == 0.0
 
@@ -296,9 +295,8 @@ def test_quotient_gap_first_order_on_drift_only_model():
     grid = TimeGrid(T=1.0, n_steps=400)
     model = md.build_model("bilinear", {"th0": -0.2, "th1": 0.6, "s1": 0.0, "gl": 1.0})
     actions = ActionGrid(np.array([0.2, 0.9]))
-    ens = simulate(model, constant_strict(actions, 400, 0),
-                   sample_drivers(_fam(1.0, 1.0, grid), grid, QUIET, 2, 22), 1.0)
-    _, rows = vr.spike_report(ens, 1, 0.25, [0.1, 0.05, 0.025])
+    _, rows = vr.spike_report(model, constant_strict(actions, 400, 0), 1, 0.25, [0.1, 0.05, 0.025],
+                              sample_drivers(_fam(1.0, 1.0, grid), grid, QUIET, 2, 22), 1.0)
     assert rows[0].gap / rows[1].gap >= 1.5
     assert rows[1].gap / rows[2].gap >= 1.5
 
@@ -309,9 +307,8 @@ def test_quotient_gap_nonincreasing_on_jump_model():
         b1=0.25, b2=0.6, s0=0.35, s1=0.15, c1=0.15, c2=0.0,
         f1=0.15, f2=0.0, h1=0.3, h2=0.0, gq=0.5))
     actions = ActionGrid(np.array([0.0, 1.0]))
-    ens = simulate(model, constant_strict(actions, 200, 0),
-                   sample_drivers(_fam(1.5, 1.5, grid), grid, MARKS, 1500, 23), 1.0)
-    _, rows = vr.spike_report(ens, 1, 0.25, [0.1, 0.05, 0.025])
+    _, rows = vr.spike_report(model, constant_strict(actions, 200, 0), 1, 0.25, [0.1, 0.05, 0.025],
+                              sample_drivers(_fam(1.5, 1.5, grid), grid, MARKS, 1500, 23), 1.0)
     for a, b in zip(rows, rows[1:]):
         assert b.gap <= a.gap + 3 * (a.stderr + b.stderr)
 
@@ -320,19 +317,17 @@ def test_quotient_rejects_ascending_widths():
     grid = TimeGrid(T=1.0, n_steps=40)
     model = md.build_model("linear_jump_lq", {})
     actions = ActionGrid(np.array([0.0, 1.0]))
-    ens = simulate(model, constant_strict(actions, 40, 0),
-                   sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 24), 1.0)
     with pytest.raises(ValueError):
-        vr.spike_report(ens, 1, 0.25, [0.05, 0.1])
+        vr.spike_report(model, constant_strict(actions, 40, 0), 1, 0.25, [0.05, 0.1],
+                        sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 24), 1.0)
 
 
 def test_gateaux_trivial_spike_is_zero():
     grid = TimeGrid(T=1.0, n_steps=40)
     model = md.build_model("linear_jump_lq", {})
     actions = ActionGrid(np.array([0.0, 1.0]))
-    ens = simulate(model, constant_strict(actions, 40, 1),
-                   sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 100, 25), 1.0)
-    rep, _ = vr.spike_report(ens, 1, 0.25, [0.1, 0.05])
+    rep, _ = vr.spike_report(model, constant_strict(actions, 40, 1), 1, 0.25, [0.1, 0.05],
+                             sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 100, 25), 1.0)
     assert rep.formula == 0.0
     for _, fd, _ in rep.rows:
         assert fd == 0.0
@@ -344,9 +339,8 @@ def test_gateaux_fd_agrees_with_formula():
     model = md.build_model("linear_jump_lq", params)
     grid = TimeGrid(T=1.0, n_steps=200)
     actions = ActionGrid(np.array([0.0, 1.0]))
-    ens = simulate(model, constant_strict(actions, 200, 0),
-                   sample_drivers(_fam(1.5, 1.5, grid), grid, MARKS, 3000, 9), 1.0)
-    rep, _ = vr.spike_report(ens, 1, 0.25, [0.1, 0.05, 0.025])
+    rep, _ = vr.spike_report(model, constant_strict(actions, 200, 0), 1, 0.25, [0.1, 0.05, 0.025],
+                             sample_drivers(_fam(1.5, 1.5, grid), grid, MARKS, 3000, 9), 1.0)
     h_min, fd, fd_se = rep.rows[-1]
     tol = max(0.1 * abs(rep.formula), 3 * np.hypot(fd_se, rep.formula_stderr))
     assert abs(fd - rep.formula) <= tol
@@ -357,12 +351,10 @@ def test_gateaux_fd_column_is_reproducible():
     grid = TimeGrid(T=1.0, n_steps=40)
     actions = ActionGrid(np.array([0.0, 1.0]))
     kw = dict()
-    e1 = simulate(model, constant_strict(actions, 40, 0),
-                  sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 300, 26), 1.0)
-    e2 = simulate(model, constant_strict(actions, 40, 0),
-                  sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 300, 26), 1.0)
-    r1, _ = vr.spike_report(e1, 1, 0.25, [0.1, 0.05])
-    r2, _ = vr.spike_report(e2, 1, 0.25, [0.1, 0.05])
+    r1, _ = vr.spike_report(model, constant_strict(actions, 40, 0), 1, 0.25, [0.1, 0.05],
+                            sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 300, 26), 1.0)
+    r2, _ = vr.spike_report(model, constant_strict(actions, 40, 0), 1, 0.25, [0.1, 0.05],
+                            sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 300, 26), 1.0)
     assert r1.rows == r2.rows
     assert r1.formula == r2.formula
 
@@ -382,8 +374,7 @@ def test_gateaux_nonnegative_at_bruteforce_optimum():
     drivers = sample_drivers(fam, grid, MARKS, 2000, 27)
     res = value_bruteforce(model, cands, drivers, 2.5)
     assert res.minimizer_index == 0  # steady -1 pulls x toward 0
-    ens = simulate(model, res.minimizer, drivers, 2.5)
-    rep, _ = vr.spike_report(ens, 1, 0.25, [0.125, 0.0625])
+    rep, _ = vr.spike_report(model, res.minimizer, 1, 0.25, [0.125, 0.0625], drivers, 2.5)
     _, fd, fd_se = rep.rows[-1]
     assert fd >= -3 * fd_se
 
