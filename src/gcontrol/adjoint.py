@@ -44,9 +44,9 @@ raw (unfitted) variable: it keeps the block starts' triples and writes
 each step's volatility-channel summand (:func:`tail_summand`) into the
 step's row, so one backward sum over the rows gives every block's
 :func:`tail_weights`. In :func:`bsde_stability_report` the relaxed
-control's reducer writes each step's fit into its row and copies
-``psi``, and each chattering rung's reducer forms both triples at the
-step and folds the pair into per-(scenario, path) gap accumulators
+control's reducer writes each step's fit into its row, and each rung's
+reducer, beside a stream of the relaxed ``psi``, forms both triples at
+the step and folds the pair into per-(scenario, path) gap accumulators
 (:func:`_finite_triple`). A backward variable, triple component or table
 entry that overflows raises, naming the step and the scenario.
 
@@ -760,7 +760,7 @@ def mp_check_near(
     # u_n's states feed the table, and its cost is folded in the pass that stores
     # them; the candidates stream in a batch of their own and keep no trajectory
     ens, keep = _stored_run(model, u_n, drivers)
-    j_n = stream_costs(model, [u_n], drivers, x0, keep)[0].upper_value
+    j_n = stream_costs(model, [u_n], drivers, x0, keep, ids=["u_n"])[0].upper_value
     scored = [
         (ekeland_distance(u_n, cand, grid), rep.upper_value)
         for cand, rep in zip(cands, evaluate_costs(model, cands, drivers, x0))
@@ -818,11 +818,11 @@ def bsde_stability_report(
     integrated square for ``r``. The orthogonal remainder is identically
     zero on both sides, so its gap column is exactly zero.
 
-    No triple is held whole, and no flow. The relaxed control keeps what
-    its triple is formed from: its states, its fitted backward variable
-    (each step's fit takes the raw step's row as the core hands it on),
-    ``psi`` and the loadings. Each rung's core hands its steps on one at
-    a time; both triples are formed at the step and folded into three
+    No triple is held whole, and no flow. The relaxed control keeps its
+    states, fitted backward variable (each step's fit takes the raw
+    step's row as the core hands it on) and loadings, and streams its
+    ``psi`` again beside each rung's core, which hands its steps on one
+    at a time; both triples are formed at the step and folded into three
     (S, P) accumulators: the running max of ``|p_n - p|`` (terminal node
     included) and the running sums of the squared ``q`` and the
     ``nu``-weighted squared ``r`` differences, in step order, which is
@@ -835,11 +835,9 @@ def bsde_stability_report(
     nus = drivers.marks.intensities
 
     mu_ens = simulate(model, mu, drivers, x0)
-    mu_psi = np.empty((drivers.grid.n_steps,) + mu_ens.states.shape[1:])
 
     def keep(core, j, phi_j, psi_j, fit_j):
         core.y[j] = fit_j
-        mu_psi[j] = psi_j
 
     mu_core = _adjoint_core(mu_ens, basis_degree, keep)
     health = _estimator_health(mu_core)
@@ -852,6 +850,7 @@ def bsde_stability_report(
         because the adjoint sets the peak memory.
         """
         ens = simulate(model, chattering(mu, n), drivers, x0)
+        mu_flow = fundamental_steps(mu_ens, need_inverse=True)
         acc = SimpleNamespace()
 
         def fold(core, j, phi_j, psi_j, fit_j):
@@ -860,7 +859,7 @@ def bsde_stability_report(
                 acc.q_sum = np.zeros(acc.p_sup.shape)
                 acc.r_sum = np.zeros(acc.p_sup.shape)
             p, q, r = _finite_triple(ens, core, j, fit_j, psi_j)
-            p_mu, q_mu, r_mu = _finite_triple(mu_ens, mu_core, j, mu_core.y[j], mu_psi[j])
+            p_mu, q_mu, r_mu = _finite_triple(mu_ens, mu_core, j, mu_core.y[j], next(mu_flow)[2])
             np.maximum(acc.p_sup, np.abs(p - p_mu), out=acc.p_sup)
             acc.q_sum += (q - q_mu) ** 2
             acc.r_sum += (((r - r_mu) ** 2) * nus).sum(axis=2)

@@ -106,7 +106,7 @@ def _cost_report(costs: np.ndarray, seed: int) -> CostReport:
 
 def stream_costs(
     model: ModelSpec, controls: list[Control], drivers: Drivers, x0: float, reduce=None,
-    ids: Sequence[int] | None = None,
+    ids: Sequence[str] | None = None,
 ) -> list[CostReport]:
     """CostReport per control of one kernel batch.
 
@@ -116,14 +116,14 @@ def stream_costs(
     S, P). No trajectory is kept unless ``reduce`` keeps it, as a stored
     run's reducer (:func:`gcontrol.sde._stored_run`) does. The controls
     must be all strict or all relaxed. A non-finite path cost raises,
-    naming its scenario and the control: its entry in ``ids``, or its
-    position in the batch when ``ids`` is not given.
+    naming its scenario and the control's label in ``ids`` (its role, as
+    ``"rung n=4"``), by default ``"control i"`` at batch position i.
     """
     grid = drivers.grid
     K = grid.n_steps
     shape = (drivers.family.n_scenarios, drivers.n_paths)
     sums = [_PathCost(model, u, grid, shape) for u in controls]
-    ids = range(len(controls)) if ids is None else ids
+    ids = [f"control {i}" for i in range(len(controls))] if ids is None else ids
     totals = []
 
     def fold(k: int, x: np.ndarray) -> None:
@@ -133,7 +133,7 @@ def stream_costs(
             for acc, xc in zip(sums, x):
                 acc.add(k, xc)
         else:
-            totals.extend(acc.total(xc, f"path cost of control {c}")
+            totals.extend(acc.total(xc, f"path cost of {c}")
                           for c, acc, xc in zip(ids, sums, x))
 
     stream_batch(model, controls, drivers, x0, fold)
@@ -163,7 +163,7 @@ def evaluate_costs(
 
     def run(batch: list[int]) -> list[CostReport]:
         group = [controls[i] for i in batch]
-        return stream_costs(model, group, drivers, x0, ids=batch)
+        return stream_costs(model, group, drivers, x0, ids=[f"control {i}" for i in batch])
 
     reports: list = [None] * len(controls)
     for batch, batch_reports in zip(batches, map_ordered(run, batches)):
@@ -225,7 +225,7 @@ def chattering_report(
     n_list = check_ladder(n_list)
     ladder = [chattering(mu, n) for n in n_list]
     base, keep = _stored_run(model, mu, drivers)
-    [base_report] = stream_costs(model, [mu], drivers, x0, keep)
+    [base_report] = stream_costs(model, [mu], drivers, x0, keep, ids=["the relaxed control"])
     # per rung, the running max over steps of |x_mu - x_n|; max is exact
     # in any order, and each rung's (S, P) slice is C-contiguous
     sups = np.zeros((len(ladder),) + base.states.shape[1:])
@@ -233,7 +233,7 @@ def chattering_report(
     def sup_gap(k: int, x: np.ndarray) -> None:
         np.maximum(sups, np.abs(base.states[k] - x), out=sups)
 
-    reports = stream_costs(model, ladder, drivers, x0, sup_gap)
+    reports = stream_costs(model, ladder, drivers, x0, sup_gap, ids=[f"rung n={n}" for n in n_list])
     rows = []
     for sup, n, rep in zip(sups, n_list, reports):
         msq = float(np.max((sup**2).mean(axis=1)))

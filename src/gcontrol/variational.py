@@ -340,7 +340,7 @@ def spike_report(
     grid = drivers.grid
     spec0 = SpikeSpec(base=u_star, action_index=action_index, t0=t0, width=grid.dt)
     ensemble, keep = _stored_run(model, u_star, drivers)
-    [base_report] = stream_costs(model, [u_star], drivers, x0, keep)
+    [base_report] = stream_costs(model, [u_star], drivers, x0, keep, ids=["the base control"])
     s_star = base_report.argmax_scenario
 
     z_path = solve_variational(ensemble, spec0)
@@ -367,7 +367,8 @@ def spike_report(
                 y = (x[j] - ensemble.states[k]) / h - z[k]
                 np.maximum(sups[j], y**2, out=sups[j])
 
-    reports = stream_costs(model, controls, drivers, x0, quotient)
+    reports = stream_costs(model, controls, drivers, x0, quotient,
+                           ids=[f"spike h={h}" for h in h_list])
     rows = []
     P = ensemble.n_paths
     for h, pert_report in zip(h_list, reports):

@@ -130,13 +130,33 @@ def test_non_finite_cost_names_its_scenario_and_control():
     assert np.isfinite(co.evaluate_cost(model, low, drivers, 1.0).upper_value)
     with pytest.raises(FloatingPointError, match="non-finite path cost of control 1 under scenario 1$"):
         co.value_bruteforce(model, [low, high], drivers, 1.0)
-    # a stored run's cost is folded in the pass that stores it, as a one-control batch
-    with pytest.raises(FloatingPointError, match="non-finite path cost of control 0 under scenario 1$"):
+    # a stored run's cost is folded in the pass that stores it, named by its role
+    with pytest.raises(FloatingPointError,
+                       match="non-finite path cost of the base control under scenario 1$"):
         spike_report(model, high, 0, 0.25, [0.25], drivers, 1.0)
     # every scenario overflows at x0 = 1e5: the first is named
     with pytest.raises(FloatingPointError, match="non-finite path cost of control 0 under scenario 0$"):
         co.evaluate_cost(md.build_model("linear_jump_lq", {"gq": 1e300}),
                          constant_strict(ACTIONS, 16, 1), drivers, 1e5)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_diverging_base_and_first_spike_are_named_apart():
+    # the base and the first spike each run as the first control of their own
+    # batch; the message names the role, not the position in the batch
+    grid = TimeGrid(T=1.0, n_steps=16)
+    drivers = sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 64, 5)
+    model = md.build_model("linear_jump_lq", {"gq": 1e300, "s1": 0.0, "f1": 0.0, "c1": 0.0,
+                                              "c2": 1e4})
+    low, high = constant_strict(ACTIONS, 16, 0), constant_strict(ACTIONS, 16, 2)
+    with pytest.raises(FloatingPointError,
+                       match="non-finite path cost of the base control under scenario 1$"):
+        spike_report(model, high, 0, 0.25, [0.75, 0.25], drivers, 1.0)
+    # the base u = 0 is finite; spiked to u = 1 over [0.25, 1) it diverges
+    assert np.isfinite(co.evaluate_cost(model, low, drivers, 1.0).upper_value)
+    with pytest.raises(FloatingPointError,
+                       match="non-finite path cost of spike h=0.75 under scenario 1$"):
+        spike_report(model, low, 2, 0.25, [0.75, 0.25], drivers, 1.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
