@@ -367,7 +367,8 @@ def _regress_increment(dm: np.ndarray, db: np.ndarray, dn: np.ndarray):
     """
     n_scen, n_paths = dm.shape
     n_marks = dn.shape[0]
-    keep_n = [i for i in range(n_marks) if float(dn[i].std()) > _DEGENERATE_STD]
+    # exact: a mark column is constant when its mark fired equally often on every path
+    keep_n = np.flatnonzero(~(dn == dn[:, :1]).all(axis=1))
     keep_b = db.std(axis=1) > _DEGENERATE_STD
     shared = np.concatenate([dn[keep_n], np.ones((1, n_paths))])
     n = shared.shape[0] + 1
@@ -399,7 +400,7 @@ def _regress_increment(dm: np.ndarray, db: np.ndarray, dn: np.ndarray):
         fallbacks += fb
     r_k = np.zeros((n_scen, n_marks))
     r_k[:, keep_n] = coef[:, 1:-1]
-    dropped = (n_marks - len(keep_n)) + (~keep_b).astype(int)
+    dropped = (n_marks - keep_n.size) + (~keep_b).astype(int)
     return coef[:, 0], r_k, coef[:, -1], cond, dropped, fallbacks
 
 
@@ -508,9 +509,12 @@ def _adjoint_core(
         if prev is not None:
             j = k - 1
             m_prev, phi_j, psi_j, fit_j = prev
+            # 0.0 - comp, not -comp, so a silent mark's column is +0.0
+            dn = np.zeros((n_marks, n_paths)) - comp
+            paths, counts = ensemble.drivers.event_counts(j)
+            dn[:, paths] = counts[..., 0].T - comp
             (core.Q[:, j], core.R[:, j], core.intercept[:, j], core.cond_increment[:, j], drop,
-             fb) = _regress_increment(m_k - m_prev, ensemble.drivers.step_dB(j),
-                                      ensemble.drivers.step_counts(j) - comp)
+             fb) = _regress_increment(m_k - m_prev, ensemble.drivers.step_dB(j), dn)
             core.S_t[:, j] = _invert_step_drift(core.intercept[:, j], a_tab[:, j], lo, hi, dt)
             dropped += int(drop.sum())
             fallbacks += fb

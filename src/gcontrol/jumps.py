@@ -17,14 +17,15 @@ seed); every scenario and every control of a run then share one
 of that setting: an operation that runs controls takes the drivers and
 reads the family, the grid and the marks from them, and a run samples
 its drivers once (``experiments.run_document``). A consumer forms step
-k's counts from its events (:meth:`Drivers.step_counts` on every path;
-:meth:`Drivers.event_path_counts` gives every step's counts per action
-tag on its event paths only) and its (S, P) Brownian increments from
-the (n_steps, P) draws (:meth:`Drivers.step_dB`).
+k's counts per (mark, action tag) on the step's event paths only
+(:meth:`Drivers.event_counts`, the one count builder: a path without
+events has none to count) and its (S, P) Brownian increments from the
+(n_steps, P) draws (:meth:`Drivers.step_dB`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,37 +163,31 @@ class Drivers:
         cumw = np.cumsum(mu.weights, axis=1)
         return _index_from_uniform(self.tag_u, cumw[self.step])
 
-    def step_counts(self, k: int) -> np.ndarray:
-        """Step k's events per (mark, path), :func:`numpy.bincount`'s int64."""
-        ev = self.by_step[self.offsets[k]:self.offsets[k + 1]]
-        shape = (self.marks.n_marks, self.n_paths)
-        flat = np.bincount(self.mark_idx[ev] * self.n_paths + self.path[ev],
-                           minlength=np.prod(shape))
-        return flat.reshape(shape)
-
-    def event_path_counts(self, tags: np.ndarray,
-                          n_actions: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every step's event paths and their events per (mark, action tag), on those paths only.
+    def event_counts(self, k: int, tags: np.ndarray | None = None,
+                     n_actions: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """Step k's event paths, ascending, and their events per (mark, action tag).
 
         ``tags`` is every event's tag (:meth:`tags`) on ``n_actions``
-        actions. Returns ``(bounds, paths, counts)``: step k's event paths,
-        ascending, are ``paths[bounds[k]:bounds[k + 1]]`` and their counts
-        the same rows of ``counts``, (n_event_paths, n_marks, n_actions)
-        over the run. The counts are signed int64, so the flow's inverse
-        jump factor ``base ** -count`` cannot wrap.
+        actions, or a batch's (C, n_events) stack of them; untagged, every
+        event counts under tag 0. Returns ``(paths, counts)``, the counts
+        (len(paths), n_marks, n_actions), or (C, len(paths), n_marks,
+        n_actions) for a stack. They are signed int64, so the flow's
+        inverse jump factor ``base ** -count`` cannot wrap.
         """
-        ev = self.by_step
-        st, on = self.step[ev], self.path[ev]
-        # within a step the events keep their (path, time) order, so a new
-        # (step, path) pair starts wherever the step or the path changes
+        ev = self.by_step[self.offsets[k]:self.offsets[k + 1]]
+        on = self.path[ev]
+        # a step's events keep their (path, time) order, so a new event
+        # path starts wherever the path changes
         first = np.ones(ev.size, dtype=bool)
-        first[1:] = (st[1:] != st[:-1]) | (on[1:] != on[:-1])
-        n_before = np.concatenate([[0], np.cumsum(first)])
+        first[1:] = on[1:] != on[:-1]
         paths = on[first]
-        cell = ((n_before[1:] - 1) * self.marks.n_marks + self.mark_idx[ev]) * n_actions + tags[ev]
-        counts = np.bincount(cell, minlength=paths.size * self.marks.n_marks * n_actions)
-        return (n_before[self.offsets], paths,
-                counts.reshape(paths.size, self.marks.n_marks, n_actions))
+        tag = 0 if tags is None else tags[..., ev]
+        shape = np.shape(tag)[:-1] + (paths.size, self.marks.n_marks, n_actions)
+        # one cell per (control, event path, mark, tag), in that order
+        control = np.arange(math.prod(shape[:-3])).reshape(shape[:-3] + (1,))
+        row = control * paths.size + np.cumsum(first) - 1
+        cell = (row * shape[-2] + self.mark_idx[ev]) * n_actions + tag
+        return paths, np.bincount(cell.ravel(), minlength=math.prod(shape)).reshape(shape)
 
 
 def sample_drivers(

@@ -6,12 +6,13 @@ set of controls costs one sampling and one kernel call. There is one
 step loop, :func:`_steps`; each control kind supplies only its increment
 and its per-step tables: action values and counts for a strict batch,
 weights and tagged counts for a relaxed one, each step's counts formed
-from its events and its (S, P) Brownian increments from the drivers'
-scenario-free draws. The relaxed step averages b and gamma
-under the step's weights and evaluates f at each event's action tag;
-its weighted sums are accumulated in fixed action order, so a one-hot
-(embedded strict) control reproduces the strict simulation bit for bit
-under the same seed.
+on its event paths (:meth:`Drivers.event_counts`), where ``f dN`` is
+added (f is evaluated on every path for the compensator), and its (S,
+P) Brownian increments from the drivers' scenario-free draws. The
+relaxed step averages b and gamma under the step's weights and
+evaluates f at each event's action tag; its weighted sums are
+accumulated in fixed action order, so a one-hot (embedded strict)
+control reproduces the strict simulation bit for bit under the same seed.
 
 Every operation takes the drivers and the initial state last: the
 drivers carry the scenario family, the grid, the mark space, the path
@@ -108,19 +109,28 @@ def _check_finite(x: np.ndarray, k: int) -> None:
         )
 
 
-def _strict_jumps(model, t, xk, uk, marks, ck, dt):
+def _jump_term(jump_sum, comp, paths):
+    """``jump_sum - comp`` with ``jump_sum`` on the event paths; elsewhere it is ``+0.0``."""
+    out = 0.0 - comp
+    out[..., paths] = jump_sum - comp[..., paths]
+    return out
+
+
+def _strict_jumps(model, t, xk, uk, marks, events, dt):
     """The step's jump term ``sum_i f_i dN_i - (sum_i f_i nu_i) dt`` as one array.
 
-    A frame of its own, so the per-mark arrays are freed before the
-    kernel forms the drift terms.
+    ``events`` is the step's untagged :meth:`Drivers.event_counts`. A
+    frame of its own, so the per-mark arrays are freed before the kernel
+    forms the drift terms.
     """
+    paths, counts = events
     jump_sum = 0.0
     comp_rate = 0.0
     for i in range(marks.n_marks):
         fi = model.f(t, xk, float(marks.marks[i]), uk)
-        jump_sum = jump_sum + fi * ck[i]
+        jump_sum = jump_sum + fi[..., paths] * counts[:, i, 0]
         comp_rate = comp_rate + fi * marks.intensities[i]
-    return jump_sum - comp_rate * dt
+    return _jump_term(jump_sum, comp_rate * dt, paths)
 
 
 def _steps(model, increment, tables, events, drivers, x, reduce) -> None:
@@ -134,12 +144,12 @@ def _steps(model, increment, tables, events, drivers, x, reduce) -> None:
     the pre-jump state. The control kind supplies ``increment`` and its
     per-step tables: ``tables[:, k]`` holds the controls' step-k action
     values (strict) or weights (relaxed), ``events`` yields each step's
-    counts (strict) or its per-mark tagged counts (relaxed, as a function
-    of the mark), and ``drivers`` the grid, the marks, the scenarios'
-    volatility values ``a_k`` and each step's Brownian increments
-    (:meth:`Drivers.step_dB`). Every step updates the one (C, S, P) slot
-    ``x`` in place (the update is elementwise), and ``reduce(k, x)`` sees
-    each step once it is written and checked, k = 0, ..., n_steps.
+    :meth:`Drivers.event_counts`, and ``drivers`` the grid, the marks,
+    the scenarios' volatility values ``a_k`` and each step's Brownian
+    increments (:meth:`Drivers.step_dB`). Every step updates the one (C,
+    S, P) slot ``x`` in place (the update is elementwise), and
+    ``reduce(k, x)`` sees each step once it is written and checked, k =
+    0, ..., n_steps.
     """
     grid, marks, a_vals = drivers.grid, drivers.marks, drivers.family.values
     dt = grid.dt
@@ -154,56 +164,44 @@ def _steps(model, increment, tables, events, drivers, x, reduce) -> None:
         reduce(k + 1, x)
 
 
-def _strict_increment(model, t, xk, uk, a_dt, dBk, marks, ck, dt):
-    jumps = _strict_jumps(model, t, xk, uk, marks, ck, dt)
+def _strict_increment(model, t, xk, uk, a_dt, dBk, marks, events, dt):
+    jumps = _strict_jumps(model, t, xk, uk, marks, events, dt)
     incr = model.b(t, xk, uk) * dt
     incr = incr + model.sigma(t, xk) * dBk
     incr = incr + model.gamma(t, xk, uk) * a_dt
     return incr + jumps
 
 
-def _mark_counts(drivers, tags, n_actions, k, i):
-    """Step k's events of mark i per (action tag, control, path), (A, C, 1, P).
-
-    ``tags`` (C, n_events) holds every control's event tags. One mark at a
-    time, so a step never holds the int64 counts of every mark.
-    """
-    ev = drivers.by_step[drivers.offsets[k]:drivers.offsets[k + 1]]
-    ev = ev[drivers.mark_idx[ev] == i]
-    C, P = tags.shape[0], drivers.n_paths
-    cell = (tags[:, ev] * C + np.arange(C)[:, None]) * P + drivers.path[ev]
-    return np.bincount(cell.ravel(), minlength=n_actions * C * P).reshape(n_actions, C, 1, P)
-
-
-def _relaxed_jumps(model, t, xk, wk, actions, marks, counts, dt):
+def _relaxed_jumps(model, t, xk, wk, actions, marks, events, dt):
     """:func:`_strict_jumps` with f at each event's tag and a weight-averaged compensator.
 
-    ``counts(i)`` is mark i's :func:`_mark_counts`.
+    ``events`` is the step's :meth:`Drivers.event_counts` under the
+    batch's stacked tags, counts (C, n_event_paths, m, A).
     """
+    paths, counts = events
     jump_sum = 0.0
     comp_rate = 0.0
     for i in range(marks.n_marks):
         th = float(marks.marks[i])
-        tk = counts(i)
         jump_i = 0.0
         f_bar = 0.0
         for al in range(actions.size):
             f_ia = model.f(t, xk, th, float(actions[al]))
-            jump_i = jump_i + f_ia * tk[al]
+            jump_i = jump_i + f_ia[..., paths] * counts[:, None, :, i, al]
             f_bar = f_bar + wk[:, al] * f_ia
         jump_sum = jump_sum + jump_i
         comp_rate = comp_rate + f_bar * marks.intensities[i]
-    return jump_sum - comp_rate * dt
+    return _jump_term(jump_sum, comp_rate * dt, paths)
 
 
-def _relaxed_increment(actions, model, t, xk, wk, a_dt, dBk, marks, counts, dt):
+def _relaxed_increment(actions, model, t, xk, wk, a_dt, dBk, marks, events, dt):
     """Weight-averaged b and gamma, f at each event's tag.
 
     The compensator is the product average sum_i sum_a w_k(a) f(theta_i,
     a) nu_i dt. Sums run over actions in grid order so that one-hot
     weights collapse to the strict expression exactly.
     """
-    jumps = _relaxed_jumps(model, t, xk, wk, actions, marks, counts, dt)
+    jumps = _relaxed_jumps(model, t, xk, wk, actions, marks, events, dt)
     b_bar = 0.0
     g_bar = 0.0
     for al in range(actions.size):
@@ -230,9 +228,7 @@ def stream_batch(
     shape (n_controls, n_scenarios, n_paths); row c has the bits of step
     k of control c run alone. The next step overwrites ``x`` in place, so
     a reducer keeps what it derives from ``x``, never ``x`` itself. A
-    step's counts are formed from its events: (m, P) for a strict batch,
-    and for a relaxed one (A, n_controls, 1, P) of one mark at a time
-    from every control's event tags.
+    step's counts are formed on its event paths (:meth:`Drivers.event_counts`).
     """
     ensure_validated(model)
     controls = list(controls)
@@ -244,7 +240,7 @@ def stream_batch(
     if all(isinstance(c, StrictControl) for c in controls):
         increment = _strict_increment
         tables = np.stack([u.values for u in controls])[:, :, None, None]
-        events = (drivers.step_counts(k) for k in range(K))
+        events = (drivers.event_counts(k) for k in range(K))
     elif all(isinstance(c, RelaxedControl) for c in controls):
         actions = controls[0].grid.actions
         if any(not np.array_equal(c.grid.actions, actions) for c in controls):
@@ -252,8 +248,7 @@ def stream_batch(
         increment = partial(_relaxed_increment, actions)
         tables = np.stack([mu.weights for mu in controls])[:, :, :, None, None]
         tags = np.stack([drivers.tags(mu) for mu in controls])
-        # one mark's counts of one step at a time, broadcast over the scenarios
-        events = (partial(_mark_counts, drivers, tags, actions.size, k) for k in range(K))
+        events = (drivers.event_counts(k, tags, actions.size) for k in range(K))
     else:
         raise ValueError("a batch holds either strict or relaxed controls, not both")
     x = np.full((len(controls), drivers.family.n_scenarios, drivers.n_paths), float(x0))

@@ -25,7 +25,7 @@ step slots each, and a consumer that needs them twice (the adjoint core)
 runs the flow twice. The jump multiplier ``(1 + f_x)^count`` is applied
 only on the paths that have events in the step, with the step's counts
 per (mark, action tag) formed on those paths only
-(``Drivers.event_path_counts``). A path without events would be
+(``Drivers.event_counts``). A path without events would be
 multiplied by exactly one, so the result is bit for bit that of the
 dense product.
 
@@ -117,8 +117,7 @@ class _FlowSteps:
         self.w = ensemble.control.weights
         self.actions = ensemble.control.grid.actions
         self.drivers = ensemble.drivers
-        self.bounds, self.paths, self.counts = self.drivers.event_path_counts(
-            self.drivers.tags(ensemble.control), self.actions.size)
+        self.tags = self.drivers.tags(ensemble.control)
 
     def _jump_derivatives(self, t, x, w_k):
         """``f_x`` per mark, as a map from each action of nonzero weight to its value."""
@@ -137,8 +136,7 @@ class _FlowSteps:
         constant in the state stays a scalar; one that is not is read on
         the event paths only.
         """
-        rows = slice(self.bounds[k], self.bounds[k + 1])
-        paths, counts = self.paths[rows], self.counts[rows]
+        paths, counts = self.drivers.event_counts(k, self.tags, self.actions.size)
         fired = counts.any(axis=0)
         out = []
         for i, fx_i in enumerate(fxs):
@@ -313,6 +311,12 @@ def spike_controls(
     ]
 
 
+def _require_finite_mean(value: float, stderr: float, what: str, scenario: int) -> None:
+    """Raise ``FloatingPointError`` when a reported mean or its stderr is not finite."""
+    if not (np.isfinite(value) and np.isfinite(stderr)):
+        raise FloatingPointError(f"non-finite {what} under scenario {scenario}")
+
+
 def spike_report(
     model: ModelSpec, u_star: StrictControl, action_index: int, t0: float,
     h_list: list[float], drivers: Drivers, x0: float,
@@ -334,7 +338,8 @@ def spike_report(
     sup_t |(x^h - x*)/h - z|^2 for one width; the sup runs over grid times
     from the end of the spike window to T, since inside the window the
     quotient has not yet absorbed the full kick, and including it would
-    measure the window itself, not convergence.
+    measure the window itself, not convergence. A slope, formula or quotient that
+    overflows raises ``FloatingPointError`` naming it, its width and its scenario.
     """
     h_list = [float(h) for h in check_widths(h_list)]
     grid = drivers.grid
@@ -347,9 +352,7 @@ def spike_report(
     z = z_path.z
     formula_paths = np.asarray(model.g_x(ensemble.states[-1])) * z[-1]
     dt = grid.dt
-    for k in range(grid.n_steps):
-        if k < z_path.k0:
-            continue
+    for k in range(z_path.k0, grid.n_steps):
         t = float(grid.times[k])
         xk = ensemble.states[k]
         hx = _coeff(model.h_x(t, xk, float(u_star.values[k])))
@@ -374,6 +377,8 @@ def spike_report(
     for h, pert_report in zip(h_list, reports):
         diff = (pert_report.per_path[s_star] - base_report.per_path[s_star]) / h
         rows.append((h, float(diff.mean()), float(diff.std(ddof=1) / np.sqrt(P))))
+        _require_finite_mean(*rows[-1][1:], f"finite-difference slope of width h={h!r}", s_star)
+    _require_finite_mean(um.value, um.stderr, "first-order formula of the slope", um.scenario_id)
     derivative = DerivativeReport(
         rows=tuple(rows),
         formula=um.value,
@@ -383,5 +388,6 @@ def spike_report(
     quotients = []
     for h, sup_sq in zip(h_list, sups):
         um = upper_expectation(list(sup_sq))
+        _require_finite_mean(um.value, um.stderr, f"quotient sup of width h={h!r}", um.scenario_id)
         quotients.append(QuotientRow(h, um.value, um.stderr, um.scenario_id))
     return derivative, tuple(quotients)

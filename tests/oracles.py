@@ -13,6 +13,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
+from dense_reference import dense_counts
 
 from gcontrol.adjoint import _adjoint_core, _finite_triple
 from gcontrol.controls import spike_steps
@@ -181,6 +182,7 @@ def bsde_residual(ensemble, triple) -> np.ndarray:
     a_tab = ensemble.family.values
     nus = marks.intensities
     p = triple.p
+    counts = dense_counts(ensemble.drivers)
 
     total = np.zeros(n_scen)
     for k in range(n_steps):
@@ -197,9 +199,8 @@ def bsde_residual(ensemble, triple) -> np.ndarray:
             f_i = _avg(model.f, t, x, w[k], actions, theta=float(marks.marks[i]))
             drv = drv + r[:, :, i] * f_i * float(nus[i])
         resid = p[k + 1] - p[k] + drv * dt - q * ensemble.drivers.step_dB(k)
-        counts = ensemble.drivers.step_counts(k)
         for i in range(marks.n_marks):
-            resid = resid - r[:, :, i] * (counts[i] - float(nus[i]) * dt)
+            resid = resid - r[:, :, i] * (counts[k, i] - float(nus[i]) * dt)
         total += (resid**2).sum(axis=1)
     return total / (n_paths * n_steps)
 

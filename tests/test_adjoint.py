@@ -611,6 +611,20 @@ def test_increment_regression_matches_svd_reference_with_dropped_columns():
                                    [coef[0] if s != 1 else 0.0, coef[-2], coef[-1]],
                                    rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(cond[s], np.linalg.cond(design), rtol=1e-10)
+    # at P=3, mark 1 fires once on every path: its column is constant and
+    # dropped, as the silent mark 2's is
+    rng = np.random.default_rng(3)
+    db = rng.normal(scale=0.2, size=(2, 3))
+    counts = np.array([[1, 0, 2], [1, 1, 1], [0, 0, 0]])
+    dn = counts - np.array([[0.1], [0.3], [0.0]])
+    dm = 0.7 * db + 1.3 * dn[:1] - 0.02 + rng.normal(scale=0.05, size=(2, 3))
+    q, r, c, cond, dropped, fallbacks = adj._regress_increment(dm, db, dn)
+    assert dropped.tolist() == [2, 2]
+    assert np.all(r[:, 1:] == 0.0)
+    for s in range(2):
+        design = np.column_stack([db[s], dn[0], np.ones(3)])
+        coef = np.linalg.lstsq(design, dm[s], rcond=None)[0]
+        np.testing.assert_allclose([q[s], r[s, 0], c[s]], coef, rtol=1e-8, atol=1e-10)
 
 
 def _collinear_marks(n_paths):

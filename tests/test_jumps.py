@@ -3,7 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from dense_reference import dense_counts, stacked_step_counts
+from dense_reference import dense_counts
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,8 +41,10 @@ def test_zero_intensity_gives_no_events():
     grid = TimeGrid(T=1.0, n_steps=16)
     d = _drivers(quiet, grid, 64, seed=9)
     assert d.n_events == 0 and d.path.size == 0 and d.tag_u.size == 0
-    steps = stacked_step_counts(d)
+    steps = dense_counts(d)
     assert steps.shape == (16, 1, 64) and not steps.any()
+    paths, counts = d.event_counts(0)
+    assert paths.size == 0 and counts.shape == (0, 1, 1)
 
 
 def test_poisson_rate():
@@ -98,8 +100,7 @@ def test_compensated_counts_are_centered():
 def test_flat_sampler_reproduces_frozen_events():
     # digests of the events, tags and counts that the per-path sampler drew
     # for this seed before the flat bundle replaced it; the counts were
-    # path-major int32 then, so the stacked per-step counts are hashed as
-    # such a copy
+    # path-major int32 then, so the dense counts are hashed as such a copy
     grid = TimeGrid(T=1.0, n_steps=8)
     actions = ActionGrid(np.array([0.0, 1.0, 2.0]))
     w = np.tile(np.array([0.2, 0.5, 0.3]), (8, 1))
@@ -119,9 +120,9 @@ def test_flat_sampler_reproduces_frozen_events():
     assert digest(d.times) == "9c59f73edd48d03d9bd1aec2538ef912296ad613c9e376b608450b809bb3dd4c"
     assert digest(d.mark_idx) == "fcb249f2159f927554adaf6165782dcddd3adbc868e4eaa6748bf1ae0b55dad1"
     assert digest(d.tags(mu)) == "34a38d619af407ae353b75315a9c09128c93b1b5f21c19a6c97674d552851cbc"
-    path_major = np.moveaxis(stacked_step_counts(d), -1, 0).astype(np.int32)
+    path_major = np.moveaxis(dense_counts(d), -1, 0).astype(np.int32)
     assert digest(path_major) == "e943de2053b91d6f0607c58bb9de80d16f5d610e4da19791e3a501b6c7429c44"
-    tagged = stacked_step_counts(d, d.tags(mu), 3)
+    tagged = dense_counts(d, d.tags(mu), 3)
     assert digest(np.moveaxis(tagged, -1, 0).astype(np.int32)) == (
         "7e9188803c2025882adf7f2b1075378183fb16cc3b94770bc44882ec5ea47dab"
     )
@@ -183,8 +184,7 @@ def test_relaxed_base_events_shared_with_strict():
     assert tags.shape == tagged.times.shape
     assert np.array_equal(plain.times, tagged.times)
     assert np.array_equal(plain.mark_idx, tagged.mark_idx)
-    assert np.array_equal(stacked_step_counts(tagged, tags, 2).sum(axis=2),
-                          stacked_step_counts(plain))
+    assert np.array_equal(dense_counts(tagged, tags, 2).sum(axis=2), dense_counts(plain))
 
 
 def test_relaxed_compensator_identity():
@@ -219,9 +219,8 @@ def test_relaxed_orthogonality_of_disjoint_boxes():
 def test_dense_counts_match_event_lists():
     grid = TimeGrid(T=1.0, n_steps=8)
     d = _drivers(MARKS, grid, 100, seed=12)
-    dense = stacked_step_counts(d)
+    dense = dense_counts(d)
     assert dense.shape == (8, 2, 100)
-    assert np.array_equal(dense, dense_counts(d))
     assert np.array_equal(dense.sum(axis=(0, 1)), _per_path(d))
     for i in range(2):
         assert np.array_equal(dense[:, i].sum(axis=0), _per_path(d, d.mark_idx == i))
@@ -238,33 +237,43 @@ def test_dense_tagged_counts_split_by_action():
     mu = RelaxedControl(actions, np.full((4, 2), 0.5))
     d = _drivers(MARKS, grid, 200, seed=13)
     tags = d.tags(mu)
-    tagged = stacked_step_counts(d, tags, 2)
+    tagged = dense_counts(d, tags, 2)
     assert tagged.shape == (4, 2, 2, 200)
-    assert np.array_equal(tagged, dense_counts(d, tags, 2))
-    assert np.array_equal(tagged.sum(axis=2), stacked_step_counts(d))
+    assert np.array_equal(tagged.sum(axis=2), dense_counts(d))
 
 
 def _step_forms_match_reference(intensities, n_steps, n_paths, seed, n_actions):
-    """Check every step's counts against the dense reference; return the reference."""
+    """Check every step's event counts, untagged, tagged and stacked, against the dense reference.
+
+    Returns the untagged reference.
+    """
     marks = jp.MarkSpace(marks=0.3 * np.arange(len(intensities)) - 0.4, intensities=intensities)
     d = _drivers(marks, TimeGrid(T=1.0, n_steps=n_steps), n_paths, seed)
-    w = np.random.default_rng(seed).random((n_steps, n_actions))
-    mu = RelaxedControl(ActionGrid(np.arange(n_actions, dtype=float)), w / w.sum(axis=1)[:, None])
-    tags = d.tags(mu)
+    w = np.random.default_rng(seed).random((2, n_steps, n_actions))
+    actions = ActionGrid(np.arange(n_actions, dtype=float))
+    tags = np.stack([d.tags(RelaxedControl(actions, wc / wc.sum(axis=1)[:, None])) for wc in w])
     dense = dense_counts(d)
-    tagged = dense_counts(d, tags, n_actions)
-    bounds, paths, counts = d.event_path_counts(tags, n_actions)
-    # plain int64, signed, so the flow's inverse jump factor cannot wrap
-    assert counts.dtype == np.int64
-    assert bounds[0] == 0 and bounds[-1] == paths.size == counts.shape[0]
+    tagged = np.stack([dense_counts(d, tc, n_actions) for tc in tags])
+    m = len(intensities)
     for k in range(n_steps):
-        ck = d.step_counts(k)
-        pk, tk = paths[bounds[k]:bounds[k + 1]], counts[bounds[k]:bounds[k + 1]]
-        assert ck.dtype == np.int64
-        assert np.array_equal(pk, np.flatnonzero(dense[k].any(axis=0)))
-        assert np.array_equal(ck, dense[k])
-        assert np.array_equal(tk, np.moveaxis(tagged[k][..., pk], -1, 0))
-        assert np.array_equal(tk.sum(axis=2), ck[:, pk].T)
+        paths, counts = d.event_counts(k)
+        assert np.array_equal(paths, np.flatnonzero(dense[k].any(axis=0)))
+        assert counts.shape == (paths.size, m, 1)
+        assert np.array_equal(counts[..., 0], dense[k][:, paths].T)
+        # untagged on several actions, every event counts under tag 0
+        _, plain = d.event_counts(k, n_actions=n_actions)
+        assert np.array_equal(plain[..., :1], counts) and not plain[..., 1:].any()
+        reference = np.moveaxis(tagged[:, k][..., paths], -1, 1)
+        for c in range(2):
+            tag_paths, one = d.event_counts(k, tags[c], n_actions)
+            assert np.array_equal(tag_paths, paths)
+            assert np.array_equal(one, reference[c])
+        stack_paths, stack = d.event_counts(k, tags, n_actions)
+        assert np.array_equal(stack_paths, paths)
+        assert stack.shape == (2, paths.size, m, n_actions)
+        assert np.array_equal(stack, reference)
+        # plain int64, signed, so the flow's inverse jump factor cannot wrap
+        assert counts.dtype == plain.dtype == one.dtype == stack.dtype == np.int64
     return dense
 
 

@@ -9,7 +9,7 @@ are pairwise distinct, so a swapped axis cannot pass.
 import dataclasses
 
 import numpy as np
-from dense_reference import dense_counts, stacked_step_counts
+from dense_reference import dense_counts
 
 from gcontrol import models as md
 from gcontrol.adjoint import _adjoint_core, _finite_triple
@@ -41,18 +41,24 @@ def test_states_and_drivers_are_time_major():
     _time_major(d.xi, (K, P))
     assert not d.xi.flags.writeable
     _time_major(d.step_dB(0), (S, P))
-    _time_major(d.step_counts(0), (2, P))
-    mu = uniform_relaxed(ACTIONS, K)
-    tags = d.tags(mu)
-    # the flow's counts are event-path major: a step's event paths are a run of rows
-    bounds, paths, counts = d.event_path_counts(tags, 3)
-    assert bounds.shape == (K + 1,)
-    _time_major(counts, (paths.size, 2, 3))
-    # plain int64, signed, so the inverse jump factor's -count cannot wrap
-    assert d.step_counts(0).dtype == counts.dtype == np.int64
-    tagged = stacked_step_counts(d, tags, 3)
-    assert np.array_equal(tagged, dense_counts(d, tags, 3))
-    assert np.array_equal(tagged.sum(axis=2), dense_counts(d))
+    tags = d.tags(uniform_relaxed(ACTIONS, K))
+    stacked = np.stack([tags, d.tags(u)])
+    dense, tagged = dense_counts(d), dense_counts(d, tags, 3)
+    assert np.array_equal(tagged.sum(axis=2), dense)
+    # a step's counts are event-path major: one row per event path, after
+    # the control axis of a stack
+    for k in range(K):
+        paths, counts = d.event_counts(k)
+        _time_major(counts, (paths.size, 2, 1))
+        assert np.array_equal(counts[..., 0], dense[k][:, paths].T)
+        _, one = d.event_counts(k, tags, 3)
+        _time_major(one, (paths.size, 2, 3))
+        assert np.array_equal(one, np.moveaxis(tagged[k][..., paths], -1, 0))
+        _, both = d.event_counts(k, stacked, 3)
+        _time_major(both, (2, paths.size, 2, 3))
+        assert np.array_equal(both[0], one)
+        # plain int64, signed, so the inverse jump factor's -count cannot wrap
+        assert counts.dtype == one.dtype == both.dtype == np.int64
 
 
 def test_flow_variational_and_triple_are_time_major():

@@ -260,13 +260,18 @@ def _reference_loop(model, control, drivers, x0):
 def test_batch_matches_reference_loop():
     grid = TimeGrid(T=1.0, n_steps=32)
     fam = _family(1.0, 4.0, grid, blocks=2)
+    # LQ has f2 != 0, so f depends on the action a tag selects
     model = md.build_model("linear_jump_lq", LQ)
-    drivers = sample_drivers(fam, grid, MARKS, 40, seed=28)
+    # busy marks put several events in one (step, path) cell, next to a silent mark
+    busy = MarkSpace(marks=np.array([-0.4, 0.6, 0.9]), intensities=np.array([40.0, 0.0, 25.0]))
     mu = RelaxedControl(ACTIONS, np.tile(np.array([0.2, 0.5, 0.3]), (32, 1)))
-    for batch in ([constant_strict(ACTIONS, 32, 1), chattering(mu, 8)],
-                  [mu, embed_strict(chattering(mu, 4))]):
-        ref = np.stack([_reference_loop(model, c, drivers, 0.7) for c in batch], axis=1)
-        _assert_streams(model, batch, drivers, 0.7, ref)
+    for marks in (MARKS, busy):
+        drivers = sample_drivers(fam, grid, marks, 40, seed=28)
+        for batch in ([constant_strict(ACTIONS, 32, 1), chattering(mu, 8)],
+                      [mu, embed_strict(chattering(mu, 4))]):
+            ref = np.stack([_reference_loop(model, c, drivers, 0.7) for c in batch], axis=1)
+            _assert_streams(model, batch, drivers, 0.7, ref)
+    assert dense_counts(drivers).max() >= 2
 
 
 def test_strict_batch_rows_equal_single_runs():

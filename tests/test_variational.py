@@ -281,6 +281,26 @@ def test_spike_report_refuses_a_relaxed_control_before_any_work(monkeypatch):
     assert streamed == []
 
 
+def test_spike_report_refuses_an_overflowing_slope_or_quotient():
+    grid = TimeGrid(T=1.0, n_steps=16)
+    family = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
+    actions = ActionGrid(np.array([-1.0, 0.0, 1.0]))
+    drivers = sample_drivers(family, grid, MARKS, 64, 5)
+    base = constant_strict(actions, 16, 1)
+    # both path costs are finite (~1e305), but the slope's stderr overflows
+    model = md.build_model("linear_jump_lq", {"gq": 1e300, "c2": 1e3})
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            FloatingPointError,
+            match=r"^non-finite finite-difference slope of width h=0.25 under scenario 3$"):
+        vr.spike_report(model, base, 2, 0.25, [0.25], drivers, 1.0)
+    # costs linear in x: every slope is finite, the squared quotient is not
+    model = md.build_model("bilinear", {"s1": 0.0})
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            FloatingPointError,
+            match=r"^non-finite quotient sup of width h=0.25 under scenario 0$"):
+        vr.spike_report(model, base, 2, 0.25, [0.25, 0.125], drivers, 1e160)
+
+
 def test_quotient_gap_zero_for_trivial_spike():
     grid = TimeGrid(T=1.0, n_steps=40)
     model = md.build_model("linear_jump_lq", {})
