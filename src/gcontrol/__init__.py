@@ -20,13 +20,13 @@ from .adjoint import (
 from .controls import (
     ActionGrid,
     RelaxedControl,
-    SpikeSpec,
     StrictControl,
     chattering,
     constant_strict,
     ekeland_distance,
     embed_strict,
     spike,
+    spike_window,
     uniform_relaxed,
 )
 from .costs import (
@@ -75,7 +75,6 @@ __all__ = [
     "NearOptimalReport",
     "RelaxedControl",
     "ScenarioFamily",
-    "SpikeSpec",
     "StabilityReport",
     "StateEnsemble",
     "StrictControl",
@@ -104,6 +103,7 @@ __all__ = [
     "solve_variational",
     "spike",
     "spike_report",
+    "spike_window",
     "uniform_relaxed",
     "upper_expectation",
     "validate_document",

@@ -80,7 +80,6 @@ import numpy as np
 
 from .controls import (
     RelaxedControl,
-    SpikeSpec,
     StrictControl,
     block_length,
     chattering,
@@ -751,12 +750,9 @@ def mp_check_near(
     if add_block_spikes:
         for b in range(n_blocks):
             k0 = b * block_len
-            t0 = float(grid.times[k0])
             for ai in range(u_n.grid.n_actions):
-                if ai == int(u_n.indices[k0]):
-                    continue
-                spec = SpikeSpec(base=u_n, action_index=ai, t0=t0, width=grid.dt)
-                cands.append(spike(spec, grid))
+                if ai != int(u_n.indices[k0]):
+                    cands.append(spike(u_n, ai, k0, 1))
 
     if epsilon_n is not None and epsilon_n < 0.0:
         raise ValueError(f"epsilon_n must be nonnegative, got {epsilon_n}")

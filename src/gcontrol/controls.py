@@ -8,6 +8,11 @@ embedding wraps a strict control's one-hot weights as a relaxed control,
 and the chattering construction goes the other way: it converts a
 relaxed control into a strict one whose per-block occupation of each
 action matches the averaged weights up to one grid step.
+
+A spike switches a strict control to one action on a window of grid
+steps, given as its first step and step count. :func:`spike_window` is
+the one conversion of a window in time units, [t0, t0 + width), to those
+steps; it refuses a window that does not fall on the grid.
 """
 
 from __future__ import annotations
@@ -107,25 +112,6 @@ class RelaxedControl:
         return self.weights.shape[0]
 
 
-@dataclass(frozen=True)
-class SpikeSpec:
-    """Replace the base control by one action on a window [t0, t0 + width)."""
-
-    base: StrictControl
-    action_index: int
-    t0: float
-    width: float
-
-    def __post_init__(self):
-        if not isinstance(self.base, StrictControl):
-            raise ValueError("spike variations act on strict controls")
-        n_actions = self.base.grid.n_actions
-        if not 0 <= self.action_index < n_actions:
-            raise ValueError(f"index {self.action_index} outside the {n_actions}-action grid")
-        if self.t0 < 0 or self.width <= 0:
-            raise ValueError("spike needs t0 >= 0 and width > 0")
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -181,12 +167,18 @@ def chattering(mu: RelaxedControl, n: int) -> StrictControl:
     return StrictControl(grid=mu.grid, indices=indices)
 
 
-def spike(spec: SpikeSpec, grid: TimeGrid) -> StrictControl:
-    """Apply a spike perturbation; the window must align with grid steps."""
-    k0, span = spike_steps(spec, grid)
-    idx = spec.base.indices.copy()
-    idx[k0 : k0 + span] = spec.action_index
-    return StrictControl(grid=spec.base.grid, indices=idx)
+def spike(u: StrictControl, action_index: int, k0: int, span: int) -> StrictControl:
+    """``u`` switched to ``action_index`` on its steps k0, ..., k0 + span - 1."""
+    if not isinstance(u, StrictControl):
+        raise ValueError("spike variations act on strict controls")
+    # a Python comparison: an index beyond int64 is refused, not overflowed
+    if not 0 <= action_index < u.grid.n_actions:
+        raise ValueError(f"index {action_index} outside the {u.grid.n_actions}-action grid")
+    if not (0 <= k0 and 1 <= span and k0 + span <= u.n_steps):
+        raise ValueError(f"{span} steps from step {k0} leave the control's {u.n_steps} steps")
+    idx = u.indices.copy()
+    idx[k0 : k0 + span] = action_index
+    return StrictControl(grid=u.grid, indices=idx)
 
 
 def _grid_steps(value: float, dt: float) -> int:
@@ -207,16 +199,17 @@ def spike_start(t0: float, grid: TimeGrid) -> int:
     return k0
 
 
-def spike_steps(spec: SpikeSpec, grid: TimeGrid) -> tuple[int, int]:
-    """Resolve a spike window to (first step, step count), rejecting misalignment."""
-    if spec.base.n_steps != grid.n_steps:
-        raise ValueError("spike base control and grid disagree on n_steps")
-    k0 = spike_start(spec.t0, grid)
-    span = _grid_steps(spec.width, grid.dt)
+def spike_window(t0: float, width: float, grid: TimeGrid) -> tuple[int, int]:
+    """The window [t0, t0 + width) as (first step, step count), rejecting misalignment.
+
+    The one conversion of a spike from time units to grid steps.
+    """
+    k0 = spike_start(t0, grid)
+    span = _grid_steps(width, grid.dt)
     if span < 1:
-        raise ValueError(f"{spec.width} is shorter than dt = {grid.dt!r}")
+        raise ValueError(f"{width} is shorter than dt = {grid.dt!r}")
     if k0 + span > grid.n_steps:
-        raise ValueError(f"window [t0, t0 + {spec.width}) ends after T")
+        raise ValueError(f"window [t0, t0 + {width}) ends after T")
     return k0, span
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .controls import RelaxedControl, StrictControl, chattering, check_ladder
 from .jumps import Drivers
 from .models import ModelSpec, _avg
-from .scenarios import TimeGrid, upper_expectation
+from .scenarios import TimeGrid
 from .sde import _require_finite, _stored_run, stream_batch
 
 Control = StrictControl | RelaxedControl
@@ -89,15 +89,18 @@ class _PathCost:
 
 
 def _cost_report(costs: np.ndarray, seed: int) -> CostReport:
-    upper = upper_expectation(list(costs))
-    means = costs.mean(axis=1)
     P = costs.shape[1]
+    if P < 2:
+        raise ValueError("scenario 0 needs at least 2 samples")
+    means = costs.mean(axis=1)
     stderrs = costs.std(axis=1, ddof=1) / np.sqrt(P)
+    # ties go to the lowest scenario id, as in upper_expectation
+    worst = int(np.argmax(means))
     return CostReport(
         scenario_means=means,
         scenario_stderrs=stderrs,
-        upper_value=upper.value,
-        argmax_scenario=upper.scenario_id,
+        upper_value=float(means[worst]),
+        argmax_scenario=worst,
         n_paths=P,
         seed=seed,
         per_path=costs,

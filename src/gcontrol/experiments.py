@@ -37,13 +37,14 @@ from .adjoint import bsde_stability_report, check_basis_degree, mp_check_near, m
 from .controls import (
     ActionGrid,
     RelaxedControl,
-    SpikeSpec,
     StrictControl,
     block_length,
     chattering,
     check_ladder,
     constant_strict,
+    spike,
     spike_start,
+    spike_window,
     uniform_relaxed,
 )
 from .costs import chattering_report, evaluate_cost, evaluate_costs
@@ -51,7 +52,7 @@ from .jumps import Drivers, MarkSpace, poisson_mean, sample_drivers
 from .models import MODEL_DEFAULTS, build_model, ensure_validated
 from .scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from .sde import simulate, stream_batch
-from .variational import check_widths, spike_controls, spike_report
+from .variational import check_widths, spike_report
 
 KINDS: tuple[str, ...] = ("simulate", "cost", "chattering", "variational", "mp-strict",
                           "mp-near", "mp-relaxed", "bsde-stability")
@@ -390,11 +391,10 @@ def validate_document(doc: Mapping) -> _Plan:
         plan.attempt("$.options.h_list", check_widths, h_list)
         k0 = plan.attempt("$.options.t0", spike_start, t0, grid)
         # a one-step spike checks the action index once, not once per width
-        one_step = plan.attempt("$.options.action_index", SpikeSpec, control, ai, t0, grid.dt)
+        one_step = plan.attempt("$.options.action_index", spike, control, ai, 0, 1)
         if k0 is not None and one_step is not None:
             for j, h in enumerate(h_list):
-                plan.attempt(f"$.options.h_list[{j}]", spike_controls,
-                             control, grid, ai, t0, [h])
+                plan.attempt(f"$.options.h_list[{j}]", spike_window, t0, float(h), grid)
 
     if plan:
         return plan

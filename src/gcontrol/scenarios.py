@@ -77,11 +77,6 @@ class VolatilityBounds:
         object.__setattr__(self, "sigma_low", low)
         object.__setattr__(self, "sigma_high", high)
 
-    @property
-    def ellipticity_beta(self) -> float:
-        """Half the lower bound."""
-        return max(0.0, self.sigma_low) / 2.0
-
 
 @dataclass(frozen=True)
 class ScenarioFamily:

@@ -36,11 +36,15 @@ operation per path only where a path-dependent term enters it, and
 state. Every elementwise operation is the one the full arrays would run,
 so the bits do not change.
 
-The base run keeps its whole states because z, the flow and the formula
-column read them at every step. :func:`spike_report` stores it in the
-pass that folds its path costs, solves z once (it depends only on the
-spike's opening step) and streams the spikes through the kernel, folding
-each step into their path costs and their quotient sups.
+A spike is given in grid steps: its action index, its opening step k0
+and, for a spiked control, its step count. Its base is the ensemble's
+own strict control, so z cannot be solved against another one.
+:func:`spike_report` converts its time-unit windows once
+(``controls.spike_window``) and stores the base run, whose whole states
+z, the flow and the formula column read at every step, in the pass that
+folds its path costs. It solves z once (it depends only on the spike's
+opening step) and streams the spikes through the kernel, folding each
+step into their path costs and their quotient sups.
 """
 
 from __future__ import annotations
@@ -50,30 +54,14 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .controls import SpikeSpec, StrictControl, spike, spike_steps
+from .controls import StrictControl, spike, spike_window
 from .costs import stream_costs
 from .jumps import Drivers
 from .models import ModelSpec, _avg, _coeff, _mix
-from .scenarios import TimeGrid, upper_expectation
+from .scenarios import upper_expectation
 from .sde import StateEnsemble, _first_nonfinite, _stored_run
 
 _JUMP_GUARD = 1e-6
-
-
-@dataclass(frozen=True)
-class VariationalPath:
-    """Linearized state response to a spike, zero before the spike step."""
-
-    z: np.ndarray  # (n_steps + 1, n_scenarios, n_paths)
-    k0: int
-
-    def __post_init__(self):
-        bad = _first_nonfinite(self.z)
-        if bad is not None:
-            k, s, _ = bad
-            raise FloatingPointError(f"variational path is not finite at step {k} under scenario {s}")
-        if np.any(self.z[: self.k0] != 0.0):
-            raise ValueError("variational path must vanish before the spike")
 
 
 class QuotientRow(NamedTuple):
@@ -199,7 +187,7 @@ def _advance(out: np.ndarray, prev: np.ndarray, growth: np.ndarray, paths, jmult
         out[:, paths] = out[:, paths] * jmult
 
 
-def _spike_impulse(ensemble, spec: SpikeSpec, k0: int) -> np.ndarray:
+def _spike_impulse(ensemble, action_index: int, k0: int) -> np.ndarray:
     """First-order state kick of the spike at its opening step.
 
     Combines the drift change, the volatility-scaled change of the
@@ -212,7 +200,7 @@ def _spike_impulse(ensemble, spec: SpikeSpec, k0: int) -> np.ndarray:
     x = ensemble.states[k0]
     base = ensemble.control
     u_val = float(base.values[k0])
-    nu_val = float(base.grid.actions[spec.action_index])
+    nu_val = float(base.grid.actions[action_index])
     a_k = ensemble.family.values[:, k0][:, None]
     db = np.asarray(model.b(t, x, nu_val)) - np.asarray(model.b(t, x, u_val))
     dg = np.asarray(model.gamma(t, x, nu_val)) - np.asarray(model.gamma(t, x, u_val))
@@ -227,36 +215,32 @@ def _spike_impulse(ensemble, spec: SpikeSpec, k0: int) -> np.ndarray:
     return out + np.zeros_like(x)
 
 
-def _require_same_base(ensemble: StateEnsemble, spec: SpikeSpec) -> None:
-    u = ensemble.control
-    base = spec.base
-    if not (isinstance(u, StrictControl) and np.array_equal(u.indices, base.indices)
-            and np.array_equal(u.grid.actions, base.grid.actions)):
-        raise ValueError("spike base control differs from the simulated control")
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
 
-def solve_variational(ensemble: StateEnsemble, spec: SpikeSpec) -> VariationalPath:
-    """Linearized response z along the ensemble's own paths.
+def solve_variational(ensemble: StateEnsemble, action_index: int, k0: int) -> np.ndarray:
+    """Linearized response z to a spike of the ensemble's control, along its own paths.
 
-    z is zero before the spike opens, receives the impulse there, and
-    then follows the same multiplicative Euler factors as the forward
-    fundamental solution.
+    The spike switches the strict control to ``action_index`` from step
+    ``k0``. z, a (K+1, S, P) array, is zero before that step, receives
+    the impulse there, and then follows the same multiplicative Euler
+    factors as the forward fundamental solution. A step of z that is not
+    finite raises ``FloatingPointError`` naming the step and the scenario.
     """
-    _require_same_base(ensemble, spec)
-    grid = ensemble.grid
-    k0, _ = spike_steps(spec, grid)
+    spike(ensemble.control, action_index, k0, 1)  # a strict control, an index and a step
     steps = _FlowSteps(ensemble)
     z = np.zeros(ensemble.states.shape)
-    z[k0] = _spike_impulse(ensemble, spec, k0)
-    for k in range(k0, grid.n_steps):
+    z[k0] = _spike_impulse(ensemble, action_index, k0)
+    for k in range(k0, ensemble.grid.n_steps):
         growth, _, paths, jmult, _ = steps.factors(k, need_inverse=False)
         _advance(z[k + 1], z[k], growth, paths, jmult)
-    return VariationalPath(z=z, k0=k0)
+    bad = _first_nonfinite(z)
+    if bad is not None:
+        k, s, _ = bad
+        raise FloatingPointError(f"variational path is not finite at step {k} under scenario {s}")
+    return z
 
 
 def fundamental_steps(ensemble: StateEnsemble, *, need_inverse: bool) -> Iterator[tuple]:
@@ -294,21 +278,13 @@ def fundamental_steps(ensemble: StateEnsemble, *, need_inverse: bool) -> Iterato
 
 
 def check_widths(h_list) -> list[float]:
-    """Spike widths, which must strictly descend."""
+    """Spike widths, at least one, which must strictly descend."""
     h_list = list(h_list)
+    if not h_list:
+        raise ValueError("a spike report needs at least one width")
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise ValueError(f"widths must be strictly descending, got {h_list}")
     return h_list
-
-
-def spike_controls(
-    u_star: StrictControl, grid: TimeGrid, action_index: int, t0: float, h_list: list[float]
-) -> list[StrictControl]:
-    """``u_star`` spiked to ``action_index`` on [t0, t0 + h), for every h."""
-    return [
-        spike(SpikeSpec(base=u_star, action_index=action_index, t0=t0, width=float(h)), grid)
-        for h in h_list
-    ]
 
 
 def _require_finite_mean(value: float, stderr: float, what: str, scenario: int) -> None:
@@ -327,8 +303,10 @@ def spike_report(
     which depends on the spike's opening step only, is solved once for
     every width. The spiked controls run as one batch through
     :func:`stream_costs`, each step folded into their path costs and
-    quotient sups as the kernel writes it. Widths must descend; a relaxed
-    ``u_star`` is refused before any kernel work.
+    quotient sups as the kernel writes it. ``t0`` and the widths, which
+    must descend, are converted to grid steps once; an empty width list, a
+    window off the grid, a bad index or a relaxed ``u_star`` is refused
+    before any kernel work.
 
     The derivative report holds the Gateaux slopes: its FD column divides
     coupled per-path cost differences by the spike width, in the scenario
@@ -343,25 +321,25 @@ def spike_report(
     """
     h_list = [float(h) for h in check_widths(h_list)]
     grid = drivers.grid
-    spec0 = SpikeSpec(base=u_star, action_index=action_index, t0=t0, width=grid.dt)
+    windows = [spike_window(t0, h, grid) for h in h_list]
+    controls = [spike(u_star, action_index, k0, span) for k0, span in windows]
+    k0 = windows[0][0]
     ensemble, keep = _stored_run(model, u_star, drivers)
     [base_report] = stream_costs(model, [u_star], drivers, x0, keep, ids=["the base control"])
     s_star = base_report.argmax_scenario
 
-    z_path = solve_variational(ensemble, spec0)
-    z = z_path.z
+    z = solve_variational(ensemble, action_index, k0)
     formula_paths = np.asarray(model.g_x(ensemble.states[-1])) * z[-1]
     dt = grid.dt
-    for k in range(z_path.k0, grid.n_steps):
+    for k in range(k0, grid.n_steps):
         t = float(grid.times[k])
         xk = ensemble.states[k]
         hx = _coeff(model.h_x(t, xk, float(u_star.values[k])))
         formula_paths = formula_paths + hx * z[k] * dt
     um = upper_expectation(list(formula_paths))
 
-    controls = spike_controls(u_star, grid, action_index, t0, h_list)
     # the quotient's sup runs from the end of each spike window to T
-    ends = [sum(spike_steps(SpikeSpec(u_star, action_index, t0, h), grid)) for h in h_list]
+    ends = [k0 + span for k0, span in windows]
     sups = np.zeros((len(h_list),) + ensemble.states.shape[1:])
 
     def quotient(k: int, x: np.ndarray) -> None:

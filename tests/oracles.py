@@ -16,7 +16,6 @@ import numpy as np
 from dense_reference import dense_counts
 
 from gcontrol.adjoint import _adjoint_core, _finite_triple
-from gcontrol.controls import spike_steps
 from gcontrol.models import _avg, _coeff, _lq_rates, _mark_moments, ensure_validated
 from gcontrol.rng import PROBES, substream
 from gcontrol.variational import _spike_impulse, fundamental_steps
@@ -274,14 +273,13 @@ def driver_lipschitz_audit(model, family, grid, marks, n_probes=1000, seed=0) ->
 # ---------------------------------------------------------------------------
 
 
-def spike_eta(ensemble, spec, psi) -> np.ndarray:
-    """The impulse process eta of a spike, (K+1, S, P) like the flow.
+def spike_eta(ensemble, action_index, k0, psi) -> np.ndarray:
+    """The impulse process eta of a spike to ``action_index`` at step k0, (K+1, S, P) like the flow.
 
     Zero until the spike opens at step k0, then constant: ``psi[k0]``
     times the spike's impulse, so ``z = phi * eta`` up to the scheme's
     order.
     """
-    k0, _ = spike_steps(spec, ensemble.grid)
     eta = np.zeros(ensemble.states.shape)
-    eta[k0:] = psi[k0] * _spike_impulse(ensemble, spec, k0)
+    eta[k0:] = psi[k0] * _spike_impulse(ensemble, action_index, k0)
     return eta

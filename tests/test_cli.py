@@ -169,6 +169,19 @@ def test_misaligned_spike_is_a_violation_not_a_module_error(tmp_path, capsys):
     assert err == "$.options.h_list[1]: 0.07 is not a multiple of dt = 0.0625\n"
 
 
+def test_huge_spike_index_and_late_window_are_violations(tmp_path, capsys):
+    # an index beyond int64 and a window past T are listed, not raised
+    for options, line in [
+        ({"action_index": 2**70, "t0": 0.25, "h_list": [0.125]},
+         "$.options.action_index: index 1180591620717411303424 outside the 2-action grid"),
+        ({"action_index": 1, "t0": 0.9375, "h_list": [0.125, 0.0625]},
+         "$.options.h_list[0]: window [t0, t0 + 0.125) ends after T"),
+    ]:
+        path = _write(tmp_path, _doc(kind="variational", options=options))
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr().out == f"{line}\n"
+
+
 def test_seed_override_reaches_the_summary(tmp_path, capsys):
     path = _write(tmp_path, _doc())
     out_dir = tmp_path / "out"

@@ -88,36 +88,49 @@ def test_chattering_requires_divisor():
 def test_spike_construction():
     grid = TimeGrid(T=1.0, n_steps=8)
     base = ct.constant_strict(ACTIONS, 8, 1)
-    spec = ct.SpikeSpec(base=base, action_index=2, t0=0.25, width=0.25)
-    u = ct.spike(spec, grid)
-    assert np.array_equal(u.indices, np.array([1, 1, 2, 2, 1, 1, 1, 1]))
-    k0, span = ct.spike_steps(spec, grid)
+    k0, span = ct.spike_window(0.25, 0.25, grid)
     assert (k0, span) == (2, 2)
+    u = ct.spike(base, 2, k0, span)
+    assert np.array_equal(u.indices, np.array([1, 1, 2, 2, 1, 1, 1, 1]))
     assert ct.ekeland_distance(u, base, grid) == pytest.approx(0.25)
 
 
 def test_spike_degenerate_width_is_identity():
-    grid = TimeGrid(T=1.0, n_steps=8)
     base = ct.constant_strict(ACTIONS, 8, 1)
-    spec = ct.SpikeSpec(base=base, action_index=1, t0=0.5, width=grid.dt)
-    u = ct.spike(spec, grid)
+    u = ct.spike(base, 1, 4, 1)
     assert np.array_equal(u.indices, base.indices)
 
 
 def test_spike_refuses_a_relaxed_base():
-    with pytest.raises(ValueError, match="spike variations act on strict controls"):
-        ct.SpikeSpec(base=ct.uniform_relaxed(ACTIONS, 8), action_index=0, t0=0.25, width=0.25)
+    strict = ct.constant_strict(ACTIONS, 8, 1)
+    for base, action_index, k0, span, message in [
+        (ct.uniform_relaxed(ACTIONS, 8), 0, 2, 2, "spike variations act on strict controls"),
+        (strict, 3, 2, 2, "index 3 outside the 3-action grid"),
+        (strict, -1, 2, 2, "index -1 outside the 3-action grid"),
+        # beyond int64: refused by the comparison, not by an int64 store
+        (strict, 2**70, 2, 2, "index 1180591620717411303424 outside the 3-action grid"),
+        # a window that leaves the steps would be cut short by slicing
+        (strict, 2, 6, 3, "3 steps from step 6 leave the control's 8 steps"),
+        (strict, 2, -1, 2, "2 steps from step -1 leave the control's 8 steps"),
+        (strict, 2, 8, 1, "1 steps from step 8 leave the control's 8 steps"),
+        (strict, 2, 2, 0, "0 steps from step 2 leave the control's 8 steps"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ct.spike(base, action_index, k0, span)
 
 
 def test_spike_rejects_fractional_width():
     grid = TimeGrid(T=1.0, n_steps=8)
-    base = ct.constant_strict(ACTIONS, 8, 1)
-    with pytest.raises(ValueError):
-        ct.spike(ct.SpikeSpec(base=base, action_index=2, t0=0.25, width=0.3), grid)
-    with pytest.raises(ValueError):
-        ct.spike(ct.SpikeSpec(base=base, action_index=2, t0=0.9, width=0.25), grid)
-    with pytest.raises(ValueError):
-        ct.spike(ct.SpikeSpec(base=base, action_index=2, t0=-0.1, width=0.25), grid)
+    for t0, width, message in [
+        (0.25, 0.3, "0.3 is not a multiple of dt = 0.125"),
+        (0.875, 0.25, r"window \[t0, t0 \+ 0.25\) ends after T"),
+        (-0.125, 0.25, "-0.125 leaves no step before T = 1.0"),
+        (1.0, 0.125, "1.0 leaves no step before T = 1.0"),
+        (0.25, 1e-12, "1e-12 is shorter than dt = 0.125"),
+        (0.25, 1e308, r"1e\+308 is inf steps of dt = 0.125, more than any grid has"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ct.spike_window(t0, width, grid)
 
 
 def test_ekeland_examples():

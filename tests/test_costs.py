@@ -48,6 +48,10 @@ def test_terminal_only_cost_is_exact():
     assert np.all(rep.scenario_stderrs == 0.0)
     assert rep.upper_value == 5.0
     assert rep.argmax_scenario == 0
+    # one path gives no standard error
+    with pytest.raises(ValueError, match="^scenario 0 needs at least 2 samples$"):
+        co.evaluate_cost(md.build_model("zero", {}), constant_strict(ACTIONS, 8, 1),
+                         sample_drivers(fam, grid, MARKS, 1, 1), 5.0)
 
 
 def test_running_only_cost_is_exact_quadrature():

@@ -13,7 +13,7 @@ from dense_reference import dense_counts
 
 from gcontrol import models as md
 from gcontrol.adjoint import _adjoint_core, _finite_triple
-from gcontrol.controls import ActionGrid, SpikeSpec, constant_strict, uniform_relaxed
+from gcontrol.controls import ActionGrid, constant_strict, uniform_relaxed
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from gcontrol.sde import simulate, stream_batch
@@ -64,12 +64,11 @@ def test_states_and_drivers_are_time_major():
 def test_flow_variational_and_triple_are_time_major():
     u = constant_strict(ACTIONS, K, 1)
     ens = simulate(MODEL, u, sample_drivers(FAMILY, GRID, MARKS, P, 4), 1.0)
-    spec = SpikeSpec(base=u, action_index=2, t0=0.25, width=0.125)
     # the flow is handed on one step at a time, each step C-ordered
     for _, phi_k, psi_k in fundamental_steps(ens, need_inverse=True):
         _time_major(phi_k, (S, P))
         _time_major(psi_k, (S, P))
-    _time_major(solve_variational(ens, spec).z, (K + 1, S, P))
+    _time_major(solve_variational(ens, 2, K // 4), (K + 1, S, P))
     steps = []
 
     def keep(core, j, phi_j, psi_j, fit_j):

@@ -14,7 +14,7 @@ from oracles import bsde_residual, spike_eta, whole_flow, whole_triple
 
 from gcontrol import models as md
 from gcontrol.adjoint import _adjoint_core, bsde_stability_report, mp_check_relaxed
-from gcontrol.controls import ActionGrid, SpikeSpec, StrictControl, embed_strict, uniform_relaxed
+from gcontrol.controls import ActionGrid, StrictControl, embed_strict, uniform_relaxed
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from gcontrol.sde import simulate
@@ -70,9 +70,9 @@ def test_flow_and_triple_match_the_broadcast_twin_bitwise(case, control):
     for name in ("phi", "psi"):
         assert _bits(getattr(pair, name)) == _bits(getattr(pair_t, name)), name
     if control == "strict":
-        spec = SpikeSpec(base=ens.control, action_index=2, t0=0.25, width=1.0 / K)
-        assert _bits(solve_variational(ens, spec).z) == _bits(solve_variational(ens_t, spec).z)
-        eta, eta_t = (spike_eta(e, spec, p.psi) for e, p in ((ens, pair), (ens_t, pair_t)))
+        k0 = K // 4  # t0 = 0.25
+        assert _bits(solve_variational(ens, 2, k0)) == _bits(solve_variational(ens_t, 2, k0))
+        eta, eta_t = (spike_eta(e, 2, k0, p.psi) for e, p in ((ens, pair), (ens_t, pair_t)))
         assert _bits(eta) == _bits(eta_t)
 
     triple, triple_t = whole_triple(ens), whole_triple(ens_t)

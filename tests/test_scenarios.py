@@ -33,8 +33,6 @@ def test_grid_times_are_computed_once_and_read_only():
 
 
 def test_bounds_validation():
-    b = sc.VolatilityBounds(1.0, 4.0)
-    assert b.ellipticity_beta == 0.5
     with pytest.raises(ValueError):
         sc.VolatilityBounds(4.0, 1.0)  # order violated
     with pytest.raises(ValueError):
@@ -263,8 +261,7 @@ def test_generator_ellipticity():
     # G(A) - G(Abar) >= beta (A - Abar) over random ordered pairs A >= Abar
     rng = np.random.default_rng(1)
     bounds = sc.VolatilityBounds(1.0, 2.0)
-    beta = bounds.ellipticity_beta
-    assert beta == pytest.approx(0.5)
+    beta = bounds.sigma_low / 2.0
     abar = rng.normal(size=200)
     a = abar + rng.normal(size=200) ** 2
     gap = sc.generator_G(a, bounds) - sc.generator_G(abar, bounds)

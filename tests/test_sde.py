@@ -9,7 +9,6 @@ from gcontrol.controls import (
     ActionGrid,
     RelaxedControl,
     StrictControl,
-    SpikeSpec,
     chattering,
     constant_strict,
     embed_strict,
@@ -293,8 +292,8 @@ def test_batch_of_time_varying_controls():
     mu = RelaxedControl(ACTIONS, np.tile(np.array([0.2, 0.5, 0.3]), (32, 1)))
     base = StrictControl(ACTIONS, np.tile(np.array([0, 2, 1, 1]), 8))
     controls = [chattering(mu, 4), chattering(mu, 16), base,
-                spike(SpikeSpec(base, 2, 0.25, 0.125), grid),
-                spike(SpikeSpec(base, 0, 0.5, 1 / 32), grid)]
+                spike(base, 2, 8, 4),
+                spike(base, 0, 16, 1)]
     drivers = sample_drivers(fam, grid, MARKS, 40, seed=24)
     _assert_streams(model, controls, drivers, 0.5, _alone(model, controls, drivers, 0.5))
     # relaxed rows likewise match their own runs

@@ -17,17 +17,17 @@ from gcontrol import models as md
 from gcontrol.controls import (
     ActionGrid,
     RelaxedControl,
-    SpikeSpec,
     StrictControl,
     chattering,
-    spike_steps,
+    spike,
+    spike_window,
     uniform_relaxed,
 )
 from gcontrol.costs import chattering_report, evaluate_cost, evaluate_costs
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family, upper_expectation
 from gcontrol.sde import simulate, stream_batch
-from gcontrol.variational import QuotientRow, solve_variational, spike_controls, spike_report
+from gcontrol.variational import QuotientRow, solve_variational, spike_report
 
 K = 16
 GRID = TimeGrid(T=1.0, n_steps=K)
@@ -116,14 +116,14 @@ def test_streamed_quotient_and_slope_rows_equal_whole_array_rows_bitwise(case):
     ens = simulate(MODEL, _PATTERN, drivers, 1.0)
     derivative, rows = spike_report(MODEL, _PATTERN, ai, t0, h_list, drivers, 1.0)
 
-    spikes = spike_controls(_PATTERN, GRID, ai, t0, h_list)
+    windows = [spike_window(t0, h, GRID) for h in h_list]
+    spikes = [spike(_PATTERN, ai, k0, span) for k0, span in windows]
     spiked = _stored(MODEL, spikes, drivers, 1.0)
-    z = solve_variational(ens, SpikeSpec(_PATTERN, ai, t0, GRID.dt)).z
+    z = solve_variational(ens, ai, windows[0][0])
     base = _whole_array_path_costs(MODEL, _PATTERN, GRID, ens.states)
     s_star = upper_expectation(list(base)).scenario_id
     ref_rows, ref_slopes = [], []
-    for j, (h, u) in enumerate(zip(h_list, spikes)):
-        k0, span = spike_steps(SpikeSpec(_PATTERN, ai, t0, h), GRID)
+    for j, (h, u, (k0, span)) in enumerate(zip(h_list, spikes, windows)):
         y = (spiked[:, j] - ens.states) / h - z
         um = upper_expectation(list(np.max(y[k0 + span:] ** 2, axis=0)))
         ref_rows.append(QuotientRow(h, um.value, um.stderr, um.scenario_id))

@@ -10,7 +10,6 @@ from gcontrol import variational as vr
 from gcontrol.adjoint import _adjoint_core
 from gcontrol.controls import (
     ActionGrid,
-    SpikeSpec,
     StrictControl,
     constant_strict,
     uniform_relaxed,
@@ -46,9 +45,8 @@ def test_z_zero_for_trivial_spike():
     model = md.build_model("linear_jump_lq", {})
     ens = simulate(model, constant_strict(ActionGrid(np.array([0.0, 1.0])), 16, 1),
                    sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 50, 11), 1.0)
-    spec = SpikeSpec(base=ens.control, action_index=1, t0=0.25, width=0.25)
-    zp = vr.solve_variational(ens, spec)
-    assert np.all(zp.z == 0.0)
+    z = vr.solve_variational(ens, 1, 4)
+    assert np.all(z == 0.0)
 
 
 def test_z_constant_when_derivatives_vanish():
@@ -57,11 +55,9 @@ def test_z_constant_when_derivatives_vanish():
     actions = ActionGrid(np.array([0.0, 1.0]))
     ens = simulate(model, constant_strict(actions, 16, 0),
                    sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 12), 1.0)
-    spec = SpikeSpec(base=ens.control, action_index=1, t0=0.25, width=0.25)
-    zp = vr.solve_variational(ens, spec)
-    assert zp.k0 == 4
-    assert np.all(zp.z[:4] == 0.0)
-    assert np.all(zp.z[4:] == 0.5)  # b2 * (1 - 0)
+    z = vr.solve_variational(ens, 1, 4)
+    assert np.all(z[:4] == 0.0)
+    assert np.all(z[4:] == 0.5)  # b2 * (1 - 0)
 
 
 def test_z_scales_linearly_in_the_impulse():
@@ -74,9 +70,9 @@ def test_z_scales_linearly_in_the_impulse():
     actions = ActionGrid(np.array([0.0, 0.5, 1.0]))
     ens = simulate(model, constant_strict(actions, 32, 0),
                    sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 50, 13), 1.0)
-    half = vr.solve_variational(ens, SpikeSpec(base=ens.control, action_index=1, t0=0.25, width=0.25))
-    full = vr.solve_variational(ens, SpikeSpec(base=ens.control, action_index=2, t0=0.25, width=0.25))
-    assert full.z.tobytes() == (2.0 * half.z).tobytes()
+    half = vr.solve_variational(ens, 1, 8)
+    full = vr.solve_variational(ens, 2, 8)
+    assert full.tobytes() == (2.0 * half).tobytes()
 
 
 def test_z_geometric_product_closed_form():
@@ -89,24 +85,18 @@ def test_z_geometric_product_closed_form():
         model = md.build_model("bilinear", {"th0": th0, "th1": th1, "s1": 0.0, "gl": 1.0})
         ens = simulate(model, constant_strict(actions, n, 0),
                        sample_drivers(_fam(1.0, 1.0, grid), grid, QUIET, 2, 14), 1.0)
-        spec = SpikeSpec(base=ens.control, action_index=1, t0=0.25, width=0.25)
-        zp = vr.solve_variational(ens, spec)
+        k0 = n // 4  # t0 = 0.25
+        z = vr.solve_variational(ens, 1, k0)
         theta = th0 + th1 * u0
-        x_t0 = ens.states[zp.k0, 0, 0]
+        x_t0 = ens.states[k0, 0, 0]
         z0 = th1 * (0.9 - 0.2) * x_t0
-        m = n - zp.k0
+        m = n - k0
         product = z0 * (1.0 + theta * grid.dt) ** m
-        assert zp.z[-1, 0, 0] == pytest.approx(product, rel=1e-10)
-        gap = abs(zp.z[-1, 0, 0] - z0 * np.exp(theta * 0.75))
+        assert z[-1, 0, 0] == pytest.approx(product, rel=1e-10)
+        gap = abs(z[-1, 0, 0] - z0 * np.exp(theta * 0.75))
         if last is not None:
             assert gap < last
         last = gap
-
-
-def test_variational_path_invariant_enforced():
-    bad = np.ones((5, 1, 1))
-    with pytest.raises(ValueError):
-        vr.VariationalPath(z=bad, k0=2)
 
 
 def test_fundamental_trivial_flow():
@@ -115,9 +105,8 @@ def test_fundamental_trivial_flow():
     actions = ActionGrid(np.array([0.0, 1.0]))
     ens = simulate(model, constant_strict(actions, 16, 0),
                    sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 15), 1.0)
-    spec = SpikeSpec(base=ens.control, action_index=1, t0=0.5, width=0.25)
     pair = whole_flow(ens)
-    eta = spike_eta(ens, spec, pair.psi)
+    eta = spike_eta(ens, 1, 8, pair.psi)
     assert np.all(pair.phi == 1.0)
     assert np.all(pair.psi == 1.0)
     assert np.all(eta[:8] == 0.0)
@@ -166,12 +155,11 @@ def test_z_matches_phi_eta_within_scheme_tolerance():
     actions = ActionGrid(np.array([0.0, 1.0]))
     ens = simulate(model, constant_strict(actions, 400, 0),
                    sample_drivers(_fam(1.5, 1.5, grid), grid, MARKS, 100, 18), 1.0)
-    spec = SpikeSpec(base=ens.control, action_index=1, t0=0.25, width=0.25)
-    zp = vr.solve_variational(ens, spec)
+    z = vr.solve_variational(ens, 1, 100)
     pair = whole_flow(ens)
     defect = inverse_defect(pair)
-    diff = np.abs(zp.z - pair.phi * spike_eta(ens, spec, pair.psi)).max()
-    assert diff <= 3 * defect * max(1.0, np.abs(zp.z).max())
+    diff = np.abs(z - pair.phi * spike_eta(ens, 1, 100, pair.psi)).max()
+    assert diff <= 3 * defect * max(1.0, np.abs(z).max())
 
 
 def test_fundamental_rejects_near_singular_jumps():
@@ -239,33 +227,43 @@ def test_overflowing_flow_names_step_and_scenario(field, value, where):
             _adjoint_core(huge, 2)
         if field == "b_x":
             # the spike opens at step 4; z is zero before it
-            spec = SpikeSpec(base=ens.control, action_index=1, t0=0.25, width=1 / 16)
             with pytest.raises(FloatingPointError,
                                match="variational path is not finite at step 6 under scenario 0$"):
-                vr.solve_variational(huge, spec)
+                vr.solve_variational(huge, 1, 4)
 
 
-def test_spike_base_mismatch_rejected():
+def _strict_and_relaxed_ensembles():
     grid = TimeGrid(T=1.0, n_steps=16)
     model = md.build_model("linear_jump_lq", {})
     actions = ActionGrid(np.array([0.0, 1.0]))
-    ens = simulate(model, constant_strict(actions, 16, 0),
-                   sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 20), 1.0)
-    other = constant_strict(actions, 16, 1)
-    with pytest.raises(ValueError):
-        vr.solve_variational(ens, SpikeSpec(base=other, action_index=0, t0=0.25, width=0.25))
+    drivers = sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 20)
+    return (simulate(model, constant_strict(actions, 16, 0), drivers, 1.0),
+            simulate(model, uniform_relaxed(actions, 16), drivers, 1.0))
 
 
-def test_spike_base_on_another_action_grid_rejected():
-    # the same indices on another action grid name another control
-    grid = TimeGrid(T=1.0, n_steps=16)
-    model = md.build_model("linear_jump_lq", {})
-    ens = simulate(model, constant_strict(ActionGrid(np.array([0.0, 1.0])), 16, 1),
-                   sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 20), 1.0)
-    other = constant_strict(ActionGrid(np.array([5.0, -7.0])), 16, 1)
-    spec = SpikeSpec(base=other, action_index=0, t0=0.25, width=0.25)
-    with pytest.raises(ValueError, match="spike base control differs"):
-        vr.solve_variational(ens, spec)
+# the spike's base is the ensemble's own control: a relaxed control, an
+# index off its action grid and a step off its run are all left to refuse
+def test_solve_variational_refuses_a_relaxed_ensemble():
+    _, relaxed = _strict_and_relaxed_ensembles()
+    with pytest.raises(ValueError, match="^spike variations act on strict controls$"):
+        vr.solve_variational(relaxed, 1, 4)
+
+
+def test_solve_variational_refuses_an_index_off_the_action_grid():
+    strict, _ = _strict_and_relaxed_ensembles()
+    # -1 would silently read the last action
+    for action_index in (-1, 2, 2**70):
+        with pytest.raises(ValueError,
+                           match=f"^index {action_index} outside the 2-action grid$"):
+            vr.solve_variational(strict, action_index, 4)
+
+
+def test_solve_variational_refuses_a_step_off_the_run():
+    strict, _ = _strict_and_relaxed_ensembles()
+    for k0 in (-1, 16):
+        with pytest.raises(ValueError,
+                           match=f"^1 steps from step {k0} leave the control's 16 steps$"):
+            vr.solve_variational(strict, 1, k0)
 
 
 def test_spike_report_refuses_a_relaxed_control_before_any_work(monkeypatch):
@@ -333,13 +331,24 @@ def test_quotient_gap_nonincreasing_on_jump_model():
         assert b.gap <= a.gap + 3 * (a.stderr + b.stderr)
 
 
-def test_quotient_rejects_ascending_widths():
+def test_quotient_rejects_ascending_widths(monkeypatch):
     grid = TimeGrid(T=1.0, n_steps=40)
     model = md.build_model("linear_jump_lq", {})
     actions = ActionGrid(np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        vr.spike_report(model, constant_strict(actions, 40, 0), 1, 0.25, [0.05, 0.1],
-                        sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 24), 1.0)
+    drivers = sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 24)
+    streamed = []
+    monkeypatch.setattr(vr, "stream_costs", lambda *args, **kw: streamed.append(args))
+    for h_list, message in [
+        ([0.05, 0.1], r"widths must be strictly descending, got \[0.05, 0.1\]"),
+        # an empty list is refused before the base run and z, not by the batch
+        ([], "a spike report needs at least one width"),
+        # every window is checked before any kernel work
+        ([0.1, 0.07], "0.07 is not a multiple of dt = 0.025"),
+        ([1.0, 0.05], r"window \[t0, t0 \+ 1.0\) ends after T"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            vr.spike_report(model, constant_strict(actions, 40, 0), 1, 0.25, h_list, drivers, 1.0)
+    assert streamed == []
 
 
 def test_gateaux_trivial_spike_is_zero():
