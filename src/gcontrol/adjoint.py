@@ -34,21 +34,25 @@ hands the step (its flow, inverse flow and fit) to the caller's reducer,
 which from then on owns the step's row of the buffer. One formula,
 :func:`_triple_at`, turns a backward variable into ``(p, q, r)`` at a
 step, and one, :func:`_q_at`, gives its ``q`` together with ``sigma_x``
-at that step. ``r`` is formed one mark at a time, from contiguous
-(S, P) operands with that mark's ``1 / (1 + f_x)``, a scalar when
-``f_x`` is constant in the state, and stored mark-last like every ``r``
-of this module.
+at that step. Both take the step's state as an argument and read the
+run's model, control and drivers from the core, so a triple can be
+formed along a run that is not stored. ``r`` is formed one mark at a
+time, from contiguous (S, P) operands with that mark's
+``1 / (1 + f_x)``, a scalar when ``f_x`` is constant in the state, and
+stored mark-last like every ``r`` of this module.
 
 The reducers are the tables' own. :func:`mp_check_relaxed` reads the
 raw (unfitted) variable: it keeps the block starts' triples and writes
 each step's volatility-channel summand (:func:`tail_summand`) into the
 step's row, so one backward sum over the rows gives every block's
 :func:`tail_weights`. In :func:`bsde_stability_report` the relaxed
-control's reducer writes each step's fit into its row, and each rung's
-reducer, beside a stream of the relaxed ``psi``, forms both triples at
-the step and folds the pair into per-(scenario, path) gap accumulators
-(:func:`_finite_triple`). A backward variable, triple component or table
-entry that overflows raises, naming the step and the scenario.
+control's reducer writes each step's fit into its row, after which its
+stored states are dropped; each rung's reducer, beside a replay of the
+relaxed control's kernel and flow (its states and ``psi``), forms both
+triples at the step and folds the pair into per-(scenario, path) gap
+accumulators (:func:`_finite_triple`). A backward variable, triple
+component or table entry that overflows raises, naming the step and the
+scenario.
 
 A control is read through its ``weights`` over ``grid.actions`` (one-hot
 for a strict control), so a strict control's adjoint and tables run on the
@@ -91,8 +95,9 @@ from .costs import evaluate_costs, stream_costs
 from .jumps import Drivers, MarkSpace
 from .models import ModelSpec, _avg, _coeff
 from .scenarios import TimeGrid, generator_G, upper_expectation
-from .sde import StateEnsemble, _first_nonfinite, _require_finite, _stored_run, simulate
-from .variational import fundamental_steps
+from .sde import (StateEnsemble, _batch_steps, _first_nonfinite, _require_finite, _stored_run,
+                  simulate)
+from .variational import _flow, fundamental_steps
 
 _DEGENERATE_STD = 1e-12
 # a Gram matrix whose condition number lmax / lmin exceeds this is not solved;
@@ -443,8 +448,9 @@ def _adjoint_core(
     one step late, ``reduce(core, j, phi_j, psi_j, fit_j)`` is called
     for j = 0, ..., K - 1 in order, with the step's flow, its inverse
     and its fit, each (S, P); ``core`` is the namespace this returns,
-    with the loadings filled up to step j. ``phi_j`` and ``psi_j`` are
-    overwritten after the call. From the call on the reducer owns
+    with the run's model, control and drivers and the loadings filled up
+    to step j. ``phi_j`` and ``psi_j`` are overwritten after the call.
+    From the call on the reducer owns
     ``y[j]``: the core reads the raw step only before it. Without a
     reducer ``y`` ends as the raw backward variable. A backward variable
     that overflows raises ``FloatingPointError`` naming the step and the
@@ -482,6 +488,9 @@ def _adjoint_core(
     lo = ensemble.family.bounds.sigma_low
     hi = ensemble.family.bounds.sigma_high
     core = SimpleNamespace(
+        model=model,
+        control=ensemble.control,
+        drivers=ensemble.drivers,
         gx_term=gx_term,
         y=y,
         Q=np.zeros((n_scen, n_steps)),
@@ -531,44 +540,44 @@ def _adjoint_core(
     return core
 
 
-def _q_at(ensemble: StateEnsemble, core: SimpleNamespace, k: int, y_k: np.ndarray,
-          psi_k: np.ndarray):
-    """``q = psi (Q - y sigma_x)`` at step k, (S, P), and the ``sigma_x`` it reads."""
-    sx = _coeff(ensemble.model.sigma_x(float(ensemble.grid.times[k]), ensemble.states[k]))
+def _q_at(core: SimpleNamespace, k: int, x_k: np.ndarray, y_k: np.ndarray, psi_k: np.ndarray):
+    """``q = psi (Q - y sigma_x)`` at step k, (S, P), and the ``sigma_x`` it reads at ``x_k``."""
+    sx = _coeff(core.model.sigma_x(float(core.drivers.grid.times[k]), x_k))
     return psi_k * (core.Q[:, k][:, None] - y_k * sx), sx
 
 
-def _triple_at(ensemble: StateEnsemble, core: SimpleNamespace, k: int, y_k: np.ndarray,
+def _triple_at(core: SimpleNamespace, k: int, x_k: np.ndarray, y_k: np.ndarray,
                psi_k: np.ndarray):
-    """``(p, q, r)`` at step k from a backward variable ``y_k`` and ``psi_k``, each (S, P).
+    """``(p, q, r)`` at step k from the state ``x_k``, a backward variable ``y_k`` and ``psi_k``.
 
-    ``p = y psi`` and ``q`` from :func:`_q_at` are (S, P). ``r`` is
-    (S, P, m): mark i's entry is
+    Each argument is (S, P). ``p = y psi`` and ``q`` from :func:`_q_at`
+    are (S, P). ``r`` is (S, P, m): mark i's entry is
     ``R_i psi / (1 + f_x) + p (1 / (1 + f_x) - 1)`` with that mark's
-    ``f_x`` under the step's weights and the step's loadings ``Q``/``R``
-    from ``core``.
+    ``f_x`` at ``x_k`` under the step's weights, and the step's loadings
+    ``Q``/``R`` from ``core``, which also carries the run's model, control
+    and drivers.
     """
-    t = float(ensemble.grid.times[k])
-    x = ensemble.states[k]
-    u = ensemble.control
+    marks = core.drivers.marks
+    t = float(core.drivers.grid.times[k])
+    u = core.control
     p = y_k * psi_k
-    q, _ = _q_at(ensemble, core, k, y_k, psi_k)
-    r = np.empty(p.shape + (ensemble.marks.n_marks,))
-    for i, th in enumerate(ensemble.marks.marks):
-        inv = 1.0 / (1.0 + _avg(ensemble.model.f_x, t, x, u.weights[k], u.grid.actions,
+    q, _ = _q_at(core, k, x_k, y_k, psi_k)
+    r = np.empty(p.shape + (marks.n_marks,))
+    for i, th in enumerate(marks.marks):
+        inv = 1.0 / (1.0 + _avg(core.model.f_x, t, x_k, u.weights[k], u.grid.actions,
                                 theta=float(th)))
         np.add(core.R[:, k, i][:, None] * psi_k * inv, p * (inv - 1.0), out=r[..., i])
     return p, q, r
 
 
-def _finite_triple(ensemble: StateEnsemble, core: SimpleNamespace, k: int, y_k: np.ndarray,
+def _finite_triple(core: SimpleNamespace, k: int, x_k: np.ndarray, y_k: np.ndarray,
                    psi_k: np.ndarray) -> tuple:
     """:func:`_triple_at`, checked: a non-finite component raises.
 
     The ``FloatingPointError`` names the component, the step and the
     first scenario.
     """
-    step = _triple_at(ensemble, core, k, y_k, psi_k)
+    step = _triple_at(core, k, x_k, y_k, psi_k)
     for name, v in zip("pqr", step):
         bad = _first_nonfinite(v)
         if bad is not None:
@@ -652,10 +661,10 @@ def mp_check_relaxed(
 
     def reduce(core, j, phi_j, psi_j, fit_j):
         # the raw step feeds the block start's triple, then holds the step's tail summand
-        y_j = core.y[j]
+        x_j, y_j = ensemble.states[j], core.y[j]
         if j in starts:
-            at_start[j] = (psi_j.copy(),) + _triple_at(ensemble, core, j, y_j, psi_j)
-        q_j, sx_j = _q_at(ensemble, core, j, y_j, psi_j)
+            at_start[j] = (psi_j.copy(),) + _triple_at(core, j, x_j, y_j, psi_j)
+        q_j, sx_j = _q_at(core, j, x_j, y_j, psi_j)
         y_j[...] = tail_summand(phi_j, q_j, sx_j, a_tab[:, j], core.S_t[:, j], family.bounds)
 
     core = _adjoint_core(ensemble, basis_degree, reduce)
@@ -818,11 +827,17 @@ def bsde_stability_report(
     integrated square for ``r``. The orthogonal remainder is identically
     zero on both sides, so its gap column is exactly zero.
 
-    No triple is held whole, and no flow. The relaxed control keeps its
-    states, fitted backward variable (each step's fit takes the raw
-    step's row as the core hands it on) and loadings, and streams its
-    ``psi`` again beside each rung's core, which hands its steps on one
-    at a time; both triples are formed at the step and folded into three
+    No triple is held whole, no flow, and no states of the relaxed
+    control. It keeps its fitted backward variable (each step's fit
+    takes the raw step's row as the core hands it on) and loadings; its
+    stored states are dropped after its core. Beside each rung's core,
+    which hands its steps on one at a time, the relaxed control's kernel
+    and flow are replayed in lockstep (``sde._batch_steps`` and
+    ``variational._flow``), which reproduces its states and ``psi`` bit
+    for bit at the cost of one relaxed kernel pass per rung. The peak
+    holds three state-sized arrays: the relaxed control's fit, and the
+    rung's states and backward variable. Both triples are formed at the
+    step and folded into three
     (S, P) accumulators: the running max of ``|p_n - p|`` (terminal node
     included) and the running sums of the squared ``q`` and the
     ``nu``-weighted squared ``r`` differences, in step order, which is
@@ -840,6 +855,8 @@ def bsde_stability_report(
         core.y[j] = fit_j
 
     mu_core = _adjoint_core(mu_ens, basis_degree, keep)
+    # a replay of the kernel reproduces the stored states bit for bit, so they go
+    del mu_ens
     health = _estimator_health(mu_core)
 
     def rung_gaps(n):
@@ -850,7 +867,8 @@ def bsde_stability_report(
         because the adjoint sets the peak memory.
         """
         ens = simulate(model, chattering(mu, n), drivers, x0)
-        mu_flow = fundamental_steps(mu_ens, need_inverse=True)
+        mu_states = (x[0] for _, x in _batch_steps(model, [mu], drivers, x0))
+        mu_flow = _flow(model, mu, drivers, mu_states, need_inverse=True)
         acc = SimpleNamespace()
 
         def fold(core, j, phi_j, psi_j, fit_j):
@@ -858,8 +876,9 @@ def bsde_stability_report(
                 acc.p_sup = np.abs(core.gx_term - mu_core.gx_term)
                 acc.q_sum = np.zeros(acc.p_sup.shape)
                 acc.r_sum = np.zeros(acc.p_sup.shape)
-            p, q, r = _finite_triple(ens, core, j, fit_j, psi_j)
-            p_mu, q_mu, r_mu = _finite_triple(mu_ens, mu_core, j, mu_core.y[j], next(mu_flow)[2])
+            p, q, r = _finite_triple(core, j, ens.states[j], fit_j, psi_j)
+            _, x_mu, _, psi_mu = next(mu_flow)
+            p_mu, q_mu, r_mu = _finite_triple(mu_core, j, x_mu, mu_core.y[j], psi_mu)
             np.maximum(acc.p_sup, np.abs(p - p_mu), out=acc.p_sup)
             acc.q_sum += (q - q_mu) ** 2
             acc.r_sum += (((r - r_mu) ** 2) * nus).sum(axis=2)

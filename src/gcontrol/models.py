@@ -71,12 +71,20 @@ class ModelSpec:
 _VALIDATED: "weakref.WeakSet[ModelSpec]" = weakref.WeakSet()
 
 
+# a central difference's rounding bound is this many machine epsilons of
+# |f(x + e)| + |f(x - e)| over e: each evaluation carries a few roundings
+_FD_ROUNDING_ULPS = 4.0
+
+
 def check_derivatives(model: ModelSpec, seed: int = 0, n_probes: int = 32) -> list[str]:
     """Compare declared derivatives with central finite differences.
 
     Probes are drawn from the model's declared boxes. A mismatch beyond
-    max(1e-4, 1e-2 |value|) is reported; the returned list is empty when
-    the model is consistent.
+    max(1e-4, 1e-2 |value|), plus the difference's own rounding bound
+    ``4 eps_mach (|f(x + e)| + |f(x - e)|) / e``, is reported; the
+    rounding bound keeps an exact derivative of a coefficient with large
+    values from being refused for the cancellation in its difference. The
+    returned list is empty when the model is consistent.
     """
     gen = rng.substream(seed, rng.PROBES)
     lo_x, hi_x = model.bounds.get("state_box", (-3.0, 3.0))
@@ -86,14 +94,21 @@ def check_derivatives(model: ModelSpec, seed: int = 0, n_probes: int = 32) -> li
     x_pts = gen.uniform(lo_x, hi_x, n_probes)
     a_pts = gen.uniform(lo_a, hi_a, n_probes)
     th_pts = gen.uniform(lo_th, hi_th, n_probes)
+    ulp = np.finfo(float).eps
 
-    def fd(fun, at, idx_eps):
+    def mismatch(fun, at, idx_eps, exact):
+        """The central difference of ``fun`` in argument ``idx_eps``, or None within tolerance."""
         eps = 1e-6 * max(1.0, abs(at[idx_eps]))
         up = list(at)
         dn = list(at)
         up[idx_eps] += eps
         dn[idx_eps] -= eps
-        return (float(fun(*up)) - float(fun(*dn))) / (2 * eps)
+        f_up, f_dn = float(fun(*up)), float(fun(*dn))
+        approx = (f_up - f_dn) / (2 * eps)
+        rounding = _FD_ROUNDING_ULPS * ulp * (abs(f_up) + abs(f_dn)) / eps
+        if abs(approx - exact) > max(1e-4, 1e-2 * abs(exact)) + rounding:
+            return approx
+        return None
 
     checks = [
         ("b_x", model.b, model.b_x),
@@ -105,18 +120,17 @@ def check_derivatives(model: ModelSpec, seed: int = 0, n_probes: int = 32) -> li
     for j in range(n_probes):
         t, x, a, th = float(t_pts[j]), float(x_pts[j]), float(a_pts[j]), float(th_pts[j])
         for name, fun, dfun in checks:
-            approx = fd(fun, (t, x, a), 1)
             exact = float(dfun(t, x, a))
-            if abs(approx - exact) > max(1e-4, 1e-2 * abs(exact)):
+            approx = mismatch(fun, (t, x, a), 1, exact)
+            if approx is not None:
                 violations.append(f"{name} mismatch at (t={t:.3g}, x={x:.3g}, a={a:.3g}): fd {approx:.6g} vs {exact:.6g}")
-        approx = fd(model.f, (t, x, th, a), 1)
         exact = float(model.f_x(t, x, th, a))
-        if abs(approx - exact) > max(1e-4, 1e-2 * abs(exact)):
+        approx = mismatch(model.f, (t, x, th, a), 1, exact)
+        if approx is not None:
             violations.append(f"f_x mismatch at (t={t:.3g}, x={x:.3g}, theta={th:.3g}, a={a:.3g}): fd {approx:.6g} vs {exact:.6g}")
-        eps = 1e-6 * max(1.0, abs(x))
-        approx = (float(model.g(x + eps)) - float(model.g(x - eps))) / (2 * eps)
         exact = float(model.g_x(x))
-        if abs(approx - exact) > max(1e-4, 1e-2 * abs(exact)):
+        approx = mismatch(model.g, (x,), 0, exact)
+        if approx is not None:
             violations.append(f"g_x mismatch at x={x:.3g}: fd {approx:.6g} vs {exact:.6g}")
     return violations
 

@@ -17,18 +17,22 @@ control reproduces the strict simulation bit for bit under the same seed.
 Every operation takes the drivers and the initial state last: the
 drivers carry the scenario family, the grid, the mark space, the path
 count and the seed they were sampled for, so a run's setting is named
-once. Every run is a stream: :func:`stream_batch` updates one step slot
-in place and hands each step to the caller's reducer. A run keeps its
-whole (n_steps + 1, S, P) states only when a later pass reads them again
-(the flow, the adjoint, z): a stored run is a reducer that copies each
-step into a :class:`StateEnsemble` (:func:`_stored_run`, :func:`simulate`).
+once. Every run is a stream: the step loop is a generator that updates
+one step slot in place. :func:`stream_batch` drives it and hands each
+step to the caller's reducer; :func:`_batch_steps`, the same set-up
+without a driver, lets a caller pull the steps in lockstep with another
+stream (``bsde_stability_report`` replays the relaxed control this way
+beside each rung's adjoint). A run keeps its whole (n_steps + 1, S, P)
+states only when a later pass reads them again (the flow, the adjoint,
+z): a stored run is a reducer that copies each step into a
+:class:`StateEnsemble` (:func:`_stored_run`, :func:`simulate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -133,7 +137,7 @@ def _strict_jumps(model, t, xk, uk, marks, events, dt):
     return _jump_term(jump_sum, comp_rate * dt, paths)
 
 
-def _steps(model, increment, tables, events, drivers, x, reduce) -> None:
+def _steps(model, increment, tables, events, drivers, x):
     """The one Euler step loop. Under scenario s and control c a step is
 
         x'  =  x + b(t, x, u_k) dt + sigma(t, x) dB
@@ -147,13 +151,13 @@ def _steps(model, increment, tables, events, drivers, x, reduce) -> None:
     :meth:`Drivers.event_counts`, and ``drivers`` the grid, the marks,
     the scenarios' volatility values ``a_k`` and each step's Brownian
     increments (:meth:`Drivers.step_dB`). Every step updates the one (C,
-    S, P) slot ``x`` in place (the update is elementwise), and
-    ``reduce(k, x)`` sees each step once it is written and checked, k =
-    0, ..., n_steps.
+    S, P) slot ``x`` in place (the update is elementwise), and ``(k, x)``
+    is yielded once step k is written and checked, k = 0, ..., n_steps;
+    the step after it is computed only when the next one is pulled.
     """
     grid, marks, a_vals = drivers.grid, drivers.marks, drivers.family.values
     dt = grid.dt
-    reduce(0, x)
+    yield 0, x
     for k, ek in enumerate(events):
         a_dt = (a_vals[:, k] * dt)[:, None]
         # the increment is built in its own frame, so none of its arrays
@@ -161,7 +165,7 @@ def _steps(model, increment, tables, events, drivers, x, reduce) -> None:
         np.add(x, increment(model, grid.times[k], x, tables[:, k], a_dt,
                             drivers.step_dB(k), marks, ek, dt), out=x)
         _check_finite(x, k)
-        reduce(k + 1, x)
+        yield k + 1, x
 
 
 def _strict_increment(model, t, xk, uk, a_dt, dBk, marks, events, dt):
@@ -214,21 +218,15 @@ def _relaxed_increment(actions, model, t, xk, wk, a_dt, dBk, marks, events, dt):
     return incr + jumps
 
 
-def stream_batch(
-    model: ModelSpec,
-    controls: Sequence[Control],
-    drivers: Drivers,
-    x0: float,
-    reduce: Callable[[int, np.ndarray], None],
-) -> None:
-    """Simulate every control under every scenario on one step slot, updated in place.
+def _batch_steps(
+    model: ModelSpec, controls: Sequence[Control], drivers: Drivers, x0: float,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The batch's steps as a pull: the generator :func:`_steps` over its one step slot.
 
-    The controls must be all strict or all relaxed. ``reduce(k, x)`` is
-    called for k = 0, ..., n_steps in order with the states of step k,
-    shape (n_controls, n_scenarios, n_paths); row c has the bits of step
-    k of control c run alone. The next step overwrites ``x`` in place, so
-    a reducer keeps what it derives from ``x``, never ``x`` itself. A
-    step's counts are formed on its event paths (:meth:`Drivers.event_counts`).
+    The model, the batch and its tables are checked and formed when this
+    is called, before any step is pulled; the kernel then runs one step
+    per pull. Each pulled ``(k, x)`` is the slot itself, so the next pull
+    overwrites it in place.
     """
     ensure_validated(model)
     controls = list(controls)
@@ -252,7 +250,27 @@ def stream_batch(
     else:
         raise ValueError("a batch holds either strict or relaxed controls, not both")
     x = np.full((len(controls), drivers.family.n_scenarios, drivers.n_paths), float(x0))
-    _steps(model, increment, tables, events, drivers, x, reduce)
+    return _steps(model, increment, tables, events, drivers, x)
+
+
+def stream_batch(
+    model: ModelSpec,
+    controls: Sequence[Control],
+    drivers: Drivers,
+    x0: float,
+    reduce: Callable[[int, np.ndarray], None],
+) -> None:
+    """Simulate every control under every scenario on one step slot, updated in place.
+
+    The controls must be all strict or all relaxed. ``reduce(k, x)`` is
+    called for k = 0, ..., n_steps in order with the states of step k,
+    shape (n_controls, n_scenarios, n_paths); row c has the bits of step
+    k of control c run alone. The next step overwrites ``x`` in place, so
+    a reducer keeps what it derives from ``x``, never ``x`` itself. A
+    step's counts are formed on its event paths (:meth:`Drivers.event_counts`).
+    """
+    for k, x in _batch_steps(model, controls, drivers, x0):
+        reduce(k, x)
 
 
 def _stored_run(model: ModelSpec, control: Control, drivers: Drivers):

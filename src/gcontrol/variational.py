@@ -22,12 +22,15 @@ contiguous slices, and z comes back as a C-ordered (K+1, S, P) array.
 The fundamental solutions phi and psi are never formed whole:
 :func:`fundamental_steps` yields them one (S, P) step at a time from two
 step slots each, and a consumer that needs them twice (the adjoint core)
-runs the flow twice. The jump multiplier ``(1 + f_x)^count`` is applied
-only on the paths that have events in the step, with the step's counts
-per (mark, action tag) formed on those paths only
-(``Drivers.event_counts``). A path without events would be
-multiplied by exactly one, so the result is bit for bit that of the
-dense product.
+runs the flow twice. The flow reads its states one step at a time from
+any stream of them (:func:`_flow`): a stored run's rows, or the steps
+pulled from a replay of the kernel, which ``bsde_stability_report`` runs
+beside each rung instead of keeping the relaxed control's states. The
+jump multiplier ``(1 + f_x)^count`` is applied only on the paths that
+have events in the step, with the step's counts per (mark, action tag)
+formed on those paths only (``Drivers.event_counts``). A path without
+events would be multiplied by exactly one, so the result is bit for bit
+that of the dense product.
 
 A derivative that is constant in the state stays a scalar through the
 step's factors (see ``models._coeff``): each factor is one elementwise
@@ -50,7 +53,7 @@ step into their path costs and their quotient sups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -59,7 +62,7 @@ from .costs import stream_costs
 from .jumps import Drivers
 from .models import ModelSpec, _avg, _coeff, _mix
 from .scenarios import upper_expectation
-from .sde import StateEnsemble, _first_nonfinite, _stored_run
+from .sde import Control, StateEnsemble, _first_nonfinite, _stored_run
 
 _JUMP_GUARD = 1e-6
 
@@ -85,10 +88,10 @@ class DerivativeReport:
 
 
 class _FlowSteps:
-    """Multiplicative Euler factors of the linearized flow, step by step.
+    """Multiplicative Euler factors of the linearized flow of one control, step by step.
 
-    The states (K+1, S, P) are read one contiguous step at a time, and
-    each step's (S, P) Brownian increments are formed from the drivers. A jump multiplier
+    Each step's (S, P) state is handed in by the caller, and its (S, P)
+    Brownian increments are formed from the drivers. A jump multiplier
     ``prod (1 + f_x)^(+-count)`` is formed only on the paths that have
     events in the step; every other path would be multiplied by
     ``pow(., 0) = 1``, so skipping it leaves the bits unchanged. ``f_x``
@@ -96,16 +99,15 @@ class _FlowSteps:
     the compensator and the jump multipliers share it.
     """
 
-    def __init__(self, ensemble: StateEnsemble):
-        self.model = ensemble.model
-        self.marks = ensemble.marks
-        self.grid = ensemble.grid
-        self.x = ensemble.states
-        self.a = ensemble.family.values
-        self.w = ensemble.control.weights
-        self.actions = ensemble.control.grid.actions
-        self.drivers = ensemble.drivers
-        self.tags = self.drivers.tags(ensemble.control)
+    def __init__(self, model: ModelSpec, control: Control, drivers: Drivers):
+        self.model = model
+        self.marks = drivers.marks
+        self.grid = drivers.grid
+        self.a = drivers.family.values
+        self.w = control.weights
+        self.actions = control.grid.actions
+        self.drivers = drivers
+        self.tags = drivers.tags(control)
 
     def _jump_derivatives(self, t, x, w_k):
         """``f_x`` per mark, as a map from each action of nonzero weight to its value."""
@@ -138,17 +140,18 @@ class _FlowSteps:
                                 counts[:, i, a_i]))
         return paths, out
 
-    def factors(self, k: int, *, need_inverse: bool):
+    def factors(self, k: int, x: np.ndarray, *, need_inverse: bool):
         """growth, inverse growth (or None), event paths, and their jump multipliers.
 
-        The multipliers have shape (S, len(paths)), or (1, len(paths))
+        ``x`` is step k's (S, P) state; nothing returned is a view of it,
+        so the caller may overwrite it once the factors are formed. The
+        multipliers have shape (S, len(paths)), or (1, len(paths))
         when every base is a scalar; the inverse one is None unless
         ``need_inverse``.
         """
         model = self.model
         dt = self.grid.dt
         t = float(self.grid.times[k])
-        x = self.x[k]
         a_k = self.a[:, k][:, None]
         dB = self.drivers.step_dB(k)
         w_k = self.w[k]
@@ -230,17 +233,53 @@ def solve_variational(ensemble: StateEnsemble, action_index: int, k0: int) -> np
     finite raises ``FloatingPointError`` naming the step and the scenario.
     """
     spike(ensemble.control, action_index, k0, 1)  # a strict control, an index and a step
-    steps = _FlowSteps(ensemble)
+    steps = _FlowSteps(ensemble.model, ensemble.control, ensemble.drivers)
     z = np.zeros(ensemble.states.shape)
     z[k0] = _spike_impulse(ensemble, action_index, k0)
     for k in range(k0, ensemble.grid.n_steps):
-        growth, _, paths, jmult, _ = steps.factors(k, need_inverse=False)
+        growth, _, paths, jmult, _ = steps.factors(k, ensemble.states[k], need_inverse=False)
         _advance(z[k + 1], z[k], growth, paths, jmult)
     bad = _first_nonfinite(z)
     if bad is not None:
         k, s, _ = bad
         raise FloatingPointError(f"variational path is not finite at step {k} under scenario {s}")
     return z
+
+
+def _flow(model: ModelSpec, control: Control, drivers: Drivers, states: Iterable[np.ndarray], *,
+          need_inverse: bool) -> Iterator[tuple]:
+    """The flow of ``control`` along any stream of its states, one step at a time.
+
+    ``states`` yields the (S, P) states of steps 0, ..., n_steps in
+    order: a stored run's rows, or the steps pulled from a kernel replay
+    (``sde._batch_steps``), which overwrites each step in place with the
+    next. So step k's factors are formed from ``x_{k-1}`` before ``x_k``
+    is pulled. Yields ``(k, x_k, phi_k, psi_k)``, with the slots and the
+    checks of :func:`fundamental_steps`.
+    """
+    steps = _FlowSteps(model, control, drivers)
+    states = iter(states)
+    phi = np.ones((2, drivers.family.n_scenarios, drivers.n_paths))
+    psi = np.ones(phi.shape) if need_inverse else None
+    x = next(states)
+    for k in range(drivers.grid.n_steps + 1):
+        now = k % 2
+        if k > 0:
+            growth, igrowth, paths, jmult, ijmult = steps.factors(k - 1, x,
+                                                                  need_inverse=need_inverse)
+            x = next(states)
+            _advance(phi[now], phi[1 - now], growth, paths, jmult)
+            if need_inverse:
+                _advance(psi[now], psi[1 - now], igrowth, paths, ijmult)
+        phi_k = phi[now]
+        psi_k = psi[now] if need_inverse else None
+        bad = [(idx[0], name) for name, v in (("phi", phi_k), ("psi", psi_k))
+               if v is not None and (idx := _first_nonfinite(v)) is not None]
+        if bad:
+            s, name = min(bad)
+            raise FloatingPointError(
+                f"fundamental solutions are not finite: {name} at step {k} under scenario {s}")
+        yield k, x, phi_k, psi_k
 
 
 def fundamental_steps(ensemble: StateEnsemble, *, need_inverse: bool) -> Iterator[tuple]:
@@ -254,27 +293,12 @@ def fundamental_steps(ensemble: StateEnsemble, *, need_inverse: bool) -> Iterato
     one is read and is overwritten by the one after, so a consumer that
     keeps a step longer copies it. A step that is not finite raises
     ``FloatingPointError`` naming the solution, the step and the first
-    scenario, before it is handed on.
+    scenario, before it is handed on. The states are the ensemble's
+    stored rows, read through :func:`_flow`.
     """
-    steps = _FlowSteps(ensemble)
-    phi = np.ones((2,) + ensemble.states.shape[1:])
-    psi = np.ones(phi.shape) if need_inverse else None
-    for k in range(ensemble.grid.n_steps + 1):
-        now = k % 2
-        if k > 0:
-            growth, igrowth, paths, jmult, ijmult = steps.factors(k - 1, need_inverse=need_inverse)
-            _advance(phi[now], phi[1 - now], growth, paths, jmult)
-            if need_inverse:
-                _advance(psi[now], psi[1 - now], igrowth, paths, ijmult)
-        phi_k = phi[now]
-        psi_k = psi[now] if need_inverse else None
-        bad = [(idx[0], name) for name, v in (("phi", phi_k), ("psi", psi_k))
-               if v is not None and (idx := _first_nonfinite(v)) is not None]
-        if bad:
-            s, name = min(bad)
-            raise FloatingPointError(
-                f"fundamental solutions are not finite: {name} at step {k} under scenario {s}")
-        yield k, phi_k, psi_k
+    flow = _flow(ensemble.model, ensemble.control, ensemble.drivers, ensemble.states,
+                 need_inverse=need_inverse)
+    return ((k, phi_k, psi_k) for k, _, phi_k, psi_k in flow)
 
 
 def check_widths(h_list) -> list[float]:

@@ -150,7 +150,7 @@ def whole_triple(ensemble, basis_degree=2) -> SimpleNamespace:
 
     def keep(core, j, phi_j, psi_j, fit_j):
         core.y[j] = fit_j
-        steps.append(_finite_triple(ensemble, core, j, fit_j, psi_j))
+        steps.append(_finite_triple(core, j, ensemble.states[j], fit_j, psi_j))
 
     core = _adjoint_core(ensemble, basis_degree, keep)
     p, q, r = (np.stack(c) for c in zip(*steps))

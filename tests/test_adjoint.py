@@ -37,8 +37,8 @@ from gcontrol.scenarios import (
     build_scenario_family,
     upper_expectation,
 )
-from gcontrol.sde import simulate
-from gcontrol.variational import fundamental_steps
+from gcontrol.sde import _batch_steps, simulate
+from gcontrol.variational import _flow, fundamental_steps
 
 MARKS = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([0.7, 0.3]))
 QUIET = MarkSpace(marks=np.array([1.0]), intensities=np.array([0.0]))
@@ -257,7 +257,7 @@ def test_triple_steps_name_the_first_non_finite_step():
     def fold(core, j, phi_j, psi_j, fit_j):
         if j == 5:
             fit_j[2, 7] = np.inf
-        adj._finite_triple(ens, core, j, fit_j, psi_j)
+        adj._finite_triple(core, j, ens.states[j], fit_j, psi_j)
         seen.append(j)
 
     with pytest.raises(FloatingPointError,
@@ -939,14 +939,38 @@ def _stability_by_whole_arrays(model, mu, n_list, drivers, x0):
     return rows
 
 
+def _sine(model):
+    """``model`` with ``sin(x)`` terms in b, sigma and f, so b_x, sigma_x and f_x read the state."""
+    m = model
+    return dataclasses.replace(
+        m,
+        b=lambda t, x, a: m.b(t, x, a) + 0.3 * np.sin(x),
+        b_x=lambda t, x, a: m.b_x(t, x, a) + 0.3 * np.cos(x),
+        sigma=lambda t, x: m.sigma(t, x) + 0.2 * np.sin(x),
+        sigma_x=lambda t, x: m.sigma_x(t, x) + 0.2 * np.cos(x),
+        f=lambda t, x, th, a: m.f(t, x, th, a) + 0.1 * np.sin(x) * th,
+        f_x=lambda t, x, th, a: m.f_x(t, x, th, a) + 0.1 * np.cos(x) * th,
+    )
+
+
 @pytest.mark.parametrize("case", ["uniform-busy", "uniform-silent", "weighted-silent",
-                                  "dirac-silent", "uniform-nine"])
+                                  "dirac-silent", "uniform-nine", "uniform-sine"])
 def test_streamed_stability_rows_equal_whole_array_gaps_bitwise(case):
+    """The streamed rows are the whole-array rows, bit for bit.
+
+    The relaxed control's states are replayed beside each rung, not
+    stored. Every registry derivative is constant in the state, so only
+    the ``sin(x)`` case lets a replayed state reach the relaxed control's
+    flow and triple, and so the rows.
+    """
     grid = TimeGrid(T=1.0, n_steps=32)
     fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
     acts = ActionGrid(np.array([-1.0, 0.0, 1.0]))
     model = _lq(c2=0.3, f2=0.05, h2=0.1)
-    marks = {"uniform-busy": BUSY, "uniform-nine": NINE}.get(case, BUSY_SILENT)
+    if case == "uniform-sine":
+        model = _sine(model)
+    marks = {"uniform-busy": BUSY, "uniform-nine": NINE, "uniform-sine": BUSY}.get(case,
+                                                                                   BUSY_SILENT)
     if case.startswith("uniform"):
         mu = uniform_relaxed(acts, 32)
     elif case == "weighted-silent":
@@ -966,16 +990,19 @@ def test_streamed_stability_rows_equal_whole_array_gaps_bitwise(case):
 
 @pytest.mark.parametrize("kind", ["uniform", "strict"])
 def test_two_flow_passes_yield_the_same_bits(kind):
-    """The flow is a function of the stored states and the drivers: a second pass repeats it.
+    """The flow is a function of the states and the drivers: another pass repeats it.
 
     :func:`bsde_stability_report` streams the relaxed control's ``psi``
-    again beside each rung instead of storing it, which is exact only if
-    every pass yields the same bits. ``f_x`` depends on the action, so a
-    relaxed control's jump factors are read through ``Drivers.tags``.
+    again beside each rung instead of storing it, along states replayed
+    by the kernel, which is exact only if every pass yields the same
+    bits. ``f_x`` depends on the action, so a relaxed control's jump
+    factors are read through ``Drivers.tags``, and on the state, so a
+    replayed state that is a step off changes them.
     """
     grid = TimeGrid(T=1.0, n_steps=32)
-    model = dataclasses.replace(_lq(f1=0.0), f=lambda t, x, th, a: (0.15 + 0.2 * a) * x * th,
-                                f_x=lambda t, x, th, a: (0.15 + 0.2 * a) * th)
+    model = dataclasses.replace(
+        _lq(f1=0.0), f=lambda t, x, th, a: ((0.15 + 0.2 * a) * x + 0.1 * np.sin(x)) * th,
+        f_x=lambda t, x, th, a: (0.15 + 0.2 * a + 0.1 * np.cos(x)) * th)
     u = uniform_relaxed(PM1, 32) if kind == "uniform" else constant_strict(PM1, 32, 1)
     ens = simulate(model, u, sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 200, 3), 1.0)
     assert ens.drivers.n_events > 0
@@ -988,19 +1015,30 @@ def test_two_flow_passes_yield_the_same_bits(kind):
         assert phi_a.tobytes() == phi_b.tobytes(), k
         assert psi_a.tobytes() == psi_b.tobytes(), k
         assert not np.all(psi_a == 1.0) or k == 0
+    # the third pass reads its states from a replay of the kernel, which
+    # overwrites each state in place with the next one
+    replay = (x[0] for _, x in _batch_steps(model, [u], ens.drivers, 1.0))
+    third = _flow(model, u, ens.drivers, replay, need_inverse=True)
+    for (k, phi_a, psi_a), (k_c, x_c, phi_c, psi_c) in zip(first, third):
+        assert k_c == k
+        assert x_c.tobytes() == ens.states[k].tobytes(), k
+        assert phi_a.tobytes() == phi_c.tobytes(), k
+        assert psi_a.tobytes() == psi_c.tobytes(), k
+    assert k_c == 32
 
 
 def test_stability_report_holds_no_whole_triple():
-    """No triple and no flow is held whole: the peak stays within 6.0 state arrays.
+    """No triple, no flow and no relaxed states are held whole: the peak stays within 5.0.
 
-    The relaxed control keeps only its states and fitted ``y``; its
-    ``psi`` is streamed again beside each rung, whose adjoint holds its
-    states and its backward variable, and both triples are formed step
-    by step. The peak is near 5.75, with the drivers sampled inside the
-    measurement. Storing the relaxed control's whole ``psi`` peaks near
-    6.5, holding each rung's whole flow and inverse flow as well near
-    8.0, the relaxed control's whole triple near 9.2, and the rungs'
-    whole triples near 24.
+    The unit is one state array. The relaxed control keeps only its
+    fitted ``y``; its states and its ``psi`` are replayed beside each
+    rung, whose adjoint holds its states and its backward variable, and
+    both triples are formed step by step. The peak is near 4.8, with the
+    drivers sampled inside the measurement. Keeping the relaxed control's
+    states as well peaks near 5.75, storing its whole ``psi`` near 6.5,
+    holding each rung's whole flow and inverse flow as well near 8.0, the
+    relaxed control's whole triple near 9.2, and the rungs' whole triples
+    near 24.
     """
     grid = TimeGrid(T=1.0, n_steps=32)
     fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
@@ -1013,7 +1051,7 @@ def test_stability_report_holds_no_whole_triple():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 6.0 * state_bytes, peak / state_bytes
+    assert peak <= 5.0 * state_bytes, peak / state_bytes
 
 
 def test_fitted_core_holds_one_backward_buffer():

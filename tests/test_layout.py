@@ -73,7 +73,7 @@ def test_flow_variational_and_triple_are_time_major():
 
     def keep(core, j, phi_j, psi_j, fit_j):
         core.y[j] = fit_j
-        steps.append(_finite_triple(ens, core, j, fit_j, psi_j))
+        steps.append(_finite_triple(core, j, ens.states[j], fit_j, psi_j))
 
     core = _adjoint_core(ens, 2, keep)
     _time_major(core.y, (K + 1, S, P))

@@ -6,6 +6,7 @@ Carlo at 10^4 paths before being pinned.
 """
 
 import ast
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -77,6 +78,16 @@ def test_derivative_audit_catches_mismatch():
     assert bad and any("b_x" in msg for msg in bad)
     with pytest.raises(ValueError):
         md.ensure_validated(broken)
+
+
+def test_derivative_check_allows_for_the_rounding_of_large_coefficients():
+    # gamma = c1 x + c2 a: at c2 = -1e9 the central difference of an exact
+    # gamma_x loses about |c2 a| eps_mach / e to cancellation
+    assert md.check_derivatives(md.make_linear_jump_lq({**LQ_PARAMS, "c2": -1e9})) == []
+    # at moderate values the rounding bound is far below a 1% error
+    base = md.make_linear_jump_lq(LQ_PARAMS)
+    off = dataclasses.replace(base, gamma_x=lambda t, x, u: base.gamma_x(t, x, u) + 0.02)
+    assert any("gamma_x" in msg for msg in md.check_derivatives(off))
 
 
 def test_validation_cache_is_per_instance():

@@ -26,7 +26,7 @@ from gcontrol.controls import (
 from gcontrol.costs import chattering_report, evaluate_cost, evaluate_costs
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family, upper_expectation
-from gcontrol.sde import simulate, stream_batch
+from gcontrol.sde import _batch_steps, simulate, stream_batch
 from gcontrol.variational import QuotientRow, solve_variational, spike_report
 
 K = 16
@@ -92,6 +92,23 @@ def test_stream_batch_hands_every_step_with_the_stored_bits(case):
     stream_batch(MODEL, controls, drivers, 1.0, lambda k, x: seen.append((k, x.tobytes())))
     assert [k for k, _ in seen] == list(range(K + 1))
     assert all(x == stored[k].tobytes() for k, x in seen)
+    # pulled one step at a time, the batch hands the same bits in one slot
+    pulled = _batch_steps(MODEL, controls, drivers, 1.0)
+    k, slot = next(pulled)
+    assert (k, slot.tobytes()) == seen[0]
+    for k, x in pulled:
+        assert x is slot
+        assert (k, x.tobytes()) == seen[k]
+    assert k == K
+
+
+def test_batch_pull_refuses_a_bad_batch_before_any_step():
+    drivers = sample_drivers(CORNERS, GRID, BUSY, 5, 6)
+    # the refusals come from the call itself: no step is pulled
+    with pytest.raises(ValueError, match="strict or relaxed"):
+        _batch_steps(MODEL, [_PATTERN, _ZERO_WEIGHTS], drivers, 1.0)
+    with pytest.raises(ValueError, match="controls and grid must agree on n_steps"):
+        _batch_steps(MODEL, [StrictControl(ACTIONS, np.zeros(K + 1, dtype=int))], drivers, 1.0)
 
 
 @pytest.mark.parametrize("case", list(CASES))
