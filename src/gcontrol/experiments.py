@@ -1,11 +1,12 @@
 """Batch experiment runner: one JSON config document in, CSV/JSON artifacts out.
 
 A config names a model, a time grid, a scenario family, a mark space, an
-action grid, a control, and an experiment kind. ``validate_document`` lists
-every violation: the document's shape errors (a missing or unknown key, a
-wrong type, a value out of range) first, then every check that the run's
-own plan fails, since validating builds what the run will use with the
-constructors the run calls. ``run_document`` samples the run's drivers
+action grid, a control, and an experiment kind with its options.
+``validate_document`` lists every violation: the shape errors against one
+rule table, options included (a missing or unknown key, a wrong type, a
+number that is not finite, a value out of range) when there are any, else
+every check that the run's own plan fails, since validating builds what
+the run will use with the constructors the run calls. ``run_document`` samples the run's drivers
 once, dispatches them to the corresponding module operation and writes
 CSV tables, a JSON summary with a stable key set, plot-ready two-column
 series, and a manifest with content digests. Everything numeric is determined by the
@@ -59,7 +60,8 @@ KINDS: tuple[str, ...] = ("simulate", "cost", "chattering", "variational", "mp-s
 
 # The shape of a config document, in JSON Schema's vocabulary; "extra" is its
 # additionalProperties: False refuses unknown keys, a rule checks each of them;
-# "nonempty" is its minItems: 1.
+# "nonempty" is its minItems: 1; "null" says how a rule reads a JSON null:
+# True admits it, a message refuses it.
 # Enums are lists because their messages print them as such.
 def _fields(required, **properties) -> dict[str, Any]:
     """The rule of an object with these ``required`` keys and no key but ``properties``."""
@@ -102,8 +104,62 @@ _DOCUMENT = _fields(
     seed=_SEED,
     x0={"type": "number"},
     output_dir={"type": "string"},
-    options={"type": "object"},
+    options={"type": "object"},  # checked by its kind's rule in _OPTIONS
 )
+
+_STRICT_TYPES = ("constant", "indices", "chattering")
+_RELAXED_TYPES = ("uniform", "weights")
+_STRICT_KINDS = ("mp-strict", "mp-near", "variational")
+_RELAXED_KINDS = ("mp-relaxed", "bsde-stability", "chattering")
+
+
+def _option(**rule) -> dict[str, Any]:
+    """The rule of an option, which a document leaves out rather than sets to null."""
+    return {"null": "null is not a value; leave the option out to use its default", **rule}
+
+
+# an integer option's range ends where the plan's own check begins:
+# block_length, check_basis_degree, check_ladder, chattering and spike
+_POSITIVE_INT = _option(type="integer", minimum=1)
+_LADDER = _option(type="array", items={"type": "integer", "minimum": 1}, nonempty=True)
+_NONNEGATIVE = _option(type="number", minimum=0)
+_TABLE = {"n_blocks": _POSITIVE_INT, "slack_mult": _NONNEGATIVE, "basis_degree": _POSITIVE_INT}
+_STRICT_CONTROL = {**_CONTROL, "properties": {**_CONTROL["properties"],
+                                              "type": {"enum": list(_STRICT_TYPES)}}}
+
+# the options of each kind; a kind's options are checked only when its kind is valid
+_OPTIONS: dict[str, dict[str, Any]] = {
+    "simulate": _fields([]),
+    "cost": _fields([]),
+    "chattering": _fields([], n_list=_LADDER),
+    "variational": _fields(
+        ["action_index", "t0", "h_list"],
+        action_index=_option(type="integer", minimum=0),
+        t0=_NONNEGATIVE,
+        h_list=_option(type="array", items={"type": "number", "exclusiveMinimum": 0},
+                       nonempty=True)),
+    "mp-strict": _fields([], **_TABLE),
+    "mp-relaxed": _fields([], **_TABLE),
+    "mp-near": _fields(
+        [], **_TABLE, C=_NONNEGATIVE,
+        epsilon_n={**_NONNEGATIVE, "null": True},  # null: measure it
+        add_block_spikes=_option(type="boolean"),
+        candidates=_option(type="array", items=_STRICT_CONTROL)),
+    "bsde-stability": _fields([], n_list=_LADDER, basis_degree=_POSITIVE_INT),
+}
+
+_TABLE_DEFAULTS = {"n_blocks": 4, "slack_mult": 3.0, "basis_degree": 2}
+_OPTION_DEFAULTS: dict[str, dict[str, Any]] = {
+    "simulate": {},
+    "cost": {},
+    "chattering": {"n_list": [4, 16, 64]},
+    "variational": {},
+    "mp-strict": _TABLE_DEFAULTS,
+    "mp-relaxed": _TABLE_DEFAULTS,
+    "mp-near": {**_TABLE_DEFAULTS, "C": 0.0, "epsilon_n": None, "add_block_spikes": True,
+                "candidates": []},
+    "bsde-stability": {"n_list": [4, 16, 64], "basis_degree": 2},
+}
 
 _IDENTIFIER = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
 
@@ -123,7 +179,8 @@ def _finite(value) -> bool:
 
 _IS = {"object": lambda v: isinstance(v, dict), "array": lambda v: isinstance(v, list),
        "string": lambda v: isinstance(v, str), "number": _number,
-       "integer": lambda v: _number(v, int) or isinstance(v, float) and v.is_integer()}
+       "integer": lambda v: _number(v, int) or isinstance(v, float) and v.is_integer(),
+       "boolean": lambda v: isinstance(v, bool)}
 
 
 def _json_key(key) -> str:
@@ -139,15 +196,21 @@ def shape_errors(value, rule: Mapping[str, Any], path: str = "$") -> Iterator[tu
     """Yield ``(path, message)`` for every way ``value`` breaks ``rule``.
 
     The messages are JSON Schema's (jsonschema's wording), and a bound is
-    failed only by a comparison that holds, so NaN fails none.
+    failed only by a comparison that holds, so NaN fails none; the
+    ``number`` type refuses every value that is not finite as a float
+    (NaN, an infinity, an integer beyond the float range).
     """
+    if value is None and "null" in rule:
+        if rule["null"] is not True:
+            yield path, rule["null"]
+        return
     if "type" in rule and not _IS[rule["type"]](value):
         yield path, f"{value!r} is not of type {rule['type']!r}"
     if "enum" in rule and value not in rule["enum"]:
         yield path, f"{value!r} is not one of {rule['enum']!r}"
     if _number(value):
-        if rule.get("type") == "number" and isinstance(value, int) and not _finite(value):
-            yield path, _not_finite(value)
+        if rule.get("type") == "number" and not _finite(value):
+            yield path, f"{value!r} is not a finite number"
         if "minimum" in rule and value < rule["minimum"]:
             yield path, f"{value!r} is less than the minimum of {rule['minimum']!r}"
         if "exclusiveMinimum" in rule and value <= rule["exclusiveMinimum"]:
@@ -177,47 +240,6 @@ def shape_errors(value, rule: Mapping[str, Any], path: str = "$") -> Iterator[tu
             yield from shape_errors(value[key], rule["extra"], path + _json_key(key))
 
 
-_STRICT_TYPES = ("constant", "indices", "chattering")
-_RELAXED_TYPES = ("uniform", "weights")
-_STRICT_KINDS = ("mp-strict", "mp-near", "variational")
-_RELAXED_KINDS = ("mp-relaxed", "bsde-stability", "chattering")
-
-_OPTION_DEFAULTS: dict[str, dict[str, Any]] = {
-    "simulate": {},
-    "cost": {},
-    "chattering": {"n_list": [4, 16, 64]},
-    "variational": {},
-    "mp-strict": {"n_blocks": 4, "slack_mult": 3.0, "basis_degree": 2},
-    "mp-relaxed": {"n_blocks": 4, "slack_mult": 3.0, "basis_degree": 2},
-    "mp-near": {
-        "n_blocks": 4,
-        "slack_mult": 3.0,
-        "basis_degree": 2,
-        "C": 0.0,
-        "epsilon_n": None,
-        "add_block_spikes": True,
-        "candidates": [],
-    },
-    "bsde-stability": {"n_list": [4, 16, 64], "basis_degree": 2},
-}
-
-_ALLOWED_OPTIONS: dict[str, frozenset] = {
-    kind: frozenset(defaults) for kind, defaults in _OPTION_DEFAULTS.items()
-}
-_ALLOWED_OPTIONS["variational"] = frozenset({"action_index", "t0", "h_list"})
-
-# option: (the types it takes, what they are called, its minimum); block_length
-# refuses an n_blocks below 1
-_OPTION_TYPES: dict[str, tuple] = {
-    "basis_degree": (int, "an integer", 1),
-    "n_blocks": (int, "an integer", None),
-    "action_index": (int, "an integer", 0),
-    "slack_mult": ((int, float), "a number", 0.0),
-    "C": ((int, float), "a number", 0.0),
-    "epsilon_n": ((int, float), "a number", 0.0),
-    "t0": ((int, float), "a number", 0.0),
-}
-
 
 # ---------------------------------------------------------------------------
 # loading, validation and building
@@ -226,10 +248,6 @@ _OPTION_TYPES: dict[str, tuple] = {
 
 def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
-
-
-def _not_finite(value) -> str:
-    return f"{value!r} is not a finite number"
 
 
 def _finite_float(literal: str) -> float:
@@ -296,18 +314,21 @@ class _Plan(list):
 def validate_document(doc: Mapping) -> _Plan:
     """Every violation as ``path: message``, never just the first.
 
-    Shape errors against the ``_DOCUMENT`` rule table are reported alone,
-    sorted by path, when present; otherwise these are the checks the run's
-    own plan fails: what a run of ``doc`` uses is built with the
-    constructors and checks the run calls, and a step whose inputs failed
-    is skipped. When the list is empty, its ``config`` is the experiment a
-    run executes.
+    Shape errors against the rule table (``_DOCUMENT``, and the kind's
+    ``_OPTIONS`` rule for the options) are reported alone, sorted by path,
+    when present; otherwise these are the checks the run's own plan fails:
+    what a run of ``doc`` uses is built with the constructors and checks
+    the run calls, and a step whose inputs failed is skipped. When the list
+    is empty, its ``config`` is the experiment a run executes.
     """
     plan = _Plan()
-    plan.extend(f"{path}: {message}" for path, message in sorted(shape_errors(doc, _DOCUMENT)))
+    kind, given = doc.get("kind"), doc.get("options", {})
+    shapes = list(shape_errors(doc, _DOCUMENT))
+    if kind in KINDS and isinstance(given, dict):  # else the document's rule flags them
+        shapes += shape_errors(given, _OPTIONS[kind], "$.options")
+    plan.extend(f"{path}: {message}" for path, message in sorted(shapes))
     if plan:
         return plan
-    kind = doc["kind"]
     n_steps = int(doc["grid"]["n_steps"])  # the shape check admits 16.0 as an integer
     grid = plan.attempt("$.grid", TimeGrid, doc["grid"]["T"], n_steps, fields=doc["grid"])
 
@@ -318,8 +339,6 @@ def validate_document(doc: Mapping) -> _Plan:
             if key not in MODEL_DEFAULTS[name]:
                 plan.append(f"$.model.params.{key}: not a parameter of model {name!r}"
                             f" (known: {sorted(MODEL_DEFAULTS[name])})")
-            elif not math.isfinite(params[key]):
-                plan.append(f"$.model.params.{key}: {_not_finite(params[key])}")
         plan.attempt("$.model.params", ensure_validated, model)
 
     bounds = plan.attempt("$.bounds", VolatilityBounds, doc["bounds"]["sigma_low"],
@@ -338,8 +357,6 @@ def validate_document(doc: Mapping) -> _Plan:
                               scen["strategy"], blocks=int(scen["blocks"]),
                               count=count, seed=scen["seed"],
                               fields=doc.get("scenarios", {}))
-    if not math.isfinite(doc["x0"]):
-        plan.append(f"$.x0: {_not_finite(doc['x0'])}")
     if doc["n_paths"] < 2:
         plan.append(f"$.n_paths: {doc['n_paths']} path gives no standard error;"
                     " at least 2 are needed")
@@ -363,8 +380,13 @@ def validate_document(doc: Mapping) -> _Plan:
             plan.append(f"$.control.type: kind {kind!r} needs a {which} control"
                         f" (one of {types})")
 
-    opts = _options(doc, plan)
-    given = doc.get("options", {})
+    opts = {**_OPTION_DEFAULTS[kind], **given}
+    # the rule table admits 4.0 as an integer; the plan and the run read ints
+    for key in ("n_blocks", "basis_degree", "action_index"):
+        if key in opts:
+            opts[key] = int(opts[key])
+    if "n_list" in opts:
+        opts["n_list"] = [int(n) for n in opts["n_list"]]
 
     def lead(key):
         return "" if key in given else "the default "
@@ -380,13 +402,12 @@ def validate_document(doc: Mapping) -> _Plan:
             for j, n in enumerate(opts["n_list"]):
                 plan.attempt(f"$.options.n_list[{j}]", chattering, control, n,
                              lead=lead("n_list"))
-    if kind == "mp-near" and "candidates" in opts and ag is not None:
+    if kind == "mp-near" and ag is not None:
         # the built controls are the only copy a run reads
         candidates = tuple(
             _build_control(sub, ag, n_steps, plan, f"$.options.candidates[{j}]")
             for j, sub in enumerate(opts.pop("candidates")))
-    if (kind == "variational" and isinstance(control, StrictControl) and grid is not None
-            and {"action_index", "t0", "h_list"} <= opts.keys()):
+    if kind == "variational" and isinstance(control, StrictControl) and grid is not None:
         ai, t0, h_list = opts["action_index"], opts["t0"], opts["h_list"]
         plan.attempt("$.options.h_list", check_widths, h_list)
         k0 = plan.attempt("$.options.t0", spike_start, t0, grid)
@@ -476,65 +497,6 @@ def _build_control(spec: Mapping, ag: ActionGrid, n_steps: int, plan: _Plan, pat
     if ctype != "chattering" or base is None:
         return base
     return plan.attempt(f"{path}.n", chattering, base, int(spec["n"]))
-
-
-def _options(doc: Mapping, plan: _Plan) -> dict[str, Any]:
-    """The options a run uses: the kind's defaults overlaid by the document's.
-
-    Only the document's own shape is checked here: unknown and null
-    options and each option's type. An option that fails is left out,
-    so no later step of the plan reads it.
-    """
-    kind = doc["kind"]
-    given = doc.get("options", {})
-    defaults = _OPTION_DEFAULTS[kind]
-    allowed = _ALLOWED_OPTIONS[kind]
-    opts = {**defaults, **given}
-    bad: set[str] = set()
-
-    def fail(key, message, where=None):
-        plan.append(f"$.options.{where or key}: {message}")
-        bad.add(key)
-
-    for key in sorted(given):
-        if key not in allowed:
-            fail(key, f"not an option of kind {kind!r} (allowed: {sorted(allowed)})")
-        elif given[key] is None and defaults.get(key, 0) is not None:
-            fail(key, "null is not a value; leave the option out to use its default")
-    if kind == "variational":
-        for key in sorted(allowed - set(opts)):
-            fail(key, "required for kind 'variational'")
-
-    for key, val in sorted(opts.items()):
-        if key in bad or val is None:
-            continue
-        if key in _OPTION_TYPES:
-            types, noun, minimum = _OPTION_TYPES[key]
-            if not _number(val, types):
-                fail(key, f"expected {noun}, got {val!r}")
-            elif not _finite(val):
-                fail(key, _not_finite(val))
-            elif minimum is not None and val < minimum:
-                fail(key, f"{val} is below the minimum {minimum}")
-        elif key in ("n_list", "h_list"):
-            types, noun = ((int, "positive integers") if key == "n_list"
-                           else ((int, float), "positive spike widths"))
-            if not (isinstance(val, list) and val
-                    and all(_number(x, types) and x > 0 and _finite(x) for x in val)):
-                fail(key, f"expected a list of {noun}, got {val!r}")
-        elif key == "add_block_spikes" and not isinstance(val, bool):
-            fail(key, f"expected a boolean, got {val!r}")
-        elif key == "candidates" and not isinstance(val, list):
-            fail(key, f"expected a list of strict control specs, got {val!r}")
-        elif key == "candidates":
-            for j, sub in enumerate(val):
-                where = f"candidates[{j}]"
-                if not isinstance(sub, dict) or sub.get("type") not in _STRICT_TYPES:
-                    fail(key, f"expected a strict control spec (one of {_STRICT_TYPES})", where)
-                    continue
-                for path, message in shape_errors(sub, _CONTROL, where):
-                    fail(key, message, path)
-    return {key: val for key, val in opts.items() if key not in bad}
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +645,7 @@ def _run_chattering(cfg: ExperimentConfig, drivers: Drivers, threads: int):
 
 
 def _run_variational(cfg: ExperimentConfig, drivers: Drivers, threads: int):
-    ai = int(cfg.options["action_index"])
+    ai = cfg.options["action_index"]
     t0 = float(cfg.options["t0"])
     h_list = [float(h) for h in cfg.options["h_list"]]
     # spike_report stores the base run, whose states z and the formula
@@ -745,9 +707,8 @@ def _run_mp(cfg: ExperimentConfig, drivers: Drivers, threads: int):
     """The stationarity table of ``cfg.control``, strict or relaxed."""
     o = cfg.options
     rep = mp_check_relaxed(simulate(cfg.model, cfg.control, drivers, cfg.x0),
-                           n_blocks=int(o["n_blocks"]),
-                           slack_mult=float(o["slack_mult"]),
-                           basis_degree=int(o["basis_degree"]))
+                           n_blocks=o["n_blocks"], slack_mult=float(o["slack_mult"]),
+                           basis_degree=o["basis_degree"])
     return _mp_files(rep), _mp_metrics(rep), "pass" if rep.verdict else "fail"
 
 
@@ -756,9 +717,8 @@ def _run_mp_near(cfg: ExperimentConfig, drivers: Drivers, threads: int):
     eps = o["epsilon_n"]
     rep = mp_check_near(cfg.model, cfg.control, list(cfg.candidates), float(o["C"]), drivers,
                         cfg.x0, epsilon_n=None if eps is None else float(eps),
-                        n_blocks=int(o["n_blocks"]),
-                        slack_mult=float(o["slack_mult"]),
-                        basis_degree=int(o["basis_degree"]),
+                        n_blocks=o["n_blocks"], slack_mult=float(o["slack_mult"]),
+                        basis_degree=o["basis_degree"],
                         add_block_spikes=bool(o["add_block_spikes"]))
     files = _mp_files(rep.mp)
     metrics = _mp_metrics(rep.mp)
@@ -775,7 +735,7 @@ def _run_mp_near(cfg: ExperimentConfig, drivers: Drivers, threads: int):
 def _run_stability(cfg: ExperimentConfig, drivers: Drivers, threads: int):
     o = cfg.options
     rep = bsde_stability_report(cfg.model, cfg.control, list(o["n_list"]), drivers, cfg.x0,
-                                basis_degree=int(o["basis_degree"]))
+                                basis_degree=o["basis_degree"])
     ns = [row.n for row in rep.rows]
     files = {
         "stability.csv": _csv("n,p_gap,p_stderr,q_gap,q_stderr,r_gap,r_stderr,k_gap",

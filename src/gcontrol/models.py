@@ -29,6 +29,7 @@ compensated each step.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
@@ -83,8 +84,11 @@ def check_derivatives(model: ModelSpec, seed: int = 0, n_probes: int = 32) -> li
     max(1e-4, 1e-2 |value|), plus the difference's own rounding bound
     ``4 eps_mach (|f(x + e)| + |f(x - e)|) / e``, is reported; the
     rounding bound keeps an exact derivative of a coefficient with large
-    values from being refused for the cancellation in its difference. The
-    returned list is empty when the model is consistent.
+    values from being refused for the cancellation in its difference. A
+    coefficient, derivative or difference that is not finite at a probe
+    is reported as such: the difference of two infinities is NaN, which
+    passes every tolerance test. The returned list is empty when the model
+    is consistent.
     """
     gen = rng.substream(seed, rng.PROBES)
     lo_x, hi_x = model.bounds.get("state_box", (-3.0, 3.0))
@@ -96,18 +100,25 @@ def check_derivatives(model: ModelSpec, seed: int = 0, n_probes: int = 32) -> li
     th_pts = gen.uniform(lo_th, hi_th, n_probes)
     ulp = np.finfo(float).eps
 
-    def mismatch(fun, at, idx_eps, exact):
-        """The central difference of ``fun`` in argument ``idx_eps``, or None within tolerance."""
+    def failure(name, fun, dfun, at, idx_eps):
+        """``(what, detail)`` when ``dfun``, the derivative ``name`` of ``fun`` in
+        argument ``idx_eps``, fails at ``at``; None within tolerance."""
         eps = 1e-6 * max(1.0, abs(at[idx_eps]))
         up = list(at)
         dn = list(at)
         up[idx_eps] += eps
         dn[idx_eps] -= eps
         f_up, f_dn = float(fun(*up)), float(fun(*dn))
+        exact = float(dfun(*at))
         approx = (f_up - f_dn) / (2 * eps)
+        coefficient = name.removesuffix("_x")
+        for what, value in ((coefficient, f_up), (coefficient, f_dn), (name, exact),
+                            (f"the central difference of {coefficient}", approx)):
+            if not math.isfinite(value):
+                return f"{what} is not finite", ""
         rounding = _FD_ROUNDING_ULPS * ulp * (abs(f_up) + abs(f_dn)) / eps
         if abs(approx - exact) > max(1e-4, 1e-2 * abs(exact)) + rounding:
-            return approx
+            return f"{name} mismatch", f": fd {approx:.6g} vs {exact:.6g}"
         return None
 
     checks = [
@@ -120,18 +131,15 @@ def check_derivatives(model: ModelSpec, seed: int = 0, n_probes: int = 32) -> li
     for j in range(n_probes):
         t, x, a, th = float(t_pts[j]), float(x_pts[j]), float(a_pts[j]), float(th_pts[j])
         for name, fun, dfun in checks:
-            exact = float(dfun(t, x, a))
-            approx = mismatch(fun, (t, x, a), 1, exact)
-            if approx is not None:
-                violations.append(f"{name} mismatch at (t={t:.3g}, x={x:.3g}, a={a:.3g}): fd {approx:.6g} vs {exact:.6g}")
-        exact = float(model.f_x(t, x, th, a))
-        approx = mismatch(model.f, (t, x, th, a), 1, exact)
-        if approx is not None:
-            violations.append(f"f_x mismatch at (t={t:.3g}, x={x:.3g}, theta={th:.3g}, a={a:.3g}): fd {approx:.6g} vs {exact:.6g}")
-        exact = float(model.g_x(x))
-        approx = mismatch(model.g, (x,), 0, exact)
-        if approx is not None:
-            violations.append(f"g_x mismatch at x={x:.3g}: fd {approx:.6g} vs {exact:.6g}")
+            found = failure(name, fun, dfun, (t, x, a), 1)
+            if found is not None:
+                violations.append(f"{found[0]} at (t={t:.3g}, x={x:.3g}, a={a:.3g}){found[1]}")
+        found = failure("f_x", model.f, model.f_x, (t, x, th, a), 1)
+        if found is not None:
+            violations.append(f"{found[0]} at (t={t:.3g}, x={x:.3g}, theta={th:.3g}, a={a:.3g}){found[1]}")
+        found = failure("g_x", model.g, model.g_x, (x,), 0)
+        if found is not None:
+            violations.append(f"{found[0]} at x={x:.3g}{found[1]}")
     return violations
 
 

@@ -18,6 +18,8 @@ from gcontrol import __version__
 from gcontrol import scenarios
 from gcontrol.experiments import (
     KINDS,
+    _OPTION_DEFAULTS,
+    _OPTIONS,
     _csv,
     build_experiment,
     config_hash,
@@ -92,14 +94,19 @@ def test_semantic_violations_are_all_listed():
 def test_unknown_option_is_rejected():
     violations = validate_document(_base_doc(options={"speed": 11}))
     assert violations == [
-        "$.options.speed: not an option of kind 'simulate' (allowed: [])"
+        "$.options: Additional properties are not allowed ('speed' was unexpected)"
     ]
+    # an option is known by its rule alone, so every default has one
+    required = {"variational": {"action_index", "t0", "h_list"}}
+    assert {kind: set(rule["properties"]) for kind, rule in _OPTIONS.items()} == {
+        kind: set(defaults) | required.get(kind, set())
+        for kind, defaults in _OPTION_DEFAULTS.items()}
 
 
 def test_option_minimum_is_enforced():
     doc = _base_doc(kind="mp-strict", options={"n_blocks": 0})
     violations = validate_document(doc)
-    assert violations == ["$.options.n_blocks: 0 is below the minimum 1"]
+    assert violations == ["$.options.n_blocks: 0 is less than the minimum of 1"]
 
 
 def test_bruteforce_control_is_cost_only():
@@ -197,14 +204,23 @@ _SHAPE_PROBES = {
             {"type": "bruteforce", "candidates": [{"type": "nope", "n": 0}]}]}),
         ["$.control.candidates[1].candidates[0].n: 0 is less than the minimum of 1",
          f"$.control.candidates[1].candidates[0].type: 'nope' is not one of {_CONTROL_TYPES}"]),
-    # option candidates are checked in the plan, in the order of the control rule
     "option-candidate": (
         _base_doc(kind="mp-near", options={"C": 1.0, "candidates": [
             {"type": "constant", "index": -1.5, "colour": "red"}]}),
         ["$.options.candidates[0]: Additional properties are not allowed"
          " ('colour' was unexpected)",
-         "$.options.candidates[0].index: -1.5 is not of type 'integer'",
-         "$.options.candidates[0].index: -1.5 is less than the minimum of 0"]),
+         "$.options.candidates[0].index: -1.5 is less than the minimum of 0",
+         "$.options.candidates[0].index: -1.5 is not of type 'integer'"]),
+    # the options of a valid kind are checked by its rule: an unknown key, a
+    # wrong type, a null and a relaxed candidate of mp-near
+    "option-table": (
+        _base_doc(kind="mp-near", options={"speed": 11, "slack_mult": "3", "C": None,
+                                           "candidates": [{"type": "uniform"}]}),
+        ["$.options: Additional properties are not allowed ('speed' was unexpected)",
+         "$.options.C: null is not a value; leave the option out to use its default",
+         "$.options.candidates[0].type: 'uniform' is not one of"
+         " ['constant', 'indices', 'chattering']",
+         "$.options.slack_mult: '3' is not of type 'number'"]),
     "params-keys": (
         _base_doc(model={"name": "zero", "params": {"a b": "1", "it's": None, "a\\b": True}}),
         ["$.model.params['a b']: '1' is not of type 'number'",
@@ -647,17 +663,17 @@ _VALIDATE_GAP_PROBES = {
         "$.model.params.c2: -inf is not a finite number",
         _base_doc(model={"name": "linear_jump_lq", "params": {"c2": -1e9}},
                   actions=[-1.0, 0.0, 1.0])),
-    # NaN passes the schema's bounds (every comparison with it is false),
-    # so these documents are built here rather than loaded from JSON
+    # NaN fails no bound (every comparison with it is false), but the number
+    # type refuses it; these documents are built here, as JSON has no NaN
     "sigma-low-nan": (
         _lq(bounds={"sigma_low": float("nan"), "sigma_high": 4.0}),
-        "$.bounds.sigma_low: sigma_low must be nonnegative, got nan",
+        "$.bounds.sigma_low: nan is not a finite number",
         _lq(bounds={"sigma_low": 0.5, "sigma_high": 4.0})),
     "T-nan": (
         _lq(grid={"T": float("nan"), "n_steps": 16}),
-        "$.grid.T: T must be positive, got nan",
+        "$.grid.T: nan is not a finite number",
         _lq(grid={"T": 2.0, "n_steps": 16})),
-    # options are free-form in the schema, so candidates get the control schema
+    # mp-near's candidates get a strict-only copy of the control rule
     "candidate-schema": (
         _lq(kind="mp-near", options={"C": 1.0, "candidates": [{"type": "constant", "index": "0"}]}),
         "$.options.candidates[0].index: '0' is not of type 'integer'",
@@ -672,19 +688,19 @@ _VALIDATE_GAP_PROBES = {
         _lq(bounds={"sigma_low": 1.0, "sigma_high": 1.0 - 2e-10}),
         "$.bounds.sigma_high: sigma_high 0.9999999998 is below sigma_low 1.0",
         _lq(bounds={"sigma_low": 1.0, "sigma_high": 1.0 - 5e-11})),
-    # non-finite numbers that no constructor compares: the run would fail in
-    # the kernel or write a non-finite metric
+    # non-finite numbers, refused at their own item paths: the run would fail
+    # in the kernel or write a non-finite metric
     "x0-nan": (
         _lq(x0=float("nan")),
         "$.x0: nan is not a finite number",
         _lq(x0=-1.5)),
     "actions-nan": (
         _base_doc(model={"name": "linear_jump_lq"}, actions=[-1.0, float("nan"), 1.0]),
-        "$.actions: actions must be finite",
+        "$.actions[1]: nan is not a finite number",
         _base_doc(model={"name": "linear_jump_lq"}, actions=[-1.0, 0.5, 1.0])),
     "mark-values-inf": (
         _lq(marks={"values": [-0.4, float("inf")], "intensities": [0.7, 0.3]}),
-        "$.marks.values: values must be finite",
+        "$.marks.values[1]: inf is not a finite number",
         _lq(marks={"values": [-0.4, 0.8], "intensities": [0.7, 0.3]})),
     "model-param-nan": (
         _base_doc(model={"name": "linear_jump_lq", "params": {"b1": float("nan")}}),
@@ -702,6 +718,15 @@ _VALIDATE_GAP_PROBES = {
         _lq(kind="mp-near", options={"C": 1.0, "epsilon_n": float("nan")}),
         "$.options.epsilon_n: nan is not a finite number",
         _lq(kind="mp-near", options={"C": 1.0, "epsilon_n": 0.01})),
+    # a coefficient that overflows on the derivative check's probes: the run
+    # would stop in the kernel
+    "coefficient-overflow": (
+        _base_doc(model={"name": "linear_jump_lq", "params": {"c2": 1e308}},
+                  actions=[-1.0, 0.0, 1.0]),
+        "$.model.params: 4 derivative checks fail, first: gamma is not finite at"
+        " (t=0.298, x=-2.64, a=-1.82)",
+        _base_doc(model={"name": "linear_jump_lq", "params": {"c2": 1e9}},
+                  actions=[-1.0, 0.0, 1.0])),
     # integer literals no float holds, and a control index no int64 holds
     "x0-int-overflow": (
         _lq(x0=_HUGE),
@@ -776,6 +801,13 @@ _SAME_RUN_PROBES = {
     "count-float": (
         _lq(kind="cost", scenarios={"strategy": "random", "count": 3.0, "seed": 1}),
         _lq(kind="cost", scenarios={"strategy": "random", "count": 3, "seed": 1})),
+    # so are the integer options and the entries of a ladder
+    "n-blocks-float": (
+        _lq(kind="mp-strict", options={"n_blocks": 4.0}),
+        _lq(kind="mp-strict", options={"n_blocks": 4})),
+    "n-list-float": (
+        _lq(kind="bsde-stability", control={"type": "uniform"}, options={"n_list": [4.0, 16]}),
+        _lq(kind="bsde-stability", control={"type": "uniform"}, options={"n_list": [4, 16]})),
 }
 
 
