@@ -46,11 +46,14 @@ raw (unfitted) variable: it keeps the block starts' triples and writes
 each step's volatility-channel summand (:func:`tail_summand`) into the
 step's row, so one backward sum over the rows gives every block's
 :func:`tail_weights`. In :func:`bsde_stability_report` the relaxed
-control's reducer writes each step's fit into its row, after which its
-stored states are dropped; each rung's reducer, beside a replay of the
-relaxed control's kernel and flow (its states and ``psi``), forms both
-triples at the step and folds the pair into per-(scenario, path) gap
-accumulators (:func:`_finite_triple`). A backward variable, triple
+control's core runs without a reducer, and its stored states and its
+backward variable are dropped after it: the core keeps each step's
+state regression as a small :class:`StateFit` record, from which
+:func:`_evaluate_fit` gives the fit at any state. Each rung's reducer,
+beside a replay of the relaxed control's kernel and flow (its states and
+``psi``), evaluates the relaxed control's fit at the replayed state,
+forms both triples at the step and folds the pair into per-(scenario,
+path) gap accumulators (:func:`_finite_triple`). A backward variable, triple
 component or table entry that overflows raises, naming the step and the
 scenario.
 
@@ -305,6 +308,41 @@ def check_basis_degree(degree: int) -> int:
     return degree
 
 
+class StateFit(NamedTuple):
+    """One step's state regression, per scenario: enough to evaluate its fit at any state.
+
+    ``flat`` (S,) marks the scenarios whose state was degenerate, and
+    ``means`` holds their targets' plain means. The live scenarios hold
+    their state's ``centre`` and ``sd`` and their ``coef``
+    (S_live, degree + 1), lowest power first.
+    """
+
+    flat: np.ndarray
+    means: np.ndarray
+    centre: np.ndarray
+    sd: np.ndarray
+    coef: np.ndarray
+
+
+def _evaluate_fit(record: StateFit, x: np.ndarray) -> np.ndarray:
+    """The fit of ``record`` at the (S, P) state ``x``: standardize, then Horner's rule.
+
+    At the state the record was regressed on this is the regression's
+    own fit, bit for bit; at a replay of that state, too.
+    """
+    pred = np.empty(x.shape)
+    pred[record.flat] = record.means[:, None]
+    live = ~record.flat
+    if live.any():
+        z = (x[live] - record.centre[:, None]) / record.sd[:, None]
+        coef = record.coef
+        val = np.broadcast_to(coef[:, -1:], z.shape)
+        for i in range(coef.shape[1] - 2, -1, -1):
+            val = val * z + coef[:, i:i + 1]
+        pred[live] = val
+    return pred
+
+
 def _regress_state(x: np.ndarray, target: np.ndarray, degree: int):
     """Fit each scenario's target on a standardized polynomial basis in its state.
 
@@ -312,25 +350,25 @@ def _regress_state(x: np.ndarray, target: np.ndarray, degree: int):
     with a spread-out state the Gram matrix of the basis ``z**i`` is the
     Hankel matrix of the power sums ``sum z**j`` (j <= 2 degree) and the
     right-hand side holds ``sum z**i target``; the stack goes to
-    :func:`_solve_normal` and the fit is evaluated by Horner's rule. A
-    degenerate state row (deterministic time, single path) falls back to
-    the plain mean, which is the exact conditional expectation there,
-    with condition number 1. Returns the fit (S, P), the condition
-    numbers (S,), the residual sums of squares (S,) and the number of
-    SVD fallbacks.
+    :func:`_solve_normal`. A degenerate state row (deterministic time,
+    single path) falls back to the plain mean, which is the exact
+    conditional expectation there, with condition number 1. The fit is
+    evaluated from its :class:`StateFit` record by :func:`_evaluate_fit`.
+    Returns the fit (S, P), its record, the condition numbers (S,), the
+    residual sums of squares (S,) and the number of SVD fallbacks.
     """
     sd = x.std(axis=1)
-    pred = np.empty_like(target)
     cond = np.ones(x.shape[0])
     fallbacks = 0
     flat = sd < _DEGENERATE_STD
-    if flat.any():
-        pred[flat] = target[flat].mean(axis=1)[:, None]
     live = ~flat
+    n = degree + 1
+    centre = np.empty(0)
+    coef = np.empty((0, n))
     if live.any():
         xl, yl = x[live], target[live]
-        z = (xl - xl.mean(axis=1)[:, None]) / sd[live][:, None]
-        n = degree + 1
+        centre = xl.mean(axis=1)
+        z = (xl - centre[:, None]) / sd[live][:, None]
         power = np.empty((z.shape[0], 2 * degree + 1))
         rhs = np.empty((z.shape[0], n))
         power[:, 0] = z.shape[1]
@@ -348,11 +386,9 @@ def _regress_state(x: np.ndarray, target: np.ndarray, degree: int):
             return z[rows][:, :, None] ** np.arange(n), yl[rows]
 
         coef, cond[live], fallbacks = _solve_normal(gram, rhs, design)
-        fit = np.broadcast_to(coef[:, -1:], z.shape)
-        for i in range(degree - 1, -1, -1):
-            fit = fit * z + coef[:, i:i + 1]
-        pred[live] = fit
-    return pred, cond, ((target - pred) ** 2).sum(axis=1), fallbacks
+    record = StateFit(flat, target[flat].mean(axis=1), centre, sd[live], coef)
+    pred = _evaluate_fit(record, x)
+    return pred, record, cond, ((target - pred) ** 2).sum(axis=1), fallbacks
 
 
 def _regress_increment(dm: np.ndarray, db: np.ndarray, dn: np.ndarray):
@@ -443,6 +479,10 @@ def _adjoint_core(
     pass regresses the raw variable on the state and the martingale
     increment of the fitted variable on the step's noise, each from
     stacked normal equations across scenarios (:func:`_solve_normal`).
+    Step k's state regression is kept as its :class:`StateFit` record in
+    ``core.fits[k]``, k = 0, ..., K - 1, a few numbers per scenario, so
+    a caller that drops ``y`` and the states can evaluate the fit again
+    at a replayed state (:func:`_evaluate_fit`), bit for bit.
 
     Once the loadings ``Q``, ``R`` and ``S_t`` of step j exist, which is
     one step late, ``reduce(core, j, phi_j, psi_j, fit_j)`` is called
@@ -499,6 +539,7 @@ def _adjoint_core(
         intercept=np.zeros((n_scen, n_steps)),
         cond_y=np.ones((n_scen, n_steps)),
         cond_increment=np.ones((n_scen, n_steps)),
+        fits=[],
     )
     sq_resid = np.zeros(n_scen)
     dropped = 0
@@ -508,7 +549,8 @@ def _adjoint_core(
     prev = None
     for k, phi_k, psi_k in fundamental_steps(ensemble, need_inverse=True):
         if k < n_steps:
-            fit, core.cond_y[:, k], rss, fb = _regress_state(x[k], y[k], basis_degree)
+            fit, record, core.cond_y[:, k], rss, fb = _regress_state(x[k], y[k], basis_degree)
+            core.fits.append(record)
             sq_resid += rss
             fallbacks += fb
         else:
@@ -827,17 +869,18 @@ def bsde_stability_report(
     integrated square for ``r``. The orthogonal remainder is identically
     zero on both sides, so its gap column is exactly zero.
 
-    No triple is held whole, no flow, and no states of the relaxed
-    control. It keeps its fitted backward variable (each step's fit
-    takes the raw step's row as the core hands it on) and loadings; its
-    stored states are dropped after its core. Beside each rung's core,
-    which hands its steps on one at a time, the relaxed control's kernel
-    and flow are replayed in lockstep (``sde._batch_steps`` and
+    No triple is held whole, no flow, and no states or backward variable
+    of the relaxed control. It keeps its loadings and each step's fit
+    record (``core.fits``); its stored states and its backward variable
+    are dropped after its core. Beside each rung's core, which hands its
+    steps on one at a time, the relaxed control's kernel and flow are
+    replayed in lockstep (``sde._batch_steps`` and
     ``variational._flow``), which reproduces its states and ``psi`` bit
-    for bit at the cost of one relaxed kernel pass per rung. The peak
-    holds three state-sized arrays: the relaxed control's fit, and the
-    rung's states and backward variable. Both triples are formed at the
-    step and folded into three
+    for bit at the cost of one relaxed kernel pass per rung, and its fit
+    is evaluated from the step's record at the replayed state
+    (:func:`_evaluate_fit`), which reproduces the fit bit for bit. The
+    peak holds two state-sized arrays: the rung's states and backward
+    variable. Both triples are formed at the step and folded into three
     (S, P) accumulators: the running max of ``|p_n - p|`` (terminal node
     included) and the running sums of the squared ``q`` and the
     ``nu``-weighted squared ``r`` differences, in step order, which is
@@ -849,14 +892,11 @@ def bsde_stability_report(
     dt = drivers.grid.dt
     nus = drivers.marks.intensities
 
-    mu_ens = simulate(model, mu, drivers, x0)
-
-    def keep(core, j, phi_j, psi_j, fit_j):
-        core.y[j] = fit_j
-
-    mu_core = _adjoint_core(mu_ens, basis_degree, keep)
-    # a replay of the kernel reproduces the stored states bit for bit, so they go
-    del mu_ens
+    mu_core = _adjoint_core(simulate(model, mu, drivers, x0), basis_degree)
+    # a replay of the kernel reproduces the stored states bit for bit, and each
+    # step's fit is evaluated from its record at the replayed state, so the
+    # states and the backward variable go with the ensemble
+    del mu_core.y
     health = _estimator_health(mu_core)
 
     def rung_gaps(n):
@@ -878,7 +918,8 @@ def bsde_stability_report(
                 acc.r_sum = np.zeros(acc.p_sup.shape)
             p, q, r = _finite_triple(core, j, ens.states[j], fit_j, psi_j)
             _, x_mu, _, psi_mu = next(mu_flow)
-            p_mu, q_mu, r_mu = _finite_triple(mu_core, j, x_mu, mu_core.y[j], psi_mu)
+            fit_mu = _evaluate_fit(mu_core.fits[j], x_mu)
+            p_mu, q_mu, r_mu = _finite_triple(mu_core, j, x_mu, fit_mu, psi_mu)
             np.maximum(acc.p_sup, np.abs(p - p_mu), out=acc.p_sup)
             acc.q_sum += (q - q_mu) ** 2
             acc.r_sum += (((r - r_mu) ** 2) * nus).sum(axis=2)

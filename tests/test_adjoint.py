@@ -570,7 +570,7 @@ def _increment_step():
 
 def test_singular_state_gram_falls_back_to_min_norm_svd():
     x, y = _state_stack()
-    fit, cond, rss, fallbacks = adj._regress_state(x, y, 2)
+    fit, _, cond, rss, fallbacks = adj._regress_state(x, y, 2)
     assert fallbacks == 1
     z = (x[1] - x[1].mean()) / x[1].std()
     assert np.array_equal(z**2, np.ones_like(z))
@@ -583,6 +583,34 @@ def test_singular_state_gram_falls_back_to_min_norm_svd():
     assert rss[1] == ((y[1] - fit[1]) ** 2).sum()
     # the constant row is the plain mean with condition number 1
     assert np.all(fit[2] == y[2].mean()) and cond[2] == 1.0
+
+
+def _record_row(record, s):
+    """Scenario s's entries of a :class:`~gcontrol.adjoint.StateFit` record, as bytes."""
+    if record.flat[s]:
+        return True, record.means[np.count_nonzero(record.flat[:s])].tobytes()
+    i = np.count_nonzero(~record.flat[:s])
+    return (False,) + tuple(v[i].tobytes() for v in (record.centre, record.sd, record.coef))
+
+
+def test_state_fit_record_reevaluates_to_its_fit_bitwise():
+    # a spread-out row, a row that falls back to the SVD, a flat row and a spread-out row
+    x, y = _state_stack()
+    fit, record, _, _, fallbacks = adj._regress_state(x, y, 2)
+    assert fallbacks == 1
+    assert record.flat.tolist() == [False, False, True, False]
+    assert record.means.shape == (1,) and record.coef.shape == (3, 3)
+    assert record.centre.shape == record.sd.shape == (3,)
+    # the same state, in another buffer, gives the regression's own fit
+    assert adj._evaluate_fit(record, x.copy()).tobytes() == fit.tobytes()
+    # at another state the fit is the record's polynomial in the standardized state
+    x2 = x + 0.25
+    at = adj._evaluate_fit(record, x2)
+    assert np.all(at[2] == y[2].mean())
+    for i, s in enumerate((0, 1, 3)):
+        z = (x2[s] - record.centre[i]) / record.sd[i]
+        np.testing.assert_allclose(at[s], np.polynomial.polynomial.polyval(z, record.coef[i]),
+                                   rtol=1e-12, atol=1e-12)
 
 
 def test_singular_state_regressions_are_counted_in_the_health():
@@ -652,15 +680,16 @@ def test_collinear_mark_columns_fall_back_to_min_norm_svd():
 
 
 def test_stacked_regressions_are_row_independent():
-    # a scenario's fit does not depend on the other scenarios in its stack,
-    # bit for bit, whether it is solved from its Gram matrix, by the SVD
-    # fallback or as a plain mean
+    # a scenario's fit and its fit record do not depend on the other
+    # scenarios in its stack, bit for bit, whether it is solved from its
+    # Gram matrix, by the SVD fallback or as a plain mean
     x, y = _state_stack()
-    whole = adj._regress_state(x, y, 2)
+    fit, record, *rest = adj._regress_state(x, y, 2)
     for s in range(x.shape[0]):
-        alone = adj._regress_state(x[s:s + 1], y[s:s + 1], 2)
-        for a, b in zip(whole[:3], alone[:3]):
+        fit_s, record_s, *rest_s = adj._regress_state(x[s:s + 1], y[s:s + 1], 2)
+        for a, b in zip([fit] + rest[:2], [fit_s] + rest_s[:2]):
             assert a[s:s + 1].tobytes() == b.tobytes()
+        assert _record_row(record, s) == _record_row(record_s, 0)
     dm, db, dn = _increment_step()
     for marks in (dn, _collinear_marks(dm.shape[1])):
         whole = adj._regress_increment(dm, db, marks)
@@ -957,36 +986,47 @@ def _sine(model):
 
 
 @pytest.mark.parametrize("case", ["uniform-busy", "uniform-silent", "weighted-silent",
-                                  "dirac-silent", "uniform-nine", "uniform-sine"])
+                                  "dirac-silent", "uniform-nine", "uniform-sine",
+                                  "flat-scenario"])
 def test_streamed_stability_rows_equal_whole_array_gaps_bitwise(case):
     """The streamed rows are the whole-array rows, bit for bit.
 
     The relaxed control's states are replayed beside each rung, not
-    stored. Every registry derivative is constant in the state, so only
-    the ``sin(x)`` case lets a replayed state reach the relaxed control's
-    flow and triple, and so the rows.
+    stored, and its fit is evaluated from each step's record at the
+    replayed state. Every registry derivative is constant in the state,
+    so only the ``sin(x)`` case lets a replayed state reach the relaxed
+    control's flow and triple beyond its fit. In the ``flat-scenario``
+    case scenario 0 has no volatility and no mark fires, so its state is
+    deterministic at every step and its fit takes the flat branch beside
+    live scenarios.
     """
     grid = TimeGrid(T=1.0, n_steps=32)
-    fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
+    lo = 0.0 if case == "flat-scenario" else 1.0
+    fam = build_scenario_family(VolatilityBounds(lo, 4.0), grid, "corners", blocks=2)
     acts = ActionGrid(np.array([-1.0, 0.0, 1.0]))
     model = _lq(c2=0.3, f2=0.05, h2=0.1)
     if case == "uniform-sine":
         model = _sine(model)
-    marks = {"uniform-busy": BUSY, "uniform-nine": NINE, "uniform-sine": BUSY}.get(case,
-                                                                                   BUSY_SILENT)
-    if case.startswith("uniform"):
-        mu = uniform_relaxed(acts, 32)
-    elif case == "weighted-silent":
+    marks = {"uniform-busy": BUSY, "uniform-nine": NINE, "uniform-sine": BUSY,
+             "flat-scenario": QUIET}.get(case, BUSY_SILENT)
+    if case == "weighted-silent":
         w = np.linspace(0.1, 0.9, 32)[:, None] * np.array([0.5, 0.0, 0.5])
         mu = RelaxedControl(acts, w + (1.0 - w.sum(axis=1))[:, None] * np.array([0, 1, 0]))
-    else:
+    elif case == "dirac-silent":
         mu = embed_strict(constant_strict(acts, 32, 2))
+    else:
+        mu = uniform_relaxed(acts, 32)
     args = (model, mu, [2, 4, 8], sample_drivers(fam, grid, marks, 300, 19), 1.0)
     rep = bsde_stability_report(*args)
     expected = _stability_by_whole_arrays(*args)
     assert [tuple(row) for row in rep.rows] == expected
     if case == "dirac-silent":
         assert all(row[1:] == (0.0,) * 7 for row in expected)
+    elif case == "flat-scenario":
+        # scenario 0's fit is a plain mean at every step, beside live scenarios
+        fits = adj._adjoint_core(simulate(model, mu, args[3], 1.0), 2).fits
+        assert all(fit.flat[0] for fit in fits) and not fits[-1].flat[1:].any()
+        assert all(row[1] > 0.0 and row[3] > 0.0 and row[5:] == (0.0,) * 3 for row in expected)
     else:
         assert all(row[1] > 0.0 and row[3] > 0.0 and row[5] > 0.0 for row in expected)
 
@@ -1031,16 +1071,19 @@ def test_two_flow_passes_yield_the_same_bits(kind):
 
 
 def test_stability_report_holds_no_whole_triple():
-    """No triple, no flow and no relaxed states are held whole: the peak stays within 5.0.
+    """No triple, flow, relaxed state or relaxed fit is held whole: the peak stays within 4.1.
 
     The unit is one state array. The relaxed control keeps only its
-    fitted ``y``; its states and its ``psi`` are replayed beside each
-    rung, whose adjoint holds its states and its backward variable, and
-    both triples are formed step by step. The peak is near 4.8, with the
-    drivers sampled inside the measurement. Keeping the relaxed control's
-    states as well peaks near 5.75, storing its whole ``psi`` near 6.5,
-    holding each rung's whole flow and inverse flow as well near 8.0, the
-    relaxed control's whole triple near 9.2, and the rungs' whole triples
+    per-step fit records and loadings; its states and its ``psi`` are
+    replayed beside each rung, whose adjoint holds its states and its
+    backward variable, the relaxed control's fit is evaluated from its
+    record at the replayed state, and both triples are formed step by
+    step. The peak is near 3.85 in a fresh process, with the drivers
+    sampled inside the measurement.
+    Keeping the relaxed control's fit peaks near 4.75,
+    keeping its states as well near 5.75, storing its whole ``psi`` near
+    6.5, holding each rung's whole flow and inverse flow as well near 8.0,
+    the relaxed control's whole triple near 9.2, and the rungs' whole triples
     near 24.
     """
     grid = TimeGrid(T=1.0, n_steps=32)
@@ -1054,7 +1097,7 @@ def test_stability_report_holds_no_whole_triple():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5.0 * state_bytes, peak / state_bytes
+    assert peak <= 4.1 * state_bytes, peak / state_bytes
 
 
 def test_fitted_core_holds_one_backward_buffer():
