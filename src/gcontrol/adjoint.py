@@ -42,10 +42,13 @@ time, from contiguous (S, P) operands with that mark's
 stored mark-last like every ``r`` of this module.
 
 The reducers are the tables' own. :func:`mp_check_relaxed` reads the
-raw (unfitted) variable: it keeps the block starts' triples and writes
-each step's volatility-channel summand (:func:`tail_summand`) into the
-step's row, so one backward sum over the rows gives every block's
-:func:`tail_weights`. In :func:`bsde_stability_report` the relaxed
+raw (unfitted) variable: it keeps each block start's inputs, ``psi``
+and the raw step, and writes each step's volatility-channel summand
+(:func:`tail_summand`) into the step's row, so one backward sum over the
+rows gives every block's :func:`tail_weights`, after which the buffer is
+dropped. The table forms each start's triple from its inputs
+(:func:`_triple_at`); the loadings it reads there were final before the
+reducer ran. In :func:`bsde_stability_report` the relaxed
 control's core runs without a reducer, and its stored states and its
 backward variable are dropped after it: the core keeps each step's
 state regression as a small :class:`StateFit` record, from which
@@ -324,8 +327,20 @@ class StateFit(NamedTuple):
     coef: np.ndarray
 
 
+def _horner(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Each row's polynomial ``sum_i coef[:, i] z**i`` at the standardized state ``z``.
+
+    ``coef`` is (S_live, degree + 1), lowest power first, and ``z``
+    (S_live, P); Horner's rule, highest power first.
+    """
+    val = np.broadcast_to(coef[:, -1:], z.shape)
+    for i in range(coef.shape[1] - 2, -1, -1):
+        val = val * z + coef[:, i:i + 1]
+    return val
+
+
 def _evaluate_fit(record: StateFit, x: np.ndarray) -> np.ndarray:
-    """The fit of ``record`` at the (S, P) state ``x``: standardize, then Horner's rule.
+    """The fit of ``record`` at the (S, P) state ``x``: standardize, then :func:`_horner`.
 
     At the state the record was regressed on this is the regression's
     own fit, bit for bit; at a replay of that state, too.
@@ -334,12 +349,7 @@ def _evaluate_fit(record: StateFit, x: np.ndarray) -> np.ndarray:
     pred[record.flat] = record.means[:, None]
     live = ~record.flat
     if live.any():
-        z = (x[live] - record.centre[:, None]) / record.sd[:, None]
-        coef = record.coef
-        val = np.broadcast_to(coef[:, -1:], z.shape)
-        for i in range(coef.shape[1] - 2, -1, -1):
-            val = val * z + coef[:, i:i + 1]
-        pred[live] = val
+        pred[live] = _horner(record.coef, (x[live] - record.centre[:, None]) / record.sd[:, None])
     return pred
 
 
@@ -352,8 +362,10 @@ def _regress_state(x: np.ndarray, target: np.ndarray, degree: int):
     right-hand side holds ``sum z**i target``; the stack goes to
     :func:`_solve_normal`. A degenerate state row (deterministic time,
     single path) falls back to the plain mean, which is the exact
-    conditional expectation there, with condition number 1. The fit is
-    evaluated from its :class:`StateFit` record by :func:`_evaluate_fit`.
+    conditional expectation there, with condition number 1. The live rows'
+    fit is :func:`_horner` at the standardized state the power sums were
+    formed from, which is what :func:`_evaluate_fit` gives from the
+    step's :class:`StateFit` record at that state, bit for bit.
     Returns the fit (S, P), its record, the condition numbers (S,), the
     residual sums of squares (S,) and the number of SVD fallbacks.
     """
@@ -365,6 +377,9 @@ def _regress_state(x: np.ndarray, target: np.ndarray, degree: int):
     n = degree + 1
     centre = np.empty(0)
     coef = np.empty((0, n))
+    pred = np.empty(x.shape)
+    means = target[flat].mean(axis=1)
+    pred[flat] = means[:, None]
     if live.any():
         xl, yl = x[live], target[live]
         centre = xl.mean(axis=1)
@@ -386,8 +401,8 @@ def _regress_state(x: np.ndarray, target: np.ndarray, degree: int):
             return z[rows][:, :, None] ** np.arange(n), yl[rows]
 
         coef, cond[live], fallbacks = _solve_normal(gram, rhs, design)
-    record = StateFit(flat, target[flat].mean(axis=1), centre, sd[live], coef)
-    pred = _evaluate_fit(record, x)
+        pred[live] = _horner(coef, z)
+    record = StateFit(flat, means, centre, sd[live], coef)
     return pred, record, cond, ((target - pred) ** 2).sum(axis=1), fallbacks
 
 
@@ -686,10 +701,13 @@ def mp_check_relaxed(
     weights the Dirac mixture, whose own atom's entries are exactly zero
     by construction. The triple is built from the raw (unfitted) backward
     variable, and only at block starts. The adjoint core hands each step
-    on as it is regressed; the raw step feeds the block start's triple
-    and the step's :func:`tail_summand`, which then takes the step's row
-    of the backward variable, so one backward sum over those rows gives
-    every block's :func:`tail_weights`.
+    on as it is regressed; a block start keeps copies of its ``psi`` and
+    its raw step, and the step's :func:`tail_summand` then takes the
+    step's row of the backward variable, so one backward sum over those
+    rows gives every block's :func:`tail_weights`. The backward variable
+    is dropped before the table loop, which forms each block start's
+    triple from its kept inputs; ``Q`` and ``R`` at the start are final
+    before the reducer runs and are not written again.
     """
     model, mu, grid, marks = ensemble.model, ensemble.control, ensemble.grid, ensemble.marks
     family = ensemble.family
@@ -702,22 +720,26 @@ def mp_check_relaxed(
     at_start = {}
 
     def reduce(core, j, phi_j, psi_j, fit_j):
-        # the raw step feeds the block start's triple, then holds the step's tail summand
+        # a block start keeps its raw step, then the row holds the step's tail summand
         x_j, y_j = ensemble.states[j], core.y[j]
         if j in starts:
-            at_start[j] = (psi_j.copy(),) + _triple_at(core, j, x_j, y_j, psi_j)
+            at_start[j] = (psi_j.copy(), y_j.copy())
         q_j, sx_j = _q_at(core, j, x_j, y_j, psi_j)
         y_j[...] = tail_summand(phi_j, q_j, sx_j, a_tab[:, j], core.S_t[:, j], family.bounds)
 
     core = _adjoint_core(ensemble, basis_degree, reduce)
     weights = tail_weights(core.y[:-1], starts, grid.dt)
+    # past the tail weights the rows hold only summands, which nothing reads
+    del core.y
 
     entries: list[MPEntry] = []
     for b, k0 in enumerate(starts):
         t0 = float(grid.times[k0])
         x = ensemble.states[k0]
         a0 = a_tab[:, k0][:, None]
-        psi0, p0, q0, r0 = at_start.pop(k0)
+        # Q and R at k0 were final before the reducer ran and are not written again
+        psi0, y0 = at_start.pop(k0)
+        p0, q0, r0 = _triple_at(core, k0, x, y0, psi0)
 
         # per action: H, then b, gamma and f at every mark, each (S, P)
         rows = []

@@ -22,7 +22,7 @@ def _parser() -> argparse.ArgumentParser:
     p_run.add_argument("--output-dir", default=None,
                        help="write artifacts here instead of the config's output_dir")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent sub-evaluations (default 1)")
+                       help="threads for independent sub-evaluations, in total (default 1)")
     p_run.add_argument("--seed-override", type=int, default=None,
                        help="replace the config's seed for this run")
 

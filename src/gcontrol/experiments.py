@@ -551,11 +551,23 @@ def _series(x_label: str, y_label: str, xs, ys) -> str:
 
 
 def _map_ordered(fn, items: Sequence, threads: int) -> list:
+    """``[fn(item) for item in items]`` on at most ``threads`` threads, the caller's included.
+
+    The calling thread runs ``items[0]`` while a pool of
+    ``min(threads, len(items)) - 1`` workers takes the rest, so the caller
+    works instead of waiting and no thread beyond ``threads`` is started.
+    Results come back in item order, and so do exceptions: the first
+    item that raised, in that order, raises here, after every submitted
+    item has finished.
+    """
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    workers = min(threads, len(items)) - 1
+    if workers <= 0:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-        return list(pool.map(fn, items))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rest = [pool.submit(fn, item) for item in items[1:]]
+        first = fn(items[0])
+        return [first] + [future.result() for future in rest]
 
 
 def _run_simulate(cfg: ExperimentConfig, drivers: Drivers, threads: int):
@@ -799,10 +811,12 @@ def run_document(doc: Mapping, *, output_dir: str | Path | None = None,
     The run's drivers are sampled here, once, and every operation of the
     kind runs on them. Emission is single-threaded and ordered;
     ``threads`` only fans out the strict and the relaxed batch of
-    brute-force candidate costs, whose results are collected in
-    submission order, so the artifacts do not depend on it. ``summary.json`` and ``manifest.json`` are strict
-    JSON: a non-finite metric raises ``FloatingPointError`` instead of
-    being written as a bare ``NaN`` or ``Infinity``.
+    brute-force candidate costs, on at most ``threads`` threads in all
+    (:func:`_map_ordered`), whose results are collected in submission
+    order, so the artifacts do not depend on it. ``summary.json`` and
+    ``manifest.json`` are strict JSON: a non-finite metric raises
+    ``FloatingPointError`` instead of being written as a bare ``NaN`` or
+    ``Infinity``.
     """
     eff = dict(doc)
     if seed_override is not None:

@@ -3,12 +3,13 @@
 Validation tests freeze the violation message layout (json path, colon,
 sentence) because the CLI prints these lines verbatim.  Runner tests
 check artifact layout and the determinism contract: same document, same
-bytes, regardless of worker count or output directory.
+bytes, regardless of thread count or output directory.
 """
 
 import hashlib
 import json
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from gcontrol.experiments import (
     _OPTION_DEFAULTS,
     _OPTIONS,
     _csv,
+    _map_ordered,
     build_experiment,
     config_hash,
     load_config,
@@ -351,6 +353,41 @@ def test_thread_count_does_not_change_artifacts(tmp_path):
     lines = (tmp_path / "t1" / "candidates.csv").read_text().strip().splitlines()
     assert lines[0] == "candidate,upper_value,stderr_max"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("n_items,threads", [(2, 2), (3, 3), (3, 2)])
+def test_fan_out_runs_item_zero_on_the_caller_within_its_thread_count(n_items, threads):
+    # item 0 runs on the calling thread and a pool of threads - 1 workers
+    # takes the rest, so no more than `threads` threads are alive while
+    # the items run; with one thread per item the barrier holds every item
+    # until all have started, so they do run at once
+    caller = threading.get_ident()
+    before = threading.active_count()
+    barrier = threading.Barrier(n_items, timeout=30) if n_items == threads else None
+    seen = {}
+
+    def fn(item):
+        seen[item] = (threading.get_ident(), threading.active_count())
+        if barrier is not None:
+            barrier.wait()
+        return 10 * item
+
+    assert _map_ordered(fn, range(n_items), threads) == [10 * i for i in range(n_items)]
+    assert sorted(seen) == list(range(n_items))
+    assert seen[0][0] == caller
+    assert len({ident for ident, _ in seen.values()}) == threads
+    assert max(alive for _, alive in seen.values()) <= before + threads - 1
+
+
+@pytest.mark.parametrize("bad", [{0}, {1}, {0, 1}])
+def test_fan_out_raises_the_first_failing_item(bad):
+    def fn(item):
+        if item in bad:
+            raise ValueError(f"item {item} failed")
+        return item
+
+    with pytest.raises(ValueError, match=f"^item {min(bad)} failed$"):
+        _map_ordered(fn, [0, 1], 2)
 
 
 def test_seed_override_is_reflected_in_summary_and_hash(tmp_path):
