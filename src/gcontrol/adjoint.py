@@ -97,7 +97,7 @@ from .controls import (
     ekeland_distance,
     spike,
 )
-from .costs import evaluate_costs, stream_costs
+from .costs import stream_costs
 from .jumps import Drivers, MarkSpace
 from .models import ModelSpec, _avg, _coeff
 from .scenarios import TimeGrid, generator_G, upper_expectation
@@ -813,6 +813,13 @@ def mp_check_near(
     smallest allowance coefficient that would make every entry pass
     given the statistical slack; it is infinite when an entry fails and
     no allowance is available.
+
+    ``u_n`` and the candidates run as one cost batch, ``u_n`` first, its
+    states stored for the table by the batch's reducer; each block spike
+    equals ``u_n`` before its start, so the kernel branches it from
+    ``u_n``'s row there (:mod:`gcontrol.sde`). A non-finite cost names
+    ``u_n``, or a candidate as ``control i`` by its index in the candidate
+    list (block spikes follow the given candidates).
     """
     if C < 0.0:
         raise ValueError(f"the allowance coefficient must be nonnegative, got {C}")
@@ -830,14 +837,13 @@ def mp_check_near(
     if epsilon_n is not None and epsilon_n < 0.0:
         raise ValueError(f"epsilon_n must be nonnegative, got {epsilon_n}")
 
-    # u_n's states feed the table, and its cost is folded in the pass that stores
-    # them; the candidates stream in a batch of their own and keep no trajectory
+    # one batch: u_n's row 0 is stored for the table, the candidates keep no
+    # trajectory, and each spike branches from u_n's row at its block start
     ens, keep = _stored_run(model, u_n, drivers)
-    j_n = stream_costs(model, [u_n], drivers, x0, keep, ids=["u_n"])[0].upper_value
-    scored = [
-        (ekeland_distance(u_n, cand, grid), rep.upper_value)
-        for cand, rep in zip(cands, evaluate_costs(model, cands, drivers, x0))
-    ]
+    j_n, *j_cands = (rep.upper_value for rep in stream_costs(
+        model, [u_n] + cands, drivers, x0, keep,
+        ids=["u_n"] + [f"control {i}" for i in range(len(cands))]))
+    scored = [(ekeland_distance(u_n, cand, grid), j_c) for cand, j_c in zip(cands, j_cands)]
 
     if epsilon_n is None:
         # worst cost-improvement rate of u_n; candidates at distance zero are skipped

@@ -8,15 +8,21 @@ initial state last, and all comparisons between controls run on that
 bundle, so differences are coupled path by path rather than being
 differences of independent estimates.
 
-There is one quadrature, :class:`_PathCost`, fed one step at a time,
-and one place that feeds it: :func:`stream_costs`, which folds each
-step into the path costs as the kernel writes it. A set of controls
-whose paths nothing reads again (a lone control's cost, brute-force
-candidates, chattering rungs, spiked controls) never holds its
-trajectories; a run whose states a later pass reads (the relaxed
-control of a chattering ladder, the base of a spike or a stationarity
-table) is stored by a reducer handed to :func:`stream_costs` alongside
-the cost, so its cost is folded in the pass that stores it.
+There is one quadrature, :class:`_PathCosts`, fed one batch step at a
+time, and one place that feeds it: :func:`stream_costs`, which folds
+each step into the batch's path costs as the kernel writes it. A strict
+batch's running cost is folded once per step on the whole (C, S, P)
+slot, with the rows' action values, as the kernel evaluates its
+coefficients; a relaxed batch's is mixed row by row under each row's
+weights. A set of controls whose paths nothing reads again (a lone
+control's cost, brute-force candidates, chattering rungs, spiked
+controls) never holds its trajectories; a run whose states a later pass
+reads (the relaxed control of a chattering ladder, the base of a spike,
+``u_n`` of a near-optimality table) is stored by a reducer handed to
+:func:`stream_costs` alongside the cost, so its cost is folded in the
+pass that stores it. Rows that share a prefix of actions share its
+kernel work (:mod:`gcontrol.sde`): ``mp_check_near`` runs ``u_n`` and its
+candidates as one batch, so each spike branches from ``u_n``'s row.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numpy as np
 
 from .controls import RelaxedControl, StrictControl, chattering, check_ladder
 from .jumps import Drivers
-from .models import ModelSpec, _avg
+from .models import ModelSpec, _avg, _coeff
 from .scenarios import TimeGrid
 from .sde import _require_finite, _stored_run, stream_batch
 
@@ -61,31 +67,41 @@ class ValueSearchResult:
     reports: tuple  # CostReport per candidate
 
 
-class _PathCost:
-    """Left-endpoint quadrature of one control's per-(scenario, path) cost.
+class _PathCosts:
+    """Left-endpoint quadrature of a batch's per-(control, scenario, path) costs.
 
-    ``add(k, x_k)`` for k = 0, ..., n_steps - 1 in step order, then
-    ``total(x_T, what)``, which raises on a non-finite cost, naming ``what``
-    and the scenario. The running cost at each step is h mixed under the
-    step's weights (:func:`gcontrol.models._avg`), a strict control's
-    one-hot weights giving h at its action.
+    ``add(k, x_k)`` for k = 0, ..., n_steps - 1 in step order, with the
+    batch's (C, S, P) step, then ``totals(x_T, ids)``, which raises on a
+    non-finite cost, naming the row's label and the scenario. A strict
+    batch evaluates h once per step on the whole slot with the rows' (C,
+    1, 1) action values, as the strict kernel evaluates b, gamma and f. A
+    relaxed batch mixes h under each row's step weights
+    (:func:`gcontrol.models._avg`), which skips the zero weights, so its
+    rows cannot be stacked bit for bit.
     """
 
-    def __init__(self, model: ModelSpec, control: Control, grid: TimeGrid, shape):
+    def __init__(self, model: ModelSpec, controls: Sequence[Control], grid: TimeGrid, shape):
         self.model = model
         self.grid = grid
-        self.weights = control.weights
-        self.actions = control.grid.actions
-        self.running = np.zeros(shape)
+        self.controls = controls
+        self.values = None
+        if all(isinstance(u, StrictControl) for u in controls):
+            self.values = np.stack([u.values for u in controls])[:, :, None, None]
+        self.running = np.zeros((len(controls), *shape))
 
-    def add(self, k: int, xk: np.ndarray) -> None:
-        t = float(self.grid.times[k])
-        self.running += _avg(self.model.h, t, xk, self.weights[k], self.actions) * self.grid.dt
+    def add(self, k: int, x: np.ndarray) -> None:
+        t, dt = float(self.grid.times[k]), self.grid.dt
+        if self.values is not None:
+            self.running += _coeff(self.model.h(t, x, self.values[:, k])) * dt
+            return
+        for run, u, xc in zip(self.running, self.controls, x):
+            run += _avg(self.model.h, t, xc, u.weights[k], u.grid.actions) * dt
 
-    def total(self, x_T: np.ndarray, what: str) -> np.ndarray:
-        total = self.running + np.asarray(self.model.g(x_T))
-        _require_finite(total, what)
-        return total
+    def totals(self, x_T: np.ndarray, ids: Sequence[str]) -> np.ndarray:
+        totals = self.running + np.asarray(self.model.g(x_T))
+        for c, total in zip(ids, totals):
+            _require_finite(total, f"path cost of {c}")
+        return totals
 
 
 def _cost_report(costs: np.ndarray, seed: int) -> CostReport:
@@ -122,10 +138,8 @@ def stream_costs(
     naming its scenario and the control's label in ``ids`` (its role, as
     ``"rung n=4"``), by default ``"control i"`` at batch position i.
     """
-    grid = drivers.grid
-    K = grid.n_steps
-    shape = (drivers.family.n_scenarios, drivers.n_paths)
-    sums = [_PathCost(model, u, grid, shape) for u in controls]
+    K = drivers.grid.n_steps
+    sums = _PathCosts(model, controls, drivers.grid, (drivers.family.n_scenarios, drivers.n_paths))
     ids = [f"control {i}" for i in range(len(controls))] if ids is None else ids
     totals = []
 
@@ -133,11 +147,9 @@ def stream_costs(
         if reduce is not None:
             reduce(k, x)
         if k < K:
-            for acc, xc in zip(sums, x):
-                acc.add(k, xc)
+            sums.add(k, x)
         else:
-            totals.extend(acc.total(xc, f"path cost of {c}")
-                          for c, acc, xc in zip(ids, sums, x))
+            totals.extend(sums.totals(x, ids))
 
     stream_batch(model, controls, drivers, x0, fold)
     return [_cost_report(c, drivers.seed) for c in totals]

@@ -14,6 +14,15 @@ evaluates f at each event's action tag; its weighted sums are
 accumulated in fixed action order, so a one-hot (embedded strict)
 control reproduces the strict simulation bit for bit under the same seed.
 
+Rows of a batch branch from each other (:func:`_branches`). A spiked
+control equals its base up to its window, and a narrower window equals a
+wider one up to its end, so a row starts at the first step where its
+action values (strict) or weights (relaxed; a step's tags are drawn from
+its weights alone) leave those of an earlier row, its parent. Until then
+it takes its parent's new state at every step, and only the rows that
+have started are stepped. The kernel is elementwise per row, so row c
+keeps the bits of control c run alone, whatever else the batch holds.
+
 Every operation takes the drivers and the initial state last: the
 drivers carry the scenario family, the grid, the mark space, the path
 count and the seed they were sampled for, so a run's setting is named
@@ -137,7 +146,28 @@ def _strict_jumps(model, t, xk, uk, marks, events, dt):
     return _jump_term(jump_sum, comp_rate * dt, paths)
 
 
-def _steps(model, increment, tables, events, drivers, x):
+def _branches(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each batch row's start step and parent row, from its (C, K, ...) action table.
+
+    A row starts at the first step where its actions differ, bit for bit,
+    from an earlier row's, taking the earlier row with the longest shared
+    prefix (the lowest on ties) as its parent; a row equal to its parent
+    throughout starts at K. Row 0 starts at step 0 and has no parent (-1).
+    """
+    C, K = table.shape[:2]
+    bits = table.reshape(C, K, -1).view(np.int64)
+    starts = np.zeros(C, dtype=np.int64)
+    parents = np.full(C, -1, dtype=np.int64)
+    for c in range(1, C):
+        differs = (bits[:c] != bits[c]).any(axis=-1)
+        # the steps row c shares with each earlier row before they first differ
+        shared = np.where(differs.any(axis=1), differs.argmax(axis=1), K)
+        parents[c] = np.argmax(shared)
+        starts[c] = shared[parents[c]]
+    return starts, parents
+
+
+def _steps(model, increment, tables, events, drivers, x, starts, parents):
     """The one Euler step loop. Under scenario s and control c a step is
 
         x'  =  x + b(t, x, u_k) dt + sigma(t, x) dB
@@ -147,23 +177,41 @@ def _steps(model, increment, tables, events, drivers, x):
     with every coefficient read at the left endpoint and jumps acting on
     the pre-jump state. The control kind supplies ``increment`` and its
     per-step tables: ``tables[:, k]`` holds the controls' step-k action
-    values (strict) or weights (relaxed), ``events`` yields each step's
-    :meth:`Drivers.event_counts`, and ``drivers`` the grid, the marks,
-    the scenarios' volatility values ``a_k`` and each step's Brownian
-    increments (:meth:`Drivers.step_dB`). Every step updates the one (C,
-    S, P) slot ``x`` in place (the update is elementwise), and ``(k, x)``
-    is yielded once step k is written and checked, k = 0, ..., n_steps;
-    the step after it is computed only when the next one is pulled.
+    values (strict) or weights (relaxed), ``events(k, rows)`` gives the
+    step's :meth:`Drivers.event_counts` for those rows, and ``drivers``
+    the grid, the marks, the scenarios' volatility values ``a_k`` and
+    each step's Brownian increments (:meth:`Drivers.step_dB`). Every step
+    updates the one (C, S, P) slot ``x`` in place (the update is
+    elementwise), and ``(k, x)`` is yielded once step k is written and
+    checked, k = 0, ..., n_steps; the step after it is computed only when
+    the next one is pulled.
+
+    The increment is computed only on the rows that have started
+    (``starts <= k``, :func:`_branches`); every other row takes its
+    parent's new state, in row order, so a parent is written before its
+    children. Before its start a row's actions equal its parent's, so its
+    state does too, bit for bit.
     """
     grid, marks, a_vals = drivers.grid, drivers.marks, drivers.family.values
     dt = grid.dt
     yield 0, x
-    for k, ek in enumerate(events):
+    for k in range(grid.n_steps):
+        live = np.flatnonzero(starts <= k)
+        # a run of consecutive rows is a view, updated in place
+        rows = live
+        if live[-1] - live[0] + 1 == live.size:
+            rows = slice(live[0], live[-1] + 1)
+        xl = x[rows]
         a_dt = (a_vals[:, k] * dt)[:, None]
         # the increment is built in its own frame, so none of its arrays
         # outlives the step
-        np.add(x, increment(model, grid.times[k], x, tables[:, k], a_dt,
-                            drivers.step_dB(k), marks, ek, dt), out=x)
+        np.add(xl, increment(model, grid.times[k], xl, tables[rows, k], a_dt,
+                             drivers.step_dB(k), marks, events(k, rows), dt), out=xl)
+        if live.size < len(x):
+            if rows is live:
+                x[live] = xl
+            for c in np.flatnonzero(starts > k):
+                x[c] = x[parents[c]]
         _check_finite(x, k)
         yield k + 1, x
 
@@ -223,8 +271,9 @@ def _batch_steps(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The batch's steps as a pull: the generator :func:`_steps` over its one step slot.
 
-    The model, the batch and its tables are checked and formed when this
-    is called, before any step is pulled; the kernel then runs one step
+    The model, the batch, its tables and its rows' starts and parents
+    (:func:`_branches`) are checked and formed when this is called,
+    before any step is pulled; the kernel then runs one step
     per pull. Each pulled ``(k, x)`` is the slot itself, so the next pull
     overwrites it in place.
     """
@@ -238,19 +287,25 @@ def _batch_steps(
     if all(isinstance(c, StrictControl) for c in controls):
         increment = _strict_increment
         tables = np.stack([u.values for u in controls])[:, :, None, None]
-        events = (drivers.event_counts(k) for k in range(K))
+
+        def events(k, rows):
+            return drivers.event_counts(k)
     elif all(isinstance(c, RelaxedControl) for c in controls):
         actions = controls[0].grid.actions
         if any(not np.array_equal(c.grid.actions, actions) for c in controls):
             raise ValueError("relaxed controls of one batch must share the action grid")
         increment = partial(_relaxed_increment, actions)
+        # a step's tags are drawn from its weights alone, so rows whose
+        # weights agree up to a step agree on their tags too
         tables = np.stack([mu.weights for mu in controls])[:, :, :, None, None]
         tags = np.stack([drivers.tags(mu) for mu in controls])
-        events = (drivers.event_counts(k, tags, actions.size) for k in range(K))
+
+        def events(k, rows):
+            return drivers.event_counts(k, tags[rows], actions.size)
     else:
         raise ValueError("a batch holds either strict or relaxed controls, not both")
     x = np.full((len(controls), drivers.family.n_scenarios, drivers.n_paths), float(x0))
-    return _steps(model, increment, tables, events, drivers, x)
+    return _steps(model, increment, tables, events, drivers, x, *_branches(tables))
 
 
 def stream_batch(

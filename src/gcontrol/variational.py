@@ -327,7 +327,9 @@ def spike_report(
     which depends on the spike's opening step only, is solved once for
     every width. The spiked controls run as one batch through
     :func:`stream_costs`, each step folded into their path costs and
-    quotient sups as the kernel writes it. ``t0`` and the widths, which
+    quotient sups as the kernel writes it; a narrower window equals the
+    widest one until it closes, so the kernel branches it from the
+    widest's row there. ``t0`` and the widths, which
     must descend, are converted to grid steps once; an empty width list, a
     window off the grid, a bad index or a relaxed ``u_star`` is refused
     before any kernel work.

@@ -3,6 +3,7 @@ import pytest
 
 from gcontrol import costs as co
 from gcontrol import models as md
+from gcontrol.adjoint import mp_check_near
 from gcontrol.controls import (
     ActionGrid,
     RelaxedControl,
@@ -161,6 +162,22 @@ def test_diverging_base_and_first_spike_are_named_apart():
     with pytest.raises(FloatingPointError,
                        match="non-finite path cost of spike h=0.75 under scenario 1$"):
         spike_report(model, low, 2, 0.25, [0.75, 0.25], drivers, 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_near_check_names_u_n_and_a_candidate_by_its_index():
+    # u_n and the candidates run as one batch, u_n in row 0: a cost still names
+    # u_n by its role and a candidate by its index in the candidate list
+    grid = TimeGrid(T=1.0, n_steps=16)
+    drivers = sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 64, 5)
+    model = md.build_model("linear_jump_lq", {"gq": 1e300, "s1": 0.0, "f1": 0.0, "c1": 0.0,
+                                              "c2": 1e4})
+    low, high = constant_strict(ACTIONS, 16, 0), constant_strict(ACTIONS, 16, 2)
+    # candidate 0 equals u_n throughout; candidate 1 overflows (row 2 of the batch)
+    with pytest.raises(FloatingPointError, match="non-finite path cost of control 1 under scenario 1$"):
+        mp_check_near(model, low, [low, high], 1.0, drivers, 1.0, n_blocks=4)
+    with pytest.raises(FloatingPointError, match="non-finite path cost of u_n under scenario 1$"):
+        mp_check_near(model, high, [low], 1.0, drivers, 1.0, n_blocks=4)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

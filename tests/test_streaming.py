@@ -19,14 +19,16 @@ from gcontrol.controls import (
     RelaxedControl,
     StrictControl,
     chattering,
+    embed_strict,
     spike,
     spike_window,
     uniform_relaxed,
 )
-from gcontrol.costs import chattering_report, evaluate_cost, evaluate_costs
+from gcontrol.costs import _PathCosts, chattering_report, evaluate_cost, evaluate_costs
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family, upper_expectation
-from gcontrol.sde import _batch_steps, simulate, stream_batch
+from gcontrol import sde
+from gcontrol.sde import _batch_steps, _branches, simulate, stream_batch
 from gcontrol.variational import QuotientRow, solve_variational, spike_report
 
 K = 16
@@ -45,12 +47,40 @@ _ZERO_WEIGHTS = RelaxedControl(ACTIONS, np.array([[0.3, 0.0, 0.7]] * (K - 4)
                                                   + [[0.0, 1.0, 0.0]] * 4))
 _PATTERN = StrictControl(ACTIONS, np.tile(np.array([0, 2, 1, 1]), K // 4))
 
+# rows that branch: spikes at the first and the last step, a row equal to
+# row 0 throughout (it never starts), two nested spikes (the narrower one's
+# parent has not started either before step 9), and three descending widths
+# from one opening step, whose narrower rows start out of batch order
+_SPIKES = [_PATTERN, spike(_PATTERN, 2, 0, 1), spike(_PATTERN, 0, K - 1, 1),
+           StrictControl(ACTIONS, _PATTERN.indices.copy()),
+           spike(_PATTERN, 0, 9, 4), spike(_PATTERN, 0, 9, 2)]
+_NESTED = [spike(_PATTERN, 0, 5, span) for span in (8, 6, 3)]
+# zero weights for 6 steps, then uniform: it shares the uniform rows' tail
+# but branches from _ZERO_WEIGHTS, whose weights and tags it has until step 6
+_PREFIX = RelaxedControl(ACTIONS, np.concatenate([_ZERO_WEIGHTS.weights[:6],
+                                                  uniform_relaxed(ACTIONS, K - 6).weights]))
+# the first action's weight of _ZERO_WEIGHTS until step K - 4, the others swapped
+_SWAPPED = RelaxedControl(ACTIONS, np.array([[0.3, 0.7, 0.0]] * K))
+
 # (family, marks, controls) per case
 CASES = {
     "strict": (CORNERS, BUSY, [_PATTERN] + [StrictControl(ACTIONS, np.full(K, i))
                                             for i in range(3)]),
     "relaxed-zero-weights": (CORNERS, BUSY, [_ZERO_WEIGHTS, uniform_relaxed(ACTIONS, K)]),
     "lone-quiet": (LONE, QUIET, [_PATTERN, StrictControl(ACTIONS, np.full(K, 2))]),
+    "spikes-at-the-ends": (CORNERS, BUSY, _SPIKES),
+    "nested-widths": (CORNERS, BUSY, _NESTED),
+    "relaxed-shared-prefix": (CORNERS, BUSY, [uniform_relaxed(ACTIONS, K), _ZERO_WEIGHTS,
+                                              _PREFIX, _SWAPPED]),
+}
+# each case's (starts, parents) from sde._branches
+BRANCHES = {
+    "strict": ([0, 1, 0, 0], [-1, 0, 0, 0]),
+    "relaxed-zero-weights": ([0, 0], [-1, 0]),
+    "lone-quiet": ([0, 0], [-1, 0]),
+    "spikes-at-the-ends": ([0, 0, K - 1, K, 9, 11], [-1, 0, 0, 0, 0, 4]),
+    "nested-widths": ([0, 11, 9], [-1, 0, 0]),
+    "relaxed-shared-prefix": ([0, 0, 6, 0], [-1, 0, 1, 0]),
 }
 
 
@@ -100,6 +130,66 @@ def test_stream_batch_hands_every_step_with_the_stored_bits(case):
         assert x is slot
         assert (k, x.tobytes()) == seen[k]
     assert k == K
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_only_started_rows_are_stepped(case, monkeypatch):
+    # a row starts where its actions leave an earlier row's; until then the
+    # increment never sees it, and it takes its parent's new state
+    family, marks, controls = CASES[case]
+    starts, parents = BRANCHES[case]
+    strict = isinstance(controls[0], StrictControl)
+    table = np.stack([u.values for u in controls] if strict else [mu.weights for mu in controls])
+    assert [v.tolist() for v in _branches(table)] == [starts, parents]
+    name, at = ("_strict_increment", 2) if strict else ("_relaxed_increment", 3)
+    increment, rows = getattr(sde, name), []
+
+    def counted(*args):
+        rows.append(args[at].shape[0])
+        return increment(*args)
+
+    monkeypatch.setattr(sde, name, counted)
+    stream_batch(MODEL, controls, sample_drivers(family, GRID, marks, 30, 4), 1.0,
+                 lambda k, x: None)
+    assert rows == [sum(s <= k for s in starts) for k in range(K)]
+
+
+def test_nested_spike_windows_branch_where_each_closes():
+    # the forward-sweep variational windows, t0 = 0.25 and widths 1/16, 1/32
+    # and 1/64 on 128 steps: [32, 40), [32, 36) and [32, 34) on a constant base
+    grid = TimeGrid(T=1.0, n_steps=128)
+    base = StrictControl(ACTIONS, np.full(128, 1))
+    windows = [spike_window(0.25, h, grid) for h in (1 / 16, 1 / 32, 1 / 64)]
+    assert windows == [(32, 8), (32, 4), (32, 2)]
+    spikes = [spike(base, 2, k0, span).values for k0, span in windows]
+    starts, parents = _branches(np.stack(spikes))
+    assert starts.tolist() == [0, 36, 34]
+    assert parents.tolist() == [-1, 0, 0]
+    # with the base in the batch, the widest spike branches from it at its opening
+    starts, parents = _branches(np.stack([base.values] + spikes))
+    assert starts.tolist() == [0, 32, 36, 34]
+    assert parents.tolist() == [-1, 0, 1, 1]
+
+
+def test_strict_cost_fold_is_the_per_row_weight_mix_stacked():
+    # a strict batch folds h once per step on its whole slot with the rows'
+    # action values; each row equals the weight mix of its Dirac embedding,
+    # the per-row fold a relaxed batch runs
+    controls = _SPIKES + _NESTED + [StrictControl(ACTIONS, np.full(K, i)) for i in range(3)]
+    shape = (len(controls), 4, 30)
+    rng = np.random.default_rng(3)
+    stacked = _PathCosts(MODEL, controls, GRID, shape[1:])
+    mixed = _PathCosts(MODEL, [embed_strict(u) for u in controls], GRID, shape[1:])
+    assert stacked.values is not None and mixed.values is None
+    for k in range(K):
+        xk = rng.normal(scale=k + 1.0, size=shape)
+        xk[:, 0, :3] = -0.0
+        stacked.add(k, xk)
+        mixed.add(k, xk)
+    assert stacked.running.tobytes() == mixed.running.tobytes()
+    ids = [f"row {c}" for c in range(len(controls))]
+    x_T = rng.normal(size=shape)
+    assert stacked.totals(x_T, ids).tobytes() == mixed.totals(x_T, ids).tobytes()
 
 
 def test_batch_pull_refuses_a_bad_batch_before_any_step():
