@@ -48,15 +48,17 @@ and the raw step, and writes each step's volatility-channel summand
 rows gives every block's :func:`tail_weights`, after which the buffer is
 dropped. The table forms each start's triple from its inputs
 (:func:`_triple_at`); the loadings it reads there were final before the
-reducer ran. In :func:`bsde_stability_report` the relaxed
-control's core runs without a reducer, and its stored states and its
-backward variable are dropped after it: the core keeps each step's
-state regression as a small :class:`StateFit` record, from which
-:func:`_evaluate_fit` gives the fit at any state. Each rung's reducer,
-beside a replay of the relaxed control's kernel and flow (its states and
-``psi``), evaluates the relaxed control's fit at the replayed state,
-forms both triples at the step and folds the pair into per-(scenario,
-path) gap accumulators (:func:`_finite_triple`). A backward variable, triple
+reducer ran. In :func:`bsde_stability_report` each rung's core runs
+first, without a reducer, so it forms no inverse flow, and the rung's
+stored states and backward variable are dropped after it: the core keeps
+each step's state regression as a small :class:`StateFit` record, from
+which :func:`_evaluate_fit` gives the fit at any state. Then the relaxed
+control's core runs with the one reducer that folds the whole ladder:
+at each step it pulls every rung's state and ``psi`` from a replay of
+the rung's strict kernel and flow, evaluates the rung's fit at the
+replayed state, forms the relaxed control's triple once and every
+rung's triple, and folds each pair into the rung's per-(scenario, path)
+gap accumulators (:func:`_finite_triple`). A backward variable, triple
 component or table entry that overflows raises, naming the step and the
 scenario.
 
@@ -336,15 +338,19 @@ def _horner(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
     val = np.broadcast_to(coef[:, -1:], z.shape)
     for i in range(coef.shape[1] - 2, -1, -1):
         val = val * z + coef[:, i:i + 1]
-    return val
+    # a degree-0 fit is still a read-only view of its coefficients
+    return val if val.flags.writeable else val.copy()
 
 
 def _evaluate_fit(record: StateFit, x: np.ndarray) -> np.ndarray:
     """The fit of ``record`` at the (S, P) state ``x``: standardize, then :func:`_horner`.
 
     At the state the record was regressed on this is the regression's
-    own fit, bit for bit; at a replay of that state, too.
+    own fit, bit for bit; at a replay of that state, too. When no
+    scenario is degenerate the whole state is standardized at once.
     """
+    if not record.flat.any():
+        return _horner(record.coef, (x - record.centre[:, None]) / record.sd[:, None])
     pred = np.empty(x.shape)
     pred[record.flat] = record.means[:, None]
     live = ~record.flat
@@ -365,25 +371,32 @@ def _regress_state(x: np.ndarray, target: np.ndarray, degree: int):
     conditional expectation there, with condition number 1. The live rows'
     fit is :func:`_horner` at the standardized state the power sums were
     formed from, which is what :func:`_evaluate_fit` gives from the
-    step's :class:`StateFit` record at that state, bit for bit.
+    step's :class:`StateFit` record at that state, bit for bit. The
+    deviations from the mean are formed once, for the spread and the
+    standardized state; ``sd`` is ``np.std``'s own arithmetic on them, so
+    it has that function's bits. When no row is degenerate the live rows
+    are ``x`` and ``target`` themselves, not copies.
     Returns the fit (S, P), its record, the condition numbers (S,), the
     residual sums of squares (S,) and the number of SVD fallbacks.
     """
-    sd = x.std(axis=1)
+    centre = x.mean(axis=1)
+    dev = x - centre[:, None]
+    sd = np.sqrt(np.square(dev).sum(axis=1) / x.shape[1])
     cond = np.ones(x.shape[0])
     fallbacks = 0
     flat = sd < _DEGENERATE_STD
     live = ~flat
     n = degree + 1
-    centre = np.empty(0)
     coef = np.empty((0, n))
-    pred = np.empty(x.shape)
     means = target[flat].mean(axis=1)
-    pred[flat] = means[:, None]
-    if live.any():
-        xl, yl = x[live], target[live]
-        centre = xl.mean(axis=1)
-        z = (xl - centre[:, None]) / sd[live][:, None]
+    pred = None
+    yl = target
+    if flat.any():
+        pred = np.empty(x.shape)
+        pred[flat] = means[:, None]
+        dev, yl, centre, sd = dev[live], target[live], centre[live], sd[live]
+    if centre.size:
+        z = np.divide(dev, sd[:, None], out=dev)
         power = np.empty((z.shape[0], 2 * degree + 1))
         rhs = np.empty((z.shape[0], n))
         power[:, 0] = z.shape[1]
@@ -401,8 +414,11 @@ def _regress_state(x: np.ndarray, target: np.ndarray, degree: int):
             return z[rows][:, :, None] ** np.arange(n), yl[rows]
 
         coef, cond[live], fallbacks = _solve_normal(gram, rhs, design)
-        pred[live] = _horner(coef, z)
-    record = StateFit(flat, means, centre, sd[live], coef)
+        if pred is None:
+            pred = _horner(coef, z)
+        else:
+            pred[live] = _horner(coef, z)
+    record = StateFit(flat, means, centre, sd, coef)
     return pred, record, cond, ((target - pred) ** 2).sum(axis=1), fallbacks
 
 
@@ -479,6 +495,11 @@ def _invert_step_drift(c: np.ndarray, a: np.ndarray, lo: float, hi: float, dt: f
     return out
 
 
+def _terminal_gradient(model: ModelSpec, x: np.ndarray) -> np.ndarray:
+    """``g_x`` at the (S, P) terminal state ``x``, (S, P) also where it is constant."""
+    return np.asarray(model.g_x(x), dtype=float) + np.zeros_like(x)
+
+
 def _adjoint_core(
     ensemble: StateEnsemble, basis_degree: int,
     reduce: Callable[[SimpleNamespace, int, np.ndarray, np.ndarray, np.ndarray], None]
@@ -507,7 +528,10 @@ def _adjoint_core(
     to step j. ``phi_j`` and ``psi_j`` are overwritten after the call.
     From the call on the reducer owns
     ``y[j]``: the core reads the raw step only before it. Without a
-    reducer ``y`` ends as the raw backward variable. A backward variable
+    reducer ``y`` ends as the raw backward variable, and the second pass
+    forms no inverse flow either, since only a reducer reads ``psi``; the
+    loadings, fits and health numbers are those of any reducer that
+    leaves ``y`` alone, bit for bit. A backward variable
     that overflows raises ``FloatingPointError`` naming the step and the
     scenario; so does a flow step, as in ``fundamental_steps``, but the
     first pass forms ``phi`` only, so there a ``phi`` that overflows is
@@ -530,7 +554,7 @@ def _adjoint_core(
         hx = _avg(model.h_x, float(times[k]), x[k], w[k], actions)
         return hx * phi_k * dt
 
-    gx_term = np.asarray(model.g_x(x[n_steps]), dtype=float) + np.zeros_like(x[n_steps])
+    gx_term = _terminal_gradient(model, x[n_steps])
     y = np.empty((n_steps + 1, n_scen, n_paths))
     for k, phi_k, _ in fundamental_steps(ensemble, need_inverse=False):
         y[k] = running(k, phi_k) if k < n_steps else gx_term * phi_k
@@ -562,7 +586,8 @@ def _adjoint_core(
     comp = marks.intensities[:, None] * dt
     past = np.zeros((n_scen, n_paths))
     prev = None
-    for k, phi_k, psi_k in fundamental_steps(ensemble, need_inverse=True):
+    # only a reducer reads psi
+    for k, phi_k, psi_k in fundamental_steps(ensemble, need_inverse=reduce is not None):
         if k < n_steps:
             fit, record, core.cond_y[:, k], rss, fb = _regress_state(x[k], y[k], basis_degree)
             core.fits.append(record)
@@ -898,70 +923,85 @@ def bsde_stability_report(
     zero on both sides, so its gap column is exactly zero.
 
     No triple is held whole, no flow, and no states or backward variable
-    of the relaxed control. It keeps its loadings and each step's fit
-    record (``core.fits``); its stored states and its backward variable
-    are dropped after its core. Beside each rung's core, which hands its
-    steps on one at a time, the relaxed control's kernel and flow are
-    replayed in lockstep (``sde._batch_steps`` and
-    ``variational._flow``), which reproduces its states and ``psi`` bit
-    for bit at the cost of one relaxed kernel pass per rung, and its fit
-    is evaluated from the step's record at the replayed state
-    (:func:`_evaluate_fit`), which reproduces the fit bit for bit. The
-    peak holds two state-sized arrays: the rung's states and backward
-    variable. Both triples are formed at the step and folded into three
-    (S, P) accumulators: the running max of ``|p_n - p|`` (terminal node
-    included) and the running sums of the squared ``q`` and the
-    ``nu``-weighted squared ``r`` differences, in step order, which is
-    the order numpy sums a time-major array over its first axis when a
-    step holds more than one (scenario, path) pair. ``health`` is the
-    :func:`_estimator_health` of the relaxed control's regressions.
+    of a rung. Each rung's core runs first, without a reducer, and the
+    rung keeps only its loadings and each step's fit record
+    (``core.fits``); its states and its backward variable are dropped
+    after its core. Then one core runs on the relaxed control's stored
+    run, and its reducer folds the whole ladder at each step: it pulls
+    every rung's step from a replay of the rung's strict kernel and flow
+    (``sde._batch_steps`` and ``variational._flow``), which reproduces
+    the rung's states and ``psi`` bit for bit, forms the relaxed
+    control's triple once, and then each rung's, with the rung's fit
+    evaluated from the step's record at the replayed state
+    (:func:`_evaluate_fit`), which reproduces the fit bit for bit. Every
+    rung's step is pulled before the relaxed control's triple is formed,
+    so the replays' step temporaries are gone before it exists. The peak
+    holds two state-sized arrays, the relaxed control's states and
+    backward variable, and per rung eight (S, P) slots: three
+    accumulators, a kernel slot and the flow's four. The accumulators
+    hold the running max of ``|p_n - p|`` and the running sums of the
+    squared ``q`` and the ``nu``-weighted squared ``r`` differences, in
+    step order, which is the order numpy sums a time-major array over its
+    first axis when a step holds more than one (scenario, path) pair; the
+    terminal node's ``|g_x(x_n) - g_x(x)|`` joins the max after the pass,
+    from each replay's terminal state (a max is exact in any order).
+    ``health`` is the :func:`_estimator_health` of the relaxed control's
+    regressions.
+
+    A rung's kernel or regression failure is raised before anything of
+    the relaxed control runs, and at a step the relaxed control's triple
+    is checked before the rungs'.
     """
     n_list = check_ladder(n_list)
     dt = drivers.grid.dt
     nus = drivers.marks.intensities
 
-    mu_core = _adjoint_core(simulate(model, mu, drivers, x0), basis_degree)
-    # a replay of the kernel reproduces the stored states bit for bit, and each
-    # step's fit is evaluated from its record at the replayed state, so the
-    # states and the backward variable go with the ensemble
-    del mu_core.y
-    health = _estimator_health(mu_core)
+    def rung_core(n):
+        """Rung n's core, holding its loadings and fit records but no state-sized array."""
+        core = _adjoint_core(simulate(model, chattering(mu, n), drivers, x0), basis_degree)
+        del core.y, core.gx_term
+        return core
 
-    def rung_gaps(n):
-        """Upper means of rung n's p, q and r gaps.
+    rungs = [rung_core(n) for n in n_list]
+    ens = simulate(model, mu, drivers, x0)
+    # each rung's states and psi, replayed step by step
+    flows = [_flow(model, rung.control, drivers,
+                   (x[0] for _, x in _batch_steps(model, [rung.control], drivers, x0)),
+                   need_inverse=True) for rung in rungs]
+    # per rung: the running max of |dp| and the sums of dq**2 and nu-weighted dr**2
+    acc = np.zeros((len(rungs), 3) + ens.states.shape[1:])
 
-        The rung is simulated right before its adjoint, and everything
-        of it is dropped on return, before the next rung is simulated,
-        because the adjoint sets the peak memory.
-        """
-        ens = simulate(model, chattering(mu, n), drivers, x0)
-        mu_states = (x[0] for _, x in _batch_steps(model, [mu], drivers, x0))
-        mu_flow = _flow(model, mu, drivers, mu_states, need_inverse=True)
-        acc = SimpleNamespace()
+    def fold_rung(rung, j, step, triple_mu, p_sup, q_sum, r_sum):
+        # a frame of its own, so a rung's triple is freed before the next rung's is formed
+        _, x_n, _, psi_n = step
+        p, q, r = _finite_triple(rung, j, x_n, _evaluate_fit(rung.fits[j], x_n), psi_n)
+        # the rung's triple is its own, so each difference is formed in its place
+        for v, v_mu in zip((p, q, r), triple_mu):
+            np.subtract(v, v_mu, out=v)
+        np.maximum(p_sup, np.abs(p, out=p), out=p_sup)
+        q_sum += np.square(q, out=q)
+        r_sum += np.multiply(np.square(r, out=r), nus, out=r).sum(axis=2)
 
-        def fold(core, j, phi_j, psi_j, fit_j):
-            if j == 0:
-                acc.p_sup = np.abs(core.gx_term - mu_core.gx_term)
-                acc.q_sum = np.zeros(acc.p_sup.shape)
-                acc.r_sum = np.zeros(acc.p_sup.shape)
-            p, q, r = _finite_triple(core, j, ens.states[j], fit_j, psi_j)
-            _, x_mu, _, psi_mu = next(mu_flow)
-            fit_mu = _evaluate_fit(mu_core.fits[j], x_mu)
-            p_mu, q_mu, r_mu = _finite_triple(mu_core, j, x_mu, fit_mu, psi_mu)
-            np.maximum(acc.p_sup, np.abs(p - p_mu), out=acc.p_sup)
-            acc.q_sum += (q - q_mu) ** 2
-            acc.r_sum += (((r - r_mu) ** 2) * nus).sum(axis=2)
+    def fold(core, j, phi_j, psi_j, fit_j):
+        steps = [next(flow) for flow in flows]
+        triple_mu = _finite_triple(core, j, ens.states[j], fit_j, psi_j)
+        for rung, step, acc_n in zip(rungs, steps, acc):
+            fold_rung(rung, j, step, triple_mu, *acc_n)
 
-        _adjoint_core(ens, basis_degree, fold)
-        gaps = []
-        for name, dev in (("p", acc.p_sup**2), ("q", acc.q_sum * dt), ("r", acc.r_sum * dt)):
-            _require_finite(dev, f"{name} gap of rung n={n}")
-            gaps.append(upper_expectation(list(dev)))
-        return gaps
+    mu_core = _adjoint_core(ens, basis_degree, fold)
+    del ens, mu_core.y
+    for flow, acc_n in zip(flows, acc):
+        _, x_end, _, _ = next(flow)
+        np.maximum(acc_n[0], np.abs(_terminal_gradient(model, x_end) - mu_core.gx_term),
+                   out=acc_n[0])
 
     rows: list[StabilityRow] = []
-    for n in n_list:
-        um_p, um_q, um_r = rung_gaps(n)
+    for n, (p_sup, q_sum, r_sum) in zip(n_list, acc):
+        gaps = []
+        for name, dev in (("p", p_sup**2), ("q", q_sum * dt), ("r", r_sum * dt)):
+            _require_finite(dev, f"{name} gap of rung n={n}")
+            gaps.append(upper_expectation(list(dev)))
+        um_p, um_q, um_r = gaps
         rows.append(
             StabilityRow(
                 n=n,
@@ -982,5 +1022,5 @@ def bsde_stability_report(
         r_nonincreasing=all(b.r_gap <= a.r_gap for a, b in zip(rows, rows[1:])),
         basis_degree=basis_degree,
         seed=drivers.seed,
-        health=health,
+        health=_estimator_health(mu_core),
     )

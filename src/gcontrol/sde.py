@@ -30,11 +30,11 @@ once. Every run is a stream: the step loop is a generator that updates
 one step slot in place. :func:`stream_batch` drives it and hands each
 step to the caller's reducer; :func:`_batch_steps`, the same set-up
 without a driver, lets a caller pull the steps in lockstep with another
-stream (``bsde_stability_report`` replays the relaxed control this way
-beside each rung's adjoint). A run keeps its whole (n_steps + 1, S, P)
-states only when a later pass reads them again (the flow, the adjoint,
-z): a stored run is a reducer that copies each step into a
-:class:`StateEnsemble` (:func:`_stored_run`, :func:`simulate`).
+stream (``bsde_stability_report`` replays each rung of its ladder this
+way beside the relaxed control's adjoint). A run keeps its whole
+(n_steps + 1, S, P) states only when a later pass reads them again (the
+flow, the adjoint, z): a stored run is a reducer that copies each step
+into a :class:`StateEnsemble` (:func:`_stored_run`, :func:`simulate`).
 """
 
 from __future__ import annotations

@@ -25,12 +25,12 @@ step slots each, and a consumer that needs them twice (the adjoint core)
 runs the flow twice. The flow reads its states one step at a time from
 any stream of them (:func:`_flow`): a stored run's rows, or the steps
 pulled from a replay of the kernel, which ``bsde_stability_report`` runs
-beside each rung instead of keeping the relaxed control's states. The
-jump multiplier ``(1 + f_x)^count`` is applied only on the paths that
-have events in the step, with the step's counts per (mark, action tag)
-formed on those paths only (``Drivers.event_counts``). A path without
-events would be multiplied by exactly one, so the result is bit for bit
-that of the dense product.
+for each rung beside the relaxed control's adjoint instead of keeping the
+rung's states. The jump multiplier ``(1 + f_x)^count`` is applied only
+on the paths that have events in the step, with the step's counts per
+(mark, action tag) formed on those paths only (``Drivers.event_counts``).
+A path without events would be multiplied by exactly one, so the result
+is bit for bit that of the dense product.
 
 A derivative that is constant in the state stays a scalar through the
 step's factors (see ``models._coeff``): each factor is one elementwise

@@ -5,10 +5,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from dense_reference import dense_counts, stacked_step_dB
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import bsde_residual, driver_lipschitz_audit, whole_flow, whole_triple
 
 from gcontrol import adjoint as adj
 from gcontrol import models as md
+from gcontrol import variational
 from gcontrol.adjoint import (
     bsde_stability_report,
     f_term,
@@ -699,6 +702,86 @@ def test_stacked_regressions_are_row_independent():
                 assert a[s:s + 1].tobytes() == b.tobytes()
 
 
+
+def _reference_regress_state(x, target, degree):
+    """The state regression with ``x.std`` and ``[live]`` copies on every call, as first written."""
+    sd = x.std(axis=1)
+    cond = np.ones(x.shape[0])
+    fallbacks = 0
+    flat = sd < adj._DEGENERATE_STD
+    live = ~flat
+    n = degree + 1
+    centre = np.empty(0)
+    coef = np.empty((0, n))
+    pred = np.empty(x.shape)
+    means = target[flat].mean(axis=1)
+    pred[flat] = means[:, None]
+    if live.any():
+        xl, yl = x[live], target[live]
+        centre = xl.mean(axis=1)
+        z = (xl - centre[:, None]) / sd[live][:, None]
+        power = np.empty((z.shape[0], 2 * degree + 1))
+        rhs = np.empty((z.shape[0], n))
+        power[:, 0] = z.shape[1]
+        rhs[:, 0] = yl.sum(axis=1)
+        zj = z
+        for j in range(1, 2 * degree + 1):
+            power[:, j] = zj.sum(axis=1)
+            if j < n:
+                rhs[:, j] = (zj * yl).sum(axis=1)
+            if j < 2 * degree:
+                zj = zj * z
+        gram = power[:, np.add.outer(np.arange(n), np.arange(n))]
+
+        def design(rows):
+            return z[rows][:, :, None] ** np.arange(n), yl[rows]
+
+        coef, cond[live], fallbacks = adj._solve_normal(gram, rhs, design)
+        pred[live] = adj._horner(coef, z)
+    record = adj.StateFit(flat, means, centre, sd[live], coef)
+    return pred, record, cond, ((target - pred) ** 2).sum(axis=1), fallbacks
+
+
+_ROW_KINDS = ("spread", "flat", "outlier", "two-valued")
+
+
+@settings(max_examples=150, deadline=None)
+@given(kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=5),
+       n_paths=st.integers(1, 40), degree=st.integers(0, 4), seed=st.integers(0, 2**16),
+       scale=st.sampled_from([1e-9, 1e-3, 1.0, 1e4]),
+       kick=st.sampled_from([1e-13, 1e-11, 1e-6, 1.0, 1e3]))
+def test_state_regression_keeps_its_reference_bits(kinds, n_paths, degree, seed, scale, kick):
+    """Deviations formed once, and no copies when every row is live, change no bit.
+
+    Rows may be all degenerate (one path, or flat rows only), partly
+    degenerate, two-valued (an SVD fallback) or a single outlier on a
+    constant row, whose spread sits near the degeneracy threshold.
+    """
+    rng = np.random.default_rng(seed)
+    x = np.empty((len(kinds), n_paths))
+    for s, kind in enumerate(kinds):
+        level = rng.normal()
+        if kind == "spread":
+            x[s] = level + scale * rng.normal(size=n_paths)
+        elif kind == "two-valued":
+            x[s] = level + scale * (np.arange(n_paths) % 2)
+        else:
+            x[s] = level
+            if kind == "outlier":
+                x[s, rng.integers(n_paths)] += kick
+    y = rng.normal(size=x.shape) + x**2
+    got = adj._regress_state(x, y, degree)
+    want = _reference_regress_state(x, y, degree)
+    # a reducer may write into the fit it is handed, at any degree
+    assert got[0].flags.writeable
+    for a, b in zip(got[:1] + got[2:4], want[:1] + want[2:4]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got[4] == want[4]
+    for a, b in zip(got[1], want[1]):
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert adj._evaluate_fit(got[1], x.copy()).tobytes() == got[0].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # stationarity tables
 # ---------------------------------------------------------------------------
@@ -1070,23 +1153,76 @@ def test_two_flow_passes_yield_the_same_bits(kind):
     assert k_c == 32
 
 
-def test_stability_report_holds_no_whole_triple():
-    """No triple, flow, relaxed state or relaxed fit is held whole: the peak stays within 3.8.
+def test_ladder_folded_in_one_pass_equals_each_rung_alone():
+    """One relaxed core folds the whole ladder: each row is the row of its rung run alone.
 
-    The unit is one state array. The relaxed control keeps only its
-    per-step fit records and loadings; its states and its ``psi`` are
-    replayed beside each rung, whose adjoint holds its states and its
-    backward variable, the relaxed control's fit is evaluated from its
-    record at the replayed state, and both triples are formed step by
-    step. With the drivers sampled inside the measurement the peak is
-    3.50 after an untraced warm-up call, whatever ran before in the
-    process (3.81 on a cold first call, which also counts allocations
-    made once per process). Cold figures of the older layouts: keeping
-    the relaxed control's fit peaks near 4.75 (4.44 warmed), keeping its
-    states as well near 5.75, storing its whole ``psi`` near 6.5,
-    holding each rung's whole flow and inverse flow as well near 8.0,
-    the relaxed control's whole triple near 9.2, and the rungs' whole
-    triples near 24.
+    The rungs' accumulators, kernel slots and flows sit side by side in
+    the relaxed control's reducer, and the relaxed control's health comes
+    from that one core, so neither may depend on which rungs run beside.
+    """
+    grid = TimeGrid(T=1.0, n_steps=32)
+    fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
+    acts = ActionGrid(np.array([-1.0, 0.0, 1.0]))
+    model = _sine(_lq(c2=0.3, f2=0.05, h2=0.1))
+    args = (model, uniform_relaxed(acts, 32))
+    setting = (sample_drivers(fam, grid, BUSY, 200, 23), 1.0)
+    ladder = bsde_stability_report(*args, [2, 8, 32], *setting)
+    alone = [bsde_stability_report(*args, [n], *setting) for n in (2, 8, 32)]
+    assert ladder.rows == tuple(rep.rows[0] for rep in alone)
+    assert all(rep.health == ladder.health for rep in alone)
+    assert all(row.p_gap > 0.0 and row.q_gap > 0.0 and row.r_gap > 0.0 for row in ladder.rows)
+
+
+def test_reducerless_core_equals_a_core_with_a_no_op_reducer(monkeypatch):
+    """Without a reducer the core forms no inverse flow, and nothing it returns changes."""
+    grid = TimeGrid(T=1.0, n_steps=16)
+    fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
+    ens = simulate(_sine(_lq()), uniform_relaxed(PM1, 16),
+                   sample_drivers(fam, grid, MARKS, 200, 5), 1.0)
+    inverse = []
+    factors = variational._FlowSteps.factors
+
+    def counted(self, k, x, *, need_inverse):
+        inverse.append(need_inverse)
+        return factors(self, k, x, need_inverse=need_inverse)
+
+    monkeypatch.setattr(variational._FlowSteps, "factors", counted)
+    bare = adj._adjoint_core(ens, 2)
+    assert len(inverse) == 32 and not any(inverse)
+    calls = []
+    noop = adj._adjoint_core(ens, 2, lambda core, j, *step: calls.append(j))
+    assert calls == list(range(16))
+    assert sum(inverse) == 16
+    for name in ("y", "gx_term", "Q", "R", "S_t", "intercept", "cond_y", "cond_increment",
+                 "y_residual"):
+        assert getattr(bare, name).tobytes() == getattr(noop, name).tobytes(), name
+    assert len(bare.fits) == len(noop.fits) == 16
+    for a, b in zip(bare.fits, noop.fits):
+        assert all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
+    assert adj._estimator_health(bare) == adj._estimator_health(noop)
+
+
+def test_stability_report_holds_no_whole_triple():
+    """No triple, flow, rung state or rung fit is held whole: the peak stays within 3.8.
+
+    The unit is one state array. Each rung's core runs first and the rung
+    keeps only its per-step fit records and loadings. Then the relaxed
+    control's core holds its states and its backward variable, and its
+    reducer folds the whole ladder: each rung's states and ``psi`` are
+    replayed step by step, the rung's fit is evaluated from its record at
+    the replayed state, and both triples are formed one step at a time.
+    Each rung adds eight (S, P) slots: three accumulators, a kernel slot
+    and its flow's four. With the drivers sampled inside the measurement
+    the peak is 3.70 after an untraced warm-up call, whatever ran before
+    in the process (4.04 on a cold first call, which also counts
+    allocations made once per process); forming each rung's differences
+    in new arrays instead of in its own triple read 3.76. Figures of the
+    older layouts: replaying the relaxed control beside each rung's core
+    peaks at 3.50 warmed (3.81 cold); cold, keeping the relaxed control's
+    fit peaks near 4.75 (4.44 warmed), keeping its states as well near
+    5.75, storing its whole ``psi`` near 6.5, holding each rung's whole
+    flow and inverse flow as well near 8.0, the relaxed control's whole
+    triple near 9.2, and the rungs' whole triples near 24.
     """
     grid = TimeGrid(T=1.0, n_steps=32)
     fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
