@@ -55,12 +55,14 @@ each step's state regression as a small :class:`StateFit` record, from
 which :func:`_evaluate_fit` gives the fit at any state. Then the relaxed
 control's core runs with the one reducer that folds the whole ladder:
 at each step it pulls every rung's state and ``psi`` from a replay of
-the rung's strict kernel and flow, evaluates the rung's fit at the
-replayed state, forms the relaxed control's triple once and every
-rung's triple, and folds each pair into the rung's per-(scenario, path)
-gap accumulators (:func:`_finite_triple`). A backward variable, triple
-component or table entry that overflows raises, naming the step and the
-scenario.
+the rung's strict kernel and flow, which forms no ``phi``, evaluates the
+rung's fit at the replayed state, forms the relaxed control's triple
+once and every rung's triple, and folds each pair into the rung's
+per-(scenario, path) gap accumulators (:func:`_finite_triple`). Below
+eight marks the ``nu``-weighted ``r`` term is summed mark by mark on
+(S, P) operands, which is the order numpy sums so short an axis in. A
+backward variable, triple component or table entry that overflows
+raises, naming the step and the scenario.
 
 A control is read through its ``weights`` over ``grid.actions`` (one-hot
 for a strict control), so a strict control's adjoint and tables run on the
@@ -333,13 +335,20 @@ def _horner(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Each row's polynomial ``sum_i coef[:, i] z**i`` at the standardized state ``z``.
 
     ``coef`` is (S_live, degree + 1), lowest power first, and ``z``
-    (S_live, P); Horner's rule, highest power first.
+    (S_live, P); Horner's rule, highest power first, in one new array:
+    the first product forms it and every later step runs in place. These
+    are the elementwise operations of ``val = val * z + c``, so the bits
+    are that form's. The result is writable and shares no memory with
+    ``coef`` or ``z``, at degree 0 too.
     """
-    val = np.broadcast_to(coef[:, -1:], z.shape)
+    if coef.shape[1] == 1:
+        return np.broadcast_to(coef, z.shape).copy()
+    val = coef[:, -1:] * z
     for i in range(coef.shape[1] - 2, -1, -1):
-        val = val * z + coef[:, i:i + 1]
-    # a degree-0 fit is still a read-only view of its coefficients
-    return val if val.flags.writeable else val.copy()
+        val += coef[:, i:i + 1]
+        if i:
+            val *= z
+    return val
 
 
 def _evaluate_fit(record: StateFit, x: np.ndarray) -> np.ndarray:
@@ -906,6 +915,26 @@ def mp_check_near(
     )
 
 
+def _nu_weighted_mark_sum(r: np.ndarray, nus: np.ndarray) -> np.ndarray:
+    """``np.multiply(r, nus).sum(axis=2)`` of an (S, P, m) ``r``, bit for bit; ``r`` is overwritten.
+
+    Below eight terms numpy sums an axis in order, so the sum is formed
+    mark by mark, in mark order, on (S, P) operands: numpy's reduction
+    would run an inner loop as short as the mark axis once per
+    (scenario, path) pair. From eight terms up numpy sums pairwise, with
+    eight accumulators, in an order of its own, so there the reduction
+    itself runs.
+    """
+    # from eight terms up a mark-wise sum would change the bits
+    if r.shape[2] >= 8:
+        return np.multiply(r, nus, out=r).sum(axis=2)
+    val = r[..., 0] * nus[0]
+    for i in range(1, r.shape[2]):
+        r_i = r[..., i]
+        val += np.multiply(r_i, nus[i], out=r_i)
+    return val
+
+
 def bsde_stability_report(
     model: ModelSpec,
     mu: RelaxedControl,
@@ -930,19 +959,24 @@ def bsde_stability_report(
     run, and its reducer folds the whole ladder at each step: it pulls
     every rung's step from a replay of the rung's strict kernel and flow
     (``sde._batch_steps`` and ``variational._flow``), which reproduces
-    the rung's states and ``psi`` bit for bit, forms the relaxed
-    control's triple once, and then each rung's, with the rung's fit
-    evaluated from the step's record at the replayed state
-    (:func:`_evaluate_fit`), which reproduces the fit bit for bit. Every
-    rung's step is pulled before the relaxed control's triple is formed,
-    so the replays' step temporaries are gone before it exists. The peak
-    holds two state-sized arrays, the relaxed control's states and
-    backward variable, and per rung eight (S, P) slots: three
-    accumulators, a kernel slot and the flow's four. The accumulators
+    the rung's states and ``psi`` bit for bit. The replay forms no
+    ``phi``: the fold does not read it, and the rung's own core has
+    already checked it. The reducer then forms the relaxed control's
+    triple once, and then each rung's, with the rung's fit evaluated
+    from the step's record at the replayed state (:func:`_evaluate_fit`),
+    which reproduces the fit bit for bit. Every rung's step is pulled
+    before the relaxed control's triple is formed, so the replays' step
+    temporaries are gone before it exists. The peak holds two
+    state-sized arrays, the relaxed control's states and backward
+    variable, and per rung six (S, P) slots: three accumulators, a
+    kernel slot and the replay's two ``psi`` slots. The accumulators
     hold the running max of ``|p_n - p|`` and the running sums of the
     squared ``q`` and the ``nu``-weighted squared ``r`` differences, in
     step order, which is the order numpy sums a time-major array over its
-    first axis when a step holds more than one (scenario, path) pair; the
+    first axis when a step holds more than one (scenario, path) pair. A
+    step's ``r`` term sums its marks in numpy's order for the mark axis
+    (:func:`_nu_weighted_mark_sum`): mark by mark on (S, P) operands below
+    eight marks, and by numpy's own pairwise reduction from eight up. The
     terminal node's ``|g_x(x_n) - g_x(x)|`` joins the max after the pass,
     from each replay's terminal state (a max is exact in any order).
     ``health`` is the :func:`_estimator_health` of the relaxed control's
@@ -964,10 +998,10 @@ def bsde_stability_report(
 
     rungs = [rung_core(n) for n in n_list]
     ens = simulate(model, mu, drivers, x0)
-    # each rung's states and psi, replayed step by step
+    # each rung's states and psi, replayed step by step; the fold reads no phi
     flows = [_flow(model, rung.control, drivers,
                    (x[0] for _, x in _batch_steps(model, [rung.control], drivers, x0)),
-                   need_inverse=True) for rung in rungs]
+                   need_inverse=True, need_forward=False) for rung in rungs]
     # per rung: the running max of |dp| and the sums of dq**2 and nu-weighted dr**2
     acc = np.zeros((len(rungs), 3) + ens.states.shape[1:])
 
@@ -980,7 +1014,7 @@ def bsde_stability_report(
             np.subtract(v, v_mu, out=v)
         np.maximum(p_sup, np.abs(p, out=p), out=p_sup)
         q_sum += np.square(q, out=q)
-        r_sum += np.multiply(np.square(r, out=r), nus, out=r).sum(axis=2)
+        r_sum += _nu_weighted_mark_sum(np.square(r, out=r), nus)
 
     def fold(core, j, phi_j, psi_j, fit_j):
         steps = [next(flow) for flow in flows]

@@ -22,15 +22,17 @@ contiguous slices, and z comes back as a C-ordered (K+1, S, P) array.
 The fundamental solutions phi and psi are never formed whole:
 :func:`fundamental_steps` yields them one (S, P) step at a time from two
 step slots each, and a consumer that needs them twice (the adjoint core)
-runs the flow twice. The flow reads its states one step at a time from
-any stream of them (:func:`_flow`): a stored run's rows, or the steps
-pulled from a replay of the kernel, which ``bsde_stability_report`` runs
-for each rung beside the relaxed control's adjoint instead of keeping the
-rung's states. The jump multiplier ``(1 + f_x)^count`` is applied only
-on the paths that have events in the step, with the step's counts per
-(mark, action tag) formed on those paths only (``Drivers.event_counts``).
-A path without events would be multiplied by exactly one, so the result
-is bit for bit that of the dense product.
+runs the flow twice. A consumer that reads ``psi`` alone asks for no
+``phi``, and the flow then forms neither ``phi`` nor its factors. The
+flow reads its states one step at a time from any stream of them
+(:func:`_flow`): a stored run's rows, or the steps pulled from a replay
+of the kernel, which ``bsde_stability_report`` runs for each rung beside
+the relaxed control's adjoint instead of keeping the rung's states. The
+jump multiplier ``(1 + f_x)^count`` is applied only on the paths that
+have events in the step, with the step's counts per (mark, action tag)
+formed on those paths only (``Drivers.event_counts``). A path without
+events would be multiplied by exactly one, so the result is bit for bit
+that of the dense product.
 
 A derivative that is constant in the state stays a scalar through the
 step's factors (see ``models._coeff``): each factor is one elementwise
@@ -140,14 +142,16 @@ class _FlowSteps:
                                 counts[:, i, a_i]))
         return paths, out
 
-    def factors(self, k: int, x: np.ndarray, *, need_inverse: bool):
-        """growth, inverse growth (or None), event paths, and their jump multipliers.
+    def factors(self, k: int, x: np.ndarray, *, need_inverse: bool, need_forward: bool):
+        """growth, inverse growth, event paths, and their jump multipliers.
 
         ``x`` is step k's (S, P) state; nothing returned is a view of it,
         so the caller may overwrite it once the factors are formed. The
         multipliers have shape (S, len(paths)), or (1, len(paths))
-        when every base is a scalar; the inverse one is None unless
-        ``need_inverse``.
+        when every base is a scalar. The forward growth and multiplier
+        are None unless ``need_forward``, the inverse ones unless
+        ``need_inverse``; either side's bits do not depend on whether the
+        other is formed.
         """
         model = self.model
         dt = self.grid.dt
@@ -168,15 +172,17 @@ class _FlowSteps:
         gx_dt = gx * a_k * dt
         comp_dt = comp * dt
         sx_dB = sx * dB
-        growth = 1.0 + bx_dt + gx_dt - comp_dt + sx_dB
-        igrowth = None
+        growth = igrowth = None
+        if need_forward:
+            growth = 1.0 + bx_dt + gx_dt - comp_dt + sx_dB
         if need_inverse:
             igrowth = 1.0 - bx_dt - gx_dt + comp_dt + sx * sx * a_k * dt - sx_dB
         paths, bases = self._jump_bases(k, x, fxs)
         jmult = ijmult = None
         for base, c in bases:
-            term = base ** c[None, :]
-            jmult = term if jmult is None else jmult * term
+            if need_forward:
+                term = base ** c[None, :]
+                jmult = term if jmult is None else jmult * term
             if need_inverse:
                 iterm = base ** (-c)[None, :]
                 ijmult = iterm if ijmult is None else ijmult * iterm
@@ -237,7 +243,8 @@ def solve_variational(ensemble: StateEnsemble, action_index: int, k0: int) -> np
     z = np.zeros(ensemble.states.shape)
     z[k0] = _spike_impulse(ensemble, action_index, k0)
     for k in range(k0, ensemble.grid.n_steps):
-        growth, _, paths, jmult, _ = steps.factors(k, ensemble.states[k], need_inverse=False)
+        growth, _, paths, jmult, _ = steps.factors(k, ensemble.states[k], need_inverse=False,
+                                                   need_forward=True)
         _advance(z[k + 1], z[k], growth, paths, jmult)
     bad = _first_nonfinite(z)
     if bad is not None:
@@ -247,7 +254,7 @@ def solve_variational(ensemble: StateEnsemble, action_index: int, k0: int) -> np
 
 
 def _flow(model: ModelSpec, control: Control, drivers: Drivers, states: Iterable[np.ndarray], *,
-          need_inverse: bool) -> Iterator[tuple]:
+          need_inverse: bool, need_forward: bool = True) -> Iterator[tuple]:
     """The flow of ``control`` along any stream of its states, one step at a time.
 
     ``states`` yields the (S, P) states of steps 0, ..., n_steps in
@@ -255,23 +262,29 @@ def _flow(model: ModelSpec, control: Control, drivers: Drivers, states: Iterable
     (``sde._batch_steps``), which overwrites each step in place with the
     next. So step k's factors are formed from ``x_{k-1}`` before ``x_k``
     is pulled. Yields ``(k, x_k, phi_k, psi_k)``, with the slots and the
-    checks of :func:`fundamental_steps`.
+    checks of :func:`fundamental_steps`. Without ``need_forward`` the
+    forward flow is not formed, its factors neither, and ``phi_k`` is
+    None: a consumer that reads only the states and ``psi``, such as a
+    rung's replay in ``bsde_stability_report``, keeps ``psi``'s two slots
+    alone, and a ``phi`` that overflows goes unnamed there.
     """
     steps = _FlowSteps(model, control, drivers)
     states = iter(states)
-    phi = np.ones((2, drivers.family.n_scenarios, drivers.n_paths))
-    psi = np.ones(phi.shape) if need_inverse else None
+    shape = (2, drivers.family.n_scenarios, drivers.n_paths)
+    phi = np.ones(shape) if need_forward else None
+    psi = np.ones(shape) if need_inverse else None
     x = next(states)
     for k in range(drivers.grid.n_steps + 1):
         now = k % 2
         if k > 0:
-            growth, igrowth, paths, jmult, ijmult = steps.factors(k - 1, x,
-                                                                  need_inverse=need_inverse)
+            growth, igrowth, paths, jmult, ijmult = steps.factors(
+                k - 1, x, need_inverse=need_inverse, need_forward=need_forward)
             x = next(states)
-            _advance(phi[now], phi[1 - now], growth, paths, jmult)
+            if need_forward:
+                _advance(phi[now], phi[1 - now], growth, paths, jmult)
             if need_inverse:
                 _advance(psi[now], psi[1 - now], igrowth, paths, ijmult)
-        phi_k = phi[now]
+        phi_k = phi[now] if need_forward else None
         psi_k = psi[now] if need_inverse else None
         bad = [(idx[0], name) for name, v in (("phi", phi_k), ("psi", psi_k))
                if v is not None and (idx := _first_nonfinite(v)) is not None]

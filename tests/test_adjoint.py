@@ -703,8 +703,40 @@ def test_stacked_regressions_are_row_independent():
 
 
 
+def _reference_horner(coef, z):
+    """:func:`~gcontrol.adjoint._horner` as first written: a new array at every step."""
+    val = np.broadcast_to(coef[:, -1:], z.shape)
+    for i in range(coef.shape[1] - 2, -1, -1):
+        val = val * z + coef[:, i:i + 1]
+    return val if val.flags.writeable else val.copy()
+
+
+@pytest.mark.parametrize("degree", range(5))
+@settings(max_examples=40, deadline=None)
+@given(n_rows=st.integers(1, 4), n_paths=st.integers(1, 30), seed=st.integers(0, 2**16),
+       scale=st.sampled_from([1e-6, 1.0, 1e3, 1e100]))
+def test_horner_in_place_keeps_its_reference_bits(degree, n_rows, n_paths, seed, scale):
+    """In place, Horner's rule runs the same elementwise operations, so it keeps their bits.
+
+    The largest scale overflows to inf, and to nan where infinities cancel.
+    The result is a new writable array at every degree, degree 0 too.
+    """
+    rng = np.random.default_rng(seed)
+    coef = rng.normal(size=(n_rows, degree + 1)) * scale
+    z = rng.normal(size=(n_rows, n_paths)) * scale ** 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = adj._horner(coef, z)
+        want = _reference_horner(coef, z)
+    assert got.shape == want.shape == z.shape and got.tobytes() == want.tobytes()
+    assert got.flags.writeable
+    assert not np.shares_memory(got, coef) and not np.shares_memory(got, z)
+
+
 def _reference_regress_state(x, target, degree):
-    """The state regression with ``x.std`` and ``[live]`` copies on every call, as first written."""
+    """The state regression with ``x.std``, ``[live]`` copies and a new array per Horner step.
+
+    This is the arithmetic as first written.
+    """
     sd = x.std(axis=1)
     cond = np.ones(x.shape[0])
     fallbacks = 0
@@ -737,7 +769,7 @@ def _reference_regress_state(x, target, degree):
             return z[rows][:, :, None] ** np.arange(n), yl[rows]
 
         coef, cond[live], fallbacks = adj._solve_normal(gram, rhs, design)
-        pred[live] = adj._horner(coef, z)
+        pred[live] = _reference_horner(coef, z)
     record = adj.StateFit(flat, means, centre, sd[live], coef)
     return pred, record, cond, ((target - pred) ** 2).sum(axis=1), fallbacks
 
@@ -1034,8 +1066,40 @@ def test_stability_gaps_shrink_along_ladder():
 
 BUSY = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([2.0, 1.5]))
 BUSY_SILENT = MarkSpace(marks=np.array([-0.4, 0.6, 0.9]), intensities=np.array([2.0, 1.5, 0.0]))
-# nine marks: numpy sums eight or more entries along an axis pairwise
-NINE = MarkSpace(marks=np.linspace(-0.4, 0.8, 9), intensities=np.linspace(0.2, 1.8, 9))
+# seven, eight and nine marks: numpy sums eight or more entries along an axis
+# pairwise, and fewer in order, which the report's mark-wise r gap repeats
+SEVEN, EIGHT, NINE = (MarkSpace(marks=np.linspace(-0.4, 0.8, m),
+                                intensities=np.linspace(0.2, 1.8, m)) for m in (7, 8, 9))
+
+
+@pytest.mark.parametrize("n_marks", range(1, 13))
+@settings(max_examples=30, deadline=None)
+@given(n_scen=st.integers(1, 4), n_paths=st.integers(1, 40), seed=st.integers(0, 2**16),
+       silent=st.booleans(), zeros=st.booleans(), overflow=st.booleans())
+def test_mark_wise_r_gap_keeps_the_reduction_bits(n_marks, n_scen, n_paths, seed, silent, zeros,
+                                                  overflow):
+    """The nu-weighted mark sum of squared r differences is numpy's reduction, bit for bit.
+
+    Below eight marks it is formed mark by mark, from eight up by the
+    reduction itself. Magnitudes span sixteen decades; a silent mark has
+    ``nu = 0``, some differences are zero of either sign, and a square that
+    overflows is inf, or nan at a silent mark.
+    """
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=(n_scen, n_paths, n_marks)) * 10.0 ** rng.integers(-8, 8, size=(
+        n_scen, n_paths, n_marks))
+    nus = rng.uniform(0.0, 3.0, n_marks)
+    if silent:
+        nus[rng.integers(n_marks)] = 0.0
+    if zeros:
+        d[rng.random(d.shape) < 0.3] = 0.0
+        d[rng.random(d.shape) < 0.1] = -0.0
+    if overflow:
+        d.flat[rng.integers(d.size)] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.multiply(np.square(d), nus).sum(axis=2)
+        got = adj._nu_weighted_mark_sum(np.square(d), nus)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _stability_by_whole_arrays(model, mu, n_list, drivers, x0):
@@ -1069,8 +1133,8 @@ def _sine(model):
 
 
 @pytest.mark.parametrize("case", ["uniform-busy", "uniform-silent", "weighted-silent",
-                                  "dirac-silent", "uniform-nine", "uniform-sine",
-                                  "flat-scenario"])
+                                  "dirac-silent", "uniform-seven", "uniform-eight",
+                                  "uniform-nine", "uniform-sine", "flat-scenario"])
 def test_streamed_stability_rows_equal_whole_array_gaps_bitwise(case):
     """The streamed rows are the whole-array rows, bit for bit.
 
@@ -1090,7 +1154,8 @@ def test_streamed_stability_rows_equal_whole_array_gaps_bitwise(case):
     model = _lq(c2=0.3, f2=0.05, h2=0.1)
     if case == "uniform-sine":
         model = _sine(model)
-    marks = {"uniform-busy": BUSY, "uniform-nine": NINE, "uniform-sine": BUSY,
+    marks = {"uniform-busy": BUSY, "uniform-seven": SEVEN, "uniform-eight": EIGHT,
+             "uniform-nine": NINE, "uniform-sine": BUSY,
              "flat-scenario": QUIET}.get(case, BUSY_SILENT)
     if case == "weighted-silent":
         w = np.linspace(0.1, 0.9, 32)[:, None] * np.array([0.5, 0.0, 0.5])
@@ -1123,7 +1188,8 @@ def test_two_flow_passes_yield_the_same_bits(kind):
     by the kernel, which is exact only if every pass yields the same
     bits. ``f_x`` depends on the action, so a relaxed control's jump
     factors are read through ``Drivers.tags``, and on the state, so a
-    replayed state that is a step off changes them.
+    replayed state that is a step off changes them. A pass that forms
+    ``psi`` alone, as each rung's replay does, yields the same ``psi``.
     """
     grid = TimeGrid(T=1.0, n_steps=32)
     model = dataclasses.replace(
@@ -1151,6 +1217,14 @@ def test_two_flow_passes_yield_the_same_bits(kind):
         assert phi_a.tobytes() == phi_c.tobytes(), k
         assert psi_a.tobytes() == psi_c.tobytes(), k
     assert k_c == 32
+    # a replay that forms no phi, as a stability rung's, keeps psi's bits
+    replay = (x[0] for _, x in _batch_steps(model, [u], ens.drivers, 1.0))
+    fourth = _flow(model, u, ens.drivers, replay, need_inverse=True, need_forward=False)
+    for (k, _, psi_a), (k_d, x_d, phi_d, psi_d) in zip(first, fourth):
+        assert k_d == k and phi_d is None
+        assert x_d.tobytes() == ens.states[k].tobytes(), k
+        assert psi_a.tobytes() == psi_d.tobytes(), k
+    assert k_d == 32
 
 
 def test_ladder_folded_in_one_pass_equals_each_rung_alone():
@@ -1182,9 +1256,9 @@ def test_reducerless_core_equals_a_core_with_a_no_op_reducer(monkeypatch):
     inverse = []
     factors = variational._FlowSteps.factors
 
-    def counted(self, k, x, *, need_inverse):
+    def counted(self, k, x, *, need_inverse, need_forward):
         inverse.append(need_inverse)
-        return factors(self, k, x, need_inverse=need_inverse)
+        return factors(self, k, x, need_inverse=need_inverse, need_forward=need_forward)
 
     monkeypatch.setattr(variational._FlowSteps, "factors", counted)
     bare = adj._adjoint_core(ens, 2)
@@ -1202,8 +1276,37 @@ def test_reducerless_core_equals_a_core_with_a_no_op_reducer(monkeypatch):
     assert adj._estimator_health(bare) == adj._estimator_health(noop)
 
 
+def test_stability_replays_form_no_forward_flow(monkeypatch):
+    """A rung's replay forms ``psi`` alone: the fold reads its state and ``psi``, never ``phi``.
+
+    Every core forms ``phi`` in both of its flow passes, and ``psi`` in its
+    second pass only when it has a reducer, which only the relaxed
+    control's core has. So with K steps and n rungs the flow forms
+    ``phi`` in 2 K (n + 1) steps and ``psi`` in K (n + 1), where a replay
+    that formed ``phi`` too made that 2 K (n + 1) + K n.
+    """
+    grid = TimeGrid(T=1.0, n_steps=16)
+    fam = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
+    seen = []
+    factors = variational._FlowSteps.factors
+
+    def counted(self, k, x, *, need_inverse, need_forward):
+        seen.append((need_forward, need_inverse))
+        return factors(self, k, x, need_inverse=need_inverse, need_forward=need_forward)
+
+    monkeypatch.setattr(variational._FlowSteps, "factors", counted)
+    bsde_stability_report(_sine(_lq()), uniform_relaxed(PM1, 16), [2, 4],
+                          sample_drivers(fam, grid, MARKS, 200, 5), 1.0)
+    # phi alone: both passes of each rung's core and the relaxed control's first pass
+    assert seen.count((True, False)) == 16 * 5
+    # the relaxed control's second pass, then each rung's replay
+    assert seen.count((True, True)) == 16
+    assert seen.count((False, True)) == 16 * 2
+    assert len(seen) == 16 * 8
+
+
 def test_stability_report_holds_no_whole_triple():
-    """No triple, flow, rung state or rung fit is held whole: the peak stays within 3.8.
+    """No triple, flow, rung state or rung fit is held whole: the peak stays within 3.6.
 
     The unit is one state array. Each rung's core runs first and the rung
     keeps only its per-step fit records and loadings. Then the relaxed
@@ -1211,15 +1314,17 @@ def test_stability_report_holds_no_whole_triple():
     reducer folds the whole ladder: each rung's states and ``psi`` are
     replayed step by step, the rung's fit is evaluated from its record at
     the replayed state, and both triples are formed one step at a time.
-    Each rung adds eight (S, P) slots: three accumulators, a kernel slot
-    and its flow's four. With the drivers sampled inside the measurement
-    the peak is 3.70 after an untraced warm-up call, whatever ran before
-    in the process (4.04 on a cold first call, which also counts
-    allocations made once per process); forming each rung's differences
-    in new arrays instead of in its own triple read 3.76. Figures of the
-    older layouts: replaying the relaxed control beside each rung's core
-    peaks at 3.50 warmed (3.81 cold); cold, keeping the relaxed control's
-    fit peaks near 4.75 (4.44 warmed), keeping its states as well near
+    Each rung adds six (S, P) slots: three accumulators, a kernel slot
+    and its replay's two ``psi`` slots. With the drivers sampled inside
+    the measurement the peak is 3.52 after an untraced warm-up call,
+    whatever ran before in the process (3.86 on a cold first call, which
+    also counts allocations made once per process). Figures of older
+    layouts, warmed: 3.70 with a replay that formed ``phi`` too, a new
+    array at every Horner step and numpy's reduction over the mark axis;
+    3.76 when, on top of that, each rung's differences were formed in new
+    arrays instead of in its own triple; 3.50 (3.81 cold) when the
+    relaxed control was replayed beside each rung's core. Cold, keeping
+    the relaxed control's fit peaks near 4.75 (4.44 warmed), keeping its states as well near
     5.75, storing its whole ``psi`` near 6.5, holding each rung's whole
     flow and inverse flow as well near 8.0, the relaxed control's whole
     triple near 9.2, and the rungs' whole triples near 24.
@@ -1241,7 +1346,7 @@ def test_stability_report_holds_no_whole_triple():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.8 * state_bytes, peak / state_bytes
+    assert peak <= 3.6 * state_bytes, peak / state_bytes
 
 
 def test_fitted_core_holds_one_backward_buffer():
