@@ -57,7 +57,6 @@ from .sde import StateEnsemble, simulate
 from .variational import (
     DerivativeReport,
     fundamental_steps,
-    solve_variational,
     spike_report,
 )
 
@@ -100,7 +99,6 @@ __all__ = [
     "run_document",
     "sample_drivers",
     "simulate",
-    "solve_variational",
     "spike",
     "spike_report",
     "spike_window",

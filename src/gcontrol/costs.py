@@ -16,13 +16,14 @@ slot, with the rows' action values, as the kernel evaluates its
 coefficients; a relaxed batch's is mixed row by row under each row's
 weights. A set of controls whose paths nothing reads again (a lone
 control's cost, brute-force candidates, chattering rungs, spiked
-controls) never holds its trajectories; a run whose states a later pass
-reads (the relaxed control of a chattering ladder, the base of a spike,
+controls, the base of a spike) never holds its trajectories; a run whose
+states a later pass reads (the relaxed control of a chattering ladder,
 ``u_n`` of a near-optimality table) is stored by a reducer handed to
 :func:`stream_costs` alongside the cost, so its cost is folded in the
 pass that stores it. Rows that share a prefix of actions share its
 kernel work (:mod:`gcontrol.sde`): ``mp_check_near`` runs ``u_n`` and its
-candidates as one batch, so each spike branches from ``u_n``'s row.
+candidates as one batch, and ``spike_report`` the base of a spike and its
+spiked controls, so each spike branches from the base's row.
 """
 
 from __future__ import annotations

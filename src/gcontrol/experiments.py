@@ -660,8 +660,8 @@ def _run_variational(cfg: ExperimentConfig, drivers: Drivers, threads: int):
     ai = cfg.options["action_index"]
     t0 = float(cfg.options["t0"])
     h_list = [float(h) for h in cfg.options["h_list"]]
-    # spike_report stores the base run, whose states z and the formula
-    # read, in the pass that folds its cost; the spikes are streamed
+    # spike_report runs the base and its spikes as one streamed batch,
+    # the base as row 0, and advances z from the base's row as it runs
     der, rows = spike_report(cfg.model, cfg.control, ai, t0, h_list, drivers, cfg.x0)
     files = {
         "derivative.csv": _csv("h,FD,FD_stderr,FORMULA,FORMULA_stderr", (

@@ -33,7 +33,7 @@ without a driver, lets a caller pull the steps in lockstep with another
 stream (``bsde_stability_report`` replays each rung of its ladder this
 way beside the relaxed control's adjoint). A run keeps its whole
 (n_steps + 1, S, P) states only when a later pass reads them again (the
-flow, the adjoint, z): a stored run is a reducer that copies each step
+flow, the adjoint): a stored run is a reducer that copies each step
 into a :class:`StateEnsemble` (:func:`_stored_run`, :func:`simulate`).
 """
 

@@ -1,10 +1,10 @@
 """Spike-variation calculus along a simulated ensemble.
 
-Everything here rides the randomness already stored in a state ensemble:
-the linearized state z, the forward/inverse fundamental solutions phi and
+Everything here rides the randomness of one drivers bundle: the
+linearized state z, the forward/inverse fundamental solutions phi and
 psi, the difference-quotient convergence table, and the two-sided check
 of the cost derivative (finite differences vs. the first-order formula).
-Reusing the ensemble's noise and jumps is not an optimization but a
+Reusing the drivers' noise and jumps is not an optimization but a
 requirement; the quantities being compared are pathwise, and independent
 randomness would swamp them.
 
@@ -15,10 +15,9 @@ A control is read through its per-step ``weights`` over ``grid.actions``
 the actions of nonzero weight at the step: no other action is tagged or
 enters the compensator.
 
-Everything runs and is returned time-major: the states are (K+1, S, P)
-and each step's Brownian increments an (S, P) array the drivers form
-from their (K, P) draws, so every step forms its growth factors on
-contiguous slices, and z comes back as a C-ordered (K+1, S, P) array.
+Everything runs time-major: the states are (K+1, S, P) and each step's
+Brownian increments an (S, P) array the drivers form from their (K, P)
+draws, so every step forms its growth factors on contiguous slices.
 The fundamental solutions phi and psi are never formed whole:
 :func:`fundamental_steps` yields them one (S, P) step at a time from two
 step slots each, and a consumer that needs them twice (the adjoint core)
@@ -42,14 +41,16 @@ state. Every elementwise operation is the one the full arrays would run,
 so the bits do not change.
 
 A spike is given in grid steps: its action index, its opening step k0
-and, for a spiked control, its step count. Its base is the ensemble's
-own strict control, so z cannot be solved against another one.
-:func:`spike_report` converts its time-unit windows once
-(``controls.spike_window``) and stores the base run, whose whole states
-z, the flow and the formula column read at every step, in the pass that
-folds its path costs. It solves z once (it depends only on the spike's
-opening step) and streams the spikes through the kernel, folding each
-step into their path costs and their quotient sups.
+and, for a spiked control, its step count. :func:`spike_report` converts
+its time-unit windows once (``controls.spike_window``) and runs the base
+control and its spikes as one kernel batch, the base as row 0, so each
+spike branches from an earlier row and no run is stored. z depends only
+on the spike's opening step, so the batch's reducer advances it once for
+every width, in two step slots, from the base's row of each step before
+the kernel overwrites it; the spikes' rows are folded into their path
+costs and their quotient sups as they are written. The formula's
+summands are kept in one (K+1, S, P) buffer and summed after the run,
+the terminal one first, in the order of the whole-array formula.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from .costs import stream_costs
 from .jumps import Drivers
 from .models import ModelSpec, _avg, _coeff, _mix
 from .scenarios import upper_expectation
-from .sde import Control, StateEnsemble, _first_nonfinite, _stored_run
+from .sde import Control, StateEnsemble, _first_nonfinite
 
 _JUMP_GUARD = 1e-6
 
@@ -196,26 +197,23 @@ def _advance(out: np.ndarray, prev: np.ndarray, growth: np.ndarray, paths, jmult
         out[:, paths] = out[:, paths] * jmult
 
 
-def _spike_impulse(ensemble, action_index: int, k0: int) -> np.ndarray:
-    """First-order state kick of the spike at its opening step.
+def _spike_impulse(model: ModelSpec, base: StrictControl, drivers: Drivers, action_index: int,
+                   k0: int, x: np.ndarray) -> np.ndarray:
+    """First-order state kick of the spike at its opening step, from the base's (S, P) state there.
 
     Combines the drift change, the volatility-scaled change of the
     quadratic-variation drift, and the compensator change of the jump
     part; coefficients are differenced exactly before any scaling.
     """
-    model = ensemble.model
-    grid = ensemble.grid
-    t = float(grid.times[k0])
-    x = ensemble.states[k0]
-    base = ensemble.control
+    t = float(drivers.grid.times[k0])
     u_val = float(base.values[k0])
     nu_val = float(base.grid.actions[action_index])
-    a_k = ensemble.family.values[:, k0][:, None]
+    a_k = drivers.family.values[:, k0][:, None]
     db = np.asarray(model.b(t, x, nu_val)) - np.asarray(model.b(t, x, u_val))
     dg = np.asarray(model.gamma(t, x, nu_val)) - np.asarray(model.gamma(t, x, u_val))
     out = db + dg * a_k
-    for i, th in enumerate(ensemble.marks.marks):
-        nu_i = float(ensemble.marks.intensities[i])
+    for i, th in enumerate(drivers.marks.marks):
+        nu_i = float(drivers.marks.intensities[i])
         if nu_i > 0.0:
             df = np.asarray(model.f(t, x, float(th), nu_val)) - np.asarray(
                 model.f(t, x, float(th), u_val)
@@ -227,30 +225,6 @@ def _spike_impulse(ensemble, action_index: int, k0: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-
-def solve_variational(ensemble: StateEnsemble, action_index: int, k0: int) -> np.ndarray:
-    """Linearized response z to a spike of the ensemble's control, along its own paths.
-
-    The spike switches the strict control to ``action_index`` from step
-    ``k0``. z, a (K+1, S, P) array, is zero before that step, receives
-    the impulse there, and then follows the same multiplicative Euler
-    factors as the forward fundamental solution. A step of z that is not
-    finite raises ``FloatingPointError`` naming the step and the scenario.
-    """
-    spike(ensemble.control, action_index, k0, 1)  # a strict control, an index and a step
-    steps = _FlowSteps(ensemble.model, ensemble.control, ensemble.drivers)
-    z = np.zeros(ensemble.states.shape)
-    z[k0] = _spike_impulse(ensemble, action_index, k0)
-    for k in range(k0, ensemble.grid.n_steps):
-        growth, _, paths, jmult, _ = steps.factors(k, ensemble.states[k], need_inverse=False,
-                                                   need_forward=True)
-        _advance(z[k + 1], z[k], growth, paths, jmult)
-    bad = _first_nonfinite(z)
-    if bad is not None:
-        k, s, _ = bad
-        raise FloatingPointError(f"variational path is not finite at step {k} under scenario {s}")
-    return z
 
 
 def _flow(model: ModelSpec, control: Control, drivers: Drivers, states: Iterable[np.ndarray], *,
@@ -336,61 +310,85 @@ def spike_report(
 ) -> tuple[DerivativeReport, tuple[QuotientRow, ...]]:
     """The cost slopes and the difference-quotient gaps of one set of spikes of ``u_star``.
 
-    The base run is stored in the pass that folds its path costs, and z,
-    which depends on the spike's opening step only, is solved once for
-    every width. The spiked controls run as one batch through
-    :func:`stream_costs`, each step folded into their path costs and
-    quotient sups as the kernel writes it; a narrower window equals the
-    widest one until it closes, so the kernel branches it from the
-    widest's row there. ``t0`` and the widths, which
-    must descend, are converted to grid steps once; an empty width list, a
-    window off the grid, a bad index or a relaxed ``u_star`` is refused
-    before any kernel work.
+    ``u_star`` and its spiked controls run as one batch through
+    :func:`stream_costs`, ``u_star`` as row 0: each spike equals it until
+    its window opens, and a narrower window equals the widest one until
+    it closes, so the kernel branches each spike from an earlier row
+    there. No run is stored. From the spike's opening step on, the
+    batch's reducer reads the base state from row 0 and advances z,
+    which depends on the opening step only, once for every width, in two
+    step slots; it folds each spike row into its quotient sup and writes
+    the formula's summand of the step into one (K+1, S, P) buffer. ``t0``
+    and the widths, which must descend, are converted to grid steps once;
+    an empty width list, a window off the grid, a bad index or a relaxed
+    ``u_star`` is refused before any kernel work.
 
     The derivative report holds the Gateaux slopes: its FD column divides
     coupled per-path cost differences by the spike width, in the scenario
     that attains the base upper cost, and its formula is the
-    worst-scenario mean of g_x(x*_T) z_T + sum_k h_x(t_k, x*_k, u*_k) z_k dt.
-    Each quotient row is the worst-scenario mean of
-    sup_t |(x^h - x*)/h - z|^2 for one width; the sup runs over grid times
-    from the end of the spike window to T, since inside the window the
-    quotient has not yet absorbed the full kick, and including it would
-    measure the window itself, not convergence. A slope, formula or quotient that
-    overflows raises ``FloatingPointError`` naming it, its width and its scenario.
+    worst-scenario mean of g_x(x*_T) z_T + sum_k h_x(t_k, x*_k, u*_k) z_k dt,
+    summed in that order after the run. Each quotient row is the
+    worst-scenario mean of sup_t |(x^h - x*)/h - z|^2 for one width; the
+    sup runs over grid times from the end of the spike window to T, since
+    inside the window the quotient has not yet absorbed the full kick,
+    and including it would measure the window itself, not convergence. A
+    step of z that is not finite raises ``FloatingPointError`` naming the
+    step and the scenario, and so does a slope, formula or quotient that
+    overflows, naming it, its width and its scenario.
     """
     h_list = [float(h) for h in check_widths(h_list)]
     grid = drivers.grid
     windows = [spike_window(t0, h, grid) for h in h_list]
     controls = [spike(u_star, action_index, k0, span) for k0, span in windows]
     k0 = windows[0][0]
-    ensemble, keep = _stored_run(model, u_star, drivers)
-    [base_report] = stream_costs(model, [u_star], drivers, x0, keep, ids=["the base control"])
-    s_star = base_report.argmax_scenario
-
-    z = solve_variational(ensemble, action_index, k0)
-    formula_paths = np.asarray(model.g_x(ensemble.states[-1])) * z[-1]
-    dt = grid.dt
-    for k in range(k0, grid.n_steps):
-        t = float(grid.times[k])
-        xk = ensemble.states[k]
-        hx = _coeff(model.h_x(t, xk, float(u_star.values[k])))
-        formula_paths = formula_paths + hx * z[k] * dt
-    um = upper_expectation(list(formula_paths))
-
+    K, dt = grid.n_steps, grid.dt
+    shape = (drivers.family.n_scenarios, drivers.n_paths)
+    steps = _FlowSteps(model, u_star, drivers)
+    z = np.empty((2,) + shape)  # z_k in slot k % 2
+    # h_x z_k dt in row k and g_x(x*_T) z_T in row K: the formula sums the
+    # terminal row first, so the rows are kept until the run ends. All K + 1
+    # rows are allocated, though those before k0 stay unused: freeing a
+    # block the size of a state array lets glibc serve a later run's state
+    # arrays from freed heap (a smaller buffer raised a later peak RSS)
+    terms = np.empty((K + 1,) + shape)
     # the quotient's sup runs from the end of each spike window to T
     ends = [k0 + span for k0, span in windows]
-    sups = np.zeros((len(h_list),) + ensemble.states.shape[1:])
+    sups = np.zeros((len(h_list),) + shape)
 
-    def quotient(k: int, x: np.ndarray) -> None:
+    def fold(k: int, x: np.ndarray) -> None:
+        if k < k0:
+            return
+        base = x[0]
+        if k == k0:
+            z[k % 2] = _spike_impulse(model, u_star, drivers, action_index, k0, base)
+        z_k = z[k % 2]
+        bad = _first_nonfinite(z_k)
+        if bad is not None:
+            raise FloatingPointError(
+                f"variational path is not finite at step {k} under scenario {bad[0]}")
         for j, h in enumerate(h_list):
             if k >= ends[j]:
-                y = (x[j] - ensemble.states[k]) / h - z[k]
+                y = (x[j + 1] - base) / h - z_k
                 np.maximum(sups[j], y**2, out=sups[j])
+        if k == K:
+            terms[K] = np.asarray(model.g_x(base)) * z_k
+            return
+        hx = _coeff(model.h_x(float(grid.times[k]), base, float(u_star.values[k])))
+        terms[k] = hx * z_k * dt
+        # step k's factors read the base state before the kernel overwrites it
+        growth, _, paths, jmult, _ = steps.factors(k, base, need_inverse=False, need_forward=True)
+        _advance(z[1 - k % 2], z_k, growth, paths, jmult)
 
-    reports = stream_costs(model, controls, drivers, x0, quotient,
-                           ids=[f"spike h={h}" for h in h_list])
+    base_report, *reports = stream_costs(
+        model, [u_star] + controls, drivers, x0, fold,
+        ids=["the base control"] + [f"spike h={h}" for h in h_list])
+    s_star = base_report.argmax_scenario
+    formula_paths = terms[K]
+    for k in range(k0, K):
+        formula_paths = formula_paths + terms[k]
+    um = upper_expectation(list(formula_paths))
     rows = []
-    P = ensemble.n_paths
+    P = drivers.n_paths
     for h, pert_report in zip(h_list, reports):
         diff = (pert_report.per_path[s_star] - base_report.per_path[s_star]) / h
         rows.append((h, float(diff.mean()), float(diff.std(ddof=1) / np.sqrt(P))))

@@ -4,9 +4,10 @@ The continuous-time references (the LQ cost by matrix exponential, the
 bilinear mean), the pathwise sup distance of two ensembles, the whole
 fundamental flow and its inverse defect, the one-step residual of the
 adjoint's driver representation with the whole triple it checks, the
-Lipschitz audit of that driver, and the spike's impulse process ``eta``. Only
-:func:`lq_cost_continuous` needs scipy, which it imports itself, so every
-other oracle runs on numpy alone.
+Lipschitz audit of that driver, and the spike's whole variational path
+``z`` and its impulse process ``eta``. Only :func:`lq_cost_continuous`
+needs scipy, which it imports itself, so every other oracle runs on
+numpy alone.
 """
 
 from types import SimpleNamespace
@@ -18,7 +19,7 @@ from dense_reference import dense_counts
 from gcontrol.adjoint import _adjoint_core, _finite_triple
 from gcontrol.models import _avg, _coeff, _lq_rates, _mark_moments, ensure_validated
 from gcontrol.rng import PROBES, substream
-from gcontrol.variational import _spike_impulse, fundamental_steps
+from gcontrol.variational import _advance, _FlowSteps, _spike_impulse, fundamental_steps
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +270,31 @@ def driver_lipschitz_audit(model, family, grid, marks, n_probes=1000, seed=0) ->
 
 
 # ---------------------------------------------------------------------------
-# the spike's impulse process
+# the spike's variational path and impulse process
 # ---------------------------------------------------------------------------
+
+
+def _impulse(ensemble, action_index, k0) -> np.ndarray:
+    return _spike_impulse(ensemble.model, ensemble.control, ensemble.drivers, action_index, k0,
+                          ensemble.states[k0])
+
+
+def solve_variational(ensemble, action_index, k0) -> np.ndarray:
+    """The whole linearized response z to a spike of the ensemble's strict control, (K+1, S, P).
+
+    The spike switches the control to ``action_index`` from step ``k0``.
+    z is zero before that step, receives the impulse there, and then
+    follows the forward flow's multiplicative Euler factors along the
+    stored states: the loop ``spike_report`` streams in two step slots.
+    """
+    steps = _FlowSteps(ensemble.model, ensemble.control, ensemble.drivers)
+    z = np.zeros(ensemble.states.shape)
+    z[k0] = _impulse(ensemble, action_index, k0)
+    for k in range(k0, ensemble.grid.n_steps):
+        growth, _, paths, jmult, _ = steps.factors(k, ensemble.states[k], need_inverse=False,
+                                                   need_forward=True)
+        _advance(z[k + 1], z[k], growth, paths, jmult)
+    return z
 
 
 def spike_eta(ensemble, action_index, k0, psi) -> np.ndarray:
@@ -281,5 +305,5 @@ def spike_eta(ensemble, action_index, k0, psi) -> np.ndarray:
     order.
     """
     eta = np.zeros(ensemble.states.shape)
-    eta[k0:] = psi[k0] * _spike_impulse(ensemble, action_index, k0)
+    eta[k0:] = psi[k0] * _impulse(ensemble, action_index, k0)
     return eta

@@ -135,7 +135,7 @@ def test_non_finite_cost_names_its_scenario_and_control():
     assert np.isfinite(co.evaluate_cost(model, low, drivers, 1.0).upper_value)
     with pytest.raises(FloatingPointError, match="non-finite path cost of control 1 under scenario 1$"):
         co.value_bruteforce(model, [low, high], drivers, 1.0)
-    # a stored run's cost is folded in the pass that stores it, named by its role
+    # the base of a spike runs as row 0 of its spikes' batch, named by its role
     with pytest.raises(FloatingPointError,
                        match="non-finite path cost of the base control under scenario 1$"):
         spike_report(model, high, 0, 0.25, [0.25], drivers, 1.0)
@@ -147,8 +147,8 @@ def test_non_finite_cost_names_its_scenario_and_control():
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_diverging_base_and_first_spike_are_named_apart():
-    # the base and the first spike each run as the first control of their own
-    # batch; the message names the role, not the position in the batch
+    # the base and its spikes run as one batch, the base as row 0; the
+    # message names the role, not the position in the batch
     grid = TimeGrid(T=1.0, n_steps=16)
     drivers = sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 64, 5)
     model = md.build_model("linear_jump_lq", {"gq": 1e300, "s1": 0.0, "f1": 0.0, "c1": 0.0,

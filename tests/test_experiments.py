@@ -273,6 +273,33 @@ def test_simulate_kind_stores_no_run(control, tmp_path):
     assert peak <= 1.0 * state_bytes, peak / state_bytes
 
 
+def test_variational_kind_stores_no_run(tmp_path):
+    """The base runs as row 0 of its spikes' batch and z lives in two step slots.
+
+    With the benchmark's spike options at K=64, P=1000 the run peaks at
+    1.78 state arrays after a warm-up run: the formula's (K+1, S, P)
+    summand buffer, the drivers, and the batch's step slot, path costs,
+    quotient sups and z. Storing the base run and solving the whole z
+    peaked at 2.70.
+    """
+    k, p = 64, 1000
+    doc = _base_doc(kind="variational", model={"name": "linear_jump_lq"},
+                    grid={"T": 1.0, "n_steps": k}, scenarios={"strategy": "corners", "blocks": 2},
+                    actions=[-1.0, 0.0, 1.0], control={"type": "constant", "index": 1},
+                    n_paths=p, x0=1.0,
+                    options={"action_index": 2, "t0": 0.25, "h_list": [1 / 16, 1 / 32, 1 / 64]})
+    # numpy imports some submodules on first use; a first run loads them
+    run_document(doc, output_dir=tmp_path / "first")
+    state_bytes = (k + 1) * 4 * p * 8
+    tracemalloc.start()
+    try:
+        run_document(doc, output_dir=tmp_path / "measured")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * state_bytes, peak / state_bytes
+
+
 def test_csv_cell_rule():
     # integers as their digits, strings as they are, every other cell as
     # the repr of its float; one line per row and a trailing newline
@@ -479,20 +506,23 @@ def test_run_checks_the_model_derivatives_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_variational_run_solves_z_once(tmp_path, monkeypatch):
-    # z depends only on the spike's opening step, so every width shares it
+def test_variational_run_advances_z_once(tmp_path, monkeypatch):
+    # z depends only on the spike's opening step, so every width shares
+    # it: its forward factors are formed once per step from the opening
+    # step k0 = 4 to K = 16, where z per width would take three times as many
     from gcontrol import variational
 
     calls = []
-    solve = variational.solve_variational
+    factors = variational._FlowSteps.factors
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
+    def counted(self, k, x, *, need_inverse, need_forward):
+        calls.append((k, need_forward))
+        return factors(self, k, x, need_inverse=need_inverse, need_forward=need_forward)
 
-    monkeypatch.setattr(variational, "solve_variational", counted)
-    run_document(_lq(kind="variational", options=_VARIATIONAL), output_dir=tmp_path)
-    assert len(calls) == 1
+    monkeypatch.setattr(variational._FlowSteps, "factors", counted)
+    options = {**_VARIATIONAL, "h_list": [0.1875, 0.125, 0.0625]}
+    run_document(_lq(kind="variational", options=options), output_dir=tmp_path)
+    assert calls == [(k, True) for k in range(4, 16)]
 
 
 def test_non_finite_metric_is_refused(tmp_path, monkeypatch):

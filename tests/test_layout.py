@@ -17,7 +17,7 @@ from gcontrol.controls import ActionGrid, constant_strict, uniform_relaxed
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from gcontrol.sde import simulate, stream_batch
-from gcontrol.variational import fundamental_steps, solve_variational
+from gcontrol.variational import fundamental_steps
 
 K, P = 8, 6
 GRID = TimeGrid(T=1.0, n_steps=K)
@@ -68,7 +68,6 @@ def test_flow_variational_and_triple_are_time_major():
     for _, phi_k, psi_k in fundamental_steps(ens, need_inverse=True):
         _time_major(phi_k, (S, P))
         _time_major(psi_k, (S, P))
-    _time_major(solve_variational(ens, 2, K // 4), (K + 1, S, P))
     steps = []
 
     def keep(core, j, phi_j, psi_j, fit_j):

@@ -10,7 +10,7 @@ sign of zero counts too.
 import numpy as np
 import pytest
 from dense_reference import broadcast_twin
-from oracles import bsde_residual, spike_eta, whole_flow, whole_triple
+from oracles import bsde_residual, solve_variational, spike_eta, whole_flow, whole_triple
 
 from gcontrol import models as md
 from gcontrol.adjoint import _adjoint_core, bsde_stability_report, mp_check_relaxed
@@ -18,7 +18,7 @@ from gcontrol.controls import ActionGrid, StrictControl, embed_strict, uniform_r
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from gcontrol.sde import simulate
-from gcontrol.variational import solve_variational
+from gcontrol.variational import spike_report
 
 K = 16
 ACTIONS = ActionGrid(np.array([-1.0, 0.0, 1.0]))
@@ -74,6 +74,10 @@ def test_flow_and_triple_match_the_broadcast_twin_bitwise(case, control):
         assert _bits(solve_variational(ens, 2, k0)) == _bits(solve_variational(ens_t, 2, k0))
         eta, eta_t = (spike_eta(e, 2, k0, p.psi) for e, p in ((ens, pair), (ens_t, pair_t)))
         assert _bits(eta) == _bits(eta_t)
+        # the report streams z and its formula's summands; repr tells -0.0 from 0.0
+        u, drivers, x0 = args
+        reports = [spike_report(m, u, 2, 0.25, [0.25, 0.125], drivers, x0) for m in (model, twin)]
+        assert repr(reports[0]) == repr(reports[1])
 
     triple, triple_t = whole_triple(ens), whole_triple(ens_t)
     for name in ("p", "q", "r"):

@@ -1,10 +1,11 @@
 """Streamed batches: the same bits as the whole-array expressions, in bounded memory.
 
-Brute-force candidates, chattering rungs and spiked controls run through
-the kernel without keeping their trajectories; each step is folded into
-path costs and pathwise sups as it is written. The references below are
-the whole-array expressions those reductions replaced, evaluated on each
-control's own stored :func:`simulate` run, and every comparison is exact.
+Brute-force candidates, chattering rungs, spiked controls and their base
+run through the kernel without keeping their trajectories; each step is
+folded into path costs, pathwise sups and the spike's first-order formula
+as it is written. The references below are the whole-array expressions
+those reductions replaced, evaluated on each control's own stored
+:func:`simulate` run, and every comparison is exact.
 """
 
 import dataclasses
@@ -12,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import solve_variational
 
 from gcontrol import models as md
 from gcontrol.controls import (
@@ -29,7 +31,7 @@ from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family, upper_expectation
 from gcontrol import sde
 from gcontrol.sde import _batch_steps, _branches, simulate, stream_batch
-from gcontrol.variational import QuotientRow, solve_variational, spike_report
+from gcontrol.variational import QuotientRow, spike_report
 
 K = 16
 GRID = TimeGrid(T=1.0, n_steps=K)
@@ -219,7 +221,9 @@ def test_streamed_costs_equal_whole_array_costs_bitwise(case):
 def test_streamed_quotient_and_slope_rows_equal_whole_array_rows_bitwise(case):
     family, marks, _ = CASES[case]
     ai, t0, h_list = 2, 0.25, [0.1875, 0.125, 0.0625]
-    drivers = sample_drivers(family, GRID, marks, 40, 6)
+    # on these drivers the formula's mean or its stderr changes in both
+    # cases when its summands are added in step order, the terminal one last
+    drivers = sample_drivers(family, GRID, marks, 40, 11)
     ens = simulate(MODEL, _PATTERN, drivers, 1.0)
     derivative, rows = spike_report(MODEL, _PATTERN, ai, t0, h_list, drivers, 1.0)
 
@@ -240,6 +244,14 @@ def test_streamed_quotient_and_slope_rows_equal_whole_array_rows_bitwise(case):
     assert rows == tuple(ref_rows)
     assert derivative.rows == tuple(ref_slopes)
     assert derivative.scenario_id == s_star
+    # the formula's terminal summand first, then the running ones in step order
+    formula = np.asarray(MODEL.g_x(ens.states[-1])) * z[-1]
+    for k in range(windows[0][0], K):
+        hx = md._coeff(MODEL.h_x(float(GRID.times[k]), ens.states[k], float(_PATTERN.values[k])))
+        formula = formula + hx * z[k] * GRID.dt
+    um = upper_expectation(list(formula))
+    assert ((derivative.formula.hex(), derivative.formula_stderr.hex())
+            == (um.value.hex(), um.stderr.hex()))
 
 
 @pytest.mark.parametrize("case", ["relaxed-zero-weights", "lone-quiet"])

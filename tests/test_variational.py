@@ -3,7 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from oracles import inverse_defect, spike_eta, whole_flow
+from oracles import inverse_defect, solve_variational, spike_eta, whole_flow
 
 from gcontrol import models as md
 from gcontrol import variational as vr
@@ -17,7 +17,7 @@ from gcontrol.controls import (
 from gcontrol.experiments import run_document
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
-from gcontrol.sde import simulate
+from gcontrol.sde import _first_nonfinite, simulate
 
 MARKS = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([0.7, 0.3]))
 QUIET = MarkSpace(marks=np.array([1.0]), intensities=np.array([0.0]))
@@ -45,7 +45,7 @@ def test_z_zero_for_trivial_spike():
     model = md.build_model("linear_jump_lq", {})
     ens = simulate(model, constant_strict(ActionGrid(np.array([0.0, 1.0])), 16, 1),
                    sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 50, 11), 1.0)
-    z = vr.solve_variational(ens, 1, 4)
+    z = solve_variational(ens, 1, 4)
     assert np.all(z == 0.0)
 
 
@@ -55,7 +55,7 @@ def test_z_constant_when_derivatives_vanish():
     actions = ActionGrid(np.array([0.0, 1.0]))
     ens = simulate(model, constant_strict(actions, 16, 0),
                    sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 12), 1.0)
-    z = vr.solve_variational(ens, 1, 4)
+    z = solve_variational(ens, 1, 4)
     assert np.all(z[:4] == 0.0)
     assert np.all(z[4:] == 0.5)  # b2 * (1 - 0)
 
@@ -70,8 +70,8 @@ def test_z_scales_linearly_in_the_impulse():
     actions = ActionGrid(np.array([0.0, 0.5, 1.0]))
     ens = simulate(model, constant_strict(actions, 32, 0),
                    sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 50, 13), 1.0)
-    half = vr.solve_variational(ens, 1, 8)
-    full = vr.solve_variational(ens, 2, 8)
+    half = solve_variational(ens, 1, 8)
+    full = solve_variational(ens, 2, 8)
     assert full.tobytes() == (2.0 * half).tobytes()
 
 
@@ -86,7 +86,7 @@ def test_z_geometric_product_closed_form():
         ens = simulate(model, constant_strict(actions, n, 0),
                        sample_drivers(_fam(1.0, 1.0, grid), grid, QUIET, 2, 14), 1.0)
         k0 = n // 4  # t0 = 0.25
-        z = vr.solve_variational(ens, 1, k0)
+        z = solve_variational(ens, 1, k0)
         theta = th0 + th1 * u0
         x_t0 = ens.states[k0, 0, 0]
         z0 = th1 * (0.9 - 0.2) * x_t0
@@ -155,7 +155,7 @@ def test_z_matches_phi_eta_within_scheme_tolerance():
     actions = ActionGrid(np.array([0.0, 1.0]))
     ens = simulate(model, constant_strict(actions, 400, 0),
                    sample_drivers(_fam(1.5, 1.5, grid), grid, MARKS, 100, 18), 1.0)
-    z = vr.solve_variational(ens, 1, 100)
+    z = solve_variational(ens, 1, 100)
     pair = whole_flow(ens)
     defect = inverse_defect(pair)
     diff = np.abs(z - pair.phi * spike_eta(ens, 1, 100, pair.psi)).max()
@@ -225,45 +225,24 @@ def test_overflowing_flow_names_step_and_scenario(field, value, where):
         with pytest.raises(FloatingPointError,
                            match=f"fundamental solutions are not finite: phi at {where}$"):
             _adjoint_core(huge, 2)
-        if field == "b_x":
-            # the spike opens at step 4; z is zero before it
-            with pytest.raises(FloatingPointError,
-                               match="variational path is not finite at step 6 under scenario 0$"):
-                vr.solve_variational(huge, 1, 4)
 
 
-def _strict_and_relaxed_ensembles():
-    grid = TimeGrid(T=1.0, n_steps=16)
-    model = md.build_model("linear_jump_lq", {})
-    actions = ActionGrid(np.array([0.0, 1.0]))
-    drivers = sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 20)
-    return (simulate(model, constant_strict(actions, 16, 0), drivers, 1.0),
-            simulate(model, uniform_relaxed(actions, 16), drivers, 1.0))
-
-
-# the spike's base is the ensemble's own control: a relaxed control, an
-# index off its action grid and a step off its run are all left to refuse
-def test_solve_variational_refuses_a_relaxed_ensemble():
-    _, relaxed = _strict_and_relaxed_ensembles()
-    with pytest.raises(ValueError, match="^spike variations act on strict controls$"):
-        vr.solve_variational(relaxed, 1, 4)
-
-
-def test_solve_variational_refuses_an_index_off_the_action_grid():
-    strict, _ = _strict_and_relaxed_ensembles()
-    # -1 would silently read the last action
-    for action_index in (-1, 2, 2**70):
-        with pytest.raises(ValueError,
-                           match=f"^index {action_index} outside the 2-action grid$"):
-            vr.solve_variational(strict, action_index, 4)
-
-
-def test_solve_variational_refuses_a_step_off_the_run():
-    strict, _ = _strict_and_relaxed_ensembles()
-    for k0 in (-1, 16):
-        with pytest.raises(ValueError,
-                           match=f"^1 steps from step {k0} leave the control's 16 steps$"):
-            vr.solve_variational(strict, 1, k0)
+def test_spike_report_names_the_first_step_of_z_that_is_not_finite():
+    # the base stays at x = 0 and every spike row is finite, but z grows
+    # by about c1 a dt per step: under a = 4 (scenarios 2 and 3 in the
+    # first block) it overflows four steps after the spike opens at step 4,
+    # under a = 1 it does not
+    ens = _three_mark_ensemble("strict")
+    model = md.build_model("linear_jump_lq", dict(
+        b1=0.0, b2=1.0, s0=0.0, s1=0.0, c1=8e77, c2=0.0,
+        f1=0.0, f2=0.0, h1=0.0, h2=0.0, gq=1.0))
+    base = constant_strict(ens.control.grid, 16, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = solve_variational(simulate(model, base, ens.drivers, 0.0), 2, 4)
+        assert _first_nonfinite(z)[:2] == (8, 2)
+        with pytest.raises(FloatingPointError,
+                           match="^variational path is not finite at step 8 under scenario 2$"):
+            vr.spike_report(model, base, 2, 0.25, [0.0625], ens.drivers, 0.0)
 
 
 def test_spike_report_refuses_a_relaxed_control_before_any_work(monkeypatch):
@@ -271,11 +250,30 @@ def test_spike_report_refuses_a_relaxed_control_before_any_work(monkeypatch):
     model = md.build_model("linear_jump_lq", {})
     actions = ActionGrid(np.array([0.0, 1.0]))
     drivers = sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 20)
-    # the base run and the spikes both enter the kernel through stream_costs
+    # the base and its spikes enter the kernel as one batch through stream_costs
     streamed = []
     monkeypatch.setattr(vr, "stream_costs", lambda *args, **kw: streamed.append(args))
     with pytest.raises(ValueError, match="spike variations act on strict controls"):
         vr.spike_report(model, uniform_relaxed(actions, 16), 0, 0.25, [0.25], drivers, 1.0)
+    assert streamed == []
+
+
+def test_spike_report_refuses_a_spike_off_the_run_before_any_work(monkeypatch):
+    grid = TimeGrid(T=1.0, n_steps=16)
+    model = md.build_model("linear_jump_lq", {})
+    actions = ActionGrid(np.array([0.0, 1.0]))
+    drivers = sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 20)
+    streamed = []
+    monkeypatch.setattr(vr, "stream_costs", lambda *args, **kw: streamed.append(args))
+    for action_index, t0, width, message in [
+        # -1 would silently read the last action
+        (-1, 0.25, 0.0625, "^index -1 outside the 2-action grid$"),
+        (1, 1.0, 0.0625, "1.0 leaves no step before T = 1.0$"),
+        (1, 0.875, 0.25, r"window \[t0, t0 \+ 0.25\) ends after T$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            vr.spike_report(model, constant_strict(actions, 16, 0), action_index, t0, [width],
+                            drivers, 1.0)
     assert streamed == []
 
 
