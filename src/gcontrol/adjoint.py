@@ -101,7 +101,7 @@ from .controls import (
     ekeland_distance,
     spike,
 )
-from .costs import stream_costs
+from .costs import _PathCosts
 from .jumps import Drivers, MarkSpace
 from .models import ModelSpec, _avg, _coeff
 from .scenarios import TimeGrid, generator_G, upper_expectation
@@ -848,10 +848,10 @@ def mp_check_near(
     given the statistical slack; it is infinite when an entry fails and
     no allowance is available.
 
-    ``u_n`` and the candidates run as one cost batch, ``u_n`` first, its
-    states stored for the table by the batch's reducer; each block spike
-    equals ``u_n`` before its start, so the kernel branches it from
-    ``u_n``'s row there (:mod:`gcontrol.sde`). A non-finite cost names
+    ``u_n`` and the candidates are pulled as one costed batch, ``u_n``
+    first, its states copied from each pulled step for the table; each
+    block spike equals ``u_n`` before its start, so the kernel branches
+    it from ``u_n``'s row there (:mod:`gcontrol.sde`). A non-finite cost names
     ``u_n``, or a candidate as ``control i`` by its index in the candidate
     list (block spikes follow the given candidates).
     """
@@ -874,9 +874,13 @@ def mp_check_near(
     # one batch: u_n's row 0 is stored for the table, the candidates keep no
     # trajectory, and each spike branches from u_n's row at its block start
     ens, keep = _stored_run(model, u_n, drivers)
-    j_n, *j_cands = (rep.upper_value for rep in stream_costs(
-        model, [u_n] + cands, drivers, x0, keep,
-        ids=["u_n"] + [f"control {i}" for i in range(len(cands))]))
+    batch = _PathCosts(model, [u_n] + cands, drivers, x0,
+                       ["u_n"] + [f"control {i}" for i in range(len(cands))])
+    for k, x in batch:
+        keep(k, x)
+    j_n, *j_cands = (rep.upper_value for rep in batch.reports())
+    # the batch's step slot and path costs must not live through the table
+    del batch, x
     scored = [(ekeland_distance(u_n, cand, grid), j_c) for cand, j_c in zip(cands, j_cands)]
 
     if epsilon_n is None:

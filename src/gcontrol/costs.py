@@ -8,22 +8,22 @@ initial state last, and all comparisons between controls run on that
 bundle, so differences are coupled path by path rather than being
 differences of independent estimates.
 
-There is one quadrature, :class:`_PathCosts`, fed one batch step at a
-time, and one place that feeds it: :func:`stream_costs`, which folds
-each step into the batch's path costs as the kernel writes it. A strict
-batch's running cost is folded once per step on the whole (C, S, P)
-slot, with the rows' action values, as the kernel evaluates its
-coefficients; a relaxed batch's is mixed row by row under each row's
-weights. A set of controls whose paths nothing reads again (a lone
-control's cost, brute-force candidates, chattering rungs, spiked
-controls, the base of a spike) never holds its trajectories; a run whose
-states a later pass reads (the relaxed control of a chattering ladder,
-``u_n`` of a near-optimality table) is stored by a reducer handed to
-:func:`stream_costs` alongside the cost, so its cost is folded in the
-pass that stores it. Rows that share a prefix of actions share its
-kernel work (:mod:`gcontrol.sde`): ``mp_check_near`` runs ``u_n`` and its
-candidates as one batch, and ``spike_report`` the base of a spike and its
-spiked controls, so each spike branches from the base's row.
+There is one costed batch, :class:`_PathCosts`: a kernel batch pulled
+one step at a time, each step folded into the batch's path costs before
+it is handed on. A strict batch's running cost is folded once per step
+on the whole (C, S, P) slot, with the rows' action values, as the kernel
+evaluates its coefficients; a relaxed batch's is mixed row by row under
+each row's weights. No batch keeps its trajectories: a consumer that
+reads the states pulls the steps itself and folds them as they come,
+the chattering rungs into their sup distance to the relaxed control,
+whose batch is pulled in lockstep with theirs, and the spiked controls
+into their quotients. Only a run whose states a later pass reads again
+(``u_n`` of a near-optimality table) is stored, by its consumer copying
+each pulled step, so its cost is folded in the pass that stores it. Rows
+that share a prefix of actions share its kernel work
+(:mod:`gcontrol.sde`): ``mp_check_near`` runs ``u_n`` and its candidates
+as one batch, and ``spike_report`` the base of a spike and its spiked
+controls, so each spike branches from the base's row.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ import numpy as np
 from .controls import RelaxedControl, StrictControl, chattering, check_ladder
 from .jumps import Drivers
 from .models import ModelSpec, _avg, _coeff
-from .scenarios import TimeGrid
-from .sde import _require_finite, _stored_run, stream_batch
+from .sde import _batch_steps, _require_finite
 
 Control = StrictControl | RelaxedControl
 
@@ -69,91 +68,86 @@ class ValueSearchResult:
 
 
 class _PathCosts:
-    """Left-endpoint quadrature of a batch's per-(control, scenario, path) costs.
+    """A costed batch: its kernel steps, pulled one at a time, each folded into the path costs.
 
-    ``add(k, x_k)`` for k = 0, ..., n_steps - 1 in step order, with the
-    batch's (C, S, P) step, then ``totals(x_T, ids)``, which raises on a
-    non-finite cost, naming the row's label and the scenario. A strict
-    batch evaluates h once per step on the whole slot with the rows' (C,
-    1, 1) action values, as the strict kernel evaluates b, gamma and f. A
+    The batch is checked and its kernel set up when it is built
+    (:func:`gcontrol.sde._batch_steps`); the controls must be all strict
+    or all relaxed. Iterating yields ``(k, x)`` for k = 0, ..., n_steps,
+    the batch's (C, S, P) step slot, which the next pull overwrites; each
+    step is folded into the path costs before it is handed on, so a
+    consumer that stops after the last step (``zip`` over two batches
+    does) leaves nothing unfolded. :meth:`reports` pulls the steps left.
+
+    The running cost is a left-endpoint quadrature. A strict batch
+    evaluates h once per step on the whole slot with the rows' (C, 1, 1)
+    action values, as the strict kernel evaluates b, gamma and f. A
     relaxed batch mixes h under each row's step weights
     (:func:`gcontrol.models._avg`), which skips the zero weights, so its
-    rows cannot be stacked bit for bit.
+    rows cannot be stacked bit for bit. At the last step g is added, and
+    a non-finite path cost raises, naming its scenario and the control's
+    label in ``ids`` (its role, as ``"rung n=4"``), by default
+    ``"control i"`` at batch position i.
     """
 
-    def __init__(self, model: ModelSpec, controls: Sequence[Control], grid: TimeGrid, shape):
+    def __init__(self, model: ModelSpec, controls: Sequence[Control], drivers: Drivers,
+                 x0: float, ids: Sequence[str] | None = None):
+        self.steps = _batch_steps(model, controls, drivers, x0)
         self.model = model
-        self.grid = grid
         self.controls = controls
+        self.drivers = drivers
+        self.ids = [f"control {i}" for i in range(len(controls))] if ids is None else ids
         self.values = None
         if all(isinstance(u, StrictControl) for u in controls):
             self.values = np.stack([u.values for u in controls])[:, :, None, None]
-        self.running = np.zeros((len(controls), *shape))
+        # the running costs, and from the last step on the path costs
+        self.costs = np.zeros((len(controls), drivers.family.n_scenarios, drivers.n_paths))
 
-    def add(self, k: int, x: np.ndarray) -> None:
-        t, dt = float(self.grid.times[k]), self.grid.dt
-        if self.values is not None:
-            self.running += _coeff(self.model.h(t, x, self.values[:, k])) * dt
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> tuple[int, np.ndarray]:
+        k, x = next(self.steps)
+        self.fold(k, x)
+        return k, x
+
+    def fold(self, k: int, x: np.ndarray) -> None:
+        """Fold step k's (C, S, P) states into the path costs."""
+        grid = self.drivers.grid
+        if k == grid.n_steps:
+            self.costs += np.asarray(self.model.g(x))
+            for c, cost in zip(self.ids, self.costs):
+                _require_finite(cost, f"path cost of {c}")
             return
-        for run, u, xc in zip(self.running, self.controls, x):
+        t, dt = float(grid.times[k]), grid.dt
+        if self.values is not None:
+            self.costs += _coeff(self.model.h(t, x, self.values[:, k])) * dt
+            return
+        for run, u, xc in zip(self.costs, self.controls, x):
             run += _avg(self.model.h, t, xc, u.weights[k], u.grid.actions) * dt
 
-    def totals(self, x_T: np.ndarray, ids: Sequence[str]) -> np.ndarray:
-        totals = self.running + np.asarray(self.model.g(x_T))
-        for c, total in zip(ids, totals):
-            _require_finite(total, f"path cost of {c}")
-        return totals
-
-
-def _cost_report(costs: np.ndarray, seed: int) -> CostReport:
-    P = costs.shape[1]
-    if P < 2:
-        raise ValueError("scenario 0 needs at least 2 samples")
-    means = costs.mean(axis=1)
-    stderrs = costs.std(axis=1, ddof=1) / np.sqrt(P)
-    # ties go to the lowest scenario id, as in upper_expectation
-    worst = int(np.argmax(means))
-    return CostReport(
-        scenario_means=means,
-        scenario_stderrs=stderrs,
-        upper_value=float(means[worst]),
-        argmax_scenario=worst,
-        n_paths=P,
-        seed=seed,
-        per_path=costs,
-    )
-
-
-def stream_costs(
-    model: ModelSpec, controls: list[Control], drivers: Drivers, x0: float, reduce=None,
-    ids: Sequence[str] | None = None,
-) -> list[CostReport]:
-    """CostReport per control of one kernel batch.
-
-    The batch runs through :func:`stream_batch`, which folds each step
-    into the controls' path costs as it is written; ``reduce(k, x)``,
-    when given, sees every step of the batch first, shape (n_controls,
-    S, P). No trajectory is kept unless ``reduce`` keeps it, as a stored
-    run's reducer (:func:`gcontrol.sde._stored_run`) does. The controls
-    must be all strict or all relaxed. A non-finite path cost raises,
-    naming its scenario and the control's label in ``ids`` (its role, as
-    ``"rung n=4"``), by default ``"control i"`` at batch position i.
-    """
-    K = drivers.grid.n_steps
-    sums = _PathCosts(model, controls, drivers.grid, (drivers.family.n_scenarios, drivers.n_paths))
-    ids = [f"control {i}" for i in range(len(controls))] if ids is None else ids
-    totals = []
-
-    def fold(k: int, x: np.ndarray) -> None:
-        if reduce is not None:
-            reduce(k, x)
-        if k < K:
-            sums.add(k, x)
-        else:
-            totals.extend(sums.totals(x, ids))
-
-    stream_batch(model, controls, drivers, x0, fold)
-    return [_cost_report(c, drivers.seed) for c in totals]
+    def reports(self) -> list[CostReport]:
+        """CostReport per control, after pulling the steps that are left."""
+        for _ in self:
+            pass
+        P = self.drivers.n_paths
+        if P < 2:
+            raise ValueError("scenario 0 needs at least 2 samples")
+        reports = []
+        for costs in self.costs:
+            means = costs.mean(axis=1)
+            stderrs = costs.std(axis=1, ddof=1) / np.sqrt(P)
+            # ties go to the lowest scenario id, as in upper_expectation
+            worst = int(np.argmax(means))
+            reports.append(CostReport(
+                scenario_means=means,
+                scenario_stderrs=stderrs,
+                upper_value=float(means[worst]),
+                argmax_scenario=worst,
+                n_paths=P,
+                seed=self.drivers.seed,
+                per_path=costs,
+            ))
+        return reports
 
 
 def _serial_map(fn, items):
@@ -179,7 +173,7 @@ def evaluate_costs(
 
     def run(batch: list[int]) -> list[CostReport]:
         group = [controls[i] for i in batch]
-        return stream_costs(model, group, drivers, x0, ids=[f"control {i}" for i in batch])
+        return _PathCosts(model, group, drivers, x0, [f"control {i}" for i in batch]).reports()
 
     reports: list = [None] * len(controls)
     for batch, batch_reports in zip(batches, map_ordered(run, batches)):
@@ -190,7 +184,7 @@ def evaluate_costs(
 
 def evaluate_cost(model: ModelSpec, control: Control, drivers: Drivers, x0: float) -> CostReport:
     """CostReport of one control on the drivers; no state is stored."""
-    return stream_costs(model, [control], drivers, x0)[0]
+    return _PathCosts(model, [control], drivers, x0).reports()[0]
 
 
 def value_bruteforce(
@@ -233,23 +227,25 @@ def chattering_report(
 
     Both gap columns are coupled: the relaxed run and every strict run
     share the drivers, so the mean-square path gap uses pathwise sups and
-    the cost gap subtracts matched path costs. Only the relaxed run keeps
-    its states, stored in the pass that folds its cost; the rungs are
-    streamed, each folded step by step into its path costs and its sup
-    distance to the relaxed run.
+    the cost gap subtracts matched path costs. No run is stored: the
+    relaxed control and the ladder are two costed batches pulled in
+    lockstep, and each rung's step is folded into its sup distance to the
+    relaxed control's step. At a step the relaxed control runs and folds
+    its cost first, so its kernel or cost failure at a step is raised
+    before the ladder's, and a rung that fails at an earlier step is
+    raised first.
     """
     n_list = check_ladder(n_list)
     ladder = [chattering(mu, n) for n in n_list]
-    base, keep = _stored_run(model, mu, drivers)
-    [base_report] = stream_costs(model, [mu], drivers, x0, keep, ids=["the relaxed control"])
+    relaxed = _PathCosts(model, [mu], drivers, x0, ["the relaxed control"])
+    rungs = _PathCosts(model, ladder, drivers, x0, [f"rung n={n}" for n in n_list])
     # per rung, the running max over steps of |x_mu - x_n|; max is exact
     # in any order, and each rung's (S, P) slice is C-contiguous
-    sups = np.zeros((len(ladder),) + base.states.shape[1:])
-
-    def sup_gap(k: int, x: np.ndarray) -> None:
-        np.maximum(sups, np.abs(base.states[k] - x), out=sups)
-
-    reports = stream_costs(model, ladder, drivers, x0, sup_gap, ids=[f"rung n={n}" for n in n_list])
+    sups = np.zeros((len(ladder), drivers.family.n_scenarios, drivers.n_paths))
+    for (_, x_mu), (_, x) in zip(relaxed, rungs):
+        np.maximum(sups, np.abs(x_mu[0] - x), out=sups)
+    [base_report] = relaxed.reports()
+    reports = rungs.reports()
     rows = []
     for sup, n, rep in zip(sups, n_list, reports):
         msq = float(np.max((sup**2).mean(axis=1)))

@@ -52,7 +52,7 @@ from .costs import chattering_report, evaluate_cost, evaluate_costs
 from .jumps import Drivers, MarkSpace, poisson_mean, sample_drivers
 from .models import MODEL_DEFAULTS, build_model, ensure_validated
 from .scenarios import TimeGrid, VolatilityBounds, build_scenario_family
-from .sde import simulate, stream_batch
+from .sde import _batch_steps, simulate
 from .variational import check_widths, spike_report
 
 KINDS: tuple[str, ...] = ("simulate", "cost", "chattering", "variational", "mp-strict",
@@ -581,7 +581,8 @@ def _run_simulate(cfg: ExperimentConfig, drivers: Drivers, threads: int):
         paths = np.ascontiguousarray(x[0].T)
         mean[:, k], std[:, k] = paths.mean(axis=0), paths.std(axis=0)
 
-    stream_batch(cfg.model, [cfg.control], drivers, cfg.x0, moments)
+    for k, x in _batch_steps(cfg.model, [cfg.control], drivers, cfg.x0):
+        moments(k, x)
     files = {"states.csv": _csv("scenario,step,t,mean,std", (
         (s, k, cfg.grid.times[k], mean[s, k], std[s, k])
         for s in range(n_scen) for k in range(K + 1)))}
@@ -660,8 +661,8 @@ def _run_variational(cfg: ExperimentConfig, drivers: Drivers, threads: int):
     ai = cfg.options["action_index"]
     t0 = float(cfg.options["t0"])
     h_list = [float(h) for h in cfg.options["h_list"]]
-    # spike_report runs the base and its spikes as one streamed batch,
-    # the base as row 0, and advances z from the base's row as it runs
+    # spike_report pulls the base and its spikes as one batch, the base
+    # as row 0, and advances z from the base's row at each pulled step
     der, rows = spike_report(cfg.model, cfg.control, ai, t0, h_list, drivers, cfg.x0)
     files = {
         "derivative.csv": _csv("h,FD,FD_stderr,FORMULA,FORMULA_stderr", (

@@ -26,22 +26,24 @@ keeps the bits of control c run alone, whatever else the batch holds.
 Every operation takes the drivers and the initial state last: the
 drivers carry the scenario family, the grid, the mark space, the path
 count and the seed they were sampled for, so a run's setting is named
-once. Every run is a stream: the step loop is a generator that updates
-one step slot in place. :func:`stream_batch` drives it and hands each
-step to the caller's reducer; :func:`_batch_steps`, the same set-up
-without a driver, lets a caller pull the steps in lockstep with another
-stream (``bsde_stability_report`` replays each rung of its ladder this
-way beside the relaxed control's adjoint). A run keeps its whole
-(n_steps + 1, S, P) states only when a later pass reads them again (the
-flow, the adjoint): a stored run is a reducer that copies each step
-into a :class:`StateEnsemble` (:func:`_stored_run`, :func:`simulate`).
+once. Every run is a pull: the step loop is a generator that updates one
+step slot in place, and :func:`_batch_steps` sets it up for a batch, so
+a caller takes each step when it wants the next one and can step two
+batches in lockstep (``chattering_report`` steps the relaxed control
+beside its ladder, ``bsde_stability_report`` replays each rung of its
+ladder beside the relaxed control's adjoint). A costed batch
+(:class:`gcontrol.costs._PathCosts`) folds each pulled step into its
+path costs. A run keeps its whole (n_steps + 1, S, P) states only when a
+later pass reads them again (the flow, the adjoint): a stored run copies
+each pulled step into a :class:`StateEnsemble` (:func:`_stored_run`,
+:func:`simulate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -269,13 +271,16 @@ def _relaxed_increment(actions, model, t, xk, wk, a_dt, dBk, marks, events, dt):
 def _batch_steps(
     model: ModelSpec, controls: Sequence[Control], drivers: Drivers, x0: float,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The batch's steps as a pull: the generator :func:`_steps` over its one step slot.
+    """Every control under every scenario, one step per pull, on one step slot.
 
-    The model, the batch, its tables and its rows' starts and parents
-    (:func:`_branches`) are checked and formed when this is called,
-    before any step is pulled; the kernel then runs one step
-    per pull. Each pulled ``(k, x)`` is the slot itself, so the next pull
-    overwrites it in place.
+    The controls must be all strict or all relaxed. The model, the batch,
+    its tables and its rows' starts and parents (:func:`_branches`) are
+    checked and formed when this is called, before any step is pulled;
+    the generator :func:`_steps` then runs one step per pull. Each pulled
+    ``(k, x)``, k = 0, ..., n_steps, is the slot itself, shape
+    (n_controls, n_scenarios, n_paths), whose row c has the bits of step k
+    of control c run alone; the next pull overwrites it in place, so a
+    consumer keeps what it derives from ``x``, never ``x`` itself.
     """
     ensure_validated(model)
     controls = list(controls)
@@ -308,28 +313,8 @@ def _batch_steps(
     return _steps(model, increment, tables, events, drivers, x, *_branches(tables))
 
 
-def stream_batch(
-    model: ModelSpec,
-    controls: Sequence[Control],
-    drivers: Drivers,
-    x0: float,
-    reduce: Callable[[int, np.ndarray], None],
-) -> None:
-    """Simulate every control under every scenario on one step slot, updated in place.
-
-    The controls must be all strict or all relaxed. ``reduce(k, x)`` is
-    called for k = 0, ..., n_steps in order with the states of step k,
-    shape (n_controls, n_scenarios, n_paths); row c has the bits of step
-    k of control c run alone. The next step overwrites ``x`` in place, so
-    a reducer keeps what it derives from ``x``, never ``x`` itself. A
-    step's counts are formed on its event paths (:meth:`Drivers.event_counts`).
-    """
-    for k, x in _batch_steps(model, controls, drivers, x0):
-        reduce(k, x)
-
-
 def _stored_run(model: ModelSpec, control: Control, drivers: Drivers):
-    """The ensemble of ``control`` on ``drivers``, and the reducer that fills its states."""
+    """The ensemble of ``control`` on ``drivers``, and ``keep(k, x)``, which copies in step k."""
     states = np.empty((drivers.grid.n_steps + 1, drivers.family.n_scenarios, drivers.n_paths))
 
     def keep(k: int, x: np.ndarray) -> None:
@@ -341,12 +326,14 @@ def _stored_run(model: ModelSpec, control: Control, drivers: Drivers):
 def simulate(model: ModelSpec, control: Control, drivers: Drivers, x0: float) -> StateEnsemble:
     """Simulate one control on the drivers and keep every step.
 
-    Strict and relaxed runs on the same drivers share the Brownian draws
-    and the base jump events (tags come from a separate substream), so
-    cross-control comparisons are common-random-number pairings. The
-    ensemble holds no counts: a consumer forms each step's counts from
-    the drivers' events.
+    The control's batch is pulled step by step and each step copied into
+    the ensemble's own states. Strict and relaxed runs on the same
+    drivers share the Brownian draws and the base jump events (tags come
+    from a separate substream), so cross-control comparisons are
+    common-random-number pairings. The ensemble holds no counts: a
+    consumer forms each step's counts from the drivers' events.
     """
     ensemble, keep = _stored_run(model, control, drivers)
-    stream_batch(model, [control], drivers, x0, keep)
+    for k, x in _batch_steps(model, [control], drivers, x0):
+        keep(k, x)
     return ensemble

@@ -42,13 +42,13 @@ so the bits do not change.
 
 A spike is given in grid steps: its action index, its opening step k0
 and, for a spiked control, its step count. :func:`spike_report` converts
-its time-unit windows once (``controls.spike_window``) and runs the base
-control and its spikes as one kernel batch, the base as row 0, so each
+its time-unit windows once (``controls.spike_window``) and pulls the base
+control and its spikes as one costed batch, the base as row 0, so each
 spike branches from an earlier row and no run is stored. z depends only
-on the spike's opening step, so the batch's reducer advances it once for
-every width, in two step slots, from the base's row of each step before
-the kernel overwrites it; the spikes' rows are folded into their path
-costs and their quotient sups as they are written. The formula's
+on the spike's opening step, so each pulled step advances it once for
+every width, in two step slots, from the base's row before the next pull
+overwrites it; the spikes' rows are folded into their path costs and
+their quotient sups as they are pulled. The formula's
 summands are kept in one (K+1, S, P) buffer and summed after the run,
 the terminal one first, in the order of the whole-array formula.
 """
@@ -61,7 +61,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .controls import StrictControl, spike, spike_window
-from .costs import stream_costs
+from .costs import _PathCosts
 from .jumps import Drivers
 from .models import ModelSpec, _avg, _coeff, _mix
 from .scenarios import upper_expectation
@@ -310,15 +310,16 @@ def spike_report(
 ) -> tuple[DerivativeReport, tuple[QuotientRow, ...]]:
     """The cost slopes and the difference-quotient gaps of one set of spikes of ``u_star``.
 
-    ``u_star`` and its spiked controls run as one batch through
-    :func:`stream_costs`, ``u_star`` as row 0: each spike equals it until
-    its window opens, and a narrower window equals the widest one until
-    it closes, so the kernel branches each spike from an earlier row
-    there. No run is stored. From the spike's opening step on, the
-    batch's reducer reads the base state from row 0 and advances z,
-    which depends on the opening step only, once for every width, in two
-    step slots; it folds each spike row into its quotient sup and writes
-    the formula's summand of the step into one (K+1, S, P) buffer. ``t0``
+    ``u_star`` and its spiked controls are pulled as one costed batch
+    (``costs._PathCosts``), ``u_star`` as row 0: each spike equals it
+    until its window opens, and a narrower window equals the widest one
+    until it closes, so the kernel branches each spike from an earlier
+    row there. No run is stored. From the spike's opening step on, each
+    pulled step, already folded into the path costs, is handed to one
+    per-step function, which reads the base state from row 0 and advances
+    z, which depends on the opening step only, once for every width, in
+    two step slots; it folds each spike row into its quotient sup and
+    writes the formula's summand of the step into one (K+1, S, P) buffer. ``t0``
     and the widths, which must descend, are converted to grid steps once;
     an empty width list, a window off the grid, a bad index or a relaxed
     ``u_star`` is refused before any kernel work.
@@ -379,9 +380,11 @@ def spike_report(
         growth, _, paths, jmult, _ = steps.factors(k, base, need_inverse=False, need_forward=True)
         _advance(z[1 - k % 2], z_k, growth, paths, jmult)
 
-    base_report, *reports = stream_costs(
-        model, [u_star] + controls, drivers, x0, fold,
-        ids=["the base control"] + [f"spike h={h}" for h in h_list])
+    batch = _PathCosts(model, [u_star] + controls, drivers, x0,
+                       ["the base control"] + [f"spike h={h}" for h in h_list])
+    for k, x in batch:
+        fold(k, x)
+    base_report, *reports = batch.reports()
     s_star = base_report.argmax_scenario
     formula_paths = terms[K]
     for k in range(k0, K):

@@ -8,6 +8,7 @@ from gcontrol.controls import (
     ActionGrid,
     RelaxedControl,
     StrictControl,
+    chattering,
     constant_strict,
     embed_strict,
     uniform_relaxed,
@@ -194,6 +195,43 @@ def test_non_finite_candidate_is_named_by_its_index():
         co.evaluate_costs(model, candidates, drivers, 1.0)
     with pytest.raises(FloatingPointError, match="non-finite path cost of control 2 under scenario 1$"):
         co.value_bruteforce(model, candidates, drivers, 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_chattering_names_the_relaxed_control_and_each_rung():
+    # the relaxed control and its ladder are two batches pulled in lockstep;
+    # a cost names its control by its role, and at a step the relaxed
+    # control's cost is checked first
+    grid = TimeGrid(T=1.0, n_steps=16)
+    drivers = sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 64, 5)
+    quiet = dict(b1=0.0, b2=0.0, s0=0.0, s1=0.0, c1=0.0, c2=0.0, f1=0.0, f2=0.0)
+    # h = h2 u^2 overflows at u = 1e154, where the relaxed control puts weight
+    # 1/64 and no rung of 2 or 4 blocks plays a step
+    rare = RelaxedControl(ActionGrid(np.array([0.0, 1e154])), np.array([[63 / 64, 1 / 64]] * 16))
+    model = md.build_model("linear_jump_lq", dict(quiet, h2=100.0))
+    ladder = [chattering(rare, n) for n in (2, 4)]
+    assert all(np.isfinite(r.upper_value) for r in co.evaluate_costs(model, ladder, drivers, 1.0))
+    with pytest.raises(FloatingPointError,
+                       match="^non-finite path cost of the relaxed control under scenario 0$"):
+        co.chattering_report(model, rare, [2, 4], drivers, 1.0)
+    # gamma = c2 u averages to exactly 0 under uniform weights on -1 and 1; a
+    # rung's first half-block at u = -1 drives h1 x^2 past the float range
+    # under the high corner (scenario 1) only
+    pm = uniform_relaxed(ActionGrid(np.array([-1.0, 1.0])), 16)
+    model = md.build_model("linear_jump_lq", dict(quiet, c2=5e154))
+    assert np.isfinite(co.evaluate_cost(model, pm, drivers, 1.0).upper_value)
+    with pytest.raises(FloatingPointError,
+                       match="^non-finite path cost of rung n=2 under scenario 1$"):
+        co.chattering_report(model, pm, [2, 4], drivers, 1.0)
+    # every state stays at x0 = 1e5 and only g = gq x^2 overflows, at the
+    # last step of every run: the relaxed control is named
+    model = md.build_model("linear_jump_lq", dict(quiet, gq=1e300))
+    with pytest.raises(FloatingPointError,
+                       match="^non-finite path cost of control 0 under scenario 0$"):
+        co.evaluate_costs(model, [chattering(pm, 2)], drivers, 1e5)
+    with pytest.raises(FloatingPointError,
+                       match="^non-finite path cost of the relaxed control under scenario 0$"):
+        co.chattering_report(model, pm, [2, 4], drivers, 1e5)
 
 
 def test_cost_report_csv_layout(tmp_path):

@@ -300,6 +300,58 @@ def test_variational_kind_stores_no_run(tmp_path):
     assert peak <= 2.0 * state_bytes, peak / state_bytes
 
 
+def test_chattering_kind_stores_no_run(tmp_path):
+    """The relaxed control and its ladder are two costed batches pulled in lockstep.
+
+    With the benchmark's ladder at K=64, P=1000 the run peaks at 0.58
+    state arrays after a warm-up run: the drivers and, per batch, a step
+    slot and its path costs, with the ladder's sups. Storing the relaxed
+    control's run for the ladder's pass peaked at 1.56.
+    """
+    k, p = 64, 1000
+    doc = _base_doc(kind="chattering", model={"name": "linear_jump_lq"},
+                    grid={"T": 1.0, "n_steps": k}, scenarios={"strategy": "corners", "blocks": 2},
+                    actions=[-1.0, 0.0, 1.0], control={"type": "uniform"}, n_paths=p, x0=1.0,
+                    options={"n_list": [4, 16]})
+    # numpy imports some submodules on first use; a first run loads them
+    run_document(doc, output_dir=tmp_path / "first")
+    state_bytes = (k + 1) * 4 * p * 8
+    tracemalloc.start()
+    try:
+        run_document(doc, output_dir=tmp_path / "measured")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.7 * state_bytes, peak / state_bytes
+
+
+def test_mp_near_releases_its_batch_before_the_table(tmp_path):
+    """``u_n``'s batch is gone before the table: its step slot and path costs.
+
+    With the benchmark's options at K=64, P=1000 the run peaks at 2.72
+    state arrays after a warm-up run, set by the adjoint. When the pull's
+    loop variables and the costed batch lived through the table, holding
+    the (C, S, P) slot and path costs of ``u_n`` and its 9 candidates,
+    the peak read 3.03.
+    """
+    k, p = 64, 1000
+    doc = _base_doc(kind="mp-near", model={"name": "linear_jump_lq"},
+                    grid={"T": 1.0, "n_steps": k}, scenarios={"strategy": "corners", "blocks": 2},
+                    actions=[-1.0, 0.0, 1.0], control={"type": "constant", "index": 1},
+                    n_paths=p, x0=1.0,
+                    options={"n_blocks": 4, "C": 1.0,
+                             "candidates": [{"type": "constant", "index": 0}]})
+    run_document(doc, output_dir=tmp_path / "first")
+    state_bytes = (k + 1) * 4 * p * 8
+    tracemalloc.start()
+    try:
+        run_document(doc, output_dir=tmp_path / "measured")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.85 * state_bytes, peak / state_bytes
+
+
 def test_csv_cell_rule():
     # integers as their digits, strings as they are, every other cell as
     # the repr of its float; one line per row and a trailing newline

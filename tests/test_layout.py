@@ -16,7 +16,7 @@ from gcontrol.adjoint import _adjoint_core, _finite_triple
 from gcontrol.controls import ActionGrid, constant_strict, uniform_relaxed
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
-from gcontrol.sde import simulate, stream_batch
+from gcontrol.sde import _batch_steps, simulate
 from gcontrol.variational import fundamental_steps
 
 K, P = 8, 6
@@ -85,15 +85,14 @@ def test_flow_variational_and_triple_are_time_major():
 
 
 def test_one_control_ensemble_owns_its_streamed_states():
-    # a stored run is a reducer that copies each streamed step into an
-    # array of its own: no view of a kernel buffer
+    # a stored run copies each pulled step into an array of its own: no
+    # view of a kernel buffer
     u = constant_strict(ACTIONS, K, 0)
     ens = simulate(MODEL, u, sample_drivers(FAMILY, GRID, MARKS, P, 5), 1.0)
     assert ens.states.base is None and ens.states.flags["OWNDATA"]
     _time_major(ens.states, (K + 1, S, P))
-    rows = []
-    stream_batch(MODEL, [u, constant_strict(ACTIONS, K, 2)], ens.drivers, 1.0,
-                 lambda k, x: rows.append(x[0].tobytes()))
+    rows = [x[0].tobytes()
+            for _, x in _batch_steps(MODEL, [u, constant_strict(ACTIONS, K, 2)], ens.drivers, 1.0)]
     assert rows == [ens.states[k].tobytes() for k in range(K + 1)]
 
 

@@ -193,14 +193,11 @@ def _alone(model, controls, drivers, x0):
 
 
 def _assert_streams(model, controls, drivers, x0, expected):
-    """:func:`sde.stream_batch` hands step k of the batch with the bits of ``expected[k]``."""
+    """:func:`sde._batch_steps` hands step k of the batch with the bits of ``expected[k]``."""
     seen = []
-
-    def check(k, x):
+    for k, x in sde._batch_steps(model, controls, drivers, x0):
         assert x.shape == expected[k].shape
         seen.append(x.tobytes() == np.ascontiguousarray(expected[k]).tobytes())
-
-    sde.stream_batch(model, controls, drivers, x0, check)
     assert seen == [True] * len(expected)
 
 
@@ -323,11 +320,10 @@ def test_batch_rejects_mixed_kinds_and_foreign_drivers():
     u = constant_strict(ACTIONS, 8, 0)
     drivers = sample_drivers(fam, grid, MARKS, 5, seed=26)
     with pytest.raises(ValueError, match="strict or relaxed"):
-        sde.stream_batch(model, [u, embed_strict(u)], drivers, 0.0, lambda k, x: None)
+        sde._batch_steps(model, [u, embed_strict(u)], drivers, 0.0)
     # drivers sampled on an 8-step grid cannot drive a 16-step control
     with pytest.raises(ValueError, match="controls and grid must agree on n_steps"):
-        sde.stream_batch(model, [constant_strict(ACTIONS, 16, 0)], drivers, 0.0,
-                         lambda k, x: None)
+        sde._batch_steps(model, [constant_strict(ACTIONS, 16, 0)], drivers, 0.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -342,4 +338,5 @@ def test_diverging_batch_names_step_scenario_and_control():
     drivers = sample_drivers(fam, grid, QUIET, 3, seed=27)
     with pytest.raises(FloatingPointError,
                        match="after step 1 under scenario 0 of control 1 on 3 paths"):
-        sde.stream_batch(model, controls, drivers, 1.0, lambda k, x: None)
+        for _ in sde._batch_steps(model, controls, drivers, 1.0):
+            pass

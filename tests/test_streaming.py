@@ -30,7 +30,7 @@ from gcontrol.costs import _PathCosts, chattering_report, evaluate_cost, evaluat
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family, upper_expectation
 from gcontrol import sde
-from gcontrol.sde import _batch_steps, _branches, simulate, stream_batch
+from gcontrol.sde import _batch_steps, _branches, simulate
 from gcontrol.variational import QuotientRow, spike_report
 
 K = 16
@@ -120,17 +120,13 @@ def test_stream_batch_hands_every_step_with_the_stored_bits(case):
     family, marks, controls = CASES[case]
     drivers = sample_drivers(family, GRID, marks, 30, 4)
     stored = _stored(MODEL, controls, drivers, 1.0)
-    seen = []
-    stream_batch(MODEL, controls, drivers, 1.0, lambda k, x: seen.append((k, x.tobytes())))
-    assert [k for k, _ in seen] == list(range(K + 1))
-    assert all(x == stored[k].tobytes() for k, x in seen)
-    # pulled one step at a time, the batch hands the same bits in one slot
+    # pulled one step at a time, the batch hands each control's stored bits in one slot
     pulled = _batch_steps(MODEL, controls, drivers, 1.0)
     k, slot = next(pulled)
-    assert (k, slot.tobytes()) == seen[0]
+    assert (k, slot.tobytes()) == (0, stored[0].tobytes())
     for k, x in pulled:
         assert x is slot
-        assert (k, x.tobytes()) == seen[k]
+        assert x.tobytes() == stored[k].tobytes()
     assert k == K
 
 
@@ -151,8 +147,8 @@ def test_only_started_rows_are_stepped(case, monkeypatch):
         return increment(*args)
 
     monkeypatch.setattr(sde, name, counted)
-    stream_batch(MODEL, controls, sample_drivers(family, GRID, marks, 30, 4), 1.0,
-                 lambda k, x: None)
+    for _ in _batch_steps(MODEL, controls, sample_drivers(family, GRID, marks, 30, 4), 1.0):
+        pass
     assert rows == [sum(s <= k for s in starts) for k in range(K)]
 
 
@@ -179,28 +175,52 @@ def test_strict_cost_fold_is_the_per_row_weight_mix_stacked():
     # the per-row fold a relaxed batch runs
     controls = _SPIKES + _NESTED + [StrictControl(ACTIONS, np.full(K, i)) for i in range(3)]
     shape = (len(controls), 4, 30)
+    drivers = sample_drivers(CORNERS, GRID, BUSY, shape[2], 3)
     rng = np.random.default_rng(3)
-    stacked = _PathCosts(MODEL, controls, GRID, shape[1:])
-    mixed = _PathCosts(MODEL, [embed_strict(u) for u in controls], GRID, shape[1:])
+    stacked = _PathCosts(MODEL, controls, drivers, 1.0)
+    mixed = _PathCosts(MODEL, [embed_strict(u) for u in controls], drivers, 1.0)
     assert stacked.values is not None and mixed.values is None
     for k in range(K):
         xk = rng.normal(scale=k + 1.0, size=shape)
         xk[:, 0, :3] = -0.0
-        stacked.add(k, xk)
-        mixed.add(k, xk)
-    assert stacked.running.tobytes() == mixed.running.tobytes()
-    ids = [f"row {c}" for c in range(len(controls))]
+        stacked.fold(k, xk)
+        mixed.fold(k, xk)
+    assert stacked.costs.tobytes() == mixed.costs.tobytes()
     x_T = rng.normal(size=shape)
-    assert stacked.totals(x_T, ids).tobytes() == mixed.totals(x_T, ids).tobytes()
+    stacked.fold(K, x_T)
+    mixed.fold(K, x_T)
+    assert stacked.costs.tobytes() == mixed.costs.tobytes()
 
 
 def test_batch_pull_refuses_a_bad_batch_before_any_step():
     drivers = sample_drivers(CORNERS, GRID, BUSY, 5, 6)
-    # the refusals come from the call itself: no step is pulled
-    with pytest.raises(ValueError, match="strict or relaxed"):
-        _batch_steps(MODEL, [_PATTERN, _ZERO_WEIGHTS], drivers, 1.0)
-    with pytest.raises(ValueError, match="controls and grid must agree on n_steps"):
-        _batch_steps(MODEL, [StrictControl(ACTIONS, np.zeros(K + 1, dtype=int))], drivers, 1.0)
+    # the refusals come from building the pull, plain or costed: no step is pulled
+    for pull in (_batch_steps, _PathCosts):
+        with pytest.raises(ValueError, match="strict or relaxed"):
+            pull(MODEL, [_PATTERN, _ZERO_WEIGHTS], drivers, 1.0)
+        with pytest.raises(ValueError, match="controls and grid must agree on n_steps"):
+            pull(MODEL, [StrictControl(ACTIONS, np.zeros(K + 1, dtype=int))], drivers, 1.0)
+
+
+@pytest.mark.parametrize("stop", [0, 1, K // 2, K])
+def test_costed_batch_reports_pull_what_is_left(stop):
+    # a consumer may stop pulling at any step and ask for the reports: they
+    # pull the steps left, and carry the bits of a full pull
+    controls = CASES["spikes-at-the-ends"][2]
+    drivers = sample_drivers(CORNERS, GRID, BUSY, 30, 4)
+    full = _PathCosts(MODEL, controls, drivers, 1.0)
+    assert [k for k, _ in full] == list(range(K + 1))
+    partial = _PathCosts(MODEL, controls, drivers, 1.0)
+    for k, _ in partial:
+        if k == stop:
+            break
+    for rep, ref in zip(partial.reports(), full.reports(), strict=True):
+        assert rep.per_path.tobytes() == ref.per_path.tobytes()
+        assert rep.scenario_means.tobytes() == ref.scenario_means.tobytes()
+        assert rep.scenario_stderrs.tobytes() == ref.scenario_stderrs.tobytes()
+    # a batch pulled to its end reports the same again
+    assert [r.per_path.tobytes() for r in partial.reports()] == [
+        r.per_path.tobytes() for r in full.reports()]
 
 
 @pytest.mark.parametrize("case", list(CASES))

@@ -6,6 +6,7 @@ import pytest
 from oracles import inverse_defect, solve_variational, spike_eta, whole_flow
 
 from gcontrol import models as md
+from gcontrol import sde
 from gcontrol import variational as vr
 from gcontrol.adjoint import _adjoint_core
 from gcontrol.controls import (
@@ -245,17 +246,32 @@ def test_spike_report_names_the_first_step_of_z_that_is_not_finite():
             vr.spike_report(model, base, 2, 0.25, [0.0625], ens.drivers, 0.0)
 
 
+def _count_kernel_steps(monkeypatch) -> list:
+    """The kernel increments run from now on, one entry per batch step, strict or relaxed."""
+    ran = []
+    for name in ("_strict_increment", "_relaxed_increment"):
+        increment = getattr(sde, name)
+
+        def counted(*args, increment=increment, name=name):
+            ran.append(name)
+            return increment(*args)
+
+        monkeypatch.setattr(sde, name, counted)
+    return ran
+
+
 def test_spike_report_refuses_a_relaxed_control_before_any_work(monkeypatch):
     grid = TimeGrid(T=1.0, n_steps=16)
     model = md.build_model("linear_jump_lq", {})
     actions = ActionGrid(np.array([0.0, 1.0]))
     drivers = sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 20)
-    # the base and its spikes enter the kernel as one batch through stream_costs
-    streamed = []
-    monkeypatch.setattr(vr, "stream_costs", lambda *args, **kw: streamed.append(args))
+    ran = _count_kernel_steps(monkeypatch)
     with pytest.raises(ValueError, match="spike variations act on strict controls"):
         vr.spike_report(model, uniform_relaxed(actions, 16), 0, 0.25, [0.25], drivers, 1.0)
-    assert streamed == []
+    assert ran == []
+    # the count sees a report's kernel steps: the base and its spike run 16
+    vr.spike_report(model, constant_strict(actions, 16, 0), 1, 0.25, [0.25], drivers, 1.0)
+    assert ran == ["_strict_increment"] * 16
 
 
 def test_spike_report_refuses_a_spike_off_the_run_before_any_work(monkeypatch):
@@ -263,8 +279,7 @@ def test_spike_report_refuses_a_spike_off_the_run_before_any_work(monkeypatch):
     model = md.build_model("linear_jump_lq", {})
     actions = ActionGrid(np.array([0.0, 1.0]))
     drivers = sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 20)
-    streamed = []
-    monkeypatch.setattr(vr, "stream_costs", lambda *args, **kw: streamed.append(args))
+    ran = _count_kernel_steps(monkeypatch)
     for action_index, t0, width, message in [
         # -1 would silently read the last action
         (-1, 0.25, 0.0625, "^index -1 outside the 2-action grid$"),
@@ -274,7 +289,7 @@ def test_spike_report_refuses_a_spike_off_the_run_before_any_work(monkeypatch):
         with pytest.raises(ValueError, match=message):
             vr.spike_report(model, constant_strict(actions, 16, 0), action_index, t0, [width],
                             drivers, 1.0)
-    assert streamed == []
+    assert ran == []
 
 
 def test_spike_report_refuses_an_overflowing_slope_or_quotient():
@@ -334,8 +349,7 @@ def test_quotient_rejects_ascending_widths(monkeypatch):
     model = md.build_model("linear_jump_lq", {})
     actions = ActionGrid(np.array([0.0, 1.0]))
     drivers = sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 20, 24)
-    streamed = []
-    monkeypatch.setattr(vr, "stream_costs", lambda *args, **kw: streamed.append(args))
+    ran = _count_kernel_steps(monkeypatch)
     for h_list, message in [
         ([0.05, 0.1], r"widths must be strictly descending, got \[0.05, 0.1\]"),
         # an empty list is refused before the base run and z, not by the batch
@@ -346,7 +360,7 @@ def test_quotient_rejects_ascending_widths(monkeypatch):
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             vr.spike_report(model, constant_strict(actions, 40, 0), 1, 0.25, h_list, drivers, 1.0)
-    assert streamed == []
+    assert ran == []
 
 
 def test_gateaux_trivial_spike_is_zero():
