@@ -12,10 +12,11 @@ The layer works time-major, as does every array it takes: states and
 backward variable (K+1, S, P), all C-ordered; a step's (S, P) Brownian
 increments are formed when it is read (``Drivers.step_dB``). The flow
 ``phi`` and its inverse ``psi`` are never held whole: they are streamed
-one step at a time (:func:`~gcontrol.variational.fundamental_steps`),
-once for the backward variable and once for the regressions, because
-the flow is cheap to run again and a stored flow would double the
-memory of every table. The triple exists one step at a time: ``p`` and
+one step at a time beside the stored states
+(:func:`~gcontrol.variational.fundamental_steps`), once for the
+backward variable and once for the regressions, because the flow is
+cheap to run again and a stored flow would double the memory of every
+table. The triple exists one step at a time: ``p`` and
 ``q`` (S, P) and ``r`` (S, P, m).
 
 :func:`_adjoint_core` forms the raw backward variable in one (K+1, S, P)
@@ -48,7 +49,11 @@ and the raw step, and writes each step's volatility-channel summand
 rows gives every block's :func:`tail_weights`, after which the buffer is
 dropped. The table forms each start's triple from its inputs
 (:func:`_triple_at`); the loadings it reads there were final before the
-reducer ran. In :func:`bsde_stability_report` each rung's core runs
+reducer ran. At a start it evaluates ``sigma`` once and ``h``, ``b``,
+``gamma`` and each mark's ``f`` once per action: :func:`hamiltonian`
+forms ``H`` from those values, and the kick of a change of action is
+``variational._kick`` of their differences to the mixture, the kick a
+spike's opening step forms too. In :func:`bsde_stability_report` each rung's core runs
 first, without a reducer, so it forms no inverse flow, and the rung's
 stored states and backward variable are dropped after it: the core keeps
 each step's state regression as a small :class:`StateFit` record, from
@@ -102,12 +107,12 @@ from .controls import (
     spike,
 )
 from .costs import _PathCosts
-from .jumps import Drivers, MarkSpace
+from .jumps import Drivers
 from .models import ModelSpec, _avg, _coeff
 from .scenarios import TimeGrid, generator_G, upper_expectation
 from .sde import (StateEnsemble, _batch_steps, _first_nonfinite, _require_finite, _stored_run,
                   simulate)
-from .variational import _flow, fundamental_steps
+from .variational import _kick, _terminal_gradient, fundamental_steps
 
 _DEGENERATE_STD = 1e-12
 # a Gram matrix whose condition number lmax / lmin exceeds this is not solved;
@@ -188,24 +193,17 @@ class StabilityReport:
     health: Mapping[str, float]
 
 
-def hamiltonian(model: ModelSpec, marks: MarkSpace, t, x, a, p, q, r):
-    """``H = h + p b + q sigma + sum_i r_i f(theta_i) nu_i``.
+def hamiltonian(h, b, sigma, f, p, q, r, intensities):
+    """``H = h + p b + q sigma + sum_i r_i f_i nu_i`` from the coefficients' values.
 
-    ``r`` carries the mark axis last. Everything broadcasts, so scalar
-    and per-path arguments both work.
+    ``h``, ``b`` and ``sigma`` are values at one (t, x, a), ``f`` holds
+    the jump coefficient's value at each mark, and ``r`` carries the mark
+    axis last. Everything broadcasts, so scalar and per-path arguments
+    both work.
     """
-    x = np.asarray(x, dtype=float)
-    a = float(a)
-    val = (
-        np.asarray(model.h(t, x, a), dtype=float)
-        + np.asarray(p, dtype=float) * np.asarray(model.b(t, x, a), dtype=float)
-        + np.asarray(q, dtype=float) * (np.asarray(model.sigma(t, x), dtype=float) + 0.0 * x)
-    )
-    r = np.asarray(r, dtype=float)
-    for i in range(marks.n_marks):
-        theta = float(marks.marks[i])
-        nu = float(marks.intensities[i])
-        val = val + r[..., i] * np.asarray(model.f(t, x, theta, a), dtype=float) * nu
+    val = h + p * b + q * sigma
+    for i, (f_i, nu_i) in enumerate(zip(f, map(float, intensities))):
+        val = val + r[..., i] * f_i * nu_i
     return val
 
 
@@ -504,11 +502,6 @@ def _invert_step_drift(c: np.ndarray, a: np.ndarray, lo: float, hi: float, dt: f
     return out
 
 
-def _terminal_gradient(model: ModelSpec, x: np.ndarray) -> np.ndarray:
-    """``g_x`` at the (S, P) terminal state ``x``, (S, P) also where it is constant."""
-    return np.asarray(model.g_x(x), dtype=float) + np.zeros_like(x)
-
-
 def _adjoint_core(
     ensemble: StateEnsemble, basis_degree: int,
     reduce: Callable[[SimpleNamespace, int, np.ndarray, np.ndarray, np.ndarray], None]
@@ -516,8 +509,10 @@ def _adjoint_core(
 ) -> SimpleNamespace:
     """Raw backward variable, per-step regressions and loadings, time-major.
 
-    The flow is streamed twice (:func:`~gcontrol.variational.fundamental_steps`),
-    so ``phi`` and ``psi`` are never held whole. The first pass writes
+    The flow is streamed twice along the ensemble's states
+    (:func:`~gcontrol.variational.fundamental_steps`), so ``phi`` and
+    ``psi`` are never held whole, and each pass reads the step's state as
+    the flow hands it on. The first pass writes
     step k's running term ``h_x phi_k dt`` into the (K+1, S, P) buffer
     ``y`` and the terminal ``g_x phi_K`` into its last row, then sums
     ``y`` backward in place into the raw backward variable. The second
@@ -547,38 +542,38 @@ def _adjoint_core(
     named even where ``psi`` overflowed at an earlier step.
     """
     check_basis_degree(basis_degree)
-    model = ensemble.model
-    grid = ensemble.grid
-    marks = ensemble.marks
+    model, control, drivers = ensemble.model, ensemble.control, ensemble.drivers
+    grid = drivers.grid
+    marks = drivers.marks
     dt = grid.dt
     n_steps = grid.n_steps
     _, n_scen, n_paths = ensemble.states.shape
     n_marks = marks.n_marks
-    w = ensemble.control.weights
-    actions = ensemble.control.grid.actions
+    w = control.weights
+    actions = control.grid.actions
     x = ensemble.states
     times = grid.times
 
-    def running(k, phi_k):
-        hx = _avg(model.h_x, float(times[k]), x[k], w[k], actions)
+    def running(k, x_k, phi_k):
+        hx = _avg(model.h_x, float(times[k]), x_k, w[k], actions)
         return hx * phi_k * dt
 
     gx_term = _terminal_gradient(model, x[n_steps])
     y = np.empty((n_steps + 1, n_scen, n_paths))
-    for k, phi_k, _ in fundamental_steps(ensemble, need_inverse=False):
-        y[k] = running(k, phi_k) if k < n_steps else gx_term * phi_k
+    for k, x_k, phi_k, _ in fundamental_steps(model, control, drivers, x, need_inverse=False):
+        y[k] = running(k, x_k, phi_k) if k < n_steps else gx_term * phi_k
     _require_finite(y[n_steps], f"backward variable at step {n_steps}")
     for k in range(n_steps - 1, -1, -1):
         np.add(y[k + 1], y[k], out=y[k])
         _require_finite(y[k], f"backward variable at step {k}")
 
-    a_tab = ensemble.family.values
-    lo = ensemble.family.bounds.sigma_low
-    hi = ensemble.family.bounds.sigma_high
+    a_tab = drivers.family.values
+    lo = drivers.family.bounds.sigma_low
+    hi = drivers.family.bounds.sigma_high
     core = SimpleNamespace(
         model=model,
-        control=ensemble.control,
-        drivers=ensemble.drivers,
+        control=control,
+        drivers=drivers,
         gx_term=gx_term,
         y=y,
         Q=np.zeros((n_scen, n_steps)),
@@ -596,9 +591,10 @@ def _adjoint_core(
     past = np.zeros((n_scen, n_paths))
     prev = None
     # only a reducer reads psi
-    for k, phi_k, psi_k in fundamental_steps(ensemble, need_inverse=reduce is not None):
+    for k, x_k, phi_k, psi_k in fundamental_steps(model, control, drivers, x,
+                                                  need_inverse=reduce is not None):
         if k < n_steps:
-            fit, record, core.cond_y[:, k], rss, fb = _regress_state(x[k], y[k], basis_degree)
+            fit, record, core.cond_y[:, k], rss, fb = _regress_state(x_k, y[k], basis_degree)
             core.fits.append(record)
             sq_resid += rss
             fallbacks += fb
@@ -610,17 +606,17 @@ def _adjoint_core(
             m_prev, phi_j, psi_j, fit_j = prev
             # 0.0 - comp, not -comp, so a silent mark's column is +0.0
             dn = np.zeros((n_marks, n_paths)) - comp
-            paths, counts = ensemble.drivers.event_counts(j)
+            paths, counts = drivers.event_counts(j)
             dn[:, paths] = counts[..., 0].T - comp
             (core.Q[:, j], core.R[:, j], core.intercept[:, j], core.cond_increment[:, j], drop,
-             fb) = _regress_increment(m_k - m_prev, ensemble.drivers.step_dB(j), dn)
+             fb) = _regress_increment(m_k - m_prev, drivers.step_dB(j), dn)
             core.S_t[:, j] = _invert_step_drift(core.intercept[:, j], a_tab[:, j], lo, hi, dt)
             dropped += int(drop.sum())
             fallbacks += fb
             if reduce is not None:
                 reduce(core, j, phi_j, psi_j, fit_j)
         if k < n_steps:
-            past = past + running(k, phi_k)
+            past = past + running(k, x_k, phi_k)
         prev = (m_k, phi_k, psi_k, fit)
 
     core.y_residual = np.sqrt(sq_resid / (n_steps * n_paths))
@@ -743,8 +739,8 @@ def mp_check_relaxed(
     triple from its kept inputs; ``Q`` and ``R`` at the start are final
     before the reducer runs and are not written again.
     """
-    model, mu, grid, marks = ensemble.model, ensemble.control, ensemble.grid, ensemble.marks
-    family = ensemble.family
+    model, mu, drivers = ensemble.model, ensemble.control, ensemble.drivers
+    grid, marks, family = drivers.grid, drivers.marks, drivers.family
     block_len = block_length(grid.n_steps, n_blocks)
     w, actions = mu.weights, mu.grid.actions
     a_tab = family.values
@@ -775,13 +771,16 @@ def mp_check_relaxed(
         psi0, y0 = at_start.pop(k0)
         p0, q0, r0 = _triple_at(core, k0, x, y0, psi0)
 
-        # per action: H, then b, gamma and f at every mark, each (S, P)
+        # sigma once, then per action h, b, gamma and f at every mark once each,
+        # and the row of H and the (S, P) b, gamma and f
+        sigma = np.asarray(model.sigma(t0, x), dtype=float) + 0.0 * x
         rows = []
         for a in map(float, actions):
-            coeffs = [model.b(t0, x, a), model.gamma(t0, x, a)]
-            coeffs += [model.f(t0, x, float(th), a) for th in marks.marks]
-            rows.append([hamiltonian(model, marks, t0, x, a, p0, q0, r0)]
-                        + [np.asarray(c, dtype=float) + np.zeros_like(x) for c in coeffs])
+            h, b_a, gamma = (np.asarray(c(t0, x, a), dtype=float)
+                             for c in (model.h, model.b, model.gamma))
+            f = [np.asarray(model.f(t0, x, float(th), a), dtype=float) for th in marks.marks]
+            rows.append([hamiltonian(h, b_a, sigma, f, p0, q0, r0, nus)]
+                        + [c + np.zeros_like(x) for c in [b_a, gamma] + f])
         base = [np.zeros_like(x) for _ in rows[0]]
         for ai, row in enumerate(rows):
             wa = float(w[k0, ai])
@@ -790,9 +789,7 @@ def mp_check_relaxed(
 
         for ai, row in enumerate(rows):
             d_h, d_b, dgamma, *d_f = (v - acc for v, acc in zip(row, base))
-            impulse = d_b + dgamma * a0
-            for i, d_fi in enumerate(d_f):
-                impulse = impulse - d_fi * float(nus[i])
+            impulse = _kick(d_b, dgamma, d_f, a0, nus)
             vals = d_h + f_term(impulse, dgamma, p0, a0, psi0, weights[b])
             _require_finite(vals, f"stationarity entry of action {float(actions[ai])!r} in block "
                                   f"{b} at step {k0}")
@@ -818,8 +815,8 @@ def mp_check_relaxed(
         n_blocks=n_blocks,
         slack_mult=slack_mult,
         extra_slack=extra_slack,
-        n_paths=ensemble.n_paths,
-        seed=ensemble.seed,
+        n_paths=drivers.n_paths,
+        seed=drivers.seed,
         health=_estimator_health(core),
     )
 
@@ -962,7 +959,7 @@ def bsde_stability_report(
     after its core. Then one core runs on the relaxed control's stored
     run, and its reducer folds the whole ladder at each step: it pulls
     every rung's step from a replay of the rung's strict kernel and flow
-    (``sde._batch_steps`` and ``variational._flow``), which reproduces
+    (``sde._batch_steps`` and ``variational.fundamental_steps``), which reproduces
     the rung's states and ``psi`` bit for bit. The replay forms no
     ``phi``: the fold does not read it, and the rung's own core has
     already checked it. The reducer then forms the relaxed control's
@@ -1003,9 +1000,9 @@ def bsde_stability_report(
     rungs = [rung_core(n) for n in n_list]
     ens = simulate(model, mu, drivers, x0)
     # each rung's states and psi, replayed step by step; the fold reads no phi
-    flows = [_flow(model, rung.control, drivers,
-                   (x[0] for _, x in _batch_steps(model, [rung.control], drivers, x0)),
-                   need_inverse=True, need_forward=False) for rung in rungs]
+    flows = [fundamental_steps(model, rung.control, drivers,
+                               (x[0] for _, x in _batch_steps(model, [rung.control], drivers, x0)),
+                               need_inverse=True, need_forward=False) for rung in rungs]
     # per rung: the running max of |dp| and the sums of dq**2 and nu-weighted dr**2
     acc = np.zeros((len(rungs), 3) + ens.states.shape[1:])
 

@@ -48,9 +48,8 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from .controls import RelaxedControl, StrictControl
-from .jumps import Drivers, MarkSpace
+from .jumps import Drivers
 from .models import ModelSpec, ensure_validated
-from .scenarios import ScenarioFamily, TimeGrid
 
 Control = Union[StrictControl, RelaxedControl]
 
@@ -64,33 +63,14 @@ class StateEnsemble:
     bundle keeps everything a downstream consumer needs to reuse the same
     randomness: the drivers (whose events give each step's counts, and a
     relaxed control's tags) and the control that produced the run. The
-    run's setting (family, grid, marks, seed) is read through the drivers.
+    run's setting (family, grid, marks, path count, seed) is read through
+    its drivers.
     """
 
     states: np.ndarray
     drivers: Drivers
     model: ModelSpec
     control: Control
-
-    @property
-    def seed(self) -> int:
-        return self.drivers.seed
-
-    @property
-    def family(self) -> ScenarioFamily:
-        return self.drivers.family
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.drivers.grid
-
-    @property
-    def marks(self) -> MarkSpace:
-        return self.drivers.marks
-
-    @property
-    def n_paths(self) -> int:
-        return self.states.shape[2]
 
 
 def _first_nonfinite(v: np.ndarray) -> tuple[int, ...] | None:

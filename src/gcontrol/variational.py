@@ -20,15 +20,15 @@ Brownian increments an (S, P) array the drivers form from their (K, P)
 draws, so every step forms its growth factors on contiguous slices.
 The fundamental solutions phi and psi are never formed whole:
 :func:`fundamental_steps` yields them one (S, P) step at a time from two
-step slots each, and a consumer that needs them twice (the adjoint core)
-runs the flow twice. A consumer that reads ``psi`` alone asks for no
-``phi``, and the flow then forms neither ``phi`` nor its factors. The
-flow reads its states one step at a time from any stream of them
-(:func:`_flow`): a stored run's rows, or the steps pulled from a replay
+step slots each, beside the states it reads one step at a time from any
+stream of them: a stored run's rows, or the steps pulled from a replay
 of the kernel, which ``bsde_stability_report`` runs for each rung beside
-the relaxed control's adjoint instead of keeping the rung's states. The
-jump multiplier ``(1 + f_x)^count`` is applied only on the paths that
-have events in the step, with the step's counts per (mark, action tag)
+the relaxed control's adjoint instead of keeping the rung's states. A
+consumer that needs the flow twice (the adjoint core) runs it twice. A
+consumer that reads ``psi`` alone asks for no ``phi``, and the flow then
+forms neither ``phi`` nor its factors. The jump multiplier
+``(1 + f_x)^count`` is applied only on the paths that have events in
+the step, with the step's counts per (mark, action tag)
 formed on those paths only (``Drivers.event_counts``). A path without
 events would be multiplied by exactly one, so the result is bit for bit
 that of the dense product.
@@ -39,6 +39,12 @@ operation per path only where a path-dependent term enters it, and
 ``1 + f_x`` is read on the event paths only where it depends on the
 state. Every elementwise operation is the one the full arrays would run,
 so the bits do not change.
+
+Two more first-order terms live here once: the kick a change of action
+gives the state (:func:`_kick`), which a spike's opening step and the
+stationarity table's block starts both form, and the terminal gradient
+(:func:`_terminal_gradient`), which ends the spike formula here and the
+backward variable in the adjoint.
 
 A spike is given in grid steps: its action index, its opening step k0
 and, for a spiked control, its step count. :func:`spike_report` converts
@@ -65,7 +71,7 @@ from .costs import _PathCosts
 from .jumps import Drivers
 from .models import ModelSpec, _avg, _coeff, _mix
 from .scenarios import upper_expectation
-from .sde import Control, StateEnsemble, _first_nonfinite
+from .sde import Control, _first_nonfinite
 
 _JUMP_GUARD = 1e-6
 
@@ -197,29 +203,44 @@ def _advance(out: np.ndarray, prev: np.ndarray, growth: np.ndarray, paths, jmult
         out[:, paths] = out[:, paths] * jmult
 
 
+def _kick(d_b, d_gamma, d_f, a_k, intensities):
+    """First-order state kick ``d_b + d_gamma a_k - sum_i d_f_i nu_i`` of a change of action.
+
+    ``d_b``, ``d_gamma`` and each mark's ``d_f_i`` are coefficient
+    differences, new action minus old, formed exactly before any scaling;
+    ``a_k`` is the step's (S, 1) volatility values. A mark of zero
+    intensity adds nothing and its difference is not read.
+    """
+    out = d_b + d_gamma * a_k
+    for d_fi, nu_i in zip(d_f, map(float, intensities)):
+        if nu_i > 0.0:
+            out = out - d_fi * nu_i
+    return out
+
+
 def _spike_impulse(model: ModelSpec, base: StrictControl, drivers: Drivers, action_index: int,
                    k0: int, x: np.ndarray) -> np.ndarray:
-    """First-order state kick of the spike at its opening step, from the base's (S, P) state there.
+    """The :func:`_kick` of the spike at its opening step, from the base's (S, P) state there.
 
-    Combines the drift change, the volatility-scaled change of the
-    quadratic-variation drift, and the compensator change of the jump
-    part; coefficients are differenced exactly before any scaling.
+    The jump coefficient's difference is formed only at the marks of
+    positive intensity.
     """
     t = float(drivers.grid.times[k0])
     u_val = float(base.values[k0])
     nu_val = float(base.grid.actions[action_index])
-    a_k = drivers.family.values[:, k0][:, None]
+    marks = drivers.marks
+    live = np.flatnonzero(marks.intensities > 0.0)
     db = np.asarray(model.b(t, x, nu_val)) - np.asarray(model.b(t, x, u_val))
     dg = np.asarray(model.gamma(t, x, nu_val)) - np.asarray(model.gamma(t, x, u_val))
-    out = db + dg * a_k
-    for i, th in enumerate(drivers.marks.marks):
-        nu_i = float(drivers.marks.intensities[i])
-        if nu_i > 0.0:
-            df = np.asarray(model.f(t, x, float(th), nu_val)) - np.asarray(
-                model.f(t, x, float(th), u_val)
-            )
-            out = out - df * nu_i
+    df = [np.asarray(model.f(t, x, float(th), nu_val)) - np.asarray(model.f(t, x, float(th), u_val))
+          for th in marks.marks[live]]
+    out = _kick(db, dg, df, drivers.family.values[:, k0][:, None], marks.intensities[live])
     return out + np.zeros_like(x)
+
+
+def _terminal_gradient(model: ModelSpec, x: np.ndarray) -> np.ndarray:
+    """``g_x`` at the (S, P) terminal state ``x``, (S, P) also where it is constant."""
+    return np.asarray(model.g_x(x), dtype=float) + np.zeros_like(x)
 
 
 # ---------------------------------------------------------------------------
@@ -227,20 +248,29 @@ def _spike_impulse(model: ModelSpec, base: StrictControl, drivers: Drivers, acti
 # ---------------------------------------------------------------------------
 
 
-def _flow(model: ModelSpec, control: Control, drivers: Drivers, states: Iterable[np.ndarray], *,
-          need_inverse: bool, need_forward: bool = True) -> Iterator[tuple]:
-    """The flow of ``control`` along any stream of its states, one step at a time.
+def fundamental_steps(model: ModelSpec, control: Control, drivers: Drivers,
+                      states: Iterable[np.ndarray], *, need_inverse: bool,
+                      need_forward: bool = True) -> Iterator[tuple]:
+    """Forward and inverse fundamental solutions of the linearized flow, one step at a time.
 
-    ``states`` yields the (S, P) states of steps 0, ..., n_steps in
-    order: a stored run's rows, or the steps pulled from a kernel replay
-    (``sde._batch_steps``), which overwrites each step in place with the
-    next. So step k's factors are formed from ``x_{k-1}`` before ``x_k``
-    is pulled. Yields ``(k, x_k, phi_k, psi_k)``, with the slots and the
-    checks of :func:`fundamental_steps`. Without ``need_forward`` the
-    forward flow is not formed, its factors neither, and ``phi_k`` is
-    None: a consumer that reads only the states and ``psi``, such as a
-    rung's replay in ``bsde_stability_report``, keeps ``psi``'s two slots
-    alone, and a ``phi`` that overflows goes unnamed there.
+    ``states`` yields the (S, P) states of ``control`` at steps 0, ...,
+    n_steps in order: a stored run's rows, or the steps pulled from a
+    kernel replay (``sde._batch_steps``), which overwrites each step in
+    place with the next. So step k's factors are formed from ``x_{k-1}``
+    before ``x_k`` is pulled. Yields ``(k, x_k, phi_k, psi_k)``, each
+    (S, P). phi and psi start at one and evolve by reciprocal Euler
+    factors, so phi * psi drifts from one only at the scheme's order.
+    Each lives in two step slots that the steps alternate between: a
+    yielded step stays valid while the next one is read and is
+    overwritten by the one after, so a consumer that keeps a step longer
+    copies it. A step that is not finite raises ``FloatingPointError``
+    naming the solution, the step and the first scenario, before it is
+    handed on. ``psi_k`` is None unless ``need_inverse``. Without
+    ``need_forward`` the forward flow is not formed, its factors neither,
+    and ``phi_k`` is None: a consumer that reads only the states and
+    ``psi``, such as a rung's replay in ``bsde_stability_report``, keeps
+    ``psi``'s two slots alone, and a ``phi`` that overflows goes unnamed
+    there.
     """
     steps = _FlowSteps(model, control, drivers)
     states = iter(states)
@@ -267,25 +297,6 @@ def _flow(model: ModelSpec, control: Control, drivers: Drivers, states: Iterable
             raise FloatingPointError(
                 f"fundamental solutions are not finite: {name} at step {k} under scenario {s}")
         yield k, x, phi_k, psi_k
-
-
-def fundamental_steps(ensemble: StateEnsemble, *, need_inverse: bool) -> Iterator[tuple]:
-    """Forward and inverse fundamental solutions of the linearized flow, one step at a time.
-
-    Yields ``(k, phi_k, psi_k)`` for k = 0, ..., n_steps, each (S, P);
-    ``psi_k`` is None unless ``need_inverse``. phi and psi start at one
-    and evolve by reciprocal Euler factors, so phi * psi drifts from one
-    only at the scheme's order. Each lives in two step slots that the
-    steps alternate between: a yielded step stays valid while the next
-    one is read and is overwritten by the one after, so a consumer that
-    keeps a step longer copies it. A step that is not finite raises
-    ``FloatingPointError`` naming the solution, the step and the first
-    scenario, before it is handed on. The states are the ensemble's
-    stored rows, read through :func:`_flow`.
-    """
-    flow = _flow(ensemble.model, ensemble.control, ensemble.drivers, ensemble.states,
-                 need_inverse=need_inverse)
-    return ((k, phi_k, psi_k) for k, _, phi_k, psi_k in flow)
 
 
 def check_widths(h_list) -> list[float]:
@@ -372,7 +383,7 @@ def spike_report(
                 y = (x[j + 1] - base) / h - z_k
                 np.maximum(sups[j], y**2, out=sups[j])
         if k == K:
-            terms[K] = np.asarray(model.g_x(base)) * z_k
+            terms[K] = _terminal_gradient(model, base) * z_k
             return
         hx = _coeff(model.h_x(float(grid.times[k]), base, float(u_star.values[k])))
         terms[k] = hx * z_k * dt

@@ -106,7 +106,7 @@ def sup_distance(e1, e2) -> DistanceReport:
     """
     if e1.states.shape != e2.states.shape:
         raise ValueError("ensembles have mismatched (step, scenario, path) shape")
-    if e1.seed != e2.seed:
+    if e1.drivers.seed != e2.drivers.seed:
         raise ValueError("sup_distance requires common random numbers (equal seeds)")
     sup = np.abs(e1.states - e2.states).max(axis=0)
     return DistanceReport(sup=sup, mean_square=(sup**2).mean(axis=1))
@@ -123,8 +123,9 @@ def whole_flow(ensemble) -> SimpleNamespace:
     The generator reuses two step slots, so each step is copied before
     the next one is read.
     """
-    steps = [(phi_k.copy(), psi_k.copy())
-             for _, phi_k, psi_k in fundamental_steps(ensemble, need_inverse=True)]
+    flow = fundamental_steps(ensemble.model, ensemble.control, ensemble.drivers, ensemble.states,
+                             need_inverse=True)
+    steps = [(phi_k.copy(), psi_k.copy()) for _, _, phi_k, psi_k in flow]
     phi, psi = (np.stack(c) for c in zip(*steps))
     return SimpleNamespace(phi=phi, psi=psi)
 
@@ -172,14 +173,14 @@ def bsde_residual(ensemble, triple) -> np.ndarray:
     over paths and steps, one value per scenario.
     """
     model = ensemble.model
-    grid = ensemble.grid
-    marks = ensemble.marks
+    grid = ensemble.drivers.grid
+    marks = ensemble.drivers.marks
     dt = grid.dt
     n_steps = grid.n_steps
     _, n_scen, n_paths = ensemble.states.shape
     w = ensemble.control.weights
     actions = ensemble.control.grid.actions
-    a_tab = ensemble.family.values
+    a_tab = ensemble.drivers.family.values
     nus = marks.intensities
     p = triple.p
     counts = dense_counts(ensemble.drivers)
@@ -290,7 +291,7 @@ def solve_variational(ensemble, action_index, k0) -> np.ndarray:
     steps = _FlowSteps(ensemble.model, ensemble.control, ensemble.drivers)
     z = np.zeros(ensemble.states.shape)
     z[k0] = _impulse(ensemble, action_index, k0)
-    for k in range(k0, ensemble.grid.n_steps):
+    for k in range(k0, ensemble.drivers.grid.n_steps):
         growth, _, paths, jmult, _ = steps.factors(k, ensemble.states[k], need_inverse=False,
                                                    need_forward=True)
         _advance(z[k + 1], z[k], growth, paths, jmult)

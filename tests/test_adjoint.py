@@ -41,7 +41,7 @@ from gcontrol.scenarios import (
     upper_expectation,
 )
 from gcontrol.sde import _batch_steps, simulate
-from gcontrol.variational import _flow, fundamental_steps
+from gcontrol.variational import fundamental_steps
 
 MARKS = MarkSpace(marks=np.array([-0.4, 0.6]), intensities=np.array([0.7, 0.3]))
 QUIET = MarkSpace(marks=np.array([1.0]), intensities=np.array([0.0]))
@@ -96,15 +96,8 @@ def _deterministic_linear(theta=0.5):
 
 
 def test_hamiltonian_literal_sum():
-    base = md.build_model("zero", {})
-    model = dataclasses.replace(
-        base,
-        h=lambda t, x, a: 1.0 + 0.0 * x,
-        b=lambda t, x, a: 3.0 + 0.0 * x,
-        f=lambda t, x, th, a: 2.0 + 0.0 * x,
-    )
-    marks = MarkSpace(marks=np.array([0.3]), intensities=np.array([0.5]))
-    val = hamiltonian(model, marks, 0.0, 0.0, 0.7, 2.0, 0.0, np.array([1.0]))
+    # h = 1, b = 3, sigma = 0 and f = 2 at one mark of intensity 0.5
+    val = hamiltonian(1.0, 3.0, 0.0, [2.0], 2.0, 0.0, np.array([1.0]), np.array([0.5]))
     # 1 + 2*3 + 0 + 1*2*0.5
     assert float(val) == 8.0
 
@@ -113,9 +106,47 @@ def test_hamiltonian_zero_for_trivial_model():
     model = md.build_model("zero", {})
     x = np.linspace(-2.0, 2.0, 7)
     r = np.ones((7, 2))
-    val = hamiltonian(model, MARKS, 0.3, x, 1.0, 5.0 + x, 2.0 - x, r)
+    f = [model.f(0.3, x, float(th), 1.0) for th in MARKS.marks]
+    val = hamiltonian(model.h(0.3, x, 1.0), model.b(0.3, x, 1.0), model.sigma(0.3, x), f,
+                      5.0 + x, 2.0 - x, r, MARKS.intensities)
     assert val.shape == x.shape
     assert np.all(val == 0.0)
+
+
+def test_table_kick_and_hamiltonian_are_the_shared_ones(monkeypatch):
+    """At a strict control's block starts the table forms each action's kick as the spike
+    impulse there, and its H rows as :func:`hamiltonian` over the model's own values."""
+    grid = TimeGrid(T=1.0, n_steps=16)
+    model = _lq(b2=0.5, c2=0.4, f2=0.3, h2=0.3)
+    acts = ActionGrid(np.array([-1.0, 0.0, 1.0]))
+    u = StrictControl(acts, np.arange(16) % 3)
+    drivers = sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 50, 7)
+    ens = simulate(model, u, drivers, 0.5)
+    kicks, rows = [], []
+
+    def spy_f_term(impulse, *args):
+        kicks.append(impulse.copy())
+        return f_term(impulse, *args)
+
+    def spy_hamiltonian(*args):
+        rows.append((args, hamiltonian(*args)))
+        return rows[-1][1]
+
+    monkeypatch.setattr(adj, "f_term", spy_f_term)
+    monkeypatch.setattr(adj, "hamiltonian", spy_hamiltonian)
+    mp_check_relaxed(ens, n_blocks=4)
+    assert len(kicks) == len(rows) == 4 * acts.n_actions
+    for j, (kick, (args, h_row)) in enumerate(zip(kicks, rows)):
+        b, ai = divmod(j, acts.n_actions)
+        k0, a = 4 * b, float(acts.actions[ai])
+        t0, x = float(grid.times[k0]), ens.states[k0]
+        assert np.array_equal(kick, variational._spike_impulse(model, u, drivers, ai, k0, x))
+        assert np.any(kick != 0.0) == (ai != u.indices[k0])
+        p, q, r = args[4:7]
+        f = [model.f(t0, x, float(th), a) for th in MARKS.marks]
+        own = hamiltonian(model.h(t0, x, a), model.b(t0, x, a), model.sigma(t0, x) + 0.0 * x, f,
+                          p, q, r, MARKS.intensities)
+        assert np.array_equal(h_row, own)
 
 
 def _tail_weight(grid, fam, k0, *, y, Q):
@@ -297,12 +328,12 @@ def _reference_flow(ens):
 
     Computed path-major, (S, P, K+1), and returned time-major.
     """
-    model, grid, marks = ens.model, ens.grid, ens.marks
+    model, grid, marks = ens.model, ens.drivers.grid, ens.drivers.marks
     dt = grid.dt
     states = _path_major(ens.states)
     S, P, K1 = states.shape
     w, actions = ens.control.weights, ens.control.grid.actions
-    a_tab = ens.family.scalar_values()
+    a_tab = ens.drivers.family.scalar_values()
     dB = _path_major(stacked_step_dB(ens.drivers))
     relaxed = isinstance(ens.control, RelaxedControl)
     counts = (dense_counts(ens.drivers, ens.drivers.tags(ens.control), actions.size) if relaxed
@@ -346,7 +377,7 @@ def _reference_adjoint(ens, degree=2):
 
     The triple is returned time-major, like :func:`oracles.whole_triple`'s.
     """
-    model, grid, marks = ens.model, ens.grid, ens.marks
+    model, grid, marks = ens.model, ens.drivers.grid, ens.drivers.marks
     dt, K = grid.dt, grid.n_steps
     x = _path_major(ens.states)
     S, P = x.shape[:2]
@@ -409,9 +440,9 @@ def _reference_adjoint(ens, degree=2):
             c[s, k] = coef[-1]
             cond_inc[s, k] = np.linalg.cond(design)
 
-    a_tab = ens.family.scalar_values()
-    lo = ens.family.bounds.sigma_low
-    hi = ens.family.bounds.sigma_high
+    a_tab = ens.drivers.family.scalar_values()
+    lo = ens.drivers.family.bounds.sigma_low
+    hi = ens.drivers.family.bounds.sigma_high
     S_t = np.zeros((S, K))
     for s in range(S):
         for k in range(K):
@@ -1198,19 +1229,20 @@ def test_two_flow_passes_yield_the_same_bits(kind):
     u = uniform_relaxed(PM1, 32) if kind == "uniform" else constant_strict(PM1, 32, 1)
     ens = simulate(model, u, sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 200, 3), 1.0)
     assert ens.drivers.n_events > 0
-    first = [(k, phi_k.copy(), psi_k.copy())
-             for k, phi_k, psi_k in fundamental_steps(ens, need_inverse=True)]
+    first = [(k, phi_k.copy(), psi_k.copy()) for k, _, phi_k, psi_k
+             in fundamental_steps(model, u, ens.drivers, ens.states, need_inverse=True)]
     assert [k for k, _, _ in first] == list(range(33))
     # the second pass is read as it is yielded: each step lives in one of two slots
-    second = fundamental_steps(ens, need_inverse=True)
-    for (k, phi_a, psi_a), (_, phi_b, psi_b) in zip(first, second):
+    second = fundamental_steps(model, u, ens.drivers, ens.states, need_inverse=True)
+    for (k, phi_a, psi_a), (_, x_b, phi_b, psi_b) in zip(first, second):
+        assert x_b.tobytes() == ens.states[k].tobytes(), k
         assert phi_a.tobytes() == phi_b.tobytes(), k
         assert psi_a.tobytes() == psi_b.tobytes(), k
         assert not np.all(psi_a == 1.0) or k == 0
     # the third pass reads its states from a replay of the kernel, which
     # overwrites each state in place with the next one
     replay = (x[0] for _, x in _batch_steps(model, [u], ens.drivers, 1.0))
-    third = _flow(model, u, ens.drivers, replay, need_inverse=True)
+    third = fundamental_steps(model, u, ens.drivers, replay, need_inverse=True)
     for (k, phi_a, psi_a), (k_c, x_c, phi_c, psi_c) in zip(first, third):
         assert k_c == k
         assert x_c.tobytes() == ens.states[k].tobytes(), k
@@ -1219,7 +1251,8 @@ def test_two_flow_passes_yield_the_same_bits(kind):
     assert k_c == 32
     # a replay that forms no phi, as a stability rung's, keeps psi's bits
     replay = (x[0] for _, x in _batch_steps(model, [u], ens.drivers, 1.0))
-    fourth = _flow(model, u, ens.drivers, replay, need_inverse=True, need_forward=False)
+    fourth = fundamental_steps(model, u, ens.drivers, replay, need_inverse=True,
+                               need_forward=False)
     for (k, _, psi_a), (k_d, x_d, phi_d, psi_d) in zip(first, fourth):
         assert k_d == k and phi_d is None
         assert x_d.tobytes() == ens.states[k].tobytes(), k

@@ -65,7 +65,8 @@ def test_flow_variational_and_triple_are_time_major():
     u = constant_strict(ACTIONS, K, 1)
     ens = simulate(MODEL, u, sample_drivers(FAMILY, GRID, MARKS, P, 4), 1.0)
     # the flow is handed on one step at a time, each step C-ordered
-    for _, phi_k, psi_k in fundamental_steps(ens, need_inverse=True):
+    for _, _, phi_k, psi_k in fundamental_steps(MODEL, u, ens.drivers, ens.states,
+                                                need_inverse=True):
         _time_major(phi_k, (S, P))
         _time_major(psi_k, (S, P))
     steps = []

@@ -120,14 +120,16 @@ def test_fundamental_starts_at_identity():
     model = md.build_model("linear_jump_lq", {})
     ens = simulate(model, constant_strict(ActionGrid(np.array([0.0, 1.0])), 32, 1),
                    sample_drivers(_fam(1.0, 1.0, grid), grid, MARKS, 30, 16), 1.0)
-    steps = vr.fundamental_steps(ens, need_inverse=True)
-    k, phi_0, psi_0 = next(steps)
+    steps = vr.fundamental_steps(model, ens.control, ens.drivers, ens.states, need_inverse=True)
+    k, x_0, phi_0, psi_0 = next(steps)
     assert k == 0 and np.all(phi_0 == 1.0) and np.all(psi_0 == 1.0)
+    assert x_0.tobytes() == ens.states[0].tobytes()
     assert phi_0.shape == psi_0.shape == ens.states.shape[1:]
-    assert [k for k, _, _ in steps] == list(range(1, 33))
+    assert [k for k, _, _, _ in steps] == list(range(1, 33))
     # without the inverse, phi's steps are the same bits and psi is None
     pair = whole_flow(ens)
-    for k, phi_k, psi_k in vr.fundamental_steps(ens, need_inverse=False):
+    for k, _, phi_k, psi_k in vr.fundamental_steps(model, ens.control, ens.drivers, ens.states,
+                                                   need_inverse=False):
         assert psi_k is None and phi_k.tobytes() == pair.phi[k].tobytes()
 
 
@@ -215,7 +217,7 @@ def test_fundamental_flow_digests_are_frozen(control):
 ])
 def test_overflowing_flow_names_step_and_scenario(field, value, where):
     ens = _three_mark_ensemble("strict")
-    assert ens.family.values[:, 0].tolist() == [1.0, 1.0, 4.0, 4.0]
+    assert ens.drivers.family.values[:, 0].tolist() == [1.0, 1.0, 4.0, 4.0]
     huge = dataclasses.replace(ens, model=dataclasses.replace(ens.model, **{
         field: lambda t, x, a: value}))
     with np.errstate(over="ignore", invalid="ignore"):
