@@ -77,6 +77,9 @@ class _PathCosts:
     step is folded into the path costs before it is handed on, so a
     consumer that stops after the last step (``zip`` over two batches
     does) leaves nothing unfolded. :meth:`reports` pulls the steps left.
+    A batch that has raised stays failed: its first error is raised
+    again from every later pull and from :meth:`reports`, which never
+    reports the costs of a batch that did not finish.
 
     The running cost is a left-endpoint quadrature. A strict batch
     evaluates h once per step on the whole slot with the rows' (C, 1, 1)
@@ -101,13 +104,22 @@ class _PathCosts:
             self.values = np.stack([u.values for u in controls])[:, :, None, None]
         # the running costs, and from the last step on the path costs
         self.costs = np.zeros((len(controls), drivers.family.n_scenarios, drivers.n_paths))
+        self.error = None
 
     def __iter__(self):
         return self
 
     def __next__(self) -> tuple[int, np.ndarray]:
-        k, x = next(self.steps)
-        self.fold(k, x)
+        if self.error is not None:
+            raise self.error
+        try:
+            k, x = next(self.steps)
+            self.fold(k, x)
+        except StopIteration:
+            raise
+        except Exception as error:
+            self.error = error
+            raise
         return k, x
 
     def fold(self, k: int, x: np.ndarray) -> None:

@@ -147,6 +147,23 @@ def test_non_finite_cost_names_its_scenario_and_control():
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
+def test_failed_costed_batch_stays_failed():
+    # every scenario's g = gq x^2 overflows at x0 = 1e5 on the last step's fold
+    grid = TimeGrid(T=1.0, n_steps=16)
+    drivers = sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 64, 5)
+    batch = co._PathCosts(md.build_model("linear_jump_lq", {"gq": 1e300}),
+                          [constant_strict(ACTIONS, 16, 1)], drivers, 1e5)
+    with pytest.raises(FloatingPointError, match="non-finite path cost of control 0") as first:
+        for _ in batch:
+            pass
+    # a later pull or report raises the same error, and hands back no inf cost
+    for again in (lambda: next(batch), batch.reports, batch.reports):
+        with pytest.raises(FloatingPointError) as later:
+            again()
+        assert later.value is first.value
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
 def test_diverging_base_and_first_spike_are_named_apart():
     # the base and its spikes run as one batch, the base as row 0; the
     # message names the role, not the position in the batch
