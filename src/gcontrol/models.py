@@ -1,8 +1,8 @@
 """Coefficient bundles and the built-in model registry.
 
 A model packs the scalar-state dynamics coefficients b, sigma, gamma and
-f, the costs h and g, their first derivatives in the state, and bound
-declarations used by validation and audits. The state, the noise and the
+f, the costs h and g, their first derivatives in the state, and the
+probe boxes its checks sample. The state, the noise and the
 action are all one-dimensional, and controls range over a finite action
 grid, so no derivative in the action is needed. Every evaluator is
 vectorized over the state argument. The linear-quadratic jump model
@@ -45,11 +45,10 @@ Coeff = Callable[..., Any]
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """Scalar-state coefficient bundle with first state derivatives and bounds.
+    """Scalar-state coefficient bundle with first state derivatives and probe boxes.
 
-    ``bounds`` declares probe boxes (state_box, action_box, theta_box)
-    plus sup bounds for b_x, gamma_x, sigma_x and f over those boxes;
-    the driver audits read them.
+    ``bounds`` declares the probe boxes (state_box, action_box,
+    theta_box) that the derivative check and the tests' audits sample.
     """
 
     name: str
@@ -198,17 +197,11 @@ def _boxes(params: Mapping[str, Any]) -> dict:
     }
 
 
-def _box_sup(box) -> float:
-    return max(abs(box[0]), abs(box[1]))
-
-
 def make_zero(params: Mapping[str, Any] | None = None) -> ModelSpec:
     """No dynamics, terminal cost g(x) = x."""
     params = dict(params or {})
     zero3 = lambda t, x, a: 0.0 * x
     zero4 = lambda t, x, th, a: 0.0 * x
-    bounds = _boxes(params)
-    bounds.update({"b_x": 0.0, "gamma_x": 0.0, "sigma_x": 0.0, "f": 0.0})
     return ModelSpec(
         name="zero",
         b=zero3,
@@ -223,7 +216,7 @@ def make_zero(params: Mapping[str, Any] | None = None) -> ModelSpec:
         f_x=lambda t, x, th, a: 0.0,
         h_x=lambda t, x, a: 0.0,
         g_x=lambda x: 1.0,
-        bounds=bounds,
+        bounds=_boxes(params),
         params=params,
     )
 
@@ -238,8 +231,6 @@ def make_constant_drift(params: Mapping[str, Any] | None = None) -> ModelSpec:
     sigma0 = float(params["sigma0"])
     zero3 = lambda t, x, a: 0.0 * x
     zero4 = lambda t, x, th, a: 0.0 * x
-    bounds = _boxes(params)
-    bounds.update({"b_x": 0.0, "gamma_x": 0.0, "sigma_x": 0.0, "f": 0.0})
     return ModelSpec(
         name="constant_drift",
         b=lambda t, x, a: mu + 0.0 * x,
@@ -254,7 +245,7 @@ def make_constant_drift(params: Mapping[str, Any] | None = None) -> ModelSpec:
         f_x=lambda t, x, th, a: 0.0,
         h_x=lambda t, x, a: 0.0,
         g_x=lambda x: 1.0,
-        bounds=bounds,
+        bounds=_boxes(params),
         params=params,
     )
 
@@ -291,18 +282,6 @@ def make_linear_jump_lq(params: Mapping[str, Any] | None = None) -> ModelSpec:
     f1, f2 = float(p["f1"]), float(p["f2"])
     h1, h2 = float(p["h1"]), float(p["h2"])
     gq = float(p["gq"])
-    bounds = _boxes(p)
-    X = _box_sup(bounds["state_box"])
-    A = _box_sup(bounds["action_box"])
-    TH = _box_sup(bounds["theta_box"])
-    bounds.update(
-        {
-            "b_x": abs(b1),
-            "gamma_x": abs(c1),
-            "sigma_x": abs(s1),
-            "f": (abs(f1) * X + abs(f2) * A) * TH,
-        }
-    )
     return ModelSpec(
         name="linear_jump_lq",
         b=lambda t, x, a: b1 * x + b2 * a,
@@ -317,7 +296,7 @@ def make_linear_jump_lq(params: Mapping[str, Any] | None = None) -> ModelSpec:
         f_x=lambda t, x, th, a: f1 * th,
         h_x=lambda t, x, a: 2.0 * h1 * x,
         g_x=lambda x: 2.0 * gq * x,
-        bounds=bounds,
+        bounds=_boxes(p),
         params=p,
     )
 
@@ -332,11 +311,6 @@ def make_bilinear(params: Mapping[str, Any] | None = None) -> ModelSpec:
     th0, th1 = float(p["th0"]), float(p["th1"])
     s1, gl = float(p["s1"]), float(p["gl"])
     zero4 = lambda t, x, th, a: 0.0 * x
-    bounds = _boxes(p)
-    A = _box_sup(bounds["action_box"])
-    bounds.update(
-        {"b_x": abs(th0) + abs(th1) * A, "gamma_x": 0.0, "sigma_x": abs(s1), "f": 0.0}
-    )
     return ModelSpec(
         name="bilinear",
         b=lambda t, x, a: (th0 + th1 * a) * x,
@@ -351,7 +325,7 @@ def make_bilinear(params: Mapping[str, Any] | None = None) -> ModelSpec:
         f_x=lambda t, x, th, a: 0.0,
         h_x=lambda t, x, a: 0.0,
         g_x=lambda x: gl,
-        bounds=bounds,
+        bounds=_boxes(p),
         params=p,
     )
 

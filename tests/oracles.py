@@ -213,13 +213,35 @@ class LipschitzAudit(NamedTuple):
     ok: bool
 
 
+def sup_bounds(model) -> dict:
+    """Sups of ``|b_x|``, ``|gamma_x|``, ``|sigma_x|`` and ``|f|`` over the model's probe boxes.
+
+    Computed from the registry model's parameters: every registry model
+    is a polynomial in the state and the action whose state derivatives
+    are constant in the state.
+    """
+    p = {k: float(v) for k, v in model.params.items() if isinstance(v, (int, float))}
+    X, A, TH = (max(abs(lo), abs(hi)) for lo, hi in
+                (model.bounds[k] for k in ("state_box", "action_box", "theta_box")))
+    if model.name == "linear_jump_lq":
+        return {"b_x": abs(p["b1"]), "gamma_x": abs(p["c1"]), "sigma_x": abs(p["s1"]),
+                "f": (abs(p["f1"]) * X + abs(p["f2"]) * A) * TH}
+    if model.name == "bilinear":
+        return {"b_x": abs(p["th0"]) + abs(p["th1"]) * A, "gamma_x": 0.0,
+                "sigma_x": abs(p["s1"]), "f": 0.0}
+    if model.name in ("zero", "constant_drift"):
+        return {"b_x": 0.0, "gamma_x": 0.0, "sigma_x": 0.0, "f": 0.0}
+    raise ValueError(f"no sup bounds for model {model.name!r}")
+
+
 def driver_lipschitz_audit(model, family, grid, marks, n_probes=1000, seed=0) -> LipschitzAudit:
-    """Check the driver's Lipschitz constant against declared bounds.
+    """Check the driver's Lipschitz constant against the model's sup bounds.
 
     ``C0 = max(|b_x| + pi |gamma_x|, pi |sigma_x|, |f|)`` with ``pi`` the
-    upper volatility corner. Random probe pairs of (p, q, r) at random
-    (t, x, a, pi) must produce difference ratios below ``C0`` in the
-    metric ``|dp| + |dq| + sum_i |dr_i| nu_i``.
+    upper volatility corner and the sups of :func:`sup_bounds`. Random
+    probe pairs of (p, q, r) at random (t, x, a, pi) must produce
+    difference ratios below ``C0`` in the metric
+    ``|dp| + |dq| + sum_i |dr_i| nu_i``.
     """
     ensure_validated(model)
     if n_probes < 1:
@@ -228,11 +250,8 @@ def driver_lipschitz_audit(model, family, grid, marks, n_probes=1000, seed=0) ->
     lo_a, hi_a = model.bounds["action_box"]
     pi_lo = family.bounds.sigma_low
     pi_hi = family.bounds.sigma_high
-    c0 = max(
-        model.bounds["b_x"] + pi_hi * model.bounds["gamma_x"],
-        pi_hi * model.bounds["sigma_x"],
-        model.bounds["f"],
-    )
+    sup = sup_bounds(model)
+    c0 = max(sup["b_x"] + pi_hi * sup["gamma_x"], pi_hi * sup["sigma_x"], sup["f"])
 
     gen = substream(seed, PROBES)
     t = gen.uniform(0.0, grid.T, n_probes)

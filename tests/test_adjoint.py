@@ -7,7 +7,7 @@ import pytest
 from dense_reference import dense_counts, stacked_step_dB
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bsde_residual, driver_lipschitz_audit, whole_flow, whole_triple
+from oracles import bsde_residual, driver_lipschitz_audit, sup_bounds, whole_flow, whole_triple
 
 from gcontrol import adjoint as adj
 from gcontrol import models as md
@@ -1444,6 +1444,20 @@ def test_lipschitz_audit_within_declared_bound():
     assert audit.n_probes == 400
     assert audit.c0 > 0.0
     assert 0.0 < audit.worst_ratio <= audit.c0 * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(md.MODEL_BUILDERS))
+def test_models_hold_probe_boxes_and_the_audit_sups_bound_them(name):
+    model = md.build_model(name, {"b1": -0.7, "f2": 0.3} if name == "linear_jump_lq" else {})
+    assert set(model.bounds) == {"state_box", "action_box", "theta_box"}
+    sup = sup_bounds(model)
+    gen = np.random.default_rng(3)
+    t = gen.uniform(0.0, 1.0, 500)
+    x, a, th = (gen.uniform(*model.bounds[box], 500)
+                for box in ("state_box", "action_box", "theta_box"))
+    for key, value in (("b_x", model.b_x(t, x, a)), ("gamma_x", model.gamma_x(t, x, a)),
+                       ("sigma_x", model.sigma_x(t, x)), ("f", model.f(t, x, th, a))):
+        assert np.all(np.abs(value) <= sup[key]), key
 
 
 def test_lipschitz_audit_trivial_model():
