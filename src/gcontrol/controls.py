@@ -7,7 +7,9 @@ one view every layer below the kernel reads a control through. The
 embedding wraps a strict control's one-hot weights as a relaxed control,
 and the chattering construction goes the other way: it converts a
 relaxed control into a strict one whose per-block occupation of each
-action matches the averaged weights up to one grid step.
+action matches the averaged weights up to one grid step, and whose
+occupation over the run so far stays within a bounded number of steps
+of the weights' at every block end.
 
 A spike switches a strict control to one action on a window of grid
 steps, given as its first step and step count. :func:`spike_window` is
@@ -146,23 +148,34 @@ def check_ladder(n_list) -> list[int]:
 def chattering(mu: RelaxedControl, n: int) -> StrictControl:
     """Strict control matching mu's averaged occupation on n equal blocks.
 
-    Within each block the weights are averaged, each action gets
-    floor(average * block_steps) consecutive steps in grid order, and the
-    leftover steps go to the largest remainders (ties to the lower action
-    index). The occupation error per action per block is below one step.
+    Within each block the weights are summed into each action's quota,
+    each action gets the floor or the ceiling of its quota in consecutive
+    steps, in grid order, and the leftover steps go to the actions with a
+    fractional quota that owe the most over the run so far: cumulative
+    quota minus cumulative steps played, this block's quota and floors
+    included (ties to the lower action index). So the occupation error
+    per action is below one step in every block, and its cumulative
+    error over the first j blocks stays bounded as n grows (below 1.5
+    steps in the tests), instead of adding up block after block, as it
+    does when every block rounds its own remainders alone.
     """
     K = mu.n_steps
     L = block_length(K, n)
     m = mu.grid.n_actions
     indices = np.empty(K, dtype=np.int64)
+    quota_sum = np.zeros(m)
+    played = np.zeros(m, dtype=np.int64)
     for j in range(n):
         block = slice(j * L, (j + 1) * L)
         quota = mu.weights[block].sum(axis=0)
         base = np.floor(quota).astype(np.int64)
         leftover = L - int(base.sum())
-        remainder = quota - base
-        order = np.argsort(-remainder, kind="stable")
+        quota_sum += quota
+        owed = quota_sum - (played + base)
+        fractional = np.flatnonzero(quota > base)
+        order = fractional[np.argsort(-owed[fractional], kind="stable")]
         base[order[:leftover]] += 1
+        played += base
         indices[block] = np.repeat(np.arange(m), base)
     return StrictControl(grid=mu.grid, indices=indices)
 

@@ -184,6 +184,34 @@ def test_chattering_occupation_error_bounded(seed, n):
             assert abs(realized - target) < 1.0
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=1, max_value=64),
+    st.integers(min_value=1, max_value=8),
+)
+def test_chattering_cumulative_occupation_error_bounded(seed, m, n, steps):
+    # at every block end each action's occupation over the run so far stays
+    # within 1.5 steps of its cumulative quota, however many blocks there are
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.0, 1.0, size=(n * steps, m)) ** rng.choice([0.5, 1.0, 4.0])
+    weights = raw / raw.sum(axis=1, keepdims=True)
+    v = ct.chattering(ct.RelaxedControl(ct.ActionGrid(np.arange(m, dtype=float)), weights), n)
+    quota = np.cumsum(weights.reshape(n, steps, m).sum(axis=1), axis=0)
+    played = np.cumsum(np.eye(m)[v.indices].reshape(n, steps, m).sum(axis=1), axis=0)
+    assert np.abs(played - quota).max() < 1.5
+
+
+def test_chattering_uniform_occupation_does_not_drift():
+    # uniform weights over three actions on 128 steps: the leftover step of
+    # each block goes to the action owed most, so the run splits 43/43/42
+    # at every block count (rounding each block alone gave [128, 0, 0] at n = 128)
+    mu = ct.uniform_relaxed(ACTIONS, 128)
+    for n in (1, 2, 4, 8, 16, 32, 64, 128):
+        assert np.bincount(ct.chattering(mu, n).indices, minlength=3).tolist() == [43, 43, 42], n
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**31 - 1),

@@ -350,6 +350,33 @@ def test_chattering_report_gaps_shrink():
         assert gap <= rep.fitted_C / n + 3 * max(gap_se, 1e-12)
 
 
+@pytest.mark.parametrize("f2", [0.0, 0.3])
+def test_chattering_ladder_converges_on_the_exact_chain(f2):
+    # the workloads' setting: uniform weights over -1, 0 and 1, four corners;
+    # f2 = 0.3 makes the jump size depend on the action (controlled jumps)
+    model = md.build_model("linear_jump_lq", {"f2": f2})
+    grid = TimeGrid(T=1.0, n_steps=64)
+    fam = _fam(1.0, 4.0, grid, blocks=2)
+    acts = ActionGrid(np.array([-1.0, 0.0, 1.0]))
+    mu = uniform_relaxed(acts, 64)
+    ladder = [chattering(mu, n) for n in (4, 8, 16, 32, 64)]
+
+    def exact(u_mean, u_sq):
+        return max(md.lq_cost_discrete(model.params, grid, 1.0, u_mean, u_sq, a, MARKS)
+                   for a in fam.scalar_values())
+
+    j_mu = exact(mu.weights @ acts.actions, mu.weights @ acts.actions**2)
+    gaps = [exact(u.values, u.values**2) - j_mu for u in ladder]
+    assert all(abs(b) < abs(a) for a, b in zip(gaps, gaps[1:])), gaps
+    P = 1000
+    base, *reports = co.evaluate_costs(model, [mu] + ladder, sample_drivers(fam, grid, MARKS, P, 1),
+                                       1.0)
+    s = base.argmax_scenario
+    for rep, gap in zip(reports, gaps):
+        paired_se = (rep.per_path[s] - base.per_path[s]).std(ddof=1) / np.sqrt(P)
+        assert abs(rep.upper_value - base.upper_value - gap) <= 4 * paired_se
+
+
 def test_chattering_report_validation():
     model = md.build_model("linear_jump_lq", {})
     grid = TimeGrid(T=1.0, n_steps=64)

@@ -1008,13 +1008,13 @@ _FROZEN = {
          "options": {"n_list": [2, 4, 8]}},
         {
             "chattering.csv":
-                "42da4f7e1cac3ed87604708675904db866aa02678c2e6f2177569ab23b98247d",
+                "c210bedc273f492e456baedfdd139b7a7dcf4f6aec017b1344a258eb330be740",
             "plot_cost_gap.csv":
-                "003ed4c33e8a09c45043f893c0ad5b49828da37aa7860fe1ec0d9605534e7232",
+                "fae040ba59122fa5ede7c850e721c7f71e087a78b8401e08a28769629788fcd5",
             "plot_msq_gap.csv":
-                "19ddfe11f7b3cfabdf51672da78b7b84baa563489883d1b2838037111f85f121",
+                "db07c6eb5665c117b600128a8399004348bc4a05c7c838cfdaa6abf564a18022",
             "summary.json":
-                "32395bf1afeac34b5c9f1937c72a0e14f291b36430ce2f051cb12aa19424858c",
+                "a4d11e11f931be49042eda859a857e05f002988e3a89e644b8bc531e9f2b4deb",
         },
     ),
     "variational": (
