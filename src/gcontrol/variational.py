@@ -207,14 +207,13 @@ def _kick(d_b, d_gamma, d_f, a_k, intensities):
     """First-order state kick ``d_b + d_gamma a_k - sum_i d_f_i nu_i`` of a change of action.
 
     ``d_b``, ``d_gamma`` and each mark's ``d_f_i`` are coefficient
-    differences, new action minus old, formed exactly before any scaling;
-    ``a_k`` is the step's (S, 1) volatility values. A mark of zero
-    intensity adds nothing and its difference is not read.
+    differences, new action minus old, formed exactly before any scaling,
+    and ``intensities`` the marks' ``nu_i`` in the order of ``d_f``;
+    ``a_k`` is the step's (S, 1) volatility values.
     """
     out = d_b + d_gamma * a_k
     for d_fi, nu_i in zip(d_f, map(float, intensities)):
-        if nu_i > 0.0:
-            out = out - d_fi * nu_i
+        out = out - d_fi * nu_i
     return out
 
 
@@ -222,8 +221,8 @@ def _spike_impulse(model: ModelSpec, base: StrictControl, drivers: Drivers, acti
                    k0: int, x: np.ndarray) -> np.ndarray:
     """The :func:`_kick` of the spike at its opening step, from the base's (S, P) state there.
 
-    The jump coefficient's difference is formed only at the marks of
-    positive intensity.
+    The jump coefficient's difference is formed, and enters the kick,
+    only at the marks of positive intensity.
     """
     t = float(drivers.grid.times[k0])
     u_val = float(base.values[k0])
