@@ -42,9 +42,9 @@ time, from contiguous (S, P) operands with that mark's
 ``1 / (1 + f_x)``, a scalar when ``f_x`` is constant in the state, and
 stored mark-last like every ``r`` of this module.
 
-The reducers are the tables' own. :func:`mp_check_relaxed` reads the
-raw (unfitted) variable: it keeps each block start's inputs, ``psi``
-and the raw step, and writes each step's volatility-channel summand
+The reducers are the tables' own. :func:`mp_check_relaxed` reads the raw
+(unfitted) variable: it keeps each block start's inputs, ``psi`` and the
+raw step, and writes each step's volatility-channel summand
 (:func:`tail_summand`) into the step's row, so one backward sum over the
 rows gives every block's :func:`tail_weights`, after which the buffer is
 dropped. The table forms each start's triple from its inputs
@@ -53,21 +53,21 @@ reducer ran. At a start it evaluates ``sigma`` once and ``h``, ``b``,
 ``gamma`` and each mark's ``f`` once per action: :func:`hamiltonian`
 forms ``H`` from those values, and the kick of a change of action is
 ``variational._kick`` of their differences to the mixture, the kick a
-spike's opening step forms too. In :func:`bsde_stability_report` each rung's core runs
-first, without a reducer, so it forms no inverse flow, and the rung's
-stored states and backward variable are dropped after it: the core keeps
-each step's state regression as a small :class:`StateFit` record, from
-which :func:`_evaluate_fit` gives the fit at any state. Then the relaxed
-control's core runs with the one reducer that folds the whole ladder:
-at each step it pulls every rung's state and ``psi`` from a replay of
-the rung's strict kernel and flow, which forms no ``phi``, evaluates the
-rung's fit at the replayed state, forms the relaxed control's triple
-once and every rung's triple, and folds each pair into the rung's
-per-(scenario, path) gap accumulators (:func:`_finite_triple`). Below
-eight marks the ``nu``-weighted ``r`` term is summed mark by mark on
-(S, P) operands, which is the order numpy sums so short an axis in. A
-backward variable, triple component or table entry that overflows
-raises, naming the step and the scenario.
+spike's opening step forms too. In :func:`bsde_stability_report` each
+rung's core runs first, without a reducer, so it forms no inverse flow,
+and the rung's stored states and backward variable are dropped after it:
+the core keeps each step's state regression as a small :class:`StateFit`
+record, from which :func:`_evaluate_fit` gives the fit at any state.
+Then the relaxed control's core runs with the one reducer that folds the
+whole ladder: at each step it pulls every rung's state and ``psi`` from
+a replay of the rung's strict kernel and flow, which forms no ``phi``,
+evaluates the rung's fit at the replayed state, forms the relaxed
+control's triple once and every rung's triple, and folds each pair into
+the rung's per-(scenario, path) gap accumulators
+(:func:`_finite_triple`). Below eight marks the ``nu``-weighted ``r``
+term is summed mark by mark on (S, P) operands, which is the order numpy
+sums so short an axis in. A backward variable, triple component or table
+entry that overflows raises, naming the step and the scenario.
 
 A control is read through its ``weights`` over ``grid.actions`` (one-hot
 for a strict control), so a strict control's adjoint and tables run on the
@@ -771,8 +771,8 @@ def mp_check_relaxed(
         psi0, y0 = at_start.pop(k0)
         p0, q0, r0 = _triple_at(core, k0, x, y0, psi0)
 
-        # sigma once, then per action h, b, gamma and f at every mark once each,
-        # and the row of H and the (S, P) b, gamma and f
+        # sigma once per start and h, b, gamma and f once per action; each
+        # action's row holds H and the (S, P) b, gamma and f
         sigma = np.asarray(model.sigma(t0, x), dtype=float) + 0.0 * x
         rows = []
         for a in map(float, actions):

@@ -17,8 +17,8 @@ enters the compensator.
 
 Everything runs time-major: the states are (K+1, S, P) and each step's
 Brownian increments an (S, P) array the drivers form from their (K, P)
-draws, so every step forms its growth factors on contiguous slices.
-The fundamental solutions phi and psi are never formed whole:
+draws, so every step forms its growth factors on contiguous slices. The
+fundamental solutions phi and psi are never formed whole:
 :func:`fundamental_steps` yields them one (S, P) step at a time from two
 step slots each, beside the states it reads one step at a time from any
 stream of them: a stored run's rows, or the steps pulled from a replay
@@ -28,10 +28,9 @@ consumer that needs the flow twice (the adjoint core) runs it twice. A
 consumer that reads ``psi`` alone asks for no ``phi``, and the flow then
 forms neither ``phi`` nor its factors. The jump multiplier
 ``(1 + f_x)^count`` is applied only on the paths that have events in
-the step, with the step's counts per (mark, action tag)
-formed on those paths only (``Drivers.event_counts``). A path without
-events would be multiplied by exactly one, so the result is bit for bit
-that of the dense product.
+the step, with the step's counts per (mark, action tag) formed on those
+paths only (``Drivers.event_counts``). A path without events would be multiplied by
+exactly one, so the result is bit for bit that of the dense product.
 
 A derivative that is constant in the state stays a scalar through the
 step's factors (see ``models._coeff``): each factor is one elementwise
