@@ -745,7 +745,6 @@ def mp_check_relaxed(
     w, actions = mu.weights, mu.grid.actions
     a_tab = family.values
     nus = marks.intensities
-    n_scen = a_tab.shape[0]
     starts = [b * block_len for b in range(n_blocks)]
     at_start = {}
 
@@ -791,9 +790,8 @@ def mp_check_relaxed(
             d_h, d_b, dgamma, *d_f = (v - acc for v, acc in zip(row, base))
             impulse = _kick(d_b, dgamma, d_f, a0, nus)
             vals = d_h + f_term(impulse, dgamma, p0, a0, psi0, weights[b])
-            _require_finite(vals, f"stationarity entry of action {float(actions[ai])!r} in block "
-                                  f"{b} at step {k0}")
-            um = upper_expectation([vals[s] for s in range(n_scen)])
+            um = upper_expectation(vals, f"stationarity entry of action {float(actions[ai])!r}"
+                                         f" in block {b} at step {k0}")
             slack = slack_mult * um.stderr + extra_slack
             entries.append(
                 MPEntry(
@@ -1032,11 +1030,8 @@ def bsde_stability_report(
 
     rows: list[StabilityRow] = []
     for n, (p_sup, q_sum, r_sum) in zip(n_list, acc):
-        gaps = []
-        for name, dev in (("p", p_sup**2), ("q", q_sum * dt), ("r", r_sum * dt)):
-            _require_finite(dev, f"{name} gap of rung n={n}")
-            gaps.append(upper_expectation(list(dev)))
-        um_p, um_q, um_r = gaps
+        um_p, um_q, um_r = (upper_expectation(dev, f"{name} gap of rung n={n}") for name, dev
+                            in (("p", p_sup**2), ("q", q_sum * dt), ("r", r_sum * dt)))
         rows.append(
             StabilityRow(
                 n=n,

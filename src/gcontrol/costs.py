@@ -6,7 +6,8 @@ by a left-endpoint quadrature to match the forward Euler scheme. Every
 operation takes one :class:`~gcontrol.jumps.Drivers` bundle and the
 initial state last, and all comparisons between controls run on that
 bundle, so differences are coupled path by path rather than being
-differences of independent estimates.
+differences of independent estimates. Every reported mean and stderr is
+formed by :func:`gcontrol.scenarios.upper_expectation`.
 
 There is one costed batch, :class:`_PathCosts`: a kernel batch pulled
 one step at a time, each step folded into the batch's path costs before
@@ -36,6 +37,7 @@ import numpy as np
 from .controls import RelaxedControl, StrictControl, chattering, check_ladder
 from .jumps import Drivers
 from .models import ModelSpec, _avg, _coeff
+from .scenarios import upper_expectation
 from .sde import _batch_steps, _require_finite
 
 Control = StrictControl | RelaxedControl
@@ -89,7 +91,8 @@ class _PathCosts:
     rows cannot be stacked bit for bit. At the last step g is added, and
     a non-finite path cost raises, naming its scenario and the control's
     label in ``ids`` (its role, as ``"rung n=4"``), by default
-    ``"control i"`` at batch position i.
+    ``"control i"`` at batch position i; so does a non-finite cost mean
+    or stderr in :meth:`reports`.
     """
 
     def __init__(self, model: ModelSpec, controls: Sequence[Control], drivers: Drivers,
@@ -141,21 +144,15 @@ class _PathCosts:
         """CostReport per control, after pulling the steps that are left."""
         for _ in self:
             pass
-        P = self.drivers.n_paths
-        if P < 2:
-            raise ValueError("scenario 0 needs at least 2 samples")
         reports = []
-        for costs in self.costs:
-            means = costs.mean(axis=1)
-            stderrs = costs.std(axis=1, ddof=1) / np.sqrt(P)
-            # ties go to the lowest scenario id, as in upper_expectation
-            worst = int(np.argmax(means))
+        for c, costs in zip(self.ids, self.costs):
+            um = upper_expectation(costs, f"cost of {c}")
             reports.append(CostReport(
-                scenario_means=means,
-                scenario_stderrs=stderrs,
-                upper_value=float(means[worst]),
-                argmax_scenario=worst,
-                n_paths=P,
+                scenario_means=um.means,
+                scenario_stderrs=um.stderrs,
+                upper_value=um.value,
+                argmax_scenario=um.scenario_id,
+                n_paths=self.drivers.n_paths,
                 seed=self.drivers.seed,
                 per_path=costs,
             ))
@@ -239,7 +236,9 @@ def chattering_report(
 
     Both gap columns are coupled: the relaxed run and every strict run
     share the drivers, so the mean-square path gap uses pathwise sups and
-    the cost gap subtracts matched path costs. No run is stored: the
+    the cost gap subtracts matched path costs; its stderr is that of the
+    base's worst scenario s* in the estimator of the (S, P) difference,
+    so a non-finite one under any scenario raises. No run is stored: the
     relaxed control and the ladder are two costed batches pulled in
     lockstep, and each rung's step is folded into its sup distance to the
     relaxed control's step. At a step the relaxed control runs and folds
@@ -259,13 +258,12 @@ def chattering_report(
     [base_report] = relaxed.reports()
     reports = rungs.reports()
     rows = []
+    s_star = base_report.argmax_scenario
     for sup, n, rep in zip(sups, n_list, reports):
-        msq = float(np.max((sup**2).mean(axis=1)))
+        msq = upper_expectation(sup**2, f"mean-square gap of rung n={n}").value
         gap = abs(rep.upper_value - base_report.upper_value)
-        s_star = base_report.argmax_scenario
-        diff = rep.per_path[s_star] - base_report.per_path[s_star]
-        gap_se = float(diff.std(ddof=1) / np.sqrt(diff.size))
-        rows.append((int(n), msq, float(gap), gap_se))
+        paired = upper_expectation(rep.per_path - base_report.per_path, f"cost gap of rung n={n}")
+        rows.append((int(n), msq, float(gap), float(paired.stderrs[s_star])))
     msq_col = [r[1] for r in rows]
     gap_col = [r[2] for r in rows]
     inv_n = np.array([1.0 / r[0] for r in rows])

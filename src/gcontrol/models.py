@@ -48,7 +48,8 @@ class ModelSpec:
     """Scalar-state coefficient bundle with first state derivatives and probe boxes.
 
     ``bounds`` declares the probe boxes (state_box, action_box,
-    theta_box) that the derivative check and the tests' audits sample.
+    theta_box) that the derivative check, the table's hypothesis label
+    and the tests' audits sample; a box left out is the default one.
     """
 
     name: str
@@ -66,6 +67,9 @@ class ModelSpec:
     g_x: Coeff
     bounds: Mapping[str, Any]
     params: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "bounds", {**_PROBE_BOXES, **self.bounds})
 
 
 _VALIDATED: "weakref.WeakSet[ModelSpec]" = weakref.WeakSet()
@@ -90,9 +94,9 @@ def check_derivatives(model: ModelSpec, seed: int = 0, n_probes: int = 32) -> li
     is consistent.
     """
     gen = rng.substream(seed, rng.PROBES)
-    lo_x, hi_x = model.bounds.get("state_box", (-3.0, 3.0))
-    lo_a, hi_a = model.bounds.get("action_box", (-2.0, 2.0))
-    lo_th, hi_th = model.bounds.get("theta_box", (-1.0, 1.0))
+    lo_x, hi_x = model.bounds["state_box"]
+    lo_a, hi_a = model.bounds["action_box"]
+    lo_th, hi_th = model.bounds["theta_box"]
     t_pts = gen.uniform(0.0, 1.0, n_probes)
     x_pts = gen.uniform(lo_x, hi_x, n_probes)
     a_pts = gen.uniform(lo_a, hi_a, n_probes)
@@ -189,12 +193,12 @@ def _avg(fun, t, x, w_k, actions, theta=None):
 # ---------------------------------------------------------------------------
 
 
+# the probe box of each kind that a model does not declare
+_PROBE_BOXES = {"state_box": (-3.0, 3.0), "action_box": (-2.0, 2.0), "theta_box": (-1.0, 1.0)}
+
+
 def _boxes(params: Mapping[str, Any]) -> dict:
-    return {
-        "state_box": tuple(params.get("state_box", (-3.0, 3.0))),
-        "action_box": tuple(params.get("action_box", (-2.0, 2.0))),
-        "theta_box": tuple(params.get("theta_box", (-1.0, 1.0))),
-    }
+    return {k: tuple(params[k]) for k in _PROBE_BOXES if k in params}
 
 
 def make_zero(params: Mapping[str, Any] | None = None) -> ModelSpec:

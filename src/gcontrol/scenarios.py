@@ -8,6 +8,8 @@ whose step-``k`` increment has variance ``a_k * dt``; the upper
 expectation of a payoff is the maximum of its per-scenario means. Noise
 is generated once per seed and shared across scenarios (common random
 numbers), so scenario comparisons difference out the Monte Carlo noise.
+Every reported scenario mean, standard error and worst scenario is
+formed by :func:`upper_expectation`, which refuses a non-finite one.
 """
 
 from __future__ import annotations
@@ -120,6 +122,8 @@ class UpperMean(NamedTuple):
     value: float
     scenario_id: int
     stderr: float
+    means: np.ndarray  # (S,) per-scenario means
+    stderrs: np.ndarray  # (S,) their standard errors
 
 
 # ---------------------------------------------------------------------------
@@ -216,24 +220,28 @@ def sample_brownian(family: ScenarioFamily, grid: TimeGrid, n_paths: int, seed: 
     return xi
 
 
-def upper_expectation(per_scenario_samples: Sequence[np.ndarray]) -> UpperMean:
-    """Maximum of per-scenario sample means.
+def upper_expectation(samples: np.ndarray | Sequence[np.ndarray], what: str) -> UpperMean:
+    """The worst-case mean: the largest of the per-scenario sample means.
 
-    Ties go to the lowest scenario id; the reported standard error is
-    that of the winning scenario's mean.
+    ``samples`` is (S, P), one row of per-path samples per scenario, or a
+    list of equal-length rows. Each row's mean and stderr ``std(ddof=1) /
+    sqrt(P)`` are reduced on C-contiguous rows, so a row gives the bits it
+    gives alone. Ties go to the lowest scenario id. A mean or stderr that
+    is not finite, even from finite samples, raises ``FloatingPointError``
+    naming ``what`` and the first such scenario.
     """
-    if len(per_scenario_samples) == 0:
+    arr = np.ascontiguousarray(samples, dtype=float)
+    if len(arr) == 0:
         raise ValueError("upper_expectation needs at least one scenario")
-    means = []
-    errs = []
-    for s, samples in enumerate(per_scenario_samples):
-        arr = np.asarray(samples, dtype=float)
-        if arr.size < 2:
-            raise ValueError(f"scenario {s} needs at least 2 samples")
-        means.append(float(arr.mean()))
-        errs.append(float(arr.std(ddof=1) / np.sqrt(arr.size)))
+    if arr.ndim != 2 or arr.shape[1] < 2:
+        raise ValueError("scenario 0 needs at least 2 samples")
+    means = arr.mean(axis=1)
+    stderrs = arr.std(axis=1, ddof=1) / np.sqrt(arr.shape[1])
+    finite = np.isfinite(means) & np.isfinite(stderrs)
+    if not finite.all():
+        raise FloatingPointError(f"non-finite {what} under scenario {int(np.argmin(finite))}")
     best = int(np.argmax(means))
-    return UpperMean(value=means[best], scenario_id=best, stderr=errs[best])
+    return UpperMean(float(means[best]), best, float(stderrs[best]), means, stderrs)
 
 
 def generator_G(S, bounds: VolatilityBounds):

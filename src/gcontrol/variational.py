@@ -307,12 +307,6 @@ def check_widths(h_list) -> list[float]:
     return h_list
 
 
-def _require_finite_mean(value: float, stderr: float, what: str, scenario: int) -> None:
-    """Raise ``FloatingPointError`` when a reported mean or its stderr is not finite."""
-    if not (np.isfinite(value) and np.isfinite(stderr)):
-        raise FloatingPointError(f"non-finite {what} under scenario {scenario}")
-
-
 def spike_report(
     model: ModelSpec, u_star: StrictControl, action_index: int, t0: float,
     h_list: list[float], drivers: Drivers, x0: float,
@@ -341,10 +335,12 @@ def spike_report(
     worst-scenario mean of sup_t |(x^h - x*)/h - z|^2 for one width; the
     sup runs over grid times from the end of the spike window to T, since
     inside the window the quotient has not yet absorbed the full kick,
-    and including it would measure the window itself, not convergence. A
-    step of z that is not finite raises ``FloatingPointError`` naming the
-    step and the scenario, and so does a slope, formula or quotient that
-    overflows, naming it, its width and its scenario.
+    and including it would measure the window itself, not convergence.
+    Every mean and stderr is formed by ``upper_expectation``; the FD
+    column reads row s* of each width's (S, P) estimator. A step of z
+    that is not finite raises ``FloatingPointError`` naming the step and
+    the scenario, and so does a slope, formula or quotient whose mean or
+    stderr is not finite, naming it, its width and the first scenario.
     """
     h_list = [float(h) for h in check_widths(h_list)]
     grid = drivers.grid
@@ -395,17 +391,15 @@ def spike_report(
         fold(k, x)
     base_report, *reports = batch.reports()
     s_star = base_report.argmax_scenario
+    rows = []
+    for h, pert_report in zip(h_list, reports):
+        fd = upper_expectation((pert_report.per_path - base_report.per_path) / h,
+                               f"finite-difference slope of width h={h!r}")
+        rows.append((h, float(fd.means[s_star]), float(fd.stderrs[s_star])))
     formula_paths = terms[K]
     for k in range(k0, K):
         formula_paths = formula_paths + terms[k]
-    um = upper_expectation(list(formula_paths))
-    rows = []
-    P = drivers.n_paths
-    for h, pert_report in zip(h_list, reports):
-        diff = (pert_report.per_path[s_star] - base_report.per_path[s_star]) / h
-        rows.append((h, float(diff.mean()), float(diff.std(ddof=1) / np.sqrt(P))))
-        _require_finite_mean(*rows[-1][1:], f"finite-difference slope of width h={h!r}", s_star)
-    _require_finite_mean(um.value, um.stderr, "first-order formula of the slope", um.scenario_id)
+    um = upper_expectation(formula_paths, "first-order formula of the slope")
     derivative = DerivativeReport(
         rows=tuple(rows),
         formula=um.value,
@@ -414,7 +408,6 @@ def spike_report(
     )
     quotients = []
     for h, sup_sq in zip(h_list, sups):
-        um = upper_expectation(list(sup_sq))
-        _require_finite_mean(um.value, um.stderr, f"quotient sup of width h={h!r}", um.scenario_id)
+        um = upper_expectation(sup_sq, f"quotient sup of width h={h!r}")
         quotients.append(QuotientRow(h, um.value, um.stderr, um.scenario_id))
     return derivative, tuple(quotients)

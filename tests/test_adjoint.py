@@ -1143,7 +1143,7 @@ def _stability_by_whole_arrays(model, mu, n_list, drivers, x0):
         p_dev = np.abs(tri_n.p - tri_mu.p).max(axis=0) ** 2
         q_dev = ((tri_n.q - tri_mu.q) ** 2).sum(axis=0) * dt
         r_dev = (((tri_n.r - tri_mu.r) ** 2) * drivers.marks.intensities).sum(axis=(0, 3)) * dt
-        ums = [upper_expectation(list(dev)) for dev in (p_dev, q_dev, r_dev)]
+        ums = [upper_expectation(list(dev), "gap") for dev in (p_dev, q_dev, r_dev)]
         rows.append((n,) + tuple(float(v) for um in ums for v in (um.value, um.stderr))
                     + (0.0,))
     return rows
@@ -1458,6 +1458,19 @@ def test_models_hold_probe_boxes_and_the_audit_sups_bound_them(name):
     for key, value in (("b_x", model.b_x(t, x, a)), ("gamma_x", model.gamma_x(t, x, a)),
                        ("sigma_x", model.sigma_x(t, x)), ("f", model.f(t, x, th, a))):
         assert np.all(np.abs(value) <= sup[key]), key
+
+
+def test_a_model_built_without_probe_boxes_is_probed_and_tabled_in_the_default_ones():
+    # a library model may leave its boxes out: the derivative check, the run
+    # and the table's hypothesis label all read the default boxes
+    model = dataclasses.replace(md.make_linear_jump_lq({}), bounds={})
+    assert model.bounds == md.make_linear_jump_lq({}).bounds
+    assert md.check_derivatives(model) == []
+    grid = TimeGrid(T=1.0, n_steps=8)
+    drivers = sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 50, 3)
+    rep = mp_check_relaxed(simulate(model, constant_strict(PM1, 8, 0), drivers, 1.0), n_blocks=2)
+    assert len(rep.entries) == 2 * PM1.actions.size
+    assert rep.hypothesis.startswith("nonzero b or h")
 
 
 def test_lipschitz_audit_trivial_model():

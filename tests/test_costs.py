@@ -13,7 +13,7 @@ from gcontrol.controls import (
     embed_strict,
     uniform_relaxed,
 )
-from gcontrol.experiments import run_document
+from gcontrol.experiments import run_document, validate_document
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
 from gcontrol.variational import spike_report
@@ -127,13 +127,15 @@ def test_single_control_costs_are_frozen(name):
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_non_finite_cost_names_its_scenario_and_control():
     # gamma = c2 u rides the volatility: under u = 1 the high corner (scenario 1)
-    # drives x_T to about 4e4, where g = gq x^2 overflows, and the low one to 1e4
+    # drives x_T to about 2.4e154, where g = x^2 overflows, and the low one to
+    # 6e153 (g about 3.5e307); under u = 0 every cost, and its variance, is O(1)
     grid = TimeGrid(T=1.0, n_steps=16)
     drivers = sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 64, 5)
-    model = md.build_model("linear_jump_lq", {"gq": 1e300, "s1": 0.0, "f1": 0.0, "c1": 0.0,
-                                              "c2": 1e4})
+    model = md.build_model("linear_jump_lq", {"gq": 1.0, "s1": 0.0, "f1": 0.0, "c1": 0.0,
+                                              "c2": 5e153})
     low, high = constant_strict(ACTIONS, 16, 0), constant_strict(ACTIONS, 16, 2)
-    assert np.isfinite(co.evaluate_cost(model, low, drivers, 1.0).upper_value)
+    rep = co.evaluate_cost(model, low, drivers, 1.0)
+    assert np.isfinite(rep.upper_value) and np.isfinite(rep.scenario_stderrs).all()
     with pytest.raises(FloatingPointError, match="non-finite path cost of control 1 under scenario 1$"):
         co.value_bruteforce(model, [low, high], drivers, 1.0)
     # the base of a spike runs as row 0 of its spikes' batch, named by its role
@@ -166,17 +168,20 @@ def test_failed_costed_batch_stays_failed():
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_diverging_base_and_first_spike_are_named_apart():
     # the base and its spikes run as one batch, the base as row 0; the
-    # message names the role, not the position in the batch
+    # message names the role, not the position in the batch (the model of
+    # test_non_finite_cost_names_its_scenario_and_control)
     grid = TimeGrid(T=1.0, n_steps=16)
     drivers = sample_drivers(_fam(1.0, 4.0, grid), grid, MARKS, 64, 5)
-    model = md.build_model("linear_jump_lq", {"gq": 1e300, "s1": 0.0, "f1": 0.0, "c1": 0.0,
-                                              "c2": 1e4})
+    model = md.build_model("linear_jump_lq", {"gq": 1.0, "s1": 0.0, "f1": 0.0, "c1": 0.0,
+                                              "c2": 5e153})
     low, high = constant_strict(ACTIONS, 16, 0), constant_strict(ACTIONS, 16, 2)
     with pytest.raises(FloatingPointError,
                        match="non-finite path cost of the base control under scenario 1$"):
         spike_report(model, high, 0, 0.25, [0.75, 0.25], drivers, 1.0)
-    # the base u = 0 is finite; spiked to u = 1 over [0.25, 1) it diverges
-    assert np.isfinite(co.evaluate_cost(model, low, drivers, 1.0).upper_value)
+    # the base u = 0 is finite, its stderrs too; spiked to u = 1 over [0.25, 1)
+    # it diverges
+    rep = co.evaluate_cost(model, low, drivers, 1.0)
+    assert np.isfinite(rep.upper_value) and np.isfinite(rep.scenario_stderrs).all()
     with pytest.raises(FloatingPointError,
                        match="non-finite path cost of spike h=0.75 under scenario 1$"):
         spike_report(model, low, 2, 0.25, [0.75, 0.25], drivers, 1.0)
@@ -397,3 +402,36 @@ def test_chattering_csv_and_summary(tmp_path):
                     n_paths=100, seed=5, x0=1.0, options={"n_list": [4, 16]})
     assert csv.splitlines()[0] == "n,msq_gap,cost_gap,cost_gap_stderr"
     assert len(csv.splitlines()) == 3
+
+
+# finite per-path samples whose reported mean or stderr is not: the cost's
+# stderr (g = 1e300 x^2) overflows, and so does the rungs' mean-square gap
+# (x gains a factor 1 + 5000 dt per step, to about 1e205). Both documents
+# are valid; each run raises and writes no summary, where it used to write
+# inf into its CSV
+_OVERFLOWING = {
+    "cost": ({**_DOC, "kind": "cost",
+              "model": {"name": "linear_jump_lq",
+                        "params": {"gq": 1e300, "c2": 1e4, "s1": 0.0, "f1": 0.0, "c1": 0.0}},
+              "grid": {"T": 1.0, "n_steps": 16}, "control": {"type": "constant", "index": 0},
+              "n_paths": 64, "seed": 5, "x0": 1.0},
+             "^non-finite cost of control 0 under scenario 0$"),
+    "chattering": ({**_DOC, "kind": "chattering",
+                    "model": {"name": "bilinear", "params": {"th0": 5000.0, "th1": 1.0}},
+                    "marks": {"values": [-0.4, 0.6], "intensities": [1.0, 1.0]},
+                    "actions": [-1.0, 0.0, 1.0], "grid": {"T": 1.0, "n_steps": 128},
+                    "control": {"type": "uniform"}, "n_paths": 64, "seed": 1, "x0": 1.0,
+                    "options": {"n_list": [4, 16]}},
+                   "^non-finite mean-square gap of rung n=4 under scenario 0$"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("kind", sorted(_OVERFLOWING))
+def test_a_non_finite_reported_mean_raises_and_writes_no_summary(kind, tmp_path):
+    doc, message = _OVERFLOWING[kind]
+    doc = {"scenarios": {"strategy": "corners", "blocks": 1}, **doc}
+    assert validate_document(doc) == []
+    with pytest.raises(FloatingPointError, match=message):
+        run_document(doc, output_dir=tmp_path)
+    assert not (tmp_path / "summary.json").exists()

@@ -4,6 +4,10 @@ Permuting a batch permutes its results. The kernel branches each row
 from the earlier row it shares the longest prefix of actions with, so
 which row is whose parent depends on the batch order; a row's bits, and
 every value derived from them, must not.
+
+Permuting the scenario family permutes the per-scenario results: every
+scenario runs on the same draws and events, and no reduction crosses
+scenarios before the worst case is taken.
 """
 
 import itertools
@@ -20,9 +24,9 @@ from gcontrol.controls import (
     spike,
     uniform_relaxed,
 )
-from gcontrol.costs import value_bruteforce
+from gcontrol.costs import evaluate_cost, value_bruteforce
 from gcontrol.jumps import MarkSpace, sample_drivers
-from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
+from gcontrol.scenarios import ScenarioFamily, TimeGrid, VolatilityBounds, build_scenario_family
 
 K = 16
 GRID = TimeGrid(T=1.0, n_steps=K)
@@ -90,3 +94,23 @@ def test_permuted_candidates_leave_the_near_table_unchanged(add_block_spikes):
             ref.epsilon_n, ref.C_min, ref.jepsilon_ok, ref.n_candidates)
         assert rep.mp.entries == ref.mp.entries
         assert rep.mp.extra_slack == ref.mp.extra_slack
+
+
+@pytest.mark.parametrize("relaxed", [False, True], ids=["strict", "relaxed"])
+def test_permuted_scenarios_permute_the_scenario_means(relaxed):
+    grid = TimeGrid(T=1.0, n_steps=64)
+    family = build_scenario_family(VolatilityBounds(1.0, 4.0), grid, "corners", blocks=2)
+    actions = ActionGrid(np.array([-1.0, 0.0, 1.0]))
+    control = (uniform_relaxed(actions, 64) if relaxed
+               else StrictControl(actions, np.full(64, 2)))
+    model = md.build_model("linear_jump_lq", {})
+    ref = evaluate_cost(model, control, sample_drivers(family, grid, MARKS, 1000, 3), 1.0)
+    for order in _orders(family.n_scenarios, 4, 1) + [[2, 0, 3, 1]]:
+        permuted = ScenarioFamily(family.bounds, family.values[order])
+        rep = evaluate_cost(model, control, sample_drivers(permuted, grid, MARKS, 1000, 3), 1.0)
+        assert rep.scenario_means.tobytes() == ref.scenario_means[order].tobytes()
+        assert rep.scenario_stderrs.tobytes() == ref.scenario_stderrs[order].tobytes()
+        assert rep.upper_value == ref.upper_value
+        # an exact tie for the worst case goes to the lowest id in either order
+        if np.count_nonzero(ref.scenario_means == ref.upper_value) == 1:
+            assert order[rep.argmax_scenario] == ref.argmax_scenario

@@ -224,29 +224,59 @@ def test_drivers_hold_no_scenario_array_of_increments():
 
 
 def test_upper_expectation_examples():
-    one = sc.upper_expectation([np.array([1.0, 2.0, 3.0])])
+    one = sc.upper_expectation([np.array([1.0, 2.0, 3.0])], "x")
     assert one.value == 2.0 and one.scenario_id == 0
 
     same = np.array([0.5, 1.5])
-    tie = sc.upper_expectation([same, same.copy()])
+    tie = sc.upper_expectation([same, same.copy()], "x")
     assert tie.scenario_id == 0 and tie.value == 1.0
 
     three = sc.upper_expectation(
-        [np.array([0.5, 1.5]), np.array([1.5, 2.5]), np.array([1.0, 2.0])]
+        [np.array([0.5, 1.5]), np.array([1.5, 2.5]), np.array([1.0, 2.0])], "x"
     )
     assert three.value == 2.0 and three.scenario_id == 1
 
     with pytest.raises(ValueError):
-        sc.upper_expectation([])
+        sc.upper_expectation([], "x")
     with pytest.raises(ValueError):
-        sc.upper_expectation([np.array([1.0])])
+        sc.upper_expectation([np.array([1.0])], "x")
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_upper_expectation_refuses_a_mean_that_overflows_from_finite_samples():
+    with pytest.raises(FloatingPointError, match="^non-finite payoff under scenario 0$"):
+        sc.upper_expectation(np.full((2, 2), 1e308), "payoff")
+    # the stderr alone overflows in scenario 1; scenario 0 is finite
+    with pytest.raises(FloatingPointError, match="^non-finite payoff under scenario 1$"):
+        sc.upper_expectation([[1.0, 2.0], [-1e200, 1e200]], "payoff")
+
+
+def test_upper_expectation_ties_go_to_the_lowest_scenario():
+    rows = np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 1.0], [1.5, 1.5]])
+    um = sc.upper_expectation(rows, "x")
+    assert (um.value, um.scenario_id) == (1.5, 1)
+    assert um.stderr == um.stderrs[1] and um.stderrs[3] == 0.0
+
+
+def test_upper_expectation_rows_give_the_bits_of_the_array_and_of_each_row_alone():
+    rng = np.random.default_rng(7)
+    arr = rng.normal(size=(5, 1001)) * np.exp(rng.normal(size=(5, 1)) * 3)
+    whole = sc.upper_expectation(arr, "x")
+    for samples in (list(arr), np.asfortranarray(arr), arr.T.copy().T):
+        um = sc.upper_expectation(samples, "x")
+        assert um.means.tobytes() == whole.means.tobytes()
+        assert um.stderrs.tobytes() == whole.stderrs.tobytes()
+        assert um[:3] == whole[:3]
+    for s, row in enumerate(arr):
+        assert whole.means[s] == row.mean()
+        assert whole.stderrs[s] == row.std(ddof=1) / np.sqrt(row.size)
 
 
 def test_upper_expectation_monotone_in_family():
     rng = np.random.default_rng(0)
     samples = [rng.normal(size=50) for _ in range(3)]
-    base = sc.upper_expectation(samples).value
-    extended = sc.upper_expectation(samples + [rng.normal(size=50)]).value
+    base = sc.upper_expectation(samples, "x").value
+    extended = sc.upper_expectation(samples + [rng.normal(size=50)], "x").value
     assert extended >= base
 
 

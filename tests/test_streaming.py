@@ -234,7 +234,7 @@ def test_streamed_costs_equal_whole_array_costs_bitwise(case):
         assert rep.per_path.tobytes() == ref.tobytes()
         assert rep.per_path.flags["C_CONTIGUOUS"]
         assert (rep.scenario_means == ref.mean(axis=1)).all()
-        assert rep.upper_value == upper_expectation(list(ref)).value
+        assert rep.upper_value == upper_expectation(list(ref), "cost").value
 
 
 @pytest.mark.parametrize("case", ["strict", "lone-quiet"])
@@ -252,11 +252,11 @@ def test_streamed_quotient_and_slope_rows_equal_whole_array_rows_bitwise(case):
     spiked = _stored(MODEL, spikes, drivers, 1.0)
     z = solve_variational(ens, ai, windows[0][0])
     base = _whole_array_path_costs(MODEL, _PATTERN, GRID, ens.states)
-    s_star = upper_expectation(list(base)).scenario_id
+    s_star = upper_expectation(list(base), "cost").scenario_id
     ref_rows, ref_slopes = [], []
     for j, (h, u, (k0, span)) in enumerate(zip(h_list, spikes, windows)):
         y = (spiked[:, j] - ens.states) / h - z
-        um = upper_expectation(list(np.max(y[k0 + span:] ** 2, axis=0)))
+        um = upper_expectation(list(np.max(y[k0 + span:] ** 2, axis=0)), "sup")
         ref_rows.append(QuotientRow(h, um.value, um.stderr, um.scenario_id))
         pert = _whole_array_path_costs(MODEL, u, GRID, spiked[:, j])
         diff = (pert[s_star] - base[s_star]) / h
@@ -269,7 +269,7 @@ def test_streamed_quotient_and_slope_rows_equal_whole_array_rows_bitwise(case):
     for k in range(windows[0][0], K):
         hx = md._coeff(MODEL.h_x(float(GRID.times[k]), ens.states[k], float(_PATTERN.values[k])))
         formula = formula + hx * z[k] * GRID.dt
-    um = upper_expectation(list(formula))
+    um = upper_expectation(list(formula), "formula")
     assert ((derivative.formula.hex(), derivative.formula_stderr.hex())
             == (um.value.hex(), um.stderr.hex()))
 
@@ -285,12 +285,13 @@ def test_streamed_chattering_sups_equal_whole_array_sups_bitwise(case):
     base = simulate(MODEL, mu, drivers, 1.0).states
     states = _stored(MODEL, ladder, drivers, 1.0)
     base_cost = _whole_array_path_costs(MODEL, mu, GRID, base)
-    s_star = upper_expectation(list(base_cost)).scenario_id
+    s_star = upper_expectation(list(base_cost), "cost").scenario_id
     ref = []
     for c, (n, u) in enumerate(zip(n_list, ladder)):
         sup = np.abs(base - states[:, c]).max(axis=0)
         cost = _whole_array_path_costs(MODEL, u, GRID, states[:, c])
-        gap = abs(upper_expectation(list(cost)).value - upper_expectation(list(base_cost)).value)
+        gap = abs(upper_expectation(list(cost), "cost").value
+                  - upper_expectation(list(base_cost), "cost").value)
         diff = cost[s_star] - base_cost[s_star]
         ref.append((n, float(np.max((sup**2).mean(axis=1))), float(gap),
                     float(diff.std(ddof=1) / np.sqrt(diff.size))))

@@ -13,8 +13,11 @@ from gcontrol.controls import (
     ActionGrid,
     StrictControl,
     constant_strict,
+    spike,
+    spike_window,
     uniform_relaxed,
 )
+from gcontrol.costs import evaluate_costs
 from gcontrol.experiments import run_document
 from gcontrol.jumps import MarkSpace, sample_drivers
 from gcontrol.scenarios import TimeGrid, VolatilityBounds, build_scenario_family
@@ -300,12 +303,19 @@ def test_spike_report_refuses_an_overflowing_slope_or_quotient():
     actions = ActionGrid(np.array([-1.0, 0.0, 1.0]))
     drivers = sample_drivers(family, grid, MARKS, 64, 5)
     base = constant_strict(actions, 16, 1)
-    # both path costs are finite (~1e305), but the slope's stderr overflows
-    model = md.build_model("linear_jump_lq", {"gq": 1e300, "c2": 1e3})
+    # a one-step spike to u = 1 kicks x by c2 a h: the slope's spread is 1 / h
+    # times the spiked cost's, so both costs' stderrs stay finite (below 1e153)
+    # while the slope's overflows in the high corners of the spike's block
+    # (scenarios 2 and 3); the first is named, not the base's worst scenario 3
+    model = md.build_model("linear_jump_lq", {"gq": 1e148, "c2": 1e3})
+    k0, span = spike_window(0.25, 0.0625, grid)
+    reports = evaluate_costs(model, [base, spike(base, 2, k0, span)], drivers, 1.0)
+    assert [r.argmax_scenario for r in reports] == [3, 3]
+    assert all(np.isfinite(r.scenario_stderrs).all() for r in reports)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             FloatingPointError,
-            match=r"^non-finite finite-difference slope of width h=0.25 under scenario 3$"):
-        vr.spike_report(model, base, 2, 0.25, [0.25], drivers, 1.0)
+            match=r"^non-finite finite-difference slope of width h=0.0625 under scenario 2$"):
+        vr.spike_report(model, base, 2, 0.25, [0.0625], drivers, 1.0)
     # costs linear in x: every slope is finite, the squared quotient is not
     model = md.build_model("bilinear", {"s1": 0.0})
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
